@@ -29,9 +29,16 @@ triangulation only needs to agree between neighboring members (it does: the
 fan is symmetric); the remaining faces match in integral against the
 averaged bonds by the fan's mean-value center.
 
-All assembly is precomputed into flat index arrays per (partition,
-interaction set) and evaluated with sequential scatter-adds, so results are
-deterministic and bit-reproducible.
+Every term is a weighted sum of phi_eta(F eta + (B v)_q / eps) over
+"quadrature bonds" q, where B is a fixed linear map of the lattice
+displacement v: the atomistic bonds (+1/-1 rows), each interface cone tet
+(eta^T A^-1 applied to the vertex values of the cone interpolant, which are
+themselves affine combinations of lattice values), and the two sides of the
+interface jump. Each such B is precomputed once per (partition, direction)
+as a sparse CSR operator; an evaluation applies it, evaluates the law, and
+applies its transpose to the weighted law gradients. The sparse products
+run sequentially in a fixed order, so results are deterministic and
+bit-reproducible.
 """
 from __future__ import annotations
 
@@ -40,6 +47,7 @@ from enum import Enum
 from typing import Any, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .energies import EnergyReport, _diff_arrays
 from .geometry import (
@@ -395,28 +403,53 @@ def _build_member_cone(mu, w, eta, part: RegionPartition, reduce_mode: bool):
 # Precomputed per-direction assembly blocks
 # ======================================================================
 
+def _csr(rows, cols, vals, shape) -> sparse.csr_array:
+    """CSR operator from (row, column, value) entries; duplicates are summed."""
+    idx = np.int32 if max(shape) < 2**31 else np.int64
+    return sparse.csr_array(
+        (np.asarray(vals, dtype=float),
+         (np.asarray(rows, dtype=idx), np.asarray(cols, dtype=idx))),
+        shape=shape,
+    )
+
+
+def _vertex_rows(tets, weights, fn_len, fn_site, fn_coef, n_sites) -> sparse.csr_array:
+    """Row r = sum_s weights[r, s] * f_{tets[r, s]}, where the functional f_v
+    of vertex v is its ``fn_len[v]`` consecutive (site, coefficient) entries
+    of ``fn_site``/``fn_coef``."""
+    fn_len = np.asarray(fn_len, dtype=np.int64)
+    start = np.cumsum(fn_len) - fn_len
+    vid = tets.ravel()
+    lens = fn_len[vid]
+    ends = np.cumsum(lens)
+    entry = np.arange(int(lens.sum())) - np.repeat(ends - lens - start[vid], lens)
+    rows = np.repeat(np.repeat(np.arange(tets.shape[0]), tets.shape[1]), lens)
+    vals = np.repeat(weights.ravel(), lens) * np.asarray(fn_coef)[entry]
+    return _csr(rows, np.asarray(fn_site)[entry], vals, (tets.shape[0], n_sites))
+
+
 @dataclass
 class _GammaData:
-    tri_sites: np.ndarray   # (Tg, 3) flat lattice sites of the fine triangle
-    nu_eta: np.ndarray      # (Tg,) nu_a . eta
-    minus_tet: np.ndarray   # (Tg,) cone tet index carrying the inner trace
-    plus_lo: np.ndarray     # (Tg, 3) flat base site of the outer tet's edge per axis
-    plus_up: np.ndarray     # (Tg, 3)
+    """Fine interface triangles of one direction, the rows of the jump term."""
+
+    nu_eta: np.ndarray            # (Tg,) nu_a . eta
+    minus_tet: np.ndarray         # (Tg,) cone tet carrying the inner trace
+    minus_op: sparse.csr_array    # (Tg, n_sites) the cone_op rows of minus_tet
+    plus_op: sparse.csr_array     # (Tg, n_sites) eta-weighted edge differences of the outer staircase tet
+    trace_op: sparse.csr_array    # (Tg, n_sites) sum of the triangle's three vertex values
 
 
 @dataclass
 class _EtaBlock:
+    """Quadrature bonds of one direction. Each term's bond vectors are
+    zeta = F eta + (op @ v) / eps for the flat (n_sites, 3) displacement v."""
+
     eta: IntTriple
     n_eta: int
-    atom_lo: np.ndarray
-    atom_up: np.ndarray
-    atom_w: np.ndarray
-    tets: np.ndarray        # (T, 4) vertex ids
-    volw: np.ndarray        # (T,) lattice volume / n_eta
-    m: np.ndarray           # (T, 3) eta^T A^{-1} in lattice units
-    fn_sites: np.ndarray    # (V, K) flat sites of vertex functionals
-    fn_coeffs: np.ndarray   # (V, K)
-    n_vertices: int
+    atom_op: sparse.csr_array     # (n_bonds, n_sites) +1 at the bond tip, -1 at its base
+    atom_w: np.ndarray            # (n_bonds,) bond weights
+    cone_op: sparse.csr_array     # (T, n_sites) eta^T A^{-1} applied to (vertex - apex values) per cone tet
+    volw: np.ndarray              # (T,) lattice volume / n_eta
     gamma: _GammaData
     counts: dict[str, int]
 
@@ -459,6 +492,7 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, 
         return got
 
     N = cfg.N
+    n_sites = cfg.n_sites
     n_zero = sum(1 for e in eta if e == 0)
     if n_zero and policy != "reduce":
         raise DegenerateEta(f"eta={eta} has zero components and policy is {policy!r}")
@@ -483,11 +517,14 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, 
         e12 = tuple(e1[d] + e2[d] for d in range(3))
         bond_offsets = [((0, 0, 0), 0.25), (e1, 0.25), (e2, 0.25), (e12, 0.25)]
 
-    atom_lo: list[int] = []
-    atom_up: list[int] = []
+    atom_sites: list[int] = []   # (tip, base) per bond
     atom_w: list[float] = []
+    # Cone vertices: positions, and their functionals as consecutive
+    # (flat site, coefficient) entries, fn_len[v] of them for vertex v.
     verts_pos: list[np.ndarray] = []
-    verts_fn: list[list] = []
+    fn_len: list[int] = []
+    fn_site: list[int] = []
+    fn_coef: list[float] = []
     tets: list[tuple[int, int, int, int]] = []
     gamma_rows: list[tuple] = []
     counts = {"atomistic": 0, "continuum": 0, "interface": 0}
@@ -495,7 +532,10 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, 
 
     def add_vertex(vert) -> int:
         verts_pos.append(vert[0])
-        verts_fn.append(vert[1])
+        fn_len.append(len(vert[1]))
+        for site, coef in vert[1]:
+            fn_site.append(_flat_index(site, N))
+            fn_coef.append(coef)
         return len(verts_pos) - 1
 
     for l0 in range(N[0]):
@@ -512,8 +552,7 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, 
                     for off, wt in bond_offsets:
                         base = tuple(ell[d] + off[d] for d in range(3))
                         tip = tuple(base[d] + eta[d] for d in range(3))
-                        atom_lo.append(_flat_index(base, N))
-                        atom_up.append(_flat_index(tip, N))
+                        atom_sites += [_flat_index(tip, N), _flat_index(base, N)]
                         atom_w.append(wt)
                     continue
                 counts["interface"] += 1
@@ -525,40 +564,35 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, 
                     if meta is not None and eta[meta.axis] != 0:
                         gamma_rows.append((len(tets) - 1, tri, meta))
 
-    # --- finalize cone arrays -----------------------------------------
-    n_tets = len(tets)
-    if n_tets:
-        pos = np.asarray(verts_pos)
-        t = np.asarray(tets, dtype=np.int64)
-        A = pos[t[:, 1:]] - pos[t[:, :1]]
-        det = np.linalg.det(A)
-        Ainv = np.linalg.inv(A)
-        m = np.einsum("r,trs->ts", np.asarray(eta, dtype=float), Ainv)
-        volw = np.abs(det) / 6.0 / n_eta
-        K = max(len(fn) for fn in verts_fn)
-        fn_sites = np.zeros((len(verts_fn), K), dtype=np.int64)
-        fn_coeffs = np.zeros((len(verts_fn), K))
-        for vi, fn in enumerate(verts_fn):
-            for kk, (site, coef) in enumerate(fn):
-                fn_sites[vi, kk] = _flat_index(site, N)
-                fn_coeffs[vi, kk] = coef
-    else:
-        t = np.zeros((0, 4), dtype=np.int64)
-        m = np.zeros((0, 3))
-        volw = np.zeros(0)
-        fn_sites = np.zeros((0, 1), dtype=np.int64)
-        fn_coeffs = np.zeros((0, 1))
+    # --- atomistic bonds: v[tip] - v[base] ------------------------------
+    n_bonds = len(atom_w)
+    atom_op = _csr(np.repeat(np.arange(n_bonds), 2), atom_sites, np.tile([1.0, -1.0], n_bonds),
+                   (n_bonds, n_sites))
 
-    # --- finalize interface-surface rows for the discontinuous variant --
-    g_sites = np.zeros((len(gamma_rows), 3), dtype=np.int64)
-    g_nu = np.zeros(len(gamma_rows))
-    g_minus = np.zeros(len(gamma_rows), dtype=np.int64)
-    g_plus_lo = np.zeros((len(gamma_rows), 3), dtype=np.int64)
-    g_plus_up = np.zeros((len(gamma_rows), 3), dtype=np.int64)
+    # --- cone tets: eta^T A^{-1} (vertex values - apex value) -----------
+    t = np.asarray(tets, dtype=np.int64).reshape(len(tets), 4)
+    if len(tets):
+        pos = np.asarray(verts_pos)
+        A = pos[t[:, 1:]] - pos[t[:, :1]]
+        volw = np.abs(np.linalg.det(A)) / 6.0 / n_eta
+        m = np.einsum("r,trs->ts", np.asarray(eta, dtype=float), np.linalg.inv(A))
+    else:
+        volw = np.zeros(0)
+        m = np.zeros((0, 3))
+    weights = np.concatenate([-m.sum(axis=1, keepdims=True), m], axis=1)
+    cone_op = _vertex_rows(t, weights, fn_len, fn_site, fn_coef, n_sites)
+
+    # --- interface-surface rows for the discontinuous variant -----------
+    n_tri = len(gamma_rows)
+    g_nu = np.zeros(n_tri)
+    g_minus = np.zeros(n_tri, dtype=np.int64)
+    tri_sites = np.zeros((n_tri, 3), dtype=np.int64)
+    plus_rows: list[int] = []
+    plus_cols: list[int] = []
+    plus_vals: list[float] = []
     for r, (tet_id, tri, meta) in enumerate(gamma_rows):
         for c in range(3):
-            site = tri[c][1][0][0]
-            g_sites[r, c] = _flat_index(site, N)
+            tri_sites[r, c] = _flat_index(tri[c][1][0][0], N)
         g_nu[r] = meta.nu_sign * eta[meta.axis]
         g_minus[r] = tet_id
         j, k = [d for d in range(3) if d != meta.axis]
@@ -568,24 +602,30 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, 
         assert mask[tuple(np.mod(cell, N))], "outer interface cell must be continuum"
         offs = path_edge_offsets(_plus_side_perm(meta.axis, meta.nu_sign, meta.half))
         for a_ax in range(3):
+            if eta[a_ax] == 0:
+                continue
             base = tuple(cell[d] + offs[a_ax][d] for d in range(3))
             upv = tuple(base[d] + (d == a_ax) for d in range(3))
-            g_plus_lo[r, a_ax] = _flat_index(base, N)
-            g_plus_up[r, a_ax] = _flat_index(upv, N)
+            plus_rows += [r, r]
+            plus_cols += [_flat_index(upv, N), _flat_index(base, N)]
+            plus_vals += [float(eta[a_ax]), -float(eta[a_ax])]
 
+    gamma = _GammaData(
+        nu_eta=g_nu,
+        minus_tet=g_minus,
+        minus_op=cone_op[g_minus],
+        plus_op=_csr(plus_rows, plus_cols, plus_vals, (n_tri, n_sites)),
+        trace_op=_csr(np.repeat(np.arange(n_tri), 3), tri_sites.reshape(-1), np.ones(3 * n_tri),
+                      (n_tri, n_sites)),
+    )
     block = _EtaBlock(
         eta=eta,
         n_eta=n_eta,
-        atom_lo=np.asarray(atom_lo, dtype=np.int64),
-        atom_up=np.asarray(atom_up, dtype=np.int64),
+        atom_op=atom_op,
         atom_w=np.asarray(atom_w),
-        tets=t,
+        cone_op=cone_op,
         volw=volw,
-        m=m,
-        fn_sites=fn_sites,
-        fn_coeffs=fn_coeffs,
-        n_vertices=len(verts_fn),
-        gamma=_GammaData(g_sites, g_nu, g_minus, g_plus_lo, g_plus_up),
+        gamma=gamma,
         counts=counts,
     )
     _BLOCK_CACHE[key] = block
@@ -596,19 +636,20 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, 
 # Evaluation helpers
 # ======================================================================
 
-def _atom_contrib(block: _EtaBlock, law: InteractionLaw, F, vflat, eps, g_outs=()):
-    if block.atom_lo.size == 0:
-        return 0.0
-    Z = (F @ law.eta_vec) + (vflat[block.atom_up] - vflat[block.atom_lo]) / eps
-    vals = law.values(Z)
-    energy = float(eps**3 * np.sum(block.atom_w * vals))
+def _bond_contrib(op, w, law: InteractionLaw, F, vflat, eps, g_outs=()):
+    """Quadrature-bond energy eps^3 sum_q w_q phi(zeta_q) at the bond
+    vectors zeta = F eta + (op @ v) / eps. Adds the gradient, scaled like
+    the lattice inner product, op^T (w phi'(zeta) / eps) to each array in
+    ``g_outs``. Returns the energy and zeta."""
+    if op.shape[0] == 0:
+        return 0.0, np.zeros((0, 3))
+    zeta = (F @ law.eta_vec) + (op @ vflat) / eps
+    energy = float(eps**3 * np.sum(w * law.values(zeta)))
     if g_outs:
-        P = law.gradients(Z)
-        contrib = (block.atom_w / eps)[:, None] * P
+        contrib = op.T @ ((w / eps)[:, None] * law.gradients(zeta))
         for g in g_outs:
-            np.add.at(g, block.atom_up, contrib)
-            np.add.at(g, block.atom_lo, -contrib)
-    return energy
+            g += contrib
+    return energy, zeta
 
 
 def _cb_masked_contrib(mask, law: InteractionLaw, F, d, eps, shape, g_outs=()):
@@ -642,38 +683,6 @@ def _cb_masked_contrib(mask, law: InteractionLaw, F, d, eps, shape, g_outs=()):
     return energy
 
 
-def _cone_zeta(block: _EtaBlock, F, vflat, eps):
-    vin = vflat[block.fn_sites]
-    vals = np.einsum("vk,vkc->vc", block.fn_coeffs, vin)
-    Bv = vals[block.tets[:, 1:]] - vals[block.tets[:, :1]]
-    return (F @ np.asarray(block.eta, dtype=float)) + np.einsum("ts,tsc->tc", block.m, Bv) / eps
-
-
-def _cone_scatter(block: _EtaBlock, vertex_contrib: np.ndarray, g_outs):
-    """Distribute per-vertex gradient contributions to lattice sites."""
-    flatized = (block.fn_coeffs[:, :, None] * vertex_contrib[:, None, :]).reshape(-1, 3)
-    idx = block.fn_sites.reshape(-1)
-    for g in g_outs:
-        np.add.at(g, idx, flatized)
-
-
-def _cone_contrib(block: _EtaBlock, law: InteractionLaw, F, vflat, eps, g_outs=()):
-    if block.tets.shape[0] == 0:
-        return 0.0, np.zeros((0, 3))
-    zeta = _cone_zeta(block, F, vflat, eps)
-    vals = law.values(zeta)
-    energy = float(eps**3 * np.sum(block.volw * vals))
-    if g_outs:
-        P = law.gradients(zeta)
-        kappa = (block.volw[:, None] * block.m) / eps
-        Wv = np.zeros((block.n_vertices, 3))
-        np.add.at(Wv, block.tets[:, 0], -kappa.sum(axis=1)[:, None] * P)
-        for s in (1, 2, 3):
-            np.add.at(Wv, block.tets[:, s], kappa[:, s - 1][:, None] * P)
-        _cone_scatter(block, Wv, g_outs)
-    return energy, zeta
-
-
 def _jump_contrib(
     block: _EtaBlock,
     law: InteractionLaw,
@@ -686,7 +695,7 @@ def _jump_contrib(
     g_minus=None,
     g_plus=None,
 ):
-    """Interface jump term of the discontinuous energy and its scatters.
+    """Interface jump term of the discontinuous energy and its gradients.
 
     The energy subtracts sum over fine interface triangles of
     |tau| phi'(<grad y eta>) . [[y eta]](centroid); traces are centroid
@@ -695,20 +704,12 @@ def _jump_contrib(
     identically-zero contributions could still flip signed zeros).
     """
     gam = block.gamma
-    n_tri = gam.tri_sites.shape[0]
-    if n_tri == 0:
+    if gam.nu_eta.size == 0:
         return 0.0
-    etaf = law.eta_vec
     zm = zeta_minus[gam.minus_tet]
-    zp = (F @ etaf) + sum(
-        (law.eta[a_ax] / eps) * (vp_flat[gam.plus_up[:, a_ax]] - vp_flat[gam.plus_lo[:, a_ax]])
-        for a_ax in range(3)
-        if law.eta[a_ax] != 0
-    )
+    zp = (F @ law.eta_vec) + (gam.plus_op @ vp_flat) / eps
     avg = 0.5 * (zm + zp)
-    trm = (vm_flat[gam.tri_sites[:, 0]] + vm_flat[gam.tri_sites[:, 1]] + vm_flat[gam.tri_sites[:, 2]]) / 3.0
-    trp = (vp_flat[gam.tri_sites[:, 0]] + vp_flat[gam.tri_sites[:, 1]] + vp_flat[gam.tri_sites[:, 2]]) / 3.0
-    J = gam.nu_eta[:, None] * (trm - trp)
+    J = gam.nu_eta[:, None] * (gam.trace_op @ (vm_flat - vp_flat)) / 3.0
     phi1 = law.gradients(avg)
     w_area = eps**2 * 0.5 / block.n_eta
     energy = float(w_area * np.sum(phi1 * J))
@@ -718,40 +719,26 @@ def _jump_contrib(
     active = np.any(J != 0.0, axis=1)
     if np.any(active):
         idx = np.nonzero(active)[0]
-        H = law.hessians(avg[idx])
-        q = np.einsum("tij,tj->ti", H, J[idx])
-        c_phi2 = 1.0 / (4.0 * block.n_eta * eps**2)
-        minus_sel = gam.minus_tet[idx]
-        kap = c_phi2 * block.m[minus_sel]          # (n_active, 3)
-        for targets in (g_tied, g_minus):
-            if targets is None:
+        q = np.zeros_like(J)
+        q[idx] = np.einsum("tij,tj->ti", law.hessians(avg[idx]), J[idx])
+        q *= -1.0 / (4.0 * block.n_eta * eps**2)
+        for op, side in ((gam.minus_op, g_minus), (gam.plus_op, g_plus)):
+            if g_tied is None and side is None:
                 continue
-            Wv = np.zeros((block.n_vertices, 3))
-            np.add.at(Wv, block.tets[minus_sel, 0], (kap.sum(axis=1))[:, None] * q)
-            for s in (1, 2, 3):
-                np.add.at(Wv, block.tets[minus_sel, s], -kap[:, s - 1][:, None] * q)
-            _cone_scatter(block, Wv, (targets,))
-        for targets in (g_tied, g_plus):
-            if targets is None:
-                continue
-            for a_ax in range(3):
-                if law.eta[a_ax] == 0:
-                    continue
-                coef = c_phi2 * law.eta[a_ax]
-                np.add.at(targets, gam.plus_up[idx, a_ax], -coef * q)
-                np.add.at(targets, gam.plus_lo[idx, a_ax], coef * q)
+            contrib = op.T @ q
+            for g in (g_tied, side):
+                if g is not None:
+                    g += contrib
 
     # phi' trace part: for the tied representer the two traces cancel
     # identically, so it only enters the per-side representers.
-    c_tr = 1.0 / (6.0 * block.n_eta * eps)
-    if g_minus is not None:
-        contrib = (c_tr * gam.nu_eta)[:, None] * phi1
-        for c in range(3):
-            np.add.at(g_minus, gam.tri_sites[:, c], -contrib)
-    if g_plus is not None:
-        contrib = (c_tr * gam.nu_eta)[:, None] * phi1
-        for c in range(3):
-            np.add.at(g_plus, gam.tri_sites[:, c], contrib)
+    if g_minus is not None or g_plus is not None:
+        c_tr = 1.0 / (6.0 * block.n_eta * eps)
+        contrib = gam.trace_op.T @ ((c_tr * gam.nu_eta)[:, None] * phi1)
+        if g_minus is not None:
+            g_minus -= contrib
+        if g_plus is not None:
+            g_plus += contrib
     return energy
 
 
@@ -782,13 +769,15 @@ def coupled_energy_conforming(
 
     e_atom = 0.0
     for law in R:
-        e_atom += _atom_contrib(blocks[law.eta], law, y.F, vflat, eps, (gf,))
+        b = blocks[law.eta]
+        e_atom += _bond_contrib(b.atom_op, b.atom_w, law, y.F, vflat, eps, (gf,))[0]
     e_cb = 0.0
     for law in R:
         e_cb += _cb_masked_contrib(mask, law, y.F, d, eps, cfg.shape, (gf,))
     e_cone = 0.0
     for law in R:
-        e_cone += _cone_contrib(blocks[law.eta], law, y.F, vflat, eps, (gf,))[0]
+        b = blocks[law.eta]
+        e_cone += _bond_contrib(b.cone_op, b.volw, law, y.F, vflat, eps, (gf,))[0]
 
     counts = {str(law.eta): blocks[law.eta].counts for law in R}
     return EnergyReport(
@@ -839,14 +828,16 @@ def coupled_energy_dg(
 
     e_atom = 0.0
     for law in R:
-        e_atom += _atom_contrib(blocks[law.eta], law, F, vmf, eps, (gtf, gmf))
+        b = blocks[law.eta]
+        e_atom += _bond_contrib(b.atom_op, b.atom_w, law, F, vmf, eps, (gtf, gmf))[0]
     e_cb = 0.0
     for law in R:
         e_cb += _cb_masked_contrib(mask, law, F, d_plus, eps, cfg.shape, (gtf, gpf))
     e_cone = 0.0
     zeta_by_eta = {}
     for law in R:
-        e, zeta = _cone_contrib(blocks[law.eta], law, F, vmf, eps, (gtf, gmf))
+        b = blocks[law.eta]
+        e, zeta = _bond_contrib(b.cone_op, b.volw, law, F, vmf, eps, (gtf, gmf))
         e_cone += e
         zeta_by_eta[law.eta] = zeta
     e_jump = 0.0

@@ -25,14 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.special import roots_jacobi, roots_legendre
 
 from .coupling import (
     RegionPartition,
-    _atom_contrib,
+    _bond_contrib,
     _build_eta_block,
     _check_partition,
-    _cone_contrib,
+    _csr,
     _flat_index,
     coupled_energy_conforming,
     omega_star_mask,
@@ -155,8 +156,7 @@ class HighOrderMesh:
     k: int
     p1_masks: np.ndarray            # (6, N1, N2, N3) cells whose perm-tet is P1
     elems_by_perm: list             # 6 arrays (E_p, nloc) of global node ids
-    node_sites: np.ndarray          # (G, 4) flat lattice sites backing each node
-    node_weights: np.ndarray        # (G, 4) interpolation weights (0 rows: free)
+    node_op: sparse.csr_array       # (G, n_sites) node values from lattice values (0 rows: free)
     node_free: np.ndarray           # (G,) free-dof index or -1
     free_rows: np.ndarray           # (n_free,) node row per free dof
     free_keys: list                 # sorted integer position keys of free dofs
@@ -213,8 +213,10 @@ def build_high_order_mesh(cfg: LatticeConfig, part: RegionPartition, k: int) -> 
     # Pass 2: global nodes of the Pk elements.
     nodes_m = simplex_multi_indices(k)
     node_ids: dict[tuple, int] = {}
-    node_sites_list: list[list[int]] = []
-    node_weights_list: list[list[float]] = []
+    # Node functionals as (node, flat site, weight) entries.
+    op_rows: list[int] = []
+    op_sites: list[int] = []
+    op_weights: list[float] = []
     node_is_free: list[bool] = []
     node_keys: list[tuple] = []
     elems_rows: list[list[list[int]]] = [[] for _ in range(6)]
@@ -236,14 +238,15 @@ def build_high_order_mesh(cfg: LatticeConfig, part: RegionPartition, k: int) -> 
                 )
                 nid = node_ids.get(pos_k)
                 if nid is None:
-                    nid = len(node_sites_list)
+                    nid = len(node_is_free)
                     node_ids[pos_k] = nid
                     node_keys.append(pos_k)
                     entity = [i for i in range(4) if m[i] > 0]
                     if len(entity) == 1:
                         # vertex node: backed by its lattice site
-                        node_sites_list.append([vflats[entity[0]], 0, 0, 0])
-                        node_weights_list.append([1.0, 0.0, 0.0, 0.0])
+                        op_rows.append(nid)
+                        op_sites.append(vflats[entity[0]])
+                        op_weights.append(1.0)
                         node_is_free.append(False)
                     else:
                         shared = set(v2t.get(vflats[entity[0]], ()))
@@ -251,23 +254,14 @@ def build_high_order_mesh(cfg: LatticeConfig, part: RegionPartition, k: int) -> 
                             shared &= set(v2t.get(vflats[i], ()))
                         slaved = any(elem_is_p1[t] for t in shared)
                         if slaved:
-                            sites = [vflats[i] for i in entity]
-                            weights = [m[i] / k for i in entity]
-                            sites += [0] * (4 - len(sites))
-                            weights += [0.0] * (4 - len(weights))
-                            node_sites_list.append(sites)
-                            node_weights_list.append(weights)
-                            node_is_free.append(False)
-                        else:
-                            node_sites_list.append([0, 0, 0, 0])
-                            node_weights_list.append([0.0, 0.0, 0.0, 0.0])
-                            node_is_free.append(True)
+                            op_rows += [nid] * len(entity)
+                            op_sites += [vflats[i] for i in entity]
+                            op_weights += [m[i] / k for i in entity]
+                        node_is_free.append(not slaved)
                 row.append(nid)
             elems_rows[p].append(row)
 
-    n_nodes = len(node_sites_list)
-    node_sites = np.asarray(node_sites_list, dtype=np.int64).reshape(n_nodes, 4)
-    node_weights = np.asarray(node_weights_list).reshape(n_nodes, 4)
+    n_nodes = len(node_is_free)
     node_free = np.full(n_nodes, -1, dtype=np.int64)
     free_rows_unsorted = [i for i in range(n_nodes) if node_is_free[i]]
     free_rows = sorted(free_rows_unsorted, key=lambda i: node_keys[i])
@@ -282,8 +276,7 @@ def build_high_order_mesh(cfg: LatticeConfig, part: RegionPartition, k: int) -> 
             np.asarray(rows, dtype=np.int64).reshape(len(rows), len(nodes_m))
             for rows in elems_rows
         ],
-        node_sites=node_sites,
-        node_weights=node_weights,
+        node_op=_csr(op_rows, op_sites, op_weights, (n_nodes, cfg.n_sites)),
         node_free=node_free,
         free_rows=np.asarray(free_rows, dtype=np.int64),
         free_keys=[node_keys[i] for i in free_rows],
@@ -332,7 +325,7 @@ def _cb_perm_masked_contrib(masks, law, F, d, eps, shape, g_outs=()):
 
 
 def _node_values(mesh: HighOrderMesh, vflat: np.ndarray, node_disp: np.ndarray) -> np.ndarray:
-    vals = np.einsum("gk,gkc->gc", mesh.node_weights, vflat[mesh.node_sites])
+    vals = mesh.node_op @ vflat
     if mesh.n_free_nodes:
         vals[mesh.free_rows] += node_disp
     return vals
@@ -343,7 +336,7 @@ def _fe_pk_contrib(mesh, law, F, node_vals, eps, g_lat_outs=(), node_grad_out=No
     (1/eps^3-scaled) gradient to lattice sites and free nodes."""
     energy = 0.0
     want_grad = bool(g_lat_outs) or node_grad_out is not None
-    pool = np.zeros((mesh.node_sites.shape[0], 3)) if want_grad else None
+    pool = np.zeros((mesh.node_op.shape[0], 3)) if want_grad else None
     base = F @ law.eta_vec
     for p, perm in enumerate(PATH_PERMS):
         rows = mesh.elems_by_perm[p]
@@ -360,13 +353,12 @@ def _fe_pk_contrib(mesh, law, F, node_vals, eps, g_lat_outs=(), node_grad_out=No
             P = law.gradients(zflat).reshape(zeta.shape)
             contrib = np.einsum("qn,eqc->enc", deta, P * wts[None, :, None]) / eps
             np.add.at(pool, rows, contrib)
-    if want_grad:
-        flatized = (mesh.node_weights[:, :, None] * pool[:, None, :]).reshape(-1, 3)
-        idx = mesh.node_sites.reshape(-1)
+    if g_lat_outs:
+        contrib = mesh.node_op.T @ pool
         for g in g_lat_outs:
-            np.add.at(g, idx, flatized)
-        if node_grad_out is not None and mesh.n_free_nodes:
-            node_grad_out += pool[mesh.free_rows]
+            g += contrib
+    if node_grad_out is not None and mesh.n_free_nodes:
+        node_grad_out += pool[mesh.free_rows]
     return energy
 
 
@@ -431,14 +423,16 @@ def high_order_energy(
 
     e_atom = 0.0
     for law in R:
-        e_atom += _atom_contrib(blocks[law.eta], law, y.F, vflat, eps, (gf,))
+        b = blocks[law.eta]
+        e_atom += _bond_contrib(b.atom_op, b.atom_w, law, y.F, vflat, eps, (gf,))[0]
     e_fe = 0.0
     for law in R:
         e_fe += _cb_perm_masked_contrib(mesh.p1_masks, law, y.F, d, eps, cfg.shape, (gf,))
         e_fe += _fe_pk_contrib(mesh, law, y.F, node_vals, eps, (gf,), node_grad)
     e_cone = 0.0
     for law in R:
-        e_cone += _cone_contrib(blocks[law.eta], law, y.F, vflat, eps, (gf,))[0]
+        b = blocks[law.eta]
+        e_cone += _bond_contrib(b.cone_op, b.volw, law, y.F, vflat, eps, (gf,))[0]
 
     counts = {str(law.eta): blocks[law.eta].counts for law in R}
     return EnergyReport(

@@ -172,6 +172,40 @@ def test_ghost_force_free_conforming():
         assert np.abs(rep.gradient.values).max() <= 1e-12 * scale
 
 
+def test_interface_term_equals_cone_interpolant_integral():
+    """The assembled interface term is the bond-volume integral of the cone
+    interpolants: over every covering of every direction, the sum over
+    interface-cone tets of |T| phi_eta(F eta + grad(I v)|_T eta) / n_eta,
+    with the README's laws, at two region placements and a random state."""
+    cfg = cfg12()
+    R = InteractionSet([
+        make_law((1, 1, 1), "harmonic"),
+        make_law((2, 1, 3), "lennard-jones-radial",
+                 {"well_depth": 0.5, "sigma": 2.494438257849294}),
+        make_law((1, -1, 2), "anisotropic-toy"),
+    ])
+    rng = np.random.default_rng(31)
+    F = random_F(rng, spread=0.05)
+    v = LatticeField(cfg, 0.02 * cfg.epsilon * rng.standard_normal(cfg.shape))
+    y = make_deformation(F, v)
+    for corner, ext in (((4, 4, 4), (4, 4, 4)), ((3, 4, 3), (6, 4, 5))):
+        part = RegionPartition(cfg, corner, ext)
+        assembled = coupled_energy_conforming(y, R, part).breakdown["interface"]
+        direct = 0.0
+        n_cones = 0
+        for law in R:
+            n_eta = abs(law.eta[0] * law.eta[1] * law.eta[2])
+            for m in range(n_eta):
+                for p in covering_interpolant(m, law.eta, v, part).pieces:
+                    if p.kind != "interface-cone":
+                        continue
+                    zeta = F @ law.eta_vec + p.gradients @ law.eta_vec
+                    direct += float(np.sum(p.volumes * law.values(zeta))) / n_eta
+                    n_cones += 1
+        assert n_cones > 0
+        assert abs(assembled - direct) <= 1e-12 * abs(direct), (corner, assembled, direct)
+
+
 def test_naive_coupling_has_ghost_forces():
     """Negative control: the uncorrected splice shows interface forces well
     above the coupled scheme's residual, concentrated near the interface."""

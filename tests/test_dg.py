@@ -81,6 +81,36 @@ def test_jump_term_nonzero_for_discontinuous_data():
     assert abs(rep.breakdown["interface_jump"]) > 1e-8
 
 
+def test_repeated_evaluation_is_bitwise_reproducible():
+    """Evaluating twice at one state gives bitwise-equal energies and
+    gradients: the conforming model, and the two-sided model on untied data,
+    where every part of the jump term contributes."""
+    cfg = cfg8()
+    part = part8(cfg)
+    R = laws()
+    rng = np.random.default_rng(13)
+    F = random_F(rng)
+    y_minus = random_deformation(cfg, F, seed=14)
+    y_plus = random_deformation(cfg, F, seed=15)
+
+    def same(a, b) -> bool:
+        return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    first = coupled_energy_conforming(y_minus, R, part)
+    again = coupled_energy_conforming(y_minus, R, part)
+    assert same(first.energy, again.energy)
+    assert same(first.gradient.values, again.gradient.values)
+
+    first = coupled_energy_dg(y_minus, y_plus, R, part)
+    again = coupled_energy_dg(y_minus, y_plus, R, part)
+    assert first.breakdown["interface_jump"] != 0.0
+    assert same(first.energy, again.energy)
+    assert all(same(first.breakdown[k], again.breakdown[k]) for k in first.breakdown)
+    assert same(first.gradient.values, again.gradient.values)
+    for side in ("gradient_minus", "gradient_plus"):
+        assert same(first.diagnostics[side].values, again.diagnostics[side].values)
+
+
 def test_tied_gradient_is_sum_of_side_gradients():
     """Perturbing both sides by the same direction must differentiate like
     the sum of the one-sided representers."""
