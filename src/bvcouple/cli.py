@@ -31,7 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="override the run seed")
     common.add_argument(
         "--deterministic", action="store_true",
-        help="pin deterministic reductions (reports become byte-identical)",
+        help="accepted for compatibility and changes nothing: every command is "
+        "already deterministic (byte-identical reports for a fixed seed)",
     )
     common.add_argument("--out", help="report output directory")
 

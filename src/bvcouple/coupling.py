@@ -39,6 +39,11 @@ as a sparse CSR operator; an evaluation applies it, evaluates the law, and
 applies its transpose to the weighted law gradients. The sparse products
 run sequentially in a fixed order, so results are deterministic and
 bit-reproducible.
+
+The continuum term of every model here is the staircase Cauchy-Born
+assembly of ``energies``, shared with the uncoupled and high-order models
+and restricted to the continuum cells by a mask; the naive control also
+shares the atomistic model's exact-bond stencil.
 """
 from __future__ import annotations
 
@@ -49,18 +54,22 @@ from typing import Any, Sequence
 import numpy as np
 from scipy import sparse
 
-from .energies import EnergyReport, _diff_arrays
+from .energies import (
+    EnergyReport,
+    _diff_arrays,
+    _exact_bond_contrib,
+    _staircase_cb_contrib,
+)
 from .geometry import (
     CoveringMismatch,
     DegenerateEta,
-    PATH_PERMS,
     covering_widths,
     decompose_bond_volume_type_a,
     decompose_cell_type_a,
     enumerate_coverings,
     path_edge_offsets,
 )
-from .lattice import Deformation, IntTriple, LatticeConfig, LatticeField, shift_values
+from .lattice import Deformation, IntTriple, LatticeConfig, LatticeField
 from .potentials import InteractionLaw, InteractionSet
 
 DEGENERATE_POLICIES = ("reject", "reduce")
@@ -455,19 +464,15 @@ class _EtaBlock:
 
 
 _BLOCK_CACHE: dict[tuple, _EtaBlock] = {}
-_MASK_CACHE: dict[RegionPartition, np.ndarray] = {}
 
 
 def omega_star_mask(part: RegionPartition) -> np.ndarray:
-    """Boolean per-cell array marking the continuum region's cells."""
-    got = _MASK_CACHE.get(part)
-    if got is not None:
-        return got
+    """Boolean per-cell array marking the continuum region's cells (a fresh
+    read-only array per call)."""
     mask = np.ones(part.cfg.N, dtype=bool)
     sl = tuple(slice(part.corner[i], part.top[i]) for i in range(3))
     mask[sl] = False
     mask.flags.writeable = False
-    _MASK_CACHE[part] = mask
     return mask
 
 
@@ -652,37 +657,6 @@ def _bond_contrib(op, w, law: InteractionLaw, F, vflat, eps, g_outs=()):
     return energy, zeta
 
 
-def _cb_masked_contrib(mask, law: InteractionLaw, F, d, eps, shape, g_outs=()):
-    """Staircase Cauchy-Born energy over the masked cells (gradient included
-    when requested); mirrors the uncoupled assembly so deep-cell forces agree
-    term by term."""
-    energy = 0.0
-    base = F @ law.eta_vec
-    for perm in PATH_PERMS:
-        offs = path_edge_offsets(perm)
-        Z = np.broadcast_to(base, shape).copy()
-        for a in range(3):
-            if law.eta[a] != 0:
-                Z += law.eta[a] * shift_values(d[a], offs[a])
-        vals = law.values(Z.reshape(-1, 3)).reshape(shape[:-1])
-        energy += float((eps**3 / 6.0) * np.sum(vals[mask]))
-        if g_outs:
-            P = law.gradients(Z.reshape(-1, 3)).reshape(shape)
-            P = P * mask[..., None]
-            for a in range(3):
-                if law.eta[a] == 0:
-                    continue
-                s = offs[a]
-                s_up = tuple(s[kk] + (kk == a) for kk in range(3))
-                term = (law.eta[a] / (6.0 * eps)) * (
-                    np.roll(P, shift=s_up, axis=(0, 1, 2))
-                    - np.roll(P, shift=s, axis=(0, 1, 2))
-                )
-                for g in g_outs:
-                    g += term.reshape(-1, 3)
-    return energy
-
-
 def _jump_contrib(
     block: _EtaBlock,
     law: InteractionLaw,
@@ -759,7 +733,7 @@ def coupled_energy_conforming(
     cfg = y.cfg
     _check_partition(part, R, degenerate_eta)
     blocks = _get_blocks(cfg, part, R, degenerate_eta)
-    mask = omega_star_mask(part)
+    masks = np.broadcast_to(omega_star_mask(part), (6,) + cfg.N)
     eps = cfg.epsilon
     v = y.displacement.values
     vflat = v.reshape(-1, 3)
@@ -773,7 +747,7 @@ def coupled_energy_conforming(
         e_atom += _bond_contrib(b.atom_op, b.atom_w, law, y.F, vflat, eps, (gf,))[0]
     e_cb = 0.0
     for law in R:
-        e_cb += _cb_masked_contrib(mask, law, y.F, d, eps, cfg.shape, (gf,))
+        e_cb += _staircase_cb_contrib(law, y.F, d, eps, masks, (g,))
     e_cone = 0.0
     for law in R:
         b = blocks[law.eta]
@@ -812,7 +786,7 @@ def coupled_energy_dg(
         raise ValueError("both sides must share the same deformation gradient F")
     _check_partition(part, R, degenerate_eta)
     blocks = _get_blocks(cfg, part, R, degenerate_eta)
-    mask = omega_star_mask(part)
+    masks = np.broadcast_to(omega_star_mask(part), (6,) + cfg.N)
     eps = cfg.epsilon
     F = y_minus.F
     vm = y_minus.displacement.values
@@ -832,7 +806,7 @@ def coupled_energy_dg(
         e_atom += _bond_contrib(b.atom_op, b.atom_w, law, F, vmf, eps, (gtf, gmf))[0]
     e_cb = 0.0
     for law in R:
-        e_cb += _cb_masked_contrib(mask, law, F, d_plus, eps, cfg.shape, (gtf, gpf))
+        e_cb += _staircase_cb_contrib(law, F, d_plus, eps, masks, (g_tied, g_p))
     e_cone = 0.0
     zeta_by_eta = {}
     for law in R:
@@ -872,28 +846,22 @@ def naive_coupling_energy(
     interface correction. Produces spurious interface forces by design."""
     cfg = y.cfg
     eps = cfg.epsilon
-    mask = omega_star_mask(part)
+    masks = np.broadcast_to(omega_star_mask(part), (6,) + cfg.N)
     v = y.displacement.values
     d = _diff_arrays(v, eps)
     g = np.zeros(cfg.shape)
-    gf = g.reshape(-1, 3)
     idx = np.indices(cfg.N)
 
     e_atom = 0.0
     for law in R:
-        Z = (y.F @ law.eta_vec) + (shift_values(v, law.eta) - v) / eps
         inside = np.ones(cfg.N, dtype=bool)
         for dd in range(3):
             mid = idx[dd] + 0.5 * law.eta[dd]
             inside &= (mid > part.corner[dd]) & (mid < part.top[dd])
-        vals = law.values(Z.reshape(-1, 3)).reshape(cfg.N)
-        e_atom += float(eps**3 * np.sum(vals[inside]))
-        P = law.gradients(Z.reshape(-1, 3)).reshape(cfg.shape)
-        P = P * inside[..., None]
-        g += (np.roll(P, shift=law.eta, axis=(0, 1, 2)) - P) / eps
+        e_atom += _exact_bond_contrib(law, y.F, v, eps, inside, (g,))
     e_cb = 0.0
     for law in R:
-        e_cb += _cb_masked_contrib(mask, law, y.F, d, eps, cfg.shape, (gf,))
+        e_cb += _staircase_cb_contrib(law, y.F, d, eps, masks, (g,))
     return EnergyReport(
         energy=e_atom + e_cb,
         gradient=LatticeField(cfg, g),

@@ -2,6 +2,10 @@
 exact atomistic, staircase-tetrahedron Cauchy-Born, and cell-averaged
 Cauchy-Born.
 
+The exact-bond and staircase Cauchy-Born assemblies are shared: the coupled,
+two-sided, naive and high-order models in ``coupling`` and ``highorder``
+call the same masked helpers for their atomistic and continuum terms.
+
 Gradients are returned as Riesz representers with respect to the discrete
 inner product: the report's gradient field g satisfies
 DE(y)[v] = <g, v>_eps for every periodic lattice field v. All assembly is
@@ -59,22 +63,80 @@ def _diff_arrays(v: np.ndarray, eps: float) -> list[np.ndarray]:
     return out
 
 
+def _exact_bond_contrib(law: InteractionLaw, F, v, eps, mask=None, g_outs=()):
+    """Exact bond energy eps^3 sum_l phi(D_eta y_l) over the bases l marked
+    in ``mask`` (None: every site); adds the gradient to each site-shaped
+    array in ``g_outs``. Bonds outside the mask are evaluated at the
+    homogeneous bond F eta, so a bond the mask drops can neither raise nor
+    contribute."""
+    base = F @ law.eta_vec
+    Z = base + (shift_values(v, law.eta) - v) / eps
+    if mask is not None:
+        Z[~mask] = base
+    vals = _values_with_bond_context(law, Z, v.shape[:-1], "values")
+    energy = float(eps**3 * np.sum(vals if mask is None else vals[mask]))
+    if g_outs:
+        G = _values_with_bond_context(law, Z, v.shape[:-1], "gradients")
+        if mask is not None:
+            G = G * mask[..., None]
+        term = (np.roll(G, shift=law.eta, axis=(0, 1, 2)) - G) / eps
+        for g in g_outs:
+            g += term
+    return energy
+
+
+def _staircase_cb_contrib(law: InteractionLaw, F, d, eps, masks=None, g_outs=()):
+    """Staircase Cauchy-Born energy (eps^3/6) per cell tet of phi(grad y eta),
+    the discrete gradient taken from the tet's own axis edges (``d`` are the
+    forward difference quotients of the displacement); adds the gradient to
+    each site-shaped array in ``g_outs``. ``masks`` is None (every cell) or
+    a (6, N1, N2, N3) boolean stack keeping template p on the cells marked
+    in ``masks[p]``; out-of-mask cells are evaluated at the homogeneous bond
+    F eta, so a bond the mask drops can neither raise nor contribute."""
+    N = d[0].shape[:-1]
+    base = F @ law.eta_vec
+    energy = 0.0
+    for p, perm in enumerate(PATH_PERMS):
+        offs = path_edge_offsets(perm)
+        Z = np.broadcast_to(base, d[0].shape).copy()
+        for a in range(3):
+            if law.eta[a] != 0:
+                Z += law.eta[a] * shift_values(d[a], offs[a])
+        mask = None if masks is None else masks[p]
+        if mask is not None:
+            Z[~mask] = base
+        vals = _values_with_bond_context(law, Z, N, "values")
+        energy += float((eps**3 / 6.0) * np.sum(vals if mask is None else vals[mask]))
+        if not g_outs:
+            continue
+        P = _values_with_bond_context(law, Z, N, "gradients")
+        if mask is not None:
+            P = P * mask[..., None]
+        for a in range(3):
+            if law.eta[a] == 0:
+                continue
+            s = offs[a]
+            s_up = tuple(s[k] + (k == a) for k in range(3))
+            term = (law.eta[a] / (6.0 * eps)) * (
+                np.roll(P, shift=s_up, axis=(0, 1, 2))
+                - np.roll(P, shift=s, axis=(0, 1, 2))
+            )
+            for g in g_outs:
+                g += term
+    return energy
+
+
 def atomistic_energy(y: Deformation, R: InteractionSet) -> EnergyReport:
     """Exact atomistic energy eps^3 sum_l sum_eta phi_eta(D_eta y_l)."""
     cfg = y.cfg
-    eps = cfg.epsilon
     v = y.displacement.values
     energy = 0.0
     grad = np.zeros(cfg.shape)
     breakdown: dict[str, float] = {}
     for law in R:
-        Z = (y.F @ law.eta_vec) + (shift_values(v, law.eta) - v) / eps
-        vals = _values_with_bond_context(law, Z, cfg.N, "values")
-        e_eta = float(eps**3 * np.sum(vals))
+        e_eta = _exact_bond_contrib(law, y.F, v, cfg.epsilon, g_outs=(grad,))
         energy += e_eta
         breakdown[f"eta={law.eta}"] = e_eta
-        G = _values_with_bond_context(law, Z, cfg.N, "gradients")
-        grad += (np.roll(G, shift=law.eta, axis=(0, 1, 2)) - G) / eps
     return EnergyReport(
         energy=energy,
         gradient=LatticeField(cfg, grad),
@@ -89,32 +151,12 @@ def acb_tetra_energy(y: Deformation, R: InteractionSet) -> EnergyReport:
     edges."""
     cfg = y.cfg
     eps = cfg.epsilon
-    v = y.displacement.values
-    d = _diff_arrays(v, eps)
+    d = _diff_arrays(y.displacement.values, eps)
     energy = 0.0
     grad = np.zeros(cfg.shape)
     breakdown: dict[str, float] = {}
     for law in R:
-        e_eta = 0.0
-        base = y.F @ law.eta_vec
-        for perm in PATH_PERMS:
-            offs = path_edge_offsets(perm)
-            Z = np.broadcast_to(base, cfg.shape).copy()
-            for a in range(3):
-                if law.eta[a] != 0:
-                    Z += law.eta[a] * shift_values(d[a], offs[a])
-            vals = _values_with_bond_context(law, Z, cfg.N, "values")
-            e_eta += float((eps**3 / 6.0) * np.sum(vals))
-            P = _values_with_bond_context(law, Z, cfg.N, "gradients")
-            for a in range(3):
-                if law.eta[a] == 0:
-                    continue
-                s = offs[a]
-                s_up = tuple(s[k] + (k == a) for k in range(3))
-                grad += (law.eta[a] / (6.0 * eps)) * (
-                    np.roll(P, shift=s_up, axis=(0, 1, 2))
-                    - np.roll(P, shift=s, axis=(0, 1, 2))
-                )
+        e_eta = _staircase_cb_contrib(law, y.F, d, eps, g_outs=(grad,))
         energy += e_eta
         breakdown[f"eta={law.eta}"] = e_eta
     return EnergyReport(

@@ -5,6 +5,9 @@ cell). Elements whose closure meets the interface stay P1 on lattice
 vertices, which ties the finite-element trace to the lattice displacement
 there and lets the interface cones and atomistic bonds reuse the conforming
 machinery unchanged; all other elements carry Lagrange elements of degree k.
+The P1 layer is assembled by the staircase Cauchy-Born helper shared with
+the other models (``energies._staircase_cb_contrib``), masked per template
+to the P1 elements.
 
 Vertex degrees of freedom are the lattice displacements themselves. Edge,
 face and interior nodes of degree-k elements are extra degrees of freedom,
@@ -31,16 +34,16 @@ from scipy.special import roots_jacobi, roots_legendre
 from .coupling import (
     RegionPartition,
     _bond_contrib,
-    _build_eta_block,
     _check_partition,
     _csr,
     _flat_index,
+    _get_blocks,
     coupled_energy_conforming,
     omega_star_mask,
 )
-from .energies import EnergyReport, _diff_arrays
-from .geometry import PATH_PERMS, path_corner_offsets, path_edge_offsets
-from .lattice import Deformation, LatticeConfig, LatticeField, shift_values
+from .energies import EnergyReport, _diff_arrays, _staircase_cb_contrib
+from .geometry import PATH_PERMS, path_corner_offsets
+from .lattice import Deformation, LatticeConfig, LatticeField
 from .potentials import InteractionSet
 
 SUPPORTED_DEGREES = (1, 2, 3)
@@ -291,39 +294,6 @@ def build_high_order_mesh(cfg: LatticeConfig, part: RegionPartition, k: int) -> 
 # Assembly
 # ----------------------------------------------------------------------
 
-def _cb_perm_masked_contrib(masks, law, F, d, eps, shape, g_outs=()):
-    """Staircase Cauchy-Born assembly restricted per-template (the P1
-    elements), mirroring the conforming cell assembly term by term."""
-    energy = 0.0
-    base = F @ law.eta_vec
-    for p, perm in enumerate(PATH_PERMS):
-        mask = masks[p]
-        if not mask.any():
-            continue
-        offs = path_edge_offsets(perm)
-        Z = np.broadcast_to(base, shape).copy()
-        for a in range(3):
-            if law.eta[a] != 0:
-                Z += law.eta[a] * shift_values(d[a], offs[a])
-        vals = law.values(Z.reshape(-1, 3)).reshape(shape[:-1])
-        energy += float((eps**3 / 6.0) * np.sum(vals[mask]))
-        if g_outs:
-            P = law.gradients(Z.reshape(-1, 3)).reshape(shape)
-            P = P * mask[..., None]
-            for a in range(3):
-                if law.eta[a] == 0:
-                    continue
-                s = offs[a]
-                s_up = tuple(s[kk] + (kk == a) for kk in range(3))
-                term = (law.eta[a] / (6.0 * eps)) * (
-                    np.roll(P, shift=s_up, axis=(0, 1, 2))
-                    - np.roll(P, shift=s, axis=(0, 1, 2))
-                )
-                for g in g_outs:
-                    g += term.reshape(-1, 3)
-    return energy
-
-
 def _node_values(mesh: HighOrderMesh, vflat: np.ndarray, node_disp: np.ndarray) -> np.ndarray:
     vals = mesh.node_op @ vflat
     if mesh.n_free_nodes:
@@ -401,7 +371,7 @@ def high_order_energy(
     elif (mesh.cfg, mesh.part, mesh.k) != (cfg, part, k):
         raise ValueError("mesh does not match the requested lattice/partition/degree")
     _check_partition(part, R, degenerate_eta)
-    blocks = {law.eta: _build_eta_block(cfg, part, law.eta, degenerate_eta) for law in R}
+    blocks = _get_blocks(cfg, part, R, degenerate_eta)
 
     if node_displacements is None:
         node_disp = np.zeros((mesh.n_free_nodes, 3))
@@ -427,7 +397,7 @@ def high_order_energy(
         e_atom += _bond_contrib(b.atom_op, b.atom_w, law, y.F, vflat, eps, (gf,))[0]
     e_fe = 0.0
     for law in R:
-        e_fe += _cb_perm_masked_contrib(mesh.p1_masks, law, y.F, d, eps, cfg.shape, (gf,))
+        e_fe += _staircase_cb_contrib(law, y.F, d, eps, mesh.p1_masks, (g,))
         e_fe += _fe_pk_contrib(mesh, law, y.F, node_vals, eps, (gf,), node_grad)
     e_cone = 0.0
     for law in R:

@@ -547,3 +547,39 @@ def test_per_tet_regrouping_identity():
                 assert hit is not None
                 rhs += hit / N_ETA
             assert np.linalg.norm(rhs - lhs) <= 1e-12 * max(np.linalg.norm(lhs), 1.0)
+
+
+def test_masked_out_collapsed_bond_is_ignored_and_continuum_errors_name_the_site():
+    """A staircase Cauchy-Born bond collapses to zero in one cell tet when a
+    single site moves by -eps (1, 1/2, 1/2) against eta = (2, 1, 1). Inside
+    the atomistic region that cell carries no continuum energy, so every
+    coupled model must stay finite (as the atomistic energy does); in the
+    continuum the models must raise with the offending cell and direction."""
+    from bvcouple.coupling import coupled_energy_dg
+    from bvcouple.highorder import high_order_energy
+    from bvcouple.potentials import PotentialDomainError
+
+    cfg = LatticeConfig(N=(16, 16, 16), epsilon=1.0 / 16.0)
+    part = RegionPartition(cfg, (2, 2, 2), (12, 12, 12))
+    R = InteractionSet([make_law((2, 1, 1), "lennard-jones-radial")])
+
+    def displaced(site):
+        vals = np.zeros(cfg.shape)
+        vals[site] = -cfg.epsilon * np.array([1.0, 0.5, 0.5])
+        return make_deformation(np.eye(3), LatticeField(cfg, vals))
+
+    y = displaced((8, 8, 8))
+    assert np.isfinite(atomistic_energy(y, R).energy)
+    assert np.isfinite(coupled_energy_conforming(y, R, part).energy)
+    assert np.isfinite(coupled_energy_dg(y, y, R, part).energy)
+    assert np.isfinite(high_order_energy(y, R, part, k=2).energy)
+
+    y = displaced((0, 8, 8))
+    for evaluate in (
+        lambda: coupled_energy_conforming(y, R, part),
+        lambda: coupled_energy_dg(y, y, R, part),
+    ):
+        with pytest.raises(PotentialDomainError) as err:
+            evaluate()
+        assert err.value.site == (15, 7, 7)
+        assert err.value.eta == (2, 1, 1)
