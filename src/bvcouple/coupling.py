@@ -30,36 +30,31 @@ fan is symmetric); the remaining faces match in integral against the
 averaged bonds by the fan's mean-value center.
 
 Every term is a weighted sum of phi_eta(F eta + (B v)_q / eps) over
-"quadrature bonds" q, where B is a fixed linear map of the lattice
-displacement v: the atomistic bonds (+1/-1 rows), each interface cone tet
-(eta^T A^-1 applied to the vertex values of the cone interpolant, which are
-themselves affine combinations of lattice values), and the two sides of the
-interface jump. Each such B is precomputed once per (partition, direction)
-as a sparse CSR operator; an evaluation applies it, evaluates the law, and
-applies its transpose to the weighted law gradients. The sparse products
-run sequentially in a fixed order, so results are deterministic and
-bit-reproducible.
-
-The continuum term of every model here is the staircase Cauchy-Born
-assembly of ``energies``, shared with the uncoupled and high-order models
-and restricted to the continuum cells by a mask; the naive control also
-shares the atomistic model's exact-bond stencil.
+"quadrature bonds" q, evaluated by the one kernel ``energies._bond_contrib``
+for a fixed linear map B of the lattice displacement v. The atomistic bonds
+(+1/-1 rows) and the interface cone tets (eta^T A^-1 applied to the vertex
+values of the cone interpolant, which are themselves affine combinations of
+lattice values) are sparse CSR operators precomputed once per (partition,
+direction), each row tagged with the lattice site of its bond; the two
+sides and the trace of the interface jump are CSR rows too, used by the
+jump term. The continuum term is the staircase Cauchy-Born roll stencil of
+``energies``, shared with the uncoupled and high-order models and
+restricted to the continuum cells by zero weights; the naive control uses
+the atomistic model's exact-bond stencil the same way. The sparse products
+and stencils run sequentially in a fixed order, so results are
+deterministic and bit-reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .energies import (
-    EnergyReport,
-    _diff_arrays,
-    _exact_bond_contrib,
-    _staircase_cb_contrib,
-)
+from .energies import EnergyReport, _bond_contrib, _bond_stencil, _staircase_stencils, _term
 from .geometry import (
     CoveringMismatch,
     DegenerateEta,
@@ -422,6 +417,26 @@ def _csr(rows, cols, vals, shape) -> sparse.csr_array:
     )
 
 
+@dataclass(eq=False)
+class _SiteRows:
+    """A sparse operator whose row r is a quadrature bond of the lattice site
+    with flat index ``sites[r]``, which a domain error names."""
+
+    mat: sparse.csr_array
+    sites: np.ndarray
+    N: IntTriple
+
+    def __matmul__(self, x):
+        return self.mat @ x
+
+    @property
+    def T(self):
+        return self.mat.T
+
+    def site(self, row: int) -> IntTriple:
+        return tuple(int(i) for i in np.unravel_index(int(self.sites[row]), self.N))
+
+
 def _vertex_rows(tets, weights, fn_len, fn_site, fn_coef, n_sites) -> sparse.csr_array:
     """Row r = sum_s weights[r, s] * f_{tets[r, s]}, where the functional f_v
     of vertex v is its ``fn_len[v]`` consecutive (site, coefficient) entries
@@ -455,15 +470,17 @@ class _EtaBlock:
 
     eta: IntTriple
     n_eta: int
-    atom_op: sparse.csr_array     # (n_bonds, n_sites) +1 at the bond tip, -1 at its base
+    atom_op: _SiteRows            # (n_bonds, n_sites) +1 at the bond tip, -1 at its base
     atom_w: np.ndarray            # (n_bonds,) bond weights
-    cone_op: sparse.csr_array     # (T, n_sites) eta^T A^{-1} applied to (vertex - apex values) per cone tet
+    cone_op: _SiteRows            # (T, n_sites) eta^T A^{-1} applied to (vertex - apex values) per cone tet
     volw: np.ndarray              # (T,) lattice volume / n_eta
     gamma: _GammaData
     counts: dict[str, int]
 
 
-_BLOCK_CACHE: dict[tuple, _EtaBlock] = {}
+# Blocks kept per process: enough for a few placements of a handful of
+# directions.
+_BLOCK_CACHE_SIZE = 16
 
 
 def omega_star_mask(part: RegionPartition) -> np.ndarray:
@@ -490,12 +507,8 @@ def _plus_side_perm(axis: int, nu_sign: int, half: str) -> tuple[int, int, int]:
     return (j, k, axis) if half == "lower" else (k, j, axis)
 
 
+@lru_cache(maxsize=_BLOCK_CACHE_SIZE)
 def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, policy: str) -> _EtaBlock:
-    key = (cfg, part, eta, policy)
-    got = _BLOCK_CACHE.get(key)
-    if got is not None:
-        return got
-
     N = cfg.N
     n_sites = cfg.n_sites
     n_zero = sum(1 for e in eta if e == 0)
@@ -531,6 +544,7 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, 
     fn_site: list[int] = []
     fn_coef: list[float] = []
     tets: list[tuple[int, int, int, int]] = []
+    tet_sites: list[int] = []    # member base site per cone tet
     gamma_rows: list[tuple] = []
     counts = {"atomistic": 0, "continuum": 0, "interface": 0}
     mask = omega_star_mask(part)
@@ -563,6 +577,7 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, 
                 counts["interface"] += 1
                 apex, tris, _ = _build_member_cone(mu, w, eta, part, reduce_mode)
                 a_id = add_vertex(apex)
+                tet_sites += [_flat_index(ell, N)] * len(tris)
                 for tri, meta in tris:
                     ids = (a_id, add_vertex(tri[0]), add_vertex(tri[1]), add_vertex(tri[2]))
                     tets.append(ids)
@@ -571,8 +586,12 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, 
 
     # --- atomistic bonds: v[tip] - v[base] ------------------------------
     n_bonds = len(atom_w)
-    atom_op = _csr(np.repeat(np.arange(n_bonds), 2), atom_sites, np.tile([1.0, -1.0], n_bonds),
-                   (n_bonds, n_sites))
+    atom_op = _SiteRows(
+        _csr(np.repeat(np.arange(n_bonds), 2), atom_sites, np.tile([1.0, -1.0], n_bonds),
+             (n_bonds, n_sites)),
+        np.asarray(atom_sites[1::2], dtype=np.int64),
+        N,
+    )
 
     # --- cone tets: eta^T A^{-1} (vertex values - apex value) -----------
     t = np.asarray(tets, dtype=np.int64).reshape(len(tets), 4)
@@ -623,39 +642,21 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, 
         trace_op=_csr(np.repeat(np.arange(n_tri), 3), tri_sites.reshape(-1), np.ones(3 * n_tri),
                       (n_tri, n_sites)),
     )
-    block = _EtaBlock(
+    return _EtaBlock(
         eta=eta,
         n_eta=n_eta,
         atom_op=atom_op,
         atom_w=np.asarray(atom_w),
-        cone_op=cone_op,
+        cone_op=_SiteRows(cone_op, np.asarray(tet_sites, dtype=np.int64), N),
         volw=volw,
         gamma=gamma,
         counts=counts,
     )
-    _BLOCK_CACHE[key] = block
-    return block
 
 
 # ======================================================================
 # Evaluation helpers
 # ======================================================================
-
-def _bond_contrib(op, w, law: InteractionLaw, F, vflat, eps, g_outs=()):
-    """Quadrature-bond energy eps^3 sum_q w_q phi(zeta_q) at the bond
-    vectors zeta = F eta + (op @ v) / eps. Adds the gradient, scaled like
-    the lattice inner product, op^T (w phi'(zeta) / eps) to each array in
-    ``g_outs``. Returns the energy and zeta."""
-    if op.shape[0] == 0:
-        return 0.0, np.zeros((0, 3))
-    zeta = (F @ law.eta_vec) + (op @ vflat) / eps
-    energy = float(eps**3 * np.sum(w * law.values(zeta)))
-    if g_outs:
-        contrib = op.T @ ((w / eps)[:, None] * law.gradients(zeta))
-        for g in g_outs:
-            g += contrib
-    return energy, zeta
-
 
 def _jump_contrib(
     block: _EtaBlock,
@@ -724,6 +725,20 @@ def _get_blocks(cfg, part, R, policy):
     return {law.eta: _build_eta_block(cfg, part, law.eta, policy) for law in R}
 
 
+def _atom_bonds(blocks):
+    return lambda law: [(blocks[law.eta].atom_op, blocks[law.eta].atom_w)]
+
+
+def _cone_bonds(blocks):
+    return lambda law: [(blocks[law.eta].cone_op, blocks[law.eta].volw)]
+
+
+def _continuum_bonds(part: RegionPartition):
+    """Staircase Cauchy-Born templates weighted 1/6 on the continuum cells."""
+    w = omega_star_mask(part).ravel() / 6.0
+    return lambda law: [(op, w) for op in _staircase_stencils(law.eta, part.cfg.N)]
+
+
 def coupled_energy_conforming(
     y: Deformation, R: InteractionSet, part: RegionPartition, degenerate_eta: str = "reject"
 ) -> EnergyReport:
@@ -733,25 +748,14 @@ def coupled_energy_conforming(
     cfg = y.cfg
     _check_partition(part, R, degenerate_eta)
     blocks = _get_blocks(cfg, part, R, degenerate_eta)
-    masks = np.broadcast_to(omega_star_mask(part), (6,) + cfg.N)
     eps = cfg.epsilon
-    v = y.displacement.values
-    vflat = v.reshape(-1, 3)
-    d = _diff_arrays(v, eps)
+    vflat = y.displacement.values.reshape(-1, 3)
     g = np.zeros(cfg.shape)
     gf = g.reshape(-1, 3)
 
-    e_atom = 0.0
-    for law in R:
-        b = blocks[law.eta]
-        e_atom += _bond_contrib(b.atom_op, b.atom_w, law, y.F, vflat, eps, (gf,))[0]
-    e_cb = 0.0
-    for law in R:
-        e_cb += _staircase_cb_contrib(law, y.F, d, eps, masks, (g,))
-    e_cone = 0.0
-    for law in R:
-        b = blocks[law.eta]
-        e_cone += _bond_contrib(b.cone_op, b.volw, law, y.F, vflat, eps, (gf,))[0]
+    e_atom = _term(R, _atom_bonds(blocks), y.F, vflat, eps, (gf,))
+    e_cb = _term(R, _continuum_bonds(part), y.F, vflat, eps, (gf,))
+    e_cone = _term(R, _cone_bonds(blocks), y.F, vflat, eps, (gf,))
 
     counts = {str(law.eta): blocks[law.eta].counts for law in R}
     return EnergyReport(
@@ -786,34 +790,24 @@ def coupled_energy_dg(
         raise ValueError("both sides must share the same deformation gradient F")
     _check_partition(part, R, degenerate_eta)
     blocks = _get_blocks(cfg, part, R, degenerate_eta)
-    masks = np.broadcast_to(omega_star_mask(part), (6,) + cfg.N)
     eps = cfg.epsilon
     F = y_minus.F
-    vm = y_minus.displacement.values
-    vp = y_plus.displacement.values
-    vmf = vm.reshape(-1, 3)
-    vpf = vp.reshape(-1, 3)
-    d_plus = _diff_arrays(vp, eps)
+    vmf = y_minus.displacement.values.reshape(-1, 3)
+    vpf = y_plus.displacement.values.reshape(-1, 3)
 
     g_tied = np.zeros(cfg.shape)
     g_m = np.zeros(cfg.shape)
     g_p = np.zeros(cfg.shape)
     gtf, gmf, gpf = g_tied.reshape(-1, 3), g_m.reshape(-1, 3), g_p.reshape(-1, 3)
 
-    e_atom = 0.0
-    for law in R:
-        b = blocks[law.eta]
-        e_atom += _bond_contrib(b.atom_op, b.atom_w, law, F, vmf, eps, (gtf, gmf))[0]
-    e_cb = 0.0
-    for law in R:
-        e_cb += _staircase_cb_contrib(law, F, d_plus, eps, masks, (g_tied, g_p))
+    e_atom = _term(R, _atom_bonds(blocks), F, vmf, eps, (gtf, gmf))
+    e_cb = _term(R, _continuum_bonds(part), F, vpf, eps, (gtf, gpf))
     e_cone = 0.0
     zeta_by_eta = {}
     for law in R:
         b = blocks[law.eta]
-        e, zeta = _bond_contrib(b.cone_op, b.volw, law, F, vmf, eps, (gtf, gmf))
+        e, zeta_by_eta[law.eta] = _bond_contrib(b.cone_op, b.volw, law, F, vmf, eps, (gtf, gmf))
         e_cone += e
-        zeta_by_eta[law.eta] = zeta
     e_jump = 0.0
     for law in R:
         e_jump += _jump_contrib(
@@ -846,22 +840,20 @@ def naive_coupling_energy(
     interface correction. Produces spurious interface forces by design."""
     cfg = y.cfg
     eps = cfg.epsilon
-    masks = np.broadcast_to(omega_star_mask(part), (6,) + cfg.N)
-    v = y.displacement.values
-    d = _diff_arrays(v, eps)
+    vflat = y.displacement.values.reshape(-1, 3)
     g = np.zeros(cfg.shape)
+    gf = g.reshape(-1, 3)
     idx = np.indices(cfg.N)
 
-    e_atom = 0.0
-    for law in R:
+    def inside_bonds(law):
         inside = np.ones(cfg.N, dtype=bool)
         for dd in range(3):
             mid = idx[dd] + 0.5 * law.eta[dd]
             inside &= (mid > part.corner[dd]) & (mid < part.top[dd])
-        e_atom += _exact_bond_contrib(law, y.F, v, eps, inside, (g,))
-    e_cb = 0.0
-    for law in R:
-        e_cb += _staircase_cb_contrib(law, y.F, d, eps, masks, (g,))
+        return [(_bond_stencil(law.eta, cfg.N), inside.ravel().astype(float))]
+
+    e_atom = _term(R, inside_bonds, y.F, vflat, eps, (gf,))
+    e_cb = _term(R, _continuum_bonds(part), y.F, vflat, eps, (gf,))
     return EnergyReport(
         energy=e_atom + e_cb,
         gradient=LatticeField(cfg, g),

@@ -505,28 +505,16 @@ def fd_gradient_check(config: RunConfig, trials: int = 5, step: float = 1e-5) ->
     for _ in range(trials):
         F = _random_gradient_matrix(rng, config.F)
         v = _random_displacement(rng, cfg, amp)
-        if config.model_family == "coupled-dg":
-            v_plus = _random_displacement(rng, cfg, amp)
-            report = evaluate_model(
-                config, make_deformation(F, v), y_plus=make_deformation(F, v_plus)
-            )
-            grad = report.gradient
-            w = LatticeField(cfg, grad.values / grad.max_norm()).zero_mean()
-            analytic = discrete_inner_product(grad, w)
+        v_plus = _random_displacement(rng, cfg, amp) if config.model_family == "coupled-dg" else v
+        grad = evaluate_model(
+            config, make_deformation(F, v), y_plus=make_deformation(F, v_plus)
+        ).gradient
+        w = LatticeField(cfg, grad.values / grad.max_norm()).zero_mean()
+        analytic = discrete_inner_product(grad, w)
 
-            def energy_at(t: float) -> float:
-                ym = make_deformation(F, v + t * w)
-                ypp = make_deformation(F, v_plus + t * w)
-                return evaluate_model(config, ym, y_plus=ypp).energy
-
-        else:
-            report = evaluate_model(config, make_deformation(F, v))
-            grad = report.gradient
-            w = LatticeField(cfg, grad.values / grad.max_norm()).zero_mean()
-            analytic = discrete_inner_product(grad, w)
-
-            def energy_at(t: float) -> float:
-                return evaluate_model(config, make_deformation(F, v + t * w)).energy
+        def energy_at(t: float) -> float:
+            ym = make_deformation(F, v + t * w)
+            return evaluate_model(config, ym, y_plus=make_deformation(F, v_plus + t * w)).energy
 
         fd = (energy_at(step) - energy_at(-step)) / (2.0 * step)
         denom = max(abs(analytic), abs(fd), 1e-12)

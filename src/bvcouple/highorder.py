@@ -5,9 +5,14 @@ cell). Elements whose closure meets the interface stay P1 on lattice
 vertices, which ties the finite-element trace to the lattice displacement
 there and lets the interface cones and atomistic bonds reuse the conforming
 machinery unchanged; all other elements carry Lagrange elements of degree k.
-The P1 layer is assembled by the staircase Cauchy-Born helper shared with
-the other models (``energies._staircase_cb_contrib``), masked per template
-to the P1 elements.
+Every term goes through the quadrature-bond kernel of ``energies``: the
+atomistic bonds and interface cones are the conforming model's sparse
+operators, the P1 layer is the staircase Cauchy-Born roll stencil weighted
+per template on the P1 elements, and each template's Pk elements are one
+element operator: a CSR gather (``HighOrderMesh.elem_ops``) from [lattice
+sites | free nodes] to the element-local node values, built once per mesh,
+followed by ``np.matmul`` with the shape-function gradients times eta at
+the quadrature points.
 
 Vertex degrees of freedom are the lattice displacements themselves. Edge,
 face and interior nodes of degree-k elements are extra degrees of freedom,
@@ -25,7 +30,8 @@ assembly margin.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -33,17 +39,18 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from .coupling import (
     RegionPartition,
-    _bond_contrib,
+    _atom_bonds,
     _check_partition,
+    _cone_bonds,
     _csr,
     _flat_index,
     _get_blocks,
     coupled_energy_conforming,
     omega_star_mask,
 )
-from .energies import EnergyReport, _diff_arrays, _staircase_cb_contrib
+from .energies import EnergyReport, _staircase_stencils, _term
 from .geometry import PATH_PERMS, path_corner_offsets
-from .lattice import Deformation, LatticeConfig, LatticeField
+from .lattice import Deformation, IntTriple, LatticeConfig, LatticeField
 from .potentials import InteractionSet
 
 SUPPORTED_DEGREES = (1, 2, 3)
@@ -107,16 +114,10 @@ def _silvester_eval(r: int, k: int, lam: np.ndarray):
     return val, dval
 
 
-_TEMPLATE_CACHE: dict = {}
-
-
+@cache
 def _template_tables(k: int, perm) -> tuple[np.ndarray, np.ndarray]:
     """Per staircase template: quadrature weights (nq,) in lattice units and
     shape-function gradients (nq, nloc, 3) in lattice units."""
-    key = (k, perm)
-    got = _TEMPLATE_CACHE.get(key)
-    if got is not None:
-        return got
     pts, wts = conical_quadrature(k + 1)
     nq = pts.shape[0]
     lam = np.zeros((nq, 4))
@@ -140,7 +141,6 @@ def _template_tables(k: int, perm) -> tuple[np.ndarray, np.ndarray]:
                 if j != i:
                     term = term * vals[j][m[j]][0]
             gradN[:, n_id, :] += term[:, None] * grad_lam[i]
-    _TEMPLATE_CACHE[key] = (wts, gradN)
     return wts, gradN
 
 
@@ -152,36 +152,32 @@ def _template_tables(k: int, perm) -> tuple[np.ndarray, np.ndarray]:
 class HighOrderMesh:
     """Staircase tetrahedral mesh of the continuum region with per-element
     degree (P1 on every element whose closure meets the interface, Pk
-    elsewhere), global node table, and slaving data."""
+    elsewhere) and, per template, the gather of the Pk elements' local node
+    values from the lattice sites and the free nodes."""
 
     cfg: LatticeConfig
     part: RegionPartition
     k: int
     p1_masks: np.ndarray            # (6, N1, N2, N3) cells whose perm-tet is P1
-    elems_by_perm: list             # 6 arrays (E_p, nloc) of global node ids
-    node_op: sparse.csr_array       # (G, n_sites) node values from lattice values (0 rows: free)
-    node_free: np.ndarray           # (G,) free-dof index or -1
-    free_rows: np.ndarray           # (n_free,) node row per free dof
-    free_keys: list                 # sorted integer position keys of free dofs
+    elem_ops: list                  # 6 CSR (E_p * nloc, n_sites + n_free_nodes) local node values
+    elem_cells: list                # 6 arrays (E_p,) flat cell index per Pk element
+    n_free_nodes: int
     n_elements: int
     n_p1_elements: int
 
-    @property
-    def n_free_nodes(self) -> int:
-        return len(self.free_rows)
 
-
-_MESH_CACHE: dict = {}
+# Meshes kept per process: enough for a few placements.
+_MESH_CACHE_SIZE = 4
 
 
 def build_high_order_mesh(cfg: LatticeConfig, part: RegionPartition, k: int) -> HighOrderMesh:
     if k not in SUPPORTED_DEGREES:
         raise ValueError(f"element degree must be one of {SUPPORTED_DEGREES}, got {k}")
-    key = (cfg, part, k)
-    got = _MESH_CACHE.get(key)
-    if got is not None:
-        return got
+    return _build_mesh(cfg, part, k)
 
+
+@lru_cache(maxsize=_MESH_CACHE_SIZE)
+def _build_mesh(cfg: LatticeConfig, part: RegionPartition, k: int) -> HighOrderMesh:
     N = cfg.N
     a, top = part.corner, part.top
     mask = omega_star_mask(part)
@@ -223,6 +219,7 @@ def build_high_order_mesh(cfg: LatticeConfig, part: RegionPartition, k: int) -> 
     node_is_free: list[bool] = []
     node_keys: list[tuple] = []
     elems_rows: list[list[list[int]]] = [[] for _ in range(6)]
+    elems_cells: list[list[int]] = [[] for _ in range(6)]
 
     kN = tuple(k * N[i] for i in range(3))
     e_id = -1
@@ -263,73 +260,77 @@ def build_high_order_mesh(cfg: LatticeConfig, part: RegionPartition, k: int) -> 
                         node_is_free.append(not slaved)
                 row.append(nid)
             elems_rows[p].append(row)
+            elems_cells[p].append(_flat_index(cell, N))
 
+    # Node values from [lattice sites | free nodes]; free nodes are ordered
+    # by position and are their own degrees of freedom.
     n_nodes = len(node_is_free)
-    node_free = np.full(n_nodes, -1, dtype=np.int64)
-    free_rows_unsorted = [i for i in range(n_nodes) if node_is_free[i]]
-    free_rows = sorted(free_rows_unsorted, key=lambda i: node_keys[i])
-    for idx, row in enumerate(free_rows):
-        node_free[row] = idx
-    mesh = HighOrderMesh(
+    free_rows = sorted((i for i in range(n_nodes) if node_is_free[i]), key=lambda i: node_keys[i])
+    n_dofs = cfg.n_sites + len(free_rows)
+    node_op = _csr(
+        op_rows + free_rows,
+        op_sites + list(range(cfg.n_sites, n_dofs)),
+        op_weights + [1.0] * len(free_rows),
+        (n_nodes, n_dofs),
+    )
+    return HighOrderMesh(
         cfg=cfg,
         part=part,
         k=k,
         p1_masks=p1_masks,
-        elems_by_perm=[
-            np.asarray(rows, dtype=np.int64).reshape(len(rows), len(nodes_m))
-            for rows in elems_rows
-        ],
-        node_op=_csr(op_rows, op_sites, op_weights, (n_nodes, cfg.n_sites)),
-        node_free=node_free,
-        free_rows=np.asarray(free_rows, dtype=np.int64),
-        free_keys=[node_keys[i] for i in free_rows],
+        elem_ops=[node_op[np.asarray(rows, dtype=np.int64).ravel()] for rows in elems_rows],
+        elem_cells=[np.asarray(c, dtype=np.int64) for c in elems_cells],
+        n_free_nodes=len(free_rows),
         n_elements=n_elements,
         n_p1_elements=n_p1,
     )
-    _MESH_CACHE[key] = mesh
-    return mesh
 
 
 # ----------------------------------------------------------------------
 # Assembly
 # ----------------------------------------------------------------------
 
-def _node_values(mesh: HighOrderMesh, vflat: np.ndarray, node_disp: np.ndarray) -> np.ndarray:
-    vals = mesh.node_op @ vflat
-    if mesh.n_free_nodes:
-        vals[mesh.free_rows] += node_disp
-    return vals
+@dataclass(frozen=True, eq=False)
+class _ElementBonds:
+    """Pk quadrature bonds of one template: row (e, q) applies the shape-
+    function gradients at point q times eta to element e's local node
+    values ``gather @ x``; the transpose applies both maps in reverse."""
+
+    gather: sparse.csr_array    # (E nloc, n_sites + n_free_nodes)
+    deta: np.ndarray            # (nq, nloc) gradN . eta
+    cells: np.ndarray           # (E,) flat cell index per element
+    N: IntTriple
+    transposed: bool = False
+
+    def __matmul__(self, x):
+        nq, nloc = self.deta.shape
+        if self.transposed:
+            u = np.matmul(self.deta.T, x.reshape(-1, nq, 3))
+            return self.gather.T @ u.reshape(-1, 3)
+        u = (self.gather @ x).reshape(-1, nloc, 3)
+        return np.matmul(self.deta, u).reshape(-1, 3)
+
+    @property
+    def T(self) -> "_ElementBonds":
+        return replace(self, transposed=not self.transposed)
+
+    def site(self, row: int) -> IntTriple:
+        cell = self.cells[row // self.deta.shape[0]]
+        return tuple(int(i) for i in np.unravel_index(int(cell), self.N))
 
 
-def _fe_pk_contrib(mesh, law, F, node_vals, eps, g_lat_outs=(), node_grad_out=None):
-    """Degree-k element assembly; returns the energy and scatters the
-    (1/eps^3-scaled) gradient to lattice sites and free nodes."""
-    energy = 0.0
-    want_grad = bool(g_lat_outs) or node_grad_out is not None
-    pool = np.zeros((mesh.node_op.shape[0], 3)) if want_grad else None
-    base = F @ law.eta_vec
-    for p, perm in enumerate(PATH_PERMS):
-        rows = mesh.elems_by_perm[p]
-        if rows.shape[0] == 0:
-            continue
-        wts, gradN = _template_tables(mesh.k, perm)
-        deta = gradN @ law.eta_vec                     # (nq, nloc)
-        ev = node_vals[rows]                           # (E_p, nloc, 3)
-        zeta = base + np.einsum("qn,enc->eqc", deta, ev) / eps
-        zflat = zeta.reshape(-1, 3)
-        vals = law.values(zflat).reshape(zeta.shape[:2])
-        energy += float(eps**3 * np.sum(vals @ wts))
-        if want_grad:
-            P = law.gradients(zflat).reshape(zeta.shape)
-            contrib = np.einsum("qn,eqc->enc", deta, P * wts[None, :, None]) / eps
-            np.add.at(pool, rows, contrib)
-    if g_lat_outs:
-        contrib = mesh.node_op.T @ pool
-        for g in g_lat_outs:
-            g += contrib
-    if node_grad_out is not None and mesh.n_free_nodes:
-        node_grad_out += pool[mesh.free_rows]
-    return energy
+def _pk_bonds(mesh: HighOrderMesh):
+    def bonds(law):
+        out = []
+        for p, perm in enumerate(PATH_PERMS):
+            cells = mesh.elem_cells[p]
+            if cells.size:
+                wts, gradN = _template_tables(mesh.k, perm)
+                op = _ElementBonds(mesh.elem_ops[p], gradN @ law.eta_vec, cells, mesh.cfg.N)
+                out.append((op, np.tile(wts, cells.size)))
+        return out
+
+    return bonds
 
 
 def high_order_energy(
@@ -383,35 +384,28 @@ def high_order_energy(
                 f"got {node_disp.shape}"
             )
     eps = cfg.epsilon
-    v = y.displacement.values
-    vflat = v.reshape(-1, 3)
-    d = _diff_arrays(v, eps)
-    g = np.zeros(cfg.shape)
-    gf = g.reshape(-1, 3)
-    node_grad = np.zeros((mesh.n_free_nodes, 3))
-    node_vals = _node_values(mesh, vflat, node_disp)
+    vflat = y.displacement.values.reshape(-1, 3)
+    x = np.concatenate([vflat, node_disp])
+    gx = np.zeros(x.shape)
+    gf = gx[: cfg.n_sites]
+    p1_w = [m.ravel() / 6.0 for m in mesh.p1_masks]
 
-    e_atom = 0.0
-    for law in R:
-        b = blocks[law.eta]
-        e_atom += _bond_contrib(b.atom_op, b.atom_w, law, y.F, vflat, eps, (gf,))[0]
-    e_fe = 0.0
-    for law in R:
-        e_fe += _staircase_cb_contrib(law, y.F, d, eps, mesh.p1_masks, (g,))
-        e_fe += _fe_pk_contrib(mesh, law, y.F, node_vals, eps, (gf,), node_grad)
-    e_cone = 0.0
-    for law in R:
-        b = blocks[law.eta]
-        e_cone += _bond_contrib(b.cone_op, b.volw, law, y.F, vflat, eps, (gf,))[0]
+    def p1_bonds(law):
+        return zip(_staircase_stencils(law.eta, cfg.N), p1_w)
+
+    e_atom = _term(R, _atom_bonds(blocks), y.F, vflat, eps, (gf,))
+    e_fe = _term(R, p1_bonds, y.F, vflat, eps, (gf,))
+    e_fe += _term(R, _pk_bonds(mesh), y.F, x, eps, (gx,))
+    e_cone = _term(R, _cone_bonds(blocks), y.F, vflat, eps, (gf,))
 
     counts = {str(law.eta): blocks[law.eta].counts for law in R}
     return EnergyReport(
         energy=e_atom + e_fe + e_cone,
-        gradient=LatticeField(cfg, g),
+        gradient=LatticeField(cfg, gf.reshape(cfg.shape)),
         model=f"coupled-ho({k})",
         breakdown={"atomistic": e_atom, "continuum": e_fe, "interface": e_cone},
         diagnostics={
-            "node_gradient": node_grad,
+            "node_gradient": gx[cfg.n_sites:],
             "counts": counts,
             "n_elements": mesh.n_elements,
             "n_p1_elements": mesh.n_p1_elements,

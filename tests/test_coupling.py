@@ -583,3 +583,32 @@ def test_masked_out_collapsed_bond_is_ignored_and_continuum_errors_name_the_site
             evaluate()
         assert err.value.site == (15, 7, 7)
         assert err.value.eta == (2, 1, 1)
+
+
+def test_sparse_bond_domain_errors_name_the_site():
+    """Moving site (8,8,8) by -eps (2, 1, 1) collapses the atomistic bond of
+    eta = (2, 1, 1) based at (6, 7, 7), deep inside the atomistic region.
+    The atomistic model names that site; the coupled models evaluate the bond
+    through their sparse atomistic-bond operator and must name the same site
+    and direction."""
+    from bvcouple.coupling import coupled_energy_dg
+    from bvcouple.highorder import high_order_energy
+    from bvcouple.potentials import PotentialDomainError
+
+    cfg = LatticeConfig(N=(16, 16, 16), epsilon=1.0 / 16.0)
+    part = RegionPartition(cfg, (2, 2, 2), (12, 12, 12))
+    R = InteractionSet([make_law((2, 1, 1), "lennard-jones-radial")])
+    vals = np.zeros(cfg.shape)
+    vals[8, 8, 8] = -cfg.epsilon * np.array([2.0, 1.0, 1.0])
+    y = make_deformation(np.eye(3), LatticeField(cfg, vals))
+
+    for evaluate in (
+        lambda: atomistic_energy(y, R),
+        lambda: coupled_energy_conforming(y, R, part),
+        lambda: coupled_energy_dg(y, y, R, part),
+        lambda: high_order_energy(y, R, part, k=2),
+    ):
+        with pytest.raises(PotentialDomainError) as err:
+            evaluate()
+        assert err.value.site == (6, 7, 7)
+        assert err.value.eta == (2, 1, 1)

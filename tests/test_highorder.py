@@ -339,3 +339,19 @@ def test_report_diagnostics_carry_mesh_sizes():
     assert rep.diagnostics["n_p1_elements"] == 816
     assert rep.diagnostics["n_free_nodes"] == 1898
     assert rep.model == "coupled-ho(2)"
+
+
+def test_block_and_mesh_caches_are_bounded():
+    """Building more placements than a cache holds leaves it at its bound."""
+    from bvcouple.coupling import _BLOCK_CACHE_SIZE, _build_eta_block
+    from bvcouple.highorder import _MESH_CACHE_SIZE, _build_mesh
+
+    cfg = cfg8()
+    corners = [(a, b, c) for a in (1, 2, 3) for b in (1, 2, 3) for c in (1, 2, 3)]
+    assert len(corners) > _BLOCK_CACHE_SIZE > _MESH_CACHE_SIZE
+    for corner in corners[: _BLOCK_CACHE_SIZE + 1]:
+        _build_eta_block(cfg, RegionPartition(cfg, corner, (2, 2, 2)), (1, 1, 1), "reject")
+    assert _build_eta_block.cache_info().currsize == _BLOCK_CACHE_SIZE
+    for corner in corners[: _MESH_CACHE_SIZE + 1]:
+        build_high_order_mesh(cfg, RegionPartition(cfg, corner, (2, 2, 2)), 2)
+    assert _build_mesh.cache_info().currsize == _MESH_CACHE_SIZE
