@@ -43,6 +43,14 @@ restricted to the continuum cells by zero weights; the naive control uses
 the atomistic model's exact-bond stencil the same way. The sparse products
 and stencils run sequentially in a fixed order, so results are
 deterministic and bit-reproducible.
+
+A direction's operators are built by array passes over the lattice: one
+classification of every site's member box (``_member_classes``, the rule
+that ``classify_bond_volume`` also applies), the atomistic bonds from the
+atomistic members and the reduce offsets, and the cones, which are
+constructed member by member over the interface members only. The flat
+site indices of every operator come from one wrapped ravel of the
+collected site triples.
 """
 from __future__ import annotations
 
@@ -56,6 +64,7 @@ from scipy import sparse
 
 from .energies import EnergyReport, _bond_contrib, _bond_stencil, _staircase_stencils, _term
 from .geometry import (
+    PATH_PERMS,
     CoveringMismatch,
     DegenerateEta,
     covering_widths,
@@ -153,33 +162,31 @@ def jump_average(face: GammaFace, w_minus, w_plus, eta):
     return jump, avg
 
 
-def _member_box(ell, eta) -> tuple[IntTriple, IntTriple]:
-    """Min corner and widths of the member box owning the bond at ell.
+def _member_box(ell, eta) -> tuple[np.ndarray, np.ndarray]:
+    """Min corners and widths of the member boxes owning the bonds at the
+    sites ``ell`` (..., 3).
 
     Zero components of eta get unit thickness (the reduce members); nonzero
     components span the bond volume."""
-    mu = []
-    w = []
-    for d in range(3):
-        e = int(eta[d])
-        if e != 0:
-            mu.append(int(ell[d]) + min(e, 0))
-            w.append(abs(e))
-        else:
-            mu.append(int(ell[d]))
-            w.append(1)
-    return tuple(mu), tuple(w)  # type: ignore[return-value]
+    eta = np.asarray(eta)
+    return np.asarray(ell) + np.minimum(eta, 0), np.where(eta != 0, np.abs(eta), 1)
 
 
-def _classify_box(mu, w, part: RegionPartition):
-    a, top = part.corner, part.top
-    lo = tuple(max(mu[d], a[d]) for d in range(3))
-    hi = tuple(min(mu[d] + w[d], top[d]) for d in range(3))
-    if any(hi[d] <= lo[d] for d in range(3)):
-        return BondClass.CONTINUUM, None, None
-    if all(mu[d] > a[d] and mu[d] + w[d] < top[d] for d in range(3)):
-        return BondClass.ATOMISTIC, None, None
-    return BondClass.INTERFACE, lo, hi
+_CLASSES = (BondClass.CONTINUUM, BondClass.INTERFACE, BondClass.ATOMISTIC)
+
+
+def _member_classes(mu, w, part: RegionPartition) -> np.ndarray:
+    """Class code (an index into ``_CLASSES``) of each member box (..., 3):
+    0 when it misses the atomistic box, 2 when it sits strictly inside it,
+    1 (interface) otherwise."""
+    a, top = np.asarray(part.corner), np.asarray(part.top)
+    meets = np.all(np.maximum(mu, a) < np.minimum(mu + w, top), axis=-1)
+    inside = np.all((mu > a) & (mu + w < top), axis=-1)
+    return meets.astype(np.int8) + inside
+
+
+def _classify_box(mu, w, part: RegionPartition) -> BondClass:
+    return _CLASSES[int(_member_classes(np.asarray(mu), np.asarray(w), part))]
 
 
 def classify_bond_volume(part: RegionPartition, ell, eta) -> BondClass:
@@ -192,8 +199,7 @@ def classify_bond_volume(part: RegionPartition, ell, eta) -> BondClass:
             "the reduce policy classifies unit-thickness members instead"
         )
     ell = tuple(int(x) % part.cfg.N[i] for i, x in enumerate(ell))
-    mu, w = _member_box(ell, eta)
-    return _classify_box(mu, w, part)[0]
+    return _classify_box(*_member_box(ell, eta), part)
 
 
 def required_clearance(etas: Sequence[IntTriple]) -> int:
@@ -274,9 +280,7 @@ class _TriMeta:
     """Interface-surface metadata for one fine triangle on a Gamma plane."""
 
     axis: int
-    plane: int
     nu_sign: int
-    square: tuple[int, int]   # (j, k) unit-square min corner
     half: str                 # "lower" (00,10,11) or "upper" (00,11,01)
 
 
@@ -289,10 +293,8 @@ def _fine_face(i, plane, j, jlo, jhi, k, klo, khi, nu_sign):
             p10 = _lat_vertex(_mk_point(i, plane, j, mj + 1, k, mk))
             p11 = _lat_vertex(_mk_point(i, plane, j, mj + 1, k, mk + 1))
             p01 = _lat_vertex(_mk_point(i, plane, j, mj, k, mk + 1))
-            tris.append(((p00, p10, p11),
-                         _TriMeta(i, plane, nu_sign, (mj, mk), "lower")))
-            tris.append(((p00, p11, p01),
-                         _TriMeta(i, plane, nu_sign, (mj, mk), "upper")))
+            tris.append(((p00, p10, p11), _TriMeta(i, nu_sign, "lower")))
+            tris.append(((p00, p11, p01), _TriMeta(i, nu_sign, "upper")))
     return tris
 
 
@@ -380,7 +382,7 @@ def _build_member_cone(mu, w, eta, part: RegionPartition, reduce_mode: bool):
             shift = w[i] if plane == hi[i] else -w[i]
             nb = list(mu)
             nb[i] += shift
-            ncls = _classify_box(tuple(nb), w, part)[0]
+            ncls = _classify_box(nb, w, part)
             if ncls is BondClass.ATOMISTIC:
                 # A strictly interior neighbor forces P to be unclipped in
                 # the face's own dimensions, so this is the full box face.
@@ -399,8 +401,7 @@ def _build_member_cone(mu, w, eta, part: RegionPartition, reduce_mode: bool):
         for y in (lo[1], hi[1])
         for z in (lo[2], hi[2])
     ]
-    apex = _mean_vertex(corners)
-    return apex, tris, (lo, hi)
+    return _mean_vertex(corners), tris
 
 
 # ======================================================================
@@ -493,10 +494,6 @@ def omega_star_mask(part: RegionPartition) -> np.ndarray:
     return mask
 
 
-def _flat_index(site, N) -> int:
-    return ((site[0] % N[0]) * N[1] + site[1] % N[1]) * N[2] + site[2] % N[2]
-
-
 def _plus_side_perm(axis: int, nu_sign: int, half: str) -> tuple[int, int, int]:
     """Staircase permutation of the continuum-side tet whose face is the
     given half of a unit interface square."""
@@ -507,93 +504,80 @@ def _plus_side_perm(axis: int, nu_sign: int, half: str) -> tuple[int, int, int]:
     return (j, k, axis) if half == "lower" else (k, j, axis)
 
 
+# Per staircase template, the base offset of its edge parallel to each axis.
+_EDGE_OFFSETS = np.array([[path_edge_offsets(perm)[a] for a in range(3)] for perm in PATH_PERMS])
+
+
 @lru_cache(maxsize=_BLOCK_CACHE_SIZE)
 def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, policy: str) -> _EtaBlock:
     N = cfg.N
     n_sites = cfg.n_sites
-    n_zero = sum(1 for e in eta if e == 0)
-    if n_zero and policy != "reduce":
+    zero = [d for d in range(3) if eta[d] == 0]
+    if zero and policy != "reduce":
         raise DegenerateEta(f"eta={eta} has zero components and policy is {policy!r}")
-    reduce_mode = n_zero > 0
-    n_eta = 1
-    for e in eta:
-        if e != 0:
-            n_eta *= abs(e)
+    n_eta = int(np.prod([abs(e) for e in eta if e != 0]))
 
-    # Weighted atomistic bond copies per member (averaged over the member's
-    # parallel bonds in reduce mode).
-    if not reduce_mode:
-        bond_offsets = [((0, 0, 0), 1.0)]
-    elif n_zero == 1:
-        zax = next(d for d in range(3) if eta[d] == 0)
-        ez = tuple(1 if d == zax else 0 for d in range(3))
-        bond_offsets = [((0, 0, 0), 0.5), (ez, 0.5)]
-    else:
-        u1, u2 = [d for d in range(3) if eta[d] == 0]
-        e1 = tuple(1 if d == u1 else 0 for d in range(3))
-        e2 = tuple(1 if d == u2 else 0 for d in range(3))
-        e12 = tuple(e1[d] + e2[d] for d in range(3))
-        bond_offsets = [((0, 0, 0), 0.25), (e1, 0.25), (e2, 0.25), (e12, 0.25)]
+    def flat(sites):
+        return np.ravel_multi_index(np.moveaxis(np.asarray(sites, dtype=np.int64), -1, 0), N, mode="wrap")
 
-    atom_sites: list[int] = []   # (tip, base) per bond
-    atom_w: list[float] = []
+    ells = np.indices(N).reshape(3, -1).T
+    mu, w = _member_box(ells, eta)
+    cls = _member_classes(mu, w, part)
+    n_cls = np.bincount(cls, minlength=3)
+    counts = {c.value: int(n_cls[_CLASSES.index(c)]) for c in BondClass}
+    atomistic, interface = cls == 2, cls == 1
+
+    # --- atomistic bonds: v[tip] - v[base], site-major, offset-minor ----
+    # A member's bonds are its parallel copies along the zero components of
+    # eta, averaged (one copy when eta has none).
+    offsets = np.zeros((2 ** len(zero), 3), dtype=np.int64)
+    for bit, d in enumerate(zero):
+        offsets[:, d] = (np.arange(len(offsets)) >> bit) & 1
+    base = (ells[atomistic][:, None, :] + offsets).reshape(-1, 3)
+    n_bonds = len(base)
+    ends = flat(np.stack([base + np.asarray(eta), base], axis=1))
+    atom_op = _SiteRows(
+        _csr(np.repeat(np.arange(n_bonds), 2), ends.ravel(), np.tile([1.0, -1.0], n_bonds),
+             (n_bonds, n_sites)),
+        ends[:, 1],
+        N,
+    )
+
+    # --- cone tets of the interface members -----------------------------
     # Cone vertices: positions, and their functionals as consecutive
-    # (flat site, coefficient) entries, fn_len[v] of them for vertex v.
+    # (site, coefficient) entries, fn_len[v] of them for vertex v.
     verts_pos: list[np.ndarray] = []
     fn_len: list[int] = []
-    fn_site: list[int] = []
+    fn_site: list[IntTriple] = []
     fn_coef: list[float] = []
     tets: list[tuple[int, int, int, int]] = []
-    tet_sites: list[int] = []    # member base site per cone tet
-    gamma_rows: list[tuple] = []
-    counts = {"atomistic": 0, "continuum": 0, "interface": 0}
-    mask = omega_star_mask(part)
+    tet_sites: list[IntTriple] = []     # member base site per cone tet
+    # Fine interface triangles: (cone tet, axis, nu_sign, outer template)
+    # and the triangle's three lattice sites.
+    g_rows: list[tuple[int, int, int, int]] = []
+    g_sites: list[IntTriple] = []
 
     def add_vertex(vert) -> int:
         verts_pos.append(vert[0])
         fn_len.append(len(vert[1]))
         for site, coef in vert[1]:
-            fn_site.append(_flat_index(site, N))
+            fn_site.append(site)
             fn_coef.append(coef)
         return len(verts_pos) - 1
 
-    for l0 in range(N[0]):
-        for l1 in range(N[1]):
-            for l2 in range(N[2]):
-                ell = (l0, l1, l2)
-                mu, w = _member_box(ell, eta)
-                cls, lo, hi = _classify_box(mu, w, part)
-                if cls is BondClass.CONTINUUM:
-                    counts["continuum"] += 1
-                    continue
-                if cls is BondClass.ATOMISTIC:
-                    counts["atomistic"] += 1
-                    for off, wt in bond_offsets:
-                        base = tuple(ell[d] + off[d] for d in range(3))
-                        tip = tuple(base[d] + eta[d] for d in range(3))
-                        atom_sites += [_flat_index(tip, N), _flat_index(base, N)]
-                        atom_w.append(wt)
-                    continue
-                counts["interface"] += 1
-                apex, tris, _ = _build_member_cone(mu, w, eta, part, reduce_mode)
-                a_id = add_vertex(apex)
-                tet_sites += [_flat_index(ell, N)] * len(tris)
-                for tri, meta in tris:
-                    ids = (a_id, add_vertex(tri[0]), add_vertex(tri[1]), add_vertex(tri[2]))
-                    tets.append(ids)
-                    if meta is not None and eta[meta.axis] != 0:
-                        gamma_rows.append((len(tets) - 1, tri, meta))
+    w_t = tuple(w.tolist())
+    for ell, mu_t in zip(ells[interface].tolist(), mu[interface].tolist()):
+        apex, tris = _build_member_cone(tuple(mu_t), w_t, eta, part, bool(zero))
+        a_id = add_vertex(apex)
+        tet_sites += [ell] * len(tris)
+        for tri, meta in tris:
+            tets.append((a_id, add_vertex(tri[0]), add_vertex(tri[1]), add_vertex(tri[2])))
+            if meta is not None and eta[meta.axis] != 0:
+                perm = _plus_side_perm(meta.axis, meta.nu_sign, meta.half)
+                g_rows.append((len(tets) - 1, meta.axis, meta.nu_sign, PATH_PERMS.index(perm)))
+                g_sites += [v[1][0][0] for v in tri]
 
-    # --- atomistic bonds: v[tip] - v[base] ------------------------------
-    n_bonds = len(atom_w)
-    atom_op = _SiteRows(
-        _csr(np.repeat(np.arange(n_bonds), 2), atom_sites, np.tile([1.0, -1.0], n_bonds),
-             (n_bonds, n_sites)),
-        np.asarray(atom_sites[1::2], dtype=np.int64),
-        N,
-    )
-
-    # --- cone tets: eta^T A^{-1} (vertex values - apex value) -----------
+    # eta^T A^{-1} (vertex values - apex value) per cone tet
     t = np.asarray(tets, dtype=np.int64).reshape(len(tets), 4)
     if len(tets):
         pos = np.asarray(verts_pos)
@@ -604,50 +588,39 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, 
         volw = np.zeros(0)
         m = np.zeros((0, 3))
     weights = np.concatenate([-m.sum(axis=1, keepdims=True), m], axis=1)
-    cone_op = _vertex_rows(t, weights, fn_len, fn_site, fn_coef, n_sites)
+    cone_op = _vertex_rows(t, weights, fn_len, flat(fn_site), fn_coef, n_sites)
 
     # --- interface-surface rows for the discontinuous variant -----------
-    n_tri = len(gamma_rows)
-    g_nu = np.zeros(n_tri)
-    g_minus = np.zeros(n_tri, dtype=np.int64)
-    tri_sites = np.zeros((n_tri, 3), dtype=np.int64)
-    plus_rows: list[int] = []
-    plus_cols: list[int] = []
-    plus_vals: list[float] = []
-    for r, (tet_id, tri, meta) in enumerate(gamma_rows):
-        for c in range(3):
-            tri_sites[r, c] = _flat_index(tri[c][1][0][0], N)
-        g_nu[r] = meta.nu_sign * eta[meta.axis]
-        g_minus[r] = tet_id
-        j, k = [d for d in range(3) if d != meta.axis]
-        cell = [0, 0, 0]
-        cell[meta.axis] = meta.plane - 1 if meta.nu_sign < 0 else meta.plane
-        cell[j], cell[k] = meta.square
-        assert mask[tuple(np.mod(cell, N))], "outer interface cell must be continuum"
-        offs = path_edge_offsets(_plus_side_perm(meta.axis, meta.nu_sign, meta.half))
-        for a_ax in range(3):
-            if eta[a_ax] == 0:
-                continue
-            base = tuple(cell[d] + offs[a_ax][d] for d in range(3))
-            upv = tuple(base[d] + (d == a_ax) for d in range(3))
-            plus_rows += [r, r]
-            plus_cols += [_flat_index(upv, N), _flat_index(base, N)]
-            plus_vals += [float(eta[a_ax]), -float(eta[a_ax])]
-
+    g_tet, g_axis, g_sign, g_perm = np.asarray(g_rows, dtype=np.int64).reshape(-1, 4).T
+    n_tri = len(g_tet)
+    tri_sites = np.asarray(g_sites, dtype=np.int64).reshape(n_tri, 3, 3)
+    eye = np.eye(3, dtype=np.int64)
+    # The outer continuum cell has the triangle's first vertex (the square's
+    # min corner) as base, or the cell below it on the region's lower faces.
+    cell = tri_sites[:, 0] - (g_sign < 0)[:, None] * eye[g_axis]
+    assert omega_star_mask(part)[tuple(np.mod(cell, N).T)].all(), \
+        "outer interface cell must be continuum"
+    # plus side: eta_a times the outer tet's edge difference along each axis
+    # a with eta_a != 0 (edge tip, then base)
+    axes = [a for a in range(3) if eta[a] != 0]
+    edge_base = cell[:, None, :] + _EDGE_OFFSETS[g_perm][:, axes]
+    edges = flat(np.stack([edge_base + eye[axes], edge_base], axis=2))
+    eta_a = np.asarray(eta, dtype=float)[axes]
     gamma = _GammaData(
-        nu_eta=g_nu,
-        minus_tet=g_minus,
-        minus_op=cone_op[g_minus],
-        plus_op=_csr(plus_rows, plus_cols, plus_vals, (n_tri, n_sites)),
-        trace_op=_csr(np.repeat(np.arange(n_tri), 3), tri_sites.reshape(-1), np.ones(3 * n_tri),
+        nu_eta=(g_sign * np.asarray(eta)[g_axis]).astype(float),
+        minus_tet=g_tet,
+        minus_op=cone_op[g_tet],
+        plus_op=_csr(np.repeat(np.arange(n_tri), 2 * len(axes)), edges.ravel(),
+                     np.tile(np.stack([eta_a, -eta_a], axis=1).ravel(), n_tri), (n_tri, n_sites)),
+        trace_op=_csr(np.repeat(np.arange(n_tri), 3), flat(tri_sites).ravel(), np.ones(3 * n_tri),
                       (n_tri, n_sites)),
     )
     return _EtaBlock(
         eta=eta,
         n_eta=n_eta,
         atom_op=atom_op,
-        atom_w=np.asarray(atom_w),
-        cone_op=_SiteRows(cone_op, np.asarray(tet_sites, dtype=np.int64), N),
+        atom_w=np.full(n_bonds, 1.0 / len(offsets)),
+        cone_op=_SiteRows(cone_op, flat(tet_sites), N),
         volw=volw,
         gamma=gamma,
         counts=counts,
@@ -944,8 +917,8 @@ def covering_interpolant(
         return np.asarray(pos), np.asarray(val)
 
     for base in cov.base_sites:
-        mu, w = _member_box(base, eta)
-        cls, lo, hi = _classify_box(mu, w, part)
+        mu, w = (tuple(x.tolist()) for x in _member_box(base, eta))
+        cls = _classify_box(mu, w, part)
         box_cells = [
             (mu[0] + i, mu[1] + j, mu[2] + k)
             for i in range(w[0])
@@ -964,7 +937,7 @@ def covering_interpolant(
             G, vols = _batch_tet_data(pos, val)
             pieces.append(MemberPiece(base, "continuum", pos, G, vols, val, (mu, w)))
             continue
-        apex, tris, _ = _build_member_cone(mu, w, eta, part, reduce_mode=False)
+        apex, tris = _build_member_cone(mu, w, eta, part, reduce_mode=False)
 
         def vert_eval(vert):
             pos_l, fn = vert

@@ -75,8 +75,6 @@ class TypeADecomposition:
     """Six-tetrahedron staircase decomposition of an axis-aligned box."""
 
     corner: IntTriple             # base lattice site
-    multiples: IntTriple          # absolute edge multiples |eta_i| (or 1,1,1)
-    signs: IntTriple              # sign pattern of the box directions
     tets: tuple[Tetrahedron, ...]
 
 
@@ -105,8 +103,6 @@ def decompose_cell_type_a(ell, cfg: LatticeConfig) -> TypeADecomposition:
     ell = tuple(int(x) for x in ell)
     return TypeADecomposition(
         corner=ell,
-        multiples=(1, 1, 1),
-        signs=(1, 1, 1),
         tets=_build_box_tets(ell, (1, 1, 1), cfg),
     )
 
@@ -119,11 +115,6 @@ class BondVolume:
     eta: IntTriple
     decomposition: TypeADecomposition
 
-    @property
-    def extents(self) -> tuple[float, float, float]:
-        eps = 1.0
-        return tuple(abs(e) * eps for e in self.eta)  # in lattice units
-
 
 def decompose_bond_volume_type_a(ell, eta, cfg: LatticeConfig) -> BondVolume:
     """Staircase decomposition of the bond volume for a full 3D direction."""
@@ -134,12 +125,7 @@ def decompose_bond_volume_type_a(ell, eta, cfg: LatticeConfig) -> BondVolume:
             "see the coupling module's degenerate_eta policy"
         )
     ell = tuple(int(x) for x in ell)
-    deco = TypeADecomposition(
-        corner=ell,
-        multiples=tuple(abs(e) for e in eta),  # type: ignore[arg-type]
-        signs=tuple(1 if e > 0 else -1 for e in eta),  # type: ignore[arg-type]
-        tets=_build_box_tets(ell, eta, cfg),
-    )
+    deco = TypeADecomposition(corner=ell, tets=_build_box_tets(ell, eta, cfg))
     return BondVolume(base=ell, eta=eta, decomposition=deco)
 
 

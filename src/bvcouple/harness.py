@@ -27,7 +27,7 @@ from .geometry import (
     rectangle_lemma_residual,
     segment_lemma_residual,
 )
-from .highorder import high_order_energy
+from .highorder import build_high_order_mesh, high_order_energy
 from .lattice import (
     Deformation,
     LatticeConfig,
@@ -494,27 +494,42 @@ def fd_gradient_check(config: RunConfig, trials: int = 5, step: float = 1e-5) ->
     directional derivative, so the comparison is not drowned by the O(h^-1)
     cancellation noise of differencing a large constant energy. For the
     two-sided model the base state is discontinuous and the direction tied,
-    which drives the interface second-derivative term."""
+    which drives the interface second-derivative term. For the high-order
+    model of degree k > 1 the free nodes get random displacements too (of
+    1/k the lattice amplitude), and the probe direction and the inner
+    product include the free-node block."""
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     rng = np.random.default_rng(config.seed)
     cfg = config.cfg
     eps = cfg.epsilon
     amp = 0.02 * eps
+    n_nodes = 0
+    if config.model_family == "coupled-ho" and config.ho_degree > 1:
+        n_nodes = build_high_order_mesh(cfg, config.region, config.ho_degree).n_free_nodes
     worst = 0.0
     for _ in range(trials):
         F = _random_gradient_matrix(rng, config.F)
         v = _random_displacement(rng, cfg, amp)
         v_plus = _random_displacement(rng, cfg, amp) if config.model_family == "coupled-dg" else v
-        grad = evaluate_model(
-            config, make_deformation(F, v), y_plus=make_deformation(F, v_plus)
-        ).gradient
-        w = LatticeField(cfg, grad.values / grad.max_norm()).zero_mean()
-        analytic = discrete_inner_product(grad, w)
+        # Nodes are eps/k apart, so amplitude amp/k strains the elements as
+        # much as amp strains the lattice bonds.
+        nodes = amp / config.ho_degree * rng.standard_normal((n_nodes, 3)) if n_nodes else np.zeros((0, 3))
+        report = evaluate_model(
+            config, make_deformation(F, v), y_plus=make_deformation(F, v_plus), node_displacements=nodes
+        )
+        grad = report.gradient
+        g_nodes = report.diagnostics["node_gradient"] if n_nodes else np.zeros((0, 3))
+        scale = max(grad.max_norm(), float(np.abs(g_nodes).max(initial=0.0)))
+        w = LatticeField(cfg, grad.values / scale).zero_mean()
+        w_nodes = g_nodes / scale
+        analytic = discrete_inner_product(grad, w) + float(eps**3 * np.sum(g_nodes * w_nodes))
 
         def energy_at(t: float) -> float:
             ym = make_deformation(F, v + t * w)
-            return evaluate_model(config, ym, y_plus=make_deformation(F, v_plus + t * w)).energy
+            return evaluate_model(
+                config, ym, y_plus=make_deformation(F, v_plus + t * w), node_displacements=nodes + t * w_nodes
+            ).energy
 
         fd = (energy_at(step) - energy_at(-step)) / (2.0 * step)
         denom = max(abs(analytic), abs(fd), 1e-12)

@@ -19,8 +19,15 @@ face and interior nodes of degree-k elements are extra degrees of freedom,
 except where such a node lies on the closure of a P1 element: there it is
 slaved to the linear interpolant of the P1 element so the global field stays
 continuous. For this mesh a node (with its supporting sub-simplex) lies on a
-P1 element's closure exactly when some P1 element owns every vertex of that
-sub-simplex, which is how slaving is detected.
+P1 element's closure exactly when its sub-simplex is an edge or a face of a
+P1 element, which is how slaving is detected.
+
+The mesh is built by array passes: one table of element vertices (cells x 6
+templates x 4 corners) flags the P1 elements; the Lagrange nodes of the Pk
+elements, at m . vertices in k-scaled lattice units, are deduplicated by
+position (``np.unique``), which also orders the free nodes by position; and
+an edge or face node is slaved by membership of its sorted vertex sites
+among the P1 elements' edges or faces.
 
 Quadrature is a conical-product Gauss rule on the reference tetrahedron
 (Jacobi weights absorb the collapsed-coordinate Jacobian), with n = k + 1
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
+from itertools import combinations
 
 import numpy as np
 from scipy import sparse
@@ -43,7 +51,6 @@ from .coupling import (
     _check_partition,
     _cone_bonds,
     _csr,
-    _flat_index,
     _get_blocks,
     coupled_energy_conforming,
     omega_star_mask,
@@ -179,110 +186,67 @@ def build_high_order_mesh(cfg: LatticeConfig, part: RegionPartition, k: int) -> 
 @lru_cache(maxsize=_MESH_CACHE_SIZE)
 def _build_mesh(cfg: LatticeConfig, part: RegionPartition, k: int) -> HighOrderMesh:
     N = cfg.N
-    a, top = part.corner, part.top
+    a, top = np.asarray(part.corner), np.asarray(part.top)
     mask = omega_star_mask(part)
     cells = np.argwhere(mask)
-    corner_offs = [np.asarray(path_corner_offsets(perm)) for perm in PATH_PERMS]
 
-    def on_gamma(p) -> bool:
-        inside = all(a[i] <= p[i] <= top[i] for i in range(3))
-        return inside and any(p[i] == a[i] or p[i] == top[i] for i in range(3))
-
-    # Pass 1: element vertex ids, P1 flags, vertex-to-element incidence.
+    # Element vertices (cells, 6 templates, 4 corners, 3), unwrapped; an
+    # element is P1 when a vertex lies on the interface surface Gamma.
+    verts = cells[:, None, None, :] + np.asarray([path_corner_offsets(perm) for perm in PATH_PERMS])
+    on_gamma = np.all((a <= verts) & (verts <= top), axis=-1) & np.any((verts == a) | (verts == top), axis=-1)
+    is_p1 = on_gamma.any(axis=-1)
     p1_masks = np.zeros((6,) + tuple(N), dtype=bool)
-    v2t: dict[int, list[int]] = {}
-    elem_vert_flats: list[tuple[int, ...]] = []
-    elem_is_p1: list[bool] = []
-    n_elements = 0
-    for ci, cell in enumerate(cells):
-        for p in range(6):
-            verts = cell[None, :] + corner_offs[p]
-            flats = tuple(_flat_index(v, N) for v in verts)
-            e_id = len(elem_vert_flats)
-            elem_vert_flats.append(flats)
-            is_p1 = any(on_gamma(v) for v in verts)
-            elem_is_p1.append(is_p1)
-            if is_p1:
-                p1_masks[(p,) + tuple(cell)] = True
-            for f in flats:
-                v2t.setdefault(f, []).append(e_id)
-            n_elements += 1
-    n_p1 = sum(elem_is_p1)
+    p1_masks[:, mask] = is_p1.T
+    flats = np.ravel_multi_index(np.moveaxis(verts, -1, 0), N, mode="wrap")
+    p1_flats = flats[is_p1]
 
-    # Pass 2: global nodes of the Pk elements.
-    nodes_m = simplex_multi_indices(k)
-    node_ids: dict[tuple, int] = {}
-    # Node functionals as (node, flat site, weight) entries.
-    op_rows: list[int] = []
-    op_sites: list[int] = []
-    op_weights: list[float] = []
-    node_is_free: list[bool] = []
-    node_keys: list[tuple] = []
-    elems_rows: list[list[list[int]]] = [[] for _ in range(6)]
-    elems_cells: list[list[int]] = [[] for _ in range(6)]
+    # Lagrange nodes of the Pk elements, at m . verts in k-scaled units,
+    # numbered by position (which orders the free nodes by position).
+    ms = np.asarray(simplex_multi_indices(k))
+    pk_cell, pk_perm = np.nonzero(~is_p1)
+    kN = tuple(k * n for n in N)
+    keys = np.ravel_multi_index(np.moveaxis(ms @ verts[pk_cell, pk_perm], -1, 0), kN, mode="wrap")
+    _, first, node_of = np.unique(keys, return_index=True, return_inverse=True)
+    node_m = ms[first % len(ms)]                  # multi-index in the first owning element
+    node_v = flats[pk_cell, pk_perm][first // len(ms)]
+    size = np.count_nonzero(node_m, axis=1)
 
-    kN = tuple(k * N[i] for i in range(3))
-    e_id = -1
-    for ci, cell in enumerate(cells):
-        for p in range(6):
-            e_id += 1
-            if elem_is_p1[e_id]:
-                continue
-            verts = cell[None, :] + corner_offs[p]
-            vflats = elem_vert_flats[e_id]
-            row = []
-            for m in nodes_m:
-                pos_k = tuple(
-                    int(sum(m[i] * verts[i][d] for i in range(4))) % kN[d]
-                    for d in range(3)
-                )
-                nid = node_ids.get(pos_k)
-                if nid is None:
-                    nid = len(node_is_free)
-                    node_ids[pos_k] = nid
-                    node_keys.append(pos_k)
-                    entity = [i for i in range(4) if m[i] > 0]
-                    if len(entity) == 1:
-                        # vertex node: backed by its lattice site
-                        op_rows.append(nid)
-                        op_sites.append(vflats[entity[0]])
-                        op_weights.append(1.0)
-                        node_is_free.append(False)
-                    else:
-                        shared = set(v2t.get(vflats[entity[0]], ()))
-                        for i in entity[1:]:
-                            shared &= set(v2t.get(vflats[i], ()))
-                        slaved = any(elem_is_p1[t] for t in shared)
-                        if slaved:
-                            op_rows += [nid] * len(entity)
-                            op_sites += [vflats[i] for i in entity]
-                            op_weights += [m[i] / k for i in entity]
-                        node_is_free.append(not slaved)
-                row.append(nid)
-            elems_rows[p].append(row)
-            elems_cells[p].append(_flat_index(cell, N))
+    # A node on an edge or face is slaved when that sub-simplex belongs to a
+    # P1 element, i.e. some P1 element owns all of its vertices.
+    slaved = np.zeros(len(first), dtype=bool)
+    for s in (2, 3):
+        sub = np.asarray(list(combinations(range(4), s)))
+        p1_sub = np.sort(p1_flats[:, sub], axis=-1).reshape(-1, s)
+        on = size == s
+        node_sub = np.sort(node_v[on][node_m[on] > 0].reshape(-1, s), axis=-1)
+        _, ids = np.unique(np.concatenate([p1_sub, node_sub]), axis=0, return_inverse=True)
+        slaved[on] = np.isin(ids.ravel()[len(p1_sub):], ids.ravel()[: len(p1_sub)])
 
-    # Node values from [lattice sites | free nodes]; free nodes are ordered
-    # by position and are their own degrees of freedom.
-    n_nodes = len(node_is_free)
-    free_rows = sorted((i for i in range(n_nodes) if node_is_free[i]), key=lambda i: node_keys[i])
-    n_dofs = cfg.n_sites + len(free_rows)
+    # Node values from [lattice sites | free nodes]: vertex and slaved nodes
+    # are the linear interpolant m / k of their sub-simplex's lattice values,
+    # free nodes are their own degrees of freedom.
+    free = (size > 1) & ~slaved
+    rows, ents = np.nonzero((node_m > 0) & ~free[:, None])
+    free_rows = np.flatnonzero(free)
+    n_free = len(free_rows)
     node_op = _csr(
-        op_rows + free_rows,
-        op_sites + list(range(cfg.n_sites, n_dofs)),
-        op_weights + [1.0] * len(free_rows),
-        (n_nodes, n_dofs),
+        np.concatenate([rows, free_rows]),
+        np.concatenate([node_v[rows, ents], cfg.n_sites + np.arange(n_free)]),
+        np.concatenate([node_m[rows, ents] / k, np.ones(n_free)]),
+        (len(first), cfg.n_sites + n_free),
     )
+    node_of = node_of.reshape(len(pk_cell), len(ms))
+    cell_flats = np.ravel_multi_index(cells.T, N)
     return HighOrderMesh(
         cfg=cfg,
         part=part,
         k=k,
         p1_masks=p1_masks,
-        elem_ops=[node_op[np.asarray(rows, dtype=np.int64).ravel()] for rows in elems_rows],
-        elem_cells=[np.asarray(c, dtype=np.int64) for c in elems_cells],
-        n_free_nodes=len(free_rows),
-        n_elements=n_elements,
-        n_p1_elements=n_p1,
+        elem_ops=[node_op[node_of[pk_perm == p].ravel()] for p in range(6)],
+        elem_cells=[cell_flats[pk_cell[pk_perm == p]] for p in range(6)],
+        n_free_nodes=n_free,
+        n_elements=is_p1.size,
+        n_p1_elements=int(np.count_nonzero(is_p1)),
     )
 
 

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator, cg
 
-from bvcouple import cli
+from bvcouple import cli, harness
 from bvcouple.harness import (
     MODEL_NAMES,
     ConfigError,
     config_from_dict,
     default_config,
     evaluate_model,
+    fd_gradient_check,
     ghost_force_residual,
     load_config,
     minimize,
@@ -177,6 +178,20 @@ def test_ghost_force_residual_smoke():
     assert ghost_force_residual(config) <= 1e-12
     naive = config_from_dict(small_config_dict(model="naive"))
     assert ghost_force_residual(naive) >= 1e-3
+
+
+def test_gradient_check_probes_the_free_node_block(monkeypatch):
+    config = config_from_dict(small_config_dict(model="coupled-ho(2)"))
+    tol = config.gradient_fd_tolerance
+    assert fd_gradient_check(config, trials=2) <= tol
+
+    def doubled_node_gradient(*args, **kwargs):
+        report = evaluate_model(*args, **kwargs)
+        report.diagnostics["node_gradient"] = 2.0 * report.diagnostics["node_gradient"]
+        return report
+
+    monkeypatch.setattr(harness, "evaluate_model", doubled_node_gradient)
+    assert fd_gradient_check(config, trials=2) > tol
 
 
 # ----------------------------------------------------------------------
