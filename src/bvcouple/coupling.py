@@ -16,9 +16,11 @@ neighboring description exactly — fine unit triangles on the interface
 surface (matching the continuum side), the box template's own diagonal split
 against atomistic-classified neighbors (matching the coarse box interpolant
 implied by the bond-volume integral identity), and centroid fans between
-interface neighbors (identical from both sides). Every vertex value is an
-affine combination of lattice values that reproduces affine fields exactly,
-which is what makes homogeneous deformations energy-exact and force-free.
+interface neighbors (identical from both sides). Every cone vertex is the
+mean of 1, 4 or 8 lattice points (a lattice vertex, a fan centre, the apex),
+in position and in value, so every vertex value is an affine combination of
+lattice values that reproduces affine fields exactly, which is what makes
+homogeneous deformations energy-exact and force-free.
 
 Directions with zero components have no 3D bond volume; the ``reduce``
 policy replaces them by unit-thickness members (prisms for one zero
@@ -48,15 +50,22 @@ A direction's operators are built by array passes over the lattice: one
 classification of every site's member box (``_member_classes``, the rule
 that ``classify_bond_volume`` also applies), the atomistic bonds from the
 atomistic members and the reduce offsets, and the cones, which are
-constructed member by member over the interface members only. The flat
-site indices of every operator come from one wrapped ravel of the
-collected site triples.
+constructed member by member over the interface members only. The class
+codes of the interface members' six face neighbours, which choose each
+cone face's triangulation, come from one array call of the same rule
+(``_neighbour_classes``). A cone tet is four vertices of lattice points;
+the points of all tets are flattened once, and the cone operator gives
+each point of a vertex the coefficient 1/(number of points). The flat site
+indices of every operator come from one wrapped ravel of the collected
+site triples. ``covering_interpolant`` builds its cones from the same
+vertices, evaluating each as the mean of the field over its points.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -185,8 +194,12 @@ def _member_classes(mu, w, part: RegionPartition) -> np.ndarray:
     return meets.astype(np.int8) + inside
 
 
-def _classify_box(mu, w, part: RegionPartition) -> BondClass:
-    return _CLASSES[int(_member_classes(np.asarray(mu), np.asarray(w), part))]
+def _neighbour_classes(mu, w, part: RegionPartition) -> np.ndarray:
+    """Class codes (..., 3, 2) of the face neighbours of the member boxes
+    ``mu`` (..., 3) of widths ``w``: entry [i, s] is the box shifted along
+    axis i by -w_i (s = 0) or +w_i (s = 1)."""
+    shift = np.diag(w)
+    return _member_classes(np.asarray(mu)[..., None, None, :] + np.stack([-shift, shift], axis=1), w, part)
 
 
 def classify_bond_volume(part: RegionPartition, ell, eta) -> BondClass:
@@ -199,7 +212,7 @@ def classify_bond_volume(part: RegionPartition, ell, eta) -> BondClass:
             "the reduce policy classifies unit-thickness members instead"
         )
     ell = tuple(int(x) % part.cfg.N[i] for i, x in enumerate(ell))
-    return _classify_box(*_member_box(ell, eta), part)
+    return _CLASSES[int(_member_classes(*_member_box(ell, eta), part))]
 
 
 def required_clearance(etas: Sequence[IntTriple]) -> int:
@@ -252,20 +265,12 @@ def _check_partition(part: RegionPartition, R: InteractionSet, policy: str) -> N
 # Interface cone construction (build time, integer lattice units)
 # ======================================================================
 
-# A vertex is (position (3,) float lattice units, functional: list of
-# (lattice site triple, coefficient)); triangles are 3-vertex tuples with
-# optional interface metadata for the discontinuous variant.
-
-def _lat_vertex(p):
-    return (np.asarray(p, dtype=float), [(tuple(int(x) for x in p), 1.0)])
-
-
-def _mean_vertex(points):
-    pts = [np.asarray(p, dtype=float) for p in points]
-    pos = sum(pts) / float(len(pts))
-    c = 1.0 / len(points)
-    return (pos, [(tuple(int(x) for x in p), c) for p in points])
-
+# A cone vertex is a tuple of integer lattice points standing for their
+# mean, in position and in value: one point for a lattice vertex, the 4 face
+# corners for a fan centre, the 8 corners of P for the apex. A triangle is
+# (three vertices, meta), where meta is (axis, nu_sign, half) for a fine
+# triangle on the interface surface, half being "lower" (00,10,11) or
+# "upper" (00,11,01), and None otherwise.
 
 def _mk_point(i, plane, j, pj, k, pk):
     q = [0, 0, 0]
@@ -275,26 +280,17 @@ def _mk_point(i, plane, j, pj, k, pk):
     return tuple(q)
 
 
-@dataclass
-class _TriMeta:
-    """Interface-surface metadata for one fine triangle on a Gamma plane."""
-
-    axis: int
-    nu_sign: int
-    half: str                 # "lower" (00,10,11) or "upper" (00,11,01)
-
-
 def _fine_face(i, plane, j, jlo, jhi, k, klo, khi, nu_sign):
     """Unit-square triangulation with the cell template's main diagonals."""
     tris = []
     for mj in range(jlo, jhi):
         for mk in range(klo, khi):
-            p00 = _lat_vertex(_mk_point(i, plane, j, mj, k, mk))
-            p10 = _lat_vertex(_mk_point(i, plane, j, mj + 1, k, mk))
-            p11 = _lat_vertex(_mk_point(i, plane, j, mj + 1, k, mk + 1))
-            p01 = _lat_vertex(_mk_point(i, plane, j, mj, k, mk + 1))
-            tris.append(((p00, p10, p11), _TriMeta(i, nu_sign, "lower")))
-            tris.append(((p00, p11, p01), _TriMeta(i, nu_sign, "upper")))
+            p00 = (_mk_point(i, plane, j, mj, k, mk),)
+            p10 = (_mk_point(i, plane, j, mj + 1, k, mk),)
+            p11 = (_mk_point(i, plane, j, mj + 1, k, mk + 1),)
+            p01 = (_mk_point(i, plane, j, mj, k, mk + 1),)
+            tris.append(((p00, p10, p11), (i, nu_sign, "lower")))
+            tris.append(((p00, p11, p01), (i, nu_sign, "upper")))
     return tris
 
 
@@ -302,20 +298,20 @@ def _junction_face(i, plane, j, jlo, jhi, k, klo, khi, eta):
     """Full box face split by the diagonal of the box's own staircase
     template (the trace the coarse box interpolant of the atomistic
     neighbor induces)."""
-    p00 = _lat_vertex(_mk_point(i, plane, j, jlo, k, klo))
-    p10 = _lat_vertex(_mk_point(i, plane, j, jhi, k, klo))
-    p11 = _lat_vertex(_mk_point(i, plane, j, jhi, k, khi))
-    p01 = _lat_vertex(_mk_point(i, plane, j, jlo, k, khi))
+    p00 = (_mk_point(i, plane, j, jlo, k, klo),)
+    p10 = (_mk_point(i, plane, j, jhi, k, klo),)
+    p11 = (_mk_point(i, plane, j, jhi, k, khi),)
+    p01 = (_mk_point(i, plane, j, jlo, k, khi),)
     if eta[j] * eta[k] > 0:
         return [((p00, p10, p11), None), ((p00, p11, p01), None)]
     return [((p10, p11, p01), None), ((p10, p01, p00), None)]
 
 
-def _edge_breakpoints(span_dim, lo, hi, fixed, part: RegionPartition):
+def _edge_breakpoints(span_dim, lo, hi, fixed, a, top):
     """Interior lattice points of an axis-aligned edge that lies within a
     closed facet of the interface surface (where neighboring cones may place
-    fine-triangle vertices, so this edge must carry them too)."""
-    a, top = part.corner, part.top
+    fine-triangle vertices, so this edge must carry them too); ``a`` and
+    ``top`` are the atomistic box's corners."""
     for f, val in fixed.items():
         if val not in (a[f], top[f]):
             continue
@@ -328,15 +324,15 @@ def _edge_breakpoints(span_dim, lo, hi, fixed, part: RegionPartition):
     return []
 
 
-def _fan_face(i, plane, j, jlo, jhi, k, klo, khi, part):
-    """Fan from the face centroid (value = mean of the 4 corners), with
-    lattice breakpoints on edges lying within closed interface facets."""
-    corners = [
+def _fan_face(i, plane, j, jlo, jhi, k, klo, khi, a, top):
+    """Fan from the face centroid (the mean of the 4 corners), with lattice
+    breakpoints on edges lying within closed interface facets."""
+    corners = (
         _mk_point(i, plane, j, jlo, k, klo),
         _mk_point(i, plane, j, jhi, k, klo),
         _mk_point(i, plane, j, jhi, k, khi),
         _mk_point(i, plane, j, jlo, k, khi),
-    ]
+    )
     sides = [
         (j, jlo, jhi, k, klo, False),
         (k, klo, khi, j, jhi, False),
@@ -346,62 +342,54 @@ def _fan_face(i, plane, j, jlo, jhi, k, klo, khi, part):
     poly = []
     for idx, (sd, s_lo, s_hi, od, oval, rev) in enumerate(sides):
         poly.append(corners[idx])
-        breaks = _edge_breakpoints(sd, s_lo, s_hi, {i: plane, od: oval}, part)
+        breaks = _edge_breakpoints(sd, s_lo, s_hi, {i: plane, od: oval}, a, top)
         if rev:
             breaks = breaks[::-1]
-        for t in breaks:
-            q = [0, 0, 0]
-            q[i] = plane
-            q[sd] = t
-            q[od] = oval
-            poly.append(tuple(q))
-    center = _mean_vertex(corners)
-    tris = []
-    for t in range(len(poly)):
-        p, q = poly[t], poly[(t + 1) % len(poly)]
-        tris.append(((center, _lat_vertex(p), _lat_vertex(q)), None))
-    return tris
+        poly += [_mk_point(i, plane, sd, t, od, oval) for t in breaks]
+    return [((corners, (p,), (q,)), None) for p, q in zip(poly, poly[1:] + poly[:1])]
 
 
-def _build_member_cone(mu, w, eta, part: RegionPartition, reduce_mode: bool):
-    """Apex vertex and surface triangulation of P = member box ^ Omega_a."""
+def _build_member_cone(mu, w, eta, part: RegionPartition, reduce_mode: bool, nb_cls):
+    """Apex and surface triangulation of P = member box ^ Omega_a.
+
+    ``nb_cls[i][s]`` is the class code of the face neighbour below (s = 0)
+    or above (s = 1) the member along axis i (``_neighbour_classes``)."""
     a, top = part.corner, part.top
     lo = tuple(max(mu[d], a[d]) for d in range(3))
     hi = tuple(min(mu[d] + w[d], top[d]) for d in range(3))
     tris = []
     for i in range(3):
         j, k = [d for d in range(3) if d != i]
-        for plane in (lo[i], hi[i]):
+        for plane, ncls in zip((lo[i], hi[i]), nb_cls[i]):
+            face = (i, plane, j, lo[j], hi[j], k, lo[k], hi[k])
             if plane == a[i] or plane == top[i]:
-                nu_sign = -1 if plane == a[i] else +1
-                tris.extend(_fine_face(i, plane, j, lo[j], hi[j], k, lo[k], hi[k], nu_sign))
-                continue
-            if reduce_mode:
-                tris.extend(_fan_face(i, plane, j, lo[j], hi[j], k, lo[k], hi[k], part))
-                continue
-            shift = w[i] if plane == hi[i] else -w[i]
-            nb = list(mu)
-            nb[i] += shift
-            ncls = _classify_box(nb, w, part)
-            if ncls is BondClass.ATOMISTIC:
+                tris.extend(_fine_face(*face, -1 if plane == a[i] else +1))
+            elif reduce_mode or ncls == 1:
+                tris.extend(_fan_face(*face, a, top))
+            elif ncls == 2:
                 # A strictly interior neighbor forces P to be unclipped in
                 # the face's own dimensions, so this is the full box face.
                 assert lo[j] == mu[j] and hi[j] == mu[j] + w[j]
                 assert lo[k] == mu[k] and hi[k] == mu[k] + w[k]
-                tris.extend(_junction_face(i, plane, j, lo[j], hi[j], k, lo[k], hi[k], eta))
-            elif ncls is BondClass.INTERFACE:
-                tris.extend(_fan_face(i, plane, j, lo[j], hi[j], k, lo[k], hi[k], part))
+                tris.extend(_junction_face(*face, eta))
             else:
                 raise AssertionError(
                     "interior cone face cannot border a continuum member"
                 )
-    corners = [
-        (x, y, z)
-        for x in (lo[0], hi[0])
-        for y in (lo[1], hi[1])
-        for z in (lo[2], hi[2])
-    ]
-    return _mean_vertex(corners), tris
+    apex = tuple((x, y, z) for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2]))
+    return apex, tris
+
+
+def _cone_points(tets):
+    """Lattice points (P, 3) of cone tets (each a 4-tuple of vertices) in
+    (tet, vertex, point) order, the point count of each vertex (4T,), and
+    the vertex positions (T, 4, 3), each the mean of its points (exact: the
+    counts are 1, 4 and 8)."""
+    verts = list(chain.from_iterable(tets))
+    n_pts = np.fromiter(map(len, verts), dtype=np.int64, count=len(verts))
+    pts = np.fromiter(chain.from_iterable(chain.from_iterable(verts)), dtype=np.int64).reshape(-1, 3)
+    pos = np.add.reduceat(pts, np.cumsum(n_pts) - n_pts) / n_pts[:, None]
+    return pts, n_pts, pos.reshape(-1, 4, 3)
 
 
 # ======================================================================
@@ -436,21 +424,6 @@ class _SiteRows:
 
     def site(self, row: int) -> IntTriple:
         return tuple(int(i) for i in np.unravel_index(int(self.sites[row]), self.N))
-
-
-def _vertex_rows(tets, weights, fn_len, fn_site, fn_coef, n_sites) -> sparse.csr_array:
-    """Row r = sum_s weights[r, s] * f_{tets[r, s]}, where the functional f_v
-    of vertex v is its ``fn_len[v]`` consecutive (site, coefficient) entries
-    of ``fn_site``/``fn_coef``."""
-    fn_len = np.asarray(fn_len, dtype=np.int64)
-    start = np.cumsum(fn_len) - fn_len
-    vid = tets.ravel()
-    lens = fn_len[vid]
-    ends = np.cumsum(lens)
-    entry = np.arange(int(lens.sum())) - np.repeat(ends - lens - start[vid], lens)
-    rows = np.repeat(np.repeat(np.arange(tets.shape[0]), tets.shape[1]), lens)
-    vals = np.repeat(weights.ravel(), lens) * np.asarray(fn_coef)[entry]
-    return _csr(rows, np.asarray(fn_site)[entry], vals, (tets.shape[0], n_sites))
 
 
 @dataclass
@@ -544,56 +517,36 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, 
     )
 
     # --- cone tets of the interface members -----------------------------
-    # Cone vertices: positions, and their functionals as consecutive
-    # (site, coefficient) entries, fn_len[v] of them for vertex v.
-    verts_pos: list[np.ndarray] = []
-    fn_len: list[int] = []
-    fn_site: list[IntTriple] = []
-    fn_coef: list[float] = []
-    tets: list[tuple[int, int, int, int]] = []
+    # Each tet is (apex,) + a surface triangle; fine interface triangles
+    # also give a jump row (cone tet, axis, nu_sign, outer template).
+    tets = []
     tet_sites: list[IntTriple] = []     # member base site per cone tet
-    # Fine interface triangles: (cone tet, axis, nu_sign, outer template)
-    # and the triangle's three lattice sites.
     g_rows: list[tuple[int, int, int, int]] = []
-    g_sites: list[IntTriple] = []
-
-    def add_vertex(vert) -> int:
-        verts_pos.append(vert[0])
-        fn_len.append(len(vert[1]))
-        for site, coef in vert[1]:
-            fn_site.append(site)
-            fn_coef.append(coef)
-        return len(verts_pos) - 1
-
     w_t = tuple(w.tolist())
-    for ell, mu_t in zip(ells[interface].tolist(), mu[interface].tolist()):
-        apex, tris = _build_member_cone(tuple(mu_t), w_t, eta, part, bool(zero))
-        a_id = add_vertex(apex)
+    nb = _neighbour_classes(mu[interface], w, part).tolist()
+    for ell, mu_t, nb_t in zip(ells[interface].tolist(), mu[interface].tolist(), nb):
+        apex, tris = _build_member_cone(mu_t, w_t, eta, part, bool(zero), nb_t)
         tet_sites += [ell] * len(tris)
         for tri, meta in tris:
-            tets.append((a_id, add_vertex(tri[0]), add_vertex(tri[1]), add_vertex(tri[2])))
-            if meta is not None and eta[meta.axis] != 0:
-                perm = _plus_side_perm(meta.axis, meta.nu_sign, meta.half)
-                g_rows.append((len(tets) - 1, meta.axis, meta.nu_sign, PATH_PERMS.index(perm)))
-                g_sites += [v[1][0][0] for v in tri]
+            if meta is not None and eta[meta[0]] != 0:
+                g_rows.append((len(tets), meta[0], meta[1], PATH_PERMS.index(_plus_side_perm(*meta))))
+            tets.append((apex,) + tri)
 
-    # eta^T A^{-1} (vertex values - apex value) per cone tet
-    t = np.asarray(tets, dtype=np.int64).reshape(len(tets), 4)
-    if len(tets):
-        pos = np.asarray(verts_pos)
-        A = pos[t[:, 1:]] - pos[t[:, :1]]
-        volw = np.abs(np.linalg.det(A)) / 6.0 / n_eta
-        m = np.einsum("r,trs->ts", np.asarray(eta, dtype=float), np.linalg.inv(A))
-    else:
-        volw = np.zeros(0)
-        m = np.zeros((0, 3))
-    weights = np.concatenate([-m.sum(axis=1, keepdims=True), m], axis=1)
-    cone_op = _vertex_rows(t, weights, fn_len, flat(fn_site), fn_coef, n_sites)
+    # eta^T A^-1 (vertex values - apex value) per cone tet, a vertex value
+    # being the mean of its lattice points' values
+    pts, n_pts, pos = _cone_points(tets)
+    A = pos[:, 1:] - pos[:, :1]
+    volw = np.abs(np.linalg.det(A)) / 6.0 / n_eta
+    m = np.einsum("r,trs->ts", np.asarray(eta, dtype=float), np.linalg.inv(A))
+    weights = np.concatenate([-m.sum(axis=1, keepdims=True), m], axis=1).ravel()
+    cone_op = _csr(np.repeat(np.arange(len(n_pts)) // 4, n_pts), flat(pts),
+                   np.repeat(weights * (1.0 / n_pts), n_pts), (len(tets), n_sites))
 
     # --- interface-surface rows for the discontinuous variant -----------
     g_tet, g_axis, g_sign, g_perm = np.asarray(g_rows, dtype=np.int64).reshape(-1, 4).T
     n_tri = len(g_tet)
-    tri_sites = np.asarray(g_sites, dtype=np.int64).reshape(n_tri, 3, 3)
+    # the triangle's three lattice sites: its vertices are single points
+    tri_sites = pts[(np.cumsum(n_pts) - n_pts).reshape(-1, 4)[g_tet, 1:]]
     eye = np.eye(3, dtype=np.int64)
     # The outer continuum cell has the triangle's first vertex (the square's
     # min corner) as base, or the cell below it on the region's lower faces.
@@ -903,6 +856,8 @@ def covering_interpolant(
         )
     cfg = u.cfg
     coverings = enumerate_coverings(eta, cfg)
+    if not 0 <= m < len(coverings):
+        raise ValueError(f"covering index m={m} is outside [0, n_eta) = [0, {len(coverings)}) for eta={eta}")
     cov = coverings[m]
     eps = cfg.epsilon
     pieces: list[MemberPiece] = []
@@ -916,9 +871,13 @@ def covering_interpolant(
                 val.append([u.at(s) for s in tet.sites])
         return np.asarray(pos), np.asarray(val)
 
-    for base in cov.base_sites:
-        mu, w = (tuple(x.tolist()) for x in _member_box(base, eta))
-        cls = _classify_box(mu, w, part)
+    mus, w = _member_box(cov.base_sites, eta)
+    codes = _member_classes(mus, w, part)
+    nb_codes = _neighbour_classes(mus, w, part).tolist()
+    w = tuple(w.tolist())
+    for base, mu, code, nb in zip(cov.base_sites, mus.tolist(), codes, nb_codes):
+        mu = tuple(mu)
+        cls = _CLASSES[code]
         box_cells = [
             (mu[0] + i, mu[1] + j, mu[2] + k)
             for i in range(w[0])
@@ -937,29 +896,10 @@ def covering_interpolant(
             G, vols = _batch_tet_data(pos, val)
             pieces.append(MemberPiece(base, "continuum", pos, G, vols, val, (mu, w)))
             continue
-        apex, tris = _build_member_cone(mu, w, eta, part, reduce_mode=False)
-
-        def vert_eval(vert):
-            pos_l, fn = vert
-            value = np.zeros(3)
-            for site, coef in fn:
-                value += coef * u.at(site)
-            return eps * pos_l, value
-
-        pos_list = []
-        val_list = []
-        a_pos, a_val = vert_eval(apex)
-        for tri, _meta in tris:
-            ps = [a_pos]
-            vs = [a_val]
-            for vert in tri:
-                pv, vv = vert_eval(vert)
-                ps.append(pv)
-                vs.append(vv)
-            pos_list.append(ps)
-            val_list.append(vs)
-        pos = np.asarray(pos_list)
-        val = np.asarray(val_list)
+        apex, tris = _build_member_cone(mu, w, eta, part, False, nb)
+        tets = [(apex,) + tri for tri, _meta in tris]
+        pos = eps * _cone_points(tets)[2]
+        val = np.asarray([[sum(u.at(p) for p in v) / len(v) for v in tet] for tet in tets])
         G, vols = _batch_tet_data(pos, val)
         pieces.append(MemberPiece(base, "interface-cone", pos, G, vols, val, (mu, w)))
         outer_cells = [c for c in box_cells if not part.contains_cell(c)]

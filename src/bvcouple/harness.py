@@ -858,18 +858,13 @@ def verify_coverings(config: RunConfig, out_dir: Path) -> list[CheckResult]:
             continue
         n_eta = abs(eta[0] * eta[1] * eta[2])
         ok = len(covs) == n_eta
-        tile_counts = np.zeros(cfg.N, dtype=np.int64)
-        for cov in covs:
-            for mu in cov.base_sites:
-                for i in range(abs(eta[0])):
-                    for j in range(abs(eta[1])):
-                        for kk in range(abs(eta[2])):
-                            cell = (
-                                (mu[0] + i) % cfg.N[0],
-                                (mu[1] + j) % cfg.N[1],
-                                (mu[2] + kk) % cfg.N[2],
-                            )
-                            tile_counts[cell] += 1
+        # member cells: base sites plus the offsets of a |eta_0|x|eta_1|x|eta_2| box
+        cells = np.concatenate([cov.base_sites for cov in covs])[:, None, :] + \
+            np.indices(np.abs(eta)).reshape(3, -1).T
+        tile_counts = np.bincount(
+            np.ravel_multi_index(np.moveaxis(cells, -1, 0), cfg.N, mode="wrap").ravel(),
+            minlength=cfg.n_sites,
+        )
         # every covering tiles once: total count per cell == number of coverings
         ok = ok and bool(np.all(tile_counts == n_eta))
         rows.append((str(eta), "ok" if ok else "broken", len(covs), n_eta))

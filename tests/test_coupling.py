@@ -612,3 +612,82 @@ def test_sparse_bond_domain_errors_name_the_site():
             evaluate()
         assert err.value.site == (6, 7, 7)
         assert err.value.eta == (2, 1, 1)
+
+
+def test_covering_interpolant_rejects_out_of_range_index():
+    """A covering index outside [0, n_eta) is an error, not a wrapped or
+    bare IndexError lookup: m = -1 must not silently return the last
+    covering."""
+    cfg = cfg12()
+    part = part_a(cfg)
+    u = LatticeField(cfg, np.zeros(cfg.shape))
+    for m in (-1, N_ETA, N_ETA + 3):
+        with pytest.raises(ValueError, match=r"\[0, 6\)"):
+            covering_interpolant(m, ETA, u, part)
+    assert covering_interpolant(N_ETA - 1, ETA, u, part).index == N_ETA - 1
+
+
+# ---------------------------------------------------------------------------
+# per-direction block operators, row by row
+# ---------------------------------------------------------------------------
+
+BLOCK_ETAS = ((1, 1, 1), (2, 1, 3), (1, -1, 2), (0, 2, 1), (0, 0, 3), (-2, 1, -1))
+BLOCK_PLACEMENTS = (((4, 4, 4), (4, 4, 4)), ((3, 5, 4), (5, 3, 4)))
+
+
+def _blocks_under_test():
+    from bvcouple.coupling import _build_eta_block
+
+    cfg = cfg12()
+    for corner, ext in BLOCK_PLACEMENTS:
+        part = RegionPartition(cfg, corner, ext)
+        for eta in BLOCK_ETAS:
+            for policy in ("reject", "reduce"):
+                if policy == "reject" and 0 in eta:
+                    continue
+                yield part, eta, policy, _build_eta_block(cfg, part, eta, policy)
+
+
+def test_block_operators_reproduce_affine_fields_row_by_row():
+    """For v_l = G l (integer G, lattice points l unwrapped: no row of these
+    operators reaches across the torus), every atomistic bond, cone tet and
+    both interface-jump sides must give exactly G eta. Weighted column sums,
+    which homogeneous-state checks see, cannot catch a wrong single row."""
+    cfg = cfg12()
+    ell = np.indices(cfg.N).reshape(3, -1).T.astype(float)
+    rng = np.random.default_rng(12)
+    for part, eta, policy, block in _blocks_under_test():
+        G = rng.integers(-3, 4, size=(3, 3)).astype(float)
+        v = ell @ G.T
+        expected = G @ np.asarray(eta, dtype=float)
+        tol = 1e-13 * np.abs(v).max()
+        for name, op in (
+            ("atom_op", block.atom_op.mat),
+            ("cone_op", block.cone_op.mat),
+            ("minus_op", block.gamma.minus_op),
+            ("plus_op", block.gamma.plus_op),
+        ):
+            assert op.shape[0] > 0 or name == "atom_op", (name, eta, policy)
+            err = np.abs(op @ v - expected).max(initial=0.0)
+            assert err <= tol, (name, part.corner, eta, policy, err)
+
+
+def test_cone_volumes_fill_each_interface_member():
+    """Each interface member's cone tets (rows tagged with its site) have
+    total lattice volume |B ^ Omega_a|, the member box clipped to the
+    atomistic region; every interface member has a cone."""
+    cfg = cfg12()
+    for part, eta, policy, block in _blocks_under_test():
+        sites = block.cone_op.sites
+        vol = np.bincount(sites, weights=block.volw * block.n_eta, minlength=cfg.n_sites)
+        members = np.unique(sites)
+        assert len(members) == block.counts["interface"], (eta, policy)
+        ell = np.stack(np.unravel_index(members, cfg.N), axis=1)
+        mu = ell + np.minimum(eta, 0)
+        w = np.where(np.asarray(eta) != 0, np.abs(eta), 1)
+        lo = np.maximum(mu, part.corner)
+        hi = np.minimum(mu + w, part.top)
+        clipped = np.prod(hi - lo, axis=1).astype(float)
+        assert np.all(clipped > 0)
+        err = np.abs(vol[members] - clipped) / clipped
+        assert err.max() <= 1e-13, (part.corner, eta, policy, err.max())
