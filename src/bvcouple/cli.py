@@ -2,7 +2,7 @@
 
 Commands::
 
-    bvcouple verify lemma        bond-volume integral identity spot checks
+    bvcouple verify lemma        bond-volume identity over the staircase simplices
     bvcouple verify ghost-forces equilibrium residual at homogeneous states
     bvcouple verify gradient     analytic gradient vs central differences
     bvcouple verify coverings    torus tilings by bond volumes
@@ -107,7 +107,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"config error: {message}", file=sys.stderr)
         return 2
 
-    return run(_command_name(args), config, out_dir=config.out)
+    try:
+        return run(_command_name(args), config, out_dir=config.out)
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -58,7 +58,8 @@ the points of all tets are flattened once, and the cone operator gives
 each point of a vertex the coefficient 1/(number of points). The flat site
 indices of every operator come from one wrapped ravel of the collected
 site triples. ``covering_interpolant`` builds its cones from the same
-vertices, evaluating each as the mean of the field over its points.
+vertices, evaluating each as the mean of the field over its points; its
+other pieces read the staircase table of ``geometry``.
 """
 from __future__ import annotations
 
@@ -76,9 +77,8 @@ from .geometry import (
     PATH_PERMS,
     CoveringMismatch,
     DegenerateEta,
+    _staircase_simplices,
     covering_widths,
-    decompose_bond_volume_type_a,
-    decompose_cell_type_a,
     enumerate_coverings,
     path_edge_offsets,
 )
@@ -128,9 +128,6 @@ class RegionPartition:
     @property
     def top(self) -> IntTriple:
         return tuple(self.corner[i] + self.extents[i] for i in range(3))  # type: ignore[return-value]
-
-    def contains_cell(self, cell) -> bool:
-        return all(self.corner[i] <= cell[i] < self.top[i] for i in range(3))
 
     def gamma_faces(self) -> list["GammaFace"]:
         """All unit interface faces with the atomistic-side outward normal."""
@@ -862,51 +859,37 @@ def covering_interpolant(
     eps = cfg.epsilon
     pieces: list[MemberPiece] = []
 
-    def cell_tet_arrays(cells):
-        pos = []
-        val = []
-        for cell in cells:
-            for tet in decompose_cell_type_a(cell, cfg).tets:
-                pos.append(tet.vertices)
-                val.append([u.at(s) for s in tet.sites])
-        return np.asarray(pos), np.asarray(val)
+    def piece(base, kind, corners, diag, box):
+        """Member piece on the staircase tets of the boxes of diagonal
+        ``diag`` at ``corners``, its values gathered from u in one pass."""
+        sites = _staircase_simplices(corners, diag).reshape(-1, 4, 3)
+        val = u.values[tuple(np.moveaxis(sites % cfg.N, -1, 0))]
+        pos = eps * sites.astype(float)
+        G, vols = _batch_tet_data(pos, val)
+        return MemberPiece(base, kind, pos, G, vols, val, box)
 
     mus, w = _member_box(cov.base_sites, eta)
     codes = _member_classes(mus, w, part)
     nb_codes = _neighbour_classes(mus, w, part).tolist()
+    cell_offsets = np.indices(w).reshape(3, -1).T
     w = tuple(w.tolist())
-    for base, mu, code, nb in zip(cov.base_sites, mus.tolist(), codes, nb_codes):
-        mu = tuple(mu)
+    for base, mu, code, nb in zip(cov.base_sites, mus, codes, nb_codes):
+        box = (tuple(mu.tolist()), w)
         cls = _CLASSES[code]
-        box_cells = [
-            (mu[0] + i, mu[1] + j, mu[2] + k)
-            for i in range(w[0])
-            for j in range(w[1])
-            for k in range(w[2])
-        ]
         if cls is BondClass.ATOMISTIC:
-            bv = decompose_bond_volume_type_a(base, eta, cfg)
-            pos = np.asarray([tet.vertices for tet in bv.decomposition.tets])
-            val = np.asarray([[u.at(s) for s in tet.sites] for tet in bv.decomposition.tets])
-            G, vols = _batch_tet_data(pos, val)
-            pieces.append(MemberPiece(base, "atomistic", pos, G, vols, val, (mu, w)))
+            pieces.append(piece(base, "atomistic", base, eta, box))
             continue
+        cells = mu + cell_offsets
         if cls is BondClass.CONTINUUM:
-            pos, val = cell_tet_arrays(box_cells)
-            G, vols = _batch_tet_data(pos, val)
-            pieces.append(MemberPiece(base, "continuum", pos, G, vols, val, (mu, w)))
+            pieces.append(piece(base, "continuum", cells, (1, 1, 1), box))
             continue
-        apex, tris = _build_member_cone(mu, w, eta, part, False, nb)
+        apex, tris = _build_member_cone(box[0], w, eta, part, False, nb)
         tets = [(apex,) + tri for tri, _meta in tris]
         pos = eps * _cone_points(tets)[2]
         val = np.asarray([[sum(u.at(p) for p in v) / len(v) for v in tet] for tet in tets])
         G, vols = _batch_tet_data(pos, val)
-        pieces.append(MemberPiece(base, "interface-cone", pos, G, vols, val, (mu, w)))
-        outer_cells = [c for c in box_cells if not part.contains_cell(c)]
-        if outer_cells:
-            pos, val = cell_tet_arrays(outer_cells)
-            G, vols = _batch_tet_data(pos, val)
-            pieces.append(
-                MemberPiece(base, "interface-remainder", pos, G, vols, val, (mu, w))
-            )
+        pieces.append(MemberPiece(base, "interface-cone", pos, G, vols, val, box))
+        outer = cells[_member_classes(cells, 1, part) == 0]
+        if len(outer):
+            pieces.append(piece(base, "interface-remainder", outer, (1, 1, 1), box))
     return CoveringInterpolant(eta=eta, index=m, pieces=pieces, cfg=cfg)

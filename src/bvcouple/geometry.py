@@ -9,13 +9,21 @@ for every bond volume (reflected through the signs of eta for negative
 components). Each tetrahedron has exactly one edge parallel to each axis,
 which is what makes the discrete gradients below exact edge differences.
 
+One table, ``_staircase_simplices``, gives the oriented simplices of whole
+arrays of boxes (triangles or a segment over the nonzero axes of a flat
+eta). The Tetrahedron objects, the covering interpolants and the lemma
+residual read it; the residual evaluates sum_T |T| grad(I u)|_T eta from
+each simplex's vertices, so a wrong decomposition fails it.
+
 All combinatorics are done in integer lattice units; physical coordinates
 (scaled by epsilon) appear only in the public Tetrahedron objects.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -32,8 +40,8 @@ class CoveringMismatch(ValueError):
     """Torus extents are not divisible by the bond-volume widths."""
 
 
-def path_corner_offsets(perm: tuple[int, int, int]) -> tuple[IntTriple, ...]:
-    """Unit-box corner offsets (in {0,1}^3) visited by one staircase tet."""
+def path_corner_offsets(perm: tuple[int, ...]) -> tuple[IntTriple, ...]:
+    """Unit-box corner offsets (in {0,1}^3) of one staircase walk along ``perm``."""
     s = [0, 0, 0]
     out = [tuple(s)]
     for axis in perm:
@@ -78,23 +86,48 @@ class TypeADecomposition:
     tets: tuple[Tetrahedron, ...]
 
 
+@lru_cache(maxsize=None)
+def _parity(perm: tuple[int, ...]) -> int:
+    """Sign of a permutation, given as a tuple of distinct integers."""
+    return (-1) ** sum(a > b for a, b in combinations(perm, 2))
+
+
+@lru_cache(maxsize=None)
+def _staircase_walks(axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-box corner offsets (d!, d+1, 3) of the staircase walks over
+    ``axes`` in ``permutations`` order, and the parity of each ordering.
+    Unbounded cache: there are seven nonempty axis sets."""
+    perms = list(permutations(axes))
+    return np.asarray([path_corner_offsets(p) for p in perms]), np.asarray([_parity(p) for p in perms])
+
+
+def _staircase_simplices(corners, eta) -> np.ndarray:
+    """Lattice sites of the oriented staircase simplices of the boxes spanned
+    by ``eta`` from the base corners ``corners`` (..., 3).
+
+    Shape (..., d!, d+1, 3) over the d nonzero axes of eta, one simplex per
+    ordering of those axes (``permutations`` order). Each walks its box from
+    the corner to the corner plus eta one axis at a time; where that walk is
+    negatively oriented its last two vertices are swapped, so every edge
+    matrix (rows: vertices minus the first, over the nonzero axes) has a
+    positive determinant.
+    """
+    eta = np.asarray(eta, dtype=int)
+    axes = np.flatnonzero(eta)
+    offsets, parity = _staircase_walks(tuple(axes.tolist()))
+    steps = eta * offsets
+    flip = parity * np.prod(eta[axes]) < 0
+    steps[flip, -2:] = steps[flip, -1:-3:-1]
+    return np.asarray(corners, dtype=int)[..., None, None, :] + steps
+
+
 def _build_box_tets(ell, eta, cfg: LatticeConfig) -> tuple[Tetrahedron, ...]:
-    ell = np.asarray(ell, dtype=int)
-    eta_arr = np.asarray(eta, dtype=int)
-    eps = cfg.epsilon
-    vol = eps**3 * abs(int(eta_arr[0] * eta_arr[1] * eta_arr[2])) / 6.0
+    vol = cfg.epsilon**3 * abs(int(eta[0] * eta[1] * eta[2])) / 6.0
     tets = []
-    for perm in PATH_PERMS:
-        sites = []
-        for off in path_corner_offsets(perm):
-            sites.append(tuple(int(ell[d] + eta_arr[d] * off[d]) for d in range(3)))
-        verts = eps * np.asarray(sites, dtype=float)
-        signed = np.linalg.det(verts[1:] - verts[0]) / 6.0
-        if signed < 0:
-            sites[2], sites[3] = sites[3], sites[2]
-            verts = eps * np.asarray(sites, dtype=float)
+    for sites in _staircase_simplices(ell, eta).tolist():
+        verts = cfg.epsilon * np.asarray(sites, dtype=float)
         verts.flags.writeable = False
-        tets.append(Tetrahedron(vertices=verts, sites=tuple(sites), volume=vol))
+        tets.append(Tetrahedron(vertices=verts, sites=tuple(map(tuple, sites)), volume=vol))
     return tuple(tets)
 
 
@@ -229,86 +262,63 @@ def enumerate_coverings(eta, cfg: LatticeConfig) -> list[Covering]:
     return coverings
 
 
-def _edge_difference_sum(u: LatticeField, ell, eta) -> np.ndarray:
-    """Sum over staircase tets and axes of the axis-edge differences.
+def _int_det(m: np.ndarray) -> np.ndarray:
+    """Exact determinants of integer matrices (..., d, d) by the Leibniz sum."""
+    d = m.shape[-1]
+    perms = list(permutations(range(d)))
+    return np.prod(m[..., range(d), perms], axis=-1) @ [_parity(p) for p in perms]
 
-    Aggregated over the six tets, each axis edge of the box participates
-    with multiplicity 2 (base and far offsets) or 1 (the two middle
-    offsets); telescoping makes the total exactly six times the corner-to-
-    corner difference for any field.
+
+def _lemma_residual(u: LatticeField, ell, eta) -> float:
+    """Max-norm of eps^d D_eta u - (1/|prod eta_i|) * sum_T |T| grad(I u)|_T eta
+    over the staircase simplices T of the bond volume (d = number of nonzero
+    components, I u the P1 interpolant on those simplices).
+
+    Per simplex, |T| grad(I u)|_T eta = (1/d!) sum_k c_k (u(x_k) - u(x_0)),
+    where c_k is the determinant of the edge matrix with row k replaced by
+    eta (its cofactors applied to eta; Cramer's rule, with the positive
+    orientation the decomposition guarantees). All of this is in integer
+    lattice units, so integer-valued fields give a residual of exactly 0.0.
     """
-    ell = tuple(int(x) for x in ell)
-    eta = tuple(int(e) for e in eta)
-    acc = np.zeros(3)
-    for a in range(3):
-        b, c = [d for d in range(3) if d != a]
-        for s_pair, weight in ((((0, 0)), 2.0), ((1, 0), 1.0), ((0, 1), 1.0), ((1, 1), 2.0)):
-            s_b, s_c = s_pair
-            base = tuple(
-                ell[k] + eta[k] * (s_b * (k == b) + s_c * (k == c)) for k in range(3)
-            )
-            top = tuple(base[k] + eta[k] * (k == a) for k in range(3))
-            acc = acc + weight * (u.at(top) - u.at(base))
-    return acc
+    eta = np.asarray(eta, dtype=int)
+    axes = np.flatnonzero(eta)
+    d = len(axes)
+    sites = _staircase_simplices(ell, eta)  # (d!, d+1, 3)
+    vals = u.values[tuple(np.moveaxis(sites % u.cfg.N, -1, 0))]
+    edges = (sites[:, 1:] - sites[:, :1])[..., axes]
+    replaced = np.repeat(edges[:, None], d, axis=1)  # (d!, k, d, d)
+    replaced[:, range(d), range(d)] = eta[axes]
+    integral = np.einsum("tk,tkc->c", _int_det(replaced), vals[:, 1:] - vals[:, :1])
+    integral /= math.factorial(d) * abs(math.prod(eta[axes].tolist()))
+    bond_diff = u.at(np.add(ell, eta)) - u.at(ell)
+    return float(np.max(np.abs(u.cfg.epsilon ** (d - 1) * (bond_diff - integral))))
 
 
 def bond_volume_lemma_residual(u: LatticeField, ell, eta) -> float:
     """Max-norm of eps^3 D_eta u - (1/|eta1 eta2 eta3|) * sum |T| grad(u)|_T eta
-    over the staircase decomposition of the bond volume.
-
-    The integral side is evaluated in a factored edge-difference form in
-    which the per-axis denominators cancel, so affine fields with integer
-    coefficients in lattice coordinates give a bitwise-zero residual.
-    """
+    over the six staircase tetrahedra of the bond volume, each term computed
+    from the decomposition's own vertices (see ``_lemma_residual``)."""
     eta = tuple(int(e) for e in eta)
     if eta[0] * eta[1] * eta[2] == 0:
         raise DegenerateEta(f"bond volume lemma needs all eta components nonzero, got {eta}")
-    ell = tuple(int(x) for x in ell)
-    eps = u.cfg.epsilon
-    bond_end = tuple(ell[k] + eta[k] for k in range(3))
-    bond_diff = u.at(bond_end) - u.at(ell)
-    integral = _edge_difference_sum(u, ell, eta) / 6.0
-    return float(np.max(np.abs(eps**2 * (bond_diff - integral))))
+    return _lemma_residual(u, ell, eta)
 
 
 def rectangle_lemma_residual(u: LatticeField, ell, eta) -> float:
     """Planar analogue for directions with exactly one zero component:
-    max-norm of eps^2 D_eta u - (1/|eta_i eta_j|) * integral of grad(u) eta
-    over the bond rectangle split into two triangles by the bond diagonal."""
+    max-norm of eps^2 D_eta u - (1/|eta_i eta_j|) * sum |T| grad(u)|_T eta
+    over the two staircase triangles of the bond rectangle."""
     eta = tuple(int(e) for e in eta)
-    zeros = [d for d in range(3) if eta[d] == 0]
-    if len(zeros) != 1:
+    if eta.count(0) != 1:
         raise ValueError(f"rectangle form needs exactly one zero component, got eta={eta}")
-    i, j = [d for d in range(3) if eta[d] != 0]
-    ell = tuple(int(x) for x in ell)
-    eps = u.cfg.epsilon
-    bond_end = tuple(ell[k] + eta[k] for k in range(3))
-    corner_i = tuple(ell[k] + eta[k] * (k == i) for k in range(3))
-    corner_j = tuple(ell[k] + eta[k] * (k == j) for k in range(3))
-    # Each triangle's grad(u) . eta telescopes to the bond difference.
-    tri1 = (u.at(corner_i) - u.at(ell)) + (u.at(bond_end) - u.at(corner_i))
-    tri2 = (u.at(corner_j) - u.at(ell)) + (u.at(bond_end) - u.at(corner_j))
-    integral = eps * ((tri1 + tri2) / 2.0)
-    lhs = eps * (u.at(bond_end) - u.at(ell))
-    return float(np.max(np.abs(lhs - integral)))
+    return _lemma_residual(u, ell, eta)
 
 
 def segment_lemma_residual(u: LatticeField, ell, eta) -> float:
     """1D analogue for directions with two zero components: max-norm of
-    eps D_eta u - (1/|eta_i|) * integral of the tangential derivative times
-    (tangent . eta) along the bond segment."""
+    eps D_eta u - (1/|eta_i|) * |T| grad(u)|_T eta over the bond segment T,
+    oriented along its axis."""
     eta = tuple(int(e) for e in eta)
-    nonzero = [d for d in range(3) if eta[d] != 0]
-    if len(nonzero) != 1:
+    if eta.count(0) != 2:
         raise ValueError(f"segment form needs exactly one nonzero component, got eta={eta}")
-    i = nonzero[0]
-    n = abs(eta[i])
-    ell = tuple(int(x) for x in ell)
-    eps = u.cfg.epsilon
-    bond_end = tuple(ell[k] + eta[k] for k in range(3))
-    diff = u.at(bond_end) - u.at(ell)
-    # The tangential derivative is diff/(eps n) and (tangent . eta) = n, so
-    # the segment integral is diff * n; dividing by |eta_i| recovers diff.
-    integral = diff * float(n)
-    lhs = diff
-    return float(np.max(np.abs(lhs - integral / n)))
+    return _lemma_residual(u, ell, eta)

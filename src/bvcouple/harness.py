@@ -346,6 +346,9 @@ def config_from_dict(data: dict) -> RunConfig:
             errors.append(f"solve.force_amplitude must be a number, got {fa!r}")
         else:
             solve_cfg["force_amplitude"] = float(fa)
+    if isinstance(tol, dict) and "g_tol" in tol and tolerances["g_tol"] != solve_cfg["g_tol"]:
+        errors.append(f"tolerances.g_tol ({tolerances['g_tol']!r}) differs from solve.g_tol "
+                      f"({solve_cfg['g_tol']!r}), the tolerance solve stops at; set them equal")
 
     # --- out ---
     out = data.get("out")
@@ -742,7 +745,9 @@ class CheckResult:
 
 def verify_lemma(config: RunConfig, out_dir: Path) -> list[CheckResult]:
     """Random bond-volume lemma residuals plus the exact-zero affine case;
-    degenerate directions exercise the reduced rectangle/segment forms."""
+    degenerate directions exercise the rectangle/segment forms. Each residual
+    sums |T| grad(I u)|_T eta over the staircase simplices of the geometry
+    module's decomposition and compares it with the bond difference."""
     rng = np.random.default_rng(config.seed)
     cfg = config.cfg
     eps = cfg.epsilon
@@ -771,7 +776,7 @@ def verify_lemma(config: RunConfig, out_dir: Path) -> list[CheckResult]:
         affine_worst = max(affine_worst, bond_volume_lemma_residual(u_affine, ell, eta))
     # reduced forms for degenerate directions
     reduced_worst = 0.0
-    for eta in ((1, -2, 0), (0, 3, 1), (2, 0, 0), (0, 0, 3)):
+    for eta in ((1, -2, 0), (0, 3, 1), (2, 0, 0), (0, 0, -3)):
         ell = tuple(int(rng.integers(0, cfg.N[d])) for d in range(3))
         if sum(1 for e in eta if e == 0) == 1:
             reduced_worst = max(reduced_worst, rectangle_lemma_residual(u, ell, eta))
@@ -923,22 +928,19 @@ def solve_command(config: RunConfig, out_dir: Path) -> list[CheckResult]:
         f = sample_field(force_fn, cfg).zero_mean()
     else:
         f = LatticeField.zeros(cfg)
+    failure = None
     try:
         y, report, trace = minimize(config, f)
     except LineSearchError as exc:
-        write_csv(
-            out_dir / "solve_trace.csv",
-            ("iteration", "objective", "gnorm", "step"),
-            [(r["iteration"], r["objective"], r["gnorm"], r["step"]) for r in exc.trace],
-            config.seed,
-        )
-        return [CheckResult("solve", False, str(exc))]
+        failure, trace = exc, exc.trace
     write_csv(
         out_dir / "solve_trace.csv",
         ("iteration", "objective", "gnorm", "step"),
         [(r["iteration"], r["objective"], r["gnorm"], r["step"]) for r in trace],
         config.seed,
     )
+    if failure is not None:
+        return [CheckResult("solve", False, str(failure))]
     converged = report.diagnostics.get("converged", False)
     final = trace[-1]
     return [

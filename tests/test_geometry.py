@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from bvcouple import cli, geometry
 from bvcouple.geometry import (
     CoveringMismatch,
     DegenerateEta,
@@ -446,3 +447,43 @@ def test_lemma_rejects_degenerate_direction():
     u = random_field(cfg, seed=1)
     with pytest.raises(DegenerateEta):
         bond_volume_lemma_residual(u, (0, 0, 0), (0, 1, 1))
+
+
+# The lemma check must read the decomposition: a staircase table without its
+# orientation flip, or with one corner moved off the staircase path, makes
+# `verify lemma` fail in the dimension it was mutated in.
+
+def _unflipped(sites, corners, eta):
+    """Undo the orientation swap: put the far corner back last."""
+    far = np.asarray(corners)[..., None, :] + np.asarray(eta)
+    flipped = np.any(sites[..., -1, :] != far, axis=-1)
+    n = sites.shape[-2]
+    sites[flipped] = sites[flipped][:, [*range(n - 2), n - 1, n - 2]]
+    return sites
+
+
+def _off_path(sites, corners, eta):
+    """Move the second vertex of the first simplex one site further along
+    the first nonzero axis of eta, off the box corners. (A move parallel to
+    a later edge of the walk would shear the simplex and keep its volume and
+    its diagonal edge, which is all the identity depends on.)"""
+    sites[..., 0, 1, np.flatnonzero(eta)[0]] += 1
+    return sites
+
+
+@pytest.mark.parametrize("mutate", [_unflipped, _off_path])
+@pytest.mark.parametrize("dim, check", [(3, "lemma-random"), (2, "lemma-reduced"), (1, "lemma-reduced")])
+def test_verify_lemma_fails_on_a_mutated_decomposition(monkeypatch, tmp_path, capsys, mutate, dim, check):
+    table = geometry._staircase_simplices
+
+    def mutated(corners, eta):
+        sites = table(corners, eta).copy()
+        return mutate(sites, corners, eta) if np.count_nonzero(eta) == dim else sites
+
+    monkeypatch.setattr(geometry, "_staircase_simplices", mutated)
+    code = cli.main(["verify", "lemma", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 1, out
+    assert f"FAIL {check}" in out
+    if dim < 3:
+        assert "PASS lemma-random" in out and "PASS lemma-affine-exact" in out

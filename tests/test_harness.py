@@ -418,3 +418,23 @@ def test_model_override_via_cli(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "coupled-ho(2)" in captured.out
+
+
+def test_cli_out_under_a_regular_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "report"
+    blocker.write_text("not a directory\n")
+    code = cli.main(["verify", "coverings", "--out", str(blocker / "sub")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "I/O error" in captured.err
+
+
+def test_tolerances_g_tol_must_match_solve_g_tol():
+    data = small_config_dict(tolerances={"g_tol": 1e-2})
+    with pytest.raises(ConfigError) as exc_info:
+        config_from_dict(data)
+    text = "\n".join(exc_info.value.messages)
+    assert "tolerances.g_tol" in text and "solve.g_tol" in text
+    data["solve"] = {"g_tol": 1e-2}
+    assert config_from_dict(data).solve["g_tol"] == 1e-2
+    assert config_from_dict(small_config_dict(solve={"g_tol": 1e-6})).solve["g_tol"] == 1e-6
