@@ -582,24 +582,17 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, 
 # ======================================================================
 
 def _jump_contrib(
-    block: _EtaBlock,
-    law: InteractionLaw,
-    F,
-    vm_flat,
-    vp_flat,
-    eps,
-    zeta_minus,
-    g_tied=None,
-    g_minus=None,
-    g_plus=None,
+    block: _EtaBlock, law: InteractionLaw, F, vm_flat, vp_flat, eps, zeta_minus, g_tied, g_minus, g_plus
 ):
-    """Interface jump term of the discontinuous energy and its gradients.
+    """Interface jump term of the discontinuous energy; adds its gradients
+    to the tied and the two per-side representers.
 
     The energy subtracts sum over fine interface triangles of
     |tau| phi'(<grad y eta>) . [[y eta]](centroid); traces are centroid
     means of the three vertex values per side, so the jump is exactly zero
     on continuous data and those triangles are skipped (adding their
-    identically-zero contributions could still flip signed zeros).
+    identically-zero contributions could still flip signed zeros). phi'
+    and, where a jump is nonzero, phi'' come from one ``law.evaluate`` call.
     """
     gam = block.gamma
     if gam.nu_eta.size == 0:
@@ -608,35 +601,31 @@ def _jump_contrib(
     zp = (F @ law.eta_vec) + (gam.plus_op @ vp_flat) / eps
     avg = 0.5 * (zm + zp)
     J = gam.nu_eta[:, None] * (gam.trace_op @ (vm_flat - vp_flat)) / 3.0
-    phi1 = law.gradients(avg)
+    active = np.any(J != 0.0, axis=1)
+    jumps = bool(active.any())
+    derivs = law.evaluate(avg, 2 if jumps else 1)
+    phi1 = derivs[1]
     w_area = eps**2 * 0.5 / block.n_eta
     energy = float(w_area * np.sum(phi1 * J))
 
     # phi'' part: coefficient [[y eta]]^T phi''(<.>), chained through both
     # side gradients at weight 1/2; skipped where the jump is exactly zero.
-    active = np.any(J != 0.0, axis=1)
-    if np.any(active):
+    if jumps:
         idx = np.nonzero(active)[0]
         q = np.zeros_like(J)
-        q[idx] = np.einsum("tij,tj->ti", law.hessians(avg[idx]), J[idx])
+        q[idx] = np.einsum("tij,tj->ti", derivs[2][idx], J[idx])
         q *= -1.0 / (4.0 * block.n_eta * eps**2)
         for op, side in ((gam.minus_op, g_minus), (gam.plus_op, g_plus)):
-            if g_tied is None and side is None:
-                continue
             contrib = op.T @ q
-            for g in (g_tied, side):
-                if g is not None:
-                    g += contrib
+            g_tied += contrib
+            side += contrib
 
     # phi' trace part: for the tied representer the two traces cancel
     # identically, so it only enters the per-side representers.
-    if g_minus is not None or g_plus is not None:
-        c_tr = 1.0 / (6.0 * block.n_eta * eps)
-        contrib = gam.trace_op.T @ ((c_tr * gam.nu_eta)[:, None] * phi1)
-        if g_minus is not None:
-            g_minus -= contrib
-        if g_plus is not None:
-            g_plus += contrib
+    c_tr = 1.0 / (6.0 * block.n_eta * eps)
+    contrib = gam.trace_op.T @ ((c_tr * gam.nu_eta)[:, None] * phi1)
+    g_minus -= contrib
+    g_plus += contrib
     return energy
 
 
@@ -734,8 +723,7 @@ def coupled_energy_dg(
     e_jump = 0.0
     for law in R:
         e_jump += _jump_contrib(
-            blocks[law.eta], law, F, vmf, vpf, eps, zeta_by_eta[law.eta],
-            g_tied=gtf, g_minus=gmf, g_plus=gpf,
+            blocks[law.eta], law, F, vmf, vpf, eps, zeta_by_eta[law.eta], gtf, gmf, gpf
         )
 
     return EnergyReport(

@@ -5,7 +5,9 @@ Cauchy-Born; and the one quadrature-bond kernel every energy term uses.
 Every model here and in ``coupling`` and ``highorder`` is a weighted sum
 eps^3 sum_q w_q phi_eta(F eta + (B v)_q / eps) over "quadrature bonds" q,
 with B a fixed linear map of the displacement v. ``_bond_contrib`` is the
-only code that evaluates phi_eta for such a term. B is any operator with
+only code that evaluates phi_eta for such a term: one
+``InteractionLaw.evaluate(zeta, 1)`` call per (law, operator) batch gives
+phi and phi' together. B is any operator with
 ``@``, ``.T`` and ``site(row)`` (the lattice site a row belongs to, named in
 domain errors):
 
@@ -51,13 +53,14 @@ class EnergyReport:
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
-def _bond_contrib(op, w, law: InteractionLaw, F, x, eps, g_outs=()):
+def _bond_contrib(op, w, law: InteractionLaw, F, x, eps, g_outs):
     """Quadrature-bond energy eps^3 sum_q w_q phi(zeta_q) at the bond
     vectors zeta = F eta + (op @ x) / eps. Adds the gradient, scaled like
     the lattice inner product, op^T (w phi'(zeta) / eps) to each array in
-    ``g_outs``. ``w`` is a scalar or one weight per row; zero-weight rows
-    are evaluated at F eta. A domain error names the lattice site
-    ``op.site(row)`` of the shortest bond. Returns the energy and zeta."""
+    ``g_outs``; phi and phi' come from one ``law.evaluate`` call. ``w`` is
+    a scalar or one weight per row; zero-weight rows are evaluated at
+    F eta. A domain error names the lattice site ``op.site(row)`` of the
+    shortest bond. Returns the energy and zeta."""
     base = F @ law.eta_vec
     zeta = op @ x
     zeta /= eps
@@ -66,8 +69,7 @@ def _bond_contrib(op, w, law: InteractionLaw, F, x, eps, g_outs=()):
     if w.ndim and not w.all():
         zeta[w == 0.0] = base
     try:
-        vals = law.values(zeta)
-        P = law.gradients(zeta) if g_outs else None
+        vals, P = law.evaluate(zeta, 1)
     except PotentialDomainError as exc:
         site = op.site(int(np.argmin(np.linalg.norm(zeta, axis=-1))))
         raise PotentialDomainError(
@@ -76,11 +78,10 @@ def _bond_contrib(op, w, law: InteractionLaw, F, x, eps, g_outs=()):
             eta=law.eta,
         ) from exc
     energy = float(eps**3 * np.sum(w * vals))
-    if g_outs:
-        P *= (w / eps)[..., None]
-        contrib = op.T @ P
-        for g in g_outs:
-            g += contrib
+    P *= (w / eps)[..., None]
+    contrib = op.T @ P
+    for g in g_outs:
+        g += contrib
     return energy, zeta
 
 
@@ -150,7 +151,7 @@ def _cell_stencil(eta, N) -> _Stencil:
     ])
 
 
-def _term(laws, bonds, F, x, eps, g_outs=()) -> float:
+def _term(laws, bonds, F, x, eps, g_outs) -> float:
     """Energy of one term: the kernel over the (op, w) quadrature bonds
     ``bonds(law)`` of every law, in order."""
     energy = 0.0

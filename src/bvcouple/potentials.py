@@ -1,12 +1,16 @@
 """Interaction vectors and pair potentials with analytic derivatives.
 
 Each interaction law pairs a nonzero integer direction ``eta`` with a smooth
-potential ``phi`` acting on the deformed bond vector ``zeta`` in R^3, and
-exposes analytic value/gradient/Hessian both pointwise and batched over
-``(M, 3)`` arrays of bond vectors. Radial laws (Morse, Lennard-Jones) apply a
-scalar profile to ``|zeta|``; the anisotropic-toy law is deliberately
-asymmetric (``phi(zeta) != phi(-zeta)``) so coupling tests cannot pass by
-accidental cancellation.
+potential ``phi`` acting on the deformed bond vector ``zeta`` in R^3.
+``InteractionLaw.evaluate(zeta, order)`` is the one place a law is
+evaluated: batched over ``(..., 3)`` arrays of bond vectors, it returns the
+value, gradient and Hessian up to ``order`` from shared intermediates, with
+one branch per kind. ``values``, ``gradients`` and ``hessians`` are
+one-line views of it. Radial laws (Morse, Lennard-Jones) apply a scalar
+profile to ``|zeta|`` and reject bonds shorter than ``_RADIAL_RMIN``; the
+anisotropic-toy law is deliberately asymmetric (``phi(zeta) != phi(-zeta)``)
+so coupling tests cannot pass by accidental cancellation. ``make_law``
+rejects non-finite and wrongly shaped parameters.
 """
 from __future__ import annotations
 
@@ -68,79 +72,66 @@ class InteractionLaw:
     def eta_vec(self) -> np.ndarray:
         return np.asarray(self.eta, dtype=float)
 
-    # -- radial profiles ---------------------------------------------------
+    # -- batched evaluation: zeta has shape (..., 3) ------------------------
 
-    def _radial(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(phi(r), phi'(r), phi''(r)) for the radial kinds."""
-        if self.kind == "morse-radial":
-            D, a, r0 = self._p("D"), self._p("alpha"), self._p("r0")
-            e = np.exp(-a * (r - r0))
-            val = D * (1.0 - e) ** 2
-            d1 = 2.0 * D * a * e * (1.0 - e)
-            d2 = 2.0 * D * a * a * (2.0 * e * e - e)
-            return val, d1, d2
-        if self.kind == "lennard-jones-radial":
-            e4 = 4.0 * self._p("well_depth")
-            s = self._p("sigma")
-            s6 = (s / r) ** 6
-            s12 = s6 * s6
-            val = e4 * (s12 - s6)
-            d1 = e4 * (-12.0 * s12 + 6.0 * s6) / r
-            d2 = e4 * (156.0 * s12 - 42.0 * s6) / (r * r)
-            return val, d1, d2
-        raise AssertionError(self.kind)
+    def evaluate(self, zeta: np.ndarray, order: int = 2) -> list[np.ndarray]:
+        """[phi, phi', phi''][:order + 1] at the bond vectors ``zeta``, of
+        shapes (...), (..., 3) and (..., 3, 3). Intermediates shared by the
+        orders (the norm, exp(zeta . a), (sigma / r)^6) are computed once."""
+        zeta = np.asarray(zeta, dtype=float)
+        hess_shape = zeta.shape[:-1] + (3, 3)
+        if self.kind == "harmonic":
+            out = [0.5 * np.sum(zeta * zeta, axis=-1), zeta.copy()]
+            if order > 1:
+                out.append(np.broadcast_to(np.eye(3), hess_shape).copy())
+            return out[: order + 1]
+        if self.kind == "anisotropic-toy":
+            a, M = self._p("a"), self._p("M")
+            e = np.exp(zeta @ a)
+            zM = zeta @ M
+            out = [e + 0.5 * np.sum(zM * zeta, axis=-1), e[..., None] * a + zM]
+            if order > 1:
+                out.append(np.multiply.outer(e, np.outer(a, a)) + np.broadcast_to(M, hess_shape))
+            return out[: order + 1]
 
-    def _check_radial_domain(self, r: np.ndarray) -> None:
+        r = np.linalg.norm(zeta, axis=-1)
         bad = r < _RADIAL_RMIN
         if np.any(bad):
-            idx = int(np.argmax(bad))
             raise PotentialDomainError(
-                f"bond length {float(np.atleast_1d(r)[idx])!r} below admissible "
+                f"bond length {float(np.ravel(r)[np.argmax(bad)])!r} below admissible "
                 f"minimum for {self.kind} potential (eta={self.eta})",
                 eta=self.eta,
             )
-
-    # -- batched evaluation: zeta has shape (M, 3) --------------------------
+        if self.kind == "morse-radial":
+            D, al, r0 = self._p("D"), self._p("alpha"), self._p("r0")
+            e = np.exp(-al * (r - r0))
+            out = [D * (1.0 - e) ** 2]
+            d1 = 2.0 * D * al * e * (1.0 - e) if order > 0 else None
+            d2 = 2.0 * D * al * al * (2.0 * e * e - e) if order > 1 else None
+        else:
+            e4 = 4.0 * self._p("well_depth")
+            s6 = (self._p("sigma") / r) ** 6
+            s12 = s6 * s6
+            out = [e4 * (s12 - s6)]
+            d1 = e4 * (-12.0 * s12 + 6.0 * s6) / r if order > 0 else None
+            d2 = e4 * (156.0 * s12 - 42.0 * s6) / (r * r) if order > 1 else None
+        if order > 0:
+            d1r = d1 / r
+            out.append(d1r[..., None] * zeta)
+        if order > 1:
+            rhat = zeta / r[..., None]
+            proj = rhat[..., :, None] * rhat[..., None, :]
+            out.append(d2[..., None, None] * proj + d1r[..., None, None] * (np.eye(3) - proj))
+        return out
 
     def values(self, zeta: np.ndarray) -> np.ndarray:
-        zeta = np.asarray(zeta, dtype=float)
-        if self.kind == "harmonic":
-            return 0.5 * np.sum(zeta * zeta, axis=-1)
-        if self.kind == "anisotropic-toy":
-            a, M = self._p("a"), self._p("M")
-            return np.exp(zeta @ a) + 0.5 * np.sum((zeta @ M) * zeta, axis=-1)
-        r = np.linalg.norm(zeta, axis=-1)
-        self._check_radial_domain(r)
-        return self._radial(r)[0]
+        return self.evaluate(zeta, 0)[0]
 
     def gradients(self, zeta: np.ndarray) -> np.ndarray:
-        zeta = np.asarray(zeta, dtype=float)
-        if self.kind == "harmonic":
-            return zeta.copy()
-        if self.kind == "anisotropic-toy":
-            a, M = self._p("a"), self._p("M")
-            return np.exp(zeta @ a)[..., None] * a + zeta @ M
-        r = np.linalg.norm(zeta, axis=-1)
-        self._check_radial_domain(r)
-        d1 = self._radial(r)[1]
-        return (d1 / r)[..., None] * zeta
+        return self.evaluate(zeta, 1)[1]
 
     def hessians(self, zeta: np.ndarray) -> np.ndarray:
-        zeta = np.asarray(zeta, dtype=float)
-        batch = zeta.shape[:-1]
-        eye = np.broadcast_to(np.eye(3), batch + (3, 3))
-        if self.kind == "harmonic":
-            return eye.copy()
-        if self.kind == "anisotropic-toy":
-            a, M = self._p("a"), self._p("M")
-            outer = np.multiply.outer(np.exp(zeta @ a), np.outer(a, a))
-            return outer + np.broadcast_to(M, batch + (3, 3))
-        r = np.linalg.norm(zeta, axis=-1)
-        self._check_radial_domain(r)
-        _, d1, d2 = self._radial(r)
-        rhat = zeta / r[..., None]
-        proj = rhat[..., :, None] * rhat[..., None, :]
-        return d2[..., None, None] * proj + (d1 / r)[..., None, None] * (eye - proj)
+        return self.evaluate(zeta, 2)[2]
 
 
 def make_law(eta, kind: str, params: dict[str, Any] | None = None) -> InteractionLaw:
@@ -172,16 +163,20 @@ def make_law(eta, kind: str, params: dict[str, Any] | None = None) -> Interactio
             f"allowed: {sorted(allowed)}"
         )
     allowed.update(params)
+    shapes = {"a": (3,), "M": (3, 3)}
     frozen = []
     for key in sorted(allowed):
-        val = allowed[key]
-        if key in ("a",):
-            val = np.asarray(val, dtype=float)
-            val.flags.writeable = False
-        elif key in ("M",):
-            val = np.asarray(val, dtype=float)
-            if not np.allclose(val, val.T):
-                raise ValueError("anisotropic-toy matrix M must be symmetric")
+        val = np.array(allowed[key], dtype=float)  # a copy: the caller's array stays writeable
+        if val.shape != shapes.get(key, ()):
+            raise ValueError(
+                f"parameter {key!r} of potential kind {kind!r} must have shape "
+                f"{shapes.get(key, ())}, got {val.shape}"
+            )
+        if not np.all(np.isfinite(val)):
+            raise ValueError(f"parameter {key!r} of potential kind {kind!r} must be finite, got {allowed[key]!r}")
+        if key == "M" and not np.allclose(val, val.T):
+            raise ValueError("anisotropic-toy matrix M must be symmetric")
+        if val.ndim:
             val.flags.writeable = False
         else:
             val = float(val)
@@ -216,10 +211,8 @@ class InteractionSet:
 def phi_eval(law: InteractionLaw, zeta) -> tuple[float, np.ndarray, np.ndarray]:
     """(value, gradient, Hessian) of one law at a single bond vector."""
     zeta = np.asarray(zeta, dtype=float).reshape(3)
-    value = float(law.values(zeta[None, :])[0])
-    grad = law.gradients(zeta[None, :])[0]
-    hess = law.hessians(zeta[None, :])[0]
-    return value, grad, hess
+    value, grad, hess = law.evaluate(zeta[None, :], 2)
+    return float(value[0]), grad[0], hess[0]
 
 
 def cb_energy_density(R: InteractionSet, F) -> float:

@@ -213,3 +213,40 @@ def test_mismatched_inputs_are_rejected():
     y_other_F = make_deformation(np.eye(3) * 1.1, LatticeField(cfg, np.zeros(cfg.shape)))
     with pytest.raises(ValueError, match="deformation gradient"):
         coupled_energy_dg(y8, y_other_F, R, part)
+
+
+def test_one_law_evaluation_per_bond_batch(monkeypatch):
+    """The kernel evaluates each (law, operator) batch with one
+    ``evaluate(zeta, 1)`` call: per law one atomistic CSR, six staircase
+    templates and one cone CSR. The untied two-sided call adds one
+    ``evaluate(avg, 2)`` per law for the jump. The per-derivative views are
+    not called at all."""
+    from bvcouple.potentials import InteractionLaw
+
+    calls = []
+    evaluate = InteractionLaw.evaluate
+
+    def counting(self, zeta, order=2):
+        calls.append((self.eta, order))
+        return evaluate(self, zeta, order)
+
+    def forbidden(self, zeta):
+        raise AssertionError("per-derivative view called inside an energy")
+
+    monkeypatch.setattr(InteractionLaw, "evaluate", counting)
+    for name in ("values", "gradients", "hessians"):
+        monkeypatch.setattr(InteractionLaw, name, forbidden)
+    cfg = cfg8()
+    part = part8(cfg)
+    R = laws()
+    F = random_F(np.random.default_rng(2))
+    y_minus = random_deformation(cfg, F, seed=12)
+    y_plus = random_deformation(cfg, F, seed=13)
+
+    coupled_energy_conforming(y_minus, R, part)
+    assert sorted(calls) == sorted((law.eta, 1) for law in R for _ in range(8))
+    calls.clear()
+    rep = coupled_energy_dg(y_minus, y_plus, R, part)
+    assert rep.breakdown["interface_jump"] != 0.0
+    expected = [(law.eta, 1) for law in R for _ in range(8)] + [(law.eta, 2) for law in R]
+    assert sorted(calls) == sorted(expected)

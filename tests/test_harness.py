@@ -438,3 +438,60 @@ def test_tolerances_g_tol_must_match_solve_g_tol():
     data["solve"] = {"g_tol": 1e-2}
     assert config_from_dict(data).solve["g_tol"] == 1e-2
     assert config_from_dict(small_config_dict(solve={"g_tol": 1e-6})).solve["g_tol"] == 1e-6
+
+
+def _with_interaction_params(data, kind, params):
+    item = next(it for it in data["interactions"] if it["kind"] == kind)
+    item["params"] = {**item.get("params", {}), **params}
+    return data
+
+
+# json accepts NaN and Infinity; each must be a config error naming the key
+# (exit 2), not a PASS at an infinite tolerance or a FAIL at a NaN residual.
+@pytest.mark.parametrize("key, edit", [
+    ("tolerances.ghost_force", lambda d: {**d, "tolerances": {"ghost_force": float("inf")}}),
+    ("lattice.epsilon", lambda d: {**d, "lattice": {**d["lattice"], "epsilon": float("inf")}}),
+    ("F must be finite", lambda d: {**d, "F": [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 1.0]]}),
+    ("sweep.amplitude", lambda d: {**d, "sweep": {"amplitude": float("nan")}}),
+    ("solve.force_amplitude", lambda d: {**d, "solve": {"force_amplitude": float("-inf")}}),
+    ("'well_depth'", lambda d: _with_interaction_params(d, "lennard-jones-radial", {"well_depth": float("nan")})),
+    ("'a'", lambda d: _with_interaction_params(d, "anisotropic-toy", {"a": [0.1, 0.2]})),
+    ("'M'", lambda d: _with_interaction_params(d, "anisotropic-toy", {"M": [[1.0, 0.0], [0.0, 1.0]]})),
+])
+def test_non_finite_or_misshaped_numbers_are_config_errors(tmp_path, capsys, key, edit):
+    data = edit(json.loads(json.dumps(harness.DEFAULT_CONFIG)))
+    with pytest.raises(ConfigError) as exc_info:
+        config_from_dict(data)
+    assert any(key in m for m in exc_info.value.messages), exc_info.value.messages
+
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(data))
+    code = cli.main(["verify", "ghost-forces", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2, captured.out
+    assert key in captured.err
+
+
+def test_lemma_csv_rows_are_relative_to_the_identity_scale(tmp_path, capsys):
+    """Every row's ``relative`` is residual / (eps^d max|D_eta u|), d the
+    number of nonzero components of eta, and the rows cover the full 3D
+    directions and all six zero patterns of the reduced forms."""
+    config = default_config()
+    assert cli.main(["verify", "lemma", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "lemma.csv").read_text().splitlines()
+    assert lines[1] == "case,eta,ell,residual,relative"
+    u = LatticeField(config.cfg, np.random.default_rng(config.seed).random(config.cfg.shape))
+    eps = config.cfg.epsilon
+    patterns = set()
+    for line in lines[2:]:
+        case, rest = line.split(",", 1)
+        eta_s, rest = rest.split("),", 1)
+        ell_s, residual, rel = rest.rsplit(",", 2)
+        eta = tuple(int(e) for e in eta_s.strip("()").split(","))
+        ell = tuple(int(e) for e in ell_s.strip("()").split(","))
+        d = sum(1 for e in eta if e)
+        bond = np.abs(u.at(np.add(ell, eta)) - u.at(ell)) / eps
+        assert float(rel) == pytest.approx(float(residual) / (eps**d * float(np.max(bond))), rel=1e-12, abs=0)
+        patterns.add(tuple(e != 0 for e in eta))
+    assert len(patterns) == 7

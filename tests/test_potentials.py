@@ -196,3 +196,53 @@ def test_law_params_are_frozen():
     assert "sigma" in params  # default filled in
     with pytest.raises((TypeError, AttributeError)):
         law.kind = "harmonic"
+
+
+def test_evaluate_orders_are_prefixes_of_order_two():
+    """For every kind and for a single bond and a batch, evaluate(zeta, k)
+    is bitwise the first k + 1 entries of evaluate(zeta, 2), and the thin
+    views values/gradients/hessians are its entries."""
+    rng = np.random.default_rng(5)
+    for law in all_kind_laws():
+        for shape in ((3,), (7, 3)):
+            zeta = law.eta_vec + 0.2 * rng.standard_normal(shape)
+            full = law.evaluate(zeta, 2)
+            assert [a.shape for a in full] == [shape[:-1], shape, shape[:-1] + (3, 3)]
+            for k in range(3):
+                part = law.evaluate(zeta, k)
+                assert len(part) == k + 1
+                for a, b in zip(part, full):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (law.kind, shape, k)
+            for view, ref in zip((law.values, law.gradients, law.hessians), full):
+                assert np.array_equal(view(zeta), ref)
+
+
+def test_evaluate_domain_error_at_every_order():
+    for kind in ("morse-radial", "lennard-jones-radial"):
+        law = make_law((1, 1, 1), kind)
+        zeta = np.ones((4, 3))
+        zeta[2] = 0.0
+        for order in range(3):
+            with pytest.raises(PotentialDomainError, match="below admissible minimum"):
+                law.evaluate(zeta, order)
+            with pytest.raises(PotentialDomainError):
+                law.evaluate(np.zeros(3), order)
+
+
+@pytest.mark.parametrize("kind, params, key", [
+    ("lennard-jones-radial", {"well_depth": float("nan")}, "well_depth"),
+    ("morse-radial", {"alpha": float("inf")}, "alpha"),
+    ("anisotropic-toy", {"a": (0.1, float("nan"), 0.2)}, "a"),
+    ("anisotropic-toy", {"a": (0.1, 0.2)}, "a"),
+    ("anisotropic-toy", {"M": ((1.0, 0.0), (0.0, 1.0))}, "M"),
+])
+def test_make_law_rejects_non_finite_and_misshaped_params(kind, params, key):
+    with pytest.raises(ValueError, match=f"parameter '{key}'"):
+        make_law((1, 1, 1), kind, params)
+
+
+def test_make_law_copies_array_params():
+    a = np.array([0.1, 0.2, 0.3])
+    law = make_law((1, 1, 1), "anisotropic-toy", {"a": a})
+    assert a.flags.writeable
+    assert not dict(law.params)["a"].flags.writeable
