@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Sequence
 
@@ -415,7 +415,7 @@ class _SiteRows:
     def __matmul__(self, x):
         return self.mat @ x
 
-    @property
+    @cached_property
     def T(self):
         return self.mat.T
 
@@ -665,15 +665,16 @@ def coupled_energy_conforming(
     g = np.zeros(cfg.shape)
     gf = g.reshape(-1, 3)
 
-    e_atom = _term(R, _atom_bonds(blocks), y.F, vflat, eps, (gf,))
-    e_cb = _term(R, _continuum_bonds(part), y.F, vflat, eps, (gf,))
-    e_cone = _term(R, _cone_bonds(blocks), y.F, vflat, eps, (gf,))
+    e_atom, x_atom = _term(R, _atom_bonds(blocks), y.F, vflat, eps, (gf,))
+    e_cb, x_cb = _term(R, _continuum_bonds(part), y.F, vflat, eps, (gf,))
+    e_cone, x_cone = _term(R, _cone_bonds(blocks), y.F, vflat, eps, (gf,))
 
     counts = {str(law.eta): blocks[law.eta].counts for law in R}
     return EnergyReport(
         energy=e_atom + e_cb + e_cone,
         gradient=LatticeField(cfg, g),
         model="coupled",
+        excess=x_atom + x_cb + x_cone,
         breakdown={"atomistic": e_atom, "continuum": e_cb, "interface": e_cone},
         diagnostics={"counts": counts},
     )
@@ -712,14 +713,15 @@ def coupled_energy_dg(
     g_p = np.zeros(cfg.shape)
     gtf, gmf, gpf = g_tied.reshape(-1, 3), g_m.reshape(-1, 3), g_p.reshape(-1, 3)
 
-    e_atom = _term(R, _atom_bonds(blocks), F, vmf, eps, (gtf, gmf))
-    e_cb = _term(R, _continuum_bonds(part), F, vpf, eps, (gtf, gpf))
-    e_cone = 0.0
+    e_atom, x_atom = _term(R, _atom_bonds(blocks), F, vmf, eps, (gtf, gmf))
+    e_cb, x_cb = _term(R, _continuum_bonds(part), F, vpf, eps, (gtf, gpf))
+    e_cone = x_cone = 0.0
     zeta_by_eta = {}
     for law in R:
         b = blocks[law.eta]
-        e, zeta_by_eta[law.eta] = _bond_contrib(b.cone_op, b.volw, law, F, vmf, eps, (gtf, gmf))
+        e, de, zeta_by_eta[law.eta] = _bond_contrib(b.cone_op, b.volw, law, F, vmf, eps, (gtf, gmf))
         e_cone += e
+        x_cone += de
     e_jump = 0.0
     for law in R:
         e_jump += _jump_contrib(
@@ -730,6 +732,7 @@ def coupled_energy_dg(
         energy=(e_atom + e_cb + e_cone) - e_jump,
         gradient=LatticeField(cfg, g_tied),
         model="coupled-dg",
+        excess=(x_atom + x_cb + x_cone) - e_jump,
         breakdown={
             "atomistic": e_atom,
             "continuum": e_cb,
@@ -763,12 +766,13 @@ def naive_coupling_energy(
             inside &= (mid > part.corner[dd]) & (mid < part.top[dd])
         return [(_bond_stencil(law.eta, cfg.N), inside.ravel().astype(float))]
 
-    e_atom = _term(R, inside_bonds, y.F, vflat, eps, (gf,))
-    e_cb = _term(R, _continuum_bonds(part), y.F, vflat, eps, (gf,))
+    e_atom, x_atom = _term(R, inside_bonds, y.F, vflat, eps, (gf,))
+    e_cb, x_cb = _term(R, _continuum_bonds(part), y.F, vflat, eps, (gf,))
     return EnergyReport(
         energy=e_atom + e_cb,
         gradient=LatticeField(cfg, g),
         model="naive",
+        excess=x_atom + x_cb,
         breakdown={"atomistic": e_atom, "continuum": e_cb},
     )
 

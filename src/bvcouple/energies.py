@@ -7,7 +7,14 @@ eps^3 sum_q w_q phi_eta(F eta + (B v)_q / eps) over "quadrature bonds" q,
 with B a fixed linear map of the displacement v. ``_bond_contrib`` is the
 only code that evaluates phi_eta for such a term: one
 ``InteractionLaw.evaluate(zeta, 1)`` call per (law, operator) batch gives
-phi and phi' together. B is any operator with
+phi and phi' together, and phi(F eta) from one extra row. The kernel sums
+eps^3 sum_q w_q (phi(zeta_q) - phi(F eta)), the term's excess over the
+homogeneous bond, and adds the batch's homogeneous share
+eps^3 phi(F eta) sum_q w_q back into the term's energy. Reports carry the
+summed excess too (``EnergyReport.excess``): it is exactly 0.0 at y_F, and
+its differences keep the digits that the constant |Omega| W(F) in the
+energy would swallow. A non-finite phi or phi' is a domain error, like a
+radial bond below its minimum length. B is any operator with
 ``@``, ``.T`` and ``site(row)`` (the lattice site a row belongs to, named in
 domain errors):
 
@@ -31,7 +38,9 @@ and bit-reproducible.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Any
 
@@ -44,45 +53,72 @@ from .potentials import InteractionLaw, InteractionSet, PotentialDomainError
 
 @dataclass
 class EnergyReport:
-    """Energy value, Riesz-representer gradient, and per-part breakdown."""
+    """Energy value, Riesz-representer gradient, and per-part breakdown.
+
+    ``excess`` is the energy less its homogeneous share: the sum over every
+    quadrature bond of eps^3 w (phi(zeta) - phi(F eta)), less the interface
+    jump correction of the two-sided model. It is exactly 0.0 at y_F, and it
+    is what a minimizer compares: differences of ``energy`` are lost in the
+    last digits of |Omega| W(F)."""
 
     energy: float
     gradient: LatticeField
     model: str
+    excess: float
     breakdown: dict[str, float] = field(default_factory=dict)
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
 def _bond_contrib(op, w, law: InteractionLaw, F, x, eps, g_outs):
     """Quadrature-bond energy eps^3 sum_q w_q phi(zeta_q) at the bond
-    vectors zeta = F eta + (op @ x) / eps. Adds the gradient, scaled like
-    the lattice inner product, op^T (w phi'(zeta) / eps) to each array in
-    ``g_outs``; phi and phi' come from one ``law.evaluate`` call. ``w`` is
-    a scalar or one weight per row; zero-weight rows are evaluated at
-    F eta. A domain error names the lattice site ``op.site(row)`` of the
-    shortest bond. Returns the energy and zeta."""
+    vectors zeta = F eta + (op @ x) / eps, summed as its excess over the
+    homogeneous bond, eps^3 sum_q w_q (phi(zeta_q) - phi(F eta)), plus the
+    batch's homogeneous share eps^3 phi(F eta) sum_q w_q. Adds the gradient,
+    scaled like the lattice inner product, op^T (w phi'(zeta) / eps) to each
+    array in ``g_outs``; phi, phi' and phi(F eta) come from one
+    ``law.evaluate`` call, with F eta as an extra last row, so the excess is
+    exactly 0.0 wherever zeta = F eta. ``w`` is a scalar or one weight per
+    row; zero-weight rows are evaluated at F eta. A domain error names the
+    lattice site ``op.site(row)`` of the shortest bond, or of the first bond
+    whose phi or phi' is not finite. Returns the energy, the excess and
+    zeta."""
     base = F @ law.eta_vec
-    zeta = op @ x
-    zeta /= eps
-    zeta += base
+    bx = op @ x
+    n = len(bx)
+    zeta = np.empty((n + 1, 3))
+    np.divide(bx, eps, out=zeta[:n])
+    del bx  # peak memory: one (n, 3) buffer, as with an in-place update
+    zeta[:n] += base
+    zeta[n] = base
     w = np.asarray(w, dtype=float)
     if w.ndim and not w.all():
-        zeta[w == 0.0] = base
+        zeta[:n][w == 0.0] = base
     try:
-        vals, P = law.evaluate(zeta, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals, P = law.evaluate(zeta, 1)
     except PotentialDomainError as exc:
-        site = op.site(int(np.argmin(np.linalg.norm(zeta, axis=-1))))
+        site = op.site(int(np.argmin(np.linalg.norm(zeta[:n], axis=-1))))
         raise PotentialDomainError(
             f"{exc} (offending bond: site {site}, eta={law.eta})",
             site=site,
             eta=law.eta,
         ) from exc
-    energy = float(eps**3 * np.sum(w * vals))
+    phi0, vals, P = vals[n], vals[:n], P[:n]
+    excess = float(eps**3 * (w * (vals - phi0)).sum())
+    if not (math.isfinite(excess) and np.isfinite(P).all()):
+        bad = ~(np.isfinite(vals) & np.isfinite(P).all(axis=-1))
+        site = op.site(int(np.argmax(bad)))
+        raise PotentialDomainError(
+            f"{law.kind} energy or force is not finite (offending bond: site {site}, eta={law.eta})",
+            site=site,
+            eta=law.eta,
+        )
+    share = float(eps**3 * phi0 * (w.sum() if w.ndim else w * n))
     P *= (w / eps)[..., None]
     contrib = op.T @ P
     for g in g_outs:
         g += contrib
-    return energy, zeta
+    return excess + share, excess, zeta[:n]
 
 
 class _Stencil:
@@ -108,7 +144,7 @@ class _Stencil:
                 out += t
         return out.reshape(-1, 3)
 
-    @property
+    @cached_property
     def T(self) -> "_Stencil":
         return _Stencil(self.N, tuple((tuple(-o for o in s), c) for s, c in self.terms))
 
@@ -129,9 +165,11 @@ def _bond_stencil(eta, N) -> _Stencil:
     return _stencil(N, [(tuple(eta), 1.0), ((0, 0, 0), -1.0)])
 
 
-def _staircase_stencils(eta, N) -> list[_Stencil]:
+@lru_cache(maxsize=64)
+def _staircase_stencils(eta: IntTriple, N: IntTriple) -> tuple[_Stencil, ...]:
     """Per staircase template (``PATH_PERMS`` order): the discrete gradient
-    of the cell tet times eta, from the tet's own axis edges."""
+    of the cell tet times eta, from the tet's own axis edges. Kept per
+    (eta, N) for the process, like the coupling blocks."""
     out = []
     for perm in PATH_PERMS:
         terms = []
@@ -139,7 +177,7 @@ def _staircase_stencils(eta, N) -> list[_Stencil]:
             up = tuple(s[k] + (k == a) for k in range(3))
             terms += [(up, float(eta[a])), (s, -float(eta[a]))]
         out.append(_stencil(N, terms))
-    return out
+    return tuple(out)
 
 
 def _cell_stencil(eta, N) -> _Stencil:
@@ -151,14 +189,16 @@ def _cell_stencil(eta, N) -> _Stencil:
     ])
 
 
-def _term(laws, bonds, F, x, eps, g_outs) -> float:
-    """Energy of one term: the kernel over the (op, w) quadrature bonds
-    ``bonds(law)`` of every law, in order."""
-    energy = 0.0
+def _term(laws, bonds, F, x, eps, g_outs) -> tuple[float, float]:
+    """Energy and excess of one term: the kernel over the (op, w) quadrature
+    bonds ``bonds(law)`` of every law, in order."""
+    energy = excess = 0.0
     for law in laws:
         for op, w in bonds(law):
-            energy += _bond_contrib(op, w, law, F, x, eps, g_outs)[0]
-    return energy
+            e, de, _ = _bond_contrib(op, w, law, F, x, eps, g_outs)
+            energy += e
+            excess += de
+    return energy, excess
 
 
 def _lattice_model(y: Deformation, R: InteractionSet, model: str, bonds) -> EnergyReport:
@@ -167,11 +207,13 @@ def _lattice_model(y: Deformation, R: InteractionSet, model: str, bonds) -> Ener
     vflat = y.displacement.values.reshape(-1, 3)
     grad = np.zeros(cfg.shape)
     gf = grad.reshape(-1, 3)
-    breakdown = {f"eta={law.eta}": _term([law], bonds, y.F, vflat, cfg.epsilon, (gf,)) for law in R}
+    terms = {f"eta={law.eta}": _term([law], bonds, y.F, vflat, cfg.epsilon, (gf,)) for law in R}
+    breakdown = {key: e for key, (e, _) in terms.items()}
     return EnergyReport(
         energy=sum(breakdown.values()),
         gradient=LatticeField(cfg, grad),
         model=model,
+        excess=sum(de for _, de in terms.values()),
         breakdown=breakdown,
     )
 

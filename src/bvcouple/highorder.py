@@ -328,6 +328,7 @@ def high_order_energy(
             energy=rep.energy,
             gradient=rep.gradient,
             model="coupled-ho(1)",
+            excess=rep.excess,
             breakdown=rep.breakdown,
             diagnostics={**rep.diagnostics, "node_gradient": np.zeros((0, 3))},
         )
@@ -357,16 +358,18 @@ def high_order_energy(
     def p1_bonds(law):
         return zip(_staircase_stencils(law.eta, cfg.N), p1_w)
 
-    e_atom = _term(R, _atom_bonds(blocks), y.F, vflat, eps, (gf,))
-    e_fe = _term(R, p1_bonds, y.F, vflat, eps, (gf,))
-    e_fe += _term(R, _pk_bonds(mesh), y.F, x, eps, (gx,))
-    e_cone = _term(R, _cone_bonds(blocks), y.F, vflat, eps, (gf,))
+    e_atom, x_atom = _term(R, _atom_bonds(blocks), y.F, vflat, eps, (gf,))
+    e_fe, x_fe = _term(R, p1_bonds, y.F, vflat, eps, (gf,))
+    e_pk, x_pk = _term(R, _pk_bonds(mesh), y.F, x, eps, (gx,))
+    e_fe += e_pk
+    e_cone, x_cone = _term(R, _cone_bonds(blocks), y.F, vflat, eps, (gf,))
 
     counts = {str(law.eta): blocks[law.eta].counts for law in R}
     return EnergyReport(
         energy=e_atom + e_fe + e_cone,
         gradient=LatticeField(cfg, gf.reshape(cfg.shape)),
         model=f"coupled-ho({k})",
+        excess=x_atom + (x_fe + x_pk) + x_cone,
         breakdown={"atomistic": e_atom, "continuum": e_fe, "interface": e_cone},
         diagnostics={
             "node_gradient": gx[cfg.n_sites:],

@@ -189,7 +189,21 @@ def discrete_inner_product(u: LatticeField, w: LatticeField) -> float:
 
 
 def sample_field(f: Callable[[np.ndarray], np.ndarray], cfg: LatticeConfig) -> LatticeField:
-    """Sample a closure R^3 -> R^3 at the physical site positions eps*l."""
+    """Sample a closure R^3 -> R^3 at the physical site positions eps*l.
+
+    ``f`` is called once on the stacked positions ``eps * np.indices(N)``, an
+    array of shape (3, N1, N2, N3); an elementwise closure returns the
+    samples with the same shape. When that call raises or returns any other
+    shape (a constant, a ragged list), ``f`` is called once per site on a
+    (3,) position instead. Both paths give the same bits for a closure of
+    numpy ufuncs."""
+    x = cfg.epsilon * np.indices(cfg.N, dtype=float)
+    try:
+        stacked = np.asarray(f(x), dtype=float)
+    except Exception:  # any failure: a real fault raises again in the site loop
+        stacked = None
+    if stacked is not None and stacked.shape == x.shape:
+        return LatticeField(cfg, np.ascontiguousarray(np.moveaxis(stacked, 0, -1)))
     out = np.empty(cfg.shape)
     eps = cfg.epsilon
     for i in range(cfg.N[0]):

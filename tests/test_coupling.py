@@ -614,6 +614,36 @@ def test_sparse_bond_domain_errors_name_the_site():
         assert err.value.eta == (2, 1, 1)
 
 
+def test_non_finite_law_values_name_the_site():
+    """Moving site (8,8,8) by 800 eps a / |a|^2 puts zeta . a near 800 on the
+    anisotropic-toy bond of eta = (1, -1, 2) based at (7, 9, 6), deep inside
+    the atomistic region, where exp(zeta . a) overflows. Every model must
+    raise a domain error naming that site and direction, not return an
+    infinite energy."""
+    from bvcouple.coupling import coupled_energy_dg
+    from bvcouple.potentials import PotentialDomainError
+
+    cfg = LatticeConfig(N=(16, 16, 16), epsilon=1.0 / 16.0)
+    part = RegionPartition(cfg, (2, 2, 2), (12, 12, 12))
+    law = make_law((1, -1, 2), "anisotropic-toy")
+    R = InteractionSet([make_law((1, 1, 1), "harmonic"), law])
+    a = dict(law.params)["a"]
+    vals = np.zeros(cfg.shape)
+    vals[8, 8, 8] = 800.0 * cfg.epsilon * a / (a @ a)
+    y = make_deformation(np.eye(3), LatticeField(cfg, vals))
+
+    for evaluate in (
+        lambda: atomistic_energy(y, R),
+        lambda: coupled_energy_conforming(y, R, part),
+        lambda: coupled_energy_dg(y, y, R, part),
+    ):
+        with pytest.raises(PotentialDomainError, match=r"not finite") as err:
+            evaluate()
+        assert err.value.site == (7, 9, 6)
+        assert err.value.eta == (1, -1, 2)
+        assert "site (7, 9, 6)" in str(err.value) and "eta=(1, -1, 2)" in str(err.value)
+
+
 def test_covering_interpolant_rejects_out_of_range_index():
     """A covering index outside [0, n_eta) is an error, not a wrapped or
     bare IndexError lookup: m = -1 must not silently return the last

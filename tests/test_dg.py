@@ -61,6 +61,7 @@ def test_tied_sides_match_conforming_bitwise():
     two = coupled_energy_dg(y, y, R, part)
 
     assert two.energy == ref.energy
+    assert two.excess == ref.excess
     assert np.array_equal(two.gradient.values, ref.gradient.values)
     assert two.breakdown["interface_jump"] == 0.0
     for key in ("atomistic", "continuum", "interface"):

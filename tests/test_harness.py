@@ -28,6 +28,7 @@ from bvcouple.lattice import (
     make_deformation,
     sample_field,
 )
+from bvcouple.potentials import PotentialDomainError, cb_energy_density
 
 
 def small_config_dict(model="coupled", **overrides) -> dict:
@@ -271,13 +272,88 @@ def test_minimize_trace_is_monotone():
     assert trace[-1]["gnorm"] <= config.solve["g_tol"]
 
 
+def readme_solver_config(model="coupled", **solve) -> harness.RunConfig:
+    """The README configuration: its laws and region at N=12."""
+    data = json.loads(json.dumps(harness.DEFAULT_CONFIG))
+    data["model"] = model
+    data["solve"] = {"max_iters": 200, "g_tol": 1e-8, **solve}
+    return config_from_dict(data)
+
+
 def test_minimize_iteration_cap_is_flagged():
-    config = harmonic_solver_config(max_iters=2)
+    # The harmonic problem lies in one eigenspace of the preconditioner and
+    # is solved by the first step; the README laws take more than two.
+    config = readme_solver_config(max_iters=2)
     f = sine_force(config.cfg)
     _, report, trace = minimize(config, f)
     assert report.diagnostics["converged"] is False
     assert report.diagnostics["iterations"] == 2
     assert len(trace) == 3
+    assert report.diagnostics["stop_reason"] == "iteration-cap"
+
+
+@pytest.mark.parametrize(
+    "model", ["atomistic", "acb-tetra", "acb-cell", "coupled", "coupled-dg", "coupled-ho(1)", "naive"]
+)
+def test_minimize_converges_on_the_readme_example(model):
+    """The README solve (force amplitude 0.01) reaches the tolerance within
+    the iteration cap for every lattice-state model."""
+    config = readme_solver_config(model)
+    f = sine_force(config.cfg)
+    _, report, trace = minimize(config, f)
+    diag = report.diagnostics
+    assert diag["stop_reason"] == "converged" and diag["converged"] is True
+    assert trace[-1]["gnorm"] <= 1e-8
+    assert diag["iterations"] == len(trace) - 1 <= 200
+    assert diag["evaluations"] >= len(trace)
+
+
+def test_minimize_halves_a_step_that_leaves_the_domain(monkeypatch):
+    """A trial state whose evaluation raises a domain error is a rejected
+    step: the harmonic problem, solved by step 1, is solved at step 1/2
+    after the first trial fails; when every trial fails the solve stops
+    with reason line-search at the start state."""
+    config = harmonic_solver_config()
+    f = sine_force(config.cfg)
+    evaluate = harness.evaluate_model
+    calls = []
+    fails = [lambda call: call == 1]
+
+    def failing(config, y, *args, **kwargs):
+        calls.append(len(calls))
+        if fails[0](calls[-1]):
+            raise PotentialDomainError("trial out of domain")
+        return evaluate(config, y, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate_model", failing)
+    _, report, trace = minimize(config, f)
+    assert report.diagnostics["stop_reason"] == "converged"
+    assert trace[1]["step"] == 0.5
+    assert report.diagnostics["evaluations"] == len(calls)
+
+    calls.clear()
+    fails[0] = lambda call: call >= 1
+    y, report, trace = minimize(config, f)
+    assert report.diagnostics["stop_reason"] == "line-search"
+    assert report.diagnostics["converged"] is False
+    assert report.diagnostics["iterations"] == 0 and len(trace) == 1
+    assert report.diagnostics["evaluations"] == len(calls) > 2
+    assert np.abs(y.displacement.values).max() == 0.0
+
+
+@pytest.mark.parametrize(
+    "model", [*MODEL_NAMES, "coupled-ho(1)", "coupled-ho(2)", "coupled-ho(3)"]
+)
+def test_excess_is_exactly_zero_at_homogeneous_states(model):
+    """The energy measured from the homogeneous bond is exactly 0.0 at y_F
+    for a random F. Every model but the naive control, which drops the
+    interface bonds, has the energy |Omega| W(F) there up to rounding."""
+    config = readme_solver_config(model)
+    F = np.eye(3) + 0.03 * np.random.default_rng(11).standard_normal((3, 3))
+    report = evaluate_model(config, make_deformation(F, LatticeField.zeros(config.cfg)))
+    assert report.excess == 0.0
+    exact = config.cfg.volume * cb_energy_density(config.laws, F)
+    assert (abs(report.energy - exact) <= 1e-12 * exact) is (model != "naive")
 
 
 def test_minimize_input_validation():
@@ -381,6 +457,18 @@ def test_cli_solve_writes_trace(tmp_path, capsys):
     lines = (out / "solve_trace.csv").read_text().splitlines()
     assert lines[1] == "iteration,objective,gnorm,step"
     assert len(lines) > 3
+
+
+def test_cli_solve_summary_names_the_stop_reason(tmp_path, capsys):
+    config = readme_solver_config(max_iters=3, force_amplitude=0.01)
+    code = run("solve", config, tmp_path)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("FAIL solve: stopped (iteration-cap) at iteration 3 after ")
+    evaluations = int(out.split(" after ")[1].split()[0])
+    assert evaluations >= 4
+    rows = (tmp_path / "solve_trace.csv").read_text().splitlines()[2:]
+    assert [int(r.split(",")[0]) for r in rows] == [0, 1, 2, 3]
 
 
 def test_cli_deterministic_reports_are_byte_identical(tmp_path):

@@ -215,6 +215,40 @@ def test_sample_field_pointwise_oracle():
         assert np.allclose(u.at(ell), f(x), rtol=0, atol=0)
 
 
+def test_sample_field_stacked_call_matches_the_site_loop():
+    """An elementwise closure is called once on the stacked positions, and
+    its samples are bitwise those of one call per site."""
+    cfg = LatticeConfig(N=(4, 6, 5), epsilon=0.25)
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        return 0.05 * np.sin(2.0 * np.pi * np.stack([x[1], x[2], x[0]]) / 1.5) + x * x
+
+    u = sample_field(f, cfg)
+    assert calls == [(3, 4, 6, 5)]
+    assert u.values.flags.c_contiguous
+    expect = np.empty(cfg.shape)
+    for ell in np.ndindex(cfg.N):
+        expect[ell] = f(cfg.epsilon * np.array(ell, dtype=float))
+    assert np.array_equal(u.values, expect)
+
+
+def test_sample_field_falls_back_to_the_site_loop():
+    """A closure that raises on the stacked positions or returns another
+    shape is called per site."""
+    cfg = LatticeConfig(N=(3, 2, 2), epsilon=0.5)
+    shapes = []
+
+    def scalar_only(x):
+        shapes.append(np.shape(x))
+        return np.array([float(x[0]), 1.0, -float(x[2])])
+
+    u = sample_field(scalar_only, cfg)
+    assert shapes == [(3, 3, 2, 2)] + [(3,)] * cfg.n_sites
+    assert u.values[2, 1, 1].tolist() == [1.0, 1.0, -0.5]
+
+
 def test_field_shape_validation():
     cfg = small_cfg()
     with pytest.raises(ValueError):
