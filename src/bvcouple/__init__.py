@@ -9,14 +9,12 @@ high-order continuum variant, and the verification harness used by the
 from .coupling import (
     BondClass,
     CoveringInterpolant,
-    GammaFace,
     MemberPiece,
     RegionPartition,
     classify_bond_volume,
     coupled_energy_conforming,
     coupled_energy_dg,
     covering_interpolant,
-    jump_average,
     naive_coupling_energy,
     omega_star_mask,
     partition_violations,
@@ -83,7 +81,6 @@ __all__ = [
     "Deformation",
     "DegenerateEta",
     "EnergyReport",
-    "GammaFace",
     "HighOrderMesh",
     "InteractionLaw",
     "InteractionSet",
@@ -117,7 +114,6 @@ __all__ = [
     "fd_gradient_check",
     "ghost_force_residual",
     "high_order_energy",
-    "jump_average",
     "load_config",
     "make_deformation",
     "make_law",

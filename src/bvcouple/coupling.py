@@ -78,8 +78,8 @@ from .geometry import (
     CoveringMismatch,
     DegenerateEta,
     _staircase_simplices,
-    covering_widths,
     enumerate_coverings,
+    nondegenerate_eta,
     path_edge_offsets,
 )
 from .lattice import Deformation, IntTriple, LatticeConfig, LatticeField
@@ -129,44 +129,6 @@ class RegionPartition:
     def top(self) -> IntTriple:
         return tuple(self.corner[i] + self.extents[i] for i in range(3))  # type: ignore[return-value]
 
-    def gamma_faces(self) -> list["GammaFace"]:
-        """All unit interface faces with the atomistic-side outward normal."""
-        faces = []
-        for i in range(3):
-            j, k = [d for d in range(3) if d != i]
-            for plane, sign in ((self.corner[i], -1), (self.top[i], +1)):
-                for sj in range(self.corner[j], self.top[j]):
-                    for sk in range(self.corner[k], self.top[k]):
-                        sq = [0, 0, 0]
-                        sq[i] = plane
-                        sq[j] = sj
-                        sq[k] = sk
-                        faces.append(GammaFace(axis=i, plane=plane, square=tuple(sq), nu_sign=sign))
-        return faces
-
-
-@dataclass(frozen=True)
-class GammaFace:
-    """One unit interface face; ``nu_sign`` orients the atomistic-side
-    outward normal as nu_a = nu_sign * e_axis (the continuum side's normal
-    is its negative). ``square`` is the face's minimal corner."""
-
-    axis: int
-    plane: int
-    square: IntTriple
-    nu_sign: int
-
-
-def jump_average(face: GammaFace, w_minus, w_plus, eta):
-    """Jump [[w eta]] = (nu_a . eta) w- + (nu_* . eta) w+ and average
-    <w> = (w- + w+)/2 of a two-sided trace on an interface face."""
-    n = float(face.nu_sign * eta[face.axis])
-    w_minus = np.asarray(w_minus, dtype=float)
-    w_plus = np.asarray(w_plus, dtype=float)
-    jump = n * w_minus + (-n) * w_plus
-    avg = 0.5 * (w_minus + w_plus)
-    return jump, avg
-
 
 def _member_box(ell, eta) -> tuple[np.ndarray, np.ndarray]:
     """Min corners and widths of the member boxes owning the bonds at the
@@ -202,12 +164,7 @@ def _neighbour_classes(mu, w, part: RegionPartition) -> np.ndarray:
 def classify_bond_volume(part: RegionPartition, ell, eta) -> BondClass:
     """Classify the bond volume of (ell, eta) against the region partition:
     strictly inside the atomistic box, disjoint from it, or interface."""
-    eta = tuple(int(e) for e in eta)
-    if eta[0] * eta[1] * eta[2] == 0:
-        raise DegenerateEta(
-            f"bond volume classification needs all eta components nonzero, got {eta}; "
-            "the reduce policy classifies unit-thickness members instead"
-        )
+    eta = nondegenerate_eta(eta)
     ell = tuple(int(x) % part.cfg.N[i] for i, x in enumerate(ell))
     return _CLASSES[int(_member_classes(*_member_box(ell, eta), part))]
 
@@ -216,46 +173,58 @@ def required_clearance(etas: Sequence[IntTriple]) -> int:
     return max(abs(int(e)) for eta in etas for e in eta)
 
 
-def partition_violations(part: RegionPartition, etas: Sequence[IntTriple], policy: str) -> list[str]:
-    """All constraint violations of a partition against an interaction set."""
-    msgs = []
-    if policy not in DEGENERATE_POLICIES:
-        msgs.append(f"degenerate_eta policy must be one of {DEGENERATE_POLICIES}, got {policy!r}")
+def clearance_violations(part: RegionPartition, etas: Sequence[IntTriple]) -> list[str]:
+    """Dimensions in which the atomistic box lacks the clearance from the
+    domain boundary that the longest direction component needs."""
     margin = required_clearance(etas)
     cfg = part.cfg
-    for i in range(3):
-        if part.corner[i] < margin or part.top[i] > cfg.N[i] - margin:
-            msgs.append(
-                f"atomistic region [{part.corner[i]}, {part.top[i]}] needs {margin} cells of "
-                f"clearance inside [0, {cfg.N[i]}] in dimension {i}"
-            )
+    return [
+        f"atomistic region [{part.corner[i]}, {part.top[i]}] needs {margin} cells of "
+        f"clearance inside [0, {cfg.N[i]}] in dimension {i}"
+        for i in range(3)
+        if part.corner[i] < margin or part.top[i] > cfg.N[i] - margin
+    ]
+
+
+def _partition_errors(part: RegionPartition, etas: Sequence[IntTriple], policy: str) -> list[ValueError]:
+    """Constraint violations of a partition against an interaction set, each
+    as the exception it raises: a coverings mismatch, a degenerate direction
+    under the reject policy, or a plain ValueError (policy, clearance)."""
+    errs: list[ValueError] = []
+    if policy not in DEGENERATE_POLICIES:
+        errs.append(ValueError(f"degenerate_eta policy must be one of {DEGENERATE_POLICIES}, got {policy!r}"))
+    errs += [ValueError(m) for m in clearance_violations(part, etas)]
+    N = part.cfg.N
     for eta in etas:
         for i in range(3):
-            if eta[i] != 0 and cfg.N[i] % abs(eta[i]) != 0:
-                msgs.append(
-                    f"N={cfg.N} is not divisible by |eta_{i}|={abs(eta[i])} for eta={tuple(eta)}; "
+            if eta[i] != 0 and N[i] % abs(eta[i]) != 0:
+                errs.append(CoveringMismatch(
+                    f"N={N} is not divisible by |eta_{i}|={abs(eta[i])} for eta={tuple(eta)}; "
                     "coverings cannot close on the torus"
-                )
-        if policy == "reject" and eta[0] * eta[1] * eta[2] == 0:
-            msgs.append(
+                ))
+        if policy == "reject" and 0 in eta:
+            errs.append(DegenerateEta(
                 f"eta={tuple(eta)} has a zero component and degenerate_eta policy is 'reject'"
-            )
-    return msgs
+            ))
+    return errs
+
+
+def partition_violations(part: RegionPartition, etas: Sequence[IntTriple], policy: str) -> list[str]:
+    """All constraint violations of a partition against an interaction set."""
+    return [str(e) for e in _partition_errors(part, etas, policy)]
 
 
 def _check_partition(part: RegionPartition, R: InteractionSet, policy: str) -> None:
-    etas = [law.eta for law in R]
-    msgs = partition_violations(part, etas, policy)
-    if msgs:
-        if any("zero component" in m for m in msgs) and len(msgs) == sum(
-            "zero component" in m for m in msgs
-        ):
-            raise DegenerateEta("; ".join(msgs))
-        if any("divisible" in m for m in msgs) and all(
-            "divisible" in m or "zero component" in m for m in msgs
-        ):
-            raise CoveringMismatch("; ".join(msgs))
-        raise ValueError("; ".join(msgs))
+    """Raise the partition's violations as one error: DegenerateEta when
+    every one is a degenerate direction, CoveringMismatch when every one is
+    a coverings mismatch or a degenerate direction, ValueError otherwise."""
+    errs = _partition_errors(part, [law.eta for law in R], policy)
+    if errs:
+        kinds = {type(e) for e in errs}
+        if kinds == {CoveringMismatch, DegenerateEta}:
+            kinds = {CoveringMismatch}
+        cls = kinds.pop() if len(kinds) == 1 else ValueError
+        raise cls("; ".join(map(str, errs)))
 
 
 # ======================================================================
@@ -837,12 +806,7 @@ def covering_interpolant(
     m: int, eta, u: LatticeField, part: RegionPartition
 ) -> CoveringInterpolant:
     """Build the per-tet descriptor of covering m's interpolant of u."""
-    eta = tuple(int(e) for e in eta)
-    if eta[0] * eta[1] * eta[2] == 0:
-        raise DegenerateEta(
-            f"covering interpolants are defined for full 3D bond volumes; eta={eta} "
-            "is handled by the reduce policy, which has no per-tet descriptor"
-        )
+    eta = nondegenerate_eta(eta)
     cfg = u.cfg
     coverings = enumerate_coverings(eta, cfg)
     if not 0 <= m < len(coverings):
@@ -876,9 +840,17 @@ def covering_interpolant(
             pieces.append(piece(base, "continuum", cells, (1, 1, 1), box))
             continue
         apex, tris = _build_member_cone(box[0], w, eta, part, False, nb)
-        tets = [(apex,) + tri for tri, _meta in tris]
-        pos = eps * _cone_points(tets)[2]
-        val = np.asarray([[sum(u.at(p) for p in v) / len(v) for v in tet] for tet in tets])
+        pts, n_pts, pos = _cone_points([(apex,) + tri for tri, _meta in tris])
+        pos = eps * pos
+        # vertex values: the mean of the points' values, each sum taken one
+        # point at a time from +0.0 (the bits of Python's sum)
+        vals = u.values[tuple(np.moveaxis(pts % cfg.N, -1, 0))]
+        first = np.cumsum(n_pts) - n_pts
+        total = np.zeros((len(n_pts), 3))
+        for slot in range(n_pts.max()):
+            has = n_pts > slot
+            total[has] += vals[first[has] + slot]
+        val = (total / n_pts[:, None]).reshape(-1, 4, 3)
         G, vols = _batch_tet_data(pos, val)
         pieces.append(MemberPiece(base, "interface-cone", pos, G, vols, val, box))
         outer = cells[_member_classes(cells, 1, part) == 0]

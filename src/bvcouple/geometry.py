@@ -40,6 +40,15 @@ class CoveringMismatch(ValueError):
     """Torus extents are not divisible by the bond-volume widths."""
 
 
+def nondegenerate_eta(eta) -> IntTriple:
+    """eta as an integer triple, when every component is nonzero (a full 3D
+    bond volume); DegenerateEta otherwise."""
+    eta = tuple(int(e) for e in eta)
+    if 0 in eta:
+        raise DegenerateEta(f"eta={eta} has a zero component; a full 3D bond volume needs every component nonzero")
+    return eta  # type: ignore[return-value]
+
+
 def path_corner_offsets(perm: tuple[int, ...]) -> tuple[IntTriple, ...]:
     """Unit-box corner offsets (in {0,1}^3) of one staircase walk along ``perm``."""
     s = [0, 0, 0]
@@ -151,12 +160,7 @@ class BondVolume:
 
 def decompose_bond_volume_type_a(ell, eta, cfg: LatticeConfig) -> BondVolume:
     """Staircase decomposition of the bond volume for a full 3D direction."""
-    eta = tuple(int(e) for e in eta)
-    if eta[0] * eta[1] * eta[2] == 0:
-        raise DegenerateEta(
-            f"bond volume for eta={eta} is degenerate (zero component); "
-            "see the coupling module's degenerate_eta policy"
-        )
+    eta = nondegenerate_eta(eta)
     ell = tuple(int(x) for x in ell)
     deco = TypeADecomposition(corner=ell, tets=_build_box_tets(ell, eta, cfg))
     return BondVolume(base=ell, eta=eta, decomposition=deco)
@@ -298,10 +302,7 @@ def bond_volume_lemma_residual(u: LatticeField, ell, eta) -> float:
     """Max-norm of eps^3 D_eta u - (1/|eta1 eta2 eta3|) * sum |T| grad(u)|_T eta
     over the six staircase tetrahedra of the bond volume, each term computed
     from the decomposition's own vertices (see ``_lemma_residual``)."""
-    eta = tuple(int(e) for e in eta)
-    if eta[0] * eta[1] * eta[2] == 0:
-        raise DegenerateEta(f"bond volume lemma needs all eta components nonzero, got {eta}")
-    return _lemma_residual(u, ell, eta)
+    return _lemma_residual(u, ell, nondegenerate_eta(eta))
 
 
 def rectangle_lemma_residual(u: LatticeField, ell, eta) -> float:

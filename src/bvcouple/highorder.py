@@ -318,8 +318,6 @@ def high_order_energy(
     derivative).
     """
     cfg = y.cfg
-    if k not in SUPPORTED_DEGREES:
-        raise ValueError(f"element degree must be one of {SUPPORTED_DEGREES}, got {k}")
     if k == 1:
         if node_displacements is not None and np.asarray(node_displacements).size:
             raise ValueError("degree-1 elements have no extra node displacements")

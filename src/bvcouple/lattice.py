@@ -10,6 +10,7 @@ deterministic and bit-reproducible.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,8 +32,8 @@ class LatticeConfig:
         object.__setattr__(self, "epsilon", float(self.epsilon))
         if len(N) != 3 or any(n < 2 for n in N):
             raise ValueError(f"extents must be three integers >= 2, got {N}")
-        if not self.epsilon > 0:
-            raise ValueError(f"spacing must be positive, got {self.epsilon}")
+        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise ValueError(f"spacing must be positive and finite, got {self.epsilon}")
 
     @property
     def n_sites(self) -> int:
@@ -130,17 +131,27 @@ class Deformation:
         return self.F @ x + self.displacement.at(ell)
 
 
-def make_deformation(F, v_raw: LatticeField) -> Deformation:
-    """Build a deformation, enforcing the zero-average gauge on v."""
-    F = np.asarray(F, dtype=float)
+def deformation_gradient(F) -> np.ndarray:
+    """F as a read-only float copy, when it is a finite 3x3 matrix with
+    det F > 0."""
+    try:
+        F = np.array(F, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"F must be a 3x3 matrix, got {F!r}") from None
     if F.shape != (3, 3):
-        raise ValueError(f"F must be 3x3, got shape {F.shape}")
+        raise ValueError(f"F must be a 3x3 matrix, got shape {F.shape}")
+    if not np.all(np.isfinite(F)):
+        raise ValueError(f"F must be finite, got {F.tolist()!r}")
     det = float(np.linalg.det(F))
     if det <= 0:
         raise ValueError(f"deformation gradient must have det F > 0, got det F = {det}")
-    F = F.copy()
     F.flags.writeable = False
-    return Deformation(F=F, displacement=v_raw.zero_mean())
+    return F
+
+
+def make_deformation(F, v_raw: LatticeField) -> Deformation:
+    """Build a deformation, enforcing the zero-average gauge on v."""
+    return Deformation(F=deformation_gradient(F), displacement=v_raw.zero_mean())
 
 
 def shift_values(values: np.ndarray, eta) -> np.ndarray:

@@ -43,7 +43,7 @@ def _as_eta(eta) -> IntTriple:
     if len(eta) != 3:
         raise ValueError(f"interaction vector must be a triple, got {eta}")
     if eta == (0, 0, 0):
-        raise ValueError("interaction vector must be nonzero")
+        raise ValueError("interaction direction eta must be nonzero")
     return eta
 
 
@@ -58,7 +58,7 @@ class InteractionLaw:
     def __post_init__(self) -> None:
         object.__setattr__(self, "eta", _as_eta(self.eta))
         if self.kind not in KINDS:
-            raise ValueError(f"unknown potential kind {self.kind!r}; known: {KINDS}")
+            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
 
     # -- parameter access -------------------------------------------------
 
@@ -140,22 +140,18 @@ def make_law(eta, kind: str, params: dict[str, Any] | None = None) -> Interactio
     Defaults put the undeformed lattice near equilibrium: Morse r0 and the
     Lennard-Jones minimum both default to the undeformed bond length |eta|.
     """
-    eta = _as_eta(eta)
+    eta = InteractionLaw(eta, kind).eta  # checks eta and kind
     params = dict(params or {})
     norm = float(np.linalg.norm(eta))
-    if kind == "harmonic":
-        allowed: dict[str, Any] = {}
-    elif kind == "morse-radial":
-        allowed = {"D": 1.0, "alpha": 1.2, "r0": norm}
-    elif kind == "lennard-jones-radial":
-        allowed = {"well_depth": 1.0, "sigma": norm / 2.0 ** (1.0 / 6.0)}
-    elif kind == "anisotropic-toy":
-        allowed = {
+    allowed: dict[str, Any] = {
+        "harmonic": {},
+        "morse-radial": {"D": 1.0, "alpha": 1.2, "r0": norm},
+        "lennard-jones-radial": {"well_depth": 1.0, "sigma": norm / 2.0 ** (1.0 / 6.0)},
+        "anisotropic-toy": {
             "a": (0.31, -0.17, 0.23),
             "M": ((2.0, 0.3, -0.1), (0.3, 1.5, 0.2), (-0.1, 0.2, 1.8)),
-        }
-    else:
-        raise ValueError(f"unknown potential kind {kind!r}; known: {KINDS}")
+        },
+    }[kind]
     unknown = set(params) - set(allowed)
     if unknown:
         raise ValueError(
@@ -166,7 +162,12 @@ def make_law(eta, kind: str, params: dict[str, Any] | None = None) -> Interactio
     shapes = {"a": (3,), "M": (3, 3)}
     frozen = []
     for key in sorted(allowed):
-        val = np.array(allowed[key], dtype=float)  # a copy: the caller's array stays writeable
+        try:
+            val = np.array(allowed[key], dtype=float)  # a copy: the caller's array stays writeable
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(
+                f"parameter {key!r} of potential kind {kind!r} must be numeric, got {allowed[key]!r}"
+            ) from None
         if val.shape != shapes.get(key, ()):
             raise ValueError(
                 f"parameter {key!r} of potential kind {kind!r} must have shape "
@@ -195,7 +196,7 @@ class InteractionSet:
         object.__setattr__(self, "laws", laws)
         etas = [law.eta for law in laws]
         if len(set(etas)) != len(etas):
-            raise ValueError(f"interaction directions must be distinct, got {etas}")
+            raise ValueError(f"duplicate interaction direction in {etas}; directions must be distinct")
 
     def __iter__(self):
         return iter(self.laws)

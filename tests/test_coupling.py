@@ -1,16 +1,16 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from bvcouple.coupling import (
     BondClass,
-    GammaFace,
     RegionPartition,
     classify_bond_volume,
     coupled_energy_conforming,
     covering_interpolant,
-    jump_average,
     naive_coupling_energy,
     omega_star_mask,
     partition_violations,
@@ -254,58 +254,6 @@ def test_locality_of_coupled_gradient():
     # (0,*,*) sits 4 cells outside the region
     for site in [(0, 0, 0), (0, 6, 6), (11, 1, 0)]:
         assert np.abs(g_coupled[site] - g_acb[site]).max() <= 1e-13 * scale
-
-
-# ---------------------------------------------------------------------------
-# jump/average algebra
-# ---------------------------------------------------------------------------
-
-def test_jump_average_continuous_trace():
-    face = GammaFace(axis=0, plane=4, square=(4, 5, 5), nu_sign=-1)
-    w = np.array([1.0, 2.0, 3.0])
-    jump, avg = jump_average(face, w, w, (2, 1, 3))
-    assert np.allclose(jump, 0.0, rtol=0, atol=0)
-    assert np.allclose(avg, w, rtol=0, atol=0)
-
-
-def test_jump_average_direct_substitution():
-    face = GammaFace(axis=2, plane=8, square=(5, 5, 8), nu_sign=+1)
-    a = np.array([0.5, -1.0, 2.0])
-    eta = (2, 1, 3)
-    n = face.nu_sign * eta[2]
-    jump, avg = jump_average(face, a, np.zeros(3), eta)
-    assert np.allclose(jump, n * a, rtol=0, atol=0)
-    assert np.allclose(avg, 0.5 * a, rtol=0, atol=0)
-
-
-def test_jump_average_orientation_algebra():
-    """Flipping the normal negates the jump; swapping the traces negates the
-    jump; doing both restores it. The average never changes."""
-    face = GammaFace(axis=1, plane=4, square=(6, 4, 6), nu_sign=-1)
-    flipped = GammaFace(axis=1, plane=4, square=(6, 4, 6), nu_sign=+1)
-    eta = (1, -2, 1)
-    rng = np.random.default_rng(3)
-    wm, wp = rng.standard_normal(3), rng.standard_normal(3)
-    j0, a0 = jump_average(face, wm, wp, eta)
-    j1, a1 = jump_average(flipped, wm, wp, eta)
-    j2, a2 = jump_average(face, wp, wm, eta)
-    j3, a3 = jump_average(flipped, wp, wm, eta)
-    assert np.allclose(j1, -j0) and np.allclose(j2, -j0) and np.allclose(j3, j0)
-    assert np.allclose(a0, a1) and np.allclose(a2, a3)
-    assert np.allclose(a2, 0.5 * (wm + wp))
-
-
-def test_gamma_faces_closed_surface():
-    cfg = cfg12()
-    part = part_a(cfg)
-    faces = part.gamma_faces()
-    assert len(faces) == 6 * 4 * 4  # six sides of a 4x4x4 cell box
-    # normals: outward on each side
-    for f in faces:
-        if f.plane == part.corner[f.axis]:
-            assert f.nu_sign == -1
-        else:
-            assert f.nu_sign == +1
 
 
 # ---------------------------------------------------------------------------
@@ -721,3 +669,37 @@ def test_cone_volumes_fill_each_interface_member():
         assert np.all(clipped > 0)
         err = np.abs(vol[members] - clipped) / clipped
         assert err.max() <= 1e-13, (part.corner, eta, policy, err.max())
+
+
+def test_jump_rows_are_two_per_covering_on_each_gamma_face():
+    """The two-sided model's jump term has 2 n_eta rows (two fine triangles
+    per covering) on each unit face of Gamma whose axis has eta_axis != 0,
+    and none on the others; a row's nu_a . eta is the atomistic side's
+    outward normal (-1 on the lower plane, +1 on the upper) times eta_axis."""
+    from bvcouple.coupling import _build_eta_block
+
+    cfg = cfg12()
+    cases = [(law.eta, "reject") for law in laws_full()] + [((1, 0, 2), "reduce")]
+    for corner, ext, readme_rows in (((4, 4, 4), (4, 4, 4), [192, 1152, 384]),
+                                     ((3, 4, 5), (5, 4, 3), [188, 1128, 376])):
+        part = RegionPartition(cfg, corner, ext)
+        rows = []
+        for eta, policy in cases:
+            gam = _build_eta_block(cfg, part, eta, policy).gamma
+            n_eta = int(np.prod([abs(e) for e in eta if e]))
+            sites = np.stack(np.unravel_index(gam.trace_op.indices, cfg.N), axis=-1).reshape(-1, 3, 3)
+            faces = Counter()
+            for tri, nu_eta in zip(sites, gam.nu_eta):
+                (axis,) = [a for a in range(3) if len(set(tri[:, a])) == 1]
+                plane = int(tri[0, axis])
+                assert plane in (part.corner[axis], part.top[axis]), (eta, tri)
+                sign = -1 if plane == part.corner[axis] else 1
+                assert nu_eta == sign * eta[axis], (eta, tri)
+                faces[axis, plane] += 1
+            expected = {
+                (a, plane): 2 * n_eta * ext[(a + 1) % 3] * ext[(a + 2) % 3]
+                for a in range(3) if eta[a] != 0 for plane in (part.corner[a], part.top[a])
+            }
+            assert faces == expected, (corner, eta)
+            rows.append(len(gam.nu_eta))
+        assert rows[:3] == readme_rows

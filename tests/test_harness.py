@@ -356,6 +356,29 @@ def test_excess_is_exactly_zero_at_homogeneous_states(model):
     assert (abs(report.energy - exact) <= 1e-12 * exact) is (model != "naive")
 
 
+def test_minimize_stops_when_an_accepted_step_changes_nothing():
+    """With g_tol = 0 the harmonic solve reaches its float floor after one
+    step; the first accepted step that leaves the objective and the
+    gradient bitwise unchanged ends the solve instead of the Armijo test
+    accepting such steps until the line search fails."""
+    config = harmonic_solver_config()
+    _, report, trace = minimize(config, sine_force(config.cfg), g_tol=0.0)
+    assert report.diagnostics["stop_reason"] == "line-search"
+    assert report.diagnostics["evaluations"] <= 20
+    assert trace[1]["gnorm"] < 1e-15
+
+
+def test_sweep_gap_keeps_its_digits_at_small_amplitude():
+    """At amplitude 5e-7 the finest gap is about one ulp of the two
+    energies (~534), so it must come from the excesses to fit the
+    second-order slope."""
+    data = json.loads(json.dumps(harness.DEFAULT_CONFIG))
+    data["sweep"] = {"epsilons": [0.5, 0.25, 0.125, 0.0625], "amplitude": 5e-7, "period": 4.0}
+    config = config_from_dict(data)
+    result = harness.consistency_sweep(config)
+    assert result.slope >= config.tolerances["sweep_slope"] + 0.05
+
+
 def test_minimize_input_validation():
     config = harmonic_solver_config()
     bad_force = LatticeField(config.cfg, np.full(config.cfg.shape, 0.3))
@@ -545,6 +568,7 @@ def _with_interaction_params(data, kind, params):
     ("'well_depth'", lambda d: _with_interaction_params(d, "lennard-jones-radial", {"well_depth": float("nan")})),
     ("'a'", lambda d: _with_interaction_params(d, "anisotropic-toy", {"a": [0.1, 0.2]})),
     ("'M'", lambda d: _with_interaction_params(d, "anisotropic-toy", {"M": [[1.0, 0.0], [0.0, 1.0]]})),
+    ("coupled-ho degree", lambda d: {**d, "model": "coupled-ho(4)"}),
 ])
 def test_non_finite_or_misshaped_numbers_are_config_errors(tmp_path, capsys, key, edit):
     data = edit(json.loads(json.dumps(harness.DEFAULT_CONFIG)))

@@ -175,6 +175,17 @@ def test_make_deformation_rejects_singular():
         make_deformation(-np.eye(3), LatticeField.zeros(cfg))
 
 
+def test_non_finite_deformation_gradient_and_spacing_rejected():
+    cfg = small_cfg()
+    for bad in (np.nan, np.inf, -np.inf):
+        F = np.eye(3)
+        F[0, 1] = bad
+        with pytest.raises(ValueError, match="F must be finite"):
+            make_deformation(F, LatticeField.zeros(cfg))
+    with pytest.raises(ValueError, match="spacing"):
+        LatticeConfig(N=(8, 8, 8), epsilon=np.inf)
+
+
 def test_make_deformation_zero_mean_and_reconstruction():
     cfg = small_cfg()
     rng = np.random.default_rng(9)
