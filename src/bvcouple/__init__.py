@@ -31,8 +31,6 @@ from .geometry import (
     CoveringMismatch,
     DegenerateEta,
     bond_volume_lemma_residual,
-    decompose_bond_volume_type_a,
-    decompose_cell_type_a,
     enumerate_coverings,
     rectangle_lemma_residual,
     segment_lemma_residual,
@@ -103,8 +101,6 @@ __all__ = [
     "coupled_energy_conforming",
     "coupled_energy_dg",
     "covering_interpolant",
-    "decompose_bond_volume_type_a",
-    "decompose_cell_type_a",
     "default_config",
     "diff_quotient",
     "diff_quotient_field",

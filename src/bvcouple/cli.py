@@ -7,7 +7,7 @@ Commands::
     bvcouple verify gradient     analytic gradient vs central differences
     bvcouple verify coverings    torus tilings by bond volumes
     bvcouple sweep consistency   atomistic vs Cauchy-Born energy gap in eps
-    bvcouple solve               steepest-descent minimization demo
+    bvcouple solve               preconditioned L-BFGS minimization
 
 Exit codes: 0 all checks passed, 1 a check failed (or an expected-fail
 control fired), 2 invalid usage or configuration.

@@ -33,10 +33,11 @@ averaged bonds by the fan's mean-value center.
 
 Every term is a weighted sum of phi_eta(F eta + (B v)_q / eps) over
 "quadrature bonds" q, evaluated by the one kernel ``energies._bond_contrib``
-for a fixed linear map B of the lattice displacement v. The atomistic bonds
-(+1/-1 rows) and the interface cone tets (eta^T A^-1 applied to the vertex
-values of the cone interpolant, which are themselves affine combinations of
-lattice values) are sparse CSR operators precomputed once per (partition,
+for a fixed linear map B of the lattice displacement v, one of its two
+operator kinds. The atomistic bonds (+1/-1 rows) and the interface cone
+tets (eta^T A^-1 applied to the vertex values of the cone interpolant,
+which are themselves affine combinations of lattice values) are sparse
+gathers (``energies._Gather``) of CSR maps precomputed once per (partition,
 direction), each row tagged with the lattice site of its bond; the two
 sides and the trace of the interface jump are CSR rows too, used by the
 jump term. The continuum term is the staircase Cauchy-Born roll stencil of
@@ -65,14 +66,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .energies import EnergyReport, _bond_contrib, _bond_stencil, _staircase_stencils, _term
+from .energies import _ONE, EnergyReport, _bond_contrib, _bond_stencil, _Gather, _staircase_stencils, _term
 from .geometry import (
     PATH_PERMS,
     CoveringMismatch,
@@ -372,26 +373,6 @@ def _csr(rows, cols, vals, shape) -> sparse.csr_array:
     )
 
 
-@dataclass(eq=False)
-class _SiteRows:
-    """A sparse operator whose row r is a quadrature bond of the lattice site
-    with flat index ``sites[r]``, which a domain error names."""
-
-    mat: sparse.csr_array
-    sites: np.ndarray
-    N: IntTriple
-
-    def __matmul__(self, x):
-        return self.mat @ x
-
-    @cached_property
-    def T(self):
-        return self.mat.T
-
-    def site(self, row: int) -> IntTriple:
-        return tuple(int(i) for i in np.unravel_index(int(self.sites[row]), self.N))
-
-
 @dataclass
 class _GammaData:
     """Fine interface triangles of one direction, the rows of the jump term."""
@@ -410,9 +391,9 @@ class _EtaBlock:
 
     eta: IntTriple
     n_eta: int
-    atom_op: _SiteRows            # (n_bonds, n_sites) +1 at the bond tip, -1 at its base
+    atom_op: _Gather              # (n_bonds, n_sites) +1 at the bond tip, -1 at its base
     atom_w: np.ndarray            # (n_bonds,) bond weights
-    cone_op: _SiteRows            # (T, n_sites) eta^T A^{-1} applied to (vertex - apex values) per cone tet
+    cone_op: _Gather              # (T, n_sites) eta^T A^{-1} applied to (vertex - apex values) per cone tet
     volw: np.ndarray              # (T,) lattice volume / n_eta
     gamma: _GammaData
     counts: dict[str, int]
@@ -475,9 +456,10 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, 
     base = (ells[atomistic][:, None, :] + offsets).reshape(-1, 3)
     n_bonds = len(base)
     ends = flat(np.stack([base + np.asarray(eta), base], axis=1))
-    atom_op = _SiteRows(
+    atom_op = _Gather(
         _csr(np.repeat(np.arange(n_bonds), 2), ends.ravel(), np.tile([1.0, -1.0], n_bonds),
              (n_bonds, n_sites)),
+        _ONE,
         ends[:, 1],
         N,
     )
@@ -539,7 +521,7 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, 
         n_eta=n_eta,
         atom_op=atom_op,
         atom_w=np.full(n_bonds, 1.0 / len(offsets)),
-        cone_op=_SiteRows(cone_op, flat(tet_sites), N),
+        cone_op=_Gather(cone_op, _ONE, flat(tet_sites), N),
         volw=volw,
         gamma=gamma,
         counts=counts,

@@ -14,18 +14,25 @@ eps^3 phi(F eta) sum_q w_q back into the term's energy. Reports carry the
 summed excess too (``EnergyReport.excess``): it is exactly 0.0 at y_F, and
 its differences keep the digits that the constant |Omega| W(F) in the
 energy would swallow. A non-finite phi or phi' is a domain error, like a
-radial bond below its minimum length. B is any operator with
-``@``, ``.T`` and ``site(row)`` (the lattice site a row belongs to, named in
-domain errors):
+radial bond below its minimum length. B is one of two operator kinds, each
+with ``@``, ``.T`` and ``site(row)`` (the lattice site a row belongs to,
+named in domain errors):
 
 - a periodic roll stencil ``_Stencil`` (one row per site) for the
   translation-invariant terms: the exact bond (atomistic and naive models),
   the six staircase Cauchy-Born templates (acb-tetra, the continuum of the
   coupled, two-sided and naive models, the P1 layer of the high-order
-  model) and the cell-averaged Cauchy-Born bond;
-- a sparse CSR operator for the irregular terms of ``coupling``: atomistic
-  bonds and interface cones;
-- a per-template element operator for the Pk elements of ``highorder``.
+  model) and the cell-averaged Cauchy-Born bond. These stay matrix-free:
+  as CSR, the six stacked templates of the README laws at N=36 measured
+  37 MB per cached placement and 4.6-8.5 ms per law against 4.3-6.5 ms for
+  the rolls, and the cell bond at N=128 would hold 16.8M nonzeros;
+- a sparse gather ``_Gather`` for the irregular terms: a cached CSR map to
+  element-local values, then a dense (nq, nloc) coefficient block per
+  element. The atomistic bonds and interface cones of ``coupling`` are
+  elements with one local value and coefficient [[1.0]]; the Pk elements
+  of ``highorder`` gather their local nodes and apply the shape-function
+  gradients times eta at each quadrature point (as explicit CSR rows, about
+  141 MB per law at N=12, k=3).
 
 Masks are zero weights; a zero-weight row is evaluated at the homogeneous
 bond F eta, so a bond a mask drops can neither raise nor contribute.
@@ -39,12 +46,13 @@ and bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import Any
 
 import numpy as np
+from scipy import sparse
 
 from .geometry import PATH_PERMS, path_edge_offsets
 from .lattice import Deformation, IntTriple, LatticeField, shift_values
@@ -150,6 +158,40 @@ class _Stencil:
 
     def site(self, row: int) -> IntTriple:
         return tuple(int(i) for i in np.unravel_index(row, self.N))
+
+
+# Coefficient block of an element with one local value: the row is the
+# gathered value itself.
+_ONE = np.ones((1, 1))
+
+
+@dataclass(frozen=True, eq=False)
+class _Gather:
+    """Sparse gather: row (e, q) applies ``coef[q]`` to element e's local
+    values ``G @ x`` and belongs to the lattice site ``sites[e]``; the
+    transpose applies both maps in reverse, ``G`` being its transpose."""
+
+    G: sparse.csr_array     # (E nloc, n_cols) element-local values
+    coef: np.ndarray        # (nq, nloc)
+    sites: np.ndarray       # (E,) flat lattice site per element
+    N: IntTriple
+    transposed: bool = False
+
+    def __matmul__(self, x):
+        nq, nloc = self.coef.shape
+        if self.transposed:
+            u = np.matmul(self.coef.T, x.reshape(-1, nq, 3))
+            return self.G @ u.reshape(-1, 3)
+        u = (self.G @ x).reshape(-1, nloc, 3)
+        return np.matmul(self.coef, u).reshape(-1, 3)
+
+    @cached_property
+    def T(self) -> "_Gather":
+        return replace(self, G=self.G.T, transposed=not self.transposed)
+
+    def site(self, row: int) -> IntTriple:
+        flat = self.sites[row // self.coef.shape[0]]
+        return tuple(int(i) for i in np.unravel_index(int(flat), self.N))
 
 
 def _stencil(N, terms) -> _Stencil:

@@ -1,5 +1,5 @@
-"""Box decompositions into six tetrahedra, P1 gradients, discrete gradients,
-bond-volume coverings, and the bond-volume integral identity.
+"""Staircase box decompositions, bond-volume coverings, and the bond-volume
+integral identity.
 
 The decomposition template is the staircase (Kuhn) subdivision: for each of
 the six orderings (s1, s2, s3) of the axes, one tetrahedron walks the box
@@ -7,16 +7,16 @@ from the base corner to the opposite corner one axis at a time. The same
 template is used for every cell, which makes the global mesh conforming, and
 for every bond volume (reflected through the signs of eta for negative
 components). Each tetrahedron has exactly one edge parallel to each axis,
-which is what makes the discrete gradients below exact edge differences.
+which makes the staircase discrete gradients (``path_edge_offsets``) exact
+edge differences.
 
 One table, ``_staircase_simplices``, gives the oriented simplices of whole
 arrays of boxes (triangles or a segment over the nonzero axes of a flat
-eta). The Tetrahedron objects, the covering interpolants and the lemma
-residual read it; the residual evaluates sum_T |T| grad(I u)|_T eta from
-each simplex's vertices, so a wrong decomposition fails it.
+eta). The covering interpolants and the lemma residual read it; the
+residual evaluates sum_T |T| grad(I u)|_T eta from each simplex's
+vertices, so a wrong decomposition fails it.
 
-All combinatorics are done in integer lattice units; physical coordinates
-(scaled by epsilon) appear only in the public Tetrahedron objects.
+All combinatorics are done in integer lattice units.
 """
 from __future__ import annotations
 
@@ -73,28 +73,6 @@ def path_edge_offsets(perm: tuple[int, int, int]) -> dict[int, IntTriple]:
     return out
 
 
-@dataclass(frozen=True)
-class Tetrahedron:
-    """Tetrahedron with lattice-site vertices (positions scaled by epsilon)."""
-
-    vertices: np.ndarray          # (4, 3) physical coordinates
-    sites: tuple[IntTriple, ...]  # originating lattice sites (unwrapped)
-    volume: float
-
-    def edge_site_pairs(self):
-        for i in range(4):
-            for j in range(i + 1, 4):
-                yield self.sites[i], self.sites[j]
-
-
-@dataclass(frozen=True)
-class TypeADecomposition:
-    """Six-tetrahedron staircase decomposition of an axis-aligned box."""
-
-    corner: IntTriple             # base lattice site
-    tets: tuple[Tetrahedron, ...]
-
-
 @lru_cache(maxsize=None)
 def _parity(perm: tuple[int, ...]) -> int:
     """Sign of a permutation, given as a tuple of distinct integers."""
@@ -128,97 +106,6 @@ def _staircase_simplices(corners, eta) -> np.ndarray:
     flip = parity * np.prod(eta[axes]) < 0
     steps[flip, -2:] = steps[flip, -1:-3:-1]
     return np.asarray(corners, dtype=int)[..., None, None, :] + steps
-
-
-def _build_box_tets(ell, eta, cfg: LatticeConfig) -> tuple[Tetrahedron, ...]:
-    vol = cfg.epsilon**3 * abs(int(eta[0] * eta[1] * eta[2])) / 6.0
-    tets = []
-    for sites in _staircase_simplices(ell, eta).tolist():
-        verts = cfg.epsilon * np.asarray(sites, dtype=float)
-        verts.flags.writeable = False
-        tets.append(Tetrahedron(vertices=verts, sites=tuple(map(tuple, sites)), volume=vol))
-    return tuple(tets)
-
-
-def decompose_cell_type_a(ell, cfg: LatticeConfig) -> TypeADecomposition:
-    """Decompose the unit cell at ell into the six staircase tetrahedra."""
-    ell = tuple(int(x) for x in ell)
-    return TypeADecomposition(
-        corner=ell,
-        tets=_build_box_tets(ell, (1, 1, 1), cfg),
-    )
-
-
-@dataclass(frozen=True)
-class BondVolume:
-    """Axis-aligned box whose main diagonal is the bond from ell to ell+eta."""
-
-    base: IntTriple
-    eta: IntTriple
-    decomposition: TypeADecomposition
-
-
-def decompose_bond_volume_type_a(ell, eta, cfg: LatticeConfig) -> BondVolume:
-    """Staircase decomposition of the bond volume for a full 3D direction."""
-    eta = nondegenerate_eta(eta)
-    ell = tuple(int(x) for x in ell)
-    deco = TypeADecomposition(corner=ell, tets=_build_box_tets(ell, eta, cfg))
-    return BondVolume(base=ell, eta=eta, decomposition=deco)
-
-
-def p1_gradient(tet: Tetrahedron, nodal: np.ndarray) -> np.ndarray:
-    """Constant gradient of the affine function with the given vertex values.
-
-    ``nodal`` is (4, 3): one value vector per vertex, ordered like the tet's
-    vertices. Exact (up to rounding) for affine data.
-    """
-    nodal = np.asarray(nodal, dtype=float)
-    A = tet.vertices[1:] - tet.vertices[0]
-    B = nodal[1:] - nodal[0]
-    try:
-        X = np.linalg.solve(A, B)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("degenerate tetrahedron") from exc
-    return X.T
-
-
-def tilde_gradient(tet: Tetrahedron, u: LatticeField) -> np.ndarray:
-    """Discrete gradient of a cell tet: column a is the difference quotient
-    of u along the tet's (unique) edge parallel to e_a."""
-    eps = u.cfg.epsilon
-    G = np.full((3, 3), np.nan)
-    for s_i, s_j in tet.edge_site_pairs():
-        d = tuple(s_j[k] - s_i[k] for k in range(3))
-        for axis in range(3):
-            e = tuple(1 if k == axis else 0 for k in range(3))
-            if d == e:
-                G[:, axis] = (u.at(s_j) - u.at(s_i)) / eps
-            elif d == tuple(-x for x in e):
-                G[:, axis] = (u.at(s_i) - u.at(s_j)) / eps
-    if np.any(np.isnan(G)):
-        raise ValueError("tetrahedron is not a unit-cell staircase tet")
-    return G
-
-
-def averaged_gradient(ell, u: LatticeField) -> np.ndarray:
-    """Cell-averaged discrete gradient: column a averages the four difference
-    quotients along e_a based at ell shifted by the other two axes."""
-    eps = u.cfg.epsilon
-    ell = tuple(int(x) for x in ell)
-    G = np.empty((3, 3))
-    for a in range(3):
-        b, c = [d for d in range(3) if d != a]
-        e_a = tuple(1 if k == a else 0 for k in range(3))
-        col = np.zeros(3)
-        for s_b in (0, 1):
-            for s_c in (0, 1):
-                base = tuple(
-                    ell[k] + s_b * (k == b) + s_c * (k == c) for k in range(3)
-                )
-                top = tuple(base[k] + e_a[k] for k in range(3))
-                col += u.at(top) - u.at(base)
-        G[:, a] = col / (4.0 * eps)
-    return G
 
 
 @dataclass(frozen=True)

@@ -314,8 +314,12 @@ def config_from_dict(data: dict) -> RunConfig:
     tolerances, tolerances_set = _read_section(data, "tolerances", errors)
     sweep, sweep_set = _read_section(data, "sweep", errors)
     solve_cfg, _ = _read_section(data, "solve", errors)
-    for e in sweep["epsilons"] if "epsilons" in sweep_set else ():
-        _build(errors, _sweep_cells, sweep["period"], e)
+    # the spacings, given or default, must divide the period, unless either
+    # was given and broke its rule (already reported)
+    given = data.get("sweep")
+    if not ({"epsilons", "period"} & set(given if isinstance(given, dict) else ())) - sweep_set:
+        for e in sweep["epsilons"]:
+            _build(errors, _sweep_cells, sweep["period"], e)
     if "g_tol" in tolerances_set and tolerances["g_tol"] != solve_cfg["g_tol"]:
         errors.append(f"tolerances.g_tol ({tolerances['g_tol']!r}) differs from solve.g_tol "
                       f"({solve_cfg['g_tol']!r}), the tolerance solve stops at; set them equal")

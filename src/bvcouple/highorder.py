@@ -5,14 +5,14 @@ cell). Elements whose closure meets the interface stay P1 on lattice
 vertices, which ties the finite-element trace to the lattice displacement
 there and lets the interface cones and atomistic bonds reuse the conforming
 machinery unchanged; all other elements carry Lagrange elements of degree k.
-Every term goes through the quadrature-bond kernel of ``energies``: the
-atomistic bonds and interface cones are the conforming model's sparse
-operators, the P1 layer is the staircase Cauchy-Born roll stencil weighted
-per template on the P1 elements, and each template's Pk elements are one
-element operator: a CSR gather (``HighOrderMesh.elem_ops``) from [lattice
-sites | free nodes] to the element-local node values, built once per mesh,
-followed by ``np.matmul`` with the shape-function gradients times eta at
-the quadrature points.
+Every term goes through the quadrature-bond kernel of ``energies`` and its
+two operator kinds: the atomistic bonds and interface cones are the
+conforming model's sparse gathers, the P1 layer is the staircase
+Cauchy-Born roll stencil weighted per template on the P1 elements, and
+each template's Pk elements are one sparse gather too: the CSR map
+``HighOrderMesh.elem_ops[p]`` from [lattice sites | free nodes] to the
+element-local node values, built once per mesh, with the shape-function
+gradients times eta at the quadrature points as its coefficient block.
 
 Vertex degrees of freedom are the lattice displacements themselves. Edge,
 face and interior nodes of degree-k elements are extra degrees of freedom,
@@ -37,12 +37,11 @@ assembly margin.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy import sparse
 from scipy.special import roots_jacobi, roots_legendre
 
 from .coupling import (
@@ -55,9 +54,9 @@ from .coupling import (
     coupled_energy_conforming,
     omega_star_mask,
 )
-from .energies import EnergyReport, _staircase_stencils, _term
+from .energies import EnergyReport, _Gather, _staircase_stencils, _term
 from .geometry import PATH_PERMS, path_corner_offsets
-from .lattice import Deformation, IntTriple, LatticeConfig, LatticeField
+from .lattice import Deformation, LatticeConfig, LatticeField
 from .potentials import InteractionSet
 
 SUPPORTED_DEGREES = (1, 2, 3)
@@ -254,35 +253,6 @@ def _build_mesh(cfg: LatticeConfig, part: RegionPartition, k: int) -> HighOrderM
 # Assembly
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class _ElementBonds:
-    """Pk quadrature bonds of one template: row (e, q) applies the shape-
-    function gradients at point q times eta to element e's local node
-    values ``gather @ x``; the transpose applies both maps in reverse."""
-
-    gather: sparse.csr_array    # (E nloc, n_sites + n_free_nodes)
-    deta: np.ndarray            # (nq, nloc) gradN . eta
-    cells: np.ndarray           # (E,) flat cell index per element
-    N: IntTriple
-    transposed: bool = False
-
-    def __matmul__(self, x):
-        nq, nloc = self.deta.shape
-        if self.transposed:
-            u = np.matmul(self.deta.T, x.reshape(-1, nq, 3))
-            return self.gather.T @ u.reshape(-1, 3)
-        u = (self.gather @ x).reshape(-1, nloc, 3)
-        return np.matmul(self.deta, u).reshape(-1, 3)
-
-    @property
-    def T(self) -> "_ElementBonds":
-        return replace(self, transposed=not self.transposed)
-
-    def site(self, row: int) -> IntTriple:
-        cell = self.cells[row // self.deta.shape[0]]
-        return tuple(int(i) for i in np.unravel_index(int(cell), self.N))
-
-
 def _pk_bonds(mesh: HighOrderMesh):
     def bonds(law):
         out = []
@@ -290,7 +260,7 @@ def _pk_bonds(mesh: HighOrderMesh):
             cells = mesh.elem_cells[p]
             if cells.size:
                 wts, gradN = _template_tables(mesh.k, perm)
-                op = _ElementBonds(mesh.elem_ops[p], gradN @ law.eta_vec, cells, mesh.cfg.N)
+                op = _Gather(mesh.elem_ops[p], gradN @ law.eta_vec, cells, mesh.cfg.N)
                 out.append((op, np.tile(wts, cells.size)))
         return out
 
@@ -303,7 +273,6 @@ def high_order_energy(
     part: RegionPartition,
     k: int = 2,
     node_displacements: np.ndarray | None = None,
-    mesh: HighOrderMesh | None = None,
     degenerate_eta: str = "reject",
 ) -> EnergyReport:
     """Coupled energy with a degree-k continuum: atomistic bonds and
@@ -330,10 +299,7 @@ def high_order_energy(
             breakdown=rep.breakdown,
             diagnostics={**rep.diagnostics, "node_gradient": np.zeros((0, 3))},
         )
-    if mesh is None:
-        mesh = build_high_order_mesh(cfg, part, k)
-    elif (mesh.cfg, mesh.part, mesh.k) != (cfg, part, k):
-        raise ValueError("mesh does not match the requested lattice/partition/degree")
+    mesh = build_high_order_mesh(cfg, part, k)
     _check_partition(part, R, degenerate_eta)
     blocks = _get_blocks(cfg, part, R, degenerate_eta)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bvcouple.energies import acb_cell_energy, acb_tetra_energy, atomistic_energy
-from bvcouple.geometry import averaged_gradient, decompose_cell_type_a, p1_gradient
 from bvcouple.lattice import (
     LatticeConfig,
     LatticeField,
@@ -13,6 +12,7 @@ from bvcouple.lattice import (
     make_deformation,
 )
 from bvcouple.potentials import InteractionSet, cb_energy_density, make_law
+from geometry_oracle import averaged_gradient, decompose_cell_type_a, p1_gradient
 
 MODELS = [atomistic_energy, acb_tetra_energy, acb_cell_energy]
 

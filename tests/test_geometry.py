@@ -7,16 +7,18 @@ from bvcouple import cli, geometry
 from bvcouple.geometry import (
     CoveringMismatch,
     DegenerateEta,
-    averaged_gradient,
     bond_volume_lemma_residual,
     covering_widths,
+    enumerate_coverings,
+)
+from bvcouple.lattice import LatticeConfig, LatticeField, canonicalize, diff_quotient
+from geometry_oracle import (
+    averaged_gradient,
     decompose_bond_volume_type_a,
     decompose_cell_type_a,
-    enumerate_coverings,
     p1_gradient,
     tilde_gradient,
 )
-from bvcouple.lattice import LatticeConfig, LatticeField, canonicalize, diff_quotient
 
 
 def cfg6() -> LatticeConfig:

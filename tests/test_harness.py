@@ -569,6 +569,7 @@ def _with_interaction_params(data, kind, params):
     ("'a'", lambda d: _with_interaction_params(d, "anisotropic-toy", {"a": [0.1, 0.2]})),
     ("'M'", lambda d: _with_interaction_params(d, "anisotropic-toy", {"M": [[1.0, 0.0], [0.0, 1.0]]})),
     ("coupled-ho degree", lambda d: {**d, "model": "coupled-ho(4)"}),
+    ("domain period 1.1", lambda d: {**d, "sweep": {"period": 1.1}}),
 ])
 def test_non_finite_or_misshaped_numbers_are_config_errors(tmp_path, capsys, key, edit):
     data = edit(json.loads(json.dumps(harness.DEFAULT_CONFIG)))
@@ -582,6 +583,22 @@ def test_non_finite_or_misshaped_numbers_are_config_errors(tmp_path, capsys, key
     captured = capsys.readouterr()
     assert code == 2, captured.out
     assert key in captured.err
+
+
+@pytest.mark.parametrize("sweep, n_errors", [
+    ({"period": 1.1}, 4),                                    # the four default spacings
+    ({"period": 1.1, "epsilons": [0.55, 0.275, 0.1375]}, 0),
+    ({"period": -1.0, "epsilons": [0.3, 0.15, 0.075]}, 1),   # the period alone
+    ({"period": 1.1, "epsilons": [0.55, 0.275]}, 1),         # the list alone
+])
+def test_sweep_spacings_are_checked_against_the_period(sweep, n_errors):
+    data = {**json.loads(json.dumps(harness.DEFAULT_CONFIG)), "sweep": sweep}
+    if n_errors == 0:
+        assert config_from_dict(data).sweep["period"] == 1.1
+        return
+    with pytest.raises(ConfigError) as exc_info:
+        config_from_dict(data)
+    assert len(exc_info.value.messages) == n_errors, exc_info.value.messages
 
 
 def test_lemma_csv_rows_are_relative_to_the_identity_scale(tmp_path, capsys):

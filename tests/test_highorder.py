@@ -223,16 +223,6 @@ def test_unsupported_degree_rejected():
     assert SUPPORTED_DEGREES == (1, 2, 3)
 
 
-def test_mismatched_mesh_rejected():
-    cfg = cfg8()
-    part = part8(cfg)
-    R = laws()
-    y = make_deformation(np.eye(3), LatticeField(cfg, np.zeros(cfg.shape)))
-    mesh2 = build_high_order_mesh(cfg, part, 2)
-    with pytest.raises(ValueError, match="mesh"):
-        high_order_energy(y, R, part, k=3, mesh=mesh2)
-
-
 def test_node_displacement_shape_rejected():
     cfg = cfg8()
     part = part8(cfg)
@@ -240,6 +230,35 @@ def test_node_displacement_shape_rejected():
     y = make_deformation(np.eye(3), LatticeField(cfg, np.zeros(cfg.shape)))
     with pytest.raises(ValueError, match="node_displacements"):
         high_order_energy(y, R, part, k=2, node_displacements=np.zeros((7, 3)))
+
+
+def test_pk_domain_error_names_the_element_cell():
+    """A huge displacement of one free node makes phi non-finite at the
+    quadrature points of every Pk element around it. The node is taken on
+    an edge or face inside one cell, so every such element is a tet of that
+    cell, and the domain error must name it."""
+    from bvcouple.potentials import PotentialDomainError
+
+    cfg = cfg8()
+    part = part8(cfg)
+    R = InteractionSet([make_law((1, -1, 2), "anisotropic-toy")])
+    y = make_deformation(np.eye(3), LatticeField.zeros(cfg))
+    for k in (2, 3):
+        mesh = build_high_order_mesh(cfg, part, k)
+        nloc = len(simplex_multi_indices(k))
+        cells_of: dict[int, set] = {}
+        for op, cells in zip(mesh.elem_ops, mesh.elem_cells):
+            coo = op.tocoo()
+            free = coo.col >= cfg.n_sites
+            for row, col in zip(coo.row[free], coo.col[free]):
+                cells_of.setdefault(int(col) - cfg.n_sites, set()).add(int(cells[row // nloc]))
+        node, cell = max((j, c) for j, (c, *more) in cells_of.items() if not more)
+        nodes = np.zeros((mesh.n_free_nodes, 3))
+        nodes[node] = 1e200
+        with pytest.raises(PotentialDomainError) as err:
+            high_order_energy(y, R, part, k=k, node_displacements=nodes)
+        assert err.value.site == np.unravel_index(cell, cfg.N), k
+        assert err.value.eta == (1, -1, 2)
 
 
 def test_homogeneous_energy_is_cell_average():
@@ -289,12 +308,12 @@ def test_gradient_matches_finite_differences_over_all_dofs():
         v0 = LatticeField(cfg, 0.01 * rng.standard_normal(cfg.shape)).zero_mean()
         n0 = 0.01 * rng.standard_normal((mesh.n_free_nodes, 3))
         y0 = make_deformation(F, v0)
-        rep = high_order_energy(y0, R, part, k=k, node_displacements=n0, mesh=mesh)
+        rep = high_order_energy(y0, R, part, k=k, node_displacements=n0)
         eps = cfg.epsilon
 
         def energy(v: LatticeField, n: np.ndarray) -> float:
             return high_order_energy(
-                make_deformation(F, v), R, part, k=k, node_displacements=n, mesh=mesh
+                make_deformation(F, v), R, part, k=k, node_displacements=n
             ).energy
 
         for _ in range(n_trials):
