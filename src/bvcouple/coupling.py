@@ -32,7 +32,7 @@ fan is symmetric); the remaining faces match in integral against the
 averaged bonds by the fan's mean-value center.
 
 Every term is a weighted sum of phi_eta(F eta + (B v)_q / eps) over
-"quadrature bonds" q, evaluated by the one kernel ``energies._bond_contrib``
+"quadrature bonds" q, evaluated by the one kernel ``energies._bond_batch``
 for a fixed linear map B of the lattice displacement v, one of its two
 operator kinds. The atomistic bonds (+1/-1 rows) and the interface cone
 tets (eta^T A^-1 applied to the vertex values of the cone interpolant,
@@ -43,9 +43,14 @@ sides and the trace of the interface jump are CSR rows too, used by the
 jump term. The continuum term is the staircase Cauchy-Born roll stencil of
 ``energies``, shared with the uncoupled and high-order models and
 restricted to the continuum cells by zero weights; the naive control uses
-the atomistic model's exact-bond stencil the same way. The sparse products
-and stencils run sequentially in a fixed order, so results are
-deterministic and bit-reproducible.
+the atomistic model's exact-bond stencil the same way. Each term runs
+through ``energies._term``: its batches run in pairs on up to two lanes, and
+their results are added in batch order, the order of one lane, so results
+are deterministic and bitwise the same on one lane or two. A pair runs
+serially unless one of its batches has ``energies._MIN_LANE_ROWS`` rows or
+more, since below that the thread hand-off costs more than it overlaps (two
+lanes ran 1.3-1.7x slower than one at N=12 and 1.3-1.5x faster at N=36).
+The jump term of the two-sided model runs on the calling thread.
 
 A direction's operators are built by array passes over the lattice: one
 classification of every site's member box (``_member_classes``, the rule
@@ -64,6 +69,7 @@ other pieces read the staircase table of ``geometry``.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -73,7 +79,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .energies import _ONE, EnergyReport, _bond_contrib, _bond_stencil, _Gather, _staircase_stencils, _term
+from .energies import _ONE, EnergyReport, _bond_stencil, _Gather, _staircase_stencils, _term, _Term, _timings
 from .geometry import (
     PATH_PERMS,
     CoveringMismatch,
@@ -616,18 +622,18 @@ def coupled_energy_conforming(
     g = np.zeros(cfg.shape)
     gf = g.reshape(-1, 3)
 
-    e_atom, x_atom = _term(R, _atom_bonds(blocks), y.F, vflat, eps, (gf,))
-    e_cb, x_cb = _term(R, _continuum_bonds(part), y.F, vflat, eps, (gf,))
-    e_cone, x_cone = _term(R, _cone_bonds(blocks), y.F, vflat, eps, (gf,))
+    atom = _term(R, _atom_bonds(blocks), y.F, vflat, eps, (gf,))
+    cb = _term(R, _continuum_bonds(part), y.F, vflat, eps, (gf,))
+    cone = _term(R, _cone_bonds(blocks), y.F, vflat, eps, (gf,))
 
     counts = {str(law.eta): blocks[law.eta].counts for law in R}
     return EnergyReport(
-        energy=e_atom + e_cb + e_cone,
+        energy=atom.energy + cb.energy + cone.energy,
         gradient=LatticeField(cfg, g),
         model="coupled",
-        excess=x_atom + x_cb + x_cone,
-        breakdown={"atomistic": e_atom, "continuum": e_cb, "interface": e_cone},
-        diagnostics={"counts": counts},
+        excess=atom.excess + cb.excess + cone.excess,
+        breakdown={"atomistic": atom.energy, "continuum": cb.energy, "interface": cone.energy},
+        diagnostics={"counts": counts, **_timings(atomistic=atom, continuum=cb, interface=cone)},
     )
 
 
@@ -664,35 +670,30 @@ def coupled_energy_dg(
     g_p = np.zeros(cfg.shape)
     gtf, gmf, gpf = g_tied.reshape(-1, 3), g_m.reshape(-1, 3), g_p.reshape(-1, 3)
 
-    e_atom, x_atom = _term(R, _atom_bonds(blocks), F, vmf, eps, (gtf, gmf))
-    e_cb, x_cb = _term(R, _continuum_bonds(part), F, vpf, eps, (gtf, gpf))
-    e_cone = x_cone = 0.0
-    zeta_by_eta = {}
-    for law in R:
-        b = blocks[law.eta]
-        e, de, zeta_by_eta[law.eta] = _bond_contrib(b.cone_op, b.volw, law, F, vmf, eps, (gtf, gmf))
-        e_cone += e
-        x_cone += de
+    atom = _term(R, _atom_bonds(blocks), F, vmf, eps, (gtf, gmf))
+    cb = _term(R, _continuum_bonds(part), F, vpf, eps, (gtf, gpf))
+    cone = _term(R, _cone_bonds(blocks), F, vmf, eps, (gtf, gmf), keep_zeta=True)
+    t0 = time.perf_counter()
     e_jump = 0.0
-    for law in R:
-        e_jump += _jump_contrib(
-            blocks[law.eta], law, F, vmf, vpf, eps, zeta_by_eta[law.eta], gtf, gmf, gpf
-        )
+    for law, zeta_minus in zip(R, cone.zetas):
+        e_jump += _jump_contrib(blocks[law.eta], law, F, vmf, vpf, eps, zeta_minus, gtf, gmf, gpf)
+    jump = _Term(-e_jump, -e_jump, seconds=time.perf_counter() - t0)
 
     return EnergyReport(
-        energy=(e_atom + e_cb + e_cone) - e_jump,
+        energy=(atom.energy + cb.energy + cone.energy) - e_jump,
         gradient=LatticeField(cfg, g_tied),
         model="coupled-dg",
-        excess=(x_atom + x_cb + x_cone) - e_jump,
+        excess=(atom.excess + cb.excess + cone.excess) - e_jump,
         breakdown={
-            "atomistic": e_atom,
-            "continuum": e_cb,
-            "interface": e_cone,
-            "interface_jump": -e_jump,
+            "atomistic": atom.energy,
+            "continuum": cb.energy,
+            "interface": cone.energy,
+            "interface_jump": jump.energy,
         },
         diagnostics={
             "gradient_minus": LatticeField(cfg, g_m),
             "gradient_plus": LatticeField(cfg, g_p),
+            **_timings(atomistic=atom, continuum=cb, interface=cone, interface_jump=jump),
         },
     )
 
@@ -717,14 +718,15 @@ def naive_coupling_energy(
             inside &= (mid > part.corner[dd]) & (mid < part.top[dd])
         return [(_bond_stencil(law.eta, cfg.N), inside.ravel().astype(float))]
 
-    e_atom, x_atom = _term(R, inside_bonds, y.F, vflat, eps, (gf,))
-    e_cb, x_cb = _term(R, _continuum_bonds(part), y.F, vflat, eps, (gf,))
+    atom = _term(R, inside_bonds, y.F, vflat, eps, (gf,))
+    cb = _term(R, _continuum_bonds(part), y.F, vflat, eps, (gf,))
     return EnergyReport(
-        energy=e_atom + e_cb,
+        energy=atom.energy + cb.energy,
         gradient=LatticeField(cfg, g),
         model="naive",
-        excess=x_atom + x_cb,
-        breakdown={"atomistic": e_atom, "continuum": e_cb},
+        excess=atom.excess + cb.excess,
+        breakdown={"atomistic": atom.energy, "continuum": cb.energy},
+        diagnostics=_timings(atomistic=atom, continuum=cb),
     )
 
 

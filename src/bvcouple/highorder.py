@@ -54,7 +54,7 @@ from .coupling import (
     coupled_energy_conforming,
     omega_star_mask,
 )
-from .energies import EnergyReport, _Gather, _staircase_stencils, _term
+from .energies import EnergyReport, _Gather, _staircase_stencils, _term, _timings
 from .geometry import PATH_PERMS, path_corner_offsets
 from .lattice import Deformation, LatticeConfig, LatticeField
 from .potentials import InteractionSet
@@ -322,24 +322,24 @@ def high_order_energy(
     def p1_bonds(law):
         return zip(_staircase_stencils(law.eta, cfg.N), p1_w)
 
-    e_atom, x_atom = _term(R, _atom_bonds(blocks), y.F, vflat, eps, (gf,))
-    e_fe, x_fe = _term(R, p1_bonds, y.F, vflat, eps, (gf,))
-    e_pk, x_pk = _term(R, _pk_bonds(mesh), y.F, x, eps, (gx,))
-    e_fe += e_pk
-    e_cone, x_cone = _term(R, _cone_bonds(blocks), y.F, vflat, eps, (gf,))
+    atom = _term(R, _atom_bonds(blocks), y.F, vflat, eps, (gf,))
+    p1 = _term(R, p1_bonds, y.F, vflat, eps, (gf,))
+    pk = _term(R, _pk_bonds(mesh), y.F, x, eps, (gx,))
+    cone = _term(R, _cone_bonds(blocks), y.F, vflat, eps, (gf,))
 
     counts = {str(law.eta): blocks[law.eta].counts for law in R}
     return EnergyReport(
-        energy=e_atom + e_fe + e_cone,
+        energy=atom.energy + (p1.energy + pk.energy) + cone.energy,
         gradient=LatticeField(cfg, gf.reshape(cfg.shape)),
         model=f"coupled-ho({k})",
-        excess=x_atom + (x_fe + x_pk) + x_cone,
-        breakdown={"atomistic": e_atom, "continuum": e_fe, "interface": e_cone},
+        excess=atom.excess + (p1.excess + pk.excess) + cone.excess,
+        breakdown={"atomistic": atom.energy, "continuum": p1.energy + pk.energy, "interface": cone.energy},
         diagnostics={
             "node_gradient": gx[cfg.n_sites:],
             "counts": counts,
             "n_elements": mesh.n_elements,
             "n_p1_elements": mesh.n_p1_elements,
             "n_free_nodes": mesh.n_free_nodes,
+            **_timings(atomistic=atom, continuum_p1=p1, continuum_pk=pk, interface=cone),
         },
     )
