@@ -50,7 +50,16 @@ are deterministic and bitwise the same on one lane or two. A pair runs
 serially unless one of its batches has ``energies._MIN_LANE_ROWS`` rows or
 more, since below that the thread hand-off costs more than it overlaps (two
 lanes ran 1.3-1.7x slower than one at N=12 and 1.3-1.5x faster at N=36).
-The jump term of the two-sided model runs on the calling thread.
+The jump term of the two-sided model runs on the calling thread; its inner
+trace is the bond F eta + (minus_op @ v_minus) / eps of the cone tets under
+the fine interface triangles, bitwise the bond the interface term
+evaluates there.
+
+The conforming and two-sided models are one private body, ``_coupled``: its
+terms hand ``energies._term`` their batches as (op, w, law, breakdown key)
+tuples, and ``energies._report`` builds the report. The conforming model
+runs it with y_plus = y_minus and no jump term. ``_get_blocks`` checks the
+partition before it builds or fetches a direction's block.
 
 A direction's operators are built by array passes over the lattice: one
 classification of every site's member box (``_member_classes``, the rule
@@ -79,7 +88,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .energies import _ONE, EnergyReport, _bond_stencil, _Gather, _staircase_stencils, _term, _Term, _timings
+from .energies import _ONE, EnergyReport, _bond_stencil, _Gather, _report, _staircase_stencils, _term, _Term
 from .geometry import (
     PATH_PERMS,
     CoveringMismatch,
@@ -384,8 +393,7 @@ class _GammaData:
     """Fine interface triangles of one direction, the rows of the jump term."""
 
     nu_eta: np.ndarray            # (Tg,) nu_a . eta
-    minus_tet: np.ndarray         # (Tg,) cone tet carrying the inner trace
-    minus_op: sparse.csr_array    # (Tg, n_sites) the cone_op rows of minus_tet
+    minus_op: sparse.csr_array    # (Tg, n_sites) the cone_op rows of the tets carrying the inner trace
     plus_op: sparse.csr_array     # (Tg, n_sites) eta-weighted edge differences of the outer staircase tet
     trace_op: sparse.csr_array    # (Tg, n_sites) sum of the triangle's three vertex values
 
@@ -515,7 +523,6 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, 
     eta_a = np.asarray(eta, dtype=float)[axes]
     gamma = _GammaData(
         nu_eta=(g_sign * np.asarray(eta)[g_axis]).astype(float),
-        minus_tet=g_tet,
         minus_op=cone_op[g_tet],
         plus_op=_csr(np.repeat(np.arange(n_tri), 2 * len(axes)), edges.ravel(),
                      np.tile(np.stack([eta_a, -eta_a], axis=1).ravel(), n_tri), (n_tri, n_sites)),
@@ -538,9 +545,7 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, 
 # Evaluation helpers
 # ======================================================================
 
-def _jump_contrib(
-    block: _EtaBlock, law: InteractionLaw, F, vm_flat, vp_flat, eps, zeta_minus, g_tied, g_minus, g_plus
-):
+def _jump_contrib(block: _EtaBlock, law: InteractionLaw, F, vm_flat, vp_flat, eps, g_tied, g_minus, g_plus):
     """Interface jump term of the discontinuous energy; adds its gradients
     to the tied and the two per-side representers.
 
@@ -548,14 +553,18 @@ def _jump_contrib(
     |tau| phi'(<grad y eta>) . [[y eta]](centroid); traces are centroid
     means of the three vertex values per side, so the jump is exactly zero
     on continuous data and those triangles are skipped (adding their
-    identically-zero contributions could still flip signed zeros). phi'
-    and, where a jump is nonzero, phi'' come from one ``law.evaluate`` call.
+    identically-zero contributions could still flip signed zeros). The
+    inner trace's bond is F eta + (minus_op @ v_minus) / eps, the bits of
+    the cone tet's own bond in the interface term; the outer one is
+    F eta + (plus_op @ v_plus) / eps. phi' and, where a jump is nonzero,
+    phi'' come from one ``law.evaluate`` call.
     """
     gam = block.gamma
     if gam.nu_eta.size == 0:
         return 0.0
-    zm = zeta_minus[gam.minus_tet]
-    zp = (F @ law.eta_vec) + (gam.plus_op @ vp_flat) / eps
+    base = F @ law.eta_vec
+    zm = base + (gam.minus_op @ vm_flat) / eps
+    zp = base + (gam.plus_op @ vp_flat) / eps
     avg = 0.5 * (zm + zp)
     J = gam.nu_eta[:, None] * (gam.trace_op @ (vm_flat - vp_flat)) / 3.0
     active = np.any(J != 0.0, axis=1)
@@ -590,22 +599,46 @@ def _jump_contrib(
 # Coupled energies
 # ======================================================================
 
-def _get_blocks(cfg, part, R, policy):
-    return {law.eta: _build_eta_block(cfg, part, law.eta, policy) for law in R}
+def _get_blocks(cfg, part, R, policy) -> list[tuple[InteractionLaw, _EtaBlock]]:
+    """Each law with its direction's block, once the partition has passed
+    ``_check_partition``."""
+    _check_partition(part, R, policy)
+    return [(law, _build_eta_block(cfg, part, law.eta, policy)) for law in R]
 
 
-def _atom_bonds(blocks):
-    return lambda law: [(blocks[law.eta].atom_op, blocks[law.eta].atom_w)]
-
-
-def _cone_bonds(blocks):
-    return lambda law: [(blocks[law.eta].cone_op, blocks[law.eta].volw)]
-
-
-def _continuum_bonds(part: RegionPartition):
-    """Staircase Cauchy-Born templates weighted 1/6 on the continuum cells."""
+def _coupled(y_minus: Deformation, y_plus: Deformation, R, part, policy, two_sided: bool) -> EnergyReport:
+    """The conforming and two-sided coupled energies. The atomistic bonds
+    and interface cones read y_minus, the staircase Cauchy-Born templates
+    (weighted 1/6 on the continuum cells) read y_plus. The two-sided model
+    also keeps the per-side representers and subtracts the interface jump;
+    the conforming one is called with y_plus = y_minus."""
+    cfg = y_minus.cfg
+    blocks = _get_blocks(cfg, part, R, policy)
+    eps, F = cfg.epsilon, y_minus.F
+    vmf = y_minus.displacement.values.reshape(-1, 3)
+    vpf = y_plus.displacement.values.reshape(-1, 3)
+    grads = [np.zeros(cfg.shape) for _ in range(3 if two_sided else 1)]
+    gtf, *sides = [g.reshape(-1, 3) for g in grads]
+    inner, outer = [gtf, *sides[:1]], [gtf, *sides[1:]]
     w = omega_star_mask(part).ravel() / 6.0
-    return lambda law: [(op, w) for op in _staircase_stencils(law.eta, part.cfg.N)]
+    atom = [(b.atom_op, b.atom_w, law, "atomistic") for law, b in blocks]
+    cb = [(op, w, law, "continuum") for law in R for op in _staircase_stencils(law.eta, cfg.N)]
+    cone = [(b.cone_op, b.volw, law, "interface") for law, b in blocks]
+    terms = [
+        _term("atomistic", atom, F, vmf, eps, inner),
+        _term("continuum", cb, F, vpf, eps, outer),
+        _term("interface", cone, F, vmf, eps, inner),
+    ]
+    gradient = LatticeField(cfg, grads[0])
+    if not two_sided:
+        return _report("coupled", gradient, terms, counts={str(law.eta): b.counts for law, b in blocks})
+    t0 = time.perf_counter()
+    e_jump = 0.0
+    for law, b in blocks:
+        e_jump += _jump_contrib(b, law, F, vmf, vpf, eps, gtf, *sides)
+    terms.append(_Term("interface_jump", {"interface_jump": (-e_jump, -e_jump)}, time.perf_counter() - t0))
+    return _report("coupled-dg", gradient, terms,
+                   gradient_minus=LatticeField(cfg, grads[1]), gradient_plus=LatticeField(cfg, grads[2]))
 
 
 def coupled_energy_conforming(
@@ -614,27 +647,7 @@ def coupled_energy_conforming(
     """Conforming coupled energy: exact bonds strictly inside the atomistic
     region + staircase Cauchy-Born over the complement cells + interface
     cone integrals at weight 1/|eta1 eta2 eta3|."""
-    cfg = y.cfg
-    _check_partition(part, R, degenerate_eta)
-    blocks = _get_blocks(cfg, part, R, degenerate_eta)
-    eps = cfg.epsilon
-    vflat = y.displacement.values.reshape(-1, 3)
-    g = np.zeros(cfg.shape)
-    gf = g.reshape(-1, 3)
-
-    atom = _term(R, _atom_bonds(blocks), y.F, vflat, eps, (gf,))
-    cb = _term(R, _continuum_bonds(part), y.F, vflat, eps, (gf,))
-    cone = _term(R, _cone_bonds(blocks), y.F, vflat, eps, (gf,))
-
-    counts = {str(law.eta): blocks[law.eta].counts for law in R}
-    return EnergyReport(
-        energy=atom.energy + cb.energy + cone.energy,
-        gradient=LatticeField(cfg, g),
-        model="coupled",
-        excess=atom.excess + cb.excess + cone.excess,
-        breakdown={"atomistic": atom.energy, "continuum": cb.energy, "interface": cone.energy},
-        diagnostics={"counts": counts, **_timings(atomistic=atom, continuum=cb, interface=cone)},
-    )
+    return _coupled(y, y, R, part, degenerate_eta, two_sided=False)
 
 
 def coupled_energy_dg(
@@ -653,49 +666,11 @@ def coupled_energy_dg(
     (perturbing both sides equally); the per-side representers are in
     diagnostics as ``gradient_minus`` / ``gradient_plus``.
     """
-    cfg = y_minus.cfg
-    if y_plus.cfg != cfg:
+    if y_plus.cfg != y_minus.cfg:
         raise ValueError("both sides must share one lattice config")
     if not np.array_equal(y_minus.F, y_plus.F):
         raise ValueError("both sides must share the same deformation gradient F")
-    _check_partition(part, R, degenerate_eta)
-    blocks = _get_blocks(cfg, part, R, degenerate_eta)
-    eps = cfg.epsilon
-    F = y_minus.F
-    vmf = y_minus.displacement.values.reshape(-1, 3)
-    vpf = y_plus.displacement.values.reshape(-1, 3)
-
-    g_tied = np.zeros(cfg.shape)
-    g_m = np.zeros(cfg.shape)
-    g_p = np.zeros(cfg.shape)
-    gtf, gmf, gpf = g_tied.reshape(-1, 3), g_m.reshape(-1, 3), g_p.reshape(-1, 3)
-
-    atom = _term(R, _atom_bonds(blocks), F, vmf, eps, (gtf, gmf))
-    cb = _term(R, _continuum_bonds(part), F, vpf, eps, (gtf, gpf))
-    cone = _term(R, _cone_bonds(blocks), F, vmf, eps, (gtf, gmf), keep_zeta=True)
-    t0 = time.perf_counter()
-    e_jump = 0.0
-    for law, zeta_minus in zip(R, cone.zetas):
-        e_jump += _jump_contrib(blocks[law.eta], law, F, vmf, vpf, eps, zeta_minus, gtf, gmf, gpf)
-    jump = _Term(-e_jump, -e_jump, seconds=time.perf_counter() - t0)
-
-    return EnergyReport(
-        energy=(atom.energy + cb.energy + cone.energy) - e_jump,
-        gradient=LatticeField(cfg, g_tied),
-        model="coupled-dg",
-        excess=(atom.excess + cb.excess + cone.excess) - e_jump,
-        breakdown={
-            "atomistic": atom.energy,
-            "continuum": cb.energy,
-            "interface": cone.energy,
-            "interface_jump": jump.energy,
-        },
-        diagnostics={
-            "gradient_minus": LatticeField(cfg, g_m),
-            "gradient_plus": LatticeField(cfg, g_p),
-            **_timings(atomistic=atom, continuum=cb, interface=cone, interface_jump=jump),
-        },
-    )
+    return _coupled(y_minus, y_plus, R, part, degenerate_eta, two_sided=True)
 
 
 def naive_coupling_energy(
@@ -710,24 +685,18 @@ def naive_coupling_energy(
     g = np.zeros(cfg.shape)
     gf = g.reshape(-1, 3)
     idx = np.indices(cfg.N)
+    a, top = (np.reshape(c, (3, 1, 1, 1)) for c in (part.corner, part.top))
 
-    def inside_bonds(law):
-        inside = np.ones(cfg.N, dtype=bool)
-        for dd in range(3):
-            mid = idx[dd] + 0.5 * law.eta[dd]
-            inside &= (mid > part.corner[dd]) & (mid < part.top[dd])
-        return [(_bond_stencil(law.eta, cfg.N), inside.ravel().astype(float))]
+    def inside(eta):
+        """1.0 at the sites whose bond midpoint lies in the open atomistic box."""
+        mid = idx + 0.5 * np.reshape(eta, (3, 1, 1, 1))
+        return np.all((mid > a) & (mid < top), axis=0).ravel().astype(float)
 
-    atom = _term(R, inside_bonds, y.F, vflat, eps, (gf,))
-    cb = _term(R, _continuum_bonds(part), y.F, vflat, eps, (gf,))
-    return EnergyReport(
-        energy=atom.energy + cb.energy,
-        gradient=LatticeField(cfg, g),
-        model="naive",
-        excess=atom.excess + cb.excess,
-        breakdown={"atomistic": atom.energy, "continuum": cb.energy},
-        diagnostics=_timings(atomistic=atom, continuum=cb),
-    )
+    w = omega_star_mask(part).ravel() / 6.0
+    atom = [(_bond_stencil(law.eta, cfg.N), inside(law.eta), law, "atomistic") for law in R]
+    cb = [(op, w, law, "continuum") for law in R for op in _staircase_stencils(law.eta, cfg.N)]
+    terms = [_term("atomistic", atom, y.F, vflat, eps, (gf,)), _term("continuum", cb, y.F, vflat, eps, (gf,))]
+    return _report("naive", LatticeField(cfg, g), terms)
 
 
 # ======================================================================

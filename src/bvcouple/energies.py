@@ -39,6 +39,14 @@ named in domain errors):
 Masks are zero weights; a zero-weight row is evaluated at the homogeneous
 bond F eta, so a bond a mask drops can neither raise nor contribute.
 
+Every model passes its terms' batches as data: ``_term(name, batches, ...)``
+takes a list of (op, w, law, breakdown key) tuples and sums the energy and
+excess of each key in batch order. ``_report`` then builds every model's
+``EnergyReport`` from its terms: a breakdown entry is the sum of its key
+over the terms, in term order; ``energy`` and ``excess`` are the
+left-to-right sums over the breakdown; diagnostics get each term's wall
+time (``term_s``) and the most lanes a term ran on (``lanes``).
+
 Gradients are returned as Riesz representers with respect to the discrete
 inner product: the report's gradient field g satisfies
 DE(y)[v] = <g, v>_eps for every periodic lattice field v.
@@ -68,8 +76,9 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import product
+from operator import add
 from typing import Any
 
 import numpy as np
@@ -98,7 +107,7 @@ class EnergyReport:
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
-def _bond_batch(op, w, law: InteractionLaw, F, x, eps, keep_zeta: bool = False):
+def _bond_batch(op, w, law: InteractionLaw, F, x, eps):
     """Quadrature-bond energy eps^3 sum_q w_q phi(zeta_q) at the bond
     vectors zeta = F eta + (op @ x) / eps, summed as its excess over the
     homogeneous bond, eps^3 sum_q w_q (phi(zeta_q) - phi(F eta)), plus the
@@ -109,9 +118,9 @@ def _bond_batch(op, w, law: InteractionLaw, F, x, eps, keep_zeta: bool = False):
     scalar or one weight per row; zero-weight rows are evaluated at F eta. A
     domain error names the lattice site ``op.site(row)`` of the shortest
     bond, or of the first bond whose phi or phi' is not finite. Pure:
-    returns the energy, the excess, the gradient contribution and, if
-    ``keep_zeta``, zeta (else None). Only zeta, phi and phi' are alive while
-    the gradient is formed, besides the operator's own buffers."""
+    returns the energy, the excess and the gradient contribution. Only zeta,
+    phi and phi' are alive while the gradient is formed, besides the
+    operator's own buffers."""
     base = F @ law.eta_vec
     n = op.rows
     zeta = np.empty((n + 1, 3))
@@ -131,7 +140,7 @@ def _bond_batch(op, w, law: InteractionLaw, F, x, eps, keep_zeta: bool = False):
             eta=law.eta,
         ) from exc
     phi0, vals, P = vals[n], vals[:n], P[:n]
-    zeta = zeta[:n] if keep_zeta else None
+    del zeta
     excess = float(eps**3 * (w * (vals - phi0)).sum())
     if not (math.isfinite(excess) and np.isfinite(P).all()):
         bad = ~(np.isfinite(vals) & np.isfinite(P).all(axis=-1))
@@ -144,7 +153,7 @@ def _bond_batch(op, w, law: InteractionLaw, F, x, eps, keep_zeta: bool = False):
     share = float(eps**3 * phi0 * (w.sum() if w.ndim else w * n))
     del vals
     P *= (w / eps)[..., None]
-    return excess + share, excess, op.T @ P, zeta
+    return excess + share, excess, op.T @ P
 
 
 def _evaluate(law: InteractionLaw, zeta):
@@ -383,73 +392,74 @@ def _cell_stencil(eta, N) -> _Stencil:
 
 @dataclass
 class _Term:
-    """One term's sums over its batches in batch order (``per_law``: eta ->
-    [energy, excess] of that law's batches), its wall time, the most lanes
-    a pair of its batches ran on, and each batch's zeta if kept."""
+    """One term's sums over its batches in batch order (``sums``: breakdown
+    key -> (energy, excess) of the batches carrying it), its wall time, and
+    the most lanes a pair of its batches ran on."""
 
-    energy: float = 0.0
-    excess: float = 0.0
-    per_law: dict[IntTriple, list[float]] = field(default_factory=dict)
+    name: str
+    sums: dict[str, tuple[float, float]] = field(default_factory=dict)
     seconds: float = 0.0
     lanes: int = 1
-    zetas: list[np.ndarray] = field(default_factory=list)
 
 
-def _term(laws, bonds, F, x, eps, g_outs, keep_zeta: bool = False) -> _Term:
-    """One term: the kernel over the (op, w) quadrature bonds ``bonds(law)``
-    of every law, taken in pairs by ``_in_order``. Every sum and every array
-    in ``g_outs`` adds the batches' results in batch order, as on one lane,
-    so the result is bitwise the same on one lane or two."""
+def _term(name: str, batches, F, x, eps, g_outs) -> _Term:
+    """One term: the kernel over its quadrature-bond batches, a list of
+    (op, w, law, breakdown key) tuples taken in pairs by ``_in_order``.
+    Every sum and every array in ``g_outs`` adds the batches' results in
+    batch order, as on one lane, so the result is bitwise the same on one
+    lane or two."""
     t0 = time.perf_counter()
-    out = _Term()
+    out = _Term(name)
 
-    def batch(op, w, law):
-        return _bond_batch(op, w, law, F, x, eps, keep_zeta)
+    def batch(op, w, law, key):
+        return _bond_batch(op, w, law, F, x, eps)
 
-    batches = ((op, w, law) for law in laws for op, w in bonds(law))
-    for (_, _, law), (e, de, contrib, zeta), lanes in _in_order(batch, batches):
+    for (*_, key), (e, de, contrib), lanes in _in_order(batch, batches):
         out.lanes = max(out.lanes, lanes)
-        out.energy += e
-        out.excess += de
-        sums = out.per_law.setdefault(law.eta, [0.0, 0.0])
-        sums[0] += e
-        sums[1] += de
+        energy, excess = out.sums.get(key, (0.0, 0.0))
+        out.sums[key] = (energy + e, excess + de)
         for g in g_outs:
             g += contrib
-        if keep_zeta:
-            out.zetas.append(zeta)
     out.seconds = time.perf_counter() - t0
     return out
 
 
-def _timings(**terms: _Term) -> dict[str, Any]:
-    """Report diagnostics: each term's wall time and the most lanes any of
-    its terms ran on."""
-    return {"term_s": {name: t.seconds for name, t in terms.items()},
-            "lanes": max(t.lanes for t in terms.values())}
-
-
-def _lattice_model(y: Deformation, R: InteractionSet, model: str, bonds) -> EnergyReport:
-    """Uncoupled model, reported per direction."""
-    cfg = y.cfg
-    vflat = y.displacement.values.reshape(-1, 3)
-    grad = np.zeros(cfg.shape)
-    term = _term(R, bonds, y.F, vflat, cfg.epsilon, (grad.reshape(-1, 3),))
-    breakdown = {f"eta={eta}": e for eta, (e, _) in term.per_law.items()}
+def _report(model: str, gradient: LatticeField, terms, **diagnostics) -> EnergyReport:
+    """The report of every model. A breakdown entry is the sum of its key
+    over the terms, in term order, starting from the first term's value (so
+    a negated zero stays -0.0); ``energy`` and ``excess`` are the
+    left-to-right sums over the breakdown. Diagnostics get each term's wall
+    time and the most lanes any term ran on."""
+    sums: dict[str, tuple[float, float]] = {}
+    for t in terms:
+        for key, (e, de) in t.sums.items():
+            if key in sums:
+                e, de = sums[key][0] + e, sums[key][1] + de
+            sums[key] = (e, de)
     return EnergyReport(
-        energy=sum(breakdown.values()),
-        gradient=LatticeField(cfg, grad),
+        energy=reduce(add, (e for e, _ in sums.values())),
+        gradient=gradient,
         model=model,
-        excess=sum(de for _, de in term.per_law.values()),
-        breakdown=breakdown,
-        diagnostics=_timings(**{model: term}),
+        excess=reduce(add, (de for _, de in sums.values())),
+        breakdown={key: e for key, (e, _) in sums.items()},
+        diagnostics={**diagnostics, "term_s": {t.name: t.seconds for t in terms},
+                     "lanes": max(t.lanes for t in terms)},
     )
+
+
+def _lattice_model(y: Deformation, model: str, batches) -> EnergyReport:
+    """Uncoupled model, one term whose batches are keyed by direction."""
+    cfg = y.cfg
+    grad = np.zeros(cfg.shape)
+    vflat = y.displacement.values.reshape(-1, 3)
+    term = _term(model, batches, y.F, vflat, cfg.epsilon, (grad.reshape(-1, 3),))
+    return _report(model, LatticeField(cfg, grad), [term])
 
 
 def atomistic_energy(y: Deformation, R: InteractionSet) -> EnergyReport:
     """Exact atomistic energy eps^3 sum_l sum_eta phi_eta(D_eta y_l)."""
     N = y.cfg.N
-    return _lattice_model(y, R, "atomistic", lambda law: [(_bond_stencil(law.eta, N), 1.0)])
+    return _lattice_model(y, "atomistic", [(_bond_stencil(law.eta, N), 1.0, law, f"eta={law.eta}") for law in R])
 
 
 def acb_tetra_energy(y: Deformation, R: InteractionSet) -> EnergyReport:
@@ -457,13 +467,13 @@ def acb_tetra_energy(y: Deformation, R: InteractionSet) -> EnergyReport:
     of W(grad), with the discrete gradient taken from the tet's own axis
     edges."""
     N = y.cfg.N
-    return _lattice_model(
-        y, R, "acb-tetra", lambda law: [(op, 1.0 / 6.0) for op in _staircase_stencils(law.eta, N)]
-    )
+    return _lattice_model(y, "acb-tetra", [
+        (op, 1.0 / 6.0, law, f"eta={law.eta}") for law in R for op in _staircase_stencils(law.eta, N)
+    ])
 
 
 def acb_cell_energy(y: Deformation, R: InteractionSet) -> EnergyReport:
     """Cauchy-Born energy on cells: eps^3 per cell of W evaluated at the
     averaged discrete gradient (each column averages four edge quotients)."""
     N = y.cfg.N
-    return _lattice_model(y, R, "acb-cell", lambda law: [(_cell_stencil(law.eta, N), 1.0)])
+    return _lattice_model(y, "acb-cell", [(_cell_stencil(law.eta, N), 1.0, law, f"eta={law.eta}") for law in R])

@@ -13,6 +13,13 @@ each template's Pk elements are one sparse gather too: the CSR map
 ``HighOrderMesh.elem_ops[p]`` from [lattice sites | free nodes] to the
 element-local node values, built once per mesh, with the shape-function
 gradients times eta at the quadrature points as its coefficient block.
+Each term hands ``energies._term`` its batches as (op, w, law, breakdown
+key) tuples, and ``energies._report`` builds the report. The P1 and Pk
+batches carry the breakdown key ``continuum`` (timed apart as the terms
+``continuum_p1`` and ``continuum_pk``), so the continuum entry is their
+sum. The degree and then the partition (``coupling._get_blocks``) are
+checked before any block or mesh is built or fetched, and degree 1 is the
+conforming report renamed.
 
 Vertex degrees of freedom are the lattice displacements themselves. Edge,
 face and interior nodes of degree-k elements are extra degrees of freedom,
@@ -37,24 +44,15 @@ assembly margin.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from itertools import combinations
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .coupling import (
-    RegionPartition,
-    _atom_bonds,
-    _check_partition,
-    _cone_bonds,
-    _csr,
-    _get_blocks,
-    coupled_energy_conforming,
-    omega_star_mask,
-)
-from .energies import EnergyReport, _Gather, _staircase_stencils, _term, _timings
+from .coupling import RegionPartition, _csr, _get_blocks, coupled_energy_conforming, omega_star_mask
+from .energies import EnergyReport, _Gather, _report, _staircase_stencils, _term
 from .geometry import PATH_PERMS, path_corner_offsets
 from .lattice import Deformation, LatticeConfig, LatticeField
 from .potentials import InteractionSet
@@ -176,9 +174,13 @@ class HighOrderMesh:
 _MESH_CACHE_SIZE = 4
 
 
-def build_high_order_mesh(cfg: LatticeConfig, part: RegionPartition, k: int) -> HighOrderMesh:
+def _check_degree(k: int) -> None:
     if k not in SUPPORTED_DEGREES:
         raise ValueError(f"element degree must be one of {SUPPORTED_DEGREES}, got {k}")
+
+
+def build_high_order_mesh(cfg: LatticeConfig, part: RegionPartition, k: int) -> HighOrderMesh:
+    _check_degree(k)
     return _build_mesh(cfg, part, k)
 
 
@@ -253,20 +255,6 @@ def _build_mesh(cfg: LatticeConfig, part: RegionPartition, k: int) -> HighOrderM
 # Assembly
 # ----------------------------------------------------------------------
 
-def _pk_bonds(mesh: HighOrderMesh):
-    def bonds(law):
-        out = []
-        for p, perm in enumerate(PATH_PERMS):
-            cells = mesh.elem_cells[p]
-            if cells.size:
-                wts, gradN = _template_tables(mesh.k, perm)
-                op = _Gather(mesh.elem_ops[p], gradN @ law.eta_vec, cells, mesh.cfg.N)
-                out.append((op, np.tile(wts, cells.size)))
-        return out
-
-    return bonds
-
-
 def high_order_energy(
     y: Deformation,
     R: InteractionSet,
@@ -291,17 +279,10 @@ def high_order_energy(
         if node_displacements is not None and np.asarray(node_displacements).size:
             raise ValueError("degree-1 elements have no extra node displacements")
         rep = coupled_energy_conforming(y, R, part, degenerate_eta)
-        return EnergyReport(
-            energy=rep.energy,
-            gradient=rep.gradient,
-            model="coupled-ho(1)",
-            excess=rep.excess,
-            breakdown=rep.breakdown,
-            diagnostics={**rep.diagnostics, "node_gradient": np.zeros((0, 3))},
-        )
-    mesh = build_high_order_mesh(cfg, part, k)
-    _check_partition(part, R, degenerate_eta)
+        return replace(rep, model="coupled-ho(1)", diagnostics={**rep.diagnostics, "node_gradient": np.zeros((0, 3))})
+    _check_degree(k)
     blocks = _get_blocks(cfg, part, R, degenerate_eta)
+    mesh = build_high_order_mesh(cfg, part, k)
 
     if node_displacements is None:
         node_disp = np.zeros((mesh.n_free_nodes, 3))
@@ -312,34 +293,32 @@ def high_order_energy(
                 f"node_displacements must have shape ({mesh.n_free_nodes}, 3), "
                 f"got {node_disp.shape}"
             )
-    eps = cfg.epsilon
+    eps, F = cfg.epsilon, y.F
     vflat = y.displacement.values.reshape(-1, 3)
     x = np.concatenate([vflat, node_disp])
     gx = np.zeros(x.shape)
     gf = gx[: cfg.n_sites]
+    # per template: the P1 weights on the lattice cells, the quadrature
+    # weights and shape-function gradients, and the Pk elements' weights
     p1_w = [m.ravel() / 6.0 for m in mesh.p1_masks]
-
-    def p1_bonds(law):
-        return zip(_staircase_stencils(law.eta, cfg.N), p1_w)
-
-    atom = _term(R, _atom_bonds(blocks), y.F, vflat, eps, (gf,))
-    p1 = _term(R, p1_bonds, y.F, vflat, eps, (gf,))
-    pk = _term(R, _pk_bonds(mesh), y.F, x, eps, (gx,))
-    cone = _term(R, _cone_bonds(blocks), y.F, vflat, eps, (gf,))
-
-    counts = {str(law.eta): blocks[law.eta].counts for law in R}
-    return EnergyReport(
-        energy=atom.energy + (p1.energy + pk.energy) + cone.energy,
-        gradient=LatticeField(cfg, gf.reshape(cfg.shape)),
-        model=f"coupled-ho({k})",
-        excess=atom.excess + (p1.excess + pk.excess) + cone.excess,
-        breakdown={"atomistic": atom.energy, "continuum": p1.energy + pk.energy, "interface": cone.energy},
-        diagnostics={
-            "node_gradient": gx[cfg.n_sites:],
-            "counts": counts,
-            "n_elements": mesh.n_elements,
-            "n_p1_elements": mesh.n_p1_elements,
-            "n_free_nodes": mesh.n_free_nodes,
-            **_timings(atomistic=atom, continuum_p1=p1, continuum_pk=pk, interface=cone),
-        },
+    tables = [_template_tables(k, perm) for perm in PATH_PERMS]
+    pk_w = [np.tile(wts, cells.size) for (wts, _), cells in zip(tables, mesh.elem_cells)]
+    atom = [(b.atom_op, b.atom_w, law, "atomistic") for law, b in blocks]
+    p1 = [(op, w, law, "continuum") for law in R for op, w in zip(_staircase_stencils(law.eta, cfg.N), p1_w)]
+    pk = [(_Gather(G, gradN @ law.eta_vec, cells, cfg.N), w, law, "continuum")
+          for law in R for G, cells, w, (_, gradN) in zip(mesh.elem_ops, mesh.elem_cells, pk_w, tables) if cells.size]
+    cone = [(b.cone_op, b.volw, law, "interface") for law, b in blocks]
+    terms = [
+        _term("atomistic", atom, F, vflat, eps, (gf,)),
+        _term("continuum_p1", p1, F, vflat, eps, (gf,)),
+        _term("continuum_pk", pk, F, x, eps, (gx,)),
+        _term("interface", cone, F, vflat, eps, (gf,)),
+    ]
+    return _report(
+        f"coupled-ho({k})", LatticeField(cfg, gf.reshape(cfg.shape)), terms,
+        node_gradient=gx[cfg.n_sites:],
+        counts={str(law.eta): b.counts for law, b in blocks},
+        n_elements=mesh.n_elements,
+        n_p1_elements=mesh.n_p1_elements,
+        n_free_nodes=mesh.n_free_nodes,
     )

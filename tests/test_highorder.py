@@ -232,6 +232,39 @@ def test_node_displacement_shape_rejected():
         high_order_energy(y, R, part, k=2, node_displacements=np.zeros((7, 3)))
 
 
+@pytest.mark.parametrize("corner, extents, etas, error", [
+    # (2,1,1) needs two cells of clearance: a corner at 1 lacks it
+    ((1, 1, 1), (5, 5, 5), [(1, 1, 1), (2, 1, 1)], "clearance"),
+    # a zero component under the default reject policy
+    ((3, 2, 2), (2, 4, 4), [(1, 1, 1), (1, 0, 1)], "zero component"),
+])
+def test_bad_partition_is_rejected_before_the_mesh_is_built(corner, extents, etas, error):
+    from bvcouple.highorder import _build_mesh
+
+    cfg = cfg8()
+    part = RegionPartition(cfg, corner, extents)
+    R = InteractionSet([make_law(eta, "harmonic") for eta in etas])
+    y = make_deformation(np.eye(3), LatticeField(cfg, np.zeros(cfg.shape)))
+    before = _build_mesh.cache_info()
+    for k in (2, 3):
+        with pytest.raises(ValueError, match=error):
+            high_order_energy(y, R, part, k=k)
+    assert _build_mesh.cache_info() == before
+
+
+def test_bad_degree_is_rejected_before_the_blocks_are_built():
+    from bvcouple.coupling import _build_eta_block
+
+    cfg = cfg8()
+    part = RegionPartition(cfg, (2, 2, 2), (3, 3, 3))
+    y = make_deformation(np.eye(3), LatticeField(cfg, np.zeros(cfg.shape)))
+    before = _build_eta_block.cache_info()
+    for bad in (0, 4):
+        with pytest.raises(ValueError, match="degree"):
+            high_order_energy(y, laws(), part, k=bad)
+    assert _build_eta_block.cache_info() == before
+
+
 def test_pk_domain_error_names_the_element_cell():
     """A huge displacement of one free node makes phi non-finite at the
     quadrature points of every Pk element around it. The node is taken on

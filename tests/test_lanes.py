@@ -11,6 +11,8 @@ import select
 import threading
 import time
 import warnings
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -129,7 +131,7 @@ def test_chunked_homogeneous_batch_has_zero_excess(monkeypatch):
     rng = np.random.default_rng(7)
     for _ in range(200):
         F = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
-        _, excess, _, _ = energies._bond_batch(op, 1.0, law, F, x, 1.0 / 12.0)
+        _, excess, _ = energies._bond_batch(op, 1.0, law, F, x, 1.0 / 12.0)
         assert excess == 0.0
 
 
@@ -219,16 +221,29 @@ def test_reports_time_their_terms(monkeypatch):
     keys = {
         "coupled": {"atomistic", "continuum", "interface"},
         "coupled-dg untied": {"atomistic", "continuum", "interface", "interface_jump"},
+        "coupled-dg tied": {"atomistic", "continuum", "interface", "interface_jump"},
         "naive": {"atomistic", "continuum"},
         "coupled-ho(2)": {"atomistic", "continuum_p1", "continuum_pk", "interface"},
         "atomistic": {"atomistic"},
+        "acb-tetra": {"acb-tetra"},
+        "acb-cell": {"acb-cell"},
+        "homogeneous coupled": {"atomistic", "continuum", "interface"},
     }
     calls = model_calls()
+    assert keys.keys() == calls.keys()
     for name, want in keys.items():
         diag = calls[name]().diagnostics
         assert set(diag["term_s"]) == want, name
         assert all(t >= 0.0 for t in diag["term_s"].values())
         assert diag["lanes"] == 1
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_energy_is_the_in_order_sum_of_the_breakdown(model):
+    """``energy`` and the breakdown come from one builder: the energy is the
+    left-to-right sum of the breakdown values, to the bit."""
+    rep = model_calls()[model]()
+    assert np.float64(rep.energy).tobytes() == np.float64(reduce(add, rep.breakdown.values())).tobytes()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
