@@ -1,5 +1,6 @@
 """Region partition, bond-volume classification, and the coupled energies:
-conforming, discontinuous (two-sided), and the naive control.
+one assembly body for the conforming, discontinuous (two-sided) and
+high-order models, and the naive control.
 
 The coupled energy splits every interaction direction eta into three parts:
 bonds whose volume sits strictly inside the atomistic region contribute their
@@ -41,24 +42,27 @@ gathers (``energies._Gather``) of CSR maps precomputed once per (partition,
 direction), each row tagged with the lattice site of its bond; the two
 sides and the trace of the interface jump are CSR rows too, used by the
 jump term. The continuum term is the staircase Cauchy-Born roll stencil of
-``energies``, shared with the uncoupled and high-order models and
-restricted to the continuum cells by zero weights; the naive control uses
-the atomistic model's exact-bond stencil the same way. Each term runs
-through ``energies._term``: its batches run in pairs on up to two lanes, and
-their results are added in batch order, the order of one lane, so results
-are deterministic and bitwise the same on one lane or two. A pair runs
-serially unless one of its batches has ``energies._MIN_LANE_ROWS`` rows or
-more, since below that the thread hand-off costs more than it overlaps (two
-lanes ran 1.3-1.7x slower than one at N=12 and 1.3-1.5x faster at N=36).
-The jump term of the two-sided model runs on the calling thread; its inner
-trace is the bond F eta + (minus_op @ v_minus) / eps of the cone tets under
-the fine interface triangles, bitwise the bond the interface term
-evaluates there.
+``energies``, shared with the uncoupled models and restricted to the
+continuum cells by zero weights; the naive control uses the atomistic
+model's exact-bond stencil the same way. How a term's batches run (in pairs, on up to two lanes, added in batch order so every result is
+bitwise that of one lane) is the rule of ``energies``; see its docstring.
 
-The conforming and two-sided models are one private body, ``_coupled``: its
-terms hand ``energies._term`` their batches as (op, w, law, breakdown key)
-tuples, and ``energies._report`` builds the report. The conforming model
-runs it with y_plus = y_minus and no jump term. ``_get_blocks`` checks the
+Every coupled model is one private body, ``_coupled``, told apart by its
+model name: ``coupled``, ``coupled-dg`` and ``coupled-ho(k)``. The
+atomistic bonds and interface cones read y_minus; the staircase
+Cauchy-Born continuum reads y_plus with per-template P1 weights, 1/6 on
+every continuum cell, or on the P1 cells of a ``highorder.HighOrderMesh``.
+Given such a mesh, its Pk gather batches on [v | free nodes] are one more
+continuum term, and the report carries the free-node gradient
+``node_gradient`` and the mesh sizes. The two-sided model keeps the
+per-side representers ``gradient_minus``/``gradient_plus`` and subtracts the
+interface jump, which runs on the calling thread; the jump's inner trace is
+the bond F eta + (minus_op @ v_minus) / eps of the cone tets under the fine
+interface triangles, bitwise the bond the interface term evaluates there.
+The conforming and high-order models run the body with y_plus = y_minus.
+Each term hands ``energies._term`` its batches as (op, w, law, breakdown
+key) tuples, ``energies._report`` builds the report, and every report
+carries the member ``counts`` per direction. ``_get_blocks`` checks the
 partition before it builds or fetches a direction's block.
 
 A direction's operators are built by array passes over the lattice: one
@@ -444,11 +448,12 @@ _EDGE_OFFSETS = np.array([[path_edge_offsets(perm)[a] for a in range(3)] for per
 
 @lru_cache(maxsize=_BLOCK_CACHE_SIZE)
 def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, policy: str) -> _EtaBlock:
+    """The block of one direction on a partition that has passed
+    ``_check_partition`` under ``policy``, so a zero component of eta means
+    the ``reduce`` members."""
     N = cfg.N
     n_sites = cfg.n_sites
     zero = [d for d in range(3) if eta[d] == 0]
-    if zero and policy != "reduce":
-        raise DegenerateEta(f"eta={eta} has zero components and policy is {policy!r}")
     n_eta = int(np.prod([abs(e) for e in eta if e != 0]))
 
     def flat(sites):
@@ -606,39 +611,56 @@ def _get_blocks(cfg, part, R, policy) -> list[tuple[InteractionLaw, _EtaBlock]]:
     return [(law, _build_eta_block(cfg, part, law.eta, policy)) for law in R]
 
 
-def _coupled(y_minus: Deformation, y_plus: Deformation, R, part, policy, two_sided: bool) -> EnergyReport:
-    """The conforming and two-sided coupled energies. The atomistic bonds
-    and interface cones read y_minus, the staircase Cauchy-Born templates
-    (weighted 1/6 on the continuum cells) read y_plus. The two-sided model
-    also keeps the per-side representers and subtracts the interface jump;
-    the conforming one is called with y_plus = y_minus."""
+def _coupled(model: str, y_minus: Deformation, y_plus: Deformation, R, part, policy, mesh=None,
+             nodes=None) -> EnergyReport:
+    """Every coupled energy: ``coupled``, ``coupled-dg`` and
+    ``coupled-ho(k)``. The atomistic bonds and interface cones read y_minus,
+    the staircase Cauchy-Born templates read y_plus, weighted 1/6 on every
+    continuum cell, or on the P1 cells ``mesh.p1_masks`` of a high-order
+    mesh, whose Pk elements are one more term on [v | nodes]. The two-sided
+    model also keeps the per-side representers and subtracts the interface
+    jump; the others are called with y_plus = y_minus. Given free-node
+    displacements ``nodes`` ((0, 3) for degree 1), the report carries the
+    free-node block of the gradient as ``node_gradient``."""
     cfg = y_minus.cfg
     blocks = _get_blocks(cfg, part, R, policy)
     eps, F = cfg.epsilon, y_minus.F
     vmf = y_minus.displacement.values.reshape(-1, 3)
     vpf = y_plus.displacement.values.reshape(-1, 3)
-    grads = [np.zeros(cfg.shape) for _ in range(3 if two_sided else 1)]
-    gtf, *sides = [g.reshape(-1, 3) for g in grads]
+    two_sided = model == "coupled-dg"
+    n_free = 0 if nodes is None else len(nodes)
+    gx, *sides = [np.zeros((cfg.n_sites + n_free, 3)) for _ in range(3 if two_sided else 1)]
+    gtf = gx[: cfg.n_sites]
     inner, outer = [gtf, *sides[:1]], [gtf, *sides[1:]]
-    w = omega_star_mask(part).ravel() / 6.0
+    if mesh is None:
+        p1_w = (omega_star_mask(part).ravel() / 6.0,) * 6
+    else:
+        p1_w = [m.ravel() / 6.0 for m in mesh.p1_masks]
     atom = [(b.atom_op, b.atom_w, law, "atomistic") for law, b in blocks]
-    cb = [(op, w, law, "continuum") for law in R for op in _staircase_stencils(law.eta, cfg.N)]
+    cb = [(op, w, law, "continuum") for law in R for op, w in zip(_staircase_stencils(law.eta, cfg.N), p1_w)]
     cone = [(b.cone_op, b.volw, law, "interface") for law, b in blocks]
     terms = [
         _term("atomistic", atom, F, vmf, eps, inner),
         _term("continuum", cb, F, vpf, eps, outer),
-        _term("interface", cone, F, vmf, eps, inner),
     ]
-    gradient = LatticeField(cfg, grads[0])
-    if not two_sided:
-        return _report("coupled", gradient, terms, counts={str(law.eta): b.counts for law, b in blocks})
-    t0 = time.perf_counter()
-    e_jump = 0.0
-    for law, b in blocks:
-        e_jump += _jump_contrib(b, law, F, vmf, vpf, eps, gtf, *sides)
-    terms.append(_Term("interface_jump", {"interface_jump": (-e_jump, -e_jump)}, time.perf_counter() - t0))
-    return _report("coupled-dg", gradient, terms,
-                   gradient_minus=LatticeField(cfg, grads[1]), gradient_plus=LatticeField(cfg, grads[2]))
+    if mesh is not None:
+        terms.append(_term("continuum_pk", mesh.pk_batches(R), F, np.concatenate([vmf, nodes]), eps, (gx,)))
+    terms.append(_term("interface", cone, F, vmf, eps, inner))
+    diagnostics = {"counts": {str(law.eta): b.counts for law, b in blocks}}
+    if two_sided:
+        t0 = time.perf_counter()
+        e_jump = 0.0
+        for law, b in blocks:
+            e_jump += _jump_contrib(b, law, F, vmf, vpf, eps, gtf, *sides)
+        terms.append(_Term("interface_jump", {"interface_jump": (-e_jump, -e_jump)}, time.perf_counter() - t0))
+        diagnostics.update(gradient_minus=LatticeField(cfg, sides[0].reshape(cfg.shape)),
+                           gradient_plus=LatticeField(cfg, sides[1].reshape(cfg.shape)))
+    if nodes is not None:
+        diagnostics["node_gradient"] = gx[cfg.n_sites:]
+    if mesh is not None:
+        diagnostics.update(n_elements=mesh.n_elements, n_p1_elements=mesh.n_p1_elements,
+                           n_free_nodes=mesh.n_free_nodes)
+    return _report(model, LatticeField(cfg, gtf.reshape(cfg.shape)), terms, **diagnostics)
 
 
 def coupled_energy_conforming(
@@ -647,7 +669,7 @@ def coupled_energy_conforming(
     """Conforming coupled energy: exact bonds strictly inside the atomistic
     region + staircase Cauchy-Born over the complement cells + interface
     cone integrals at weight 1/|eta1 eta2 eta3|."""
-    return _coupled(y, y, R, part, degenerate_eta, two_sided=False)
+    return _coupled("coupled", y, y, R, part, degenerate_eta)
 
 
 def coupled_energy_dg(
@@ -670,7 +692,7 @@ def coupled_energy_dg(
         raise ValueError("both sides must share one lattice config")
     if not np.array_equal(y_minus.F, y_plus.F):
         raise ValueError("both sides must share the same deformation gradient F")
-    return _coupled(y_minus, y_plus, R, part, degenerate_eta, two_sided=True)
+    return _coupled("coupled-dg", y_minus, y_plus, R, part, degenerate_eta)
 
 
 def naive_coupling_energy(

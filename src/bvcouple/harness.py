@@ -426,23 +426,17 @@ def homogeneous_state(config: RunConfig) -> Deformation:
 
 
 def ghost_force_residual(config: RunConfig) -> float:
-    """Scaled max-norm of the configured model's gradient at y_F.
-
-    For the two-sided model the per-side representers are also checked; for
-    the high-order model the free-node block is included."""
-    y = homogeneous_state(config)
-    report = evaluate_model(config, y)
-    gmax = report.gradient.max_norm()
-    if config.model_family == "coupled-dg":
-        gmax = max(
-            gmax,
-            report.diagnostics["gradient_minus"].max_norm(),
-            report.diagnostics["gradient_plus"].max_norm(),
-        )
-    if config.model_family == "coupled-ho":
-        node_grad = report.diagnostics["node_gradient"]
-        if node_grad.size:
-            gmax = max(gmax, float(np.max(np.abs(node_grad))))
+    """Scaled max-norm of the configured model's gradient at y_F, over
+    every gradient block its report carries: the per-side representers of
+    the two-sided model and the free-node block of the high-order one
+    too."""
+    report = evaluate_model(config, homogeneous_state(config))
+    diag = report.diagnostics
+    blocks = [report.gradient.values]
+    blocks += [diag[key].values for key in ("gradient_minus", "gradient_plus") if key in diag]
+    if "node_gradient" in diag:
+        blocks.append(diag["node_gradient"])
+    gmax = max(float(np.max(np.abs(g), initial=0.0)) for g in blocks)
     return gmax / residual_scale(config)
 
 
@@ -458,7 +452,11 @@ def _random_gradient_matrix(rng: np.random.Generator, F0: np.ndarray) -> np.ndar
             return F
 
 
-def fd_gradient_check(config: RunConfig, trials: int = 5, step: float = 1e-5) -> float:
+# Random states per finite-difference gradient check of ``verify gradient``.
+_FD_TRIALS = 5
+
+
+def fd_gradient_check(config: RunConfig, trials: int = _FD_TRIALS) -> float:
     """Max relative error of <gradient, w>_eps against the central finite
     difference of the energy.
 
@@ -471,9 +469,9 @@ def fd_gradient_check(config: RunConfig, trials: int = 5, step: float = 1e-5) ->
     which drives the interface second-derivative term. For the high-order
     model of degree k > 1 the free nodes get random displacements too (of
     1/k the lattice amplitude), and the probe direction and the inner
-    product include the free-node block."""
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    product include the free-node block. The difference step is
+    ``tolerances.fd_step``."""
+    step = config.tolerances["fd_step"]
     rng = np.random.default_rng(config.seed)
     cfg = config.cfg
     eps = cfg.epsilon
@@ -528,37 +526,23 @@ class SweepResult:
 _energy_excess = attrgetter("energy", "excess")
 
 
-def _default_sweep_field(amplitude: float, period: float):
-    def v(x: np.ndarray) -> np.ndarray:
-        return amplitude * np.sin(2.0 * math.pi * x / period)
-
-    return v
-
-
-def consistency_sweep(
-    config: RunConfig,
-    epsilons: Sequence[float] | None = None,
-    displacement: Callable[[np.ndarray], np.ndarray] | None = None,
-    period: float | None = None,
-) -> SweepResult:
-    """Atomistic vs Cauchy-Born energy gap per volume for a smooth periodic
-    displacement sampled on a sequence of lattices spanning a torus of the
-    configured period L (N = L/eps cells per axis).
+def consistency_sweep(config: RunConfig) -> SweepResult:
+    """Atomistic vs Cauchy-Born energy gap per volume for the smooth
+    periodic displacement amplitude * sin(2 pi x / L), sampled on the
+    lattices of spacings ``sweep.epsilons`` spanning a torus of period
+    L = ``sweep.period`` (N = L/eps cells per axis).
 
     The comparison model follows the config when it is an uncoupled
     Cauchy-Born variant and defaults to the cell-averaged one."""
-    if epsilons is None:
-        epsilons = config.sweep["epsilons"]
-    if len(epsilons) < 3:
-        raise ValueError("consistency sweep needs at least 3 epsilons")
-    if period is None:
-        period = config.sweep["period"]
-    if displacement is None:
-        displacement = _default_sweep_field(config.sweep["amplitude"], period)
+    amplitude, period = config.sweep["amplitude"], config.sweep["period"]
+
+    def displacement(x: np.ndarray) -> np.ndarray:
+        return amplitude * np.sin(2.0 * math.pi * x / period)
+
     acb = acb_tetra_energy if config.model_family == "acb-tetra" else acb_cell_energy
 
     rows = []
-    for eps in epsilons:
+    for eps in config.sweep["epsilons"]:
         n = _sweep_cells(period, eps)
         cfg = LatticeConfig(N=(n, n, n), epsilon=eps)
         v = sample_field(displacement, cfg)
@@ -881,14 +865,14 @@ def verify_ghost_forces(config: RunConfig, out_dir: Path) -> list[CheckResult]:
     ]
 
 
-def verify_gradient(config: RunConfig, out_dir: Path, trials: int = 5) -> list[CheckResult]:
+def verify_gradient(config: RunConfig, out_dir: Path) -> list[CheckResult]:
     step = config.tolerances["fd_step"]
     tol = config.gradient_fd_tolerance
-    err = fd_gradient_check(config, trials=trials, step=step)
+    err = fd_gradient_check(config)
     write_csv(
         out_dir / "gradient_fd.csv",
         ("model", "trials", "step", "max_relative_error", "tolerance"),
-        [(config.model, trials, step, err, tol)],
+        [(config.model, _FD_TRIALS, step, err, tol)],
         config.seed,
     )
     return [

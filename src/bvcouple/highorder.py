@@ -3,23 +3,22 @@
 The continuum region keeps the staircase tetrahedral mesh (six tets per
 cell). Elements whose closure meets the interface stay P1 on lattice
 vertices, which ties the finite-element trace to the lattice displacement
-there and lets the interface cones and atomistic bonds reuse the conforming
-machinery unchanged; all other elements carry Lagrange elements of degree k.
-Every term goes through the quadrature-bond kernel of ``energies`` and its
-two operator kinds: the atomistic bonds and interface cones are the
-conforming model's sparse gathers, the P1 layer is the staircase
-Cauchy-Born roll stencil weighted per template on the P1 elements, and
-each template's Pk elements are one sparse gather too: the CSR map
+there and lets the interface cones and atomistic bonds stay the conforming
+model's; all other elements carry Lagrange elements of degree k.
+
+The mesh is the continuum of ``coupling._coupled``, the one body of every
+coupled model. Its P1 masks weight the staircase Cauchy-Born roll stencil
+per template, and ``HighOrderMesh.pk_batches`` gives each template's Pk
+elements as one sparse gather of ``energies``: the CSR map
 ``HighOrderMesh.elem_ops[p]`` from [lattice sites | free nodes] to the
 element-local node values, built once per mesh, with the shape-function
-gradients times eta at the quadrature points as its coefficient block.
-Each term hands ``energies._term`` its batches as (op, w, law, breakdown
-key) tuples, and ``energies._report`` builds the report. The P1 and Pk
-batches carry the breakdown key ``continuum`` (timed apart as the terms
-``continuum_p1`` and ``continuum_pk``), so the continuum entry is their
-sum. The degree and then the partition (``coupling._get_blocks``) are
-checked before any block or mesh is built or fetched, and degree 1 is the
-conforming report renamed.
+gradients times eta at the quadrature points as its coefficient block. The
+P1 and Pk batches both carry the breakdown key ``continuum`` and run as
+the terms ``continuum`` and ``continuum_pk``, so the continuum entry is
+their sum. ``high_order_energy`` checks the degree, then the partition,
+before any block or mesh is built or fetched, then the shape of the node
+displacements, and calls the body. Degree 1 has no mesh and no free nodes:
+it is the conforming model under its own name.
 
 Vertex degrees of freedom are the lattice displacements themselves. Edge,
 face and interior nodes of degree-k elements are extra degrees of freedom,
@@ -44,17 +43,17 @@ assembly margin.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .coupling import RegionPartition, _csr, _get_blocks, coupled_energy_conforming, omega_star_mask
-from .energies import EnergyReport, _Gather, _report, _staircase_stencils, _term
+from .coupling import RegionPartition, _check_partition, _coupled, _csr, omega_star_mask
+from .energies import EnergyReport, _Gather
 from .geometry import PATH_PERMS, path_corner_offsets
-from .lattice import Deformation, LatticeConfig, LatticeField
+from .lattice import Deformation, LatticeConfig
 from .potentials import InteractionSet
 
 SUPPORTED_DEGREES = (1, 2, 3)
@@ -160,7 +159,6 @@ class HighOrderMesh:
     values from the lattice sites and the free nodes."""
 
     cfg: LatticeConfig
-    part: RegionPartition
     k: int
     p1_masks: np.ndarray            # (6, N1, N2, N3) cells whose perm-tet is P1
     elem_ops: list                  # 6 CSR (E_p * nloc, n_sites + n_free_nodes) local node values
@@ -168,6 +166,17 @@ class HighOrderMesh:
     n_free_nodes: int
     n_elements: int
     n_p1_elements: int
+
+    def pk_batches(self, R: InteractionSet) -> list:
+        """The Pk elements' quadrature-bond batches on [lattice sites | free
+        nodes], per law and template: the gather of the element-local node
+        values with the shape-function gradients times eta as coefficients,
+        at the quadrature weights tiled once per template."""
+        tables = [_template_tables(self.k, perm) for perm in PATH_PERMS]
+        pk_w = [np.tile(wts, cells.size) for (wts, _), cells in zip(tables, self.elem_cells)]
+        return [(_Gather(G, gradN @ law.eta_vec, cells, self.cfg.N), w, law, "continuum")
+                for law in R
+                for G, cells, w, (_, gradN) in zip(self.elem_ops, self.elem_cells, pk_w, tables) if cells.size]
 
 
 # Meshes kept per process: enough for a few placements.
@@ -240,7 +249,6 @@ def _build_mesh(cfg: LatticeConfig, part: RegionPartition, k: int) -> HighOrderM
     cell_flats = np.ravel_multi_index(cells.T, N)
     return HighOrderMesh(
         cfg=cfg,
-        part=part,
         k=k,
         p1_masks=p1_masks,
         elem_ops=[node_op[node_of[pk_perm == p].ravel()] for p in range(6)],
@@ -266,7 +274,7 @@ def high_order_energy(
     """Coupled energy with a degree-k continuum: atomistic bonds and
     interface cones exactly as in the conforming model, with the continuum
     cells assembled as P1 elements on the interface layer and Pk elements
-    elsewhere.
+    elsewhere (all P1 for k = 1, the conforming model).
 
     ``node_displacements`` (n_free_nodes, 3) are the extra degrees of
     freedom of the Pk elements (default zero); the report's gradient is the
@@ -274,51 +282,17 @@ def high_order_energy(
     both scaled like the lattice inner product (1/eps^3 times the partial
     derivative).
     """
-    cfg = y.cfg
-    if k == 1:
-        if node_displacements is not None and np.asarray(node_displacements).size:
-            raise ValueError("degree-1 elements have no extra node displacements")
-        rep = coupled_energy_conforming(y, R, part, degenerate_eta)
-        return replace(rep, model="coupled-ho(1)", diagnostics={**rep.diagnostics, "node_gradient": np.zeros((0, 3))})
     _check_degree(k)
-    blocks = _get_blocks(cfg, part, R, degenerate_eta)
-    mesh = build_high_order_mesh(cfg, part, k)
-
+    _check_partition(part, R, degenerate_eta)
+    mesh = build_high_order_mesh(y.cfg, part, k) if k > 1 else None
+    n_free = 0 if mesh is None else mesh.n_free_nodes
     if node_displacements is None:
-        node_disp = np.zeros((mesh.n_free_nodes, 3))
+        nodes = np.zeros((n_free, 3))
     else:
-        node_disp = np.asarray(node_displacements, dtype=float)
-        if node_disp.shape != (mesh.n_free_nodes, 3):
+        nodes = np.asarray(node_displacements, dtype=float)
+        if nodes.shape != (n_free, 3):
             raise ValueError(
-                f"node_displacements must have shape ({mesh.n_free_nodes}, 3), "
-                f"got {node_disp.shape}"
+                f"degree-{k} elements have {n_free} free nodes: node_displacements must have "
+                f"shape ({n_free}, 3), got {nodes.shape}"
             )
-    eps, F = cfg.epsilon, y.F
-    vflat = y.displacement.values.reshape(-1, 3)
-    x = np.concatenate([vflat, node_disp])
-    gx = np.zeros(x.shape)
-    gf = gx[: cfg.n_sites]
-    # per template: the P1 weights on the lattice cells, the quadrature
-    # weights and shape-function gradients, and the Pk elements' weights
-    p1_w = [m.ravel() / 6.0 for m in mesh.p1_masks]
-    tables = [_template_tables(k, perm) for perm in PATH_PERMS]
-    pk_w = [np.tile(wts, cells.size) for (wts, _), cells in zip(tables, mesh.elem_cells)]
-    atom = [(b.atom_op, b.atom_w, law, "atomistic") for law, b in blocks]
-    p1 = [(op, w, law, "continuum") for law in R for op, w in zip(_staircase_stencils(law.eta, cfg.N), p1_w)]
-    pk = [(_Gather(G, gradN @ law.eta_vec, cells, cfg.N), w, law, "continuum")
-          for law in R for G, cells, w, (_, gradN) in zip(mesh.elem_ops, mesh.elem_cells, pk_w, tables) if cells.size]
-    cone = [(b.cone_op, b.volw, law, "interface") for law, b in blocks]
-    terms = [
-        _term("atomistic", atom, F, vflat, eps, (gf,)),
-        _term("continuum_p1", p1, F, vflat, eps, (gf,)),
-        _term("continuum_pk", pk, F, x, eps, (gx,)),
-        _term("interface", cone, F, vflat, eps, (gf,)),
-    ]
-    return _report(
-        f"coupled-ho({k})", LatticeField(cfg, gf.reshape(cfg.shape)), terms,
-        node_gradient=gx[cfg.n_sites:],
-        counts={str(law.eta): b.counts for law, b in blocks},
-        n_elements=mesh.n_elements,
-        n_p1_elements=mesh.n_p1_elements,
-        n_free_nodes=mesh.n_free_nodes,
-    )
+    return _coupled(f"coupled-ho({k})", y, y, R, part, degenerate_eta, mesh, nodes)

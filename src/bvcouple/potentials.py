@@ -204,10 +204,6 @@ class InteractionSet:
     def __len__(self) -> int:
         return len(self.laws)
 
-    @property
-    def max_abs_component(self) -> int:
-        return max(abs(e) for law in self.laws for e in law.eta)
-
 
 def phi_eval(law: InteractionLaw, zeta) -> tuple[float, np.ndarray, np.ndarray]:
     """(value, gradient, Hessian) of one law at a single bond vector."""

@@ -69,6 +69,20 @@ def test_tied_sides_match_conforming_bitwise():
     assert two.model == "coupled-dg"
 
 
+def test_counts_match_conforming():
+    """Both models read the same blocks, so the two-sided report carries
+    the conforming model's member counts per direction."""
+    cfg = cfg8()
+    part = part8(cfg)
+    R = laws()
+    rng = np.random.default_rng(4)
+    F = random_F(rng)
+    ref = coupled_energy_conforming(random_deformation(cfg, F, seed=6), R, part)
+    two = coupled_energy_dg(random_deformation(cfg, F, seed=6), random_deformation(cfg, F, seed=7), R, part)
+    assert two.diagnostics["counts"] == ref.diagnostics["counts"]
+    assert list(two.diagnostics["counts"]) == [str(law.eta) for law in R]
+
+
 def test_jump_term_nonzero_for_discontinuous_data():
     cfg = cfg8()
     part = part8(cfg)

@@ -209,6 +209,26 @@ def test_degree_one_delegates_to_conforming():
         high_order_energy(y, R, part, k=1, node_displacements=np.zeros((4, 3)))
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_atomistic_and_interface_terms_match_conforming(k):
+    """The high-order model changes only the continuum: its atomistic bonds
+    and interface cones are the conforming model's, bit for bit, whatever
+    the free nodes carry."""
+    cfg = cfg8()
+    part = part8(cfg)
+    R = laws()
+    rng = np.random.default_rng(8)
+    F = random_F(rng)
+    y = make_deformation(F, LatticeField(cfg, 0.01 * rng.standard_normal(cfg.shape)))
+    nodes = 0.005 * rng.standard_normal((build_high_order_mesh(cfg, part, k).n_free_nodes, 3))
+    ref = coupled_energy_conforming(y, R, part)
+    rep = high_order_energy(y, R, part, k=k, node_displacements=nodes)
+    assert rep.breakdown["atomistic"] == ref.breakdown["atomistic"]
+    assert rep.breakdown["interface"] == ref.breakdown["interface"]
+    assert rep.breakdown["continuum"] != ref.breakdown["continuum"]
+    assert rep.diagnostics["counts"] == ref.diagnostics["counts"]
+
+
 def test_unsupported_degree_rejected():
     cfg = cfg8()
     part = part8(cfg)

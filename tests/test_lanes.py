@@ -223,7 +223,7 @@ def test_reports_time_their_terms(monkeypatch):
         "coupled-dg untied": {"atomistic", "continuum", "interface", "interface_jump"},
         "coupled-dg tied": {"atomistic", "continuum", "interface", "interface_jump"},
         "naive": {"atomistic", "continuum"},
-        "coupled-ho(2)": {"atomistic", "continuum_p1", "continuum_pk", "interface"},
+        "coupled-ho(2)": {"atomistic", "continuum", "continuum_pk", "interface"},
         "atomistic": {"atomistic"},
         "acb-tetra": {"acb-tetra"},
         "acb-cell": {"acb-cell"},

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from bvcouple.coupling import required_clearance
 from bvcouple.potentials import (
     InteractionSet,
     PotentialDomainError,
@@ -129,7 +130,7 @@ def test_interaction_set_rejects_duplicates():
 def test_interaction_set_max_abs_component():
     R = InteractionSet([make_law((1, 1, 1), "harmonic"),
                         make_law((2, -1, 3), "harmonic")])
-    assert R.max_abs_component == 3
+    assert required_clearance([law.eta for law in R]) == 3
 
 
 def test_cb_density_single_law():
