@@ -63,7 +63,11 @@ The conforming and high-order models run the body with y_plus = y_minus.
 Each term hands ``energies._term`` its batches as (op, w, law, breakdown
 key) tuples, ``energies._report`` builds the report, and every report
 carries the member ``counts`` per direction. ``_get_blocks`` checks the
-partition before it builds or fetches a direction's block.
+partition before it builds or fetches a direction's block; a block does
+not depend on the degenerate-eta policy, so it is cached per (lattice,
+partition, direction) only. A block's bond and cone weights, and the
+continuum weights of a partition (``_continuum_weights``), are
+``energies._Weights`` built once and cached with them.
 
 A direction's operators are built by array passes over the lattice: one
 classification of every site's member box (``_member_classes``, the rule
@@ -92,7 +96,18 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .energies import _ONE, EnergyReport, _bond_stencil, _Gather, _report, _staircase_stencils, _term, _Term
+from .energies import (
+    _ONE,
+    EnergyReport,
+    _bond_stencil,
+    _Gather,
+    _report,
+    _staircase_stencils,
+    _term,
+    _Term,
+    _weights,
+    _Weights,
+)
 from .geometry import (
     PATH_PERMS,
     CoveringMismatch,
@@ -410,9 +425,9 @@ class _EtaBlock:
     eta: IntTriple
     n_eta: int
     atom_op: _Gather              # (n_bonds, n_sites) +1 at the bond tip, -1 at its base
-    atom_w: np.ndarray            # (n_bonds,) bond weights
+    atom_w: _Weights              # (n_bonds,) bond weights
     cone_op: _Gather              # (T, n_sites) eta^T A^{-1} applied to (vertex - apex values) per cone tet
-    volw: np.ndarray              # (T,) lattice volume / n_eta
+    volw: _Weights                # (T,) lattice volume / n_eta
     gamma: _GammaData
     counts: dict[str, int]
 
@@ -432,6 +447,13 @@ def omega_star_mask(part: RegionPartition) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=_BLOCK_CACHE_SIZE)
+def _continuum_weights(part: RegionPartition) -> _Weights:
+    """Staircase Cauchy-Born weight of each cell, 1/6 on the continuum
+    cells and 0 on the atomistic ones, kept per partition like the blocks."""
+    return _weights(omega_star_mask(part).ravel() / 6.0)
+
+
 def _plus_side_perm(axis: int, nu_sign: int, half: str) -> tuple[int, int, int]:
     """Staircase permutation of the continuum-side tet whose face is the
     given half of a unit interface square."""
@@ -447,10 +469,11 @@ _EDGE_OFFSETS = np.array([[path_edge_offsets(perm)[a] for a in range(3)] for per
 
 
 @lru_cache(maxsize=_BLOCK_CACHE_SIZE)
-def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, policy: str) -> _EtaBlock:
+def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple) -> _EtaBlock:
     """The block of one direction on a partition that has passed
-    ``_check_partition`` under ``policy``, so a zero component of eta means
-    the ``reduce`` members."""
+    ``_check_partition``, so a zero component of eta means the ``reduce``
+    members: the block does not depend on the policy, and is cached
+    without it."""
     N = cfg.N
     n_sites = cfg.n_sites
     zero = [d for d in range(3) if eta[d] == 0]
@@ -538,9 +561,9 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple, 
         eta=eta,
         n_eta=n_eta,
         atom_op=atom_op,
-        atom_w=np.full(n_bonds, 1.0 / len(offsets)),
+        atom_w=_weights(np.full(n_bonds, 1.0 / len(offsets))),
         cone_op=_Gather(cone_op, _ONE, flat(tet_sites), N),
-        volw=volw,
+        volw=_weights(volw),
         gamma=gamma,
         counts=counts,
     )
@@ -608,7 +631,7 @@ def _get_blocks(cfg, part, R, policy) -> list[tuple[InteractionLaw, _EtaBlock]]:
     """Each law with its direction's block, once the partition has passed
     ``_check_partition``."""
     _check_partition(part, R, policy)
-    return [(law, _build_eta_block(cfg, part, law.eta, policy)) for law in R]
+    return [(law, _build_eta_block(cfg, part, law.eta)) for law in R]
 
 
 def _coupled(model: str, y_minus: Deformation, y_plus: Deformation, R, part, policy, mesh=None,
@@ -632,10 +655,7 @@ def _coupled(model: str, y_minus: Deformation, y_plus: Deformation, R, part, pol
     gx, *sides = [np.zeros((cfg.n_sites + n_free, 3)) for _ in range(3 if two_sided else 1)]
     gtf = gx[: cfg.n_sites]
     inner, outer = [gtf, *sides[:1]], [gtf, *sides[1:]]
-    if mesh is None:
-        p1_w = (omega_star_mask(part).ravel() / 6.0,) * 6
-    else:
-        p1_w = [m.ravel() / 6.0 for m in mesh.p1_masks]
+    p1_w = (_continuum_weights(part),) * 6 if mesh is None else mesh.p1_weights
     atom = [(b.atom_op, b.atom_w, law, "atomistic") for law, b in blocks]
     cb = [(op, w, law, "continuum") for law in R for op, w in zip(_staircase_stencils(law.eta, cfg.N), p1_w)]
     cone = [(b.cone_op, b.volw, law, "interface") for law, b in blocks]
@@ -714,8 +734,8 @@ def naive_coupling_energy(
         mid = idx + 0.5 * np.reshape(eta, (3, 1, 1, 1))
         return np.all((mid > a) & (mid < top), axis=0).ravel().astype(float)
 
-    w = omega_star_mask(part).ravel() / 6.0
-    atom = [(_bond_stencil(law.eta, cfg.N), inside(law.eta), law, "atomistic") for law in R]
+    w = _continuum_weights(part)
+    atom = [(_bond_stencil(law.eta, cfg.N), _weights(inside(law.eta)), law, "atomistic") for law in R]
     cb = [(op, w, law, "continuum") for law in R for op in _staircase_stencils(law.eta, cfg.N)]
     terms = [_term("atomistic", atom, y.F, vflat, eps, (gf,)), _term("continuum", cb, y.F, vflat, eps, (gf,))]
     return _report("naive", LatticeField(cfg, g), terms)

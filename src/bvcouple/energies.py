@@ -37,7 +37,12 @@ named in domain errors):
   141 MB per law at N=12, k=3).
 
 Masks are zero weights; a zero-weight row is evaluated at the homogeneous
-bond F eta, so a bond a mask drops can neither raise nor contribute.
+bond F eta, so a bond a mask drops can neither raise nor contribute. A
+batch's weights are a scalar or a ``_Weights``: the weights with their
+zero rows and their sum, which cached blocks, partitions and meshes build
+once. The tiled weights of the Pk elements are made per call instead: kept
+with a k=3 mesh at N=12 they would take about 5 MB. A non-finite phi' is
+found by one sum over phi', and only then row by row.
 
 Every model passes its terms' batches as data: ``_term(name, batches, ...)``
 takes a list of (op, w, law, breakdown key) tuples and sums the energy and
@@ -115,21 +120,24 @@ def _bond_batch(op, w, law: InteractionLaw, F, x, eps):
     scaled like the lattice inner product, op^T (w phi'(zeta) / eps). phi,
     phi' and phi(F eta) come from ``_evaluate`` with F eta as an extra last
     row, so the excess is exactly 0.0 wherever zeta = F eta. ``w`` is a
-    scalar or one weight per row; zero-weight rows are evaluated at F eta. A
-    domain error names the lattice site ``op.site(row)`` of the shortest
-    bond, or of the first bond whose phi or phi' is not finite. Pure:
-    returns the energy, the excess and the gradient contribution. Only zeta,
-    phi and phi' are alive while the gradient is formed, besides the
-    operator's own buffers."""
+    scalar or a ``_Weights`` with one weight per row; its zero-weight rows
+    are evaluated at F eta. A domain error names the lattice site
+    ``op.site(row)`` of the shortest bond, or of the first bond whose phi or
+    phi' is not finite. Pure: returns the energy, the excess and the
+    gradient contribution. Only zeta, phi and phi' are alive while the
+    gradient is formed, besides the operator's own buffers."""
     base = F @ law.eta_vec
     n = op.rows
     zeta = np.empty((n + 1, 3))
     np.divide(op.apply(x, zeta[:n]), eps, out=zeta[:n])
-    zeta[:n] += base
+    for i in range(3):  # column by column: a (3,) broadcast along rows is slower
+        zeta[:n, i] += base[i]
     zeta[n] = base
-    w = np.asarray(w, dtype=float)
-    if w.ndim and not w.all():
-        zeta[:n][w == 0.0] = base
+    if isinstance(w, _Weights):
+        zeta[w.zero] = base
+        w, total = w.w, w.total
+    else:
+        total = w * n
     try:
         vals, P = _evaluate(law, zeta)
     except PotentialDomainError as exc:
@@ -142,18 +150,42 @@ def _bond_batch(op, w, law: InteractionLaw, F, x, eps):
     phi0, vals, P = vals[n], vals[:n], P[:n]
     del zeta
     excess = float(eps**3 * (w * (vals - phi0)).sum())
-    if not (math.isfinite(excess) and np.isfinite(P).all()):
+    # One sum finds a non-finite phi'; the row mask, built only then, tells
+    # it apart from a sum of finite entries that overflowed.
+    if not (math.isfinite(excess) and math.isfinite(P.sum())):
         bad = ~(np.isfinite(vals) & np.isfinite(P).all(axis=-1))
-        site = op.site(int(np.argmax(bad)))
-        raise PotentialDomainError(
-            f"{law.kind} energy or force is not finite (offending bond: site {site}, eta={law.eta})",
-            site=site,
-            eta=law.eta,
-        )
-    share = float(eps**3 * phi0 * (w.sum() if w.ndim else w * n))
+        if not math.isfinite(excess) or bad.any():
+            site = op.site(int(np.argmax(bad)))
+            raise PotentialDomainError(
+                f"{law.kind} energy or force is not finite (offending bond: site {site}, eta={law.eta})",
+                site=site,
+                eta=law.eta,
+            )
+    share = float(eps**3 * phi0 * total)
     del vals
-    P *= (w / eps)[..., None]
+    if np.ndim(w):
+        w = w / eps
+        for i in range(3):
+            P[:, i] *= w
+    else:
+        P *= w / eps
     return excess + share, excess, op.T @ P
+
+
+@dataclass(frozen=True, eq=False)
+class _Weights:
+    """One quadrature weight per row, with what the kernel reads of them:
+    the rows of zero weight, which it evaluates at F eta, and their sum.
+    Cached blocks, partitions and meshes build theirs once."""
+
+    w: np.ndarray       # (rows,)
+    zero: np.ndarray    # row indices of zero weight
+    total: float        # w.sum()
+
+
+def _weights(w) -> _Weights:
+    w = np.asarray(w, dtype=float)
+    return _Weights(w, np.flatnonzero(w == 0.0), float(w.sum()))
 
 
 def _evaluate(law: InteractionLaw, zeta):

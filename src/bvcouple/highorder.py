@@ -8,8 +8,9 @@ model's; all other elements carry Lagrange elements of degree k.
 
 The mesh is the continuum of ``coupling._coupled``, the one body of every
 coupled model. Its P1 masks weight the staircase Cauchy-Born roll stencil
-per template, and ``HighOrderMesh.pk_batches`` gives each template's Pk
-elements as one sparse gather of ``energies``: the CSR map
+per template (as ``HighOrderMesh.p1_weights``, kept with the mesh), and
+``HighOrderMesh.pk_batches`` gives each template's Pk elements as one
+sparse gather of ``energies``: the CSR map
 ``HighOrderMesh.elem_ops[p]`` from [lattice sites | free nodes] to the
 element-local node values, built once per mesh, with the shape-function
 gradients times eta at the quadrature points as its coefficient block. The
@@ -44,14 +45,14 @@ assembly margin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from .coupling import RegionPartition, _check_partition, _coupled, _csr, omega_star_mask
-from .energies import EnergyReport, _Gather
+from .energies import EnergyReport, _Gather, _weights, _Weights
 from .geometry import PATH_PERMS, path_corner_offsets
 from .lattice import Deformation, LatticeConfig
 from .potentials import InteractionSet
@@ -167,13 +168,20 @@ class HighOrderMesh:
     n_elements: int
     n_p1_elements: int
 
+    @cached_property
+    def p1_weights(self) -> tuple[_Weights, ...]:
+        """Per template, the staircase Cauchy-Born weight of each cell: 1/6
+        on the P1 cells, kept with the mesh."""
+        return tuple(_weights(m.ravel() / 6.0) for m in self.p1_masks)
+
     def pk_batches(self, R: InteractionSet) -> list:
         """The Pk elements' quadrature-bond batches on [lattice sites | free
         nodes], per law and template: the gather of the element-local node
         values with the shape-function gradients times eta as coefficients,
-        at the quadrature weights tiled once per template."""
+        at the quadrature weights tiled once per template and call (kept
+        with each mesh, the k=3 tiles would hold about 5 MB)."""
         tables = [_template_tables(self.k, perm) for perm in PATH_PERMS]
-        pk_w = [np.tile(wts, cells.size) for (wts, _), cells in zip(tables, self.elem_cells)]
+        pk_w = [_weights(np.tile(wts, cells.size)) for (wts, _), cells in zip(tables, self.elem_cells)]
         return [(_Gather(G, gradN @ law.eta_vec, cells, self.cfg.N), w, law, "continuum")
                 for law in R
                 for G, cells, w, (_, gradN) in zip(self.elem_ops, self.elem_cells, pk_w, tables) if cells.size]

@@ -6,7 +6,16 @@ potential ``phi`` acting on the deformed bond vector ``zeta`` in R^3.
 evaluated: batched over ``(..., 3)`` arrays of bond vectors, it returns the
 value, gradient and Hessian up to ``order`` from shared intermediates, with
 one branch per kind. ``values``, ``gradients`` and ``hessians`` are
-one-line views of it. Radial laws (Morse, Lennard-Jones) apply a scalar
+one-line views of it. Every length-3 row reduction (|zeta|^2, zeta . M zeta)
+is three products on the column views ``zeta[..., i]`` added left to
+right, and the radial and toy gradients are written one column at a time:
+the bits of the norm and axis-sum formulas, without their (..., 3)
+temporaries. Every step acts row by row, so a row's bits do not depend on
+how many rows the call holds; a single (3,) bond is evaluated as a one-row
+batch, since numpy's scalar exp and pow may round differently from its
+array loops. The exception is the anisotropic toy, whose one-row
+``zeta @ a`` and ``zeta @ M`` may round differently from the same row in a
+batch. Radial laws (Morse, Lennard-Jones) apply a scalar
 profile to ``|zeta|`` and reject bonds shorter than ``_RADIAL_RMIN``; the
 anisotropic-toy law is deliberately asymmetric (``phi(zeta) != phi(-zeta)``)
 so coupling tests cannot pass by accidental cancellation. ``make_law``
@@ -36,6 +45,18 @@ class PotentialDomainError(ValueError):
         super().__init__(message)
         self.site = site
         self.eta = eta
+
+
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_i u_i v_i over the last (length-3) axis: three products on the
+    column views, added left to right. These are the bits of
+    ``np.sum(u * v, axis=-1)`` (and, under a square root, of
+    ``np.linalg.norm``), without the (..., 3) temporary and the reduction
+    along a length-3 axis."""
+    out = u[..., 0] * v[..., 0]
+    out += u[..., 1] * v[..., 1]
+    out += u[..., 2] * v[..., 2]
+    return out
 
 
 def _as_eta(eta) -> IntTriple:
@@ -79,9 +100,11 @@ class InteractionLaw:
         shapes (...), (..., 3) and (..., 3, 3). Intermediates shared by the
         orders (the norm, exp(zeta . a), (sigma / r)^6) are computed once."""
         zeta = np.asarray(zeta, dtype=float)
+        if zeta.ndim == 1:  # one bond, as a one-row batch (see the module docstring)
+            return [a[0] for a in self.evaluate(zeta[None], order)]
         hess_shape = zeta.shape[:-1] + (3, 3)
         if self.kind == "harmonic":
-            out = [0.5 * np.sum(zeta * zeta, axis=-1), zeta.copy()]
+            out = [0.5 * _row_dot(zeta, zeta), zeta.copy()]
             if order > 1:
                 out.append(np.broadcast_to(np.eye(3), hess_shape).copy())
             return out[: order + 1]
@@ -89,12 +112,17 @@ class InteractionLaw:
             a, M = self._p("a"), self._p("M")
             e = np.exp(zeta @ a)
             zM = zeta @ M
-            out = [e + 0.5 * np.sum(zM * zeta, axis=-1), e[..., None] * a + zM]
+            out = [e + 0.5 * _row_dot(zM, zeta)]
+            if order > 0:
+                for i in range(3):  # phi' = e a + zeta M, written over zeta M
+                    zM[..., i] += e * a[i]
+                out.append(zM)
             if order > 1:
                 out.append(np.multiply.outer(e, np.outer(a, a)) + np.broadcast_to(M, hess_shape))
-            return out[: order + 1]
+            return out
 
-        r = np.linalg.norm(zeta, axis=-1)
+        r = _row_dot(zeta, zeta)
+        np.sqrt(r, out=r)
         bad = r < _RADIAL_RMIN
         if np.any(bad):
             raise PotentialDomainError(
@@ -117,7 +145,10 @@ class InteractionLaw:
             d2 = e4 * (156.0 * s12 - 42.0 * s6) / (r * r) if order > 1 else None
         if order > 0:
             d1r = d1 / r
-            out.append(d1r[..., None] * zeta)
+            grad = np.empty(zeta.shape)
+            for i in range(3):  # d1r[..., None] * zeta, one column at a time
+                np.multiply(d1r, zeta[..., i], out=grad[..., i])
+            out.append(grad)
         if order > 1:
             rhat = zeta / r[..., None]
             proj = rhat[..., :, None] * rhat[..., None, :]

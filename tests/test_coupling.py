@@ -616,10 +616,7 @@ def _blocks_under_test():
     for corner, ext in BLOCK_PLACEMENTS:
         part = RegionPartition(cfg, corner, ext)
         for eta in BLOCK_ETAS:
-            for policy in ("reject", "reduce"):
-                if policy == "reject" and 0 in eta:
-                    continue
-                yield part, eta, policy, _build_eta_block(cfg, part, eta, policy)
+            yield part, eta, _build_eta_block(cfg, part, eta)
 
 
 def test_block_operators_reproduce_affine_fields_row_by_row():
@@ -630,7 +627,7 @@ def test_block_operators_reproduce_affine_fields_row_by_row():
     cfg = cfg12()
     ell = np.indices(cfg.N).reshape(3, -1).T.astype(float)
     rng = np.random.default_rng(12)
-    for part, eta, policy, block in _blocks_under_test():
+    for part, eta, block in _blocks_under_test():
         G = rng.integers(-3, 4, size=(3, 3)).astype(float)
         v = ell @ G.T
         expected = G @ np.asarray(eta, dtype=float)
@@ -641,9 +638,9 @@ def test_block_operators_reproduce_affine_fields_row_by_row():
             ("minus_op", block.gamma.minus_op),
             ("plus_op", block.gamma.plus_op),
         ):
-            assert op.shape[0] > 0 or name == "atom_op", (name, eta, policy)
+            assert op.shape[0] > 0 or name == "atom_op", (name, eta)
             err = np.abs(op @ v - expected).max(initial=0.0)
-            assert err <= tol, (name, part.corner, eta, policy, err)
+            assert err <= tol, (name, part.corner, eta, err)
 
 
 def test_cone_volumes_fill_each_interface_member():
@@ -651,11 +648,11 @@ def test_cone_volumes_fill_each_interface_member():
     total lattice volume |B ^ Omega_a|, the member box clipped to the
     atomistic region; every interface member has a cone."""
     cfg = cfg12()
-    for part, eta, policy, block in _blocks_under_test():
+    for part, eta, block in _blocks_under_test():
         sites = block.cone_op.sites
-        vol = np.bincount(sites, weights=block.volw * block.n_eta, minlength=cfg.n_sites)
+        vol = np.bincount(sites, weights=block.volw.w * block.n_eta, minlength=cfg.n_sites)
         members = np.unique(sites)
-        assert len(members) == block.counts["interface"], (eta, policy)
+        assert len(members) == block.counts["interface"], eta
         ell = np.stack(np.unravel_index(members, cfg.N), axis=1)
         mu = ell + np.minimum(eta, 0)
         w = np.where(np.asarray(eta) != 0, np.abs(eta), 1)
@@ -664,7 +661,7 @@ def test_cone_volumes_fill_each_interface_member():
         clipped = np.prod(hi - lo, axis=1).astype(float)
         assert np.all(clipped > 0)
         err = np.abs(vol[members] - clipped) / clipped
-        assert err.max() <= 1e-13, (part.corner, eta, policy, err.max())
+        assert err.max() <= 1e-13, (part.corner, eta, err.max())
 
 
 def test_jump_rows_are_two_per_covering_on_each_gamma_face():
@@ -675,13 +672,13 @@ def test_jump_rows_are_two_per_covering_on_each_gamma_face():
     from bvcouple.coupling import _build_eta_block
 
     cfg = cfg12()
-    cases = [(law.eta, "reject") for law in laws_full()] + [((1, 0, 2), "reduce")]
+    cases = [law.eta for law in laws_full()] + [(1, 0, 2)]
     for corner, ext, readme_rows in (((4, 4, 4), (4, 4, 4), [192, 1152, 384]),
                                      ((3, 4, 5), (5, 4, 3), [188, 1128, 376])):
         part = RegionPartition(cfg, corner, ext)
         rows = []
-        for eta, policy in cases:
-            gam = _build_eta_block(cfg, part, eta, policy).gamma
+        for eta in cases:
+            gam = _build_eta_block(cfg, part, eta).gamma
             n_eta = int(np.prod([abs(e) for e in eta if e]))
             sites = np.stack(np.unravel_index(gam.trace_op.indices, cfg.N), axis=-1).reshape(-1, 3, 3)
             faces = Counter()
@@ -699,3 +696,22 @@ def test_jump_rows_are_two_per_covering_on_each_gamma_face():
             assert faces == expected, (corner, eta)
             rows.append(len(gam.nu_eta))
         assert rows[:3] == readme_rows
+
+
+def test_both_policies_share_one_cached_block():
+    """A block does not read the degenerate-eta policy: evaluating one
+    config under "reject" and then "reduce" builds its block once, and both
+    reports are bitwise equal."""
+    from bvcouple.coupling import _build_eta_block
+
+    cfg = cfg12()
+    part = part_a(cfg)
+    R = InteractionSet([make_law((1, 1, 1), "harmonic")])
+    rng = np.random.default_rng(15)
+    y = make_deformation(np.eye(3), LatticeField(cfg, 0.01 * cfg.epsilon * rng.standard_normal(cfg.shape)))
+    _build_eta_block.cache_clear()
+    reports = [coupled_energy_conforming(y, R, part, policy) for policy in ("reject", "reduce")]
+    info = _build_eta_block.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert reports[0].energy == reports[1].energy
+    assert np.array_equal(reports[0].gradient.values, reports[1].gradient.values)

@@ -7,6 +7,7 @@ import pytest
 from scipy.sparse.linalg import LinearOperator, cg
 
 from bvcouple import cli, harness
+from bvcouple.energies import EnergyReport
 from bvcouple.harness import (
     MODEL_NAMES,
     ConfigError,
@@ -179,6 +180,26 @@ def test_ghost_force_residual_smoke():
     assert ghost_force_residual(config) <= 1e-12
     naive = config_from_dict(small_config_dict(model="naive"))
     assert ghost_force_residual(naive) >= 1e-3
+
+
+@pytest.mark.parametrize("block", ["gradient_minus", "gradient_plus", "node_gradient"])
+def test_ghost_force_residual_reads_every_gradient_block(monkeypatch, block):
+    """A report whose lattice gradient is zero at y_F but one other
+    gradient block is not: the residual is that block's max over
+    residual_scale, so no block can go unread."""
+    config = config_from_dict(small_config_dict(model="coupled-dg"))
+    zero = LatticeField.zeros(config.cfg)
+    rng = np.random.default_rng(9)
+    shape = (5, 3) if block == "node_gradient" else config.cfg.shape
+    values = rng.standard_normal(shape)
+
+    def one_nonzero_block(*args, **kwargs):
+        diagnostics = {"gradient_minus": zero, "gradient_plus": zero, "node_gradient": np.zeros((5, 3))}
+        diagnostics[block] = values if block == "node_gradient" else LatticeField(config.cfg, values)
+        return EnergyReport(energy=0.0, gradient=zero, model="coupled-dg", excess=0.0, diagnostics=diagnostics)
+
+    monkeypatch.setattr(harness, "evaluate_model", one_nonzero_block)
+    assert ghost_force_residual(config) == float(np.max(np.abs(values))) / residual_scale(config)
 
 
 def test_gradient_check_probes_the_free_node_block(monkeypatch):

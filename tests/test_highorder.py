@@ -422,7 +422,7 @@ def test_block_and_mesh_caches_are_bounded():
     corners = [(a, b, c) for a in (1, 2, 3) for b in (1, 2, 3) for c in (1, 2, 3)]
     assert len(corners) > _BLOCK_CACHE_SIZE > _MESH_CACHE_SIZE
     for corner in corners[: _BLOCK_CACHE_SIZE + 1]:
-        _build_eta_block(cfg, RegionPartition(cfg, corner, (2, 2, 2)), (1, 1, 1), "reject")
+        _build_eta_block(cfg, RegionPartition(cfg, corner, (2, 2, 2)), (1, 1, 1))
     assert _build_eta_block.cache_info().currsize == _BLOCK_CACHE_SIZE
     for corner in corners[: _MESH_CACHE_SIZE + 1]:
         build_high_order_mesh(cfg, RegionPartition(cfg, corner, (2, 2, 2)), 2)

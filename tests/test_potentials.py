@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from bvcouple.coupling import required_clearance
 from bvcouple.potentials import (
+    _RADIAL_RMIN,
     InteractionSet,
     PotentialDomainError,
     cb_energy_density,
@@ -247,3 +250,113 @@ def test_make_law_copies_array_params():
     law = make_law((1, 1, 1), "anisotropic-toy", {"a": a})
     assert a.flags.writeable
     assert not dict(law.params)["a"].flags.writeable
+
+
+# ----------------------------------------------------------------------
+# The row contract the kernel's exact-zero excess and ghost-force checks
+# rely on: a row's bits do not depend on the batch it is evaluated in.
+# ----------------------------------------------------------------------
+
+def _oracle_evaluate(law, zeta):
+    """[phi, phi', phi''] by the norm and axis-sum formulas (np.linalg.norm,
+    np.sum(..., axis=-1), broadcast outer products) that evaluate's
+    column-wise arithmetic replaces."""
+    zeta = np.asarray(zeta, dtype=float)
+    p = dict(law.params)
+    if law.kind == "harmonic":
+        return [0.5 * np.sum(zeta * zeta, axis=-1), zeta.copy(),
+                np.broadcast_to(np.eye(3), zeta.shape + (3,)).copy()]
+    if law.kind == "anisotropic-toy":
+        a, M = p["a"], p["M"]
+        e = np.exp(zeta @ a)
+        zM = zeta @ M
+        return [e + 0.5 * np.sum(zM * zeta, axis=-1), e[..., None] * a + zM,
+                np.multiply.outer(e, np.outer(a, a)) + M]
+    r = np.linalg.norm(zeta, axis=-1)
+    if law.kind == "morse-radial":
+        D, al, r0 = p["D"], p["alpha"], p["r0"]
+        e = np.exp(-al * (r - r0))
+        phi = D * (1.0 - e) ** 2
+        d1 = 2.0 * D * al * e * (1.0 - e)
+        d2 = 2.0 * D * al * al * (2.0 * e * e - e)
+    else:
+        e4 = 4.0 * p["well_depth"]
+        s6 = (p["sigma"] / r) ** 6
+        s12 = s6 * s6
+        phi = e4 * (s12 - s6)
+        d1 = e4 * (-12.0 * s12 + 6.0 * s6) / r
+        d2 = e4 * (156.0 * s12 - 42.0 * s6) / (r * r)
+    rhat = zeta / r[..., None]
+    proj = rhat[..., :, None] * rhat[..., None, :]
+    return [phi, (d1 / r)[..., None] * zeta,
+            d2[..., None, None] * proj + (d1 / r)[..., None, None] * (np.eye(3) - proj)]
+
+
+def _bonds(law, n, rng):
+    return law.eta_vec + 0.3 * rng.standard_normal((n, 3))
+
+
+def test_a_row_has_the_same_bits_in_batches_of_any_size():
+    """Every kind, every order: a row gives the same bits inside batches of
+    2, 7 and 16,385 rows, wherever it sits in the batch."""
+    rng = np.random.default_rng(21)
+    for law in all_kind_laws():
+        zeta = _bonds(law, 16385, rng)
+        for order in range(3):
+            full = law.evaluate(zeta, order)
+            for lo, hi in ((0, 2), (5, 7), (0, 7), (9, 16), (16383, 16385)):
+                for a, b in zip(law.evaluate(zeta[lo:hi], order), full):
+                    assert np.array_equal(a, b[lo:hi]), (law.kind, order, lo, hi)
+
+
+def test_a_row_alone_has_its_batch_bits():
+    """Every kind but the toy: a row evaluated alone, as a (3,) or a (1, 3)
+    array, gives its bits in a batch. The toy's one-row ``zeta @ a`` and
+    ``zeta @ M`` may round differently from the same row in a batch."""
+    rng = np.random.default_rng(22)
+    for law in all_kind_laws():
+        if law.kind == "anisotropic-toy":
+            continue
+        zeta = _bonds(law, 64, rng)
+        for order in range(3):
+            full = law.evaluate(zeta, order)
+            for i in range(len(zeta)):
+                for a, b in zip(law.evaluate(zeta[i], order), full):
+                    assert np.array_equal(a, b[i]), (law.kind, order, i)
+                for a, b in zip(law.evaluate(zeta[i:i + 1], order), full):
+                    assert np.array_equal(a, b[i:i + 1]), (law.kind, order, i)
+
+
+def test_evaluate_agrees_with_the_norm_formulas():
+    """Values, gradients and Hessians agree with the norm and axis-sum
+    formulas to 1e-15 relative, row by row, for |zeta| from 1e-6 to 1e3."""
+    rng = np.random.default_rng(23)
+    n = 4000
+    direction = rng.standard_normal((n, 3))
+    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+    zeta = direction * np.logspace(-6, 3, n)[:, None]
+    for law in all_kind_laws():
+        for k, (a, b) in enumerate(zip(law.evaluate(zeta, 2), _oracle_evaluate(law, zeta))):
+            assert a.shape == b.shape and np.all(np.isfinite(b)), (law.kind, k)
+            axes = tuple(range(1, b.ndim))
+            scale = np.max(np.abs(b), axis=axes, keepdims=True) if axes else np.abs(b)
+            assert np.all(np.abs(a - b) <= 1e-15 * scale), (law.kind, k)
+
+
+def test_radial_domain_error_names_the_short_bond():
+    """Below _RADIAL_RMIN the radial laws raise, naming the first short
+    bond's length, its kind and eta; at twice the minimum they do not."""
+    for kind in ("morse-radial", "lennard-jones-radial"):
+        law = make_law((2, 1, 3), kind)
+        zeta = np.ones((5, 3))
+        zeta[3] = (0.3 * _RADIAL_RMIN, 0.2 * _RADIAL_RMIN, 0.0)
+        zeta[4] = 0.0
+        r = float(np.linalg.norm(zeta[3:4], axis=-1)[0])
+        message = f"bond length {r!r} below admissible minimum for {kind} potential (eta=(2, 1, 3))"
+        for order in range(3):
+            with pytest.raises(PotentialDomainError, match=f"^{re.escape(message)}$") as info:
+                law.evaluate(zeta, order)
+            assert info.value.eta == (2, 1, 3)
+            with pytest.raises(PotentialDomainError, match=f"^{re.escape(message)}$"):
+                law.evaluate(zeta[3], order)
+        assert np.all(np.isfinite(law.values(np.full((1, 3), 2.0 * _RADIAL_RMIN))))
