@@ -8,13 +8,9 @@ high-order continuum variant, and the verification harness used by the
 """
 from .coupling import (
     BondClass,
-    CoveringInterpolant,
-    MemberPiece,
     RegionPartition,
-    classify_bond_volume,
     coupled_energy_conforming,
     coupled_energy_dg,
-    covering_interpolant,
     naive_coupling_energy,
     omega_star_mask,
     partition_violations,
@@ -55,7 +51,6 @@ from .lattice import (
     LatticeConfig,
     LatticeField,
     diff_quotient,
-    diff_quotient_field,
     discrete_inner_product,
     make_deformation,
     sample_field,
@@ -74,7 +69,6 @@ __all__ = [
     "BondClass",
     "ConfigError",
     "Covering",
-    "CoveringInterpolant",
     "CoveringMismatch",
     "Deformation",
     "DegenerateEta",
@@ -84,7 +78,6 @@ __all__ = [
     "InteractionSet",
     "LatticeConfig",
     "LatticeField",
-    "MemberPiece",
     "PotentialDomainError",
     "RegionPartition",
     "RunConfig",
@@ -95,15 +88,12 @@ __all__ = [
     "bond_volume_lemma_residual",
     "build_high_order_mesh",
     "cb_energy_density",
-    "classify_bond_volume",
     "config_from_dict",
     "consistency_sweep",
     "coupled_energy_conforming",
     "coupled_energy_dg",
-    "covering_interpolant",
     "default_config",
     "diff_quotient",
-    "diff_quotient_field",
     "discrete_inner_product",
     "enumerate_coverings",
     "evaluate_model",

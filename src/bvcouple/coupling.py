@@ -1,4 +1,4 @@
-"""Region partition, bond-volume classification, and the coupled energies:
+"""Region partition, bond-volume classes, and the coupled energies:
 one assembly body for the conforming, discontinuous (two-sided) and
 high-order models, and the naive control.
 
@@ -70,19 +70,25 @@ continuum weights of a partition (``_continuum_weights``), are
 ``energies._Weights`` built once and cached with them.
 
 A direction's operators are built by array passes over the lattice: one
-classification of every site's member box (``_member_classes``, the rule
-that ``classify_bond_volume`` also applies), the atomistic bonds from the
-atomistic members and the reduce offsets, and the cones, which are
-constructed member by member over the interface members only. The class
-codes of the interface members' six face neighbours, which choose each
-cone face's triangulation, come from one array call of the same rule
-(``_neighbour_classes``). A cone tet is four vertices of lattice points;
-the points of all tets are flattened once, and the cone operator gives
-each point of a vertex the coefficient 1/(number of points). The flat site
-indices of every operator come from one wrapped ravel of the collected
-site triples. ``covering_interpolant`` builds its cones from the same
-vertices, evaluating each as the mean of the field over its points; its
-other pieces read the staircase table of ``geometry``.
+classification of every site's member box (``_member_classes``), the
+atomistic bonds from the atomistic members and the reduce offsets, and the
+cones of the interface members. The class codes of the interface members'
+six face neighbours, which choose each cone face's triangulation, come
+from one array call of the same rule (``_neighbour_classes``). A cone
+reads its member only through its shape: lo - mu and hi - mu, where P =
+[lo, hi] and mu is the member's min corner, which of P's faces lie on the
+region's planes, the six neighbour codes and the block's reduce mode. Up
+to translation by mu the members take a few dozen shapes at any N (26,
+104 and 44 for the README directions on a region of side 8 or more), so
+``_build_member_cone`` runs once per shape, at its first member. A cone
+tet is four vertices of lattice points; per shape, the points are
+flattened, the edge matrices inverted and the jump rows found once, and
+the cone operator gives each point of a vertex the coefficient 1/(number
+of points). Every member's copy is its shape's points plus mu, in
+member-major row order. Vertex positions are means of 1, 4 or 8 integer
+points, so every copy's edge matrix has the bits of its shape's. The flat
+site indices of every operator come from one wrapped ravel of the
+collected site triples.
 """
 from __future__ import annotations
 
@@ -108,15 +114,7 @@ from .energies import (
     _weights,
     _Weights,
 )
-from .geometry import (
-    PATH_PERMS,
-    CoveringMismatch,
-    DegenerateEta,
-    _staircase_simplices,
-    enumerate_coverings,
-    nondegenerate_eta,
-    path_edge_offsets,
-)
+from .geometry import PATH_PERMS, CoveringMismatch, DegenerateEta, path_edge_offsets
 from .lattice import Deformation, IntTriple, LatticeConfig, LatticeField
 from .potentials import InteractionLaw, InteractionSet
 
@@ -194,14 +192,6 @@ def _neighbour_classes(mu, w, part: RegionPartition) -> np.ndarray:
     axis i by -w_i (s = 0) or +w_i (s = 1)."""
     shift = np.diag(w)
     return _member_classes(np.asarray(mu)[..., None, None, :] + np.stack([-shift, shift], axis=1), w, part)
-
-
-def classify_bond_volume(part: RegionPartition, ell, eta) -> BondClass:
-    """Classify the bond volume of (ell, eta) against the region partition:
-    strictly inside the atomistic box, disjoint from it, or interface."""
-    eta = nondegenerate_eta(eta)
-    ell = tuple(int(x) % part.cfg.N[i] for i, x in enumerate(ell))
-    return _CLASSES[int(_member_classes(*_member_box(ell, eta), part))]
 
 
 def required_clearance(etas: Sequence[IntTriple]) -> int:
@@ -464,6 +454,16 @@ def _plus_side_perm(axis: int, nu_sign: int, half: str) -> tuple[int, int, int]:
     return (j, k, axis) if half == "lower" else (k, j, axis)
 
 
+def _starts(lens) -> np.ndarray:
+    """Offset of each of the consecutive segments of lengths ``lens``."""
+    return np.cumsum(lens) - lens
+
+
+def _ranges(starts, lens) -> np.ndarray:
+    """The concatenated ranges [s, s + n) of the starts s and lengths n."""
+    return np.arange(np.sum(lens)) + np.repeat(starts - _starts(lens), lens)
+
+
 # Per staircase template, the base offset of its edge parallel to each axis.
 _EDGE_OFFSETS = np.array([[path_edge_offsets(perm)[a] for a in range(3)] for perm in PATH_PERMS])
 
@@ -506,37 +506,66 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple) 
         N,
     )
 
-    # --- cone tets of the interface members -----------------------------
-    # Each tet is (apex,) + a surface triangle; fine interface triangles
-    # also give a jump row (cone tet, axis, nu_sign, outer template).
+    # --- cone tets of the interface members, one build per shape ---------
+    # The shape key is what a cone reads of its member (see the module
+    # docstring). Each shape's cone is built at its first member: each tet
+    # is (apex,) + a surface triangle, and a fine interface triangle also
+    # gives a jump row (the shape's cone tet, axis, nu_sign, outer template).
+    mu_i = mu[interface]
+    lo, hi = np.maximum(mu_i, part.corner), np.minimum(mu_i + w, part.top)
+    nb = _neighbour_classes(mu_i, w, part)
+    key = np.concatenate([lo - mu_i, hi - mu_i, lo == part.corner, hi == part.top, nb.reshape(-1, 6)], axis=1)
+    _, first, shape = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    shape = shape.reshape(-1)
     tets = []
-    tet_sites: list[IntTriple] = []     # member base site per cone tet
+    n_tets: list[int] = []
     g_rows: list[tuple[int, int, int, int]] = []
     w_t = tuple(w.tolist())
-    nb = _neighbour_classes(mu[interface], w, part).tolist()
-    for ell, mu_t, nb_t in zip(ells[interface].tolist(), mu[interface].tolist(), nb):
+    for mu_t, nb_t in zip(mu_i[first].tolist(), nb[first].tolist()):
         apex, tris = _build_member_cone(mu_t, w_t, eta, part, bool(zero), nb_t)
-        tet_sites += [ell] * len(tris)
+        n_tets.append(len(tris))
         for tri, meta in tris:
             if meta is not None and eta[meta[0]] != 0:
                 g_rows.append((len(tets), meta[0], meta[1], PATH_PERMS.index(_plus_side_perm(*meta))))
             tets.append((apex,) + tri)
 
-    # eta^T A^-1 (vertex values - apex value) per cone tet, a vertex value
-    # being the mean of its lattice points' values
+    # eta^T A^-1 (vertex values - apex value) per shape tet, a vertex value
+    # being the mean of its lattice points' values. Vertex positions are
+    # sums of integers over 1, 4 or 8, so A has the same bits in every copy.
     pts, n_pts, pos = _cone_points(tets)
     A = pos[:, 1:] - pos[:, :1]
     volw = np.abs(np.linalg.det(A)) / 6.0 / n_eta
     m = np.einsum("r,trs->ts", np.asarray(eta, dtype=float), np.linalg.inv(A))
     weights = np.concatenate([-m.sum(axis=1, keepdims=True), m], axis=1).ravel()
-    cone_op = _csr(np.repeat(np.arange(len(n_pts)) // 4, n_pts), flat(pts),
-                   np.repeat(weights * (1.0 / n_pts), n_pts), (len(tets), n_sites))
+    pt_w = np.repeat(weights * (1.0 / n_pts), n_pts)
+    n_tets = np.asarray(n_tets)
+    tet0 = _starts(n_tets)                      # first tet of each shape
+    tet_shape = np.repeat(np.arange(len(first)), n_tets)
+    tet_pts = n_pts.reshape(-1, 4).sum(axis=1)
+    vert_pt = _starts(n_pts).reshape(-1, 4)     # first point of each vertex
+    pts -= np.repeat(mu_i[first][tet_shape], tet_pts, axis=0)
+
+    # Every member's copy of its shape, member-major: cone tet t is shape
+    # tet tet[t] of member member[t], its points the shape points pt.
+    copies = n_tets[shape]
+    tet = _ranges(tet0[shape], copies)
+    member = np.repeat(np.arange(len(shape)), copies)
+    n_pt = tet_pts[tet]
+    pt = _ranges(vert_pt[tet, 0], n_pt)
+    cone_op = _csr(np.repeat(np.arange(len(tet)), n_pt), flat(pts[pt] + np.repeat(mu_i[member], n_pt, axis=0)),
+                   pt_w[pt], (len(tet), n_sites))
 
     # --- interface-surface rows for the discontinuous variant -----------
-    g_tet, g_axis, g_sign, g_perm = np.asarray(g_rows, dtype=np.int64).reshape(-1, 4).T
+    # Each member copies its shape's jump rows, their tets moved to its own
+    # cone tets; a triangle's three lattice sites are its vertices' points.
+    s_tet, g_axis, g_sign, g_perm = np.asarray(g_rows, dtype=np.int64).reshape(-1, 4).T
+    shape_rows = np.bincount(tet_shape[s_tet], minlength=len(first))
+    g = _ranges(_starts(shape_rows)[shape], shape_rows[shape])
+    g_member = np.repeat(np.arange(len(shape)), shape_rows[shape])
+    g_tet = _starts(copies)[g_member] + s_tet[g] - tet0[shape[g_member]]
+    g_axis, g_sign, g_perm = g_axis[g], g_sign[g], g_perm[g]
     n_tri = len(g_tet)
-    # the triangle's three lattice sites: its vertices are single points
-    tri_sites = pts[(np.cumsum(n_pts) - n_pts).reshape(-1, 4)[g_tet, 1:]]
+    tri_sites = pts[vert_pt[s_tet[g], 1:]] + mu_i[g_member, None]
     eye = np.eye(3, dtype=np.int64)
     # The outer continuum cell has the triangle's first vertex (the square's
     # min corner) as base, or the cell below it on the region's lower faces.
@@ -562,8 +591,8 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple) 
         n_eta=n_eta,
         atom_op=atom_op,
         atom_w=_weights(np.full(n_bonds, 1.0 / len(offsets))),
-        cone_op=_Gather(cone_op, _ONE, flat(tet_sites), N),
-        volw=_weights(volw),
+        cone_op=_Gather(cone_op, _ONE, flat(ells[interface])[member], N),
+        volw=_weights(volw[tet]),
         gamma=gamma,
         counts=counts,
     )
@@ -666,7 +695,11 @@ def _coupled(model: str, y_minus: Deformation, y_plus: Deformation, R, part, pol
     if mesh is not None:
         terms.append(_term("continuum_pk", mesh.pk_batches(R), F, np.concatenate([vmf, nodes]), eps, (gx,)))
     terms.append(_term("interface", cone, F, vmf, eps, inner))
-    diagnostics = {"counts": {str(law.eta): b.counts for law, b in blocks}}
+    diagnostics = {
+        "counts": {str(law.eta): b.counts for law, b in blocks},
+        "cone_tets": {str(law.eta): b.cone_op.sites.size for law, b in blocks},
+        "jump_rows": {str(law.eta): b.gamma.nu_eta.size for law, b in blocks},
+    }
     if two_sided:
         t0 = time.perf_counter()
         e_jump = 0.0
@@ -739,116 +772,3 @@ def naive_coupling_energy(
     cb = [(op, w, law, "continuum") for law in R for op in _staircase_stencils(law.eta, cfg.N)]
     terms = [_term("atomistic", atom, y.F, vflat, eps, (gf,)), _term("continuum", cb, y.F, vflat, eps, (gf,))]
     return _report("naive", LatticeField(cfg, g), terms)
-
-
-# ======================================================================
-# Per-covering interpolant descriptor (verification machinery)
-# ======================================================================
-
-@dataclass
-class MemberPiece:
-    """Tetrahedra of one member bond volume's interpolant piece."""
-
-    base: IntTriple
-    kind: str                 # atomistic | continuum | interface-cone | interface-remainder
-    positions: np.ndarray     # (T, 4, 3) physical coordinates
-    gradients: np.ndarray     # (T, 3, 3) physical gradients of the interpolant
-    volumes: np.ndarray       # (T,)
-    vertex_values: np.ndarray  # (T, 4, 3) interpolant values at the vertices
-    box: tuple[IntTriple, IntTriple]  # (min corner, widths) in cell units
-
-
-@dataclass
-class CoveringInterpolant:
-    """Piecewise-linear interpolant of one covering: coarse box interpolants
-    on atomistic members, the fine cell interpolant on continuum members and
-    on the outer remainder of interface members, cones on their inner part."""
-
-    eta: IntTriple
-    index: int
-    pieces: list[MemberPiece]
-    cfg: LatticeConfig
-
-    def integral_gradient_eta(self) -> np.ndarray:
-        """integral over the torus of grad(v) eta (one covering)."""
-        out = np.zeros(3)
-        etaf = np.asarray(self.eta, dtype=float)
-        for p in self.pieces:
-            out += np.einsum("t,tij,j->i", p.volumes, p.gradients, etaf)
-        return out
-
-    def pieces_for_cell(self, cell) -> list[MemberPiece]:
-        cell = tuple(int(c) for c in cell)
-        N = self.cfg.N
-        out = []
-        for p in self.pieces:
-            mu, w = p.box
-            if all((cell[d] - mu[d]) % N[d] < w[d] for d in range(3)):
-                out.append(p)
-        return out
-
-
-def _batch_tet_data(positions: np.ndarray, values: np.ndarray):
-    A = positions[:, 1:] - positions[:, :1]
-    Bv = values[:, 1:] - values[:, :1]
-    X = np.linalg.solve(A, Bv)
-    G = np.transpose(X, (0, 2, 1))
-    vols = np.abs(np.linalg.det(A)) / 6.0
-    return G, vols
-
-
-def covering_interpolant(
-    m: int, eta, u: LatticeField, part: RegionPartition
-) -> CoveringInterpolant:
-    """Build the per-tet descriptor of covering m's interpolant of u."""
-    eta = nondegenerate_eta(eta)
-    cfg = u.cfg
-    coverings = enumerate_coverings(eta, cfg)
-    if not 0 <= m < len(coverings):
-        raise ValueError(f"covering index m={m} is outside [0, n_eta) = [0, {len(coverings)}) for eta={eta}")
-    cov = coverings[m]
-    eps = cfg.epsilon
-    pieces: list[MemberPiece] = []
-
-    def piece(base, kind, corners, diag, box):
-        """Member piece on the staircase tets of the boxes of diagonal
-        ``diag`` at ``corners``, its values gathered from u in one pass."""
-        sites = _staircase_simplices(corners, diag).reshape(-1, 4, 3)
-        val = u.values[tuple(np.moveaxis(sites % cfg.N, -1, 0))]
-        pos = eps * sites.astype(float)
-        G, vols = _batch_tet_data(pos, val)
-        return MemberPiece(base, kind, pos, G, vols, val, box)
-
-    mus, w = _member_box(cov.base_sites, eta)
-    codes = _member_classes(mus, w, part)
-    nb_codes = _neighbour_classes(mus, w, part).tolist()
-    cell_offsets = np.indices(w).reshape(3, -1).T
-    w = tuple(w.tolist())
-    for base, mu, code, nb in zip(cov.base_sites, mus, codes, nb_codes):
-        box = (tuple(mu.tolist()), w)
-        cls = _CLASSES[code]
-        if cls is BondClass.ATOMISTIC:
-            pieces.append(piece(base, "atomistic", base, eta, box))
-            continue
-        cells = mu + cell_offsets
-        if cls is BondClass.CONTINUUM:
-            pieces.append(piece(base, "continuum", cells, (1, 1, 1), box))
-            continue
-        apex, tris = _build_member_cone(box[0], w, eta, part, False, nb)
-        pts, n_pts, pos = _cone_points([(apex,) + tri for tri, _meta in tris])
-        pos = eps * pos
-        # vertex values: the mean of the points' values, each sum taken one
-        # point at a time from +0.0 (the bits of Python's sum)
-        vals = u.values[tuple(np.moveaxis(pts % cfg.N, -1, 0))]
-        first = np.cumsum(n_pts) - n_pts
-        total = np.zeros((len(n_pts), 3))
-        for slot in range(n_pts.max()):
-            has = n_pts > slot
-            total[has] += vals[first[has] + slot]
-        val = (total / n_pts[:, None]).reshape(-1, 4, 3)
-        G, vols = _batch_tet_data(pos, val)
-        pieces.append(MemberPiece(base, "interface-cone", pos, G, vols, val, box))
-        outer = cells[_member_classes(cells, 1, part) == 0]
-        if len(outer):
-            pieces.append(piece(base, "interface-remainder", outer, (1, 1, 1), box))
-    return CoveringInterpolant(eta=eta, index=m, pieces=pieces, cfg=cfg)

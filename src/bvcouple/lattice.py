@@ -154,30 +154,6 @@ def make_deformation(F, v_raw: LatticeField) -> Deformation:
     return Deformation(F=deformation_gradient(F), displacement=v_raw.zero_mean())
 
 
-def shift_values(values: np.ndarray, eta) -> np.ndarray:
-    """Array of values at l + eta: out[l] = values[(l + eta) mod N]."""
-    return np.roll(values, shift=(-int(eta[0]), -int(eta[1]), -int(eta[2])), axis=(0, 1, 2))
-
-
-def diff_quotient_field(u, eta) -> np.ndarray:
-    """(u_{l+eta} - u_l)/epsilon at every site, as an (N1,N2,N3,3) array.
-
-    Accepts a LatticeField or a Deformation; for a deformation the result is
-    F eta + (v_{l+eta} - v_l)/epsilon.
-    """
-    eta = tuple(int(e) for e in eta)
-    if eta == (0, 0, 0):
-        raise ValueError("difference quotient needs a nonzero direction")
-    if isinstance(u, Deformation):
-        v = u.displacement.values
-        eps = u.cfg.epsilon
-        base = u.F @ (np.asarray(eta, dtype=float))
-        return base + (shift_values(v, eta) - v) / eps
-    v = u.values
-    eps = u.cfg.epsilon
-    return (shift_values(v, eta) - v) / eps
-
-
 def diff_quotient(u, ell, eta) -> np.ndarray:
     """Difference quotient (u_{l+eta} - u_l)/epsilon at one site."""
     eta = tuple(int(e) for e in eta)

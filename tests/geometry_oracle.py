@@ -1,19 +1,45 @@
 """Object-level geometry oracles for the tests: staircase tetrahedra with
 physical vertices, the cell and bond-volume decompositions built from
-them, and the P1, per-tet discrete and cell-averaged gradients.
+them, the P1, per-tet discrete and cell-averaged gradients, the
+difference-quotient field, the bond-volume classification of one site,
+the per-covering interpolant (the paper's globally continuous function)
+and the per-member builder of a direction's assembly block.
 
 The package computes these quantities as whole-array operators; the tests
 compare those against the per-object forms here, which read only the
-staircase table of ``bvcouple.geometry``.
+staircase table of ``bvcouple.geometry`` and the cone construction of
+``bvcouple.coupling``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from bvcouple.geometry import _staircase_simplices, nondegenerate_eta
-from bvcouple.lattice import IntTriple, LatticeConfig, LatticeField
+from bvcouple.coupling import (
+    _CLASSES,
+    _EDGE_OFFSETS,
+    DEGENERATE_POLICIES,
+    BondClass,
+    RegionPartition,
+    _build_eta_block,
+    _build_member_cone,
+    _cone_points,
+    _csr,
+    _EtaBlock,
+    _GammaData,
+    _get_blocks,
+    _member_box,
+    _member_classes,
+    _neighbour_classes,
+    _plus_side_perm,
+    omega_star_mask,
+)
+from bvcouple.energies import _ONE, _Gather, _Weights, _weights
+from bvcouple.geometry import PATH_PERMS, _staircase_simplices, enumerate_coverings, nondegenerate_eta
+from bvcouple.lattice import Deformation, IntTriple, LatticeConfig, LatticeField
+from bvcouple.potentials import InteractionSet, make_law
 
 
 @dataclass(frozen=True)
@@ -127,3 +153,290 @@ def averaged_gradient(ell, u: LatticeField) -> np.ndarray:
                 col += u.at(top) - u.at(base)
         G[:, a] = col / (4.0 * eps)
     return G
+
+
+def diff_quotient_field(u, eta) -> np.ndarray:
+    """(u_{l+eta} - u_l)/epsilon at every site, as an (N1,N2,N3,3) array.
+
+    Accepts a LatticeField or a Deformation; for a deformation the result is
+    F eta + (v_{l+eta} - v_l)/epsilon.
+    """
+    eta = tuple(int(e) for e in eta)
+    if eta == (0, 0, 0):
+        raise ValueError("difference quotient needs a nonzero direction")
+    v = u.displacement.values if isinstance(u, Deformation) else u.values
+    diff = (np.roll(v, shift=tuple(-e for e in eta), axis=(0, 1, 2)) - v) / u.cfg.epsilon
+    if isinstance(u, Deformation):
+        return u.F @ np.asarray(eta, dtype=float) + diff
+    return diff
+
+
+def classify_bond_volume(part: RegionPartition, ell, eta) -> BondClass:
+    """Classify the bond volume of (ell, eta) against the region partition:
+    strictly inside the atomistic box, disjoint from it, or interface."""
+    eta = nondegenerate_eta(eta)
+    ell = tuple(int(x) % part.cfg.N[i] for i, x in enumerate(ell))
+    return _CLASSES[int(_member_classes(*_member_box(ell, eta), part))]
+
+
+# ----------------------------------------------------------------------
+# Per-covering interpolant descriptor
+# ----------------------------------------------------------------------
+
+@dataclass
+class MemberPiece:
+    """Tetrahedra of one member bond volume's interpolant piece."""
+
+    base: IntTriple
+    kind: str                 # atomistic | continuum | interface-cone | interface-remainder
+    positions: np.ndarray     # (T, 4, 3) physical coordinates
+    gradients: np.ndarray     # (T, 3, 3) physical gradients of the interpolant
+    volumes: np.ndarray       # (T,)
+    vertex_values: np.ndarray  # (T, 4, 3) interpolant values at the vertices
+    box: tuple[IntTriple, IntTriple]  # (min corner, widths) in cell units
+
+
+@dataclass
+class CoveringInterpolant:
+    """Piecewise-linear interpolant of one covering: coarse box interpolants
+    on atomistic members, the fine cell interpolant on continuum members and
+    on the outer remainder of interface members, cones on their inner part."""
+
+    eta: IntTriple
+    index: int
+    pieces: list[MemberPiece]
+    cfg: LatticeConfig
+
+    def integral_gradient_eta(self) -> np.ndarray:
+        """integral over the torus of grad(v) eta (one covering)."""
+        out = np.zeros(3)
+        etaf = np.asarray(self.eta, dtype=float)
+        for p in self.pieces:
+            out += np.einsum("t,tij,j->i", p.volumes, p.gradients, etaf)
+        return out
+
+    def pieces_for_cell(self, cell) -> list[MemberPiece]:
+        cell = tuple(int(c) for c in cell)
+        N = self.cfg.N
+        out = []
+        for p in self.pieces:
+            mu, w = p.box
+            if all((cell[d] - mu[d]) % N[d] < w[d] for d in range(3)):
+                out.append(p)
+        return out
+
+
+def _batch_tet_data(positions: np.ndarray, values: np.ndarray):
+    A = positions[:, 1:] - positions[:, :1]
+    Bv = values[:, 1:] - values[:, :1]
+    X = np.linalg.solve(A, Bv)
+    G = np.transpose(X, (0, 2, 1))
+    vols = np.abs(np.linalg.det(A)) / 6.0
+    return G, vols
+
+
+def covering_interpolant(
+    m: int, eta, u: LatticeField, part: RegionPartition
+) -> CoveringInterpolant:
+    """Build the per-tet descriptor of covering m's interpolant of u: the
+    cones come from ``coupling._build_member_cone``, one member at a time."""
+    eta = nondegenerate_eta(eta)
+    cfg = u.cfg
+    coverings = enumerate_coverings(eta, cfg)
+    if not 0 <= m < len(coverings):
+        raise ValueError(f"covering index m={m} is outside [0, n_eta) = [0, {len(coverings)}) for eta={eta}")
+    cov = coverings[m]
+    eps = cfg.epsilon
+    pieces: list[MemberPiece] = []
+
+    def piece(base, kind, corners, diag, box):
+        """Member piece on the staircase tets of the boxes of diagonal
+        ``diag`` at ``corners``, its values gathered from u in one pass."""
+        sites = _staircase_simplices(corners, diag).reshape(-1, 4, 3)
+        val = u.values[tuple(np.moveaxis(sites % cfg.N, -1, 0))]
+        pos = eps * sites.astype(float)
+        G, vols = _batch_tet_data(pos, val)
+        return MemberPiece(base, kind, pos, G, vols, val, box)
+
+    mus, w = _member_box(cov.base_sites, eta)
+    codes = _member_classes(mus, w, part)
+    nb_codes = _neighbour_classes(mus, w, part).tolist()
+    cell_offsets = np.indices(w).reshape(3, -1).T
+    w = tuple(w.tolist())
+    for base, mu, code, nb in zip(cov.base_sites, mus, codes, nb_codes):
+        box = (tuple(mu.tolist()), w)
+        cls = _CLASSES[code]
+        if cls is BondClass.ATOMISTIC:
+            pieces.append(piece(base, "atomistic", base, eta, box))
+            continue
+        cells = mu + cell_offsets
+        if cls is BondClass.CONTINUUM:
+            pieces.append(piece(base, "continuum", cells, (1, 1, 1), box))
+            continue
+        apex, tris = _build_member_cone(box[0], w, eta, part, False, nb)
+        pts, n_pts, pos = _cone_points([(apex,) + tri for tri, _meta in tris])
+        pos = eps * pos
+        # vertex values: the mean of the points' values, each sum taken one
+        # point at a time from +0.0 (the bits of Python's sum)
+        vals = u.values[tuple(np.moveaxis(pts % cfg.N, -1, 0))]
+        first = np.cumsum(n_pts) - n_pts
+        total = np.zeros((len(n_pts), 3))
+        for slot in range(n_pts.max()):
+            has = n_pts > slot
+            total[has] += vals[first[has] + slot]
+        val = (total / n_pts[:, None]).reshape(-1, 4, 3)
+        G, vols = _batch_tet_data(pos, val)
+        pieces.append(MemberPiece(base, "interface-cone", pos, G, vols, val, box))
+        outer = cells[_member_classes(cells, 1, part) == 0]
+        if len(outer):
+            pieces.append(piece(base, "interface-remainder", outer, (1, 1, 1), box))
+    return CoveringInterpolant(eta=eta, index=m, pieces=pieces, cfg=cfg)
+
+
+# ----------------------------------------------------------------------
+# Per-member block builder
+# ----------------------------------------------------------------------
+
+def per_member_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple) -> _EtaBlock:
+    """The block of one direction built as ``coupling._build_eta_block``
+    once did: ``_build_member_cone`` called for every interface member, the
+    points of all cone tets flattened together, and the edge matrices of
+    every tet inverted. ``part`` must have passed the partition check, so a
+    zero component of eta means the ``reduce`` members."""
+    N = cfg.N
+    n_sites = cfg.n_sites
+    zero = [d for d in range(3) if eta[d] == 0]
+    n_eta = int(np.prod([abs(e) for e in eta if e != 0]))
+
+    def flat(sites):
+        return np.ravel_multi_index(np.moveaxis(np.asarray(sites, dtype=np.int64), -1, 0), N, mode="wrap")
+
+    ells = np.indices(N).reshape(3, -1).T
+    mu, w = _member_box(ells, eta)
+    cls = _member_classes(mu, w, part)
+    n_cls = np.bincount(cls, minlength=3)
+    counts = {c.value: int(n_cls[_CLASSES.index(c)]) for c in BondClass}
+    atomistic, interface = cls == 2, cls == 1
+
+    offsets = np.zeros((2 ** len(zero), 3), dtype=np.int64)
+    for bit, d in enumerate(zero):
+        offsets[:, d] = (np.arange(len(offsets)) >> bit) & 1
+    base = (ells[atomistic][:, None, :] + offsets).reshape(-1, 3)
+    n_bonds = len(base)
+    ends = flat(np.stack([base + np.asarray(eta), base], axis=1))
+    atom_op = _Gather(
+        _csr(np.repeat(np.arange(n_bonds), 2), ends.ravel(), np.tile([1.0, -1.0], n_bonds),
+             (n_bonds, n_sites)),
+        _ONE,
+        ends[:, 1],
+        N,
+    )
+
+    tets = []
+    tet_sites: list[IntTriple] = []
+    g_rows: list[tuple[int, int, int, int]] = []
+    w_t = tuple(w.tolist())
+    nb = _neighbour_classes(mu[interface], w, part).tolist()
+    for ell, mu_t, nb_t in zip(ells[interface].tolist(), mu[interface].tolist(), nb):
+        apex, tris = _build_member_cone(mu_t, w_t, eta, part, bool(zero), nb_t)
+        tet_sites += [ell] * len(tris)
+        for tri, meta in tris:
+            if meta is not None and eta[meta[0]] != 0:
+                g_rows.append((len(tets), meta[0], meta[1], PATH_PERMS.index(_plus_side_perm(*meta))))
+            tets.append((apex,) + tri)
+
+    pts, n_pts, pos = _cone_points(tets)
+    A = pos[:, 1:] - pos[:, :1]
+    volw = np.abs(np.linalg.det(A)) / 6.0 / n_eta
+    m = np.einsum("r,trs->ts", np.asarray(eta, dtype=float), np.linalg.inv(A))
+    weights = np.concatenate([-m.sum(axis=1, keepdims=True), m], axis=1).ravel()
+    cone_op = _csr(np.repeat(np.arange(len(n_pts)) // 4, n_pts), flat(pts),
+                   np.repeat(weights * (1.0 / n_pts), n_pts), (len(tets), n_sites))
+
+    g_tet, g_axis, g_sign, g_perm = np.asarray(g_rows, dtype=np.int64).reshape(-1, 4).T
+    n_tri = len(g_tet)
+    tri_sites = pts[(np.cumsum(n_pts) - n_pts).reshape(-1, 4)[g_tet, 1:]]
+    eye = np.eye(3, dtype=np.int64)
+    cell = tri_sites[:, 0] - (g_sign < 0)[:, None] * eye[g_axis]
+    assert omega_star_mask(part)[tuple(np.mod(cell, N).T)].all(), \
+        "outer interface cell must be continuum"
+    axes = [a for a in range(3) if eta[a] != 0]
+    edge_base = cell[:, None, :] + _EDGE_OFFSETS[g_perm][:, axes]
+    edges = flat(np.stack([edge_base + eye[axes], edge_base], axis=2))
+    eta_a = np.asarray(eta, dtype=float)[axes]
+    gamma = _GammaData(
+        nu_eta=(g_sign * np.asarray(eta)[g_axis]).astype(float),
+        minus_op=cone_op[g_tet],
+        plus_op=_csr(np.repeat(np.arange(n_tri), 2 * len(axes)), edges.ravel(),
+                     np.tile(np.stack([eta_a, -eta_a], axis=1).ravel(), n_tri), (n_tri, n_sites)),
+        trace_op=_csr(np.repeat(np.arange(n_tri), 3), flat(tri_sites).ravel(), np.ones(3 * n_tri),
+                      (n_tri, n_sites)),
+    )
+    return _EtaBlock(
+        eta=eta,
+        n_eta=n_eta,
+        atom_op=atom_op,
+        atom_w=_weights(np.full(n_bonds, 1.0 / len(offsets))),
+        cone_op=_Gather(cone_op, _ONE, flat(tet_sites), N),
+        volw=_weights(volw),
+        gamma=gamma,
+        counts=counts,
+    )
+
+
+def _array_fields(obj, name):
+    """(name, array) pairs of everything a block field holds."""
+    if isinstance(obj, sparse.csr_array):
+        yield from ((f"{name}.{a}", getattr(obj, a)) for a in ("data", "indices", "indptr"))
+        yield f"{name}.shape", np.asarray(obj.shape)
+    elif isinstance(obj, _Gather):
+        yield from _array_fields(obj.G, f"{name}.G")
+        yield from ((f"{name}.{a}", getattr(obj, a)) for a in ("coef", "sites"))
+        yield f"{name}.N", np.asarray(obj.N)
+    elif isinstance(obj, _Weights):
+        yield from ((f"{name}.{a}", np.asarray(getattr(obj, a))) for a in ("w", "zero", "total"))
+    elif isinstance(obj, _GammaData):
+        for a in ("nu_eta", "minus_op", "plus_op", "trace_op"):
+            yield from _array_fields(getattr(obj, a), f"{name}.{a}")
+    else:
+        yield name, np.asarray(obj)
+
+
+def block_mismatches(block: _EtaBlock, ref: _EtaBlock) -> list[str]:
+    """Names of the fields in which two blocks differ in dtype or in any
+    byte; the counts must be equal dicts."""
+    bad = [] if block.counts == ref.counts else ["counts"]
+    for field in ("eta", "n_eta", "atom_op", "atom_w", "cone_op", "volw", "gamma"):
+        for (name, a), (_, b) in zip(_array_fields(getattr(block, field), field),
+                                     _array_fields(getattr(ref, field), field), strict=True):
+            if a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes():
+                bad.append(name)
+    return bad
+
+
+def oracle_placements(N: int) -> tuple[tuple[IntTriple, IntTriple], ...]:
+    """Region placements checked against the per-member builder on the cube
+    of side N (a multiple of 3): the centred cube of side N/3 and an
+    off-centre box beside it; at N = 12 these are (4,4,4)+(4,4,4) and
+    (3,5,4)+(5,3,4)."""
+    c = N // 3
+    return (((c, c, c), (c, c, c)), ((c - 1, c + 1, c), (c + 1, c - 1, c)))
+
+
+def oracle_block_mismatches(N: int, etas, policies=DEGENERATE_POLICIES) -> list[tuple]:
+    """(corner, policy, eta, field) of every block field in which
+    ``coupling._build_eta_block`` differs from ``per_member_eta_block`` on
+    the cube of side N, at each of ``oracle_placements(N)`` and each policy
+    (under "reject", the directions without a zero component). Each
+    policy's blocks are built afresh, through ``coupling._get_blocks``."""
+    cfg = LatticeConfig(N=(N,) * 3, epsilon=1.0 / N)
+    bad = []
+    for corner, ext in oracle_placements(N):
+        part = RegionPartition(cfg, corner, ext)
+        refs = {tuple(eta): per_member_eta_block(cfg, part, tuple(eta)) for eta in etas}
+        for policy in policies:
+            R = InteractionSet([make_law(eta, "harmonic") for eta in refs if policy == "reduce" or 0 not in eta])
+            _build_eta_block.cache_clear()
+            for law, block in _get_blocks(cfg, part, R, policy):
+                bad += [(corner, policy, law.eta, name) for name in block_mismatches(block, refs[law.eta])]
+    return bad

@@ -14,10 +14,8 @@ import pytest
 from bvcouple.coupling import (
     BondClass,
     RegionPartition,
-    classify_bond_volume,
     coupled_energy_conforming,
     coupled_energy_dg,
-    covering_interpolant,
     naive_coupling_energy,
     omega_star_mask,
 )
@@ -38,7 +36,7 @@ from bvcouple.potentials import (
     make_law,
     piola_stress,
 )
-from geometry_oracle import decompose_cell_type_a, p1_gradient
+from geometry_oracle import classify_bond_volume, covering_interpolant, decompose_cell_type_a, p1_gradient
 
 
 def _line(number: int, name: str, passed: bool, detail: str) -> None:

@@ -8,9 +8,7 @@ import pytest
 from bvcouple.coupling import (
     BondClass,
     RegionPartition,
-    classify_bond_volume,
     coupled_energy_conforming,
-    covering_interpolant,
     naive_coupling_energy,
     omega_star_mask,
     partition_violations,
@@ -25,7 +23,14 @@ from bvcouple.lattice import (
     make_deformation,
 )
 from bvcouple.potentials import InteractionSet, make_law, piola_stress
-from geometry_oracle import decompose_cell_type_a, p1_gradient
+from geometry_oracle import (
+    classify_bond_volume,
+    covering_interpolant,
+    decompose_cell_type_a,
+    oracle_block_mismatches,
+    oracle_placements,
+    p1_gradient,
+)
 
 
 def cfg12() -> LatticeConfig:
@@ -715,3 +720,39 @@ def test_both_policies_share_one_cached_block():
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
     assert reports[0].energy == reports[1].energy
     assert np.array_equal(reports[0].gradient.values, reports[1].gradient.values)
+
+
+@pytest.mark.parametrize("N", [12, 24])
+def test_blocks_equal_the_per_member_builder_byte_for_byte(N):
+    """Cones built once per shape and placed by translation give every
+    block field (CSR data, indices and indptr, gather sites, weights, the
+    jump rows' operators, counts) with the dtype and bytes of the builder
+    that calls ``_build_member_cone`` for every interface member, for
+    every direction here, centred and off-centre, under both policies."""
+    assert oracle_placements(12) == BLOCK_PLACEMENTS
+    assert oracle_block_mismatches(N, BLOCK_ETAS) == []
+
+
+@pytest.mark.parametrize("N", [24, 36])
+def test_cones_are_built_once_per_shape(monkeypatch, N):
+    """Up to translation, the README directions' interface members take
+    26, 104 and 44 cone shapes on a region of side N/3, centred or not,
+    and the builder makes one cone per shape: the count does not grow
+    with N, while the members grow as N^2."""
+    from bvcouple import coupling
+
+    calls = Counter()
+    build = coupling._build_member_cone
+
+    def counted(mu, w, eta, *args):
+        calls[tuple(eta)] += 1
+        return build(mu, w, eta, *args)
+
+    monkeypatch.setattr(coupling, "_build_member_cone", counted)
+    cfg = LatticeConfig(N=(N, N, N), epsilon=1.0 / N)
+    for corner, ext in oracle_placements(N):
+        part = RegionPartition(cfg, corner, ext)
+        calls.clear()
+        for law in laws_full():
+            coupling._build_eta_block.__wrapped__(cfg, part, law.eta)
+        assert calls == {(1, 1, 1): 26, (2, 1, 3): 104, (1, -1, 2): 44}, (N, corner)

@@ -238,6 +238,34 @@ def test_reports_time_their_terms(monkeypatch):
         assert diag["lanes"] == 1
 
 
+def test_coupled_reports_count_cone_tets_and_jump_rows():
+    """Every coupled report carries its blocks' cone tets and jump rows per
+    direction, keyed like ``counts``, which gains no class; no other report
+    carries them. At N=12 on the README region the jump rows are two fine
+    triangles per covering on each unit face of Gamma."""
+    from bvcouple.coupling import _build_eta_block
+
+    calls = model_calls()
+    cfg = LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0)
+    part = RegionPartition(cfg, (4, 4, 4), (4, 4, 4))
+    blocks = {str(law.eta): _build_eta_block(cfg, part, law.eta) for law in README_LAWS}
+    want = {
+        "cone_tets": {"(1, 1, 1)": 1104, "(2, 1, 3)": 3288, "(1, -1, 2)": 1672},
+        "jump_rows": {"(1, 1, 1)": 192, "(2, 1, 3)": 1152, "(1, -1, 2)": 384},
+    }
+    assert want["cone_tets"] == {eta: b.volw.w.size for eta, b in blocks.items()}
+    assert want["jump_rows"] == {eta: b.gamma.nu_eta.size for eta, b in blocks.items()}
+    for name in MODELS:
+        diag = calls[name]().diagnostics
+        if name in ("coupled", "coupled-dg untied", "coupled-dg tied", "coupled-ho(2)", "homogeneous coupled"):
+            assert {key: diag[key] for key in want} == want, name
+            assert all(type(n) is int for key in want for n in diag[key].values()), name
+            assert diag["counts"].keys() == want["cone_tets"].keys(), name
+            assert all(c.keys() == {"atomistic", "interface", "continuum"} for c in diag["counts"].values())
+        else:
+            assert not want.keys() & diag.keys(), name
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_energy_is_the_in_order_sum_of_the_breakdown(model):
     """``energy`` and the breakdown come from one builder: the energy is the

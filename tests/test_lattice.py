@@ -9,11 +9,11 @@ from bvcouple.lattice import (
     LatticeField,
     canonicalize,
     diff_quotient,
-    diff_quotient_field,
     discrete_inner_product,
     make_deformation,
     sample_field,
 )
+from geometry_oracle import diff_quotient_field
 
 
 def small_cfg() -> LatticeConfig:

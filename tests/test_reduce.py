@@ -5,7 +5,6 @@ import pytest
 
 from bvcouple.coupling import (
     RegionPartition,
-    classify_bond_volume,
     coupled_energy_conforming,
     coupled_energy_dg,
     partition_violations,
@@ -28,6 +27,7 @@ from bvcouple.potentials import (
     make_law,
     piola_stress,
 )
+from geometry_oracle import classify_bond_volume
 
 
 def cfg12() -> LatticeConfig:
