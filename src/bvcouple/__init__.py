@@ -61,7 +61,6 @@ from .potentials import (
     PotentialDomainError,
     cb_energy_density,
     make_law,
-    phi_eval,
     piola_stress,
 )
 
@@ -107,7 +106,6 @@ __all__ = [
     "naive_coupling_energy",
     "omega_star_mask",
     "partition_violations",
-    "phi_eval",
     "piola_stress",
     "rectangle_lemma_residual",
     "required_clearance",

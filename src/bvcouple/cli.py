@@ -73,6 +73,12 @@ def _command_name(args: argparse.Namespace) -> str:
     return "solve"
 
 
+def _config_error(exc: ConfigError) -> int:
+    for message in exc.messages:
+        print(f"config error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -103,15 +109,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
-        for message in exc.messages:
-            print(f"config error: {message}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
 
     try:
         return run(_command_name(args), config, out_dir=config.out)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
+    except ConfigError as exc:  # a command refusing the configuration (solve on coupled-ho(k > 1))
+        return _config_error(exc)
 
 
 if __name__ == "__main__":

@@ -39,9 +39,11 @@ operator kinds. The atomistic bonds (+1/-1 rows) and the interface cone
 tets (eta^T A^-1 applied to the vertex values of the cone interpolant,
 which are themselves affine combinations of lattice values) are sparse
 gathers (``energies._Gather``) of CSR maps precomputed once per (partition,
-direction), each row tagged with the lattice site of its bond; the two
-sides and the trace of the interface jump are CSR rows too, used by the
-jump term. The continuum term is the staircase Cauchy-Born roll stencil of
+direction), each row tagged with the lattice site of its bond. The jump
+term's rows are the cone tets under the fine interface triangles; a block
+keeps their indices and integer triangle data, and builds the jump's two
+sides and trace (CSR rows too) when the two-sided model first reads it.
+The continuum term is the staircase Cauchy-Born roll stencil of
 ``energies``, shared with the uncoupled models and restricted to the
 continuum cells by zero weights; the naive control uses the atomistic
 model's exact-bond stencil the same way. How a term's batches run (in pairs, on up to two lanes, added in batch order so every result is
@@ -72,21 +74,25 @@ continuum weights of a partition (``_continuum_weights``), are
 A direction's operators are built by array passes over the lattice: one
 classification of every site's member box (``_member_classes``), the
 atomistic bonds from the atomistic members and the reduce offsets, and the
-cones of the interface members. The class codes of the interface members'
-six face neighbours, which choose each cone face's triangulation, come
-from one array call of the same rule (``_neighbour_classes``). A cone
-reads its member only through its shape: lo - mu and hi - mu, where P =
-[lo, hi] and mu is the member's min corner, which of P's faces lie on the
-region's planes, the six neighbour codes and the block's reduce mode. Up
-to translation by mu the members take a few dozen shapes at any N (26,
-104 and 44 for the README directions on a region of side 8 or more), so
-``_build_member_cone`` runs once per shape, at its first member. A cone
-tet is four vertices of lattice points; per shape, the points are
-flattened, the edge matrices inverted and the jump rows found once, and
-the cone operator gives each point of a vertex the coefficient 1/(number
-of points). Every member's copy is its shape's points plus mu, in
-member-major row order. Vertex positions are means of 1, 4 or 8 integer
-points, so every copy's edge matrix has the bits of its shape's. The flat
+cones of the interface members. A cone reads its member only through its
+shape: lo - mu and hi - mu, where P = [lo, hi] and mu is the member's min
+corner, and which of P's faces lie on the region's planes. Within a block
+the shape fixes the classes of the six face neighbours, which choose each
+cone face's triangulation. An interior face's neighbour is strictly
+inside the region exactly when P is unclipped and off the region's planes
+on the other two axes and the neighbour clears the near region plane on
+the face's axis; the member then reaches the far plane, so the shape
+fixes that clearance. Otherwise the neighbour is an interface member. Up to translation the members take a few dozen
+shapes at any N (26, 104 and 44 for the README directions on a region of
+side 8 or more), so ``_neighbour_classes`` and ``_build_member_cone`` run
+once per shape, at its first member. A cone tet is four vertices of
+lattice points; per shape, the points are flattened, the edge matrices
+inverted and the tets under fine interface triangles flagged once, and
+the cone operator gives each point of a vertex the coefficient
+1/(number of points). Every member's copy is its shape's points plus mu,
+in member-major row order. Vertex positions are means of 1, 4 or 8 integer
+points, so every copy's edge matrix has the bits of its shape's. The
+jump rows are the copies of the flagged tets, in the same order. The flat
 site indices of every operator come from one wrapped ravel of the
 collected site triples.
 """
@@ -95,7 +101,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Sequence
 
@@ -397,11 +403,26 @@ def _csr(rows, cols, vals, shape) -> sparse.csr_array:
     )
 
 
+def _flat(sites, N) -> np.ndarray:
+    """Flat site indices of the integer site triples (..., 3), wrapped."""
+    return np.ravel_multi_index(np.moveaxis(np.asarray(sites, dtype=np.int64), -1, 0), N, mode="wrap")
+
+
 @dataclass
 class _GammaData:
     """Fine interface triangles of one direction, the rows of the jump term."""
 
+    rows: np.ndarray              # (Tg,) the cone tets carrying the inner trace
     nu_eta: np.ndarray            # (Tg,) nu_a . eta
+    sites: np.ndarray             # (Tg, 3, 3) the triangle's vertices
+    cell: np.ndarray              # (Tg, 3) base site of the outer continuum cell
+    perm: np.ndarray              # (Tg,) that cell's staircase template, an index into PATH_PERMS
+
+
+@dataclass
+class _JumpOps:
+    """The jump term's operators on the fine interface triangles."""
+
     minus_op: sparse.csr_array    # (Tg, n_sites) the cone_op rows of the tets carrying the inner trace
     plus_op: sparse.csr_array     # (Tg, n_sites) eta-weighted edge differences of the outer staircase tet
     trace_op: sparse.csr_array    # (Tg, n_sites) sum of the triangle's three vertex values
@@ -420,6 +441,12 @@ class _EtaBlock:
     volw: _Weights                # (T,) lattice volume / n_eta
     gamma: _GammaData
     counts: dict[str, int]
+
+    @cached_property
+    def jump(self) -> _JumpOps:
+        """The jump operators, built when the two-sided model first reads
+        this block."""
+        return _jump_ops(self)
 
 
 # Blocks kept per process: enough for a few placements of a handful of
@@ -464,6 +491,15 @@ def _ranges(starts, lens) -> np.ndarray:
     return np.arange(np.sum(lens)) + np.repeat(starts - _starts(lens), lens)
 
 
+def _cone_shapes(mu, w, part: RegionPartition) -> tuple[np.ndarray, np.ndarray]:
+    """The first member of each cone shape (see the module docstring) and
+    the shape of each interface member, at min corners ``mu`` (M, 3)."""
+    lo, hi = np.maximum(mu, part.corner), np.minimum(mu + w, part.top)
+    key = np.concatenate([lo - mu, hi - mu, lo == part.corner, hi == part.top], axis=1)
+    _, first, shape = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    return first, shape.reshape(-1)
+
+
 # Per staircase template, the base offset of its edge parallel to each axis.
 _EDGE_OFFSETS = np.array([[path_edge_offsets(perm)[a] for a in range(3)] for perm in PATH_PERMS])
 
@@ -478,9 +514,6 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple) 
     n_sites = cfg.n_sites
     zero = [d for d in range(3) if eta[d] == 0]
     n_eta = int(np.prod([abs(e) for e in eta if e != 0]))
-
-    def flat(sites):
-        return np.ravel_multi_index(np.moveaxis(np.asarray(sites, dtype=np.int64), -1, 0), N, mode="wrap")
 
     ells = np.indices(N).reshape(3, -1).T
     mu, w = _member_box(ells, eta)
@@ -497,7 +530,7 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple) 
         offsets[:, d] = (np.arange(len(offsets)) >> bit) & 1
     base = (ells[atomistic][:, None, :] + offsets).reshape(-1, 3)
     n_bonds = len(base)
-    ends = flat(np.stack([base + np.asarray(eta), base], axis=1))
+    ends = _flat(np.stack([base + np.asarray(eta), base], axis=1), N)
     atom_op = _Gather(
         _csr(np.repeat(np.arange(n_bonds), 2), ends.ravel(), np.tile([1.0, -1.0], n_bonds),
              (n_bonds, n_sites)),
@@ -507,26 +540,21 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple) 
     )
 
     # --- cone tets of the interface members, one build per shape ---------
-    # The shape key is what a cone reads of its member (see the module
-    # docstring). Each shape's cone is built at its first member: each tet
-    # is (apex,) + a surface triangle, and a fine interface triangle also
-    # gives a jump row (the shape's cone tet, axis, nu_sign, outer template).
+    # Each shape's cone is built at its first member: each tet is (apex,) +
+    # a surface triangle, and a fine interface triangle with eta_axis != 0
+    # flags its tet with (axis, nu_sign, outer template); others get -1.
     mu_i = mu[interface]
-    lo, hi = np.maximum(mu_i, part.corner), np.minimum(mu_i + w, part.top)
-    nb = _neighbour_classes(mu_i, w, part)
-    key = np.concatenate([lo - mu_i, hi - mu_i, lo == part.corner, hi == part.top, nb.reshape(-1, 6)], axis=1)
-    _, first, shape = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    shape = shape.reshape(-1)
+    first, shape = _cone_shapes(mu_i, w, part)
     tets = []
     n_tets: list[int] = []
-    g_rows: list[tuple[int, int, int, int]] = []
+    fine: list[tuple[int, int, int]] = []
     w_t = tuple(w.tolist())
-    for mu_t, nb_t in zip(mu_i[first].tolist(), nb[first].tolist()):
+    for mu_t, nb_t in zip(mu_i[first].tolist(), _neighbour_classes(mu_i[first], w, part).tolist()):
         apex, tris = _build_member_cone(mu_t, w_t, eta, part, bool(zero), nb_t)
         n_tets.append(len(tris))
         for tri, meta in tris:
-            if meta is not None and eta[meta[0]] != 0:
-                g_rows.append((len(tets), meta[0], meta[1], PATH_PERMS.index(_plus_side_perm(*meta))))
+            on_gamma = meta is not None and eta[meta[0]] != 0
+            fine.append((meta[0], meta[1], PATH_PERMS.index(_plus_side_perm(*meta))) if on_gamma else (-1, 0, 0))
             tets.append((apex,) + tri)
 
     # eta^T A^-1 (vertex values - apex value) per shape tet, a vertex value
@@ -539,7 +567,6 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple) 
     weights = np.concatenate([-m.sum(axis=1, keepdims=True), m], axis=1).ravel()
     pt_w = np.repeat(weights * (1.0 / n_pts), n_pts)
     n_tets = np.asarray(n_tets)
-    tet0 = _starts(n_tets)                      # first tet of each shape
     tet_shape = np.repeat(np.arange(len(first)), n_tets)
     tet_pts = n_pts.reshape(-1, 4).sum(axis=1)
     vert_pt = _starts(n_pts).reshape(-1, 4)     # first point of each vertex
@@ -548,53 +575,53 @@ def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple) 
     # Every member's copy of its shape, member-major: cone tet t is shape
     # tet tet[t] of member member[t], its points the shape points pt.
     copies = n_tets[shape]
-    tet = _ranges(tet0[shape], copies)
+    tet = _ranges(_starts(n_tets)[shape], copies)
     member = np.repeat(np.arange(len(shape)), copies)
     n_pt = tet_pts[tet]
     pt = _ranges(vert_pt[tet, 0], n_pt)
-    cone_op = _csr(np.repeat(np.arange(len(tet)), n_pt), flat(pts[pt] + np.repeat(mu_i[member], n_pt, axis=0)),
+    cone_op = _csr(np.repeat(np.arange(len(tet)), n_pt), _flat(pts[pt] + np.repeat(mu_i[member], n_pt, axis=0), N),
                    pt_w[pt], (len(tet), n_sites))
 
-    # --- interface-surface rows for the discontinuous variant -----------
-    # Each member copies its shape's jump rows, their tets moved to its own
-    # cone tets; a triangle's three lattice sites are its vertices' points.
-    s_tet, g_axis, g_sign, g_perm = np.asarray(g_rows, dtype=np.int64).reshape(-1, 4).T
-    shape_rows = np.bincount(tet_shape[s_tet], minlength=len(first))
-    g = _ranges(_starts(shape_rows)[shape], shape_rows[shape])
-    g_member = np.repeat(np.arange(len(shape)), shape_rows[shape])
-    g_tet = _starts(copies)[g_member] + s_tet[g] - tet0[shape[g_member]]
-    g_axis, g_sign, g_perm = g_axis[g], g_sign[g], g_perm[g]
-    n_tri = len(g_tet)
-    tri_sites = pts[vert_pt[s_tet[g], 1:]] + mu_i[g_member, None]
-    eye = np.eye(3, dtype=np.int64)
-    # The outer continuum cell has the triangle's first vertex (the square's
-    # min corner) as base, or the cell below it on the region's lower faces.
-    cell = tri_sites[:, 0] - (g_sign < 0)[:, None] * eye[g_axis]
+    # --- the jump rows: the copies of the flagged shape tets ------------
+    # A fine triangle's three lattice sites are its tet's last three
+    # vertices. The outer continuum cell has the first of them (the
+    # square's min corner) as base, or the cell below it on the region's
+    # lower faces.
+    fine = np.asarray(fine, dtype=np.int64)
+    rows = np.flatnonzero(fine[tet, 0] >= 0)
+    g_axis, g_sign, g_perm = fine[tet[rows]].T
+    tri_sites = pts[vert_pt[tet[rows], 1:]] + mu_i[member[rows], None]
+    cell = tri_sites[:, 0] - (g_sign < 0)[:, None] * np.eye(3, dtype=np.int64)[g_axis]
     assert omega_star_mask(part)[tuple(np.mod(cell, N).T)].all(), \
         "outer interface cell must be continuum"
-    # plus side: eta_a times the outer tet's edge difference along each axis
-    # a with eta_a != 0 (edge tip, then base)
-    axes = [a for a in range(3) if eta[a] != 0]
-    edge_base = cell[:, None, :] + _EDGE_OFFSETS[g_perm][:, axes]
-    edges = flat(np.stack([edge_base + eye[axes], edge_base], axis=2))
-    eta_a = np.asarray(eta, dtype=float)[axes]
-    gamma = _GammaData(
-        nu_eta=(g_sign * np.asarray(eta)[g_axis]).astype(float),
-        minus_op=cone_op[g_tet],
-        plus_op=_csr(np.repeat(np.arange(n_tri), 2 * len(axes)), edges.ravel(),
-                     np.tile(np.stack([eta_a, -eta_a], axis=1).ravel(), n_tri), (n_tri, n_sites)),
-        trace_op=_csr(np.repeat(np.arange(n_tri), 3), flat(tri_sites).ravel(), np.ones(3 * n_tri),
-                      (n_tri, n_sites)),
-    )
     return _EtaBlock(
         eta=eta,
         n_eta=n_eta,
         atom_op=atom_op,
         atom_w=_weights(np.full(n_bonds, 1.0 / len(offsets))),
-        cone_op=_Gather(cone_op, _ONE, flat(ells[interface])[member], N),
+        cone_op=_Gather(cone_op, _ONE, _flat(ells[interface], N)[member], N),
         volw=_weights(volw[tet]),
-        gamma=gamma,
+        gamma=_GammaData(rows, (g_sign * np.asarray(eta)[g_axis]).astype(float), tri_sites, cell, g_perm),
         counts=counts,
+    )
+
+
+def _jump_ops(block: _EtaBlock) -> _JumpOps:
+    """The jump term's operators on the rows ``block.gamma``."""
+    gam, N = block.gamma, block.cone_op.N
+    n_tri, n_sites = gam.rows.size, block.cone_op.G.shape[1]
+    # plus side: eta_a times the outer tet's edge difference along each axis
+    # a with eta_a != 0 (edge tip, then base)
+    axes = [a for a in range(3) if block.eta[a] != 0]
+    edge_base = gam.cell[:, None, :] + _EDGE_OFFSETS[gam.perm][:, axes]
+    edges = _flat(np.stack([edge_base + np.eye(3, dtype=np.int64)[axes], edge_base], axis=2), N)
+    eta_a = np.asarray(block.eta, dtype=float)[axes]
+    return _JumpOps(
+        minus_op=block.cone_op.G[gam.rows],
+        plus_op=_csr(np.repeat(np.arange(n_tri), 2 * len(axes)), edges.ravel(),
+                     np.tile(np.stack([eta_a, -eta_a], axis=1).ravel(), n_tri), (n_tri, n_sites)),
+        trace_op=_csr(np.repeat(np.arange(n_tri), 3), _flat(gam.sites, N).ravel(), np.ones(3 * n_tri),
+                      (n_tri, n_sites)),
     )
 
 
@@ -616,14 +643,15 @@ def _jump_contrib(block: _EtaBlock, law: InteractionLaw, F, vm_flat, vp_flat, ep
     F eta + (plus_op @ v_plus) / eps. phi' and, where a jump is nonzero,
     phi'' come from one ``law.evaluate`` call.
     """
-    gam = block.gamma
-    if gam.nu_eta.size == 0:
+    nu_eta = block.gamma.nu_eta
+    if nu_eta.size == 0:
         return 0.0
+    ops = block.jump
     base = F @ law.eta_vec
-    zm = base + (gam.minus_op @ vm_flat) / eps
-    zp = base + (gam.plus_op @ vp_flat) / eps
+    zm = base + (ops.minus_op @ vm_flat) / eps
+    zp = base + (ops.plus_op @ vp_flat) / eps
     avg = 0.5 * (zm + zp)
-    J = gam.nu_eta[:, None] * (gam.trace_op @ (vm_flat - vp_flat)) / 3.0
+    J = nu_eta[:, None] * (ops.trace_op @ (vm_flat - vp_flat)) / 3.0
     active = np.any(J != 0.0, axis=1)
     jumps = bool(active.any())
     derivs = law.evaluate(avg, 2 if jumps else 1)
@@ -638,7 +666,7 @@ def _jump_contrib(block: _EtaBlock, law: InteractionLaw, F, vm_flat, vp_flat, ep
         q = np.zeros_like(J)
         q[idx] = np.einsum("tij,tj->ti", derivs[2][idx], J[idx])
         q *= -1.0 / (4.0 * block.n_eta * eps**2)
-        for op, side in ((gam.minus_op, g_minus), (gam.plus_op, g_plus)):
+        for op, side in ((ops.minus_op, g_minus), (ops.plus_op, g_plus)):
             contrib = op.T @ q
             g_tied += contrib
             side += contrib
@@ -646,7 +674,7 @@ def _jump_contrib(block: _EtaBlock, law: InteractionLaw, F, vm_flat, vp_flat, ep
     # phi' trace part: for the tied representer the two traces cancel
     # identically, so it only enters the per-side representers.
     c_tr = 1.0 / (6.0 * block.n_eta * eps)
-    contrib = gam.trace_op.T @ ((c_tr * gam.nu_eta)[:, None] * phi1)
+    contrib = ops.trace_op.T @ ((c_tr * nu_eta)[:, None] * phi1)
     g_minus -= contrib
     g_plus += contrib
     return energy
@@ -698,7 +726,7 @@ def _coupled(model: str, y_minus: Deformation, y_plus: Deformation, R, part, pol
     diagnostics = {
         "counts": {str(law.eta): b.counts for law, b in blocks},
         "cone_tets": {str(law.eta): b.cone_op.sites.size for law, b in blocks},
-        "jump_rows": {str(law.eta): b.gamma.nu_eta.size for law, b in blocks},
+        "jump_rows": {str(law.eta): b.gamma.rows.size for law, b in blocks},
     }
     if two_sided:
         t0 = time.perf_counter()

@@ -139,18 +139,9 @@ def enumerate_coverings(eta, cfg: LatticeConfig) -> list[Covering]:
             f"torus extents N={cfg.N} are not divisible by |eta_i| of eta={eta} "
             f"in dimension(s) {bad}; coverings cannot close on the torus"
         )
-    coverings = []
-    for c0 in range(w[0]):
-        for c1 in range(w[1]):
-            for c2 in range(w[2]):
-                c = (c0, c1, c2)
-                members = []
-                for l0 in range(c0, cfg.N[0], w[0]):
-                    for l1 in range(c1, cfg.N[1], w[1]):
-                        for l2 in range(c2, cfg.N[2], w[2]):
-                            members.append((l0, l1, l2))
-                coverings.append(Covering(eta=eta, offset=c, base_sites=tuple(members)))
-    return coverings
+    # the members of the offset c sit at c + w * m over the index grid m
+    grid = np.indices([n // wi for n, wi in zip(cfg.N, w)]).reshape(3, -1).T * w
+    return [Covering(eta=eta, offset=c, base_sites=tuple(map(tuple, (grid + c).tolist()))) for c in np.ndindex(*w)]
 
 
 def _int_det(m: np.ndarray) -> np.ndarray:

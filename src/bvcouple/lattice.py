@@ -6,7 +6,10 @@ spacing ``epsilon``; the physical position of site ``l`` is ``epsilon * l``.
 All fields are periodic by construction (index arithmetic is modulo N).
 Values are stored as dense ``(N1, N2, N3, 3)`` arrays in row-major site
 order, which fixes the summation order and makes every reduction
-deterministic and bit-reproducible.
+deterministic and bit-reproducible. A closure of the position is sampled
+by ``sample_field`` in one call on the stacked site positions, so it must
+act elementwise (numpy ufuncs of the components); no Python loop runs
+over the sites.
 """
 from __future__ import annotations
 
@@ -125,11 +128,6 @@ class Deformation:
     def cfg(self) -> LatticeConfig:
         return self.displacement.cfg
 
-    def y_at(self, ell) -> np.ndarray:
-        """Deformed position of the (not necessarily canonical) site ell."""
-        x = self.cfg.epsilon * np.asarray(ell, dtype=float)
-        return self.F @ x + self.displacement.at(ell)
-
 
 def deformation_gradient(F) -> np.ndarray:
     """F as a read-only float copy, when it is a finite 3x3 matrix with
@@ -154,19 +152,13 @@ def make_deformation(F, v_raw: LatticeField) -> Deformation:
     return Deformation(F=deformation_gradient(F), displacement=v_raw.zero_mean())
 
 
-def diff_quotient(u, ell, eta) -> np.ndarray:
+def diff_quotient(u: LatticeField, ell, eta) -> np.ndarray:
     """Difference quotient (u_{l+eta} - u_l)/epsilon at one site."""
     eta = tuple(int(e) for e in eta)
     if eta == (0, 0, 0):
         raise ValueError("difference quotient needs a nonzero direction")
-    if isinstance(u, Deformation):
-        eps = u.cfg.epsilon
-        v = u.displacement
-        lp = tuple(int(ell[i]) + eta[i] for i in range(3))
-        return u.F @ np.asarray(eta, dtype=float) + (v.at(lp) - v.at(ell)) / eps
-    eps = u.cfg.epsilon
     lp = tuple(int(ell[i]) + eta[i] for i in range(3))
-    return (u.at(lp) - u.at(ell)) / eps
+    return (u.at(lp) - u.at(ell)) / u.cfg.epsilon
 
 
 def discrete_inner_product(u: LatticeField, w: LatticeField) -> float:
@@ -176,25 +168,15 @@ def discrete_inner_product(u: LatticeField, w: LatticeField) -> float:
 
 
 def sample_field(f: Callable[[np.ndarray], np.ndarray], cfg: LatticeConfig) -> LatticeField:
-    """Sample a closure R^3 -> R^3 at the physical site positions eps*l.
+    """Sample an elementwise closure R^3 -> R^3 at the physical site
+    positions eps*l.
 
-    ``f`` is called once on the stacked positions ``eps * np.indices(N)``, an
-    array of shape (3, N1, N2, N3); an elementwise closure returns the
-    samples with the same shape. When that call raises or returns any other
-    shape (a constant, a ragged list), ``f`` is called once per site on a
-    (3,) position instead. Both paths give the same bits for a closure of
-    numpy ufuncs."""
+    ``f`` is called once, on the stacked positions ``eps * np.indices(N)``
+    of shape (3, N1, N2, N3), and must return the samples stacked the same
+    way, component first (for a closure of numpy ufuncs, the bits of one
+    call per site); any other shape is a ValueError."""
     x = cfg.epsilon * np.indices(cfg.N, dtype=float)
-    try:
-        stacked = np.asarray(f(x), dtype=float)
-    except Exception:  # any failure: a real fault raises again in the site loop
-        stacked = None
-    if stacked is not None and stacked.shape == x.shape:
-        return LatticeField(cfg, np.ascontiguousarray(np.moveaxis(stacked, 0, -1)))
-    out = np.empty(cfg.shape)
-    eps = cfg.epsilon
-    for i in range(cfg.N[0]):
-        for j in range(cfg.N[1]):
-            for k in range(cfg.N[2]):
-                out[i, j, k] = f(np.array([i * eps, j * eps, k * eps]))
-    return LatticeField(cfg, out)
+    stacked = np.asarray(f(x), dtype=float)
+    if stacked.shape != x.shape:
+        raise ValueError(f"sampled closure must return the stacked shape {x.shape}, got {stacked.shape}")
+    return LatticeField(cfg, np.ascontiguousarray(np.moveaxis(stacked, 0, -1)))

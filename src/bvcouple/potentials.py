@@ -236,13 +236,6 @@ class InteractionSet:
         return len(self.laws)
 
 
-def phi_eval(law: InteractionLaw, zeta) -> tuple[float, np.ndarray, np.ndarray]:
-    """(value, gradient, Hessian) of one law at a single bond vector."""
-    zeta = np.asarray(zeta, dtype=float).reshape(3)
-    value, grad, hess = law.evaluate(zeta[None, :], 2)
-    return float(value[0]), grad[0], hess[0]
-
-
 def cb_energy_density(R: InteractionSet, F) -> float:
     """Cauchy-Born stored energy density W(F) = sum_eta phi_eta(F eta)."""
     F = np.asarray(F, dtype=float)

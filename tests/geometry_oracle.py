@@ -30,6 +30,7 @@ from bvcouple.coupling import (
     _EtaBlock,
     _GammaData,
     _get_blocks,
+    _JumpOps,
     _member_box,
     _member_classes,
     _neighbour_classes,
@@ -38,7 +39,7 @@ from bvcouple.coupling import (
 )
 from bvcouple.energies import _ONE, _Gather, _Weights, _weights
 from bvcouple.geometry import PATH_PERMS, _staircase_simplices, enumerate_coverings, nondegenerate_eta
-from bvcouple.lattice import Deformation, IntTriple, LatticeConfig, LatticeField
+from bvcouple.lattice import IntTriple, LatticeConfig, LatticeField
 from bvcouple.potentials import InteractionSet, make_law
 
 
@@ -155,20 +156,12 @@ def averaged_gradient(ell, u: LatticeField) -> np.ndarray:
     return G
 
 
-def diff_quotient_field(u, eta) -> np.ndarray:
-    """(u_{l+eta} - u_l)/epsilon at every site, as an (N1,N2,N3,3) array.
-
-    Accepts a LatticeField or a Deformation; for a deformation the result is
-    F eta + (v_{l+eta} - v_l)/epsilon.
-    """
+def diff_quotient_field(u: LatticeField, eta) -> np.ndarray:
+    """(u_{l+eta} - u_l)/epsilon at every site, as an (N1,N2,N3,3) array."""
     eta = tuple(int(e) for e in eta)
     if eta == (0, 0, 0):
         raise ValueError("difference quotient needs a nonzero direction")
-    v = u.displacement.values if isinstance(u, Deformation) else u.values
-    diff = (np.roll(v, shift=tuple(-e for e in eta), axis=(0, 1, 2)) - v) / u.cfg.epsilon
-    if isinstance(u, Deformation):
-        return u.F @ np.asarray(eta, dtype=float) + diff
-    return diff
+    return (np.roll(u.values, shift=tuple(-e for e in eta), axis=(0, 1, 2)) - u.values) / u.cfg.epsilon
 
 
 def classify_bond_volume(part: RegionPartition, ell, eta) -> BondClass:
@@ -297,12 +290,14 @@ def covering_interpolant(
 # Per-member block builder
 # ----------------------------------------------------------------------
 
-def per_member_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple) -> _EtaBlock:
-    """The block of one direction built as ``coupling._build_eta_block``
-    once did: ``_build_member_cone`` called for every interface member, the
-    points of all cone tets flattened together, and the edge matrices of
-    every tet inverted. ``part`` must have passed the partition check, so a
-    zero component of eta means the ``reduce`` members."""
+def per_member_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple) -> tuple[_EtaBlock, _JumpOps]:
+    """The block of one direction and its jump operators, built as
+    ``coupling._build_eta_block`` once did: ``_build_member_cone`` called
+    for every interface member with that member's own neighbour classes,
+    the points of all cone tets flattened together, the edge matrices of
+    every tet inverted, and the jump operators built with the block.
+    ``part`` must have passed the partition check, so a zero component of
+    eta means the ``reduce`` members."""
     N = cfg.N
     n_sites = cfg.n_sites
     zero = [d for d in range(3) if eta[d] == 0]
@@ -364,24 +359,24 @@ def per_member_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTrip
     edge_base = cell[:, None, :] + _EDGE_OFFSETS[g_perm][:, axes]
     edges = flat(np.stack([edge_base + eye[axes], edge_base], axis=2))
     eta_a = np.asarray(eta, dtype=float)[axes]
-    gamma = _GammaData(
-        nu_eta=(g_sign * np.asarray(eta)[g_axis]).astype(float),
+    jump = _JumpOps(
         minus_op=cone_op[g_tet],
         plus_op=_csr(np.repeat(np.arange(n_tri), 2 * len(axes)), edges.ravel(),
                      np.tile(np.stack([eta_a, -eta_a], axis=1).ravel(), n_tri), (n_tri, n_sites)),
         trace_op=_csr(np.repeat(np.arange(n_tri), 3), flat(tri_sites).ravel(), np.ones(3 * n_tri),
                       (n_tri, n_sites)),
     )
-    return _EtaBlock(
+    block = _EtaBlock(
         eta=eta,
         n_eta=n_eta,
         atom_op=atom_op,
         atom_w=_weights(np.full(n_bonds, 1.0 / len(offsets))),
         cone_op=_Gather(cone_op, _ONE, flat(tet_sites), N),
         volw=_weights(volw),
-        gamma=gamma,
+        gamma=_GammaData(g_tet, (g_sign * np.asarray(eta)[g_axis]).astype(float), tri_sites, cell, g_perm),
         counts=counts,
     )
+    return block, jump
 
 
 def _array_fields(obj, name):
@@ -395,20 +390,22 @@ def _array_fields(obj, name):
         yield f"{name}.N", np.asarray(obj.N)
     elif isinstance(obj, _Weights):
         yield from ((f"{name}.{a}", np.asarray(getattr(obj, a))) for a in ("w", "zero", "total"))
-    elif isinstance(obj, _GammaData):
-        for a in ("nu_eta", "minus_op", "plus_op", "trace_op"):
+    elif isinstance(obj, (_GammaData, _JumpOps)):
+        for a in obj.__dataclass_fields__:
             yield from _array_fields(getattr(obj, a), f"{name}.{a}")
     else:
         yield name, np.asarray(obj)
 
 
-def block_mismatches(block: _EtaBlock, ref: _EtaBlock) -> list[str]:
-    """Names of the fields in which two blocks differ in dtype or in any
-    byte; the counts must be equal dicts."""
+def block_mismatches(block: _EtaBlock, ref: _EtaBlock, ref_jump: _JumpOps) -> list[str]:
+    """Names of the fields in which a block, its lazily built jump
+    operators included, differs from a reference block and its jump
+    operators in dtype or in any byte; the counts must be equal dicts."""
     bad = [] if block.counts == ref.counts else ["counts"]
-    for field in ("eta", "n_eta", "atom_op", "atom_w", "cone_op", "volw", "gamma"):
-        for (name, a), (_, b) in zip(_array_fields(getattr(block, field), field),
-                                     _array_fields(getattr(ref, field), field), strict=True):
+    pairs = [(f, getattr(block, f), getattr(ref, f))
+             for f in ("eta", "n_eta", "atom_op", "atom_w", "cone_op", "volw", "gamma")]
+    for field, got, want in pairs + [("jump", block.jump, ref_jump)]:
+        for (name, a), (_, b) in zip(_array_fields(got, field), _array_fields(want, field), strict=True):
             if a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes():
                 bad.append(name)
     return bad
@@ -438,5 +435,5 @@ def oracle_block_mismatches(N: int, etas, policies=DEGENERATE_POLICIES) -> list[
             R = InteractionSet([make_law(eta, "harmonic") for eta in refs if policy == "reduce" or 0 not in eta])
             _build_eta_block.cache_clear()
             for law, block in _get_blocks(cfg, part, R, policy):
-                bad += [(corner, policy, law.eta, name) for name in block_mismatches(block, refs[law.eta])]
+                bad += [(corner, policy, law.eta, name) for name in block_mismatches(block, *refs[law.eta])]
     return bad

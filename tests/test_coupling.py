@@ -640,8 +640,8 @@ def test_block_operators_reproduce_affine_fields_row_by_row():
         for name, op in (
             ("atom_op", block.atom_op.G),
             ("cone_op", block.cone_op.G),
-            ("minus_op", block.gamma.minus_op),
-            ("plus_op", block.gamma.plus_op),
+            ("minus_op", block.jump.minus_op),
+            ("plus_op", block.jump.plus_op),
         ):
             assert op.shape[0] > 0 or name == "atom_op", (name, eta)
             err = np.abs(op @ v - expected).max(initial=0.0)
@@ -683,9 +683,10 @@ def test_jump_rows_are_two_per_covering_on_each_gamma_face():
         part = RegionPartition(cfg, corner, ext)
         rows = []
         for eta in cases:
-            gam = _build_eta_block(cfg, part, eta).gamma
+            block = _build_eta_block(cfg, part, eta)
+            gam = block.gamma
             n_eta = int(np.prod([abs(e) for e in eta if e]))
-            sites = np.stack(np.unravel_index(gam.trace_op.indices, cfg.N), axis=-1).reshape(-1, 3, 3)
+            sites = np.stack(np.unravel_index(block.jump.trace_op.indices, cfg.N), axis=-1).reshape(-1, 3, 3)
             faces = Counter()
             for tri, nu_eta in zip(sites, gam.nu_eta):
                 (axis,) = [a for a in range(3) if len(set(tri[:, a])) == 1]
@@ -756,3 +757,56 @@ def test_cones_are_built_once_per_shape(monkeypatch, N):
         for law in laws_full():
             coupling._build_eta_block.__wrapped__(cfg, part, law.eta)
         assert calls == {(1, 1, 1): 26, (2, 1, 3): 104, (1, -1, 2): 44}, (N, corner)
+
+
+@pytest.mark.parametrize("N", [12, 18, 24])
+def test_cone_shape_fixes_the_neighbour_classes(N):
+    """The cone shape key holds no neighbour classes because it fixes them:
+    on seeded random off-centre partitions, every interface member's six
+    face-neighbour classes equal those of its shape's first member, for
+    the README directions, two reduce directions and one with every
+    component negative but one."""
+    from bvcouple.coupling import _cone_shapes, _member_box, _member_classes, _neighbour_classes
+
+    rng = np.random.default_rng(N)
+    cfg = LatticeConfig(N=(N, N, N), epsilon=1.0 / N)
+    ells = np.indices(cfg.N).reshape(3, -1).T
+    margin = required_clearance(BLOCK_ETAS)
+    for _ in range(20):
+        corner = rng.integers(margin, N - margin, size=3)
+        part = RegionPartition(cfg, corner, [rng.integers(1, N - margin - c + 1) for c in corner])
+        for eta in BLOCK_ETAS:
+            mu, w = _member_box(ells, eta)
+            mu = mu[_member_classes(mu, w, part) == 1]
+            first, shape = _cone_shapes(mu, w, part)
+            nb = _neighbour_classes(mu, w, part)
+            assert np.array_equal(nb, nb[first][shape]), (part.corner, part.extents, eta)
+
+
+def test_only_the_two_sided_model_builds_jump_operators(monkeypatch):
+    """On fresh blocks, coupled and coupled-ho(2) calls build no jump
+    operator; the first coupled-dg call builds them once per block, and
+    later calls reuse them."""
+    from bvcouple import coupling
+    from bvcouple.highorder import high_order_energy
+
+    built = []
+    jump_ops = coupling._jump_ops
+
+    def counted(block):
+        built.append(block.eta)
+        return jump_ops(block)
+
+    monkeypatch.setattr(coupling, "_jump_ops", counted)
+    cfg = cfg12()
+    part = part_a(cfg)
+    R = laws_full()
+    rng = np.random.default_rng(17)
+    y = make_deformation(random_F(rng), LatticeField(cfg, 0.01 * cfg.epsilon * rng.standard_normal(cfg.shape)))
+    coupling._build_eta_block.cache_clear()
+    coupled_energy_conforming(y, R, part)
+    high_order_energy(y, R, part, 2)
+    assert built == []
+    for _ in range(2):
+        coupling.coupled_energy_dg(y, y, R, part)
+    assert built == [law.eta for law in R]

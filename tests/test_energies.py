@@ -82,7 +82,7 @@ def test_atomistic_literal_transcription():
         for l1 in range(4):
             for l2 in range(4):
                 for law in R:
-                    zeta = diff_quotient(y, (l0, l1, l2), law.eta)
+                    zeta = y.F @ law.eta_vec + diff_quotient(y.displacement, (l0, l1, l2), law.eta)
                     total += float(law.values(zeta[None, :])[0])
     total *= cfg.epsilon**3
     rep = atomistic_energy(y, R)
@@ -149,7 +149,7 @@ def test_single_site_perturbation_energy_change():
             eta = law.eta
             back = tuple(site[d] - eta[d] for d in range(3))
             for ell in (site, back):
-                zeta = diff_quotient(yy, ell, eta)
+                zeta = yy.F @ law.eta_vec + diff_quotient(yy.displacement, ell, eta)
                 total += float(law.values(zeta[None, :])[0])
         return cfg.epsilon**3 * total
 

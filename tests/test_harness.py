@@ -461,6 +461,16 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert code == 2
     assert "config error" in captured.err
 
+    # a command that refuses its configuration reports it the same way
+    cfg_path.write_text(json.dumps(small_config_dict()))
+    for degree in (2, 3):
+        code = cli.main(["solve", "--model", f"coupled-ho({degree})", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "solve")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("config error: solve supports lattice-state models"), captured.err
+        assert "Traceback" not in captured.err
+
 
 def test_cli_usage_errors_exit_2(capsys):
     assert cli.main(["frobnicate"]) == 2

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bvcouple.lattice import (
-    Deformation,
     LatticeConfig,
     LatticeField,
     canonicalize,
@@ -50,14 +49,14 @@ def test_volume_and_sites():
 
 
 def test_diff_quotient_homogeneous():
-    """For y = Fx the difference quotient along eta is exactly F eta."""
+    """For y = Fx the deformed bond F eta + D_eta v is exactly F eta."""
     cfg = small_cfg()
     F = np.array([[1.0, 0.2, 0.0], [0.0, 1.1, 0.3], [0.1, 0.0, 0.9]])
     y = make_deformation(F, LatticeField.zeros(cfg))
     eta = (1, 2, 1)
     expect = F @ np.array(eta, dtype=float)
     for ell in [(0, 0, 0), (3, 5, 7), (7, 7, 7)]:
-        got = diff_quotient(y, ell, eta)
+        got = y.F @ np.array(eta, dtype=float) + diff_quotient(y.displacement, ell, eta)
         assert np.allclose(got, expect, rtol=0, atol=1e-14)
 
 
@@ -201,14 +200,14 @@ def test_make_deformation_zero_mean_and_reconstruction():
     for ell in [(0, 0, 0), (3, 1, 6)]:
         x = cfg.epsilon * np.array(ell, dtype=float)
         expect = F @ x + raw[ell] - raw_mean
-        assert np.allclose(y.y_at(ell), expect, rtol=0, atol=1e-13)
+        assert np.allclose(F @ x + y.displacement.at(ell), expect, rtol=0, atol=1e-13)
 
 
 def test_sample_field_zero_and_constant():
     cfg = LatticeConfig(N=(4, 4, 4), epsilon=0.25)
-    z = sample_field(lambda x: np.zeros(3), cfg)
+    z = sample_field(np.zeros_like, cfg)
     assert np.all(z.values == 0.0)
-    c = sample_field(lambda x: np.array([1.0, -2.0, 0.5]), cfg)
+    c = sample_field(lambda x: np.stack([np.full_like(x[0], value) for value in (1.0, -2.0, 0.5)]), cfg)
     assert np.all(c.values[..., 0] == 1.0)
     assert np.all(c.values[..., 1] == -2.0)
 
@@ -218,7 +217,7 @@ def test_sample_field_pointwise_oracle():
     L = cfg.N[0] * cfg.epsilon
 
     def f(x):
-        return np.array([np.sin(2.0 * np.pi * x[0] / L), 0.0, 0.0])
+        return np.stack([np.sin(2.0 * np.pi * x[0] / L), 0.0 * x[1], 0.0 * x[2]])
 
     u = sample_field(f, cfg)
     for ell in [(0, 0, 0), (1, 2, 3), (5, 0, 7)]:
@@ -245,19 +244,24 @@ def test_sample_field_stacked_call_matches_the_site_loop():
     assert np.array_equal(u.values, expect)
 
 
-def test_sample_field_falls_back_to_the_site_loop():
-    """A closure that raises on the stacked positions or returns another
-    shape is called per site."""
+def test_sample_field_rejects_a_closure_of_another_shape():
+    """A closure that does not return the stacked (3, N1, N2, N3) samples
+    is called once and rejected with the shape it returned; one that
+    raises on the stacked positions raises its own error."""
     cfg = LatticeConfig(N=(3, 2, 2), epsilon=0.5)
-    shapes = []
+    calls = []
 
-    def scalar_only(x):
-        shapes.append(np.shape(x))
-        return np.array([float(x[0]), 1.0, -float(x[2])])
+    def constant(x):
+        calls.append(np.shape(x))
+        return np.array([1.0, 0.0, -1.0])
 
-    u = sample_field(scalar_only, cfg)
-    assert shapes == [(3, 3, 2, 2)] + [(3,)] * cfg.n_sites
-    assert u.values[2, 1, 1].tolist() == [1.0, 1.0, -0.5]
+    with pytest.raises(ValueError, match=r"stacked shape \(3, 3, 2, 2\), got \(3,\)"):
+        sample_field(constant, cfg)
+    assert calls == [(3, 3, 2, 2)]
+    with pytest.raises(ValueError, match=r"got \(3, 2, 2\)"):
+        sample_field(lambda x: x[0], cfg)
+    with pytest.raises(TypeError):
+        sample_field(lambda x: float(x[0]), cfg)
 
 
 def test_field_shape_validation():

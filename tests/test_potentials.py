@@ -12,7 +12,6 @@ from bvcouple.potentials import (
     PotentialDomainError,
     cb_energy_density,
     make_law,
-    phi_eval,
     piola_stress,
 )
 
@@ -30,13 +29,13 @@ def all_kind_laws():
     ]
 
 
-def test_phi_eval_harmonic_basics():
+def test_evaluate_harmonic_basics():
     law = make_law((1, 0, 1), "harmonic")
-    val, grad, hess = phi_eval(law, (1.0, 0.0, 0.0))
+    val, grad, hess = law.evaluate((1.0, 0.0, 0.0), 2)
     assert val == 0.5
     assert np.allclose(grad, (1.0, 0.0, 0.0), rtol=0, atol=0)
     assert np.allclose(hess, np.eye(3), rtol=0, atol=0)
-    val0, grad0, hess0 = phi_eval(law, (0.0, 0.0, 0.0))
+    val0, grad0, hess0 = law.evaluate((0.0, 0.0, 0.0), 2)
     assert val0 == 0.0
     assert np.all(grad0 == 0.0)
     assert np.allclose(hess0, np.eye(3))
@@ -48,7 +47,7 @@ def test_morse_equilibrium_radius():
     law = make_law((2, 1, 3), "morse-radial")
     r0 = dict(law.params)["r0"]
     zeta = r0 * np.array([1.0, 0.0, 0.0])
-    _, grad, _ = phi_eval(law, zeta)
+    _, grad, _ = law.evaluate(zeta, 2)
     assert np.all(np.abs(grad) <= 1e-12)
 
 
@@ -57,7 +56,7 @@ def test_lj_minimum_radius():
                    {"well_depth": 0.7, "sigma": 1.1})
     rmin = 1.1 * 2.0 ** (1.0 / 6.0)
     zeta = rmin * np.array([0.0, 1.0, 0.0])
-    val, grad, _ = phi_eval(law, zeta)
+    val, grad, _ = law.evaluate(zeta, 2)
     assert np.isclose(val, -0.7, rtol=0, atol=1e-12)
     assert np.all(np.abs(grad) <= 1e-12)
 
@@ -67,13 +66,13 @@ def test_gradient_matches_finite_differences():
     for law in all_kind_laws():
         for _ in range(6):
             zeta = np.asarray(law.eta, dtype=float) + 0.15 * rng.standard_normal(3)
-            val, grad, _ = phi_eval(law, zeta)
+            val, grad, _ = law.evaluate(zeta, 2)
             for i in range(3):
                 zp = zeta.copy()
                 zm = zeta.copy()
                 zp[i] += H
                 zm[i] -= H
-                fd = (phi_eval(law, zp)[0] - phi_eval(law, zm)[0]) / (2.0 * H)
+                fd = (law.evaluate(zp, 2)[0] - law.evaluate(zm, 2)[0]) / (2.0 * H)
                 denom = max(abs(fd), abs(grad[i]), 1.0)
                 assert abs(grad[i] - fd) / denom <= FD_TOL, (law.kind, i)
 
@@ -82,13 +81,13 @@ def test_hessian_matches_finite_differences():
     rng = np.random.default_rng(55)
     for law in all_kind_laws():
         zeta = np.asarray(law.eta, dtype=float) + 0.1 * rng.standard_normal(3)
-        _, _, hess = phi_eval(law, zeta)
+        _, _, hess = law.evaluate(zeta, 2)
         for i in range(3):
             zp = zeta.copy()
             zm = zeta.copy()
             zp[i] += H
             zm[i] -= H
-            fd_col = (phi_eval(law, zp)[1] - phi_eval(law, zm)[1]) / (2.0 * H)
+            fd_col = (law.evaluate(zp, 2)[1] - law.evaluate(zm, 2)[1]) / (2.0 * H)
             for j in range(3):
                 denom = max(abs(fd_col[j]), abs(hess[j, i]), 1.0)
                 assert abs(hess[j, i] - fd_col[j]) / denom <= FD_TOL
@@ -98,7 +97,7 @@ def test_hessian_matches_finite_differences():
 def test_radial_domain_error():
     law = make_law((1, 1, 1), "lennard-jones-radial")
     with pytest.raises(PotentialDomainError):
-        phi_eval(law, (0.0, 0.0, 0.0))
+        law.evaluate((0.0, 0.0, 0.0), 2)
     with pytest.raises(PotentialDomainError):
         make_law((1, 1, 1), "morse-radial").values(np.zeros((1, 3)))
 
@@ -107,8 +106,8 @@ def test_anisotropic_toy_has_no_inversion_symmetry():
     # The ghost-force tests rely on phi(zeta) != phi(-zeta) generically.
     law = make_law((1, -1, 2), "anisotropic-toy")
     zeta = np.array([0.9, 0.4, -1.3])
-    va = phi_eval(law, zeta)[0]
-    vb = phi_eval(law, -zeta)[0]
+    va = law.evaluate(zeta, 0)[0]
+    vb = law.evaluate(-zeta, 0)[0]
     assert abs(va - vb) > 1e-3
 
 
