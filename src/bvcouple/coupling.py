@@ -629,9 +629,10 @@ def _jump_ops(block: _EtaBlock) -> _JumpOps:
 # Evaluation helpers
 # ======================================================================
 
-def _jump_contrib(block: _EtaBlock, law: InteractionLaw, F, vm_flat, vp_flat, eps, g_tied, g_minus, g_plus):
+def _jump_contrib(block: _EtaBlock, law: InteractionLaw, F, vm_flat, vp_flat, eps, grads):
     """Interface jump term of the discontinuous energy; adds its gradients
-    to the tied and the two per-side representers.
+    to ``grads``, the tied and the two per-side representers, unless
+    ``grads`` is None.
 
     The energy subtracts sum over fine interface triangles of
     |tau| phi'(<grad y eta>) . [[y eta]](centroid); traces are centroid
@@ -640,8 +641,8 @@ def _jump_contrib(block: _EtaBlock, law: InteractionLaw, F, vm_flat, vp_flat, ep
     identically-zero contributions could still flip signed zeros). The
     inner trace's bond is F eta + (minus_op @ v_minus) / eps, the bits of
     the cone tet's own bond in the interface term; the outer one is
-    F eta + (plus_op @ v_plus) / eps. phi' and, where a jump is nonzero,
-    phi'' come from one ``law.evaluate`` call.
+    F eta + (plus_op @ v_plus) / eps. phi' and, where a jump is nonzero
+    and ``grads`` is given, phi'' come from one ``law.evaluate`` call.
     """
     nu_eta = block.gamma.nu_eta
     if nu_eta.size == 0:
@@ -653,11 +654,14 @@ def _jump_contrib(block: _EtaBlock, law: InteractionLaw, F, vm_flat, vp_flat, ep
     avg = 0.5 * (zm + zp)
     J = nu_eta[:, None] * (ops.trace_op @ (vm_flat - vp_flat)) / 3.0
     active = np.any(J != 0.0, axis=1)
-    jumps = bool(active.any())
+    jumps = grads is not None and bool(active.any())
     derivs = law.evaluate(avg, 2 if jumps else 1)
     phi1 = derivs[1]
     w_area = eps**2 * 0.5 / block.n_eta
     energy = float(w_area * np.sum(phi1 * J))
+    if grads is None:
+        return energy
+    g_tied, g_minus, g_plus = grads
 
     # phi'' part: coefficient [[y eta]]^T phi''(<.>), chained through both
     # side gradients at weight 1/2; skipped where the jump is exactly zero.
@@ -692,7 +696,7 @@ def _get_blocks(cfg, part, R, policy) -> list[tuple[InteractionLaw, _EtaBlock]]:
 
 
 def _coupled(model: str, y_minus: Deformation, y_plus: Deformation, R, part, policy, mesh=None,
-             nodes=None) -> EnergyReport:
+             nodes=None, *, gradient: bool = True) -> EnergyReport:
     """Every coupled energy: ``coupled``, ``coupled-dg`` and
     ``coupled-ho(k)``. The atomistic bonds and interface cones read y_minus,
     the staircase Cauchy-Born templates read y_plus, weighted 1/6 on every
@@ -701,7 +705,9 @@ def _coupled(model: str, y_minus: Deformation, y_plus: Deformation, R, part, pol
     model also keeps the per-side representers and subtracts the interface
     jump; the others are called with y_plus = y_minus. Given free-node
     displacements ``nodes`` ((0, 3) for degree 1), the report carries the
-    free-node block of the gradient as ``node_gradient``."""
+    free-node block of the gradient as ``node_gradient``. With
+    ``gradient=False`` every term is energy-only and the report carries no
+    gradient: ``gradient`` is None, with no per-side or free-node block."""
     cfg = y_minus.cfg
     blocks = _get_blocks(cfg, part, R, policy)
     eps, F = cfg.epsilon, y_minus.F
@@ -709,9 +715,11 @@ def _coupled(model: str, y_minus: Deformation, y_plus: Deformation, R, part, pol
     vpf = y_plus.displacement.values.reshape(-1, 3)
     two_sided = model == "coupled-dg"
     n_free = 0 if nodes is None else len(nodes)
-    gx, *sides = [np.zeros((cfg.n_sites + n_free, 3)) for _ in range(3 if two_sided else 1)]
-    gtf = gx[: cfg.n_sites]
-    inner, outer = [gtf, *sides[:1]], [gtf, *sides[1:]]
+    inner = outer = pk = []  # the gradient arrays each term adds to
+    if gradient:
+        gx, *sides = [np.zeros((cfg.n_sites + n_free, 3)) for _ in range(3 if two_sided else 1)]
+        gtf = gx[: cfg.n_sites]
+        inner, outer, pk = [gtf, *sides[:1]], [gtf, *sides[1:]], [gx]
     p1_w = (_continuum_weights(part),) * 6 if mesh is None else mesh.p1_weights
     atom = [(b.atom_op, b.atom_w, law, "atomistic") for law, b in blocks]
     cb = [(op, w, law, "continuum") for law in R for op, w in zip(_staircase_stencils(law.eta, cfg.N), p1_w)]
@@ -721,7 +729,7 @@ def _coupled(model: str, y_minus: Deformation, y_plus: Deformation, R, part, pol
         _term("continuum", cb, F, vpf, eps, outer),
     ]
     if mesh is not None:
-        terms.append(_term("continuum_pk", mesh.pk_batches(R), F, np.concatenate([vmf, nodes]), eps, (gx,)))
+        terms.append(_term("continuum_pk", mesh.pk_batches(R), F, np.concatenate([vmf, nodes]), eps, pk))
     terms.append(_term("interface", cone, F, vmf, eps, inner))
     diagnostics = {
         "counts": {str(law.eta): b.counts for law, b in blocks},
@@ -732,25 +740,32 @@ def _coupled(model: str, y_minus: Deformation, y_plus: Deformation, R, part, pol
         t0 = time.perf_counter()
         e_jump = 0.0
         for law, b in blocks:
-            e_jump += _jump_contrib(b, law, F, vmf, vpf, eps, gtf, *sides)
+            e_jump += _jump_contrib(b, law, F, vmf, vpf, eps, (gtf, *sides) if gradient else None)
         terms.append(_Term("interface_jump", {"interface_jump": (-e_jump, -e_jump)}, time.perf_counter() - t0))
-        diagnostics.update(gradient_minus=LatticeField(cfg, sides[0].reshape(cfg.shape)),
-                           gradient_plus=LatticeField(cfg, sides[1].reshape(cfg.shape)))
-    if nodes is not None:
-        diagnostics["node_gradient"] = gx[cfg.n_sites:]
+    grad = None
+    if gradient:
+        grad = LatticeField(cfg, gtf.reshape(cfg.shape))
+        if two_sided:
+            diagnostics.update(gradient_minus=LatticeField(cfg, sides[0].reshape(cfg.shape)),
+                               gradient_plus=LatticeField(cfg, sides[1].reshape(cfg.shape)))
+        if nodes is not None:
+            diagnostics["node_gradient"] = gx[cfg.n_sites:]
     if mesh is not None:
         diagnostics.update(n_elements=mesh.n_elements, n_p1_elements=mesh.n_p1_elements,
                            n_free_nodes=mesh.n_free_nodes)
-    return _report(model, LatticeField(cfg, gtf.reshape(cfg.shape)), terms, **diagnostics)
+    return _report(model, grad, terms, **diagnostics)
 
 
 def coupled_energy_conforming(
-    y: Deformation, R: InteractionSet, part: RegionPartition, degenerate_eta: str = "reject"
+    y: Deformation, R: InteractionSet, part: RegionPartition, degenerate_eta: str = "reject",
+    *, gradient: bool = True,
 ) -> EnergyReport:
     """Conforming coupled energy: exact bonds strictly inside the atomistic
     region + staircase Cauchy-Born over the complement cells + interface
-    cone integrals at weight 1/|eta1 eta2 eta3|."""
-    return _coupled("coupled", y, y, R, part, degenerate_eta)
+    cone integrals at weight 1/|eta1 eta2 eta3|. ``gradient=False``
+    computes the same energy, excess and breakdown without the gradient,
+    which the report then leaves None."""
+    return _coupled("coupled", y, y, R, part, degenerate_eta, gradient=gradient)
 
 
 def coupled_energy_dg(
@@ -759,6 +774,8 @@ def coupled_energy_dg(
     R: InteractionSet,
     part: RegionPartition,
     degenerate_eta: str = "reject",
+    *,
+    gradient: bool = True,
 ) -> EnergyReport:
     """Two-sided coupled energy: the inner trace (atomistic + interface
     cones) comes from y_minus, the outer Cauchy-Born field from y_plus, and
@@ -767,26 +784,29 @@ def coupled_energy_dg(
 
     The reported gradient is the representer along tied directions
     (perturbing both sides equally); the per-side representers are in
-    diagnostics as ``gradient_minus`` / ``gradient_plus``.
+    diagnostics as ``gradient_minus`` / ``gradient_plus``. With
+    ``gradient=False`` the report carries none of the three; the jump term
+    still evaluates phi' for its energy.
     """
     if y_plus.cfg != y_minus.cfg:
         raise ValueError("both sides must share one lattice config")
     if not np.array_equal(y_minus.F, y_plus.F):
         raise ValueError("both sides must share the same deformation gradient F")
-    return _coupled("coupled-dg", y_minus, y_plus, R, part, degenerate_eta)
+    return _coupled("coupled-dg", y_minus, y_plus, R, part, degenerate_eta, gradient=gradient)
 
 
 def naive_coupling_energy(
-    y: Deformation, R: InteractionSet, part: RegionPartition
+    y: Deformation, R: InteractionSet, part: RegionPartition, *, gradient: bool = True
 ) -> EnergyReport:
     """Negative control: atomistic bonds whose midpoint lies in the open
     atomistic box plus Cauchy-Born over the complement cells, with no
-    interface correction. Produces spurious interface forces by design."""
+    interface correction. Produces spurious interface forces by design.
+    ``gradient=False`` as in ``coupled_energy_conforming``."""
     cfg = y.cfg
     eps = cfg.epsilon
     vflat = y.displacement.values.reshape(-1, 3)
-    g = np.zeros(cfg.shape)
-    gf = g.reshape(-1, 3)
+    g = np.zeros(cfg.shape) if gradient else None
+    g_outs = [g.reshape(-1, 3)] if gradient else []
     idx = np.indices(cfg.N)
     a, top = (np.reshape(c, (3, 1, 1, 1)) for c in (part.corner, part.top))
 
@@ -798,5 +818,5 @@ def naive_coupling_energy(
     w = _continuum_weights(part)
     atom = [(_bond_stencil(law.eta, cfg.N), _weights(inside(law.eta)), law, "atomistic") for law in R]
     cb = [(op, w, law, "continuum") for law in R for op in _staircase_stencils(law.eta, cfg.N)]
-    terms = [_term("atomistic", atom, y.F, vflat, eps, (gf,)), _term("continuum", cb, y.F, vflat, eps, (gf,))]
-    return _report("naive", LatticeField(cfg, g), terms)
+    terms = [_term("atomistic", atom, y.F, vflat, eps, g_outs), _term("continuum", cb, y.F, vflat, eps, g_outs)]
+    return _report("naive", None if g is None else LatticeField(cfg, g), terms)

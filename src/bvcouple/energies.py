@@ -6,8 +6,9 @@ Every model here and in ``coupling`` and ``highorder`` is a weighted sum
 eps^3 sum_q w_q phi_eta(F eta + (B v)_q / eps) over "quadrature bonds" q,
 with B a fixed linear map of the displacement v. ``_bond_batch`` is the
 only code that evaluates phi_eta for such a term: ``InteractionLaw.evaluate
-(zeta, 1)`` on each (law, operator) batch gives phi and phi' together, in
-row chunks, and phi(F eta) from one extra row of the last chunk. The
+(zeta, 1)`` on each (law, operator) batch gives phi and phi' together
+(order 0, phi alone, for an energy-only batch), in row chunks, and
+phi(F eta) from one extra row of the last chunk. The
 kernel sums
 eps^3 sum_q w_q (phi(zeta_q) - phi(F eta)), the term's excess over the
 homogeneous bond, and adds the batch's homogeneous share
@@ -24,7 +25,12 @@ named in domain errors):
   translation-invariant terms: the exact bond (atomistic and naive models),
   the six staircase Cauchy-Born templates (acb-tetra, the continuum of the
   coupled, two-sided and naive models, the P1 layer of the high-order
-  model) and the cell-averaged Cauchy-Born bond. These stay matrix-free:
+  model) and the cell-averaged Cauchy-Born bond. A stencil above
+  ``_SLAB_ROWS`` rows is applied slab by slab, every term on one slab
+  before the next: at N=128 the forward apply of the cell stencil of
+  eta = (2, 1, 3) took 88-99 ms this way against 121-122 ms term by term
+  over the whole array, and one staircase template 57 ms against 74-79 ms
+  (the fastest of 9 applies, 2 vCPUs). These stay matrix-free:
   as CSR, the six stacked templates of the README laws at N=36 measured
   37 MB per cached placement and 4.6-8.5 ms per law against 4.3-6.5 ms for
   the rolls, and the cell bond at N=128 would hold 16.8M nonzeros;
@@ -43,6 +49,17 @@ zero rows and their sum, which cached blocks, partitions and meshes build
 once. The tiled weights of the Pk elements are made per call instead: kept
 with a k=3 mesh at N=12 they would take about 5 MB. A non-finite phi' is
 found by one sum over phi', and only then row by row.
+
+Every model takes a keyword ``gradient`` (default True). With
+``gradient=False`` its terms get no gradient arrays, and each batch is
+energy-only: the law is evaluated at order 0, and phi' (with its
+finiteness check), the weight scaling and the transposed apply op^T are
+skipped. phi is the same bits at every order, so energy, excess and
+breakdown are those of the full call, and a non-finite phi raises the same
+error; a phi' that would not be finite goes unnoticed, since it is never
+computed. The report's gradient is then None, and its diagnostics carry no
+gradient block. The consistency sweep and the finite-difference probes,
+which read only energies, call the models this way.
 
 Every model passes its terms' batches as data: ``_term(name, batches, ...)``
 takes a list of (op, w, law, breakdown key) tuples and sums the energy and
@@ -67,10 +84,11 @@ rows: on the coupled model's batch list (README laws, region of side N/3),
 two lanes ran 1.3-1.7x slower than one at N=12 (1,728 rows per stencil
 batch), 1.0-1.2x faster at N=24 and 1.3-1.5x faster at N=36, on a 2-vCPU
 host. A batch keeps only zeta, phi and phi' alive at once, the law's
-temporaries chunk-sized and a large stencil's slab-sized, so two batches in
-flight hold less than one batch with whole-array temporaries: the README
-sweep (N up to 128) peaks at 397 MB on two lanes and 363 MB on one, against
-475 MB on one lane with whole-array temporaries. The helper lane
+temporaries chunk-sized and a large stencil's slab-sized. An energy-only
+batch drops phi' too: the README sweep (N up to 128, energy-only) peaks at
+274-284 MB on two lanes and 218-219 MB on one, while full calls of the same
+two models at the same lattices peak at 348 MB on two lanes and 316 MB on
+one (process peak RSS, Linux, 2 vCPUs). The helper lane
 calls no public bvcouple function, so tracers that wrap those see only the
 calling thread.
 """
@@ -102,30 +120,38 @@ class EnergyReport:
     quadrature bond of eps^3 w (phi(zeta) - phi(F eta)), less the interface
     jump correction of the two-sided model. It is exactly 0.0 at y_F, and it
     is what a minimizer compares: differences of ``energy`` are lost in the
-    last digits of |Omega| W(F)."""
+    last digits of |Omega| W(F). A model called with ``gradient=False``
+    leaves ``gradient`` None and carries no gradient block in
+    ``diagnostics``; its other fields are the bits of the full call."""
 
     energy: float
-    gradient: LatticeField
+    gradient: LatticeField | None  # None from an energy-only call
     model: str
     excess: float
     breakdown: dict[str, float] = field(default_factory=dict)
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
-def _bond_batch(op, w, law: InteractionLaw, F, x, eps):
+def _bond_batch(op, w, law: InteractionLaw, F, x, eps, gradient: bool = True):
     """Quadrature-bond energy eps^3 sum_q w_q phi(zeta_q) at the bond
     vectors zeta = F eta + (op @ x) / eps, summed as its excess over the
     homogeneous bond, eps^3 sum_q w_q (phi(zeta_q) - phi(F eta)), plus the
-    batch's homogeneous share eps^3 phi(F eta) sum_q w_q; and the gradient,
-    scaled like the lattice inner product, op^T (w phi'(zeta) / eps). phi,
-    phi' and phi(F eta) come from ``_evaluate`` with F eta as an extra last
-    row, so the excess is exactly 0.0 wherever zeta = F eta. ``w`` is a
-    scalar or a ``_Weights`` with one weight per row; its zero-weight rows
-    are evaluated at F eta. A domain error names the lattice site
-    ``op.site(row)`` of the shortest bond, or of the first bond whose phi or
-    phi' is not finite. Pure: returns the energy, the excess and the
-    gradient contribution. Only zeta, phi and phi' are alive while the
-    gradient is formed, besides the operator's own buffers."""
+    batch's homogeneous share eps^3 phi(F eta) sum_q w_q; and, if
+    ``gradient``, the gradient, scaled like the lattice inner product,
+    op^T (w phi'(zeta) / eps). phi, phi' and phi(F eta) come from
+    ``_evaluate`` with F eta as an extra last row, so the excess is exactly
+    0.0 wherever zeta = F eta. ``w`` is a scalar or a ``_Weights`` with one
+    weight per row; its zero-weight rows are evaluated at F eta. A domain
+    error names the lattice site ``op.site(row)`` of the shortest bond, or
+    of the first bond whose phi or phi' is not finite. Pure: returns the
+    energy, the excess and the gradient contribution. Only zeta, phi and
+    phi' are alive while the gradient is formed, besides the operator's own
+    buffers.
+
+    Without ``gradient`` the batch is energy-only: the law is evaluated at
+    order 0, and the gradient contribution is None. The energy and excess
+    are the same bits, since phi does not depend on the order asked for;
+    phi' is not computed, so only phi is checked for finiteness."""
     base = F @ law.eta_vec
     n = op.rows
     zeta = np.empty((n + 1, 3))
@@ -139,7 +165,7 @@ def _bond_batch(op, w, law: InteractionLaw, F, x, eps):
     else:
         total = w * n
     try:
-        vals, P = _evaluate(law, zeta)
+        vals, *P = _evaluate(law, zeta, 1 if gradient else 0)
     except PotentialDomainError as exc:
         site = op.site(int(np.argmin(np.linalg.norm(zeta[:n], axis=-1))))
         raise PotentialDomainError(
@@ -147,13 +173,16 @@ def _bond_batch(op, w, law: InteractionLaw, F, x, eps):
             site=site,
             eta=law.eta,
         ) from exc
-    phi0, vals, P = vals[n], vals[:n], P[:n]
+    phi0, vals = vals[n], vals[:n]
+    P = P[0][:n] if gradient else None
     del zeta
     excess = float(eps**3 * (w * (vals - phi0)).sum())
     # One sum finds a non-finite phi'; the row mask, built only then, tells
     # it apart from a sum of finite entries that overflowed.
-    if not (math.isfinite(excess) and math.isfinite(P.sum())):
-        bad = ~(np.isfinite(vals) & np.isfinite(P).all(axis=-1))
+    if not (math.isfinite(excess) and (P is None or math.isfinite(P.sum()))):
+        bad = ~np.isfinite(vals)
+        if P is not None:
+            bad |= ~np.isfinite(P).all(axis=-1)
         if not math.isfinite(excess) or bad.any():
             site = op.site(int(np.argmax(bad)))
             raise PotentialDomainError(
@@ -163,6 +192,8 @@ def _bond_batch(op, w, law: InteractionLaw, F, x, eps):
             )
     share = float(eps**3 * phi0 * total)
     del vals
+    if P is None:
+        return excess + share, excess, None
     if np.ndim(w):
         w = w / eps
         for i in range(3):
@@ -188,26 +219,25 @@ def _weights(w) -> _Weights:
     return _Weights(w, np.flatnonzero(w == 0.0), float(w.sum()))
 
 
-def _evaluate(law: InteractionLaw, zeta):
-    """phi and phi' at the rows of ``zeta`` from ``law.evaluate(., 1)``: in
-    one call up to _LAW_CHUNK + 1 rows, else in chunks of _LAW_CHUNK rows
-    written into preallocated arrays, which keeps the law's temporaries
-    chunk-sized. The law acts row by row, so the bits are those of one call,
-    as long as no call gets a single row of several: a one-row call may
-    round the toy law's matrix products differently, and the last row,
-    F eta, must match every row equal to it. So the last chunk takes two to
-    _LAW_CHUNK + 1 rows."""
+def _evaluate(law: InteractionLaw, zeta, order: int):
+    """[phi, phi'][:order + 1] at the rows of ``zeta`` from
+    ``law.evaluate(., order)``: in one call up to _LAW_CHUNK + 1 rows, else
+    in chunks of _LAW_CHUNK rows written into preallocated arrays, which
+    keeps the law's temporaries chunk-sized. The law acts row by row, so the
+    bits are those of one call, as long as no call gets a single row of
+    several: a one-row call may round the toy law's matrix products
+    differently, and the last row, F eta, must match every row equal to it.
+    So the last chunk takes two to _LAW_CHUNK + 1 rows."""
     n = len(zeta)
     last = (n - 2) // _LAW_CHUNK * _LAW_CHUNK if n > 1 else 0
     with np.errstate(over="ignore", invalid="ignore"):
         if not last:
-            return law.evaluate(zeta, 1)
-        vals = np.empty(n)
-        P = np.empty((n, 3))
-        for lo in range(0, last, _LAW_CHUNK):
-            vals[lo:lo + _LAW_CHUNK], P[lo:lo + _LAW_CHUNK] = law.evaluate(zeta[lo:lo + _LAW_CHUNK], 1)
-        vals[last:], P[last:] = law.evaluate(zeta[last:], 1)
-    return vals, P
+            return law.evaluate(zeta, order)
+        out = [np.empty(n), np.empty((n, 3))][: order + 1]
+        for lo, hi in [*((lo, lo + _LAW_CHUNK) for lo in range(0, last, _LAW_CHUNK)), (last, n)]:
+            for a, chunk in zip(out, law.evaluate(zeta[lo:hi], order)):
+                a[lo:hi] = chunk
+    return out
 
 
 def _lane_count() -> int:
@@ -227,7 +257,7 @@ _LANES = _lane_count()
 # slower on two lanes, 13,824-row ones 1.0-1.2x faster).
 _MIN_LANE_ROWS = 8192
 # Rows per law evaluation in ``_evaluate``, and per stencil slab in
-# ``_shift_blocks``.
+# ``_Stencil.apply``.
 _LAW_CHUNK = 16384
 _SLAB_ROWS = 1 << 17
 _helper_pool: tuple[int, ThreadPoolExecutor] | None = None
@@ -283,27 +313,36 @@ class _Stencil:
         return self.apply(x, np.empty((self.rows, 3)))
 
     def apply(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """B x written into ``out``, a C-contiguous (n_sites, 3) array."""
+        """B x written into ``out``, a C-contiguous (n_sites, 3) array, one
+        slab of at most _SLAB_ROWS rows (whole axis-0 planes) at a time:
+        each slab takes every term, in term order, before the next slab
+        starts. Every row gets the adds of a term-by-term sweep of the whole
+        array, in the same order, so the bits are the same, and the slab
+        stays in cache across the terms."""
         v = x.reshape(self.N + (3,))
         acc = out.reshape(v.shape)
-        acc[...] = 0.0
-        for s, c in self.terms:
-            src, blocks = v, _shift_blocks(self.N, s, _SLAB_ROWS)
-            if len(blocks) > 2 and self.rows <= _SLAB_ROWS:
-                # up to a slab, one roll (a copy no larger than a slab's
-                # temporary) and one contiguous add beat four or eight
-                # strided block adds
-                src, blocks = np.roll(v, tuple(-o for o in s), axis=(0, 1, 2)), _WHOLE
-                if abs(c) != 1.0:
-                    src *= c
-                    c = 1.0
-            for dst, sl in blocks:
-                if c == 1.0:
-                    acc[dst] += src[sl]
-                elif c == -1.0:
-                    acc[dst] -= src[sl]
-                else:
-                    acc[dst] += src[sl] * c
+        n0 = self.N[0]
+        planes = max(1, _SLAB_ROWS // (self.N[1] * self.N[2]))
+        for lo in range(0, n0, planes):
+            hi = min(lo + planes, n0)
+            acc[lo:hi] = 0.0
+            for s, c in self.terms:
+                src, blocks = v, _shift_blocks(self.N, s, lo, hi)
+                if len(blocks) > 2 and hi - lo == n0:
+                    # up to a slab, one roll (a copy no larger than a slab's
+                    # temporary) and one contiguous add beat four or eight
+                    # strided block adds
+                    src, blocks = np.roll(v, tuple(-o for o in s), axis=(0, 1, 2)), _WHOLE
+                    if abs(c) != 1.0:
+                        src *= c
+                        c = 1.0
+                for dst, sl in blocks:
+                    if c == 1.0:
+                        acc[dst] += src[sl]
+                    elif c == -1.0:
+                        acc[dst] -= src[sl]
+                    else:  # a temporary no larger than a slab
+                        acc[dst] += src[sl] * c
         return out
 
     @property
@@ -318,23 +357,24 @@ class _Stencil:
         return tuple(int(i) for i in np.unravel_index(row, self.N))
 
 
+def _runs(n: int, k: int, lo: int, hi: int) -> tuple:
+    """(dst start, src start, length) runs that cover the indices [lo, hi)
+    of an axis of length n, each reading index (dst + k) mod n: one run, or
+    two where the source wraps."""
+    src = (lo + k) % n
+    if src + hi - lo <= n:
+        return ((lo, src, hi - lo),)
+    return ((lo, src, n - src), (lo + n - src, 0, hi - lo - n + src))
+
+
 @lru_cache(maxsize=1024)
-def _shift_blocks(N: IntTriple, s: IntTriple, slab_rows: int) -> tuple:
+def _shift_blocks(N: IntTriple, s: IntTriple, lo: int, hi: int) -> tuple:
     """(dst, src) index pairs such that v[src] at dst is v[(l + s) mod N]
-    at l, as ``np.roll(v, -s)`` gives it, without the roll's full-size
-    copy: up to two runs per axis, axis 0 cut further into slabs of at most
-    ``slab_rows`` rows, which bounds the temporary of a coefficient other
-    than +-1."""
-
-    def runs(n, k):  # (dst start, src start, length)
-        k %= n
-        return [(0, k, n - k), (n - k, 0, k)] if k else [(0, 0, n)]
-
-    planes = max(1, slab_rows // (N[1] * N[2]))
-    axis0 = [(d + a, src + a, min(planes, m - a)) for d, src, m in runs(N[0], s[0]) for a in range(0, m, planes)]
+    at each site l of the slab lo <= l_0 < hi, as ``np.roll(v, -s)`` gives
+    it, without the roll's full-size copy: up to two runs per axis."""
     return tuple(
         (tuple(slice(d, d + m) for d, _, m in blocks), tuple(slice(src, src + m) for _, src, m in blocks))
-        for blocks in product(axis0, runs(N[1], s[1]), runs(N[2], s[2]))
+        for blocks in product(_runs(N[0], s[0], lo, hi), _runs(N[1], s[1], 0, N[1]), _runs(N[2], s[2], 0, N[2]))
     )
 
 
@@ -439,12 +479,13 @@ def _term(name: str, batches, F, x, eps, g_outs) -> _Term:
     (op, w, law, breakdown key) tuples taken in pairs by ``_in_order``.
     Every sum and every array in ``g_outs`` adds the batches' results in
     batch order, as on one lane, so the result is bitwise the same on one
-    lane or two."""
+    lane or two. With no ``g_outs`` the batches are energy-only."""
     t0 = time.perf_counter()
     out = _Term(name)
+    gradient = bool(g_outs)
 
     def batch(op, w, law, key):
-        return _bond_batch(op, w, law, F, x, eps)
+        return _bond_batch(op, w, law, F, x, eps, gradient)
 
     for (*_, key), (e, de, contrib), lanes in _in_order(batch, batches):
         out.lanes = max(out.lanes, lanes)
@@ -456,7 +497,7 @@ def _term(name: str, batches, F, x, eps, g_outs) -> _Term:
     return out
 
 
-def _report(model: str, gradient: LatticeField, terms, **diagnostics) -> EnergyReport:
+def _report(model: str, gradient: LatticeField | None, terms, **diagnostics) -> EnergyReport:
     """The report of every model. A breakdown entry is the sum of its key
     over the terms, in term order, starting from the first term's value (so
     a negated zero stays -0.0); ``energy`` and ``excess`` are the
@@ -479,33 +520,41 @@ def _report(model: str, gradient: LatticeField, terms, **diagnostics) -> EnergyR
     )
 
 
-def _lattice_model(y: Deformation, model: str, batches) -> EnergyReport:
-    """Uncoupled model, one term whose batches are keyed by direction."""
+def _lattice_model(y: Deformation, model: str, batches, gradient: bool) -> EnergyReport:
+    """Uncoupled model, one term whose batches are keyed by direction;
+    energy-only, with ``gradient=None``, unless ``gradient``."""
     cfg = y.cfg
-    grad = np.zeros(cfg.shape)
+    grad = np.zeros(cfg.shape) if gradient else None
     vflat = y.displacement.values.reshape(-1, 3)
-    term = _term(model, batches, y.F, vflat, cfg.epsilon, (grad.reshape(-1, 3),))
-    return _report(model, LatticeField(cfg, grad), [term])
+    term = _term(model, batches, y.F, vflat, cfg.epsilon, () if grad is None else (grad.reshape(-1, 3),))
+    return _report(model, None if grad is None else LatticeField(cfg, grad), [term])
 
 
-def atomistic_energy(y: Deformation, R: InteractionSet) -> EnergyReport:
-    """Exact atomistic energy eps^3 sum_l sum_eta phi_eta(D_eta y_l)."""
+def atomistic_energy(y: Deformation, R: InteractionSet, *, gradient: bool = True) -> EnergyReport:
+    """Exact atomistic energy eps^3 sum_l sum_eta phi_eta(D_eta y_l).
+    ``gradient=False`` computes the same energy, excess and breakdown
+    without the gradient, which the report then leaves None."""
     N = y.cfg.N
-    return _lattice_model(y, "atomistic", [(_bond_stencil(law.eta, N), 1.0, law, f"eta={law.eta}") for law in R])
+    return _lattice_model(
+        y, "atomistic", [(_bond_stencil(law.eta, N), 1.0, law, f"eta={law.eta}") for law in R], gradient
+    )
 
 
-def acb_tetra_energy(y: Deformation, R: InteractionSet) -> EnergyReport:
+def acb_tetra_energy(y: Deformation, R: InteractionSet, *, gradient: bool = True) -> EnergyReport:
     """Cauchy-Born energy on the staircase tetrahedra: (eps^3/6) per cell tet
     of W(grad), with the discrete gradient taken from the tet's own axis
-    edges."""
+    edges. ``gradient=False`` as in ``atomistic_energy``."""
     N = y.cfg.N
     return _lattice_model(y, "acb-tetra", [
         (op, 1.0 / 6.0, law, f"eta={law.eta}") for law in R for op in _staircase_stencils(law.eta, N)
-    ])
+    ], gradient)
 
 
-def acb_cell_energy(y: Deformation, R: InteractionSet) -> EnergyReport:
+def acb_cell_energy(y: Deformation, R: InteractionSet, *, gradient: bool = True) -> EnergyReport:
     """Cauchy-Born energy on cells: eps^3 per cell of W evaluated at the
-    averaged discrete gradient (each column averages four edge quotients)."""
+    averaged discrete gradient (each column averages four edge quotients).
+    ``gradient=False`` as in ``atomistic_energy``."""
     N = y.cfg.N
-    return _lattice_model(y, "acb-cell", [(_cell_stencil(law.eta, N), 1.0, law, f"eta={law.eta}") for law in R])
+    return _lattice_model(
+        y, "acb-cell", [(_cell_stencil(law.eta, N), 1.0, law, f"eta={law.eta}") for law in R], gradient
+    )

@@ -7,7 +7,6 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -389,29 +388,36 @@ def evaluate_model(
     y: Deformation,
     y_plus: Deformation | None = None,
     node_displacements: np.ndarray | None = None,
+    *,
+    gradient: bool = True,
 ) -> EnergyReport:
-    """Assemble the configured model's energy report at a state."""
+    """Assemble the configured model's energy report at a state. With
+    ``gradient=False`` the model computes the same energy, excess and
+    breakdown and no gradient: the report's ``gradient`` is None and its
+    diagnostics carry no gradient block. The finite-difference probes of
+    ``fd_gradient_check`` read nothing else."""
     fam = config.model_family
     if fam == "atomistic":
-        return atomistic_energy(y, config.laws)
+        return atomistic_energy(y, config.laws, gradient=gradient)
     if fam == "acb-tetra":
-        return acb_tetra_energy(y, config.laws)
+        return acb_tetra_energy(y, config.laws, gradient=gradient)
     if fam == "acb-cell":
-        return acb_cell_energy(y, config.laws)
+        return acb_cell_energy(y, config.laws, gradient=gradient)
     if fam == "coupled":
-        return coupled_energy_conforming(y, config.laws, config.region, config.degenerate_eta)
+        return coupled_energy_conforming(y, config.laws, config.region, config.degenerate_eta, gradient=gradient)
     if fam == "coupled-dg":
         if y_plus is None:
             y_plus = y
-        return coupled_energy_dg(y, y_plus, config.laws, config.region, config.degenerate_eta)
+        return coupled_energy_dg(y, y_plus, config.laws, config.region, config.degenerate_eta, gradient=gradient)
     if fam == "coupled-ho":
         return high_order_energy(
             y, config.laws, config.region, config.ho_degree,
             node_displacements=node_displacements,
             degenerate_eta=config.degenerate_eta,
+            gradient=gradient,
         )
     if fam == "naive":
-        return naive_coupling_energy(y, config.laws, config.region)
+        return naive_coupling_energy(y, config.laws, config.region, gradient=gradient)
     raise ValueError(f"unhandled model family {fam!r}")
 
 
@@ -470,7 +476,9 @@ def fd_gradient_check(config: RunConfig, trials: int = _FD_TRIALS) -> float:
     model of degree k > 1 the free nodes get random displacements too (of
     1/k the lattice amplitude), and the probe direction and the inner
     product include the free-node block. The difference step is
-    ``tolerances.fd_step``."""
+    ``tolerances.fd_step``. The two probes of a trial read only the energy,
+    so they call the model with ``gradient=False``: the same energy bits,
+    at no gradient cost."""
     step = config.tolerances["fd_step"]
     rng = np.random.default_rng(config.seed)
     cfg = config.cfg
@@ -500,7 +508,8 @@ def fd_gradient_check(config: RunConfig, trials: int = _FD_TRIALS) -> float:
         def energy_at(t: float) -> float:
             ym = make_deformation(F, v + t * w)
             return evaluate_model(
-                config, ym, y_plus=make_deformation(F, v_plus + t * w), node_displacements=nodes + t * w_nodes
+                config, ym, y_plus=make_deformation(F, v_plus + t * w), node_displacements=nodes + t * w_nodes,
+                gradient=False,
             ).energy
 
         fd = (energy_at(step) - energy_at(-step)) / (2.0 * step)
@@ -523,9 +532,6 @@ class SweepResult:
     exact: bool
 
 
-_energy_excess = attrgetter("energy", "excess")
-
-
 def consistency_sweep(config: RunConfig) -> SweepResult:
     """Atomistic vs Cauchy-Born energy gap per volume for the smooth
     periodic displacement amplitude * sin(2 pi x / L), sampled on the
@@ -533,7 +539,10 @@ def consistency_sweep(config: RunConfig) -> SweepResult:
     L = ``sweep.period`` (N = L/eps cells per axis).
 
     The comparison model follows the config when it is an uncoupled
-    Cauchy-Born variant and defaults to the cell-averaged one."""
+    Cauchy-Born variant and defaults to the cell-averaged one. Both models
+    are called with ``gradient=False``: the sweep reads only their energy
+    and excess, so no law is evaluated past phi and no transposed operator
+    is applied."""
     amplitude, period = config.sweep["amplitude"], config.sweep["period"]
 
     def displacement(x: np.ndarray) -> np.ndarray:
@@ -547,21 +556,20 @@ def consistency_sweep(config: RunConfig) -> SweepResult:
         cfg = LatticeConfig(N=(n, n, n), epsilon=eps)
         v = sample_field(displacement, cfg)
         y = make_deformation(config.F, v)
-        # one report alive at a time: its gradient is as large as v
-        e_a, x_a = _energy_excess(atomistic_energy(y, config.laws))
-        e_c, x_c = _energy_excess(acb(y, config.laws))
+        exact = atomistic_energy(y, config.laws, gradient=False)
+        cb = acb(y, config.laws, gradient=False)
         vol = cfg.volume
         # At equal F both models carry the same homogeneous share, so the
         # gap is the difference of the excesses, which keeps the digits that
         # differencing two energies of size |Omega| W(F) loses.
-        gap = abs(x_a - x_c) / vol
+        gap = abs(exact.excess - cb.excess) / vol
         rows.append(
             {
                 "epsilon": eps,
-                "energy_atomistic": e_a,
-                "energy_acb": e_c,
+                "energy_atomistic": exact.energy,
+                "energy_acb": cb.energy,
                 "gap": gap,
-                "residual": gap / max(1.0, abs(e_a) / vol),
+                "residual": gap / max(1.0, abs(exact.energy) / vol),
             }
         )
     gaps = [r["gap"] for r in rows]
@@ -997,8 +1005,17 @@ def run(command: str, config: RunConfig, out_dir: str | Path | None = None) -> i
         print(f"unknown command {command!r}; expected one of {sorted(COMMANDS)}")
         return 2
     out = Path(out_dir) if out_dir is not None else Path(config.out or "bvcouple_reports")
+    made = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
-    results = COMMANDS[command](config, out)
+    try:
+        results = COMMANDS[command](config, out)
+    except BaseException:
+        # a command that refuses its config leaves no empty directory behind
+        for p in made:
+            if any(p.iterdir()):
+                break
+            p.rmdir()
+        raise
     lines = [result.line() for result in results]
     summary = "\n".join(lines) + "\n"
     (out / "summary.txt").write_text(summary)

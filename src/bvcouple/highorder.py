@@ -278,6 +278,8 @@ def high_order_energy(
     k: int = 2,
     node_displacements: np.ndarray | None = None,
     degenerate_eta: str = "reject",
+    *,
+    gradient: bool = True,
 ) -> EnergyReport:
     """Coupled energy with a degree-k continuum: atomistic bonds and
     interface cones exactly as in the conforming model, with the continuum
@@ -288,7 +290,8 @@ def high_order_energy(
     freedom of the Pk elements (default zero); the report's gradient is the
     lattice-site block and diagnostics["node_gradient"] the free-node block,
     both scaled like the lattice inner product (1/eps^3 times the partial
-    derivative).
+    derivative). ``gradient=False`` computes the same energy, excess and
+    breakdown without either block: the report's gradient is None.
     """
     _check_degree(k)
     _check_partition(part, R, degenerate_eta)
@@ -303,4 +306,4 @@ def high_order_energy(
                 f"degree-{k} elements have {n_free} free nodes: node_displacements must have "
                 f"shape ({n_free}, 3), got {nodes.shape}"
             )
-    return _coupled(f"coupled-ho({k})", y, y, R, part, degenerate_eta, mesh, nodes)
+    return _coupled(f"coupled-ho({k})", y, y, R, part, degenerate_eta, mesh, nodes, gradient=gradient)

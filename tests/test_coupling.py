@@ -593,6 +593,39 @@ def test_non_finite_law_values_name_the_site():
         assert "site (7, 9, 6)" in str(err.value) and "eta=(1, -1, 2)" in str(err.value)
 
 
+@pytest.mark.parametrize("case", ["collapsed bond", "overflowing law"])
+def test_energy_only_calls_raise_the_same_domain_errors(case):
+    """The states of the two tests above, on the atomistic model (a
+    stencil) and the conforming model (its atomistic bonds a gather): the
+    energy-only call, which checks phi only, raises the domain error of the
+    full call, with the same message, site and direction."""
+    from bvcouple.potentials import PotentialDomainError
+
+    cfg = LatticeConfig(N=(16, 16, 16), epsilon=1.0 / 16.0)
+    part = RegionPartition(cfg, (2, 2, 2), (12, 12, 12))
+    vals = np.zeros(cfg.shape)
+    if case == "collapsed bond":
+        R = InteractionSet([make_law((2, 1, 1), "lennard-jones-radial")])
+        vals[8, 8, 8] = -cfg.epsilon * np.array([2.0, 1.0, 1.0])
+    else:
+        law = make_law((1, -1, 2), "anisotropic-toy")
+        R = InteractionSet([make_law((1, 1, 1), "harmonic"), law])
+        a = dict(law.params)["a"]
+        vals[8, 8, 8] = 800.0 * cfg.epsilon * a / (a @ a)
+    y = make_deformation(np.eye(3), LatticeField(cfg, vals))
+
+    for evaluate in (
+        lambda gradient: atomistic_energy(y, R, gradient=gradient),
+        lambda gradient: coupled_energy_conforming(y, R, part, gradient=gradient),
+    ):
+        errors = []
+        for gradient in (True, False):
+            with pytest.raises(PotentialDomainError) as err:
+                evaluate(gradient)
+            errors.append((str(err.value), err.value.site, err.value.eta))
+        assert errors[0] == errors[1]
+
+
 def test_covering_interpolant_rejects_out_of_range_index():
     """A covering index outside [0, n_eta) is an error, not a wrapped or
     bare IndexError lookup: m = -1 must not silently return the last

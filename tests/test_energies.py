@@ -213,3 +213,48 @@ def test_potential_domain_violation_propagates():
     y = make_deformation(np.eye(3), LatticeField(cfg, vals))
     with pytest.raises(PotentialDomainError):
         atomistic_energy(y, R)
+
+
+# ----------------------------------------------------------------------
+# Shift stencils against np.roll
+# ----------------------------------------------------------------------
+
+README_ETAS = [(1, 1, 1), (2, 1, 3), (1, -1, 2)]
+
+
+def roll_oracle(terms, v):
+    """sum_k c_k v_{l + s_k}, one whole-array roll per term, in term order."""
+    acc = np.zeros_like(v)
+    for s, c in terms:
+        acc += c * np.roll(v, tuple(-o for o in s), axis=(0, 1, 2))
+    return acc
+
+
+@pytest.mark.parametrize("N, slab_rows", [
+    ((11, 12, 10), 300),     # two-plane slabs, the last one a single plane
+    ((11, 12, 10), 720),     # slabs of six and five planes
+    ((12, 12, 12), None),    # one slab: the roll branch
+    ((64, 64, 64), None),    # two slabs of the default size
+])
+def test_stencils_equal_the_roll_oracle_bitwise(monkeypatch, N, slab_rows):
+    """The bond, cell and six staircase stencils of the README directions
+    and their transposes: ``apply`` and ``@`` give the roll oracle's bits,
+    however the rows are cut into slabs, including slabs whose source
+    wraps around the torus."""
+    from bvcouple import energies
+
+    if slab_rows is not None:
+        monkeypatch.setattr(energies, "_SLAB_ROWS", slab_rows)
+    v = np.random.default_rng(0).standard_normal(N + (3,))
+    x = v.reshape(-1, 3)
+    for eta in README_ETAS:
+        stencils = [energies._bond_stencil(eta, N), energies._cell_stencil(eta, N),
+                    *energies._staircase_stencils(eta, N)]
+        for op in stencils:
+            transposed = tuple((tuple(-o for o in s), c) for s, c in op.terms)
+            for B, terms in ((op, op.terms), (op.T, transposed)):
+                want = roll_oracle(terms, v).reshape(-1, 3)
+                out = np.full_like(x, np.nan)
+                assert B.apply(x, out) is out
+                assert np.array_equal(out, want)
+                assert np.array_equal(B @ x, want)

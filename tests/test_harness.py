@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator, cg
 
-from bvcouple import cli, harness
+from bvcouple import cli, energies, harness
 from bvcouple.energies import EnergyReport
 from bvcouple.harness import (
     MODEL_NAMES,
@@ -29,7 +29,7 @@ from bvcouple.lattice import (
     make_deformation,
     sample_field,
 )
-from bvcouple.potentials import PotentialDomainError, cb_energy_density
+from bvcouple.potentials import InteractionLaw, PotentialDomainError, cb_energy_density
 
 
 def small_config_dict(model="coupled", **overrides) -> dict:
@@ -209,11 +209,71 @@ def test_gradient_check_probes_the_free_node_block(monkeypatch):
 
     def doubled_node_gradient(*args, **kwargs):
         report = evaluate_model(*args, **kwargs)
-        report.diagnostics["node_gradient"] = 2.0 * report.diagnostics["node_gradient"]
+        if "node_gradient" in report.diagnostics:  # energy-only probe reports carry no gradient
+            report.diagnostics["node_gradient"] = 2.0 * report.diagnostics["node_gradient"]
         return report
 
     monkeypatch.setattr(harness, "evaluate_model", doubled_node_gradient)
     assert fd_gradient_check(config, trials=2) > tol
+
+
+def record_law_orders(monkeypatch) -> list[int]:
+    """The orders passed to ``InteractionLaw.evaluate``, in call order."""
+    orders: list[int] = []
+    evaluate = InteractionLaw.evaluate
+
+    def recording(self, zeta, order=2):
+        orders.append(order)
+        return evaluate(self, zeta, order)
+
+    monkeypatch.setattr(InteractionLaw, "evaluate", recording)
+    return orders
+
+
+@pytest.mark.parametrize("model", ["coupled", "coupled-ho(2)"])
+def test_gradient_check_probes_evaluate_phi_only(monkeypatch, model):
+    """Each trial makes one full call and two finite-difference probes,
+    which read only the energy: the probes evaluate the laws at order 0.
+    (The two-sided model's jump term needs phi' for its energy, so it is
+    not among these.)"""
+    orders = record_law_orders(monkeypatch)
+    calls = []
+
+    def recording_model(*args, **kwargs):
+        orders.clear()
+        report = evaluate_model(*args, **kwargs)
+        calls.append(set(orders))
+        return report
+
+    monkeypatch.setattr(harness, "evaluate_model", recording_model)
+    config = config_from_dict(small_config_dict(model=model))
+    assert fd_gradient_check(config, trials=2) <= config.gradient_fd_tolerance
+    assert len(calls) == 6
+    assert all(1 in full for full in calls[0::3])
+    assert calls[1::3] + calls[2::3] == [{0}] * 4
+
+
+@pytest.mark.parametrize("model", ["acb-cell", "acb-tetra"])
+def test_consistency_sweep_evaluates_phi_only(monkeypatch, model):
+    """The sweep reads each model's energy and excess only: every law
+    evaluation is of order 0, and no transposed operator is applied (the
+    kernel applies a stencil forward through ``apply``, and its transpose
+    through ``@``)."""
+    orders = record_law_orders(monkeypatch)
+    matmuls = []
+    matmul = energies._Stencil.__matmul__
+
+    def recording_matmul(self, x):
+        matmuls.append(self)
+        return matmul(self, x)
+
+    monkeypatch.setattr(energies._Stencil, "__matmul__", recording_matmul)
+    data = small_config_dict(model=model)
+    data["sweep"] = {"epsilons": [0.5, 0.25, 0.125], "period": 4.0}
+    result = harness.consistency_sweep(config_from_dict(data))
+    assert result.slope is not None
+    assert orders and set(orders) == {0}
+    assert matmuls == []
 
 
 # ----------------------------------------------------------------------
@@ -470,6 +530,23 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         assert code == 2
         assert captured.err.startswith("config error: solve supports lattice-state models"), captured.err
         assert "Traceback" not in captured.err
+
+
+def test_refused_command_leaves_no_report_directory(tmp_path, capsys):
+    """``solve`` refuses a high-order model after ``run`` has made the
+    report directory: the directories ``run`` made are removed again, and
+    one that existed before stays."""
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(small_config_dict()))
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    for out in (tmp_path / "X", tmp_path / "a" / "b", existing):
+        code = cli.main(["solve", "--model", "coupled-ho(2)", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        capsys.readouterr()
+    assert not (tmp_path / "X").exists()
+    assert not (tmp_path / "a").exists()
+    assert existing.is_dir()
 
 
 def test_cli_usage_errors_exit_2(capsys):

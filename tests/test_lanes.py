@@ -62,9 +62,9 @@ def state(cfg, seed, amplitude=0.05):
     return make_deformation(F, v)
 
 
-def model_calls():
+def model_calls(**kw):
     """Every model at a seeded non-homogeneous state, at N=12 with the README
-    laws; each entry evaluates to a report."""
+    laws; each entry evaluates to a report, passing ``kw`` to the model."""
     cfg = LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0)
     part = RegionPartition(cfg, (4, 4, 4), (4, 4, 4))
     y = state(cfg, 1)
@@ -72,16 +72,17 @@ def model_calls():
     n_free = build_high_order_mesh(cfg, part, 2).n_free_nodes
     nodes = 0.05 * cfg.epsilon * np.random.default_rng(3).standard_normal((n_free, 3))
     R = README_LAWS
+    y0 = make_deformation(y.F, LatticeField.zeros(cfg))
     return {
-        "atomistic": lambda: atomistic_energy(y, R),
-        "acb-tetra": lambda: acb_tetra_energy(y, R),
-        "acb-cell": lambda: acb_cell_energy(y, R),
-        "coupled": lambda: coupled_energy_conforming(y, R, part),
-        "coupled-dg untied": lambda: coupled_energy_dg(y, y_plus, R, part),
-        "coupled-dg tied": lambda: coupled_energy_dg(y, y, R, part),
-        "naive": lambda: naive_coupling_energy(y, R, part),
-        "coupled-ho(2)": lambda: high_order_energy(y, R, part, k=2, node_displacements=nodes),
-        "homogeneous coupled": lambda: coupled_energy_conforming(make_deformation(y.F, LatticeField.zeros(cfg)), R, part),
+        "atomistic": lambda: atomistic_energy(y, R, **kw),
+        "acb-tetra": lambda: acb_tetra_energy(y, R, **kw),
+        "acb-cell": lambda: acb_cell_energy(y, R, **kw),
+        "coupled": lambda: coupled_energy_conforming(y, R, part, **kw),
+        "coupled-dg untied": lambda: coupled_energy_dg(y, y_plus, R, part, **kw),
+        "coupled-dg tied": lambda: coupled_energy_dg(y, y, R, part, **kw),
+        "naive": lambda: naive_coupling_energy(y, R, part, **kw),
+        "coupled-ho(2)": lambda: high_order_energy(y, R, part, k=2, node_displacements=nodes, **kw),
+        "homogeneous coupled": lambda: coupled_energy_conforming(y0, R, part, **kw),
     }
 
 
@@ -116,6 +117,29 @@ def test_two_lanes_are_bitwise_one_lane(monkeypatch, model, setting):
     assert_same_report(ref, rep)
     if model == "homogeneous coupled":
         assert rep.excess == 0.0
+
+
+GRADIENT_BLOCKS = {"gradient_minus", "gradient_plus", "node_gradient"}
+
+
+@pytest.mark.parametrize("setting", [one_lane, chunks_and_slabs])
+@pytest.mark.parametrize("model", MODELS)
+def test_energy_only_call_is_the_full_call_without_gradients(monkeypatch, model, setting):
+    """``gradient=False`` gives the bits of the full call's energy, excess
+    and breakdown (``repr`` tells -0.0 from 0.0), the same terms and
+    diagnostics, and no gradient; under ``chunks_and_slabs`` the law runs
+    at order 0 on chunked rows."""
+    setting(monkeypatch)
+    full = model_calls()[model]()
+    rep = model_calls(gradient=False)[model]()
+    assert rep.gradient is None
+    assert repr((rep.energy, rep.excess, rep.breakdown)) == repr((full.energy, full.excess, full.breakdown))
+    assert rep.model == full.model
+    assert rep.diagnostics["term_s"].keys() == full.diagnostics["term_s"].keys()
+    assert not GRADIENT_BLOCKS & rep.diagnostics.keys()
+    drop = GRADIENT_BLOCKS | {"term_s"}
+    assert repr({k: v for k, v in rep.diagnostics.items() if k not in drop}) == \
+        repr({k: v for k, v in full.diagnostics.items() if k not in drop})
 
 
 def test_chunked_homogeneous_batch_has_zero_excess(monkeypatch):
