@@ -33,7 +33,7 @@ fan is symmetric); the remaining faces match in integral against the
 averaged bonds by the fan's mean-value center.
 
 Every term is a weighted sum of phi_eta(F eta + (B v)_q / eps) over
-"quadrature bonds" q, evaluated by the one kernel ``energies._bond_batch``
+"quadrature bonds" q, evaluated by the one kernel ``energies._bond_group``
 for a fixed linear map B of the lattice displacement v, one of its two
 operator kinds. The atomistic bonds (+1/-1 rows) and the interface cone
 tets (eta^T A^-1 applied to the vertex values of the cone interpolant,
@@ -43,7 +43,7 @@ direction), each row tagged with the lattice site of its bond. The jump
 term's rows are the cone tets under the fine interface triangles; a block
 keeps their indices and integer triangle data, and builds the jump's two
 sides and trace (CSR rows too) when the two-sided model first reads it.
-The continuum term is the staircase Cauchy-Born roll stencil of
+The continuum term is the staircase Cauchy-Born shift stencil of
 ``energies``, shared with the uncoupled models and restricted to the
 continuum cells by zero weights; the naive control uses the atomistic
 model's exact-bond stencil the same way. How a term's batches run (in pairs, on up to two lanes, added in batch order so every result is
@@ -122,7 +122,7 @@ from .energies import (
 )
 from .geometry import PATH_PERMS, CoveringMismatch, DegenerateEta, path_edge_offsets
 from .lattice import Deformation, IntTriple, LatticeConfig, LatticeField
-from .potentials import InteractionLaw, InteractionSet
+from .potentials import InteractionLaw, InteractionSet, PotentialDomainError
 
 DEGENERATE_POLICIES = ("reject", "reduce")
 
@@ -642,7 +642,9 @@ def _jump_contrib(block: _EtaBlock, law: InteractionLaw, F, vm_flat, vp_flat, ep
     inner trace's bond is F eta + (minus_op @ v_minus) / eps, the bits of
     the cone tet's own bond in the interface term; the outer one is
     F eta + (plus_op @ v_plus) / eps. phi' and, where a jump is nonzero
-    and ``grads`` is given, phi'' come from one ``law.evaluate`` call.
+    and ``grads`` is given, phi'' come from one ``law.evaluate`` call. A
+    domain error names the min-corner lattice site of the fine triangle
+    with the shortest averaged bond, and eta.
     """
     nu_eta = block.gamma.nu_eta
     if nu_eta.size == 0:
@@ -655,7 +657,16 @@ def _jump_contrib(block: _EtaBlock, law: InteractionLaw, F, vm_flat, vp_flat, ep
     J = nu_eta[:, None] * (ops.trace_op @ (vm_flat - vp_flat)) / 3.0
     active = np.any(J != 0.0, axis=1)
     jumps = grads is not None and bool(active.any())
-    derivs = law.evaluate(avg, 2 if jumps else 1)
+    try:
+        derivs = law.evaluate(avg, 2 if jumps else 1)
+    except PotentialDomainError as exc:
+        corner = block.gamma.sites[int(np.argmin(np.linalg.norm(avg, axis=-1))), 0]
+        site = tuple(int(i) for i in np.mod(corner, block.cone_op.N))
+        raise PotentialDomainError(
+            f"{exc} (offending bond: site {site}, eta={law.eta})",
+            site=site,
+            eta=law.eta,
+        ) from exc
     phi1 = derivs[1]
     w_area = eps**2 * 0.5 / block.n_eta
     energy = float(w_area * np.sum(phi1 * J))
@@ -741,7 +752,8 @@ def _coupled(model: str, y_minus: Deformation, y_plus: Deformation, R, part, pol
         e_jump = 0.0
         for law, b in blocks:
             e_jump += _jump_contrib(b, law, F, vmf, vpf, eps, (gtf, *sides) if gradient else None)
-        terms.append(_Term("interface_jump", {"interface_jump": (-e_jump, -e_jump)}, time.perf_counter() - t0))
+        terms.append(_Term("interface_jump", {"interface_jump": (-e_jump, -e_jump)}, time.perf_counter() - t0,
+                           law_calls=sum(1 for _, b in blocks if b.gamma.rows.size)))
     grad = None
     if gradient:
         grad = LatticeField(cfg, gtf.reshape(cfg.shape))

@@ -4,15 +4,14 @@ Cauchy-Born; and the one quadrature-bond kernel every energy term uses.
 
 Every model here and in ``coupling`` and ``highorder`` is a weighted sum
 eps^3 sum_q w_q phi_eta(F eta + (B v)_q / eps) over "quadrature bonds" q,
-with B a fixed linear map of the displacement v. ``_bond_batch`` is the
+with B a fixed linear map of the displacement v. ``_bond_group`` is the
 only code that evaluates phi_eta for such a term: ``InteractionLaw.evaluate
-(zeta, 1)`` on each (law, operator) batch gives phi and phi' together
-(order 0, phi alone, for an energy-only batch), in row chunks, and
-phi(F eta) from one extra row of the last chunk. The
-kernel sums
-eps^3 sum_q w_q (phi(zeta_q) - phi(F eta)), the term's excess over the
-homogeneous bond, and adds the batch's homogeneous share
-eps^3 phi(F eta) sum_q w_q back into the term's energy. Reports carry the
+(zeta, 1)`` on each group of a term's (law, operator) batches (see below)
+gives phi and phi' together (order 0, phi alone, for an energy-only call),
+in row chunks, and phi(F eta) from one extra row of the last chunk. Per
+batch, the kernel sums eps^3 sum_q w_q (phi(zeta_q) - phi(F eta)), the
+batch's excess over the homogeneous bond, and adds the batch's homogeneous
+share eps^3 phi(F eta) sum_q w_q back into the term's energy. Reports carry the
 summed excess too (``EnergyReport.excess``): it is exactly 0.0 at y_F, and
 its differences keep the digits that the constant |Omega| W(F) in the
 energy would swallow. A non-finite phi or phi' is a domain error, like a
@@ -30,17 +29,24 @@ named in domain errors):
   before the next: at N=128 the forward apply of the cell stencil of
   eta = (2, 1, 3) took 88-99 ms this way against 121-122 ms term by term
   over the whole array, and one staircase template 57 ms against 74-79 ms
-  (the fastest of 9 applies, 2 vCPUs). These stay matrix-free:
-  as CSR, the six stacked templates of the README laws at N=36 measured
-  37 MB per cached placement and 4.6-8.5 ms per law against 4.3-6.5 ms for
-  the rolls, and the cell bond at N=128 would hold 16.8M nonzeros;
+  (the fastest of 9 applies, 2 vCPUs). Up to one slab, a term whose
+  shift wraps on two or three axes copies its four or eight blocks
+  (``_shift_blocks``) into one scratch array per apply and adds that
+  contiguously: one shift by (1, 2, 1) took 14 us this way against 32 us
+  for numpy's roll at N=12, 35 against 54 us at N=24 and 110 against
+  135 us at N=36 (fastest of 7 x 200, 2 vCPUs), with the same bits.
+  These stay matrix-free: as CSR, the six stacked templates of the README
+  laws at N=36 measured 37 MB per cached placement and 4.6-8.5 ms per law
+  against 4.3-6.5 ms for the shifted adds, and the cell bond at N=128
+  would hold 16.8M nonzeros;
 - a sparse gather ``_Gather`` for the irregular terms: a cached CSR map to
   element-local values, then a dense (nq, nloc) coefficient block per
   element. The atomistic bonds and interface cones of ``coupling`` are
-  elements with one local value and coefficient [[1.0]]; the Pk elements
-  of ``highorder`` gather their local nodes and apply the shape-function
-  gradients times eta at each quadrature point (as explicit CSR rows, about
-  141 MB per law at N=12, k=3).
+  elements with one local value and coefficient ``_ONE`` = [[1.0]], which
+  apply their CSR map alone, in both directions: the 1x1 products would
+  only copy. The Pk elements of ``highorder`` gather their local nodes and
+  apply the shape-function gradients times eta at each quadrature point
+  (as explicit CSR rows, about 141 MB per law at N=12, k=3).
 
 Masks are zero weights; a zero-weight row is evaluated at the homogeneous
 bond F eta, so a bond a mask drops can neither raise nor contribute. A
@@ -73,19 +79,42 @@ Gradients are returned as Riesz representers with respect to the discrete
 inner product: the report's gradient field g satisfies
 DE(y)[v] = <g, v>_eps for every periodic lattice field v.
 
-A term's batches run in pairs on up to two lanes, the calling thread and one
-helper thread, as the process's CPU affinity allows (``_in_order``). Each
-batch is a pure function of the state, returning its energy, excess and
+A term's batches run as units (``_groups``). Consecutive batches that share
+the law and the breakdown key, each with fewer than ``_MIN_LANE_ROWS`` rows,
+form one group: every operator writes its rows into one zeta buffer, with
+one F eta row, and the law is evaluated once; then, batch by batch, the
+kernel forms the batch's own excess sum, homogeneous share, finiteness
+check, weight scaling and transposed apply. The law acts row by row, so
+each batch's results are the bits of the batch alone. Any other batch is a
+unit of its own. Up to N=20 this groups each law's six staircase templates
+(acb-tetra, the continuum of the coupled, two-sided and naive models, the
+P1 layer of the high-order model): the warm coupled call at N=12 (README
+laws, region of side 4) took a median 5.3 ms against 7.1 ms ungrouped and
+with rolled shifts (5 alternating process pairs, 40 calls each, 2 vCPUs),
+with 3 law evaluations in place of 18 in its continuum term. Every report
+counts its terms' law evaluations (``law_calls``). A law that rejects a
+group's rows (a radial bond below its minimum) re-runs the group one batch
+at a time, so the error raised is the first failing batch's, as ungrouped.
+
+Units run in pairs on up to two lanes, the calling thread and one helper
+thread, as the process's CPU affinity allows (``_in_order``). Each unit is
+a pure function of the state, giving each batch's energy, excess and
 gradient contribution; the caller adds these to the term's sums and
 gradients in batch order, exactly the order of a single lane, so every
-result is bitwise the same on one lane or two, and deterministic. A pair
-runs serially unless one of its batches has at least ``_MIN_LANE_ROWS``
-rows: on the coupled model's batch list (README laws, region of side N/3),
-two lanes ran 1.3-1.7x slower than one at N=12 (1,728 rows per stencil
+result is bitwise the same on one lane or two, grouped or not, and
+deterministic. A pair runs serially unless one of its units has a batch
+of at least ``_MIN_LANE_ROWS`` rows, so a group always runs on one lane:
+on the coupled model's batch list (README laws, region of side N/3), two
+lanes ran 1.3-1.7x slower than one at N=12 (1,728 rows per stencil
 batch), 1.0-1.2x faster at N=24 and 1.3-1.5x faster at N=36, on a 2-vCPU
-host. A batch keeps only zeta, phi and phi' alive at once, the law's
-temporaries chunk-sized and a large stencil's slab-sized. An energy-only
-batch drops phi' too: the README sweep (N up to 128, energy-only) peaks at
+host; letting the 10,368-row groups of N=12 pair on two lanes took a
+median 6.3-6.9 ms per coupled call against 4.6-5.7 ms on one (4
+alternating process pairs). A lone batch keeps only zeta,
+phi and phi' alive at once, the law's temporaries chunk-sized and a large
+stencil's slab-sized; a group keeps them for all its rows, fewer than six
+times _MIN_LANE_ROWS per law on the models here, and forms each batch's
+gradient contribution only when the caller reads it. An energy-only call
+drops phi' too: the README sweep (N up to 128, energy-only) peaks at
 274-284 MB on two lanes and 218-219 MB on one, while full calls of the same
 two models at the same lattices peak at 348 MB on two lanes and 316 MB on
 one (process peak RSS, Linux, 2 vCPUs). The helper lane
@@ -132,75 +161,97 @@ class EnergyReport:
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
-def _bond_batch(op, w, law: InteractionLaw, F, x, eps, gradient: bool = True):
-    """Quadrature-bond energy eps^3 sum_q w_q phi(zeta_q) at the bond
+def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True):
+    """Quadrature-bond energies of a group of (op, w) pairs of one law, the
+    batches of a term that ``_groups`` runs together. Yields, pair by pair
+    in order, the pair's energy eps^3 sum_q w_q phi(zeta_q) at the bond
     vectors zeta = F eta + (op @ x) / eps, summed as its excess over the
-    homogeneous bond, eps^3 sum_q w_q (phi(zeta_q) - phi(F eta)), plus the
-    batch's homogeneous share eps^3 phi(F eta) sum_q w_q; and, if
-    ``gradient``, the gradient, scaled like the lattice inner product,
-    op^T (w phi'(zeta) / eps). phi, phi' and phi(F eta) come from
-    ``_evaluate`` with F eta as an extra last row, so the excess is exactly
-    0.0 wherever zeta = F eta. ``w`` is a scalar or a ``_Weights`` with one
-    weight per row; its zero-weight rows are evaluated at F eta. A domain
-    error names the lattice site ``op.site(row)`` of the shortest bond, or
-    of the first bond whose phi or phi' is not finite. Pure: returns the
-    energy, the excess and the gradient contribution. Only zeta, phi and
-    phi' are alive while the gradient is formed, besides the operator's own
+    homogeneous bond, eps^3 sum_q w_q (phi(zeta_q) - phi(F eta)), plus its
+    homogeneous share eps^3 phi(F eta) sum_q w_q; the excess; and, if
+    ``gradient``, the gradient contribution, scaled like the lattice inner
+    product, op^T (w phi'(zeta) / eps), made only when the pair's turn comes.
+    Every op writes its rows into one zeta buffer, and phi, phi' and
+    phi(F eta) come from one ``_evaluate`` call with F eta as an extra last
+    row, so the excess is exactly 0.0 wherever zeta = F eta. The law acts
+    row by row, so each pair's results are the bits of a group of that pair
+    alone. ``w`` is a scalar or a ``_Weights`` with one weight per row; its
+    zero-weight rows are evaluated at F eta. A domain error names the
+    lattice site ``op.site(row)`` of the shortest bond, or of the first bond
+    whose phi or phi' is not finite, of the first failing pair: a law that
+    rejects a group's rows re-runs its pairs one at a time to find it. Pure:
+    the caller adds the results. While a gradient contribution is formed,
+    the group's phi and phi' are alive, besides the operators' own
     buffers.
 
-    Without ``gradient`` the batch is energy-only: the law is evaluated at
-    order 0, and the gradient contribution is None. The energy and excess
+    Without ``gradient`` the group is energy-only: the law is evaluated at
+    order 0, and every gradient contribution is None. The energy and excess
     are the same bits, since phi does not depend on the order asked for;
     phi' is not computed, so only phi is checked for finiteness."""
     base = F @ law.eta_vec
-    n = op.rows
+    rows = [op.rows for op, _ in pairs]
+    ends = np.cumsum(rows)
+    starts = ends - rows
+    n = int(ends[-1])
     zeta = np.empty((n + 1, 3))
-    np.divide(op.apply(x, zeta[:n]), eps, out=zeta[:n])
+    for (op, _), lo, hi in zip(pairs, starts, ends):
+        op.apply(x, zeta[lo:hi])
+    np.divide(zeta[:n], eps, out=zeta[:n])
     for i in range(3):  # column by column: a (3,) broadcast along rows is slower
         zeta[:n, i] += base[i]
     zeta[n] = base
-    if isinstance(w, _Weights):
-        zeta[w.zero] = base
-        w, total = w.w, w.total
-    else:
-        total = w * n
+    for (_, w), lo in zip(pairs, starts):
+        if isinstance(w, _Weights):
+            zeta[lo + w.zero] = base
     try:
         vals, *P = _evaluate(law, zeta, 1 if gradient else 0)
     except PotentialDomainError as exc:
-        site = op.site(int(np.argmin(np.linalg.norm(zeta[:n], axis=-1))))
-        raise PotentialDomainError(
-            f"{exc} (offending bond: site {site}, eta={law.eta})",
-            site=site,
-            eta=law.eta,
-        ) from exc
-    phi0, vals = vals[n], vals[:n]
-    P = P[0][:n] if gradient else None
-    del zeta
-    excess = float(eps**3 * (w * (vals - phi0)).sum())
-    # One sum finds a non-finite phi'; the row mask, built only then, tells
-    # it apart from a sum of finite entries that overflowed.
-    if not (math.isfinite(excess) and (P is None or math.isfinite(P.sum()))):
-        bad = ~np.isfinite(vals)
-        if P is not None:
-            bad |= ~np.isfinite(P).all(axis=-1)
-        if not math.isfinite(excess) or bad.any():
-            site = op.site(int(np.argmax(bad)))
+        if len(pairs) == 1:
+            site = pairs[0][0].site(int(np.argmin(np.linalg.norm(zeta[:n], axis=-1))))
             raise PotentialDomainError(
-                f"{law.kind} energy or force is not finite (offending bond: site {site}, eta={law.eta})",
+                f"{exc} (offending bond: site {site}, eta={law.eta})",
                 site=site,
                 eta=law.eta,
-            )
-    share = float(eps**3 * phi0 * total)
-    del vals
-    if P is None:
-        return excess + share, excess, None
-    if np.ndim(w):
-        w = w / eps
-        for i in range(3):
-            P[:, i] *= w
-    else:
-        P *= w / eps
-    return excess + share, excess, op.T @ P
+            ) from exc
+        vals = None
+    del zeta
+    if vals is None:  # the error of the first failing pair, as if ungrouped
+        for pair in pairs:
+            yield from _bond_group([pair], law, F, x, eps, gradient)
+        return
+    phi0 = vals[n]
+    P = P[0] if gradient else None
+    for (op, w), lo, hi in zip(pairs, starts, ends):
+        v = vals[lo:hi]
+        p = None if P is None else P[lo:hi]
+        if isinstance(w, _Weights):
+            w, total = w.w, w.total
+        else:
+            total = w * op.rows
+        excess = float(eps**3 * (w * (v - phi0)).sum())
+        # One sum finds a non-finite phi'; the row mask, built only then,
+        # tells it apart from a sum of finite entries that overflowed.
+        if not (math.isfinite(excess) and (p is None or math.isfinite(p.sum()))):
+            bad = ~np.isfinite(v)
+            if p is not None:
+                bad |= ~np.isfinite(p).all(axis=-1)
+            if not math.isfinite(excess) or bad.any():
+                site = op.site(int(np.argmax(bad)))
+                raise PotentialDomainError(
+                    f"{law.kind} energy or force is not finite (offending bond: site {site}, eta={law.eta})",
+                    site=site,
+                    eta=law.eta,
+                )
+        share = float(eps**3 * phi0 * total)
+        if p is None:
+            yield excess + share, excess, None
+            continue
+        if np.ndim(w):
+            w = w / eps
+            for i in range(3):
+                p[:, i] *= w
+        else:
+            p *= w / eps
+        yield excess + share, excess, op.T @ p
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,10 +302,11 @@ def _lane_count() -> int:
 # Lanes a term's batches run on: the caller, and one helper thread where the
 # process may use two CPUs.
 _LANES = _lane_count()
-# A pair of batches shares the two lanes only when one of them has at least
-# this many rows: below that the thread hand-off costs more than the numpy
-# work it overlaps (see the module docstring: 1,728-row batches ran 1.3-1.7x
-# slower on two lanes, 13,824-row ones 1.0-1.2x faster).
+# A pair of units shares the two lanes only when one of them has a batch of
+# at least this many rows: below that the thread hand-off costs more than
+# the numpy work it overlaps (see the module docstring: 1,728-row batches
+# ran 1.3-1.7x slower on two lanes, 13,824-row ones 1.0-1.2x faster).
+# Consecutive smaller batches of one law and key run as one group instead.
 _MIN_LANE_ROWS = 8192
 # Rows per law evaluation in ``_evaluate``, and per stencil slab in
 # ``_Stencil.apply``.
@@ -272,28 +324,45 @@ def _helper() -> ThreadPoolExecutor:
     return _helper_pool[1]
 
 
-def _in_order(fn, batches):
-    """Yields (batch, fn(*batch), lanes) for each batch, in batch order,
-    taking the batches in pairs. A pair runs on two lanes when the process
-    has two and one of its batches has at least _MIN_LANE_ROWS rows
-    (``batch[0].rows``): the caller computes the first batch while the
-    helper computes the second, and waits for the helper before it yields,
-    so no helper work outlives the caller's and a domain error is the one of
-    the first failing batch, as on one lane. Else the caller computes each
-    batch as its turn comes."""
-    batches = iter(batches)
-    for first in batches:
-        second = next(batches, None)
-        if second is None or _LANES < 2 or max(first[0].rows, second[0].rows) < _MIN_LANE_ROWS:
+def _groups(batches) -> list:
+    """A term's (op, w, law, key) batches as units (pairs, law, key), in
+    batch order: a run of consecutive batches that share the law and the
+    key, each with fewer than _MIN_LANE_ROWS rows, is one unit (a group, one
+    law evaluation for all its rows); any other batch is a unit of one
+    (op, w) pair."""
+    units: list = []
+    for op, w, law, key in batches:
+        last = units[-1] if units else None
+        if last and last[1] is law and last[2] == key and max(op.rows, last[0][-1][0].rows) < _MIN_LANE_ROWS:
+            last[0].append((op, w))
+        else:
+            units.append(([(op, w)], law, key))
+    return units
+
+
+def _in_order(fn, units):
+    """Yields (unit, fn(*unit), lanes) for each unit, in unit order, taking
+    the units in pairs; fn(*unit) is an iterable of per-batch results. A
+    pair runs on two lanes when the process has two and one of its units
+    has a batch of at least _MIN_LANE_ROWS rows, which a group never has:
+    the caller computes the first unit while the helper computes the
+    second, each in full, and waits for the helper before it yields, so no
+    helper work outlives the caller's and a domain error is the one of the
+    first failing batch, as on one lane. Else the caller computes each unit
+    as its turn comes, its results as they are read."""
+    units = iter(units)
+    for first in units:
+        second = next(units, None)
+        if second is None or _LANES < 2 or max(op.rows for u in (first, second) for op, _ in u[0]) < _MIN_LANE_ROWS:
             yield first, fn(*first), 1
             if second is not None:
                 yield second, fn(*second), 1
             continue
-        ahead = _helper().submit(fn, *second)
+        ahead = _helper().submit(lambda unit=second: list(fn(*unit)))
         try:
-            result = fn(*first)
+            result = list(fn(*first))
         finally:
-            ahead.exception()  # waits; a helper error is raised below, once the caller's batch has passed
+            ahead.exception()  # waits; a helper error is raised below, once the caller's unit has passed
         yield first, result, 2
         del result  # the next pair runs without this pair's results
         yield second, ahead.result(), 2
@@ -323,16 +392,23 @@ class _Stencil:
         acc = out.reshape(v.shape)
         n0 = self.N[0]
         planes = max(1, _SLAB_ROWS // (self.N[1] * self.N[2]))
+        shifted = None  # scratch for the whole-array shifts, one per apply
         for lo in range(0, n0, planes):
             hi = min(lo + planes, n0)
             acc[lo:hi] = 0.0
             for s, c in self.terms:
                 src, blocks = v, _shift_blocks(self.N, s, lo, hi)
                 if len(blocks) > 2 and hi - lo == n0:
-                    # up to a slab, one roll (a copy no larger than a slab's
-                    # temporary) and one contiguous add beat four or eight
-                    # strided block adds
-                    src, blocks = np.roll(v, tuple(-o for o in s), axis=(0, 1, 2)), _WHOLE
+                    # up to a slab, copying the blocks into one contiguous
+                    # shifted array (no larger than a slab's temporary) and
+                    # one contiguous add beat four or eight strided block
+                    # adds (see the module docstring for what a whole-array
+                    # shift costs this way)
+                    if shifted is None:
+                        shifted = np.empty_like(v)
+                    for dst, sl in blocks:
+                        shifted[dst] = v[sl]
+                    src, blocks = shifted, _WHOLE
                     if abs(c) != 1.0:
                         src *= c
                         c = 1.0
@@ -370,8 +446,7 @@ def _runs(n: int, k: int, lo: int, hi: int) -> tuple:
 @lru_cache(maxsize=1024)
 def _shift_blocks(N: IntTriple, s: IntTriple, lo: int, hi: int) -> tuple:
     """(dst, src) index pairs such that v[src] at dst is v[(l + s) mod N]
-    at each site l of the slab lo <= l_0 < hi, as ``np.roll(v, -s)`` gives
-    it, without the roll's full-size copy: up to two runs per axis."""
+    at each site l of the slab lo <= l_0 < hi: up to two runs per axis."""
     return tuple(
         (tuple(slice(d, d + m) for d, _, m in blocks), tuple(slice(src, src + m) for _, src, m in blocks))
         for blocks in product(_runs(N[0], s[0], lo, hi), _runs(N[1], s[1], 0, N[1]), _runs(N[2], s[2], 0, N[2]))
@@ -391,7 +466,9 @@ _ONE = np.ones((1, 1))
 class _Gather:
     """Sparse gather: row (e, q) applies ``coef[q]`` to element e's local
     values ``G @ x`` and belongs to the lattice site ``sites[e]``; the
-    transpose applies both maps in reverse, ``G`` being its transpose."""
+    transpose applies both maps in reverse, ``G`` being its transpose. With
+    ``coef`` the block ``_ONE`` a row is its gathered value, so both
+    directions apply ``G`` alone: the 1x1 products would only copy."""
 
     G: sparse.csr_array     # (E nloc, n_cols) element-local values
     coef: np.ndarray        # (nq, nloc)
@@ -400,6 +477,8 @@ class _Gather:
     transposed: bool = False
 
     def __matmul__(self, x):
+        if self.coef is _ONE:
+            return self.G @ x
         if self.transposed:
             u = np.matmul(self.coef.T, x.reshape(-1, self.coef.shape[0], 3))
             return self.G @ u.reshape(-1, 3)
@@ -408,6 +487,9 @@ class _Gather:
     def apply(self, x, out):
         """The gather of x written into ``out``, a C-contiguous (rows, 3)
         array; for the untransposed gather only."""
+        if self.coef is _ONE:
+            out[...] = self.G @ x
+            return out
         nq, nloc = self.coef.shape
         np.matmul(self.coef, (self.G @ x).reshape(-1, nloc, 3), out=out.reshape(-1, nq, 3))
         return out
@@ -465,34 +547,39 @@ def _cell_stencil(eta, N) -> _Stencil:
 @dataclass
 class _Term:
     """One term's sums over its batches in batch order (``sums``: breakdown
-    key -> (energy, excess) of the batches carrying it), its wall time, and
-    the most lanes a pair of its batches ran on."""
+    key -> (energy, excess) of the batches carrying it), its wall time, the
+    most lanes a pair of its units ran on, and its law evaluations (one per
+    unit, each in row chunks)."""
 
     name: str
     sums: dict[str, tuple[float, float]] = field(default_factory=dict)
     seconds: float = 0.0
     lanes: int = 1
+    law_calls: int = 0
 
 
 def _term(name: str, batches, F, x, eps, g_outs) -> _Term:
     """One term: the kernel over its quadrature-bond batches, a list of
-    (op, w, law, breakdown key) tuples taken in pairs by ``_in_order``.
-    Every sum and every array in ``g_outs`` adds the batches' results in
-    batch order, as on one lane, so the result is bitwise the same on one
-    lane or two. With no ``g_outs`` the batches are energy-only."""
+    (op, w, law, breakdown key) tuples, grouped by ``_groups`` and taken in
+    pairs of units by ``_in_order``. Every sum and every array in ``g_outs``
+    adds the batches' results in batch order, as on one lane and ungrouped,
+    so the result is bitwise the same on one lane or two, grouped or not.
+    With no ``g_outs`` the batches are energy-only."""
     t0 = time.perf_counter()
     out = _Term(name)
     gradient = bool(g_outs)
 
-    def batch(op, w, law, key):
-        return _bond_batch(op, w, law, F, x, eps, gradient)
+    def unit(pairs, law, key):
+        return _bond_group(pairs, law, F, x, eps, gradient)
 
-    for (*_, key), (e, de, contrib), lanes in _in_order(batch, batches):
+    for (_, _, key), results, lanes in _in_order(unit, _groups(batches)):
         out.lanes = max(out.lanes, lanes)
-        energy, excess = out.sums.get(key, (0.0, 0.0))
-        out.sums[key] = (energy + e, excess + de)
-        for g in g_outs:
-            g += contrib
+        out.law_calls += 1
+        for e, de, contrib in results:
+            energy, excess = out.sums.get(key, (0.0, 0.0))
+            out.sums[key] = (energy + e, excess + de)
+            for g in g_outs:
+                g += contrib
     out.seconds = time.perf_counter() - t0
     return out
 
@@ -502,7 +589,7 @@ def _report(model: str, gradient: LatticeField | None, terms, **diagnostics) -> 
     over the terms, in term order, starting from the first term's value (so
     a negated zero stays -0.0); ``energy`` and ``excess`` are the
     left-to-right sums over the breakdown. Diagnostics get each term's wall
-    time and the most lanes any term ran on."""
+    time and law evaluations, and the most lanes any term ran on."""
     sums: dict[str, tuple[float, float]] = {}
     for t in terms:
         for key, (e, de) in t.sums.items():
@@ -516,6 +603,7 @@ def _report(model: str, gradient: LatticeField | None, terms, **diagnostics) -> 
         excess=reduce(add, (de for _, de in sums.values())),
         breakdown={key: e for key, (e, _) in sums.items()},
         diagnostics={**diagnostics, "term_s": {t.name: t.seconds for t in terms},
+                     "law_calls": {t.name: t.law_calls for t in terms},
                      "lanes": max(t.lanes for t in terms)},
     )
 

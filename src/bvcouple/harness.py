@@ -487,16 +487,18 @@ def fd_gradient_check(config: RunConfig, trials: int = _FD_TRIALS) -> float:
     n_nodes = 0
     if config.model_family == "coupled-ho" and config.ho_degree > 1:
         n_nodes = build_high_order_mesh(cfg, config.region, config.ho_degree).n_free_nodes
+    two_sided = config.model_family == "coupled-dg"
     worst = 0.0
     for _ in range(trials):
         F = _random_gradient_matrix(rng, config.F)
         v = _random_displacement(rng, cfg, amp)
-        v_plus = _random_displacement(rng, cfg, amp) if config.model_family == "coupled-dg" else v
+        v_plus = _random_displacement(rng, cfg, amp) if two_sided else v
         # Nodes are eps/k apart, so amplitude amp/k strains the elements as
         # much as amp strains the lattice bonds.
         nodes = amp / config.ho_degree * rng.standard_normal((n_nodes, 3)) if n_nodes else np.zeros((0, 3))
         report = evaluate_model(
-            config, make_deformation(F, v), y_plus=make_deformation(F, v_plus), node_displacements=nodes
+            config, make_deformation(F, v), y_plus=make_deformation(F, v_plus) if two_sided else None,
+            node_displacements=nodes,
         )
         grad = report.gradient
         g_nodes = report.diagnostics["node_gradient"] if n_nodes else np.zeros((0, 3))
@@ -506,9 +508,9 @@ def fd_gradient_check(config: RunConfig, trials: int = _FD_TRIALS) -> float:
         analytic = discrete_inner_product(grad, w) + float(eps**3 * np.sum(g_nodes * w_nodes))
 
         def energy_at(t: float) -> float:
-            ym = make_deformation(F, v + t * w)
+            yp = make_deformation(F, v_plus + t * w) if two_sided else None
             return evaluate_model(
-                config, ym, y_plus=make_deformation(F, v_plus + t * w), node_displacements=nodes + t * w_nodes,
+                config, make_deformation(F, v + t * w), y_plus=yp, node_displacements=nodes + t * w_nodes,
                 gradient=False,
             ).energy
 

@@ -7,7 +7,7 @@ there and lets the interface cones and atomistic bonds stay the conforming
 model's; all other elements carry Lagrange elements of degree k.
 
 The mesh is the continuum of ``coupling._coupled``, the one body of every
-coupled model. Its P1 masks weight the staircase Cauchy-Born roll stencil
+coupled model. Its P1 masks weight the staircase Cauchy-Born shift stencil
 per template (as ``HighOrderMesh.p1_weights``, kept with the mesh), and
 ``HighOrderMesh.pk_batches`` gives each template's Pk elements as one
 sparse gather of ``energies``: the CSR map

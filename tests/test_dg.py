@@ -231,11 +231,12 @@ def test_mismatched_inputs_are_rejected():
 
 
 def test_one_law_evaluation_per_bond_batch(monkeypatch):
-    """The kernel evaluates each (law, operator) batch with one
-    ``evaluate(zeta, 1)`` call: per law one atomistic CSR, six staircase
-    templates and one cone CSR. The untied two-sided call adds one
-    ``evaluate(avg, 2)`` per law for the jump. The per-derivative views are
-    not called at all."""
+    """The kernel evaluates each unit of a term with one
+    ``evaluate(zeta, 1)`` call: at N=8 per law one atomistic CSR, one group
+    of the six staircase templates (512 rows each) and one cone CSR. The
+    untied two-sided call adds one ``evaluate(avg, 2)`` per law for the
+    jump. The per-derivative views are not called at all, and every report
+    counts its law evaluations per term."""
     from bvcouple.potentials import InteractionLaw
 
     calls = []
@@ -258,10 +259,41 @@ def test_one_law_evaluation_per_bond_batch(monkeypatch):
     y_minus = random_deformation(cfg, F, seed=12)
     y_plus = random_deformation(cfg, F, seed=13)
 
-    coupled_energy_conforming(y_minus, R, part)
-    assert sorted(calls) == sorted((law.eta, 1) for law in R for _ in range(8))
+    rep = coupled_energy_conforming(y_minus, R, part)
+    assert sorted(calls) == sorted((law.eta, 1) for law in R for _ in range(3))
+    assert rep.diagnostics["law_calls"] == {"atomistic": len(R), "continuum": len(R), "interface": len(R)}
     calls.clear()
     rep = coupled_energy_dg(y_minus, y_plus, R, part)
     assert rep.breakdown["interface_jump"] != 0.0
-    expected = [(law.eta, 1) for law in R for _ in range(8)] + [(law.eta, 2) for law in R]
+    expected = [(law.eta, 1) for law in R for _ in range(3)] + [(law.eta, 2) for law in R]
     assert sorted(calls) == sorted(expected)
+    assert rep.diagnostics["law_calls"]["interface_jump"] == len(R)
+
+
+def test_collapsed_jump_bond_names_its_triangle():
+    """The jump term evaluates phi at the average of the inner and outer
+    trace bonds. With y_minus = y_F and y_plus = -2 eps (l - c) on the
+    cells around the outer cell c of the first fine triangle of eta =
+    (1, 1, 1), the outer bond there is -eta, the same length as eta (so the
+    continuum term passes), and the average is the zero bond: the domain
+    error must name the triangle's min-corner lattice site and eta, like a
+    collapsed bond of any other term."""
+    from bvcouple.coupling import _build_eta_block
+    from bvcouple.potentials import PotentialDomainError
+
+    cfg = LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0)
+    part = RegionPartition(cfg, (4, 4, 4), (4, 4, 4))
+    R = InteractionSet([make_law((1, 1, 1), "lennard-jones-radial")])
+    gamma = _build_eta_block(cfg, part, (1, 1, 1)).gamma
+    c = gamma.cell[0]
+    sites = np.moveaxis(np.indices(cfg.N), 0, -1)
+    patch = np.all(np.abs(sites - c) <= 1, axis=-1)[..., None]
+    y_minus = make_deformation(np.eye(3), LatticeField.zeros(cfg))
+    y_plus = make_deformation(np.eye(3), LatticeField(cfg, np.where(patch, -2.0 * cfg.epsilon * (sites - c), 0.0)))
+    corner = tuple(int(i) for i in np.mod(gamma.sites[0, 0], 12))
+    assert corner == (4, 4, 4)
+    for gradient in (True, False):
+        with pytest.raises(PotentialDomainError) as err:
+            coupled_energy_dg(y_minus, y_plus, R, part, gradient=gradient)
+        assert (err.value.site, err.value.eta) == (corner, (1, 1, 1))
+        assert str(err.value).endswith("(offending bond: site (4, 4, 4), eta=(1, 1, 1))")

@@ -62,16 +62,26 @@ def state(cfg, seed, amplitude=0.05):
     return make_deformation(F, v)
 
 
-def model_calls(**kw):
-    """Every model at a seeded non-homogeneous state, at N=12 with the README
-    laws; each entry evaluates to a report, passing ``kw`` to the model."""
-    cfg = LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0)
-    part = RegionPartition(cfg, (4, 4, 4), (4, 4, 4))
+# Laws whose covering widths divide N = 8.
+N8_LAWS = InteractionSet([
+    make_law((1, 1, 1), "harmonic"),
+    make_law((2, 1, 1), "morse-radial"),
+    make_law((1, -1, 2), "anisotropic-toy"),
+])
+
+
+def model_calls(N=12, **kw):
+    """Every model at a seeded non-homogeneous state: at N=12 with the README
+    laws on the region of side 4 at (4, 4, 4), at N=8 with ``N8_LAWS`` on
+    the region of side 4 at (2, 2, 2). Each entry evaluates to a report,
+    passing ``kw`` to the model."""
+    cfg = LatticeConfig(N=(N, N, N), epsilon=1.0 / N)
+    part = RegionPartition(cfg, (N // 2 - 2,) * 3, (4, 4, 4))
     y = state(cfg, 1)
     y_plus = make_deformation(y.F, state(cfg, 2).displacement)
     n_free = build_high_order_mesh(cfg, part, 2).n_free_nodes
     nodes = 0.05 * cfg.epsilon * np.random.default_rng(3).standard_normal((n_free, 3))
-    R = README_LAWS
+    R = README_LAWS if N == 12 else N8_LAWS
     y0 = make_deformation(y.F, LatticeField.zeros(cfg))
     return {
         "atomistic": lambda: atomistic_energy(y, R, **kw),
@@ -91,10 +101,10 @@ MODELS = ("atomistic", "acb-tetra", "acb-cell", "coupled", "coupled-dg untied", 
 
 
 def assert_same_report(a, b):
-    assert a.energy == b.energy
-    assert a.excess == b.excess
-    assert a.breakdown == b.breakdown
-    assert np.array_equal(a.gradient.values, b.gradient.values)
+    assert repr((a.energy, a.excess, a.breakdown)) == repr((b.energy, b.excess, b.breakdown))
+    assert (a.gradient is None) == (b.gradient is None)
+    if a.gradient is not None:
+        assert np.array_equal(a.gradient.values, b.gradient.values)
     for key in ("gradient_minus", "gradient_plus"):
         assert (key in a.diagnostics) == (key in b.diagnostics)
         if key in a.diagnostics:
@@ -117,6 +127,71 @@ def test_two_lanes_are_bitwise_one_lane(monkeypatch, model, setting):
     assert_same_report(ref, rep)
     if model == "homogeneous coupled":
         assert rep.excess == 0.0
+
+
+@pytest.mark.parametrize("gradient", [True, False])
+@pytest.mark.parametrize("N", [8, 12])
+def test_groups_are_bitwise_the_ungrouped_batches(monkeypatch, N, gradient):
+    """At N=8 and 12 every staircase batch has fewer than _MIN_LANE_ROWS
+    rows, so each law's six templates run as one group; with the threshold
+    at 0 nothing is grouped. Every report, full and energy-only, is the
+    same bits either way, with fewer law evaluations grouped."""
+    one_lane(monkeypatch)
+    grouped = {name: evaluate() for name, evaluate in model_calls(N, gradient=gradient).items()}
+    monkeypatch.setattr(energies, "_MIN_LANE_ROWS", 0)
+    for name, evaluate in model_calls(N, gradient=gradient).items():
+        rep, ref = evaluate(), grouped[name]
+        assert_same_report(ref, rep)
+        calls, ungrouped = ref.diagnostics["law_calls"], rep.diagnostics["law_calls"]
+        assert calls.keys() == ungrouped.keys(), name
+        if name not in ("atomistic", "acb-cell"):
+            assert sum(calls.values()) < sum(ungrouped.values()), name
+
+
+def test_grouped_domain_error_is_the_ungrouped_one(monkeypatch):
+    """A Lennard-Jones law's six staircase templates at N=12 run as one
+    group. Template 4 (index 3) is squeezed to a bond of length about
+    3.7e-13 at cell (2, 3, 4), and template 6 collapsed to about zero at
+    cell (8, 7, 6); both are below the radial minimum of 1e-12, and no
+    other bond is. The group's law call sees both, the shorter one later;
+    the grouped call must raise the ungrouped one's error: template 4's
+    bond, site and eta, and the same message."""
+    cfg = LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0)
+    law = make_law((2, 1, 3), "lennard-jones-radial")
+    R = InteractionSet([law])
+    ops = energies._staircase_stencils(law.eta, cfg.N)
+    vals = np.zeros(cfg.shape)
+    for template, cell, scale in ((3, (2, 3, 4), 1.0 - 1e-13), (5, (8, 7, 6), 1.0)):
+        # v = -scale eps (l - cell) on the template's four vertices
+        for s in {s for s, _ in ops[template].terms}:
+            vals[tuple(np.add(cell, s))] = -scale * cfg.epsilon * np.asarray(s, dtype=float)
+    y = make_deformation(np.eye(3), LatticeField(cfg, vals))
+    x = y.displacement.values.reshape(-1, 3)
+    short = {(t, op.site(int(row))) for t, op in enumerate(ops)
+             for row in np.flatnonzero(np.linalg.norm(law.eta_vec + op @ x / cfg.epsilon, axis=-1) < 1e-12)}
+    assert short == {(3, (2, 3, 4)), (5, (8, 7, 6))}
+
+    one_lane(monkeypatch)
+    assert len(energies._groups([(op, 1.0, law, "k") for op in ops])) == 1
+    errors = []
+    for threshold in (energies._MIN_LANE_ROWS, 0):  # grouped, then ungrouped
+        monkeypatch.setattr(energies, "_MIN_LANE_ROWS", threshold)
+        for gradient in (True, False):
+            with pytest.raises(PotentialDomainError) as err:
+                acb_tetra_energy(y, R, gradient=gradient)
+            errors.append((type(err.value), str(err.value), err.value.site, err.value.eta))
+    assert errors[0][2:] == ((2, 3, 4), (2, 1, 3))
+    assert errors == [errors[0]] * 4
+
+
+def test_coupled_reports_count_law_calls_per_term():
+    """One law evaluation per unit: at N=12 each law's six staircase
+    templates are one group, at N=36 (46,656 rows each) six units."""
+    for N, continuum in ((12, 3), (36, 18)):
+        cfg = LatticeConfig(N=(N, N, N), epsilon=1.0 / N)
+        part = RegionPartition(cfg, (N // 3,) * 3, (N // 3,) * 3)
+        rep = coupled_energy_conforming(state(cfg, 1, 0.01), README_LAWS, part, gradient=False)
+        assert rep.diagnostics["law_calls"] == {"atomistic": 3, "continuum": continuum, "interface": 3}
 
 
 GRADIENT_BLOCKS = {"gradient_minus", "gradient_plus", "node_gradient"}
@@ -147,16 +222,20 @@ def test_chunked_homogeneous_batch_has_zero_excess(monkeypatch):
     the excess of y_F is not 0.0. A one-row call of the toy law can round
     its matrix products differently from a many-row one (in about one of
     fifteen of these F), so F eta must never be evaluated alone: here the
-    1,728 rows fill two chunks of 864 exactly."""
+    1,728 rows of one bond batch fill two chunks of 864 exactly, and the
+    10,368 rows of a group of the six staircase templates twelve."""
     monkeypatch.setattr(energies, "_LAW_CHUNK", 864)
     law = make_law((1, -1, 2), "anisotropic-toy")
-    op = energies._bond_stencil(law.eta, (12, 12, 12))
+    N = (12, 12, 12)
     x = np.zeros((12**3, 3))
     rng = np.random.default_rng(7)
-    for _ in range(200):
-        F = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
-        _, excess, _ = energies._bond_batch(op, 1.0, law, F, x, 1.0 / 12.0)
-        assert excess == 0.0
+    for pairs in ([(energies._bond_stencil(law.eta, N), 1.0)],
+                  [(op, 1.0 / 6.0) for op in energies._staircase_stencils(law.eta, N)]):
+        for _ in range(200):
+            F = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+            results = list(energies._bond_group(pairs, law, F, x, 1.0 / 12.0))
+            assert len(results) == len(pairs)
+            assert all(excess == 0.0 for _, excess, _ in results)
 
 
 def collapsing_state():
@@ -192,18 +271,18 @@ def test_helper_lane_domain_error_is_the_serial_one(monkeypatch, collapse, site,
 
     two_lanes(monkeypatch)
     running = []
-    batch = energies._bond_batch
+    group = energies._bond_group
 
     def slow_helper(*args, **kwargs):
         running.append(1)
         try:
             if threading.current_thread() is not threading.main_thread():
                 time.sleep(0.2)  # the caller's batch is done long before
-            return batch(*args, **kwargs)
+            return list(group(*args, **kwargs))
         finally:
             running.pop()
 
-    monkeypatch.setattr(energies, "_bond_batch", slow_helper)
+    monkeypatch.setattr(energies, "_bond_group", slow_helper)
     with pytest.raises(PotentialDomainError) as lanes:
         atomistic_energy(y, R)
     assert not running, "helper work outlived the call"
