@@ -26,10 +26,8 @@ from .geometry import (
     Covering,
     CoveringMismatch,
     DegenerateEta,
-    bond_volume_lemma_residual,
     enumerate_coverings,
-    rectangle_lemma_residual,
-    segment_lemma_residual,
+    lemma_residual,
 )
 from .harness import (
     ConfigError,
@@ -84,7 +82,6 @@ __all__ = [
     "acb_cell_energy",
     "acb_tetra_energy",
     "atomistic_energy",
-    "bond_volume_lemma_residual",
     "build_high_order_mesh",
     "cb_energy_density",
     "config_from_dict",
@@ -99,6 +96,7 @@ __all__ = [
     "fd_gradient_check",
     "ghost_force_residual",
     "high_order_energy",
+    "lemma_residual",
     "load_config",
     "make_deformation",
     "make_law",
@@ -107,11 +105,9 @@ __all__ = [
     "omega_star_mask",
     "partition_violations",
     "piola_stress",
-    "rectangle_lemma_residual",
     "required_clearance",
     "run",
     "sample_field",
-    "segment_lemma_residual",
 ]
 
 __version__ = "0.1.0"

@@ -15,10 +15,11 @@ control fired), 2 invalid usage or configuration.
 from __future__ import annotations
 
 import argparse
+import copy
 import sys
 from typing import Sequence
 
-from .harness import ConfigError, config_from_dict, default_config, load_config, run
+from .harness import DEFAULT_CONFIG, ConfigError, _read_config_json, config_from_dict, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,11 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON configuration file (default: built-in demo)")
     common.add_argument("--seed", type=int, help="override the run seed")
-    common.add_argument(
-        "--deterministic", action="store_true",
-        help="accepted for compatibility and changes nothing: every command is "
-        "already deterministic (byte-identical reports for a fixed seed)",
-    )
     common.add_argument("--out", help="report output directory")
 
     model_opt = argparse.ArgumentParser(add_help=False)
@@ -88,23 +84,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if isinstance(exc.code, int) else 2
 
     try:
-        if args.config:
-            config = load_config(args.config)
-        else:
-            config = default_config()
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.deterministic:
-            overrides["deterministic"] = True
-        if args.out is not None:
-            overrides["out"] = args.out
-        if getattr(args, "model", None):
-            overrides["model"] = args.model
-        if overrides:
-            data = dict(config.raw)
-            data.update(overrides)
-            config = config_from_dict(data)
+        # the overrides replace the file's values before anything is
+        # validated, so an invalid value they replace is no error
+        data = _read_config_json(args.config) if args.config else copy.deepcopy(DEFAULT_CONFIG)
+        if isinstance(data, dict):  # config_from_dict reports any other root
+            overrides = {"seed": args.seed, "out": args.out, "model": getattr(args, "model", None)}
+            data.update((key, value) for key, value in overrides.items() if value is not None)
+        config = config_from_dict(data)
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

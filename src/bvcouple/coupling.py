@@ -46,7 +46,9 @@ sides and trace (CSR rows too) when the two-sided model first reads it.
 The continuum term is the staircase Cauchy-Born shift stencil of
 ``energies``, shared with the uncoupled models and restricted to the
 continuum cells by zero weights; the naive control uses the atomistic
-model's exact-bond stencil the same way. How a term's batches run (in pairs, on up to two lanes, added in batch order so every result is
+model's exact-bond stencil the same way, and is assembled, like the
+uncoupled models, by ``energies._lattice_model``. How a term's batches run
+(in pairs, on up to two lanes, added in batch order so every result is
 bitwise that of one lane) is the rule of ``energies``; see its docstring.
 
 Every coupled model is one private body, ``_coupled``, told apart by its
@@ -64,12 +66,16 @@ interface triangles, bitwise the bond the interface term evaluates there.
 The conforming and high-order models run the body with y_plus = y_minus.
 Each term hands ``energies._term`` its batches as (op, w, law, breakdown
 key) tuples, ``energies._report`` builds the report, and every report
-carries the member ``counts`` per direction. ``_get_blocks`` checks the
-partition before it builds or fetches a direction's block; a block does
-not depend on the degenerate-eta policy, so it is cached per (lattice,
-partition, direction) only. A block's bond and cone weights, and the
-continuum weights of a partition (``_continuum_weights``), are
-``energies._Weights`` built once and cached with them.
+carries the member ``counts`` per direction. ``_coupled`` receives the
+(law, block) list of its call: each public model fetches it with
+``_get_blocks``, which checks the partition once, before it builds or
+fetches any direction's block. A block does not depend on the
+degenerate-eta policy, so it is cached per (lattice, partition,
+direction) only. A domain error of the interface jump names its site by
+``energies._site_error``, as the kernel's do. A block's bond and cone
+weights, and the continuum weights of a partition
+(``_continuum_weights``), are ``energies._Weights`` built once and cached
+with them.
 
 A direction's operators are built by array passes over the lattice: one
 classification of every site's member box (``_member_classes``), the
@@ -113,7 +119,9 @@ from .energies import (
     EnergyReport,
     _bond_stencil,
     _Gather,
+    _lattice_model,
     _report,
+    _site_error,
     _staircase_stencils,
     _term,
     _Term,
@@ -661,12 +669,7 @@ def _jump_contrib(block: _EtaBlock, law: InteractionLaw, F, vm_flat, vp_flat, ep
         derivs = law.evaluate(avg, 2 if jumps else 1)
     except PotentialDomainError as exc:
         corner = block.gamma.sites[int(np.argmin(np.linalg.norm(avg, axis=-1))), 0]
-        site = tuple(int(i) for i in np.mod(corner, block.cone_op.N))
-        raise PotentialDomainError(
-            f"{exc} (offending bond: site {site}, eta={law.eta})",
-            site=site,
-            eta=law.eta,
-        ) from exc
+        raise _site_error(exc, tuple(int(i) for i in np.mod(corner, block.cone_op.N)), law.eta) from exc
     phi1 = derivs[1]
     w_area = eps**2 * 0.5 / block.n_eta
     energy = float(w_area * np.sum(phi1 * J))
@@ -706,10 +709,12 @@ def _get_blocks(cfg, part, R, policy) -> list[tuple[InteractionLaw, _EtaBlock]]:
     return [(law, _build_eta_block(cfg, part, law.eta)) for law in R]
 
 
-def _coupled(model: str, y_minus: Deformation, y_plus: Deformation, R, part, policy, mesh=None,
+def _coupled(model: str, y_minus: Deformation, y_plus: Deformation, blocks, part, mesh=None,
              nodes=None, *, gradient: bool = True) -> EnergyReport:
     """Every coupled energy: ``coupled``, ``coupled-dg`` and
-    ``coupled-ho(k)``. The atomistic bonds and interface cones read y_minus,
+    ``coupled-ho(k)``, on the (law, block) list ``blocks`` that
+    ``_get_blocks`` gives for the partition ``part``, which it has checked.
+    The atomistic bonds and interface cones read y_minus,
     the staircase Cauchy-Born templates read y_plus, weighted 1/6 on every
     continuum cell, or on the P1 cells ``mesh.p1_masks`` of a high-order
     mesh, whose Pk elements are one more term on [v | nodes]. The two-sided
@@ -720,7 +725,6 @@ def _coupled(model: str, y_minus: Deformation, y_plus: Deformation, R, part, pol
     ``gradient=False`` every term is energy-only and the report carries no
     gradient: ``gradient`` is None, with no per-side or free-node block."""
     cfg = y_minus.cfg
-    blocks = _get_blocks(cfg, part, R, policy)
     eps, F = cfg.epsilon, y_minus.F
     vmf = y_minus.displacement.values.reshape(-1, 3)
     vpf = y_plus.displacement.values.reshape(-1, 3)
@@ -733,14 +737,15 @@ def _coupled(model: str, y_minus: Deformation, y_plus: Deformation, R, part, pol
         inner, outer, pk = [gtf, *sides[:1]], [gtf, *sides[1:]], [gx]
     p1_w = (_continuum_weights(part),) * 6 if mesh is None else mesh.p1_weights
     atom = [(b.atom_op, b.atom_w, law, "atomistic") for law, b in blocks]
-    cb = [(op, w, law, "continuum") for law in R for op, w in zip(_staircase_stencils(law.eta, cfg.N), p1_w)]
+    laws = [law for law, _ in blocks]
+    cb = [(op, w, law, "continuum") for law in laws for op, w in zip(_staircase_stencils(law.eta, cfg.N), p1_w)]
     cone = [(b.cone_op, b.volw, law, "interface") for law, b in blocks]
     terms = [
         _term("atomistic", atom, F, vmf, eps, inner),
         _term("continuum", cb, F, vpf, eps, outer),
     ]
     if mesh is not None:
-        terms.append(_term("continuum_pk", mesh.pk_batches(R), F, np.concatenate([vmf, nodes]), eps, pk))
+        terms.append(_term("continuum_pk", mesh.pk_batches(laws), F, np.concatenate([vmf, nodes]), eps, pk))
     terms.append(_term("interface", cone, F, vmf, eps, inner))
     diagnostics = {
         "counts": {str(law.eta): b.counts for law, b in blocks},
@@ -777,7 +782,7 @@ def coupled_energy_conforming(
     cone integrals at weight 1/|eta1 eta2 eta3|. ``gradient=False``
     computes the same energy, excess and breakdown without the gradient,
     which the report then leaves None."""
-    return _coupled("coupled", y, y, R, part, degenerate_eta, gradient=gradient)
+    return _coupled("coupled", y, y, _get_blocks(y.cfg, part, R, degenerate_eta), part, gradient=gradient)
 
 
 def coupled_energy_dg(
@@ -804,7 +809,8 @@ def coupled_energy_dg(
         raise ValueError("both sides must share one lattice config")
     if not np.array_equal(y_minus.F, y_plus.F):
         raise ValueError("both sides must share the same deformation gradient F")
-    return _coupled("coupled-dg", y_minus, y_plus, R, part, degenerate_eta, gradient=gradient)
+    blocks = _get_blocks(y_minus.cfg, part, R, degenerate_eta)
+    return _coupled("coupled-dg", y_minus, y_plus, blocks, part, gradient=gradient)
 
 
 def naive_coupling_energy(
@@ -815,10 +821,6 @@ def naive_coupling_energy(
     interface correction. Produces spurious interface forces by design.
     ``gradient=False`` as in ``coupled_energy_conforming``."""
     cfg = y.cfg
-    eps = cfg.epsilon
-    vflat = y.displacement.values.reshape(-1, 3)
-    g = np.zeros(cfg.shape) if gradient else None
-    g_outs = [g.reshape(-1, 3)] if gradient else []
     idx = np.indices(cfg.N)
     a, top = (np.reshape(c, (3, 1, 1, 1)) for c in (part.corner, part.top))
 
@@ -830,5 +832,4 @@ def naive_coupling_energy(
     w = _continuum_weights(part)
     atom = [(_bond_stencil(law.eta, cfg.N), _weights(inside(law.eta)), law, "atomistic") for law in R]
     cb = [(op, w, law, "continuum") for law in R for op in _staircase_stencils(law.eta, cfg.N)]
-    terms = [_term("atomistic", atom, y.F, vflat, eps, g_outs), _term("continuum", cb, y.F, vflat, eps, g_outs)]
-    return _report("naive", None if g is None else LatticeField(cfg, g), terms)
+    return _lattice_model(y, "naive", {"atomistic": atom, "continuum": cb}, gradient)

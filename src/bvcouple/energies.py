@@ -15,7 +15,9 @@ share eps^3 phi(F eta) sum_q w_q back into the term's energy. Reports carry the
 summed excess too (``EnergyReport.excess``): it is exactly 0.0 at y_F, and
 its differences keep the digits that the constant |Omega| W(F) in the
 energy would swallow. A non-finite phi or phi' is a domain error, like a
-radial bond below its minimum length. B is one of two operator kinds, each
+radial bond below its minimum length; ``_site_error`` builds every domain
+error that names the offending bond's site and eta, here and in the
+interface jump of ``coupling``. B is one of two operator kinds, each
 with ``@``, ``.T``, ``rows``, ``apply(x, out)`` (B x written into the
 kernel's zeta buffer) and ``site(row)`` (the lattice site a row belongs to,
 named in domain errors):
@@ -73,7 +75,14 @@ excess of each key in batch order. ``_report`` then builds every model's
 ``EnergyReport`` from its terms: a breakdown entry is the sum of its key
 over the terms, in term order; ``energy`` and ``excess`` are the
 left-to-right sums over the breakdown; diagnostics get each term's wall
-time (``term_s``) and the most lanes a term ran on (``lanes``).
+time (``term_s``) and the most lanes a term ran on (``lanes``). One
+assembler, ``_lattice_model``, serves every model whose terms all read the
+one state y and add to one gradient: the atomistic, acb-tetra and acb-cell
+models (one term each, keyed by direction) and the naive control of
+``coupling`` (its atomistic and continuum terms). It takes the terms as
+{name: batches}, in term order. The coupled models, whose terms read two
+states and fill per-side or free-node gradients, are assembled by
+``coupling._coupled``.
 
 Gradients are returned as Riesz representers with respect to the discrete
 inner product: the report's gradient field g satisfies
@@ -206,12 +215,8 @@ def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True):
         vals, *P = _evaluate(law, zeta, 1 if gradient else 0)
     except PotentialDomainError as exc:
         if len(pairs) == 1:
-            site = pairs[0][0].site(int(np.argmin(np.linalg.norm(zeta[:n], axis=-1))))
-            raise PotentialDomainError(
-                f"{exc} (offending bond: site {site}, eta={law.eta})",
-                site=site,
-                eta=law.eta,
-            ) from exc
+            raise _site_error(exc, pairs[0][0].site(int(np.argmin(np.linalg.norm(zeta[:n], axis=-1)))),
+                              law.eta) from exc
         vals = None
     del zeta
     if vals is None:  # the error of the first failing pair, as if ungrouped
@@ -235,12 +240,7 @@ def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True):
             if p is not None:
                 bad |= ~np.isfinite(p).all(axis=-1)
             if not math.isfinite(excess) or bad.any():
-                site = op.site(int(np.argmax(bad)))
-                raise PotentialDomainError(
-                    f"{law.kind} energy or force is not finite (offending bond: site {site}, eta={law.eta})",
-                    site=site,
-                    eta=law.eta,
-                )
+                raise _site_error(f"{law.kind} energy or force is not finite", op.site(int(np.argmax(bad))), law.eta)
         share = float(eps**3 * phi0 * total)
         if p is None:
             yield excess + share, excess, None
@@ -252,6 +252,13 @@ def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True):
         else:
             p *= w / eps
         yield excess + share, excess, op.T @ p
+
+
+def _site_error(what, site: IntTriple, eta: IntTriple) -> PotentialDomainError:
+    """The domain error of every model that names the offending bond: its
+    lattice site and direction, after ``what`` (a message, or the law's own
+    error, which the caller chains)."""
+    return PotentialDomainError(f"{what} (offending bond: site {site}, eta={eta})", site=site, eta=eta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -608,14 +615,17 @@ def _report(model: str, gradient: LatticeField | None, terms, **diagnostics) -> 
     )
 
 
-def _lattice_model(y: Deformation, model: str, batches, gradient: bool) -> EnergyReport:
-    """Uncoupled model, one term whose batches are keyed by direction;
-    energy-only, with ``gradient=None``, unless ``gradient``."""
+def _lattice_model(y: Deformation, model: str, terms: dict, gradient: bool) -> EnergyReport:
+    """Every model whose terms all read the one state y: the uncoupled
+    models and the naive control. ``terms`` maps each term's name to its
+    batches, in term order; the terms add to one gradient, or, without
+    ``gradient``, are energy-only and the report's gradient is None."""
     cfg = y.cfg
     grad = np.zeros(cfg.shape) if gradient else None
     vflat = y.displacement.values.reshape(-1, 3)
-    term = _term(model, batches, y.F, vflat, cfg.epsilon, () if grad is None else (grad.reshape(-1, 3),))
-    return _report(model, None if grad is None else LatticeField(cfg, grad), [term])
+    g_outs = () if grad is None else (grad.reshape(-1, 3),)
+    done = [_term(name, batches, y.F, vflat, cfg.epsilon, g_outs) for name, batches in terms.items()]
+    return _report(model, None if grad is None else LatticeField(cfg, grad), done)
 
 
 def atomistic_energy(y: Deformation, R: InteractionSet, *, gradient: bool = True) -> EnergyReport:
@@ -623,9 +633,9 @@ def atomistic_energy(y: Deformation, R: InteractionSet, *, gradient: bool = True
     ``gradient=False`` computes the same energy, excess and breakdown
     without the gradient, which the report then leaves None."""
     N = y.cfg.N
-    return _lattice_model(
-        y, "atomistic", [(_bond_stencil(law.eta, N), 1.0, law, f"eta={law.eta}") for law in R], gradient
-    )
+    return _lattice_model(y, "atomistic", {
+        "atomistic": [(_bond_stencil(law.eta, N), 1.0, law, f"eta={law.eta}") for law in R],
+    }, gradient)
 
 
 def acb_tetra_energy(y: Deformation, R: InteractionSet, *, gradient: bool = True) -> EnergyReport:
@@ -633,9 +643,9 @@ def acb_tetra_energy(y: Deformation, R: InteractionSet, *, gradient: bool = True
     of W(grad), with the discrete gradient taken from the tet's own axis
     edges. ``gradient=False`` as in ``atomistic_energy``."""
     N = y.cfg.N
-    return _lattice_model(y, "acb-tetra", [
-        (op, 1.0 / 6.0, law, f"eta={law.eta}") for law in R for op in _staircase_stencils(law.eta, N)
-    ], gradient)
+    return _lattice_model(y, "acb-tetra", {
+        "acb-tetra": [(op, 1.0 / 6.0, law, f"eta={law.eta}") for law in R for op in _staircase_stencils(law.eta, N)],
+    }, gradient)
 
 
 def acb_cell_energy(y: Deformation, R: InteractionSet, *, gradient: bool = True) -> EnergyReport:
@@ -643,6 +653,6 @@ def acb_cell_energy(y: Deformation, R: InteractionSet, *, gradient: bool = True)
     averaged discrete gradient (each column averages four edge quotients).
     ``gradient=False`` as in ``atomistic_energy``."""
     N = y.cfg.N
-    return _lattice_model(
-        y, "acb-cell", [(_cell_stencil(law.eta, N), 1.0, law, f"eta={law.eta}") for law in R], gradient
-    )
+    return _lattice_model(y, "acb-cell", {
+        "acb-cell": [(_cell_stencil(law.eta, N), 1.0, law, f"eta={law.eta}") for law in R],
+    }, gradient)

@@ -12,9 +12,10 @@ edge differences.
 
 One table, ``_staircase_simplices``, gives the oriented simplices of whole
 arrays of boxes (triangles or a segment over the nonzero axes of a flat
-eta). The covering interpolants and the lemma residual read it; the
-residual evaluates sum_T |T| grad(I u)|_T eta from each simplex's
-vertices, so a wrong decomposition fails it.
+eta). The covering interpolants and the lemma residual read it. One
+residual, ``lemma_residual``, serves every nonzero eta, the bond box and
+its planar and 1D analogues alike: it evaluates sum_T |T| grad(I u)|_T eta
+from each simplex's vertices, so a wrong decomposition fails it.
 
 All combinatorics are done in integer lattice units.
 """
@@ -151,10 +152,13 @@ def _int_det(m: np.ndarray) -> np.ndarray:
     return np.prod(m[..., range(d), perms], axis=-1) @ [_parity(p) for p in perms]
 
 
-def _lemma_residual(u: LatticeField, ell, eta) -> float:
+def lemma_residual(u: LatticeField, ell, eta) -> float:
     """Max-norm of eps^d D_eta u - (1/|prod eta_i|) * sum_T |T| grad(I u)|_T eta
-    over the staircase simplices T of the bond volume (d = number of nonzero
-    components, I u the P1 interpolant on those simplices).
+    over the staircase simplices T of the bond volume of any nonzero eta,
+    with d the number of its nonzero components: the six tetrahedra of the
+    bond box (d = 3), the two triangles of the bond rectangle (d = 2), or
+    the bond segment (d = 1); I u is the P1 interpolant on those simplices.
+    DegenerateEta for eta = 0.
 
     Per simplex, |T| grad(I u)|_T eta = (1/d!) sum_k c_k (u(x_k) - u(x_0)),
     where c_k is the determinant of the edge matrix with row k replaced by
@@ -165,6 +169,8 @@ def _lemma_residual(u: LatticeField, ell, eta) -> float:
     eta = np.asarray(eta, dtype=int)
     axes = np.flatnonzero(eta)
     d = len(axes)
+    if not d:
+        raise DegenerateEta("interaction vector must be nonzero")
     sites = _staircase_simplices(ell, eta)  # (d!, d+1, 3)
     vals = u.values[tuple(np.moveaxis(sites % u.cfg.N, -1, 0))]
     edges = (sites[:, 1:] - sites[:, :1])[..., axes]
@@ -174,30 +180,3 @@ def _lemma_residual(u: LatticeField, ell, eta) -> float:
     integral /= math.factorial(d) * abs(math.prod(eta[axes].tolist()))
     bond_diff = u.at(np.add(ell, eta)) - u.at(ell)
     return float(np.max(np.abs(u.cfg.epsilon ** (d - 1) * (bond_diff - integral))))
-
-
-def bond_volume_lemma_residual(u: LatticeField, ell, eta) -> float:
-    """Max-norm of eps^3 D_eta u - (1/|eta1 eta2 eta3|) * sum |T| grad(u)|_T eta
-    over the six staircase tetrahedra of the bond volume, each term computed
-    from the decomposition's own vertices (see ``_lemma_residual``)."""
-    return _lemma_residual(u, ell, nondegenerate_eta(eta))
-
-
-def rectangle_lemma_residual(u: LatticeField, ell, eta) -> float:
-    """Planar analogue for directions with exactly one zero component:
-    max-norm of eps^2 D_eta u - (1/|eta_i eta_j|) * sum |T| grad(u)|_T eta
-    over the two staircase triangles of the bond rectangle."""
-    eta = tuple(int(e) for e in eta)
-    if eta.count(0) != 1:
-        raise ValueError(f"rectangle form needs exactly one zero component, got eta={eta}")
-    return _lemma_residual(u, ell, eta)
-
-
-def segment_lemma_residual(u: LatticeField, ell, eta) -> float:
-    """1D analogue for directions with two zero components: max-norm of
-    eps D_eta u - (1/|eta_i|) * |T| grad(u)|_T eta over the bond segment T,
-    oriented along its axis."""
-    eta = tuple(int(e) for e in eta)
-    if eta.count(0) != 2:
-        raise ValueError(f"segment form needs exactly one nonzero component, got eta={eta}")
-    return _lemma_residual(u, ell, eta)

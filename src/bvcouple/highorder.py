@@ -16,10 +16,11 @@ element-local node values, built once per mesh, with the shape-function
 gradients times eta at the quadrature points as its coefficient block. The
 P1 and Pk batches both carry the breakdown key ``continuum`` and run as
 the terms ``continuum`` and ``continuum_pk``, so the continuum entry is
-their sum. ``high_order_energy`` checks the degree, then the partition,
-before any block or mesh is built or fetched, then the shape of the node
-displacements, and calls the body. Degree 1 has no mesh and no free nodes:
-it is the conforming model under its own name.
+their sum. ``high_order_energy`` checks the degree, then fetches the
+blocks with ``coupling._get_blocks``, which checks the partition before
+any block is built or fetched; then it builds or fetches the mesh, checks
+the shape of the node displacements, and calls the body. Degree 1 has no
+mesh and no free nodes: it is the conforming model under its own name.
 
 Vertex degrees of freedom are the lattice displacements themselves. Edge,
 face and interior nodes of degree-k elements are extra degrees of freedom,
@@ -51,7 +52,7 @@ from itertools import combinations
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .coupling import RegionPartition, _check_partition, _coupled, _csr, omega_star_mask
+from .coupling import RegionPartition, _coupled, _csr, _get_blocks, omega_star_mask
 from .energies import EnergyReport, _Gather, _weights, _Weights
 from .geometry import PATH_PERMS, path_corner_offsets
 from .lattice import Deformation, LatticeConfig
@@ -294,7 +295,7 @@ def high_order_energy(
     breakdown without either block: the report's gradient is None.
     """
     _check_degree(k)
-    _check_partition(part, R, degenerate_eta)
+    blocks = _get_blocks(y.cfg, part, R, degenerate_eta)
     mesh = build_high_order_mesh(y.cfg, part, k) if k > 1 else None
     n_free = 0 if mesh is None else mesh.n_free_nodes
     if node_displacements is None:
@@ -306,4 +307,4 @@ def high_order_energy(
                 f"degree-{k} elements have {n_free} free nodes: node_displacements must have "
                 f"shape ({n_free}, 3), got {nodes.shape}"
             )
-    return _coupled(f"coupled-ho({k})", y, y, R, part, degenerate_eta, mesh, nodes, gradient=gradient)
+    return _coupled(f"coupled-ho({k})", y, y, blocks, part, mesh, nodes, gradient=gradient)

@@ -161,10 +161,17 @@ def diff_quotient(u: LatticeField, ell, eta) -> np.ndarray:
     return (u.at(lp) - u.at(ell)) / u.cfg.epsilon
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) in numpy's fixed pairwise order. np.vdot would hand long
+    vectors to BLAS, which may split the sum over its threads and so
+    change its last digits with the thread count."""
+    return float(np.sum(a * b))
+
+
 def discrete_inner_product(u: LatticeField, w: LatticeField) -> float:
     """<u, w>_eps = eps^3 sum_l u_l . w_l (fixed summation order)."""
     _check_same_config(u, w)
-    return float(u.cfg.epsilon**3 * np.sum(u.values * w.values))
+    return u.cfg.epsilon**3 * _dot(u.values, w.values)
 
 
 def sample_field(f: Callable[[np.ndarray], np.ndarray], cfg: LatticeConfig) -> LatticeField:

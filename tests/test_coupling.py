@@ -626,6 +626,29 @@ def test_energy_only_calls_raise_the_same_domain_errors(case):
         assert errors[0] == errors[1]
 
 
+@pytest.mark.parametrize("gradient", [True, False])
+def test_naive_model_names_a_collapsed_bond(gradient):
+    """Moving the tip of the bond of eta = (1, 1, 1) at l by -eps (1, 1, 1)
+    collapses it to zero length. At l = (5, 5, 5) its midpoint lies in the
+    atomistic box, and the naive model's atomistic term names it; at
+    l = (0, 0, 0) the bond is the continuum's, and every staircase template
+    of the cell at l collapses with it, so the continuum term names l."""
+    from bvcouple.potentials import PotentialDomainError
+
+    cfg = cfg12()
+    part = RegionPartition(cfg, (4, 4, 4), (4, 4, 4))
+    R = InteractionSet([make_law((1, 1, 1), "lennard-jones-radial")])
+    for site in ((5, 5, 5), (0, 0, 0)):
+        vals = np.zeros(cfg.shape)
+        vals[tuple(np.add(site, 1))] = -cfg.epsilon * np.ones(3)
+        y = make_deformation(np.eye(3), LatticeField(cfg, vals))
+        with pytest.raises(PotentialDomainError) as err:
+            naive_coupling_energy(y, R, part, gradient=gradient)
+        assert err.value.site == site
+        assert err.value.eta == (1, 1, 1)
+        assert f"site {site}" in str(err.value)
+
+
 def test_covering_interpolant_rejects_out_of_range_index():
     """A covering index outside [0, n_eta) is an error, not a wrapped or
     bare IndexError lookup: m = -1 must not silently return the last

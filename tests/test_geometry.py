@@ -7,9 +7,9 @@ from bvcouple import cli, geometry
 from bvcouple.geometry import (
     CoveringMismatch,
     DegenerateEta,
-    bond_volume_lemma_residual,
     covering_widths,
     enumerate_coverings,
+    lemma_residual,
 )
 from bvcouple.lattice import LatticeConfig, LatticeField, canonicalize, diff_quotient
 from geometry_oracle import (
@@ -390,8 +390,8 @@ def test_lemma_affine_is_exact_zero():
     u = LatticeField(cfg, vals)
     # interior bond volume, no wrap: the interpolant of integer-affine data
     # has the same telescoped edge differences on both sides bit for bit
-    assert bond_volume_lemma_residual(u, (3, 3, 3), (2, 1, 3)) == 0.0
-    assert bond_volume_lemma_residual(u, (4, 5, 4), (1, -1, 2)) == 0.0
+    assert lemma_residual(u, (3, 3, 3), (2, 1, 3)) == 0.0
+    assert lemma_residual(u, (4, 5, 4), (1, -1, 2)) == 0.0
 
 
 def test_lemma_random_draws():
@@ -403,7 +403,7 @@ def test_lemma_random_draws():
         ell = tuple(int(x) for x in rng.integers(0, 12, size=3))
         eta = tuple(int(s) * int(m) for s, m in
                     zip(rng.choice([-1, 1], size=3), rng.integers(1, 4, size=3)))
-        res = bond_volume_lemma_residual(u, ell, eta)
+        res = lemma_residual(u, ell, eta)
         assert res <= 1e-13 * np.linalg.norm(eta) * scale
 
 
@@ -445,10 +445,12 @@ def test_lemma_rhs_monte_carlo_oracle():
 
 
 def test_lemma_rejects_degenerate_direction():
+    """Every nonzero eta has a bond volume, of dimension its count of
+    nonzero components; eta = 0 has none."""
     cfg = cfg6()
     u = random_field(cfg, seed=1)
-    with pytest.raises(DegenerateEta):
-        bond_volume_lemma_residual(u, (0, 0, 0), (0, 1, 1))
+    with pytest.raises(DegenerateEta, match="must be nonzero"):
+        lemma_residual(u, (0, 0, 0), (0, 0, 0))
 
 
 # The lemma check must read the decomposition: a staircase table without its

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,6 +393,38 @@ def test_minimize_converges_on_the_readme_example(model):
     assert diag["evaluations"] >= len(trace)
 
 
+_N24_TRACE = """
+import json
+import numpy as np
+from bvcouple import harness
+from bvcouple.lattice import sample_field
+data = json.loads(json.dumps(harness.DEFAULT_CONFIG))
+data["lattice"] = {"N": [24, 24, 24], "epsilon": 1 / 24}
+data["region"] = {"corner": [8, 8, 8], "extents": [8, 8, 8]}
+config = harness.config_from_dict(data)
+f = sample_field(lambda x: 0.01 * np.sin(2 * np.pi * np.stack([x[1], x[2], x[0]])), config.cfg).zero_mean()
+print(repr(harness.minimize(config, f, max_iters=4)[2]))
+"""
+
+
+@pytest.mark.skipif(energies._lane_count() < 2, reason="needs two CPUs for two BLAS threads")
+def test_minimize_trace_does_not_depend_on_the_blas_thread_count():
+    """The README solve at N=24 has vectors long enough for OpenBLAS to
+    split a dot product over two threads, which changed the last digits of
+    the trace from iteration 3 on when the minimizer summed with np.vdot;
+    its sums now run in numpy's fixed order."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    traces = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", _N24_TRACE], env=env, capture_output=True, text=True,
+                              check=True)
+        traces.append(done.stdout)
+    assert traces[0].count("'iteration'") == 5
+    assert traces[0] == traces[1]
+
+
 def test_minimize_halves_a_step_that_leaves_the_domain(monkeypatch):
     """A trial state whose evaluation raises a domain error is a rejected
     step: the harmonic problem, solved by step 1, is solved at step 1/2
@@ -610,7 +646,7 @@ def test_cli_deterministic_reports_are_byte_identical(tmp_path):
         out = tmp_path / tag
         code = cli.main([
             "verify", "gradient", "--config", str(cfg_path),
-            "--deterministic", "--seed", "123", "--out", str(out),
+            "--seed", "123", "--out", str(out),
         ])
         assert code == 0
         outs.append(out)
@@ -637,6 +673,31 @@ def test_model_override_via_cli(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "coupled-ho(2)" in captured.out
+
+
+def test_cli_overrides_apply_before_validation(tmp_path, monkeypatch, capsys):
+    """--model and --seed replace the file's values before the one parse
+    of the run, so a value they replace is no error; without them the
+    file's invalid model is a config error."""
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(small_config_dict(model="coupled-ho(5)", seed=-1)))
+    parsed = []
+    monkeypatch.setattr(cli, "config_from_dict", lambda data: parsed.append(data) or config_from_dict(data))
+    code = cli.main([
+        "verify", "ghost-forces", "--config", str(cfg_path),
+        "--model", "coupled", "--seed", "3", "--out", str(tmp_path / "reports"),
+    ])
+    assert code == 0
+    assert len(parsed) == 1 and parsed[0]["model"] == "coupled" and parsed[0]["seed"] == 3
+    capsys.readouterr()
+    code = cli.main(["verify", "ghost-forces", "--config", str(cfg_path), "--seed", "3",
+                     "--out", str(tmp_path / "refused")])
+    assert code == 2 and len(parsed) == 2
+    assert capsys.readouterr().err == "config error: coupled-ho degree must be one of (1, 2, 3), got 5\n"
+    # an empty override is a value like any other, not an absent one
+    code = cli.main(["verify", "ghost-forces", "--model", "", "--out", str(tmp_path / "empty")])
+    assert code == 2 and parsed[-1]["model"] == ""
+    assert "unknown model ''" in capsys.readouterr().err
 
 
 def test_cli_out_under_a_regular_file_exits_2(tmp_path, capsys):

@@ -359,3 +359,30 @@ def test_radial_domain_error_names_the_short_bond():
             with pytest.raises(PotentialDomainError, match=f"^{re.escape(message)}$"):
                 law.evaluate(zeta[3], order)
         assert np.all(np.isfinite(law.values(np.full((1, 3), 2.0 * _RADIAL_RMIN))))
+
+
+def test_readme_laws_fail_legendre_hadamard_at_the_identity():
+    """The README laws are not rank-one convex at F = I: the Lennard-Jones
+    bond (2, 1, 3), at sigma below its length, has a negative curvature
+    along itself, and the acoustic tensor A(k) = sum_eta (k . eta)^2
+    phi_eta''(eta) has a negative eigenvalue. The homogeneous state is
+    then not a stable minimum of the Cauchy-Born energy, which is why the
+    README solve can stop at a saddle point."""
+    R = InteractionSet([
+        make_law((1, 1, 1), "harmonic"),
+        make_law((2, 1, 3), "lennard-jones-radial", {"well_depth": 0.5, "sigma": 2.494438257849294}),
+        make_law((1, -1, 2), "anisotropic-toy"),
+    ])
+    F = np.eye(3)
+    hessians = {law.eta: law.evaluate(F @ law.eta_vec, 2)[2] for law in R}
+    assert np.allclose(np.linalg.eigvalsh(hessians[(2, 1, 3)]), [-0.355, 0.062, 0.062], atol=1e-3)
+
+    def smallest_acoustic(k):
+        k = np.asarray(k, dtype=float) / np.linalg.norm(k)
+        return np.linalg.eigvalsh(sum((k @ law.eta_vec) ** 2 * hessians[law.eta] for law in R))[0]
+
+    # k is orthogonal to (1, 1, 1) and (1, -1, 2): only (2, 1, 3) acts
+    # along it, with (k . eta)^2 = 1/14
+    assert smallest_acoustic((3, -1, -2)) == pytest.approx(-0.355 / 14, abs=1e-4)
+    # the minimizer over unit directions
+    assert smallest_acoustic((0.374, -0.682, -0.629)) == pytest.approx(-0.211, abs=1e-3)

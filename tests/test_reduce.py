@@ -9,11 +9,7 @@ from bvcouple.coupling import (
     coupled_energy_dg,
     partition_violations,
 )
-from bvcouple.geometry import (
-    DegenerateEta,
-    rectangle_lemma_residual,
-    segment_lemma_residual,
-)
+from bvcouple.geometry import DegenerateEta, lemma_residual
 from bvcouple.highorder import high_order_energy
 from bvcouple.lattice import (
     LatticeConfig,
@@ -63,7 +59,7 @@ def test_rectangle_residual_zero_for_affine_fields():
     A = np.array([[2.0, 1.0, -1.0], [0.0, 3.0, 1.0], [1.0, -2.0, 2.0]])
     u = affine_field(cfg, A)
     for eta in ((2, 3, 0), (0, 1, 2), (3, 0, -1), (-2, 0, 1)):
-        assert rectangle_lemma_residual(u, (5, 5, 5), eta) == 0.0
+        assert lemma_residual(u, (5, 5, 5), eta) == 0.0
 
 
 def test_rectangle_residual_small_for_random_fields():
@@ -75,17 +71,8 @@ def test_rectangle_residual_small_for_random_fields():
         eta = [int(rng.integers(1, 4)) * int(rng.choice((-1, 1))) for _ in range(3)]
         eta[zero_axis] = 0
         ell = tuple(int(x) for x in rng.integers(0, 12, size=3))
-        res = rectangle_lemma_residual(u, ell, tuple(eta))
+        res = lemma_residual(u, ell, tuple(eta))
         assert res <= 1e-13
-
-
-def test_rectangle_residual_requires_one_zero_component():
-    cfg = cfg12()
-    u = LatticeField(cfg, np.zeros(cfg.shape))
-    with pytest.raises(ValueError, match="exactly one zero"):
-        rectangle_lemma_residual(u, (0, 0, 0), (1, 1, 1))
-    with pytest.raises(ValueError, match="exactly one zero"):
-        rectangle_lemma_residual(u, (0, 0, 0), (0, 0, 2))
 
 
 def test_segment_residual_zero_for_affine_and_small_for_random():
@@ -93,7 +80,7 @@ def test_segment_residual_zero_for_affine_and_small_for_random():
     A = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0], [2.0, 1.0, 1.0]])
     u_aff = affine_field(cfg, A)
     for eta in ((3, 0, 0), (0, -2, 0), (0, 0, 1)):
-        assert segment_lemma_residual(u_aff, (2, 9, 4), eta) == 0.0
+        assert lemma_residual(u_aff, (2, 9, 4), eta) == 0.0
     rng = np.random.default_rng(8)
     u = LatticeField(cfg, rng.standard_normal(cfg.shape))
     for _ in range(30):
@@ -101,14 +88,7 @@ def test_segment_residual_zero_for_affine_and_small_for_random():
         eta = [0, 0, 0]
         eta[axis] = int(rng.integers(1, 4)) * int(rng.choice((-1, 1)))
         ell = tuple(int(x) for x in rng.integers(0, 12, size=3))
-        assert segment_lemma_residual(u, ell, tuple(eta)) <= 1e-13
-
-
-def test_segment_residual_requires_two_zero_components():
-    cfg = cfg12()
-    u = LatticeField(cfg, np.zeros(cfg.shape))
-    with pytest.raises(ValueError, match="exactly one nonzero"):
-        segment_lemma_residual(u, (0, 0, 0), (1, 2, 0))
+        assert lemma_residual(u, ell, tuple(eta)) <= 1e-13
 
 
 # ----------------------------------------------------------------------
