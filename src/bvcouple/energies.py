@@ -8,39 +8,33 @@ with B a fixed linear map of the displacement v. ``_bond_group`` is the
 only code that evaluates phi_eta for such a term: ``InteractionLaw.evaluate
 (zeta, 1)`` on each group of a term's (law, operator) batches (see below)
 gives phi and phi' together (order 0, phi alone, for an energy-only call),
-in row chunks, and phi(F eta) from one extra row of the last chunk. Per
-batch, the kernel sums eps^3 sum_q w_q (phi(zeta_q) - phi(F eta)), the
-batch's excess over the homogeneous bond, and adds the batch's homogeneous
-share eps^3 phi(F eta) sum_q w_q back into the term's energy. Reports carry the
-summed excess too (``EnergyReport.excess``): it is exactly 0.0 at y_F, and
-its differences keep the digits that the constant |Omega| W(F) in the
-energy would swallow. A non-finite phi or phi' is a domain error, like a
-radial bond below its minimum length; ``_site_error`` builds every domain
-error that names the offending bond's site and eta, here and in the
-interface jump of ``coupling``. B is one of two operator kinds, each
-with ``@``, ``.T``, ``rows``, ``apply(x, out)`` (B x written into the
-kernel's zeta buffer) and ``site(row)`` (the lattice site a row belongs to,
-named in domain errors):
+piece by piece and in row chunks, and phi(F eta) from one extra row of the
+last piece. Per batch, the kernel sums eps^3 sum_q w_q (phi(zeta_q) -
+phi(F eta)), the batch's excess over the homogeneous bond, and adds the
+batch's homogeneous share eps^3 phi(F eta) sum_q w_q back into the term's
+energy. Reports carry the summed excess too (``EnergyReport.excess``): it
+is exactly 0.0 at y_F, and its differences keep the digits that the
+constant |Omega| W(F) in the energy would swallow. A non-finite phi or
+phi' is a domain error, like a radial bond below its minimum length;
+``_site_error`` builds every domain error that names the offending bond's
+site and eta, here and in the interface jump of ``coupling``. B is one of
+two operator kinds, each with ``@``, ``.T``, ``rows``, ``apply(x, out)``
+(B x written into the kernel's zeta buffer) and ``site(row)`` (the lattice
+site a row belongs to, named in domain errors):
 
 - a periodic shift stencil ``_Stencil`` (one row per site) for the
   translation-invariant terms: the exact bond (atomistic and naive models),
   the six staircase Cauchy-Born templates (acb-tetra, the continuum of the
   coupled, two-sided and naive models, the P1 layer of the high-order
-  model) and the cell-averaged Cauchy-Born bond. A stencil above
-  ``_SLAB_ROWS`` rows is applied slab by slab, every term on one slab
-  before the next: at N=128 the forward apply of the cell stencil of
-  eta = (2, 1, 3) took 88-99 ms this way against 121-122 ms term by term
-  over the whole array, and one staircase template 57 ms against 74-79 ms
-  (the fastest of 9 applies, 2 vCPUs). Up to one slab, a term whose
-  shift wraps on two or three axes copies its four or eight blocks
-  (``_shift_blocks``) into one scratch array per apply and adds that
-  contiguously: one shift by (1, 2, 1) took 14 us this way against 32 us
-  for numpy's roll at N=12, 35 against 54 us at N=24 and 110 against
-  135 us at N=36 (fastest of 7 x 200, 2 vCPUs), with the same bits.
-  These stay matrix-free: as CSR, the six stacked templates of the README
-  laws at N=36 measured 37 MB per cached placement and 4.6-8.5 ms per law
-  against 4.3-6.5 ms for the shifted adds, and the cell bond at N=128
-  would hold 16.8M nonzeros;
+  model) and the cell-averaged Cauchy-Born bond. ``apply`` takes an axis-0
+  plane range and works one slab of at most ``_SLAB_ROWS`` rows (whole
+  planes) at a time, every term on one slab before the next. A term whose
+  shift wraps on two or three axes, applied to a whole array of one slab,
+  copies its four or eight blocks (``_shift_blocks``) into one scratch
+  array and adds that contiguously; larger arrays add the blocks slab by
+  slab. Either way every row gets the same adds in the same order, so the
+  bits do not depend on the plane range or the slab size. Stencils stay
+  matrix-free: as CSR the cell bond at N=128 would hold 16.8M nonzeros;
 - a sparse gather ``_Gather`` for the irregular terms: a cached CSR map to
   element-local values, then a dense (nq, nloc) coefficient block per
   element. The atomistic bonds and interface cones of ``coupling`` are
@@ -48,15 +42,28 @@ named in domain errors):
   apply their CSR map alone, in both directions: the 1x1 products would
   only copy. The Pk elements of ``highorder`` gather their local nodes and
   apply the shape-function gradients times eta at each quadrature point
-  (as explicit CSR rows, about 141 MB per law at N=12, k=3).
+  (as explicit CSR rows).
+
+Pieces (``_pieces``): a lone stencil batch of more than ``_SLAB_ROWS``
+rows runs through the law one slab of whole axis-0 planes at a time. Per
+piece, the kernel applies the stencil to the piece's planes alone, into
+one reused piece-sized zeta buffer, divides by eps, adds F eta, sets the
+piece's own zero-weight rows to F eta and evaluates the law, writing phi
+(and phi') into the batch's full-length arrays; F eta rides as the extra
+last row of the last piece. The excess sum, the finiteness check, the
+weight scaling and op^T then run on those full arrays, as for a batch of
+one piece, so the bits are those of one piece. Every group of small
+batches, every gather and every batch of at most one slab is one piece. A
+law that rejects a piece's rows raises the error of the batch's first
+failing row, as in one piece; the kernel then forms the batch's whole zeta
+once to name its shortest bond.
 
 Masks are zero weights; a zero-weight row is evaluated at the homogeneous
 bond F eta, so a bond a mask drops can neither raise nor contribute. A
 batch's weights are a scalar or a ``_Weights``: the weights with their
 zero rows and their sum, which cached blocks, partitions and meshes build
-once. The tiled weights of the Pk elements are made per call instead: kept
-with a k=3 mesh at N=12 they would take about 5 MB. A non-finite phi' is
-found by one sum over phi', and only then row by row.
+once. The tiled weights of the Pk elements are made per call instead. A
+non-finite phi' is found by one sum over phi', and only then row by row.
 
 Every model takes a keyword ``gradient`` (default True). With
 ``gradient=False`` its terms get no gradient arrays, and each batch is
@@ -97,13 +104,11 @@ check, weight scaling and transposed apply. The law acts row by row, so
 each batch's results are the bits of the batch alone. Any other batch is a
 unit of its own. Up to N=20 this groups each law's six staircase templates
 (acb-tetra, the continuum of the coupled, two-sided and naive models, the
-P1 layer of the high-order model): the warm coupled call at N=12 (README
-laws, region of side 4) took a median 5.3 ms against 7.1 ms ungrouped and
-with rolled shifts (5 alternating process pairs, 40 calls each, 2 vCPUs),
-with 3 law evaluations in place of 18 in its continuum term. Every report
-counts its terms' law evaluations (``law_calls``). A law that rejects a
-group's rows (a radial bond below its minimum) re-runs the group one batch
-at a time, so the error raised is the first failing batch's, as ungrouped.
+P1 layer of the high-order model). Every report counts its terms' law
+evaluations (``law_calls``): one per unit, whatever its pieces and chunks.
+A law that rejects a group's rows (a radial bond below its minimum) re-runs
+the group one batch at a time, so the error raised is the first failing
+batch's, as ungrouped.
 
 Units run in pairs on up to two lanes, the calling thread and one helper
 thread, as the process's CPU affinity allows (``_in_order``). Each unit is
@@ -112,23 +117,15 @@ gradient contribution; the caller adds these to the term's sums and
 gradients in batch order, exactly the order of a single lane, so every
 result is bitwise the same on one lane or two, grouped or not, and
 deterministic. A pair runs serially unless one of its units has a batch
-of at least ``_MIN_LANE_ROWS`` rows, so a group always runs on one lane:
-on the coupled model's batch list (README laws, region of side N/3), two
-lanes ran 1.3-1.7x slower than one at N=12 (1,728 rows per stencil
-batch), 1.0-1.2x faster at N=24 and 1.3-1.5x faster at N=36, on a 2-vCPU
-host; letting the 10,368-row groups of N=12 pair on two lanes took a
-median 6.3-6.9 ms per coupled call against 4.6-5.7 ms on one (4
-alternating process pairs). A lone batch keeps only zeta,
-phi and phi' alive at once, the law's temporaries chunk-sized and a large
-stencil's slab-sized; a group keeps them for all its rows, fewer than six
-times _MIN_LANE_ROWS per law on the models here, and forms each batch's
-gradient contribution only when the caller reads it. An energy-only call
-drops phi' too: the README sweep (N up to 128, energy-only) peaks at
-274-284 MB on two lanes and 218-219 MB on one, while full calls of the same
-two models at the same lattices peak at 348 MB on two lanes and 316 MB on
-one (process peak RSS, Linux, 2 vCPUs). The helper lane
-calls no public bvcouple function, so tracers that wrap those see only the
-calling thread.
+of at least ``_MIN_LANE_ROWS`` rows, so a group always runs on one lane;
+below that size the thread hand-off costs more than the work it overlaps.
+A lone batch keeps phi and phi' alive for all its rows, but zeta for one
+piece only, the law's temporaries chunk-sized and a stencil's slab-sized;
+a group keeps them for all its rows, fewer than six times _MIN_LANE_ROWS
+per law on the models here, and forms each batch's gradient contribution
+only when the caller reads it. An energy-only call drops phi' too. The
+helper lane calls no public bvcouple function, so tracers that wrap those
+see only the calling thread.
 """
 from __future__ import annotations
 
@@ -179,18 +176,22 @@ def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True):
     homogeneous share eps^3 phi(F eta) sum_q w_q; the excess; and, if
     ``gradient``, the gradient contribution, scaled like the lattice inner
     product, op^T (w phi'(zeta) / eps), made only when the pair's turn comes.
-    Every op writes its rows into one zeta buffer, and phi, phi' and
-    phi(F eta) come from one ``_evaluate`` call with F eta as an extra last
-    row, so the excess is exactly 0.0 wherever zeta = F eta. The law acts
-    row by row, so each pair's results are the bits of a group of that pair
-    alone. ``w`` is a scalar or a ``_Weights`` with one weight per row; its
-    zero-weight rows are evaluated at F eta. A domain error names the
-    lattice site ``op.site(row)`` of the shortest bond, or of the first bond
-    whose phi or phi' is not finite, of the first failing pair: a law that
-    rejects a group's rows re-runs its pairs one at a time to find it. Pure:
-    the caller adds the results. While a gradient contribution is formed,
-    the group's phi and phi' are alive, besides the operators' own
-    buffers.
+
+    The group's rows run through the law in pieces (``_pieces``): per piece,
+    its zeta rows are formed into one reused buffer and evaluated at once,
+    phi and phi' landing in the group's full-length arrays; F eta rides as
+    an extra last row of the last piece, so the excess is exactly 0.0
+    wherever zeta = F eta. The law acts row by row, so the bits do not
+    depend on the pieces, and each pair's results are the bits of a group
+    of that pair alone. ``w`` is a scalar or a ``_Weights`` with one weight
+    per row; its zero-weight rows are evaluated at F eta. A domain error
+    names the lattice site ``op.site(row)`` of the shortest bond, or of the
+    first bond whose phi or phi' is not finite, of the first failing pair: a
+    law that rejects a group's rows re-runs its pairs one at a time to find
+    it, and a pair that ran in several pieces forms its whole zeta once to
+    find its shortest bond. Pure: the caller adds the results. While a
+    gradient contribution is formed, the group's phi and phi' are alive,
+    besides the operators' own buffers.
 
     Without ``gradient`` the group is energy-only: the law is evaluated at
     order 0, and every gradient contribution is None. The energy and excess
@@ -201,28 +202,28 @@ def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True):
     ends = np.cumsum(rows)
     starts = ends - rows
     n = int(ends[-1])
-    zeta = np.empty((n + 1, 3))
-    for (op, _), lo, hi in zip(pairs, starts, ends):
-        op.apply(x, zeta[lo:hi])
-    np.divide(zeta[:n], eps, out=zeta[:n])
-    for i in range(3):  # column by column: a (3,) broadcast along rows is slower
-        zeta[:n, i] += base[i]
-    zeta[n] = base
-    for (_, w), lo in zip(pairs, starts):
-        if isinstance(w, _Weights):
-            zeta[lo + w.zero] = base
+    order = 1 if gradient else 0
+    pieces = _pieces(pairs, n)
+    # the law writes each piece into these; a lone piece keeps the law's own arrays
+    out = [np.empty(n + 1), np.empty((n + 1, 3))][: order + 1] if len(pieces) > 1 else None
+    zeta = np.empty((max(hi - lo for lo, hi, _ in pieces) + 1, 3))
     try:
-        vals, *P = _evaluate(law, zeta, 1 if gradient else 0)
+        for lo, hi, planes in pieces:
+            z = _bond_rows(pairs, starts, x, eps, base, lo, hi, planes, zeta[: hi - lo + (hi == n)])
+            got = _evaluate(law, z, order, out and [a[lo:lo + len(z)] for a in out])
     except PotentialDomainError as exc:
         if len(pairs) == 1:
-            raise _site_error(exc, pairs[0][0].site(int(np.argmin(np.linalg.norm(zeta[:n], axis=-1)))),
+            if len(pieces) > 1:  # the shortest bond of the whole batch
+                z = _bond_rows(pairs, starts, x, eps, base, 0, n, None, np.empty((n, 3)))
+            raise _site_error(exc, pairs[0][0].site(int(np.argmin(np.linalg.norm(z[:n], axis=-1)))),
                               law.eta) from exc
-        vals = None
-    del zeta
-    if vals is None:  # the error of the first failing pair, as if ungrouped
+        got = None
+    del zeta, z
+    if got is None:  # the error of the first failing pair, as if ungrouped
         for pair in pairs:
             yield from _bond_group([pair], law, F, x, eps, gradient)
         return
+    vals, *P = out or got
     phi0 = vals[n]
     P = P[0] if gradient else None
     for (op, w), lo, hi in zip(pairs, starts, ends):
@@ -254,6 +255,41 @@ def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True):
         yield excess + share, excess, op.T @ p
 
 
+def _pieces(pairs, n: int) -> list:
+    """The (row lo, row hi, planes) pieces in which ``_bond_group`` takes a
+    group's n rows through the law, in row order. A lone stencil batch of
+    more than _SLAB_ROWS rows runs one slab of whole axis-0 planes (a, b) at
+    a time; any other group is one piece, planes None."""
+    op = pairs[0][0]
+    if len(pairs) > 1 or not isinstance(op, _Stencil) or n <= _SLAB_ROWS:
+        return [(0, n, None)]
+    n0, step = op.N[0], op.slab_planes
+    plane = n // n0
+    return [(a * plane, min(a + step, n0) * plane, (a, min(a + step, n0))) for a in range(0, n0, step)]
+
+
+def _bond_rows(pairs, starts, x, eps, base, lo, hi, planes, z):
+    """The group's bond vectors F eta + (op @ x) / eps at rows lo..hi, the
+    rows of zero weight at F eta, written into z and returned; a row of z
+    past them gets F eta. ``planes`` is None for every row of every pair,
+    else the axis-0 plane range of the lone stencil that the rows cover."""
+    m = hi - lo
+    if planes is None:
+        for (op, _), s in zip(pairs, starts):
+            op.apply(x, z[s:s + op.rows])
+    else:
+        pairs[0][0].apply(x, z[:m], *planes)
+    np.divide(z[:m], eps, out=z[:m])
+    for i in range(3):  # column by column: a (3,) broadcast along rows is slower
+        z[:m, i] += base[i]
+    z[m:] = base
+    for (_, w), s in zip(pairs, starts):
+        if isinstance(w, _Weights):
+            zero = w.zero if planes is None else w.zero[slice(*np.searchsorted(w.zero, (lo, hi)))]
+            z[zero + (s - lo)] = base
+    return z
+
+
 def _site_error(what, site: IntTriple, eta: IntTriple) -> PotentialDomainError:
     """The domain error of every model that names the offending bond: its
     lattice site and direction, after ``what`` (a message, or the law's own
@@ -277,21 +313,22 @@ def _weights(w) -> _Weights:
     return _Weights(w, np.flatnonzero(w == 0.0), float(w.sum()))
 
 
-def _evaluate(law: InteractionLaw, zeta, order: int):
+def _evaluate(law: InteractionLaw, zeta, order: int, out=None):
     """[phi, phi'][:order + 1] at the rows of ``zeta`` from
-    ``law.evaluate(., order)``: in one call up to _LAW_CHUNK + 1 rows, else
-    in chunks of _LAW_CHUNK rows written into preallocated arrays, which
-    keeps the law's temporaries chunk-sized. The law acts row by row, so the
-    bits are those of one call, as long as no call gets a single row of
-    several: a one-row call may round the toy law's matrix products
-    differently, and the last row, F eta, must match every row equal to it.
-    So the last chunk takes two to _LAW_CHUNK + 1 rows."""
+    ``law.evaluate(., order)``, written into ``out`` if given: in one call
+    up to _LAW_CHUNK + 1 rows, else in chunks of _LAW_CHUNK rows written
+    into preallocated arrays, which keeps the law's temporaries chunk-sized.
+    The law acts row by row, so the bits are those of one call, as long as
+    no call gets a single row of several: a one-row call may round the toy
+    law's matrix products differently, and the last row, F eta, must match
+    every row equal to it. So the last chunk takes two to _LAW_CHUNK + 1
+    rows."""
     n = len(zeta)
     last = (n - 2) // _LAW_CHUNK * _LAW_CHUNK if n > 1 else 0
     with np.errstate(over="ignore", invalid="ignore"):
-        if not last:
+        if not last and out is None:
             return law.evaluate(zeta, order)
-        out = [np.empty(n), np.empty((n, 3))][: order + 1]
+        out = out or [np.empty(n), np.empty((n, 3))][: order + 1]
         for lo, hi in [*((lo, lo + _LAW_CHUNK) for lo in range(0, last, _LAW_CHUNK)), (last, n)]:
             for a, chunk in zip(out, law.evaluate(zeta[lo:hi], order)):
                 a[lo:hi] = chunk
@@ -311,12 +348,11 @@ def _lane_count() -> int:
 _LANES = _lane_count()
 # A pair of units shares the two lanes only when one of them has a batch of
 # at least this many rows: below that the thread hand-off costs more than
-# the numpy work it overlaps (see the module docstring: 1,728-row batches
-# ran 1.3-1.7x slower on two lanes, 13,824-row ones 1.0-1.2x faster).
-# Consecutive smaller batches of one law and key run as one group instead.
+# the numpy work it overlaps. Consecutive smaller batches of one law and key
+# run as one group instead.
 _MIN_LANE_ROWS = 8192
 # Rows per law evaluation in ``_evaluate``, and per stencil slab in
-# ``_Stencil.apply``.
+# ``_Stencil.apply`` and per piece of a large stencil batch in ``_pieces``.
 _LAW_CHUNK = 16384
 _SLAB_ROWS = 1 << 17
 _helper_pool: tuple[int, ThreadPoolExecutor] | None = None
@@ -388,29 +424,31 @@ class _Stencil:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x, np.empty((self.rows, 3)))
 
-    def apply(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """B x written into ``out``, a C-contiguous (n_sites, 3) array, one
-        slab of at most _SLAB_ROWS rows (whole axis-0 planes) at a time:
-        each slab takes every term, in term order, before the next slab
-        starts. Every row gets the adds of a term-by-term sweep of the whole
-        array, in the same order, so the bits are the same, and the slab
-        stays in cache across the terms."""
-        v = x.reshape(self.N + (3,))
-        acc = out.reshape(v.shape)
+    def apply(self, x: np.ndarray, out: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """B x at the sites of the axis-0 planes lo <= l_0 < hi (default:
+        every plane) written into ``out``, a C-contiguous ((hi - lo) N_1 N_2,
+        3) array, one slab of at most ``slab_planes`` planes at a time: each
+        slab takes every term, in term order, before the next slab starts.
+        Every row gets the adds of a term-by-term sweep of the whole array,
+        in the same order, so the bits do not depend on the plane range or
+        the slab size, and the slab stays in cache across the terms."""
         n0 = self.N[0]
-        planes = max(1, _SLAB_ROWS // (self.N[1] * self.N[2]))
+        hi = n0 if hi is None else hi
+        v = x.reshape(self.N + (3,))
+        acc = out.reshape((hi - lo,) + v.shape[1:])
+        planes = self.slab_planes
         shifted = None  # scratch for the whole-array shifts, one per apply
-        for lo in range(0, n0, planes):
-            hi = min(lo + planes, n0)
-            acc[lo:hi] = 0.0
+        for a in range(lo, hi, planes):
+            b = min(a + planes, hi)
+            slab = acc[a - lo:b - lo]
+            slab[...] = 0.0
             for s, c in self.terms:
-                src, blocks = v, _shift_blocks(self.N, s, lo, hi)
-                if len(blocks) > 2 and hi - lo == n0:
+                src, blocks = v, _shift_blocks(self.N, s, a, b)
+                if len(blocks) > 2 and b - a == n0:
                     # up to a slab, copying the blocks into one contiguous
                     # shifted array (no larger than a slab's temporary) and
                     # one contiguous add beat four or eight strided block
-                    # adds (see the module docstring for what a whole-array
-                    # shift costs this way)
+                    # adds
                     if shifted is None:
                         shifted = np.empty_like(v)
                     for dst, sl in blocks:
@@ -421,12 +459,18 @@ class _Stencil:
                         c = 1.0
                 for dst, sl in blocks:
                     if c == 1.0:
-                        acc[dst] += src[sl]
+                        slab[dst] += src[sl]
                     elif c == -1.0:
-                        acc[dst] -= src[sl]
+                        slab[dst] -= src[sl]
                     else:  # a temporary no larger than a slab
-                        acc[dst] += src[sl] * c
+                        slab[dst] += src[sl] * c
         return out
+
+    @property
+    def slab_planes(self) -> int:
+        """Axis-0 planes per slab: as many as fit in _SLAB_ROWS rows, at
+        least one."""
+        return max(1, _SLAB_ROWS // (self.N[1] * self.N[2]))
 
     @property
     def rows(self) -> int:
@@ -442,18 +486,19 @@ class _Stencil:
 
 def _runs(n: int, k: int, lo: int, hi: int) -> tuple:
     """(dst start, src start, length) runs that cover the indices [lo, hi)
-    of an axis of length n, each reading index (dst + k) mod n: one run, or
-    two where the source wraps."""
+    of an axis of length n, each reading index (lo + dst + k) mod n: one
+    run, or two where the source wraps. dst counts from lo."""
     src = (lo + k) % n
     if src + hi - lo <= n:
-        return ((lo, src, hi - lo),)
-    return ((lo, src, n - src), (lo + n - src, 0, hi - lo - n + src))
+        return ((0, src, hi - lo),)
+    return ((0, src, n - src), (n - src, 0, hi - lo - n + src))
 
 
 @lru_cache(maxsize=1024)
 def _shift_blocks(N: IntTriple, s: IntTriple, lo: int, hi: int) -> tuple:
     """(dst, src) index pairs such that v[src] at dst is v[(l + s) mod N]
-    at each site l of the slab lo <= l_0 < hi: up to two runs per axis."""
+    at each site l of the slab lo <= l_0 < hi, with dst's axis-0 index
+    counted from lo: up to two runs per axis."""
     return tuple(
         (tuple(slice(d, d + m) for d, _, m in blocks), tuple(slice(src, src + m) for _, src, m in blocks))
         for blocks in product(_runs(N[0], s[0], lo, hi), _runs(N[1], s[1], 0, N[1]), _runs(N[2], s[2], 0, N[2]))

@@ -529,11 +529,24 @@ class SweepResult:
     exact: bool
 
 
+def _sine_field(profile: Callable[[np.ndarray], np.ndarray], cfg: LatticeConfig) -> LatticeField:
+    """The field whose component c at site l is profile(eps l_c), for an
+    elementwise ``profile``: one call on the N_c positions of each axis,
+    broadcast into the field. These are the bits of ``sample_field`` of the
+    same closure, without its (3, N1, N2, N3) stacked positions."""
+    vals = np.empty(cfg.shape)
+    for c, n in enumerate(cfg.N):
+        line = profile(cfg.epsilon * np.arange(n, dtype=float))
+        vals[..., c] = line.reshape([n if axis == c else 1 for axis in range(3)])
+    return LatticeField(cfg, vals)
+
+
 def consistency_sweep(config: RunConfig) -> SweepResult:
     """Atomistic vs Cauchy-Born energy gap per volume for the smooth
     periodic displacement amplitude * sin(2 pi x / L), sampled on the
     lattices of spacings ``sweep.epsilons`` spanning a torus of period
-    L = ``sweep.period`` (N = L/eps cells per axis).
+    L = ``sweep.period`` (N = L/eps cells per axis) one axis at a time
+    (``_sine_field``).
 
     The comparison model follows the config when it is an uncoupled
     Cauchy-Born variant and defaults to the cell-averaged one. Both models
@@ -551,8 +564,7 @@ def consistency_sweep(config: RunConfig) -> SweepResult:
     for eps in config.sweep["epsilons"]:
         n = _sweep_cells(period, eps)
         cfg = LatticeConfig(N=(n, n, n), epsilon=eps)
-        v = sample_field(displacement, cfg)
-        y = make_deformation(config.F, v)
+        y = make_deformation(config.F, _sine_field(displacement, cfg))
         exact = atomistic_energy(y, config.laws, gradient=False)
         cb = acb(y, config.laws, gradient=False)
         vol = cfg.volume

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from bvcouple.harness import (
     write_csv,
 )
 from bvcouple.lattice import (
+    LatticeConfig,
     LatticeField,
     discrete_inner_product,
     make_deformation,
@@ -278,6 +280,31 @@ def test_consistency_sweep_evaluates_phi_only(monkeypatch, model):
     assert result.slope is not None
     assert orders and set(orders) == {0}
     assert matmuls == []
+
+
+def test_sweep_displacement_is_the_sampled_field_at_the_readme_spacings(monkeypatch):
+    """The sweep builds amplitude sin(2 pi x / L) from one profile per
+    axis: at each README spacing (N = 16 to 128) its bytes are those of
+    ``sample_field`` on the stacked positions, which the sweep no longer
+    calls."""
+    amplitude, period = 0.05, 4.0  # the README config's sweep
+
+    def displacement(x):
+        return amplitude * np.sin(2.0 * np.pi * x / period)
+
+    for eps in (0.25, 0.125, 0.0625, 0.03125):
+        n = round(period / eps)
+        cfg = LatticeConfig(N=(n, n, n), epsilon=eps)
+        want = sample_field(displacement, cfg).values
+        assert harness._sine_field(displacement, cfg).values.tobytes() == want.tobytes(), n
+
+    def no_sample_field(*args):
+        raise AssertionError("the sweep sampled a field on the stacked positions")
+
+    monkeypatch.setattr(harness, "sample_field", no_sample_field)
+    data = small_config_dict(model="acb-cell")
+    data["sweep"] = {"epsilons": [0.5, 0.25, 0.125], "period": 4.0}
+    assert len(harness.consistency_sweep(config_from_dict(data)).rows) == 3
 
 
 # ----------------------------------------------------------------------
@@ -793,3 +820,76 @@ def test_lemma_csv_rows_are_relative_to_the_identity_scale(tmp_path, capsys):
         assert float(rel) == pytest.approx(float(residual) / (eps**d * float(np.max(bond))), rel=1e-12, abs=0)
         patterns.add(tuple(e != 0 for e in eta))
     assert len(patterns) == 7
+
+
+# ----------------------------------------------------------------------
+# Checks that can fail: each check, fed one defect in the code it
+# certifies, must report FAIL and exit 1
+# ----------------------------------------------------------------------
+
+def run_check(tmp_path, capsys, command, data) -> tuple[int, str]:
+    code = run(command, config_from_dict(data), tmp_path / command)
+    return code, capsys.readouterr().out
+
+
+def test_sweep_fails_on_a_first_order_comparison_model(tmp_path, capsys, monkeypatch):
+    """The sweep's comparison model, made first order: its energy and excess
+    carry an extra eps |Omega|, so the gap falls like eps and the fitted
+    slope, near 1, is below the 1.9 floor."""
+    data = small_config_dict(model="acb-cell")
+    data["sweep"] = {"epsilons": [0.5, 0.25, 0.125], "period": 4.0}
+    code, out = run_check(tmp_path, capsys, "sweep-consistency", data)
+    assert code == 0 and out.startswith("PASS sweep-consistency"), out
+    acb_cell = harness.acb_cell_energy
+
+    def first_order(y, R, **kw):
+        rep = acb_cell(y, R, **kw)
+        error = y.cfg.volume * y.cfg.epsilon
+        return replace(rep, energy=rep.energy + error, excess=rep.excess + error)
+
+    monkeypatch.setattr(harness, "acb_cell_energy", first_order)
+    code, out = run_check(tmp_path, capsys, "sweep-consistency", data)
+    assert code == 1
+    assert out.startswith("FAIL sweep-consistency: fitted log-log slope 1.0"), out
+
+
+def test_lemma_affine_check_fails_on_a_residual_of_1e_15(tmp_path, capsys, monkeypatch):
+    """A residual of 1e-15 on the affine integer data, and on it only, fails
+    ``lemma-affine-exact``, which must be exactly 0.0; the random and
+    reduced checks still pass."""
+    residual = harness.lemma_residual
+
+    def off_on_affine(u, ell, eta):
+        affine = bool(np.all(u.values == np.round(u.values)))
+        return residual(u, ell, eta) + (1e-15 if affine else 0.0)
+
+    monkeypatch.setattr(harness, "lemma_residual", off_on_affine)
+    code, out = run_check(tmp_path, capsys, "verify-lemma", small_config_dict())
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == \
+        ["PASS lemma-random", "FAIL lemma-affine-exact", "PASS lemma-reduced"], out
+    assert "1e-15" in lines[1]
+
+
+def test_coverings_check_fails_on_a_shifted_base_site(tmp_path, capsys, monkeypatch):
+    """One base site of the first covering of each direction, moved by one
+    cell along axis 0: the covering counts are right, but the moved box
+    covers one cell twice and leaves another bare, so every direction
+    fails. (Moving all of a covering's base sites by one cell would still
+    tile the torus.)"""
+    coverings = harness.enumerate_coverings
+
+    def shifted(eta, cfg):
+        covs = coverings(eta, cfg)
+        sites = list(covs[0].base_sites)
+        sites[0] = (sites[0][0] + 1, *sites[0][1:])
+        return [replace(covs[0], base_sites=tuple(sites)), *covs[1:]]
+
+    monkeypatch.setattr(harness, "enumerate_coverings", shifted)
+    code, out = run_check(tmp_path, capsys, "verify-coverings", small_config_dict())
+    assert code == 1
+    assert [line.split(":")[0] for line in out.splitlines()] == \
+        ["FAIL coverings-(1, 1, 1)", "FAIL coverings-(2, 1, 1)", "FAIL coverings-(1, -1, 2)"], out
+    rows = (tmp_path / "verify-coverings" / "coverings.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[-3] for row in rows] == ["broken"] * 3

@@ -291,6 +291,127 @@ def test_helper_lane_domain_error_is_the_serial_one(monkeypatch, collapse, site,
     assert (lanes.value.site, lanes.value.eta) == (site, eta)
 
 
+def recorded_pieces(monkeypatch, keep=lambda pairs: True) -> list:
+    """Records the pieces of every group ``_bond_group`` runs whose pairs
+    ``keep`` accepts, as (pairs, pieces)."""
+    seen = []
+    pieces = energies._pieces
+
+    def recording(pairs, n):
+        out = pieces(pairs, n)
+        if keep(pairs):
+            seen.append((pairs, out))
+        return out
+
+    monkeypatch.setattr(energies, "_pieces", recording)
+    return seen
+
+
+@pytest.mark.parametrize("lanes", [one_lane, two_lanes])
+@pytest.mark.parametrize("gradient", [True, False])
+@pytest.mark.parametrize("model", MODELS)
+def test_two_plane_pieces_are_bitwise_default_slabs(monkeypatch, model, gradient, lanes):
+    """At N=12 every group is one piece under the default slab. Under
+    ``chunks_and_slabs`` a stencil batch of 1,728 rows runs through the law
+    in six pieces of two planes (288 rows) each, one law call per piece.
+    Every report, full and energy-only, on one lane and on two, is the same
+    bits either way."""
+    evaluate = model_calls(gradient=gradient)[model]
+    lanes(monkeypatch)
+    seen = recorded_pieces(monkeypatch)
+    ref = evaluate()
+    assert {len(pieces) for _, pieces in seen} == {1}
+    seen.clear()
+    chunks_and_slabs(monkeypatch)
+    lanes(monkeypatch)
+    rep = evaluate()
+    assert 6 in {len(pieces) for _, pieces in seen}
+    assert_same_report(ref, rep)
+
+
+@pytest.mark.parametrize("gradient", [True, False])
+def test_masked_pieces_at_n24_are_bitwise_default_slabs(monkeypatch, gradient):
+    """Coupled at N=24 (README laws, region of side 8 at (8, 8, 8)): under
+    ``chunks_and_slabs`` each masked continuum batch runs in 24 one-plane
+    pieces, and only some of them hold zero-weight rows, which each piece
+    sets to F eta itself. The reports, at a seeded state and at y_F, are
+    the bits of the default slabs."""
+    cfg = LatticeConfig(N=(24, 24, 24), epsilon=1.0 / 24.0)
+    part = RegionPartition(cfg, (8, 8, 8), (8, 8, 8))
+    y = state(cfg, 1)
+    states = (y, make_deformation(y.F, LatticeField.zeros(cfg)))
+    one_lane(monkeypatch)
+    refs = [coupled_energy_conforming(s, README_LAWS, part, gradient=gradient) for s in states]
+    chunks_and_slabs(monkeypatch)
+    seen = recorded_pieces(monkeypatch, lambda pairs: isinstance(pairs[0][1], energies._Weights)
+                           and pairs[0][1].zero.size and isinstance(pairs[0][0], energies._Stencil))
+    reps = [coupled_energy_conforming(s, README_LAWS, part, gradient=gradient) for s in states]
+    for ref, rep in zip(refs, reps):
+        assert_same_report(ref, rep)
+    assert reps[1].excess == 0.0
+    assert seen
+    for pairs, pieces in seen:
+        zero = pairs[0][1].zero
+        holding = sum(1 for lo, hi, _ in pieces if ((zero >= lo) & (zero < hi)).any())
+        assert len(pieces) == 24 and 1 < holding < 24
+
+
+def test_masked_collapsed_bond_in_a_late_piece_stays_masked(monkeypatch):
+    """A Lennard-Jones bond collapsed at site (10, 3, 4), in the last of six
+    two-plane pieces at N=12, with zero weight there: every piece sets its
+    own zero-weight rows to F eta, so the batch gives the bits of one piece
+    and raises nothing; with unit weights it raises."""
+    law = make_law((1, 0, 0), "lennard-jones-radial")
+    N = (12, 12, 12)
+    x = np.zeros((12, 12, 12, 3))
+    x[11, 3, 4] = -np.asarray(law.eta_vec) / 12.0  # tip of the bond at (10, 3, 4)
+    x = x.reshape(-1, 3)
+    mask = np.ones(N)
+    mask[10, 3, 4] = 0.0
+    pairs = [(energies._bond_stencil(law.eta, N), energies._weights(mask.ravel()))]
+
+    def results():
+        return [(e, de, g.tobytes()) for e, de, g in energies._bond_group(pairs, law, np.eye(3), x, 1.0 / 12.0)]
+
+    ref = results()
+    chunks_and_slabs(monkeypatch)
+    assert len(energies._pieces(pairs, 12**3)) == 6
+    assert results() == ref
+    with pytest.raises(PotentialDomainError):
+        list(energies._bond_group([(pairs[0][0], 1.0)], law, np.eye(3), x, 1.0 / 12.0))
+
+
+@pytest.mark.parametrize("gradient", [True, False])
+@pytest.mark.parametrize("bonds", [
+    # one collapsed bond, in the last of six two-plane pieces
+    (((10, 3, 4), 0.0),),
+    # a short bond in the first piece raises there, with its length in the
+    # message; the shortest bond, which the error names, is in the last
+    (((1, 3, 4), 5e-13), ((10, 3, 4), 0.0)),
+])
+def test_domain_error_of_a_late_piece_is_the_one_piece_error(monkeypatch, bonds, gradient):
+    """A collapsed radial bond (eta = (1, 0, 0), N=12) in a late piece
+    raises the error of the batch run as one piece: the same message, and
+    the site and eta of the batch's shortest bond, which the kernel finds
+    on the whole batch's zeta."""
+    cfg = LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0)
+    law = make_law((1, 0, 0), "lennard-jones-radial")
+    vals = np.zeros(cfg.shape)
+    for site, length in bonds:
+        vals[(site[0] + 1, *site[1:])] = -(1.0 - length) * cfg.epsilon * law.eta_vec
+    y = make_deformation(np.eye(3), LatticeField(cfg, vals))
+    errors = []
+    for setting in (one_lane, chunks_and_slabs):
+        setting(monkeypatch)
+        with pytest.raises(PotentialDomainError) as err:
+            atomistic_energy(y, InteractionSet([law]), gradient=gradient)
+        errors.append((type(err.value), str(err.value), err.value.site, err.value.eta))
+    assert errors[0][2:] == ((10, 3, 4), (1, 0, 0))
+    assert errors[1] == errors[0]
+    if len(bonds) == 2:
+        assert "bond length 5" in errors[0][1], errors[0][1]
+
+
 def test_helper_lane_calls_no_public_function(monkeypatch):
     """Tracers wrap the public functions of bvcouple and the law's
     per-derivative views on one span stack; a call from the helper lane
