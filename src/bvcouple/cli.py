@@ -98,7 +98,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _config_error(exc)
 
     try:
-        return run(_command_name(args), config, out_dir=config.out)
+        return run(_command_name(args), config)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2

@@ -68,12 +68,13 @@ Each term hands ``energies._term`` its batches as (op, w, law, breakdown
 key) tuples, ``energies._report`` builds the report, and every report
 carries the member ``counts`` per direction. ``_coupled`` receives the
 (law, block) list of its call: each public model fetches it with
-``_get_blocks``, which checks the partition once, before it builds or
-fetches any direction's block. A block does not depend on the
-degenerate-eta policy, so it is cached per (lattice, partition,
-direction) only. A domain error of the interface jump names its site by
-``energies._site_error``, as the kernel's do. A block's bond and cone
-weights, and the continuum weights of a partition
+``_get_blocks``, which checks the state's extents against the partition's
+lattice (``_check_lattice``, as naive does) and the partition once, before
+it builds or fetches any direction's block. A block is built on the
+partition's lattice whatever the degenerate-eta policy, so it is cached
+per (partition, direction) only. A domain error of the interface jump
+names its site by ``energies._site_error``, as the kernel's do. A block's
+bond and cone weights, and the continuum weights of a partition
 (``_continuum_weights``), are ``energies._Weights`` built once and cached
 with them.
 
@@ -513,13 +514,13 @@ _EDGE_OFFSETS = np.array([[path_edge_offsets(perm)[a] for a in range(3)] for per
 
 
 @lru_cache(maxsize=_BLOCK_CACHE_SIZE)
-def _build_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTriple) -> _EtaBlock:
-    """The block of one direction on a partition that has passed
-    ``_check_partition``, so a zero component of eta means the ``reduce``
-    members: the block does not depend on the policy, and is cached
-    without it."""
-    N = cfg.N
-    n_sites = cfg.n_sites
+def _build_eta_block(part: RegionPartition, eta: IntTriple) -> _EtaBlock:
+    """The block of one direction on the lattice of a partition that has
+    passed ``_check_partition``, so a zero component of eta means the
+    ``reduce`` members: the block does not depend on the policy, and is
+    cached without it."""
+    N = part.cfg.N
+    n_sites = part.cfg.n_sites
     zero = [d for d in range(3) if eta[d] == 0]
     n_eta = int(np.prod([abs(e) for e in eta if e != 0]))
 
@@ -702,11 +703,17 @@ def _jump_contrib(block: _EtaBlock, law: InteractionLaw, F, vm_flat, vp_flat, ep
 # Coupled energies
 # ======================================================================
 
-def _get_blocks(cfg, part, R, policy) -> list[tuple[InteractionLaw, _EtaBlock]]:
-    """Each law with its direction's block, once the partition has passed
-    ``_check_partition``."""
+def _check_lattice(y: Deformation, part: RegionPartition) -> None:
+    """The state must live on the lattice of the partition's blocks and meshes."""
+    if y.cfg.N != part.cfg.N:
+        raise ValueError(f"state extents {y.cfg.N} differ from the partition's lattice extents {part.cfg.N}")
+
+
+def _get_blocks(y: Deformation, part, R, policy) -> list[tuple[InteractionLaw, _EtaBlock]]:
+    """Each law with its direction's block, once y and the partition pass their checks."""
+    _check_lattice(y, part)
     _check_partition(part, R, policy)
-    return [(law, _build_eta_block(cfg, part, law.eta)) for law in R]
+    return [(law, _build_eta_block(part, law.eta)) for law in R]
 
 
 def _coupled(model: str, y_minus: Deformation, y_plus: Deformation, blocks, part, mesh=None,
@@ -782,7 +789,7 @@ def coupled_energy_conforming(
     cone integrals at weight 1/|eta1 eta2 eta3|. ``gradient=False``
     computes the same energy, excess and breakdown without the gradient,
     which the report then leaves None."""
-    return _coupled("coupled", y, y, _get_blocks(y.cfg, part, R, degenerate_eta), part, gradient=gradient)
+    return _coupled("coupled", y, y, _get_blocks(y, part, R, degenerate_eta), part, gradient=gradient)
 
 
 def coupled_energy_dg(
@@ -809,7 +816,7 @@ def coupled_energy_dg(
         raise ValueError("both sides must share one lattice config")
     if not np.array_equal(y_minus.F, y_plus.F):
         raise ValueError("both sides must share the same deformation gradient F")
-    blocks = _get_blocks(y_minus.cfg, part, R, degenerate_eta)
+    blocks = _get_blocks(y_minus, part, R, degenerate_eta)
     return _coupled("coupled-dg", y_minus, y_plus, blocks, part, gradient=gradient)
 
 
@@ -820,6 +827,7 @@ def naive_coupling_energy(
     atomistic box plus Cauchy-Born over the complement cells, with no
     interface correction. Produces spurious interface forces by design.
     ``gradient=False`` as in ``coupled_energy_conforming``."""
+    _check_lattice(y, part)
     cfg = y.cfg
     idx = np.indices(cfg.N)
     a, top = (np.reshape(c, (3, 1, 1, 1)) for c in (part.corner, part.top))

@@ -8,14 +8,16 @@ with B a fixed linear map of the displacement v. ``_bond_group`` is the
 only code that evaluates phi_eta for such a term: ``InteractionLaw.evaluate
 (zeta, 1)`` on each group of a term's (law, operator) batches (see below)
 gives phi and phi' together (order 0, phi alone, for an energy-only call),
-piece by piece and in row chunks, and phi(F eta) from one extra row of the
-last piece. Per batch, the kernel sums eps^3 sum_q w_q (phi(zeta_q) -
-phi(F eta)), the batch's excess over the homogeneous bond, and adds the
-batch's homogeneous share eps^3 phi(F eta) sum_q w_q back into the term's
-energy. Reports carry the summed excess too (``EnergyReport.excess``): it
-is exactly 0.0 at y_F, and its differences keep the digits that the
-constant |Omega| W(F) in the energy would swallow. A non-finite phi or
-phi' is a domain error, like a radial bond below its minimum length;
+piece by piece and in plain chunks of ``_LAW_CHUNK`` rows, and phi(F eta)
+from one extra row of the last piece; a law's bits do not depend on a
+call's row count (``potentials``), so every row has the bits of one call.
+Per batch, the kernel sums eps^3 sum_q w_q (phi(zeta_q) - phi(F eta)), the
+batch's excess over the homogeneous bond, and adds the batch's homogeneous
+share eps^3 phi(F eta) sum_q w_q back into the term's energy. Reports
+carry the summed excess too (``EnergyReport.excess``): it is exactly 0.0
+at y_F, and its differences keep the digits that the constant |Omega|
+W(F) in the energy would swallow. A non-finite phi or phi' is a domain
+error, like a radial bond below its minimum length;
 ``_site_error`` builds every domain error that names the offending bond's
 site and eta, here and in the interface jump of ``coupling``. B is one of
 two operator kinds, each with ``@``, ``.T``, ``rows``, ``apply(x, out)``
@@ -316,22 +318,18 @@ def _weights(w) -> _Weights:
 def _evaluate(law: InteractionLaw, zeta, order: int, out=None):
     """[phi, phi'][:order + 1] at the rows of ``zeta`` from
     ``law.evaluate(., order)``, written into ``out`` if given: in one call
-    up to _LAW_CHUNK + 1 rows, else in chunks of _LAW_CHUNK rows written
-    into preallocated arrays, which keeps the law's temporaries chunk-sized.
-    The law acts row by row, so the bits are those of one call, as long as
-    no call gets a single row of several: a one-row call may round the toy
-    law's matrix products differently, and the last row, F eta, must match
-    every row equal to it. So the last chunk takes two to _LAW_CHUNK + 1
-    rows."""
+    up to _LAW_CHUNK rows, else in chunks of _LAW_CHUNK rows written into
+    preallocated arrays, which keeps the law's temporaries chunk-sized. The
+    law's bits do not depend on the rows a call holds, so they are those of
+    one call."""
     n = len(zeta)
-    last = (n - 2) // _LAW_CHUNK * _LAW_CHUNK if n > 1 else 0
     with np.errstate(over="ignore", invalid="ignore"):
-        if not last and out is None:
+        if n <= _LAW_CHUNK and out is None:
             return law.evaluate(zeta, order)
         out = out or [np.empty(n), np.empty((n, 3))][: order + 1]
-        for lo, hi in [*((lo, lo + _LAW_CHUNK) for lo in range(0, last, _LAW_CHUNK)), (last, n)]:
-            for a, chunk in zip(out, law.evaluate(zeta[lo:hi], order)):
-                a[lo:hi] = chunk
+        for lo in range(0, n, _LAW_CHUNK):
+            for a, chunk in zip(out, law.evaluate(zeta[lo:lo + _LAW_CHUNK], order)):
+                a[lo:lo + _LAW_CHUNK] = chunk
     return out
 
 

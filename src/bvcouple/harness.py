@@ -68,23 +68,29 @@ def parse_model(name: str) -> tuple[str, int | None]:
 
 @dataclass
 class RunConfig:
-    """Validated run description: lattice, interactions, deformation
-    gradient, optional region partition, model selector, policies, seed,
-    tolerances and output directory."""
+    """Validated run description: lattice, interactions, F, optional region
+    partition, model selector (which gives the family and degree), policies,
+    seed, tolerances, sweep and solve settings, and output directory."""
 
     cfg: LatticeConfig
     laws: InteractionSet
     F: np.ndarray
     region: RegionPartition | None
     model: str
-    model_family: str
-    ho_degree: int | None
     degenerate_eta: str
     seed: int
     tolerances: dict
     sweep: dict
     solve: dict
     out: str | None
+
+    @property
+    def model_family(self) -> str:
+        return parse_model(self.model)[0]
+
+    @property
+    def ho_degree(self) -> int | None:
+        return parse_model(self.model)[1]
 
     @property
     def ghost_force_tolerance(self) -> float:
@@ -264,11 +270,11 @@ def config_from_dict(data: dict) -> RunConfig:
         F = _build(errors, deformation_gradient, data["F"])
 
     model = data.get("model")
-    family, ho_k = None, None
+    family = None
     if not isinstance(model, str):
         errors.append("config requires a 'model' string")
     else:
-        family, ho_k = _build(errors, parse_model, model) or (None, None)
+        family, _ = _build(errors, parse_model, model) or (None, None)
 
     policy = data.get("degenerate_eta", "reject")
     if policy not in DEGENERATE_POLICIES:
@@ -327,8 +333,6 @@ def config_from_dict(data: dict) -> RunConfig:
         F=F,
         region=region,
         model=model,
-        model_family=family,
-        ho_degree=ho_k,
         degenerate_eta=policy,
         seed=seed,
         tolerances=tolerances,
@@ -457,9 +461,9 @@ def _random_gradient_matrix(rng: np.random.Generator, F0: np.ndarray) -> np.ndar
 _FD_TRIALS = 5
 
 
-def fd_gradient_check(config: RunConfig, trials: int = _FD_TRIALS) -> float:
+def fd_gradient_check(config: RunConfig) -> float:
     """Max relative error of <gradient, w>_eps against the central finite
-    difference of the energy.
+    difference of the energy, over ``_FD_TRIALS`` trials.
 
     Each trial draws a random deformation gradient near the configured one
     and a random small zero-mean displacement, then probes along the
@@ -479,18 +483,17 @@ def fd_gradient_check(config: RunConfig, trials: int = _FD_TRIALS) -> float:
     cfg = config.cfg
     eps = cfg.epsilon
     amp = 0.02 * eps
-    n_nodes = 0
-    if config.model_family == "coupled-ho" and config.ho_degree > 1:
-        n_nodes = build_high_order_mesh(cfg, config.region, config.ho_degree).n_free_nodes
+    k = config.ho_degree or 1
+    n_nodes = build_high_order_mesh(config.region, k).n_free_nodes if k > 1 else 0
     two_sided = config.model_family == "coupled-dg"
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(_FD_TRIALS):
         F = _random_gradient_matrix(rng, config.F)
         v = _random_displacement(rng, cfg, amp)
         v_plus = _random_displacement(rng, cfg, amp) if two_sided else v
         # Nodes are eps/k apart, so amplitude amp/k strains the elements as
         # much as amp strains the lattice bonds.
-        nodes = amp / config.ho_degree * rng.standard_normal((n_nodes, 3)) if n_nodes else np.zeros((0, 3))
+        nodes = amp / k * rng.standard_normal((n_nodes, 3)) if n_nodes else np.zeros((0, 3))
         report = evaluate_model(
             config, make_deformation(F, v), y_plus=make_deformation(F, v_plus) if two_sided else None,
             node_displacements=nodes,
@@ -570,8 +573,11 @@ def consistency_sweep(config: RunConfig) -> SweepResult:
         vol = cfg.volume
         # At equal F both models carry the same homogeneous share, so the
         # gap is the difference of the excesses, which keeps the digits that
-        # differencing two energies of size |Omega| W(F) loses.
+        # differencing two energies of size |Omega| W(F) loses; energy less
+        # excess may differ by rounding alone, in ulps of the larger sum of
+        # |breakdown entries| (the laws' shares may cancel in the energy).
         gap = abs(exact.excess - cb.excess) / vol
+        scale = max(sum(map(abs, rep.breakdown.values())) for rep in (exact, cb))
         rows.append(
             {
                 "epsilon": eps,
@@ -579,6 +585,7 @@ def consistency_sweep(config: RunConfig) -> SweepResult:
                 "energy_acb": cb.energy,
                 "gap": gap,
                 "residual": gap / max(1.0, abs(exact.energy) / vol),
+                "share_ulps": abs((exact.energy - exact.excess) - (cb.energy - cb.excess)) / math.ulp(scale),
             }
         )
     gaps = [r["gap"] for r in rows]
@@ -644,12 +651,7 @@ def _lbfgs_direction(g: np.ndarray, pairs, precondition) -> np.ndarray:
     return r
 
 
-def minimize(
-    config: RunConfig,
-    f: LatticeField | None = None,
-    max_iters: int | None = None,
-    g_tol: float | None = None,
-) -> tuple[Deformation, EnergyReport, list[dict]]:
+def minimize(config: RunConfig, f: LatticeField | None = None) -> tuple[Deformation, EnergyReport, list[dict]]:
     """Minimize E(y) - <f, v>_eps over zero-mean displacements v by L-BFGS
     (the last ``LBFGS_MEMORY`` curvature pairs) preconditioned with the
     periodic lattice Laplacian, with Armijo backtracking from step 1.
@@ -662,14 +664,14 @@ def minimize(
     gradient is tried once more. Every state is evaluated by
     ``evaluate_model``.
 
-    Stops when the scaled gradient max-norm falls to g_tol, at the iteration
-    cap, or when the line search fails. report.diagnostics carries
-    "converged", "iterations", "evaluations" and "stop_reason"
-    ("converged", "iteration-cap" or "line-search"). The trace rows carry
-    (iteration, objective, gnorm, step), the objective being the absolute
-    E(y) - <f, v>_eps and step the accepted line-search factor.
-    """
-    if config.model_family in ("coupled-ho",) and (config.ho_degree or 1) > 1:
+    Stops when the scaled gradient max-norm falls to ``solve.g_tol``, at the
+    iteration cap ``solve.max_iters``, or when the line search fails.
+    report.diagnostics carries "converged", "iterations", "evaluations" and
+    "stop_reason" ("converged", "iteration-cap" or "line-search"). The
+    trace rows carry (iteration, objective, gnorm, step), the objective
+    being the absolute E(y) - <f, v>_eps and step the accepted line-search
+    factor."""
+    if (config.ho_degree or 1) > 1:
         raise ConfigError(
             ["solve supports lattice-state models; pick atomistic, acb-tetra, "
              "acb-cell, coupled, coupled-dg, naive, or coupled-ho(1)"]
@@ -682,10 +684,7 @@ def minimize(
     fmean = np.abs(f.mean())
     if np.max(fmean) > 1e-10:
         raise ValueError(f"force field must have zero average, got mean {f.mean()}")
-    if max_iters is None:
-        max_iters = config.solve["max_iters"]
-    if g_tol is None:
-        g_tol = config.solve["g_tol"]
+    max_iters, g_tol = config.solve["max_iters"], config.solve["g_tol"]
     scale = residual_scale(config)
     precondition = _laplacian_inverse(cfg)
     eps3 = cfg.epsilon**3
@@ -940,7 +939,14 @@ def verify_coverings(config: RunConfig, out_dir: Path) -> list[CheckResult]:
     return results
 
 
+_SHARE_ULPS = 16
+
+
 def sweep_consistency(config: RunConfig, out_dir: Path) -> list[CheckResult]:
+    """The gap's fitted slope, once both models carry the same homogeneous
+    share at every spacing: their energies less excesses may differ by at
+    most ``_SHARE_ULPS`` ulps of the larger sum of |breakdown entries|
+    (rounding)."""
     result = consistency_sweep(config)
     rows = [
         (r["epsilon"], r["energy_atomistic"], r["energy_acb"], r["gap"], r["residual"])
@@ -953,6 +959,10 @@ def sweep_consistency(config: RunConfig, out_dir: Path) -> list[CheckResult]:
         config.seed,
     )
     floor = config.tolerances["sweep_slope"]
+    for r in result.rows:
+        if r["share_ulps"] > _SHARE_ULPS:
+            return [CheckResult("sweep-consistency", False, f"homogeneous shares differ by {r['share_ulps']:.3g} "
+                                f"ulps at epsilon {r['epsilon']!r} (bound {_SHARE_ULPS})")]
     if result.exact:
         return [CheckResult("sweep-consistency", True, "all gaps exactly zero (slope exact)")]
     if result.slope is None:
@@ -1004,14 +1014,14 @@ COMMANDS = {
 }
 
 
-def run(command: str, config: RunConfig, out_dir: str | Path | None = None) -> int:
+def run(command: str, config: RunConfig) -> int:
     """Execute one verification command: write CSV reports and a PASS/FAIL
-    summary, print the summary, and return the exit code (0 all passed,
-    1 a check failed, 2 invalid usage)."""
+    summary into ``config.out`` (default bvcouple_reports), print the summary
+    and return the exit code (0 all passed, 1 a check failed, 2 bad usage)."""
     if command not in COMMANDS:
         print(f"unknown command {command!r}; expected one of {sorted(COMMANDS)}")
         return 2
-    out = Path(out_dir) if out_dir is not None else Path(config.out or "bvcouple_reports")
+    out = Path(config.out or "bvcouple_reports")
     made = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
     try:

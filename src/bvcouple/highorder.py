@@ -17,10 +17,12 @@ gradients times eta at the quadrature points as its coefficient block. The
 P1 and Pk batches both carry the breakdown key ``continuum`` and run as
 the terms ``continuum`` and ``continuum_pk``, so the continuum entry is
 their sum. ``high_order_energy`` checks the degree, then fetches the
-blocks with ``coupling._get_blocks``, which checks the partition before
-any block is built or fetched; then it builds or fetches the mesh, checks
-the shape of the node displacements, and calls the body. Degree 1 has no
-mesh and no free nodes: it is the conforming model under its own name.
+blocks with ``coupling._get_blocks``, which checks the state's lattice and
+the partition before any block is built or fetched; then it builds or
+fetches the mesh on the partition's lattice (``build_high_order_mesh(part,
+k)``), checks the shape of the node displacements, and calls the body.
+Degree 1 has no mesh and no free nodes: it is the conforming model under
+its own name.
 
 Vertex degrees of freedom are the lattice displacements themselves. Edge,
 face and interior nodes of degree-k elements are extra degrees of freedom,
@@ -197,13 +199,14 @@ def _check_degree(k: int) -> None:
         raise ValueError(f"element degree must be one of {SUPPORTED_DEGREES}, got {k}")
 
 
-def build_high_order_mesh(cfg: LatticeConfig, part: RegionPartition, k: int) -> HighOrderMesh:
+def build_high_order_mesh(part: RegionPartition, k: int) -> HighOrderMesh:
     _check_degree(k)
-    return _build_mesh(cfg, part, k)
+    return _build_mesh(part, k)
 
 
 @lru_cache(maxsize=_MESH_CACHE_SIZE)
-def _build_mesh(cfg: LatticeConfig, part: RegionPartition, k: int) -> HighOrderMesh:
+def _build_mesh(part: RegionPartition, k: int) -> HighOrderMesh:
+    cfg = part.cfg
     N = cfg.N
     a, top = np.asarray(part.corner), np.asarray(part.top)
     mask = omega_star_mask(part)
@@ -295,8 +298,8 @@ def high_order_energy(
     breakdown without either block: the report's gradient is None.
     """
     _check_degree(k)
-    blocks = _get_blocks(y.cfg, part, R, degenerate_eta)
-    mesh = build_high_order_mesh(y.cfg, part, k) if k > 1 else None
+    blocks = _get_blocks(y, part, R, degenerate_eta)
+    mesh = build_high_order_mesh(part, k) if k > 1 else None
     n_free = 0 if mesh is None else mesh.n_free_nodes
     if node_displacements is None:
         nodes = np.zeros((n_free, 3))

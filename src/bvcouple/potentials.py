@@ -10,12 +10,12 @@ one-line views of it. Every length-3 row reduction (|zeta|^2, zeta . M zeta)
 is three products on the column views ``zeta[..., i]`` added left to
 right, and the radial and toy gradients are written one column at a time:
 the bits of the norm and axis-sum formulas, without their (..., 3)
-temporaries. Every step acts row by row, so a row's bits do not depend on
-how many rows the call holds; a single (3,) bond is evaluated as a one-row
-batch, since numpy's scalar exp and pow may round differently from its
-array loops. The exception is the anisotropic toy, whose one-row
-``zeta @ a`` and ``zeta @ M`` may round differently from the same row in a
-batch. Radial laws (Morse, Lennard-Jones) apply a scalar
+temporaries. Every step acts row by row, and an input holding one bond,
+of shape (3,) or (1, 3), is evaluated as a two-row batch whose first row
+is returned: numpy's scalar exp and pow, and the toy's one-row
+``zeta @ a`` and ``zeta @ M``, may round differently from the same row in
+a batch. So a row's bits never depend on how many rows the call holds.
+Radial laws (Morse, Lennard-Jones) apply a scalar
 profile to ``|zeta|`` and reject bonds shorter than ``_RADIAL_RMIN``; the
 anisotropic-toy law is deliberately asymmetric (``phi(zeta) != phi(-zeta)``)
 so coupling tests cannot pass by accidental cancellation. ``make_law``
@@ -100,8 +100,9 @@ class InteractionLaw:
         shapes (...), (..., 3) and (..., 3, 3). Intermediates shared by the
         orders (the norm, exp(zeta . a), (sigma / r)^6) are computed once."""
         zeta = np.asarray(zeta, dtype=float)
-        if zeta.ndim == 1:  # one bond, as a one-row batch (see the module docstring)
-            return [a[0] for a in self.evaluate(zeta[None], order)]
+        if zeta.shape in ((3,), (1, 3)):  # one bond, as a two-row batch (see the module docstring)
+            rows = self.evaluate(np.concatenate([zeta.reshape(1, 3)] * 2), order)
+            return [a[0] if zeta.ndim == 1 else a[:1] for a in rows]
         hess_shape = zeta.shape[:-1] + (3, 3)
         if self.kind == "harmonic":
             out = [0.5 * _row_dot(zeta, zeta), zeta.copy()]
@@ -239,17 +240,13 @@ class InteractionSet:
 def cb_energy_density(R: InteractionSet, F) -> float:
     """Cauchy-Born stored energy density W(F) = sum_eta phi_eta(F eta)."""
     F = np.asarray(F, dtype=float)
-    total = 0.0
+    total = 0.0  # left to right, as the kernel adds the laws (sum() compensates from Python 3.12)
     for law in R:
-        total += float(law.values((F @ law.eta_vec)[None, :])[0])
+        total += float(law.values(F @ law.eta_vec))
     return total
 
 
 def piola_stress(R: InteractionSet, F) -> np.ndarray:
     """First Piola stress S(F) = dW/dF = sum_eta grad phi_eta(F eta) eta^T."""
     F = np.asarray(F, dtype=float)
-    S = np.zeros((3, 3))
-    for law in R:
-        g = law.gradients((F @ law.eta_vec)[None, :])[0]
-        S += np.outer(g, law.eta_vec)
-    return S
+    return sum((np.outer(law.gradients(F @ law.eta_vec), law.eta_vec) for law in R), np.zeros((3, 3)))

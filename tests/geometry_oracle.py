@@ -39,7 +39,7 @@ from bvcouple.coupling import (
 )
 from bvcouple.energies import _ONE, _Gather, _Weights, _weights
 from bvcouple.geometry import PATH_PERMS, _staircase_simplices, enumerate_coverings, nondegenerate_eta
-from bvcouple.lattice import IntTriple, LatticeConfig, LatticeField
+from bvcouple.lattice import IntTriple, LatticeConfig, LatticeField, make_deformation
 from bvcouple.potentials import InteractionSet, make_law
 
 
@@ -427,6 +427,7 @@ def oracle_block_mismatches(N: int, etas, policies=DEGENERATE_POLICIES) -> list[
     (under "reject", the directions without a zero component). Each
     policy's blocks are built afresh, through ``coupling._get_blocks``."""
     cfg = LatticeConfig(N=(N,) * 3, epsilon=1.0 / N)
+    y = make_deformation(np.eye(3), LatticeField.zeros(cfg))
     bad = []
     for corner, ext in oracle_placements(N):
         part = RegionPartition(cfg, corner, ext)
@@ -434,6 +435,6 @@ def oracle_block_mismatches(N: int, etas, policies=DEGENERATE_POLICIES) -> list[
         for policy in policies:
             R = InteractionSet([make_law(eta, "harmonic") for eta in refs if policy == "reduce" or 0 not in eta])
             _build_eta_block.cache_clear()
-            for law, block in _get_blocks(cfg, part, R, policy):
+            for law, block in _get_blocks(y, part, R, policy):
                 bad += [(corner, policy, law.eta, name) for name in block_mismatches(block, *refs[law.eta])]
     return bad

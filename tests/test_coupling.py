@@ -677,7 +677,7 @@ def _blocks_under_test():
     for corner, ext in BLOCK_PLACEMENTS:
         part = RegionPartition(cfg, corner, ext)
         for eta in BLOCK_ETAS:
-            yield part, eta, _build_eta_block(cfg, part, eta)
+            yield part, eta, _build_eta_block(part, eta)
 
 
 def test_block_operators_reproduce_affine_fields_row_by_row():
@@ -739,7 +739,7 @@ def test_jump_rows_are_two_per_covering_on_each_gamma_face():
         part = RegionPartition(cfg, corner, ext)
         rows = []
         for eta in cases:
-            block = _build_eta_block(cfg, part, eta)
+            block = _build_eta_block(part, eta)
             gam = block.gamma
             n_eta = int(np.prod([abs(e) for e in eta if e]))
             sites = np.stack(np.unravel_index(block.jump.trace_op.indices, cfg.N), axis=-1).reshape(-1, 3, 3)
@@ -811,7 +811,7 @@ def test_cones_are_built_once_per_shape(monkeypatch, N):
         part = RegionPartition(cfg, corner, ext)
         calls.clear()
         for law in laws_full():
-            coupling._build_eta_block.__wrapped__(cfg, part, law.eta)
+            coupling._build_eta_block.__wrapped__(part, law.eta)
         assert calls == {(1, 1, 1): 26, (2, 1, 3): 104, (1, -1, 2): 44}, (N, corner)
 
 
@@ -866,3 +866,28 @@ def test_only_the_two_sided_model_builds_jump_operators(monkeypatch):
     for _ in range(2):
         coupling.coupled_energy_dg(y, y, R, part)
     assert built == [law.eta for law in R]
+
+
+@pytest.mark.parametrize("model", ["coupled", "coupled-dg", "coupled-ho(2)", "naive"])
+def test_state_off_the_partition_lattice_is_rejected_before_any_build(model):
+    """A 12^3 state with a partition of the 24^3 lattice: every coupled
+    model and the naive control raise one ValueError naming both extents,
+    before a block or a mesh is built."""
+    from bvcouple import coupling
+    from bvcouple.highorder import _build_mesh, high_order_energy
+
+    part = RegionPartition(LatticeConfig(N=(24, 24, 24), epsilon=1.0 / 24.0), (8, 8, 8), (8, 8, 8))
+    cfg = cfg12()
+    y = make_deformation(np.eye(3), LatticeField(cfg, 1e-3 * np.random.default_rng(5).standard_normal(cfg.shape)))
+    call = {
+        "coupled": lambda: coupled_energy_conforming(y, laws_full(), part),
+        "coupled-dg": lambda: coupling.coupled_energy_dg(y, y, laws_full(), part),
+        "coupled-ho(2)": lambda: high_order_energy(y, laws_full(), part, 2),
+        "naive": lambda: naive_coupling_energy(y, laws_full(), part),
+    }[model]
+    coupling._build_eta_block.cache_clear()
+    meshes = _build_mesh.cache_info().currsize
+    with pytest.raises(ValueError, match=r"\(12, 12, 12\).*\(24, 24, 24\)"):
+        call()
+    assert coupling._build_eta_block.cache_info().currsize == 0
+    assert _build_mesh.cache_info().currsize == meshes

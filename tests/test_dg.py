@@ -284,7 +284,7 @@ def test_collapsed_jump_bond_names_its_triangle():
     cfg = LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0)
     part = RegionPartition(cfg, (4, 4, 4), (4, 4, 4))
     R = InteractionSet([make_law((1, 1, 1), "lennard-jones-radial")])
-    gamma = _build_eta_block(cfg, part, (1, 1, 1)).gamma
+    gamma = _build_eta_block(part, (1, 1, 1)).gamma
     c = gamma.cell[0]
     sites = np.moveaxis(np.indices(cfg.N), 0, -1)
     patch = np.all(np.abs(sites - c) <= 1, axis=-1)[..., None]

@@ -102,7 +102,7 @@ def evaluate(model: str) -> dict[str, float]:
         rep = naive_coupling_energy(y, LAWS, PART)
     else:
         k = int(model[-2])
-        n_free = build_high_order_mesh(CFG, PART, k).n_free_nodes
+        n_free = build_high_order_mesh(PART, k).n_free_nodes
         nodes = 0.01 * CFG.epsilon * rng.standard_normal((n_free, 3))
         rep = high_order_energy(y, LAWS, PART, k, node_displacements=nodes)
     out = {"energy": rep.energy, "gradient": rep.gradient.max_norm()}

@@ -209,9 +209,10 @@ def test_ghost_force_residual_reads_every_gradient_block(monkeypatch, block):
 
 
 def test_gradient_check_probes_the_free_node_block(monkeypatch):
+    monkeypatch.setattr(harness, "_FD_TRIALS", 2)
     config = config_from_dict(small_config_dict(model="coupled-ho(2)"))
     tol = config.gradient_fd_tolerance
-    assert fd_gradient_check(config, trials=2) <= tol
+    assert fd_gradient_check(config) <= tol
 
     def doubled_node_gradient(*args, **kwargs):
         report = evaluate_model(*args, **kwargs)
@@ -220,7 +221,7 @@ def test_gradient_check_probes_the_free_node_block(monkeypatch):
         return report
 
     monkeypatch.setattr(harness, "evaluate_model", doubled_node_gradient)
-    assert fd_gradient_check(config, trials=2) > tol
+    assert fd_gradient_check(config) > tol
 
 
 def record_law_orders(monkeypatch) -> list[int]:
@@ -252,8 +253,9 @@ def test_gradient_check_probes_evaluate_phi_only(monkeypatch, model):
         return report
 
     monkeypatch.setattr(harness, "evaluate_model", recording_model)
+    monkeypatch.setattr(harness, "_FD_TRIALS", 2)
     config = config_from_dict(small_config_dict(model=model))
-    assert fd_gradient_check(config, trials=2) <= config.gradient_fd_tolerance
+    assert fd_gradient_check(config) <= config.gradient_fd_tolerance
     assert len(calls) == 6
     assert all(1 in full for full in calls[0::3])
     assert calls[1::3] + calls[2::3] == [{0}] * 4
@@ -428,9 +430,10 @@ from bvcouple.lattice import sample_field
 data = json.loads(json.dumps(harness.DEFAULT_CONFIG))
 data["lattice"] = {"N": [24, 24, 24], "epsilon": 1 / 24}
 data["region"] = {"corner": [8, 8, 8], "extents": [8, 8, 8]}
+data["solve"] = {"max_iters": 4}
 config = harness.config_from_dict(data)
 f = sample_field(lambda x: 0.01 * np.sin(2 * np.pi * np.stack([x[1], x[2], x[0]])), config.cfg).zero_mean()
-print(repr(harness.minimize(config, f, max_iters=4)[2]))
+print(repr(harness.minimize(config, f)[2]))
 """
 
 
@@ -504,9 +507,11 @@ def test_minimize_stops_when_an_accepted_step_changes_nothing():
     """With g_tol = 0 the harmonic solve reaches its float floor after one
     step; the first accepted step that leaves the objective and the
     gradient bitwise unchanged ends the solve instead of the Armijo test
-    accepting such steps until the line search fails."""
+    accepting such steps until the line search fails. The config parser
+    rightly rejects g_tol = 0, so the config is edited after parsing."""
     config = harmonic_solver_config()
-    _, report, trace = minimize(config, sine_force(config.cfg), g_tol=0.0)
+    config = replace(config, solve={**config.solve, "g_tol": 0.0})
+    _, report, trace = minimize(config, sine_force(config.cfg))
     assert report.diagnostics["stop_reason"] == "line-search"
     assert report.diagnostics["evaluations"] <= 20
     assert trace[1]["gnorm"] < 1e-15
@@ -654,8 +659,8 @@ def test_cli_solve_writes_trace(tmp_path, capsys):
 
 
 def test_cli_solve_summary_names_the_stop_reason(tmp_path, capsys):
-    config = readme_solver_config(max_iters=3, force_amplitude=0.01)
-    code = run("solve", config, tmp_path)
+    config = replace(readme_solver_config(max_iters=3, force_amplitude=0.01), out=str(tmp_path))
+    code = run("solve", config)
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith("FAIL solve: stopped (iteration-cap) at iteration 3 after ")
@@ -685,7 +690,7 @@ def test_cli_deterministic_reports_are_byte_identical(tmp_path):
 
 def test_run_rejects_unknown_command(capsys):
     config = default_config()
-    assert run("verify-everything", config, out_dir=None) == 2
+    assert run("verify-everything", config) == 2
     capsys.readouterr()
 
 
@@ -828,7 +833,7 @@ def test_lemma_csv_rows_are_relative_to_the_identity_scale(tmp_path, capsys):
 # ----------------------------------------------------------------------
 
 def run_check(tmp_path, capsys, command, data) -> tuple[int, str]:
-    code = run(command, config_from_dict(data), tmp_path / command)
+    code = run(command, config_from_dict({**data, "out": str(tmp_path / command)}))
     return code, capsys.readouterr().out
 
 
@@ -893,3 +898,136 @@ def test_coverings_check_fails_on_a_shifted_base_site(tmp_path, capsys, monkeypa
         ["FAIL coverings-(1, 1, 1)", "FAIL coverings-(2, 1, 1)", "FAIL coverings-(1, -1, 2)"], out
     rows = (tmp_path / "verify-coverings" / "coverings.csv").read_text().splitlines()[2:]
     assert [row.split(",")[-3] for row in rows] == ["broken"] * 3
+
+
+def test_sweep_fails_when_a_model_misses_the_homogeneous_share(tmp_path, capsys, monkeypatch):
+    """eps |Omega| added to the comparison model's energy alone, not to its
+    excess: the gap, taken from the excesses, keeps its second-order slope
+    (1.93), but energy less excess is no longer the atomistic model's
+    homogeneous share, so the sweep fails."""
+    data = small_config_dict(model="acb-cell")
+    data["sweep"] = {"epsilons": [0.5, 0.25, 0.125], "period": 4.0}
+    acb_cell = harness.acb_cell_energy
+
+    def energy_off(y, R, **kw):
+        rep = acb_cell(y, R, **kw)
+        return replace(rep, energy=rep.energy + y.cfg.volume * y.cfg.epsilon)
+
+    monkeypatch.setattr(harness, "acb_cell_energy", energy_off)
+    assert harness.consistency_sweep(config_from_dict(data)).slope >= 1.9
+    code, out = run_check(tmp_path, capsys, "sweep-consistency", data)
+    assert code == 1
+    assert out.startswith("FAIL sweep-consistency: homogeneous shares differ by "), out
+    assert out.endswith(f" ulps at epsilon 0.5 (bound {harness._SHARE_ULPS})\n"), out
+
+
+def coupled_with(monkeypatch, edit):
+    """``harness.coupled_energy_conforming`` with ``edit`` applied to the
+    values of every gradient it reports."""
+    model = harness.coupled_energy_conforming
+
+    def edited(*args, **kwargs):
+        rep = model(*args, **kwargs)
+        if rep.gradient is not None:
+            edit(rep.gradient.values)
+        return rep
+
+    monkeypatch.setattr(harness, "coupled_energy_conforming", edited)
+
+
+def test_ghost_force_check_fails_on_one_offset_gradient_entry(tmp_path, capsys, monkeypatch):
+    """One entry of the coupled gradient at y_F offset by ten times the
+    tolerance, in the residual's scale."""
+    config = config_from_dict(small_config_dict())
+    offset = 10.0 * config.ghost_force_tolerance * residual_scale(config)
+
+    def offset_one(g):
+        g[3, 2, 1, 0] += offset
+
+    coupled_with(monkeypatch, offset_one)
+    code, out = run_check(tmp_path, capsys, "verify-ghost-forces", small_config_dict())
+    assert code == 1
+    assert out.startswith("FAIL ghost-forces: model coupled: scaled residual 1.000e-11"), out
+
+
+def test_gradient_check_fails_on_a_gradient_scaled_by_1_plus_1e_5(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "_FD_TRIALS", 2)
+    coupled_with(monkeypatch, lambda g: g.__imul__(1.0 + 1e-5))
+    code, out = run_check(tmp_path, capsys, "verify-gradient", small_config_dict())
+    assert code == 1
+    assert out.startswith("FAIL gradient-fd: model coupled: max relative FD error "), out
+    assert float(out.split(" error ")[1].split()[0]) == pytest.approx(1e-5, rel=1e-3)
+
+
+def test_lemma_checks_fail_on_two_swapped_simplex_vertices(tmp_path, capsys, monkeypatch):
+    """The first two vertices of the first staircase simplex of every box
+    swapped: that simplex's orientation flips, so the random, affine and
+    reduced (rectangle and segment) residuals all fail."""
+    from bvcouple import geometry
+
+    simplices = geometry._staircase_simplices
+
+    def swapped(corners, eta):
+        sites = simplices(corners, eta)
+        sites[..., 0, :2, :] = sites[..., 0, 1::-1, :].copy()
+        return sites
+
+    monkeypatch.setattr(geometry, "_staircase_simplices", swapped)
+    code, out = run_check(tmp_path, capsys, "verify-lemma", small_config_dict())
+    assert code == 1
+    assert [line.split(":")[0] for line in out.splitlines()] == \
+        ["FAIL lemma-random", "FAIL lemma-affine-exact", "FAIL lemma-reduced"], out
+
+
+def test_gradient_check_moves_the_free_nodes_on_every_trial(monkeypatch):
+    """Every model call of every coupled-ho(2) trial, the full call and both
+    probes, gets free-node displacements of the mesh's shape, none zero."""
+    from bvcouple.highorder import build_high_order_mesh
+
+    config = config_from_dict(small_config_dict(model="coupled-ho(2)"))
+    n_free = build_high_order_mesh(config.region, 2).n_free_nodes
+    nodes = []
+
+    def recording(config, y, y_plus=None, node_displacements=None, **kwargs):
+        nodes.append(node_displacements)
+        return evaluate_model(config, y, y_plus, node_displacements, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate_model", recording)
+    monkeypatch.setattr(harness, "_FD_TRIALS", 2)
+    assert fd_gradient_check(config) <= config.gradient_fd_tolerance
+    assert len(nodes) == 6
+    assert all(n.shape == (n_free, 3) and np.all(n != 0.0) for n in nodes)
+
+
+def test_minimize_keeps_only_positive_curvature_pairs_and_descends(monkeypatch):
+    """The README laws are phonon-unstable for the atomistic model at N=12:
+    under a force of amplitude 0.1 the solve takes steps whose curvature
+    <s, y> is not positive. Every pair the L-BFGS recursion is handed must
+    have <s, y> > 0 all the same, and every direction searched must be a
+    descent direction."""
+    config = readme_solver_config("atomistic", max_iters=30)
+    f = sine_force(config.cfg, 0.1)
+    states, directions = [], []
+    evaluate, lbfgs = harness.evaluate_model, harness._lbfgs_direction
+
+    def recording_model(config, y, *args, **kwargs):
+        rep = evaluate(config, y, *args, **kwargs)
+        states.append((y.displacement.values, rep.gradient.values - f.values))
+        return rep
+
+    def recording_direction(g, pairs, precondition):
+        r = lbfgs(g, pairs, precondition)
+        directions.append((g.copy(), list(pairs), r))
+        return r
+
+    monkeypatch.setattr(harness, "evaluate_model", recording_model)
+    monkeypatch.setattr(harness, "_lbfgs_direction", recording_direction)
+    minimize(config, f)
+    # the iterates: the states a direction starts from, each once
+    starts = [g for i, (g, _, _) in enumerate(directions) if i == 0 or not np.array_equal(g, directions[i - 1][0])]
+    iterates = [next(s for s in states if np.array_equal(s[1], g)) for g in starts]
+    curvatures = [np.sum((b[0] - a[0]) * (b[1] - a[1])) for a, b in zip(iterates, iterates[1:])]
+    assert min(curvatures) <= 0.0
+    for g, pairs, r in directions:
+        assert all(np.sum(s * y) > 0.0 and rho > 0.0 for s, y, rho in pairs)
+        assert np.sum(g * -r) < 0.0

@@ -132,7 +132,7 @@ def test_interface_layer_is_degree_one():
     region is flagged degree-one, and no other tet is."""
     cfg = cfg8()
     part = part8(cfg)
-    mesh = build_high_order_mesh(cfg, part, 2)
+    mesh = build_high_order_mesh(part, 2)
     a, top = part.corner, part.top
 
     def on_gamma(p):
@@ -155,7 +155,7 @@ def test_free_node_count_matches_edge_midpoint_recount():
     degree-one layer (those are slaved for continuity)."""
     cfg = cfg8()
     part = part8(cfg)
-    mesh = build_high_order_mesh(cfg, part, 2)
+    mesh = build_high_order_mesh(part, 2)
     N = cfg.N
     a, top = part.corner, part.top
 
@@ -179,8 +179,8 @@ def test_free_node_count_matches_edge_midpoint_recount():
 def test_mesh_sizes_frozen():
     cfg = cfg8()
     part = part8(cfg)
-    m2 = build_high_order_mesh(cfg, part, 2)
-    m3 = build_high_order_mesh(cfg, part, 3)
+    m2 = build_high_order_mesh(part, 2)
+    m3 = build_high_order_mesh(part, 3)
     assert m2.n_elements == m3.n_elements == 6 * (8**3 - 4**3)
     assert m2.n_p1_elements == m3.n_p1_elements == 816
     assert m2.n_free_nodes == 1898
@@ -220,7 +220,7 @@ def test_atomistic_and_interface_terms_match_conforming(k):
     rng = np.random.default_rng(8)
     F = random_F(rng)
     y = make_deformation(F, LatticeField(cfg, 0.01 * rng.standard_normal(cfg.shape)))
-    nodes = 0.005 * rng.standard_normal((build_high_order_mesh(cfg, part, k).n_free_nodes, 3))
+    nodes = 0.005 * rng.standard_normal((build_high_order_mesh(part, k).n_free_nodes, 3))
     ref = coupled_energy_conforming(y, R, part)
     rep = high_order_energy(y, R, part, k=k, node_displacements=nodes)
     assert rep.breakdown["atomistic"] == ref.breakdown["atomistic"]
@@ -239,7 +239,7 @@ def test_unsupported_degree_rejected():
             high_order_energy(y, R, part, k=bad)
         if bad > 0:
             with pytest.raises(ValueError, match="degree"):
-                build_high_order_mesh(cfg, part, bad)
+                build_high_order_mesh(part, bad)
     assert SUPPORTED_DEGREES == (1, 2, 3)
 
 
@@ -297,7 +297,7 @@ def test_pk_domain_error_names_the_element_cell():
     R = InteractionSet([make_law((1, -1, 2), "anisotropic-toy")])
     y = make_deformation(np.eye(3), LatticeField.zeros(cfg))
     for k in (2, 3):
-        mesh = build_high_order_mesh(cfg, part, k)
+        mesh = build_high_order_mesh(part, k)
         nloc = len(simplex_multi_indices(k))
         cells_of: dict[int, set] = {}
         for op, cells in zip(mesh.elem_ops, mesh.elem_cells):
@@ -355,7 +355,7 @@ def test_gradient_matches_finite_differences_over_all_dofs():
     # h = 1e-5 sits just above the target; one decade smaller fixes that
     # while staying far from roundoff (energies are O(10))
     for (k, n_trials), h in (((2, 2), 1e-5), ((3, 1), 1e-6)):
-        mesh = build_high_order_mesh(cfg, part, k)
+        mesh = build_high_order_mesh(part, k)
         rng = np.random.default_rng(60 + k)
         F = random_F(rng)
         v0 = LatticeField(cfg, 0.01 * rng.standard_normal(cfg.shape)).zero_mean()
@@ -422,8 +422,8 @@ def test_block_and_mesh_caches_are_bounded():
     corners = [(a, b, c) for a in (1, 2, 3) for b in (1, 2, 3) for c in (1, 2, 3)]
     assert len(corners) > _BLOCK_CACHE_SIZE > _MESH_CACHE_SIZE
     for corner in corners[: _BLOCK_CACHE_SIZE + 1]:
-        _build_eta_block(cfg, RegionPartition(cfg, corner, (2, 2, 2)), (1, 1, 1))
+        _build_eta_block(RegionPartition(cfg, corner, (2, 2, 2)), (1, 1, 1))
     assert _build_eta_block.cache_info().currsize == _BLOCK_CACHE_SIZE
     for corner in corners[: _MESH_CACHE_SIZE + 1]:
-        build_high_order_mesh(cfg, RegionPartition(cfg, corner, (2, 2, 2)), 2)
+        build_high_order_mesh(RegionPartition(cfg, corner, (2, 2, 2)), 2)
     assert _build_mesh.cache_info().currsize == _MESH_CACHE_SIZE

@@ -48,7 +48,7 @@ def two_lanes(monkeypatch):
 
 def chunks_and_slabs(monkeypatch):
     """Two lanes, law chunks of 864 rows (an N=12 stencil batch of 1,728
-    rows is then two whole chunks, which would leave F eta alone in a third
+    rows is then two whole chunks, which leaves F eta alone in a third
     one-row call) and stencil slabs of two planes."""
     two_lanes(monkeypatch)
     monkeypatch.setattr(energies, "_LAW_CHUNK", 864)
@@ -79,7 +79,7 @@ def model_calls(N=12, **kw):
     part = RegionPartition(cfg, (N // 2 - 2,) * 3, (4, 4, 4))
     y = state(cfg, 1)
     y_plus = make_deformation(y.F, state(cfg, 2).displacement)
-    n_free = build_high_order_mesh(cfg, part, 2).n_free_nodes
+    n_free = build_high_order_mesh(part, 2).n_free_nodes
     nodes = 0.05 * cfg.epsilon * np.random.default_rng(3).standard_normal((n_free, 3))
     R = README_LAWS if N == 12 else N8_LAWS
     y0 = make_deformation(y.F, LatticeField.zeros(cfg))
@@ -127,6 +127,19 @@ def test_two_lanes_are_bitwise_one_lane(monkeypatch, model, setting):
     assert_same_report(ref, rep)
     if model == "homogeneous coupled":
         assert rep.excess == 0.0
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_f_eta_alone_in_the_last_chunk_keeps_every_bit(monkeypatch, model):
+    """With law chunks of 864 rows, every N=12 stencil batch (1,728 rows)
+    and group (10,368) ends in a chunk that holds only the F eta row: on one
+    lane, full and energy-only reports are bitwise the default chunk's."""
+    one_lane(monkeypatch)
+    calls = model_calls(), model_calls(gradient=False)
+    refs = [c[model]() for c in calls]
+    monkeypatch.setattr(energies, "_LAW_CHUNK", 864)
+    for ref, c in zip(refs, calls):
+        assert_same_report(ref, c[model]())
 
 
 @pytest.mark.parametrize("gradient", [True, False])
@@ -219,11 +232,12 @@ def test_energy_only_call_is_the_full_call_without_gradients(monkeypatch, model,
 
 def test_chunked_homogeneous_batch_has_zero_excess(monkeypatch):
     """At zeta = F eta every row's phi must equal phi(F eta) to the bit, or
-    the excess of y_F is not 0.0. A one-row call of the toy law can round
-    its matrix products differently from a many-row one (in about one of
-    fifteen of these F), so F eta must never be evaluated alone: here the
+    the excess of y_F is not 0.0. A one-row matrix product of the toy law
+    can round differently from a many-row one (in about one of fifteen of
+    these F), so the law evaluates a lone row as a two-row batch: here the
     1,728 rows of one bond batch fill two chunks of 864 exactly, and the
-    10,368 rows of a group of the six staircase templates twelve."""
+    10,368 rows of a group of the six staircase templates twelve, which
+    leaves F eta alone in the last chunk."""
     monkeypatch.setattr(energies, "_LAW_CHUNK", 864)
     law = make_law((1, -1, 2), "anisotropic-toy")
     N = (12, 12, 12)
@@ -472,7 +486,7 @@ def test_coupled_reports_count_cone_tets_and_jump_rows():
     calls = model_calls()
     cfg = LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0)
     part = RegionPartition(cfg, (4, 4, 4), (4, 4, 4))
-    blocks = {str(law.eta): _build_eta_block(cfg, part, law.eta) for law in README_LAWS}
+    blocks = {str(law.eta): _build_eta_block(part, law.eta) for law in README_LAWS}
     want = {
         "cone_tets": {"(1, 1, 1)": 1104, "(2, 1, 3)": 3288, "(1, -1, 2)": 1672},
         "jump_rows": {"(1, 1, 1)": 192, "(2, 1, 3)": 1152, "(1, -1, 2)": 384},
