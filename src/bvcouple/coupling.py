@@ -96,12 +96,15 @@ once per shape, at its first member. A cone tet is four vertices of
 lattice points; per shape, the points are flattened, the edge matrices
 inverted and the tets under fine interface triangles flagged once, and
 the cone operator gives each point of a vertex the coefficient
-1/(number of points). Every member's copy is its shape's points plus mu,
-in member-major row order. Vertex positions are means of 1, 4 or 8 integer
+1/(number of points). Vertex positions are means of 1, 4 or 8 integer
 points, so every copy's edge matrix has the bits of its shape's. The
-jump rows are the copies of the flagged tets, in the same order. The flat
-site indices of every operator come from one wrapped ravel of the
-collected site triples.
+shape tets' CSR rows are built once, at each shape's first member, with
+sorted columns and duplicate points summed. Every member's copy, in
+member-major row order, is its shape's rows with each column shifted by
+the flat offset of mu - mu_first: cone points lie in the closed atomistic
+box, strictly inside the torus, so the wrapped ravel is linear there, and
+a fixed shift keeps each row's column order and sums. The jump rows are
+the copies of the flagged tets, in the same order.
 """
 from __future__ import annotations
 
@@ -574,22 +577,31 @@ def _build_eta_block(part: RegionPartition, eta: IntTriple) -> _EtaBlock:
     volw = np.abs(np.linalg.det(A)) / 6.0 / n_eta
     m = np.einsum("r,trs->ts", np.asarray(eta, dtype=float), np.linalg.inv(A))
     weights = np.concatenate([-m.sum(axis=1, keepdims=True), m], axis=1).ravel()
-    pt_w = np.repeat(weights * (1.0 / n_pts), n_pts)
     n_tets = np.asarray(n_tets)
-    tet_shape = np.repeat(np.arange(len(first)), n_tets)
     tet_pts = n_pts.reshape(-1, 4).sum(axis=1)
     vert_pt = _starts(n_pts).reshape(-1, 4)     # first point of each vertex
-    pts -= np.repeat(mu_i[first][tet_shape], tet_pts, axis=0)
+    shape_op = _csr(np.repeat(np.arange(len(tet_pts)), tet_pts), _flat(pts, N),
+                    np.repeat(weights * (1.0 / n_pts), n_pts), (len(tet_pts), n_sites))
 
     # Every member's copy of its shape, member-major: cone tet t is shape
-    # tet tet[t] of member member[t], its points the shape points pt.
+    # tet tet[t] of member member[t], its row the shape row with every
+    # column shifted by the flat offset of mu - mu_first (see the module
+    # docstring).
     copies = n_tets[shape]
-    tet = _ranges(_starts(n_tets)[shape], copies)
+    tet0 = _starts(n_tets)                      # first tet of each shape
+    tet = _ranges(tet0[shape], copies)
     member = np.repeat(np.arange(len(shape)), copies)
-    n_pt = tet_pts[tet]
-    pt = _ranges(vert_pt[tet, 0], n_pt)
-    cone_op = _csr(np.repeat(np.arange(len(tet)), n_pt), _flat(pts[pt] + np.repeat(mu_i[member], n_pt, axis=0), N),
-                   pt_w[pt], (len(tet), n_sites))
+    mu_d = mu_i - mu_i[first][shape]
+    row_nnz = np.diff(shape_op.indptr)
+    shape_nnz = np.add.reduceat(row_nnz, tet0)[shape]
+    entry = _ranges(shape_op.indptr[tet0][shape], shape_nnz)
+    shift = np.repeat(mu_d @ np.array([N[1] * N[2], N[2], 1]), shape_nnz)
+    idx = shape_op.indices.dtype
+    cone_op = sparse.csr_array(
+        (shape_op.data[entry], (shape_op.indices[entry] + shift).astype(idx),
+         np.concatenate([[0], np.cumsum(row_nnz[tet])]).astype(idx)),
+        shape=(len(tet), n_sites),
+    )
 
     # --- the jump rows: the copies of the flagged shape tets ------------
     # A fine triangle's three lattice sites are its tet's last three
@@ -599,7 +611,7 @@ def _build_eta_block(part: RegionPartition, eta: IntTriple) -> _EtaBlock:
     fine = np.asarray(fine, dtype=np.int64)
     rows = np.flatnonzero(fine[tet, 0] >= 0)
     g_axis, g_sign, g_perm = fine[tet[rows]].T
-    tri_sites = pts[vert_pt[tet[rows], 1:]] + mu_i[member[rows], None]
+    tri_sites = pts[vert_pt[tet[rows], 1:]] + mu_d[member[rows], None]
     cell = tri_sites[:, 0] - (g_sign < 0)[:, None] * np.eye(3, dtype=np.int64)[g_axis]
     assert omega_star_mask(part)[tuple(np.mod(cell, N).T)].all(), \
         "outer interface cell must be continuum"

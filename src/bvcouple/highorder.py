@@ -52,7 +52,6 @@ from functools import cache, cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .coupling import RegionPartition, _coupled, _csr, _get_blocks, omega_star_mask
 from .energies import EnergyReport, _Gather, _weights, _Weights
@@ -83,8 +82,11 @@ def conical_quadrature(n: int):
 
     The Duffy substitution u = x, v = y(1-x), w = z(1-x)(1-y) has Jacobian
     (1-x)^2 (1-y); Gauss-Jacobi rules with weights (1-x)^2 and (1-y) absorb
-    it exactly.
+    it exactly. ``scipy.special`` is imported here, at the first rule a
+    high-order model builds, so importing the package does not load it.
     """
+    from scipy.special import roots_jacobi, roots_legendre
+
     xj, wx = roots_jacobi(n, 2.0, 0.0)
     yj, wy = roots_jacobi(n, 1.0, 0.0)
     zj, wz = roots_legendre(n)

@@ -420,16 +420,17 @@ def oracle_placements(N: int) -> tuple[tuple[IntTriple, IntTriple], ...]:
     return (((c, c, c), (c, c, c)), ((c - 1, c + 1, c), (c + 1, c - 1, c)))
 
 
-def oracle_block_mismatches(N: int, etas, policies=DEGENERATE_POLICIES) -> list[tuple]:
+def oracle_block_mismatches(N: int, etas, policies=DEGENERATE_POLICIES, placements=None) -> list[tuple]:
     """(corner, policy, eta, field) of every block field in which
     ``coupling._build_eta_block`` differs from ``per_member_eta_block`` on
-    the cube of side N, at each of ``oracle_placements(N)`` and each policy
-    (under "reject", the directions without a zero component). Each
-    policy's blocks are built afresh, through ``coupling._get_blocks``."""
+    the cube of side N, at each (corner, extents) of ``placements``
+    (default ``oracle_placements(N)``) and each policy (under "reject", the
+    directions without a zero component). Each policy's blocks are built
+    afresh, through ``coupling._get_blocks``."""
     cfg = LatticeConfig(N=(N,) * 3, epsilon=1.0 / N)
     y = make_deformation(np.eye(3), LatticeField.zeros(cfg))
     bad = []
-    for corner, ext in oracle_placements(N):
+    for corner, ext in placements or oracle_placements(N):
         part = RegionPartition(cfg, corner, ext)
         refs = {tuple(eta): per_member_eta_block(cfg, part, tuple(eta)) for eta in etas}
         for policy in policies:

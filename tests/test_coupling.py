@@ -790,6 +790,29 @@ def test_blocks_equal_the_per_member_builder_byte_for_byte(N):
     assert oracle_block_mismatches(N, BLOCK_ETAS) == []
 
 
+def test_blocks_at_the_clearance_margin_equal_the_per_member_builder():
+    """Member copies are their shape's CSR rows with the columns shifted by
+    a flat offset, which holds because the wrapped ravel is linear on the
+    closed atomistic box. On a region whose faces sit at the clearance
+    margin of every direction here (corner 3, extents 6 at N=12), the
+    blocks still have every byte of the per-member builder's under both
+    policies, and every CSR a block builds reports canonical format
+    (sorted columns, no duplicates), as the COO-built ones do."""
+    from bvcouple.coupling import _build_eta_block
+
+    margin = required_clearance(BLOCK_ETAS)
+    corner, ext = (margin,) * 3, (12 - 2 * margin,) * 3
+    assert (corner, ext) == ((3, 3, 3), (6, 6, 6))
+    assert oracle_block_mismatches(12, BLOCK_ETAS, placements=((corner, ext),)) == []
+    part = RegionPartition(cfg12(), corner, ext)
+    for eta in BLOCK_ETAS:
+        block = _build_eta_block(part, eta)
+        for name, op in (("atom_op", block.atom_op.G), ("cone_op", block.cone_op.G),
+                         ("minus_op", block.jump.minus_op), ("plus_op", block.jump.plus_op),
+                         ("trace_op", block.jump.trace_op)):
+            assert op.has_canonical_format, (eta, name)
+
+
 @pytest.mark.parametrize("N", [24, 36])
 def test_cones_are_built_once_per_shape(monkeypatch, N):
     """Up to translation, the README directions' interface members take

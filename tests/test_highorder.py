@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bvcouple import highorder
 from bvcouple.coupling import RegionPartition, coupled_energy_conforming, omega_star_mask
 from bvcouple.geometry import PATH_PERMS, path_corner_offsets
 from bvcouple.highorder import (
@@ -82,6 +87,18 @@ def test_quadrature_points_inside_reference_tet():
         pts, _ = conical_quadrature(n)
         assert np.all(pts > 0)
         assert np.all(pts.sum(axis=1) < 1)
+
+
+def test_importing_the_cli_does_not_load_scipy_special():
+    """``conical_quadrature`` imports scipy.special when a high-order model
+    first builds its rule: a fresh interpreter that imports bvcouple.cli
+    has not loaded it, and has once a rule is built."""
+    src = str(Path(highorder.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, bvcouple.cli; before = 'scipy.special' in sys.modules; "
+            "bvcouple.highorder.conical_quadrature(2); print(before, 'scipy.special' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False", "True"]
 
 
 def test_simplex_multi_indices_count_and_sums():
