@@ -58,7 +58,8 @@ one piece, so the bits are those of one piece. Every group of small
 batches, every gather and every batch of at most one slab is one piece. A
 law that rejects a piece's rows raises the error of the batch's first
 failing row, as in one piece; the kernel then forms the batch's whole zeta
-once to name its shortest bond.
+once to name its shortest bond. A batch of several pieces that runs alone
+on two lanes deals its pieces to both (see below).
 
 Masks are zero weights; a zero-weight row is evaluated at the homogeneous
 bond F eta, so a bond a mask drops can neither raise nor contribute. A
@@ -121,13 +122,24 @@ result is bitwise the same on one lane or two, grouped or not, and
 deterministic. A pair runs serially unless one of its units has a batch
 of at least ``_MIN_LANE_ROWS`` rows, so a group always runs on one lane;
 below that size the thread hand-off costs more than the work it overlaps.
-A lone batch keeps phi and phi' alive for all its rows, but zeta for one
-piece only, the law's temporaries chunk-sized and a stencil's slab-sized;
-a group keeps them for all its rows, fewer than six times _MIN_LANE_ROWS
-per law on the models here, and forms each batch's gradient contribution
-only when the caller reads it. An energy-only call drops phi' too. The
-helper lane calls no public bvcouple function, so tracers that wrap those
-see only the calling thread.
+A unit that runs alone, a term's odd unit or its only one, leaves the
+helper idle, unless it is one stencil batch of several pieces: then the
+caller runs pieces 0, 2, ... and the helper pieces 1, 3, ..., each lane
+with its own piece-sized zeta buffer writing disjoint rows of phi and
+phi', and op^T is applied in two halves of the axis-0 planes, one per
+lane. The excess, the finiteness check, the weight scaling and the adds
+stay on the caller, over the full arrays, so the bits are again those of
+one lane; a domain error re-runs the pieces in order on the caller, which
+raises the first failing piece's error. On the lattices of more than
+``_SLAB_ROWS`` sites (N = 64 and 128 in the consistency sweep) this puts
+a lone law, or the third of three, of the atomistic and acb-cell models
+on both lanes. A lone batch keeps phi and phi' alive for all its rows,
+but zeta for one piece per lane only, the law's temporaries chunk-sized
+and a stencil's slab-sized; a group keeps them for all its rows, fewer
+than six times _MIN_LANE_ROWS per law on the models here, and forms each
+batch's gradient contribution only when the caller reads it. An
+energy-only call drops phi' too. The helper lane calls no public bvcouple
+function, so tracers that wrap those see only the calling thread.
 """
 from __future__ import annotations
 
@@ -169,7 +181,7 @@ class EnergyReport:
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
-def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True):
+def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True, helper=None):
     """Quadrature-bond energies of a group of (op, w) pairs of one law, the
     batches of a term that ``_groups`` runs together. Yields, pair by pair
     in order, the pair's energy eps^3 sum_q w_q phi(zeta_q) at the bond
@@ -195,6 +207,19 @@ def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True):
     gradient contribution is formed, the group's phi and phi' are alive,
     besides the operators' own buffers.
 
+    ``helper``, the helper lane's executor, is given for a unit that runs
+    alone (``_in_order``). A stencil batch of several pieces then deals
+    them to two lanes, pieces 0, 2, ... to the caller and 1, 3, ... to the
+    helper, each lane with its own piece-sized zeta buffer, writing disjoint
+    rows of the full-length arrays; and op^T is applied in two halves of the
+    axis-0 planes, the lower by the caller, the upper by the helper. Every
+    row gets the operations of one lane, the excess, the finiteness check
+    and the weight scaling stay on the caller over the full arrays, and the
+    caller waits for the helper before it reads them, so the bits are those
+    of one lane. After a domain error on either lane the pieces re-run in
+    order on the caller, which raises the first failing piece's error, as
+    on one lane.
+
     Without ``gradient`` the group is energy-only: the law is evaluated at
     order 0, and every gradient contribution is None. The energy and excess
     are the same bits, since phi does not depend on the order asked for;
@@ -206,21 +231,27 @@ def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True):
     n = int(ends[-1])
     order = 1 if gradient else 0
     pieces = _pieces(pairs, n)
+    two = helper is not None and len(pieces) > 1
     # the law writes each piece into these; a lone piece keeps the law's own arrays
     out = [np.empty(n + 1), np.empty((n + 1, 3))][: order + 1] if len(pieces) > 1 else None
-    zeta = np.empty((max(hi - lo for lo, hi, _ in pieces) + 1, 3))
-    try:
-        for lo, hi, planes in pieces:
+
+    def run(share):
+        """Evaluates the pieces ``share`` in order, in one zeta buffer."""
+        zeta = np.empty((max(hi - lo for lo, hi, _ in share) + 1, 3))
+        for lo, hi, planes in share:
             z = _bond_rows(pairs, starts, x, eps, base, lo, hi, planes, zeta[: hi - lo + (hi == n)])
             got = _evaluate(law, z, order, out and [a[lo:lo + len(z)] for a in out])
+        return got
+
+    try:
+        # after a domain error on either lane the pieces re-run in order
+        got = out if two and _dealt(helper, run, pieces) else run(pieces)
     except PotentialDomainError as exc:
-        if len(pairs) == 1:
-            if len(pieces) > 1:  # the shortest bond of the whole batch
-                z = _bond_rows(pairs, starts, x, eps, base, 0, n, None, np.empty((n, 3)))
-            raise _site_error(exc, pairs[0][0].site(int(np.argmin(np.linalg.norm(z[:n], axis=-1)))),
+        if len(pairs) == 1:  # the shortest bond of the whole batch
+            z = _bond_rows(pairs, starts, x, eps, base, 0, n, None, np.empty((n, 3)))
+            raise _site_error(exc, pairs[0][0].site(int(np.argmin(np.linalg.norm(z, axis=-1)))),
                               law.eta) from exc
         got = None
-    del zeta, z
     if got is None:  # the error of the first failing pair, as if ungrouped
         for pair in pairs:
             yield from _bond_group([pair], law, F, x, eps, gradient)
@@ -254,7 +285,43 @@ def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True):
                 p[:, i] *= w
         else:
             p *= w / eps
-        yield excess + share, excess, op.T @ p
+        yield excess + share, excess, _halves_transposed(helper, op, p) if two else op.T @ p
+
+
+def _on_two_lanes(helper, mine, theirs) -> None:
+    """Calls ``theirs`` on the helper lane while the caller calls ``mine``,
+    and returns once both are done, so no helper work outlives the call.
+    Raises the caller's error, else the helper's."""
+    ahead = helper.submit(theirs)
+    try:
+        mine()
+    finally:
+        ahead.exception()  # waits
+    ahead.result()
+
+
+def _dealt(helper, run, pieces) -> bool:
+    """Runs pieces 0, 2, ... on the caller and 1, 3, ... on the helper lane;
+    False if a piece raised a domain error, which the caller then finds by
+    running the pieces in order."""
+    try:
+        _on_two_lanes(helper, lambda: run(pieces[::2]), lambda: run(pieces[1::2]))
+    except PotentialDomainError:
+        return False
+    return True
+
+
+def _halves_transposed(helper, op, p) -> np.ndarray:
+    """op^T p for a stencil: the caller applies the lower half of the
+    axis-0 planes, the helper lane the upper, into one array. A stencil
+    row's bits do not depend on the plane range, so these are the bits of
+    ``op.T @ p``."""
+    T, n0 = op.T, op.N[0]
+    mid = n0 // 2
+    g = np.empty((op.rows, 3))
+    cut = mid * (op.rows // n0)
+    _on_two_lanes(helper, lambda: T.apply(p, g[:cut], 0, mid), lambda: T.apply(p, g[cut:], mid, n0))
+    return g
 
 
 def _pieces(pairs, n: int) -> list:
@@ -390,14 +457,23 @@ def _in_order(fn, units):
     second, each in full, and waits for the helper before it yields, so no
     helper work outlives the caller's and a domain error is the one of the
     first failing batch, as on one lane. Else the caller computes each unit
-    as its turn comes, its results as they are read."""
+    as its turn comes, its results as they are read. A unit that runs
+    alone, the odd unit of a term or its only one, is computed as
+    fn(*unit, helper): ``helper`` is the helper lane's executor when the
+    process has two lanes and the unit is one stencil batch of several
+    pieces (``_pieces``), which ``_bond_group`` then deals to both lanes,
+    else None."""
     units = iter(units)
     for first in units:
         second = next(units, None)
-        if second is None or _LANES < 2 or max(op.rows for u in (first, second) for op, _ in u[0]) < _MIN_LANE_ROWS:
+        if second is None:
+            pairs = first[0]
+            split = _LANES > 1 and len(pairs) == 1 and len(_pieces(pairs, pairs[0][0].rows)) > 1
+            yield first, fn(*first, _helper() if split else None), 1 + split
+            continue
+        if _LANES < 2 or max(op.rows for u in (first, second) for op, _ in u[0]) < _MIN_LANE_ROWS:
             yield first, fn(*first), 1
-            if second is not None:
-                yield second, fn(*second), 1
+            yield second, fn(*second), 1
             continue
         ahead = _helper().submit(lambda unit=second: list(fn(*unit)))
         try:
@@ -619,8 +695,8 @@ def _term(name: str, batches, F, x, eps, g_outs) -> _Term:
     out = _Term(name)
     gradient = bool(g_outs)
 
-    def unit(pairs, law, key):
-        return _bond_group(pairs, law, F, x, eps, gradient)
+    def unit(pairs, law, key, helper=None):
+        return _bond_group(pairs, law, F, x, eps, gradient, helper)
 
     for (_, _, key), results, lanes in _in_order(unit, _groups(batches)):
         out.lanes = max(out.lanes, lanes)

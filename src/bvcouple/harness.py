@@ -544,12 +544,21 @@ def _sine_field(profile: Callable[[np.ndarray], np.ndarray], cfg: LatticeConfig)
     return LatticeField(cfg, vals)
 
 
+def _sweep_state(F, profile: Callable[[np.ndarray], np.ndarray], cfg: LatticeConfig) -> Deformation:
+    """``make_deformation(F, _sine_field(profile, cfg))``, to the bit, with
+    one full-size field alive: the mean is subtracted in place from the
+    field just built, not into a new one."""
+    v = _sine_field(profile, cfg)
+    v.values -= v.mean()
+    return Deformation(F=deformation_gradient(F), displacement=v)
+
+
 def consistency_sweep(config: RunConfig) -> SweepResult:
     """Atomistic vs Cauchy-Born energy gap per volume for the smooth
     periodic displacement amplitude * sin(2 pi x / L), sampled on the
     lattices of spacings ``sweep.epsilons`` spanning a torus of period
     L = ``sweep.period`` (N = L/eps cells per axis) one axis at a time
-    (``_sine_field``).
+    (``_sine_field``, its mean removed in place by ``_sweep_state``).
 
     The comparison model follows the config when it is an uncoupled
     Cauchy-Born variant and defaults to the cell-averaged one. Both models
@@ -567,7 +576,7 @@ def consistency_sweep(config: RunConfig) -> SweepResult:
     for eps in config.sweep["epsilons"]:
         n = _sweep_cells(period, eps)
         cfg = LatticeConfig(N=(n, n, n), epsilon=eps)
-        y = make_deformation(config.F, _sine_field(displacement, cfg))
+        y = _sweep_state(config.F, displacement, cfg)
         exact = atomistic_energy(y, config.laws, gradient=False)
         cb = acb(y, config.laws, gradient=False)
         vol = cfg.volume

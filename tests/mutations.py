@@ -79,6 +79,16 @@ MUTATIONS = [
      "(shape_op.indices[entry] + shift).astype(idx)",
      "shape_op.indices[entry].astype(idx)",
      "tests/test_coupling.py::test_blocks_equal_the_per_member_builder_byte_for_byte"),
+    # a lone stencil batch split over two lanes: the helper lane's pieces skipped
+    ("energies.py",
+     "lambda: run(pieces[1::2])",
+     "lambda: None",
+     "tests/test_lanes.py::test_lone_batch_split_over_two_lanes_is_bitwise_one_lane"),
+    # the helper lane's half of a split transposed apply shifted by one plane
+    ("energies.py",
+     "lambda: T.apply(p, g[cut:], mid, n0)",
+     "lambda: T.apply(p, g[cut:], mid - 1, n0 - 1)",
+     "tests/test_lanes.py::test_lone_batch_split_over_two_lanes_is_bitwise_one_lane"),
     # the sweep's homogeneous-share check removed
     ("harness.py",
      '        if r["share_ulps"] > _SHARE_ULPS:',

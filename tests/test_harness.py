@@ -265,8 +265,9 @@ def test_gradient_check_probes_evaluate_phi_only(monkeypatch, model):
 def test_consistency_sweep_evaluates_phi_only(monkeypatch, model):
     """The sweep reads each model's energy and excess only: every law
     evaluation is of order 0, and no transposed operator is applied (the
-    kernel applies a stencil forward through ``apply``, and its transpose
-    through ``@``)."""
+    kernel applies a stencil forward through ``apply``, and, at these
+    sizes, where no batch is split over two lanes, its transpose through
+    ``@``)."""
     orders = record_law_orders(monkeypatch)
     matmuls = []
     matmul = energies._Stencil.__matmul__
@@ -515,6 +516,25 @@ def test_minimize_stops_when_an_accepted_step_changes_nothing():
     assert report.diagnostics["stop_reason"] == "line-search"
     assert report.diagnostics["evaluations"] <= 20
     assert trace[1]["gnorm"] < 1e-15
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_sweep_state_is_the_deformation_of_the_sine_field(n):
+    """The sweep removes the mean in place from the one field it builds:
+    its state has the bits of ``make_deformation`` of ``_sine_field``, at
+    the README's sweep and a sheared F."""
+    amplitude, period = 0.05, 4.0
+
+    def displacement(x):
+        return amplitude * np.sin(2.0 * np.pi * x / period)
+
+    cfg = LatticeConfig(N=(n, n, n), epsilon=period / n)
+    F = np.array([[1.02, 0.01, 0.0], [0.0, 0.99, 0.03], [0.0, 0.0, 1.01]])
+    y = harness._sweep_state(F, displacement, cfg)
+    want = make_deformation(F, harness._sine_field(displacement, cfg))
+    assert y.cfg == cfg
+    assert y.F.tobytes() == want.F.tobytes() and not y.F.flags.writeable
+    assert y.displacement.values.tobytes() == want.displacement.values.tobytes()
 
 
 def test_sweep_gap_keeps_its_digits_at_small_amplitude():

@@ -1,6 +1,7 @@
 """Two lanes, one result: a term's bond batches run in pairs on the calling
-thread and one helper thread, and are reduced in batch order, so every
-report is bitwise the report of one lane. The lane count, the row threshold,
+thread and one helper thread, a lone stencil batch of several pieces deals
+its pieces and its transposed halves to both, and the results are reduced
+in batch order, so every report is bitwise the report of one lane. The lane count, the row threshold,
 the law chunk and the stencil slab are private constants of ``energies``;
 these tests set them directly."""
 from __future__ import annotations
@@ -426,12 +427,95 @@ def test_domain_error_of_a_late_piece_is_the_one_piece_error(monkeypatch, bonds,
         assert "bond length 5" in errors[0][1], errors[0][1]
 
 
+def stencil_spy(monkeypatch) -> list:
+    """Records every stencil apply as (on the helper lane, terms, lo, hi)."""
+    seen = []
+    apply = energies._Stencil.apply
+
+    def recording(self, x, out, lo=0, hi=None):
+        seen.append((threading.current_thread() is not threading.main_thread(), self.terms, lo, hi))
+        return apply(self, x, out, lo, hi)
+
+    monkeypatch.setattr(energies._Stencil, "apply", recording)
+    return seen
+
+
+@pytest.mark.parametrize("slab_rows", [
+    300,  # two-plane slabs: six pieces, the last (with F eta) on the helper lane
+    720,  # five-plane slabs: three pieces, the last on the caller
+])
+@pytest.mark.parametrize("gradient", [True, False])
+@pytest.mark.parametrize("n_laws", [1, 3])
+@pytest.mark.parametrize("model, stencil", [(atomistic_energy, energies._bond_stencil),
+                                            (acb_cell_energy, energies._cell_stencil)])
+def test_lone_batch_split_over_two_lanes_is_bitwise_one_lane(monkeypatch, model, stencil, n_laws, gradient,
+                                                            slab_rows):
+    """At N=12 under the default row threshold the batches of a pair run
+    serially, and a term's lone unit (the last of three laws, or the only
+    law) is one stencil batch in pieces of ``slab_rows`` rows. On two lanes
+    it deals pieces 1, 3, ... to the helper lane and applies its transpose
+    in two halves of six planes, the upper on the helper. The report, full
+    and energy-only, is bitwise the one-lane report, and the helper ran
+    exactly those pieces and that half."""
+    cfg = LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0)
+    y = state(cfg, 5)
+    laws = list(README_LAWS)[-n_laws:]
+    R = InteractionSet(laws)
+    monkeypatch.setattr(energies, "_SLAB_ROWS", slab_rows)
+    one_lane(monkeypatch)
+    ref = model(y, R, gradient=gradient)
+    assert ref.diagnostics["lanes"] == 1
+    monkeypatch.setattr(energies, "_LANES", 2)
+    seen = stencil_spy(monkeypatch)
+    rep = model(y, R, gradient=gradient)
+    assert rep.diagnostics["lanes"] == 2
+    assert_same_report(ref, rep)
+
+    op = stencil(laws[-1].eta, cfg.N)
+    pieces = energies._pieces([(op, 1.0)], op.rows)
+    assert len(pieces) == {300: 6, 720: 3}[slab_rows]
+    helper = [(terms, lo, hi) for on_helper, terms, lo, hi in seen if on_helper]
+    want = [(op.terms, *planes) for _, _, planes in pieces[1::2]]
+    if gradient:
+        want.append((op.T.terms, 6, 12))
+        assert (False, op.T.terms, 0, 6) in seen
+    assert helper == want
+
+
+@pytest.mark.parametrize("gradient", [True, False])
+def test_domain_error_of_a_split_batch_is_the_one_lane_error(monkeypatch, gradient):
+    """eta = (1, 0, 0) alone at N=12 in two-plane pieces, dealt to two
+    lanes: a radial bond of length 5e-13 at (2, 3, 4), in piece 1 (the
+    helper's), and a collapsed one at (5, 3, 4), in piece 2 (the caller's).
+    Both lanes raise; the error is one lane's: piece 1's message, with its
+    bond length, and the site and eta of the batch's shortest bond."""
+    cfg = LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0)
+    law = make_law((1, 0, 0), "lennard-jones-radial")
+    vals = np.zeros(cfg.shape)
+    for site, length in (((2, 3, 4), 5e-13), ((5, 3, 4), 0.0)):
+        vals[(site[0] + 1, *site[1:])] = -(1.0 - length) * cfg.epsilon * law.eta_vec
+    y = make_deformation(np.eye(3), LatticeField(cfg, vals))
+    monkeypatch.setattr(energies, "_SLAB_ROWS", 300)
+    pieces = energies._pieces([(energies._bond_stencil(law.eta, cfg.N), 1.0)], 12**3)
+    assert [planes for _, _, planes in pieces[1:3]] == [(2, 4), (4, 6)]
+    errors = []
+    for lanes in (1, 2):
+        monkeypatch.setattr(energies, "_LANES", lanes)
+        with pytest.raises(PotentialDomainError) as err:
+            atomistic_energy(y, InteractionSet([law]), gradient=gradient)
+        errors.append((type(err.value), str(err.value), err.value.site, err.value.eta))
+    assert errors[0][2:] == ((5, 3, 4), (1, 0, 0))
+    assert "bond length 5" in errors[0][1], errors[0][1]
+    assert errors[1] == errors[0]
+
+
 def test_helper_lane_calls_no_public_function(monkeypatch):
     """Tracers wrap the public functions of bvcouple and the law's
     per-derivative views on one span stack; a call from the helper lane
     would land on the caller's stack. Records every bvcouple function
-    called on a fresh helper thread."""
-    two_lanes(monkeypatch)
+    called on a fresh helper thread, running whole units (``two_lanes``),
+    and the pieces and transposed halves of lone stencil batches too
+    (``chunks_and_slabs``)."""
     monkeypatch.setattr(energies, "_helper_pool", None)  # a fresh thread picks up the profiler
     called = set()
 
@@ -447,8 +531,10 @@ def test_helper_lane_calls_no_public_function(monkeypatch):
 
     threading.setprofile(profile)
     try:
-        for name, evaluate in model_calls().items():
-            assert evaluate().diagnostics["lanes"] == 2, name
+        for setting in (two_lanes, chunks_and_slabs):
+            setting(monkeypatch)
+            for name, evaluate in model_calls().items():
+                assert evaluate().diagnostics["lanes"] == 2, name
     finally:
         threading.setprofile(None)
     assert not called

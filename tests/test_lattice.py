@@ -164,6 +164,19 @@ def test_make_deformation_mean_removal():
     assert np.allclose(y.displacement.values, 0.0, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("N", [(2, 2, 2), (3, 5, 7), (12, 12, 12), (16, 9, 11), (64, 64, 64)])
+def test_mean_has_the_bits_of_numpys_axis_0_mean(N):
+    """``mean`` adds each column as a running sum; these are the bits of
+    numpy's mean along the sites, which adds the rows in site order, for
+    values of mixed magnitude and sign."""
+    rng = np.random.default_rng(sum(N))
+    cfg = LatticeConfig(N=N, epsilon=1.0 / N[0])
+    vals = rng.standard_normal(cfg.shape) * 10.0 ** rng.uniform(-3, 3, cfg.shape) + (1.0, -2.0, 3.0)
+    mean = LatticeField(cfg, vals).mean()
+    assert mean.shape == (3,)
+    assert mean.tobytes() == vals.reshape(-1, 3).mean(axis=0).tobytes()
+
+
 def test_make_deformation_rejects_singular():
     cfg = small_cfg()
     F = np.eye(3)
