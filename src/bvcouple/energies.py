@@ -59,7 +59,7 @@ batches, every gather and every batch of at most one slab is one piece. A
 law that rejects a piece's rows raises the error of the batch's first
 failing row, as in one piece; the kernel then forms the batch's whole zeta
 once to name its shortest bond. A batch of several pieces that runs alone
-on two lanes deals its pieces to both (see below).
+on two lanes is split: its pieces are dealt to both (see below).
 
 Masks are zero weights; a zero-weight row is evaluated at the homogeneous
 bond F eta, so a bond a mask drops can neither raise nor contribute. A
@@ -109,37 +109,46 @@ unit of its own. Up to N=20 this groups each law's six staircase templates
 (acb-tetra, the continuum of the coupled, two-sided and naive models, the
 P1 layer of the high-order model). Every report counts its terms' law
 evaluations (``law_calls``): one per unit, whatever its pieces and chunks.
-A law that rejects a group's rows (a radial bond below its minimum) re-runs
-the group one batch at a time, so the error raised is the first failing
-batch's, as ungrouped.
 
-Units run in pairs on up to two lanes, the calling thread and one helper
-thread, as the process's CPU affinity allows (``_in_order``). Each unit is
-a pure function of the state, giving each batch's energy, excess and
-gradient contribution; the caller adds these to the term's sums and
-gradients in batch order, exactly the order of a single lane, so every
+Each unit is one plain ``_bond_group`` call, a pure function of the state
+that returns each batch's energy, excess and gradient contribution as a
+list; ``_term`` walks the units in pairs and adds these to the term's sums
+and gradients in batch order, exactly the order of a single lane, so every
 result is bitwise the same on one lane or two, grouped or not, and
-deterministic. A pair runs serially unless one of its units has a batch
-of at least ``_MIN_LANE_ROWS`` rows, so a group always runs on one lane;
-below that size the thread hand-off costs more than the work it overlaps.
-A unit that runs alone, a term's odd unit or its only one, leaves the
-helper idle, unless it is one stencil batch of several pieces: then the
-caller runs pieces 0, 2, ... and the helper pieces 1, 3, ..., each lane
-with its own piece-sized zeta buffer writing disjoint rows of phi and
+deterministic. The lanes are the calling thread and one helper thread, as
+the process's CPU affinity allows, and every two-lane step goes through
+one hand-off, ``_on_two_lanes``, which returns once both lanes are done.
+A pair runs on two lanes, the caller computing the first unit and the
+helper the second, when one of its units has a batch of at least
+``_MIN_LANE_ROWS`` rows, which a group never has; below that size the
+thread hand-off costs more than the work it overlaps, and the caller
+computes and adds the pair's units one at a time. A unit that runs alone,
+a term's odd unit or its only one, leaves the helper idle, unless it is
+one stencil batch of several pieces: then ``_term`` hands it the helper,
+the caller runs pieces 0, 2, ... and the helper pieces 1, 3, ..., each
+lane with its own piece-sized zeta buffer writing disjoint rows of phi and
 phi', and op^T is applied in two halves of the axis-0 planes, one per
 lane. The excess, the finiteness check, the weight scaling and the adds
 stay on the caller, over the full arrays, so the bits are again those of
-one lane; a domain error re-runs the pieces in order on the caller, which
-raises the first failing piece's error. On the lattices of more than
-``_SLAB_ROWS`` sites (N = 64 and 128 in the consistency sweep) this puts
-a lone law, or the third of three, of the atomistic and acb-cell models
-on both lanes. A lone batch keeps phi and phi' alive for all its rows,
-but zeta for one piece per lane only, the law's temporaries chunk-sized
-and a stencil's slab-sized; a group keeps them for all its rows, fewer
-than six times _MIN_LANE_ROWS per law on the models here, and forms each
-batch's gradient contribution only when the caller reads it. An
-energy-only call drops phi' too. The helper lane calls no public bvcouple
-function, so tracers that wrap those see only the calling thread.
+one lane. On the lattices of more than ``_SLAB_ROWS`` sites (N = 64 and
+128 in the consistency sweep) this puts a lone law, or the third of three,
+of the atomistic and acb-cell models on both lanes.
+
+Domain errors follow one rule: a unit that raises re-runs its batches one
+at a time on one lane, so a group and a split batch both raise the error
+of their first failing batch, and only a lone one-lane batch forms its
+whole zeta to name its shortest bond. A pair on two lanes raises the
+caller's error, else the helper's: the first failing unit's, as on one
+lane.
+
+A lone batch keeps phi and phi' alive for all its rows, but zeta for one
+piece per lane only, the law's temporaries chunk-sized and a stencil's
+slab-sized; a group keeps them for all its rows, fewer than six times
+_MIN_LANE_ROWS per law on the models here, and returns every batch's
+gradient contribution (one array the size of the operator's columns per
+batch) at once. An energy-only call drops phi' and the contributions too.
+The helper lane calls no public bvcouple function, so tracers that wrap
+those see only the calling thread.
 """
 from __future__ import annotations
 
@@ -181,15 +190,15 @@ class EnergyReport:
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
-def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True, helper=None):
+def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True, helper=None) -> list:
     """Quadrature-bond energies of a group of (op, w) pairs of one law, the
-    batches of a term that ``_groups`` runs together. Yields, pair by pair
+    batches of a term that ``_groups`` runs together. Returns, pair by pair
     in order, the pair's energy eps^3 sum_q w_q phi(zeta_q) at the bond
     vectors zeta = F eta + (op @ x) / eps, summed as its excess over the
     homogeneous bond, eps^3 sum_q w_q (phi(zeta_q) - phi(F eta)), plus its
     homogeneous share eps^3 phi(F eta) sum_q w_q; the excess; and, if
     ``gradient``, the gradient contribution, scaled like the lattice inner
-    product, op^T (w phi'(zeta) / eps), made only when the pair's turn comes.
+    product, op^T (w phi'(zeta) / eps).
 
     The group's rows run through the law in pieces (``_pieces``): per piece,
     its zeta rows are formed into one reused buffer and evaluated at once,
@@ -198,27 +207,26 @@ def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True, he
     wherever zeta = F eta. The law acts row by row, so the bits do not
     depend on the pieces, and each pair's results are the bits of a group
     of that pair alone. ``w`` is a scalar or a ``_Weights`` with one weight
-    per row; its zero-weight rows are evaluated at F eta. A domain error
-    names the lattice site ``op.site(row)`` of the shortest bond, or of the
-    first bond whose phi or phi' is not finite, of the first failing pair: a
-    law that rejects a group's rows re-runs its pairs one at a time to find
-    it, and a pair that ran in several pieces forms its whole zeta once to
-    find its shortest bond. Pure: the caller adds the results. While a
-    gradient contribution is formed, the group's phi and phi' are alive,
-    besides the operators' own buffers.
+    per row; its zero-weight rows are evaluated at F eta. Pure: the caller
+    adds the results.
 
-    ``helper``, the helper lane's executor, is given for a unit that runs
-    alone (``_in_order``). A stencil batch of several pieces then deals
-    them to two lanes, pieces 0, 2, ... to the caller and 1, 3, ... to the
-    helper, each lane with its own piece-sized zeta buffer, writing disjoint
-    rows of the full-length arrays; and op^T is applied in two halves of the
-    axis-0 planes, the lower by the caller, the upper by the helper. Every
-    row gets the operations of one lane, the excess, the finiteness check
-    and the weight scaling stay on the caller over the full arrays, and the
-    caller waits for the helper before it reads them, so the bits are those
-    of one lane. After a domain error on either lane the pieces re-run in
-    order on the caller, which raises the first failing piece's error, as
-    on one lane.
+    ``helper``, the helper lane's executor, is given by ``_term`` to a lone
+    stencil batch of several pieces, and only then is the batch split: its
+    pieces are dealt to two lanes, 0, 2, ... to the caller and 1, 3, ... to
+    the helper, each lane with its own piece-sized zeta buffer, writing
+    disjoint rows of the full-length arrays; and op^T is applied in two
+    halves of the axis-0 planes, the lower by the caller, the upper by the
+    helper. Every row gets the operations of one lane, the excess, the
+    finiteness check and the weight scaling stay on the caller over the
+    full arrays, and ``_on_two_lanes`` returns only once both lanes are
+    done, so the bits are those of one lane.
+
+    A domain error names the lattice site ``op.site(row)`` of the shortest
+    bond, or of the first bond whose phi or phi' is not finite, of the first
+    failing pair. One rule finds it: a group or a split batch whose law
+    call raises re-runs its pairs one at a time on one lane, and a lone
+    one-lane batch that raises forms its whole zeta once to name its
+    shortest bond.
 
     Without ``gradient`` the group is energy-only: the law is evaluated at
     order 0, and every gradient contribution is None. The energy and excess
@@ -231,7 +239,7 @@ def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True, he
     n = int(ends[-1])
     order = 1 if gradient else 0
     pieces = _pieces(pairs, n)
-    two = helper is not None and len(pieces) > 1
+    two = helper is not None
     # the law writes each piece into these; a lone piece keeps the law's own arrays
     out = [np.empty(n + 1), np.empty((n + 1, 3))][: order + 1] if len(pieces) > 1 else None
 
@@ -241,24 +249,19 @@ def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True, he
         for lo, hi, planes in share:
             z = _bond_rows(pairs, starts, x, eps, base, lo, hi, planes, zeta[: hi - lo + (hi == n)])
             got = _evaluate(law, z, order, out and [a[lo:lo + len(z)] for a in out])
-        return got
+        return out or got
 
     try:
-        # after a domain error on either lane the pieces re-run in order
-        got = out if two and _dealt(helper, run, pieces) else run(pieces)
+        got = _on_two_lanes(helper, lambda: run(pieces[::2]), lambda: run(pieces[1::2]))[0] if two else run(pieces)
     except PotentialDomainError as exc:
-        if len(pairs) == 1:  # the shortest bond of the whole batch
-            z = _bond_rows(pairs, starts, x, eps, base, 0, n, None, np.empty((n, 3)))
-            raise _site_error(exc, pairs[0][0].site(int(np.argmin(np.linalg.norm(z, axis=-1)))),
-                              law.eta) from exc
-        got = None
-    if got is None:  # the error of the first failing pair, as if ungrouped
-        for pair in pairs:
-            yield from _bond_group([pair], law, F, x, eps, gradient)
-        return
-    vals, *P = out or got
+        if len(pairs) > 1 or two:  # the first failing pair's error, as on one lane and ungrouped
+            return [r for pair in pairs for r in _bond_group([pair], law, F, x, eps, gradient)]
+        z = _bond_rows(pairs, starts, x, eps, base, 0, n, None, np.empty((n, 3)))
+        raise _site_error(exc, pairs[0][0].site(int(np.argmin(np.linalg.norm(z, axis=-1)))), law.eta) from exc
+    vals, *P = got
     phi0 = vals[n]
     P = P[0] if gradient else None
+    results = []
     for (op, w), lo, hi in zip(pairs, starts, ends):
         v = vals[lo:hi]
         p = None if P is None else P[lo:hi]
@@ -277,7 +280,7 @@ def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True, he
                 raise _site_error(f"{law.kind} energy or force is not finite", op.site(int(np.argmax(bad))), law.eta)
         share = float(eps**3 * phi0 * total)
         if p is None:
-            yield excess + share, excess, None
+            results.append((excess + share, excess, None))
             continue
         if np.ndim(w):
             w = w / eps
@@ -285,30 +288,22 @@ def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True, he
                 p[:, i] *= w
         else:
             p *= w / eps
-        yield excess + share, excess, _halves_transposed(helper, op, p) if two else op.T @ p
+        results.append((excess + share, excess, _halves_transposed(helper, op, p) if two else op.T @ p))
+    return results
 
 
-def _on_two_lanes(helper, mine, theirs) -> None:
-    """Calls ``theirs`` on the helper lane while the caller calls ``mine``,
-    and returns once both are done, so no helper work outlives the call.
-    Raises the caller's error, else the helper's."""
+def _on_two_lanes(helper, mine, theirs) -> list:
+    """[mine(), theirs()]: calls ``theirs`` on the helper lane while the
+    caller calls ``mine``, and returns once both are done, so no helper work
+    outlives the call. Raises the caller's error, else the helper's. Every
+    two-lane step goes through here: a pair of units, the dealt pieces of a
+    split batch and its transposed halves."""
     ahead = helper.submit(theirs)
     try:
-        mine()
+        got = mine()
     finally:
         ahead.exception()  # waits
-    ahead.result()
-
-
-def _dealt(helper, run, pieces) -> bool:
-    """Runs pieces 0, 2, ... on the caller and 1, 3, ... on the helper lane;
-    False if a piece raised a domain error, which the caller then finds by
-    running the pieces in order."""
-    try:
-        _on_two_lanes(helper, lambda: run(pieces[::2]), lambda: run(pieces[1::2]))
-    except PotentialDomainError:
-        return False
-    return True
+    return [got, ahead.result()]
 
 
 def _halves_transposed(helper, op, p) -> np.ndarray:
@@ -446,44 +441,6 @@ def _groups(batches) -> list:
         else:
             units.append(([(op, w)], law, key))
     return units
-
-
-def _in_order(fn, units):
-    """Yields (unit, fn(*unit), lanes) for each unit, in unit order, taking
-    the units in pairs; fn(*unit) is an iterable of per-batch results. A
-    pair runs on two lanes when the process has two and one of its units
-    has a batch of at least _MIN_LANE_ROWS rows, which a group never has:
-    the caller computes the first unit while the helper computes the
-    second, each in full, and waits for the helper before it yields, so no
-    helper work outlives the caller's and a domain error is the one of the
-    first failing batch, as on one lane. Else the caller computes each unit
-    as its turn comes, its results as they are read. A unit that runs
-    alone, the odd unit of a term or its only one, is computed as
-    fn(*unit, helper): ``helper`` is the helper lane's executor when the
-    process has two lanes and the unit is one stencil batch of several
-    pieces (``_pieces``), which ``_bond_group`` then deals to both lanes,
-    else None."""
-    units = iter(units)
-    for first in units:
-        second = next(units, None)
-        if second is None:
-            pairs = first[0]
-            split = _LANES > 1 and len(pairs) == 1 and len(_pieces(pairs, pairs[0][0].rows)) > 1
-            yield first, fn(*first, _helper() if split else None), 1 + split
-            continue
-        if _LANES < 2 or max(op.rows for u in (first, second) for op, _ in u[0]) < _MIN_LANE_ROWS:
-            yield first, fn(*first), 1
-            yield second, fn(*second), 1
-            continue
-        ahead = _helper().submit(lambda unit=second: list(fn(*unit)))
-        try:
-            result = list(fn(*first))
-        finally:
-            ahead.exception()  # waits; a helper error is raised below, once the caller's unit has passed
-        yield first, result, 2
-        del result  # the next pair runs without this pair's results
-        yield second, ahead.result(), 2
-        del ahead
 
 
 class _Stencil:
@@ -686,26 +643,45 @@ class _Term:
 
 def _term(name: str, batches, F, x, eps, g_outs) -> _Term:
     """One term: the kernel over its quadrature-bond batches, a list of
-    (op, w, law, breakdown key) tuples, grouped by ``_groups`` and taken in
-    pairs of units by ``_in_order``. Every sum and every array in ``g_outs``
-    adds the batches' results in batch order, as on one lane and ungrouped,
-    so the result is bitwise the same on one lane or two, grouped or not.
-    With no ``g_outs`` the batches are energy-only."""
+    (op, w, law, breakdown key) tuples, grouped by ``_groups`` and walked in
+    pairs of units. A pair with a batch of at least _MIN_LANE_ROWS rows runs
+    on two lanes, the caller taking the first unit and the helper the
+    second; any other pair computes and adds its units one at a time. A lone
+    unit that is one stencil batch of several pieces is handed the helper,
+    and only here is that split decided. Every sum and every array in
+    ``g_outs`` adds the batches' results in batch order, as on one lane and
+    ungrouped, so the result is bitwise the same on one lane or two, grouped
+    or not. With no ``g_outs`` the batches are energy-only."""
     t0 = time.perf_counter()
     out = _Term(name)
     gradient = bool(g_outs)
 
-    def unit(pairs, law, key, helper=None):
+    def unit(pairs, law, key, helper=None) -> list:
         return _bond_group(pairs, law, F, x, eps, gradient, helper)
 
-    for (_, _, key), results, lanes in _in_order(unit, _groups(batches)):
-        out.lanes = max(out.lanes, lanes)
+    def add(key, results) -> None:
         out.law_calls += 1
         for e, de, contrib in results:
             energy, excess = out.sums.get(key, (0.0, 0.0))
             out.sums[key] = (energy + e, excess + de)
             for g in g_outs:
                 g += contrib
+
+    units = _groups(batches)
+    for i in range(0, len(units), 2):
+        pair = units[i:i + 2]
+        rows = max(op.rows for pairs, _, _ in pair for op, _ in pairs)
+        if _LANES > 1 and len(pair) == 2 and rows >= _MIN_LANE_ROWS:
+            done = _on_two_lanes(_helper(), lambda: unit(*pair[0]), lambda: unit(*pair[1]))
+            for _, _, key in pair:
+                add(key, done.pop(0))  # drops each unit's results once added
+            out.lanes = 2
+        elif _LANES > 1 and len(pair) == 1 and len(_pieces(pair[0][0], rows)) > 1:
+            add(pair[0][2], unit(*pair[0], _helper()))
+            out.lanes = 2
+        else:
+            for u in pair:
+                add(u[2], unit(*u))
     out.seconds = time.perf_counter() - t0
     return out
 

@@ -89,6 +89,16 @@ MUTATIONS = [
      "lambda: T.apply(p, g[cut:], mid, n0)",
      "lambda: T.apply(p, g[cut:], mid - 1, n0 - 1)",
      "tests/test_lanes.py::test_lone_batch_split_over_two_lanes_is_bitwise_one_lane"),
+    # a split batch's domain error raised as its lanes give it, without the one-lane re-run
+    ("energies.py",
+     "if len(pairs) > 1 or two:",
+     "if len(pairs) > 1:",
+     "tests/test_lanes.py::test_domain_error_of_a_split_batch_is_the_one_lane_error"),
+    # a two-lane pair with its lanes swapped: the caller computes the second unit
+    ("energies.py",
+     "_on_two_lanes(_helper(), lambda: unit(*pair[0]), lambda: unit(*pair[1]))\n",
+     "_on_two_lanes(_helper(), lambda: unit(*pair[1]), lambda: unit(*pair[0]))[::-1]\n",
+     "tests/test_lanes.py::test_helper_lane_domain_error_is_the_serial_one"),
     # the sweep's homogeneous-share check removed
     ("harness.py",
      '        if r["share_ulps"] > _SHARE_ULPS:',

@@ -395,6 +395,18 @@ def readme_solver_config(model="coupled", **solve) -> harness.RunConfig:
     return config_from_dict(data)
 
 
+def test_solve_at_a_large_force_amplitude_runs_to_its_summary(tmp_path, capsys):
+    """At force amplitude 1e6 the zero-mean sine force keeps a rounding
+    residue of about 1e-9 in its mean, which the force check bounds
+    relative to |f|: the README solve runs to its summary line."""
+    config = replace(readme_solver_config(max_iters=3, force_amplitude=1e6), out=str(tmp_path))
+    code = run("solve", config)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("FAIL solve: stopped (")
+    assert (tmp_path / "solve_trace.csv").exists()
+
+
 def test_minimize_iteration_cap_is_flagged():
     # The harmonic problem lies in one eigenspace of the preconditioner and
     # is solved by the first step; the README laws take more than two.
@@ -553,6 +565,13 @@ def test_minimize_input_validation():
     bad_force = LatticeField(config.cfg, np.full(config.cfg.shape, 0.3))
     with pytest.raises(ValueError, match="zero average"):
         minimize(config, bad_force)
+    # a mean of 1e-6 max|f| is no rounding residue, whatever the size of f
+    for amplitude in (1.0, 1e6):
+        f = sine_force(config.cfg, amplitude)
+        vals = f.values.copy()
+        vals[..., 2] += 1e-6 * f.max_norm()
+        with pytest.raises(ValueError, match="force field must have zero average, got mean"):
+            minimize(config, LatticeField(config.cfg, vals))
     ho = config_from_dict(small_config_dict(model="coupled-ho(2)"))
     with pytest.raises(ConfigError, match="solve supports"):
         minimize(ho)
@@ -621,9 +640,8 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
 
 
 def test_refused_command_leaves_no_report_directory(tmp_path, capsys):
-    """``solve`` refuses a high-order model after ``run`` has made the
-    report directory: the directories ``run`` made are removed again, and
-    one that existed before stays."""
+    """``solve`` refuses a high-order model before it writes a report, so
+    ``run`` makes no report directory, and one that existed before stays."""
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(small_config_dict()))
     existing = tmp_path / "existing"

@@ -306,6 +306,34 @@ def test_helper_lane_domain_error_is_the_serial_one(monkeypatch, collapse, site,
     assert (lanes.value.site, lanes.value.eta) == (site, eta)
 
 
+def test_one_lane_pair_adds_its_first_unit_before_it_computes_the_second(monkeypatch):
+    """On one lane a pair of units, here the first two of the README laws'
+    bond batches at N=12, is computed and added one unit at a time: when
+    the kernel starts a unit, the gradient already holds every earlier
+    unit's contribution, so one lane never holds two units' results."""
+    one_lane(monkeypatch)
+    cfg = LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0)
+    y = state(cfg, 1)
+    batches = [(energies._bond_stencil(law.eta, cfg.N), 1.0, law, f"eta={law.eta}") for law in README_LAWS]
+    assert len(energies._groups(batches)) == 3
+    g = np.zeros((cfg.n_sites, 3))
+    at_start, contributions = [], []
+    group = energies._bond_group
+
+    def spy(*args, **kwargs):
+        at_start.append(g.copy())
+        results = group(*args, **kwargs)
+        contributions.extend(contrib for _, _, contrib in results)
+        return results
+
+    monkeypatch.setattr(energies, "_bond_group", spy)
+    energies._term("atomistic", batches, y.F, y.displacement.values.reshape(-1, 3), cfg.epsilon, (g,))
+    assert len(at_start) == 3
+    assert not at_start[0].any()
+    assert np.array_equal(at_start[1], contributions[0])
+    assert np.array_equal(at_start[2], contributions[0] + contributions[1])
+
+
 def recorded_pieces(monkeypatch, keep=lambda pairs: True) -> list:
     """Records the pieces of every group ``_bond_group`` runs whose pairs
     ``keep`` accepts, as (pairs, pieces)."""
