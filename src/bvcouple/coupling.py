@@ -70,7 +70,9 @@ carries the member ``counts`` per direction. ``_coupled`` receives the
 (law, block) list of its call: each public model fetches it with
 ``_get_blocks``, which checks the state's extents against the partition's
 lattice (``_check_lattice``, as naive does) and the partition once, before
-it builds or fetches any direction's block. A block is built on the
+it builds or fetches any direction's block. The report's ``setup_s`` and
+``built`` give the seconds each block (and the high-order mesh) took to
+fetch or build, and which of them the call built. A block is built on the
 partition's lattice whatever the degenerate-eta policy, so it is cached
 per (partition, direction) only. A domain error of the interface jump
 names its site by ``energies._site_error``, as the kernel's do. A block's
@@ -89,22 +91,26 @@ cone face's triangulation. An interior face's neighbour is strictly
 inside the region exactly when P is unclipped and off the region's planes
 on the other two axes and the neighbour clears the near region plane on
 the face's axis; the member then reaches the far plane, so the shape
-fixes that clearance. Otherwise the neighbour is an interface member. Up to translation the members take a few dozen
-shapes at any N (26, 104 and 44 for the README directions on a region of
-side 8 or more), so ``_neighbour_classes`` and ``_build_member_cone`` run
-once per shape, at its first member. A cone tet is four vertices of
-lattice points; per shape, the points are flattened, the edge matrices
-inverted and the tets under fine interface triangles flagged once, and
-the cone operator gives each point of a vertex the coefficient
-1/(number of points). Vertex positions are means of 1, 4 or 8 integer
-points, so every copy's edge matrix has the bits of its shape's. The
-shape tets' CSR rows are built once, at each shape's first member, with
-sorted columns and duplicate points summed. Every member's copy, in
-member-major row order, is its shape's rows with each column shifted by
-the flat offset of mu - mu_first: cone points lie in the closed atomistic
-box, strictly inside the torus, so the wrapped ravel is linear there, and
-a fixed shift keeps each row's column order and sums. The jump rows are
-the copies of the flagged tets, in the same order.
+fixes that clearance. Otherwise the neighbour is an interface member.
+Up to translation the members take a few dozen shapes at any N (26, 104
+and 44 for the README directions on a region of side 8 or more), numbered
+by ``_cone_shapes``; ``_cone_tets`` builds the cones of all of a
+direction's shapes in one pass, at their first members. It tabulates the
+six faces of every shape, picks each face's triangulation from its plane
+and neighbour class, and expands the fine squares and the fan polygons as
+segments, writing the lattice points of every tet in (shape, face,
+triangle, vertex, point) order and flagging the tets under fine interface
+triangles. A cone tet is four vertices of lattice points; the edge
+matrices are inverted once per shape tet, and the cone operator gives
+each point of a vertex the coefficient 1/(number of points). Vertex
+positions are means of 1, 4 or 8 integer points, so every copy's edge
+matrix has the bits of its shape's. The shape tets' CSR rows are built
+once, with sorted columns and duplicate points summed. Every member's
+copy, in member-major row order, is its shape's rows with each column
+shifted by the flat offset of mu - mu_first: cone points lie in the
+closed atomistic box, strictly inside the torus, so the wrapped ravel is
+linear there, and a fixed shift keeps each row's column order and sums.
+The jump rows are the copies of the flagged tets, in the same order.
 """
 from __future__ import annotations
 
@@ -112,7 +118,6 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -274,131 +279,92 @@ def _check_partition(part: RegionPartition, R: InteractionSet, policy: str) -> N
 # Interface cone construction (build time, integer lattice units)
 # ======================================================================
 
-# A cone vertex is a tuple of integer lattice points standing for their
-# mean, in position and in value: one point for a lattice vertex, the 4 face
-# corners for a fan centre, the 8 corners of P for the apex. A triangle is
-# (three vertices, meta), where meta is (axis, nu_sign, half) for a fine
-# triangle on the interface surface, half being "lower" (00,10,11) or
-# "upper" (00,11,01), and None otherwise.
-
-def _mk_point(i, plane, j, pj, k, pk):
-    q = [0, 0, 0]
-    q[i] = plane
-    q[j] = pj
-    q[k] = pk
-    return tuple(q)
-
-
-def _fine_face(i, plane, j, jlo, jhi, k, klo, khi, nu_sign):
-    """Unit-square triangulation with the cell template's main diagonals."""
-    tris = []
-    for mj in range(jlo, jhi):
-        for mk in range(klo, khi):
-            p00 = (_mk_point(i, plane, j, mj, k, mk),)
-            p10 = (_mk_point(i, plane, j, mj + 1, k, mk),)
-            p11 = (_mk_point(i, plane, j, mj + 1, k, mk + 1),)
-            p01 = (_mk_point(i, plane, j, mj, k, mk + 1),)
-            tris.append(((p00, p10, p11), (i, nu_sign, "lower")))
-            tris.append(((p00, p11, p01), (i, nu_sign, "upper")))
-    return tris
+# A cone tet is the apex of P (the mean of its 8 corners) over a surface
+# triangle, each of whose vertices is one lattice point or a fan centre (the
+# mean of a face's 4 corners). Face f = 2 i + s of P lies on its lower
+# (s = 0) or upper (s = 1) plane along axis i; its points are written in
+# (j, k) = _FACE_AXES[i], the other two axes in ascending order.
+_FACE_AXES = np.array([[1, 2], [0, 2], [0, 1]])
+# A face rectangle's corners c0..c3, counter-clockwise in (j, k), as
+# (lo, hi) selectors, and the direction of the side from c_s to c_s+1.
+_CORNERS = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
+_SIDES = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]])
+# The halves (c0, c1, c2) and (c0, c2, c3) of a square split by the cell
+# template's main diagonal, "lower" and "upper"; the other diagonal takes
+# the corners shifted by one.
+_HALVES = np.array([[0, 1, 2], [0, 2, 3]])
+_APEX = np.indices((2, 2, 2)).reshape(3, -1).T   # P's corners as (lo, hi) selectors, z fastest
 
 
-def _junction_face(i, plane, j, jlo, jhi, k, klo, khi, eta):
-    """Full box face split by the diagonal of the box's own staircase
-    template (the trace the coarse box interpolant of the atomistic
-    neighbor induces)."""
-    p00 = (_mk_point(i, plane, j, jlo, k, klo),)
-    p10 = (_mk_point(i, plane, j, jhi, k, klo),)
-    p11 = (_mk_point(i, plane, j, jhi, k, khi),)
-    p01 = (_mk_point(i, plane, j, jlo, k, khi),)
-    if eta[j] * eta[k] > 0:
-        return [((p00, p10, p11), None), ((p00, p11, p01), None)]
-    return [((p10, p11, p01), None), ((p10, p01, p00), None)]
+def _cone_tets(mu, w, eta, part: RegionPartition, reduce_mode: bool):
+    """The cone tets of the shapes at the first members ``mu`` (S, 3), in
+    (shape, face, triangle) order: their lattice points (P, 3) in (tet,
+    vertex, point) order, the point count of each vertex (4T,), the tet
+    count of each shape (S,), and per tet (axis, nu_sign, outer template)
+    for a fine interface triangle with eta_axis != 0, else (-1, 0, 0).
 
+    A face of P = [lo, hi] on a region plane is split into fine unit
+    squares; an interior face takes a centroid fan against an interface
+    neighbour (always for reduce members), with the lattice points of its
+    sides that lie on a region plane, and the box template's diagonal
+    against a strictly interior one, which leaves P unclipped there."""
+    a, top, eta = np.asarray(part.corner), np.asarray(part.top), np.asarray(eta)
+    lo, hi = np.maximum(mu, a), np.minimum(mu + w, top)
+    ax = np.tile([0, 0, 1, 1, 2, 2], len(mu))                         # (F,) per face: its axis,
+    shp = np.repeat(np.arange(len(mu)), 6)                            # its shape,
+    plane = np.where(np.arange(len(ax)) % 2, hi[shp, ax], lo[shp, ax])  # its plane,
+    jk = _FACE_AXES[ax]
+    flo = lo[shp[:, None], jk]                                        # and its rectangle
+    span = hi[shp[:, None], jk] - flo
+    corner = flo[:, None] + span[:, None] * _CORNERS                  # (F, 4, 2)
+    fine = (plane == a[ax]) | (plane == top[ax])
+    nb = _neighbour_classes(mu, w, part).reshape(-1)
+    fan = ~fine & (reduce_mode | (nb == 1))
+    assert np.all(fine | fan | (nb == 2)), "interior cone face cannot border a continuum member"
+    # a fan side carries its edge's lattice points when its fixed
+    # coordinate lies on a region plane
+    fixed, od = corner[:, [0, 1, 2, 3], [1, 0, 1, 0]], jk[:, [1, 0, 1, 0]]
+    n_side = np.where((fixed == a[od]) | (fixed == top[od]), span[:, [0, 1, 0, 1]], 1)
+    n_tri = np.select([fine, fan], [2 * span[:, 0] * span[:, 1], n_side.sum(axis=1)], 2)
 
-def _edge_breakpoints(span_dim, lo, hi, fixed, a, top):
-    """Interior lattice points of an axis-aligned edge that lies within a
-    closed facet of the interface surface (where neighboring cones may place
-    fine-triangle vertices, so this edge must carry them too); ``a`` and
-    ``top`` are the atomistic box's corners."""
-    for f, val in fixed.items():
-        if val not in (a[f], top[f]):
-            continue
-        ok = a[span_dim] <= lo and hi <= top[span_dim]
-        for g, vg in fixed.items():
-            if g != f and not (a[g] <= vg <= top[g]):
-                ok = False
-        if ok:
-            return list(range(lo + 1, hi))
-    return []
+    # The (j, k) of every triangle's vertices; a fan's first is its centre.
+    face = np.repeat(np.arange(len(ax)), n_tri)
+    t = np.arange(len(face)) - np.repeat(_starts(n_tri), n_tri)
+    tri = np.zeros((len(face), 3, 2), dtype=np.int64)
+    sq, f = ~fan[face], face[~fan[face]]
+    cell = t[sq] // 2                                                  # a fine square, 0 on a junction
+    shift = ~fine[f] & (eta[jk[f, 0]] * eta[jk[f, 1]] < 0)            # the template's other diagonal
+    size = np.where(fine[f, None], 1, span[f])
+    tri[sq] = (flo[f] + np.stack([cell // span[f, 1], cell % span[f, 1]], axis=1))[:, None] \
+        + size[:, None] * _CORNERS[(_HALVES[t[sq] % 2] + shift[:, None]) % 4]
+    fa = np.flatnonzero(fan)
+    lens = n_side[fa].ravel()
+    side = np.repeat(np.tile(np.arange(4), len(fa)), lens)
+    poly = corner[np.repeat(fa, n_tri[fa]), side] + _SIDES[side] * _ranges(np.zeros_like(lens), lens)[:, None]
+    nxt = np.arange(1, len(poly) + 1)
+    nxt[np.cumsum(n_tri[fa]) - 1] = _starts(n_tri[fa])
+    tri[fan[face], 1:] = np.stack([poly, poly[nxt]], axis=1)
 
+    # Lattice points: plane e_i plus (j, k) in the face's frame (e_j, e_k).
+    e = np.eye(3, dtype=np.int64)
+    base, frame = plane[:, None] * e[ax], e[jk]
+    tri3 = base[face, None] + tri @ frame[face]
+    slots = np.empty((len(face), 14, 3), dtype=np.int64)   # apex, first vertex (4 slots), last two
+    n_tets = n_tri.reshape(-1, 6).sum(axis=1)
+    slots[:, :8] = np.repeat(np.where(_APEX, hi[:, None], lo[:, None]), n_tets, axis=0)
+    slots[:, 8:12] = np.where(fan[face, None, None], (base[:, None] + corner @ frame)[face], tri3[:, :1])
+    slots[:, 12:] = tri3[:, 1:]
+    keep = np.ones(slots.shape[:2], dtype=bool)
+    keep[:, 9:12] = fan[face, None]
+    ones = np.ones(len(face), dtype=np.int64)
+    n_pts = np.stack([8 * ones, np.where(fan[face], 4, 1), ones, ones], axis=1).ravel()
 
-def _fan_face(i, plane, j, jlo, jhi, k, klo, khi, a, top):
-    """Fan from the face centroid (the mean of the 4 corners), with lattice
-    breakpoints on edges lying within closed interface facets."""
-    corners = (
-        _mk_point(i, plane, j, jlo, k, klo),
-        _mk_point(i, plane, j, jhi, k, klo),
-        _mk_point(i, plane, j, jhi, k, khi),
-        _mk_point(i, plane, j, jlo, k, khi),
-    )
-    sides = [
-        (j, jlo, jhi, k, klo, False),
-        (k, klo, khi, j, jhi, False),
-        (j, jlo, jhi, k, khi, True),
-        (k, klo, khi, j, jlo, True),
-    ]
-    poly = []
-    for idx, (sd, s_lo, s_hi, od, oval, rev) in enumerate(sides):
-        poly.append(corners[idx])
-        breaks = _edge_breakpoints(sd, s_lo, s_hi, {i: plane, od: oval}, a, top)
-        if rev:
-            breaks = breaks[::-1]
-        poly += [_mk_point(i, plane, sd, t, od, oval) for t in breaks]
-    return [((corners, (p,), (q,)), None) for p, q in zip(poly, poly[1:] + poly[:1])]
-
-
-def _build_member_cone(mu, w, eta, part: RegionPartition, reduce_mode: bool, nb_cls):
-    """Apex and surface triangulation of P = member box ^ Omega_a.
-
-    ``nb_cls[i][s]`` is the class code of the face neighbour below (s = 0)
-    or above (s = 1) the member along axis i (``_neighbour_classes``)."""
-    a, top = part.corner, part.top
-    lo = tuple(max(mu[d], a[d]) for d in range(3))
-    hi = tuple(min(mu[d] + w[d], top[d]) for d in range(3))
-    tris = []
-    for i in range(3):
-        j, k = [d for d in range(3) if d != i]
-        for plane, ncls in zip((lo[i], hi[i]), nb_cls[i]):
-            face = (i, plane, j, lo[j], hi[j], k, lo[k], hi[k])
-            if plane == a[i] or plane == top[i]:
-                tris.extend(_fine_face(*face, -1 if plane == a[i] else +1))
-            elif reduce_mode or ncls == 1:
-                tris.extend(_fan_face(*face, a, top))
-            elif ncls == 2:
-                # A strictly interior neighbor forces P to be unclipped in
-                # the face's own dimensions, so this is the full box face.
-                assert lo[j] == mu[j] and hi[j] == mu[j] + w[j]
-                assert lo[k] == mu[k] and hi[k] == mu[k] + w[k]
-                tris.extend(_junction_face(*face, eta))
-            else:
-                raise AssertionError(
-                    "interior cone face cannot border a continuum member"
-                )
-    apex = tuple((x, y, z) for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2]))
-    return apex, tris
-
-
-def _cone_points(tets):
-    """Lattice points (P, 3) of cone tets (each a 4-tuple of vertices) in
-    (tet, vertex, point) order, the point count of each vertex (4T,), and
-    the vertex positions (T, 4, 3), each the mean of its points (exact: the
-    counts are 1, 4 and 8)."""
-    verts = list(chain.from_iterable(tets))
-    n_pts = np.fromiter(map(len, verts), dtype=np.int64, count=len(verts))
-    pts = np.fromiter(chain.from_iterable(chain.from_iterable(verts)), dtype=np.int64).reshape(-1, 3)
-    pos = np.add.reduceat(pts, np.cumsum(n_pts) - n_pts) / n_pts[:, None]
-    return pts, n_pts, pos.reshape(-1, 4, 3)
+    flags = np.zeros((len(face), 3), dtype=np.int64)
+    flags[:, 0] = -1
+    g = fine[face] & (eta[ax[face]] != 0)
+    sign = np.where(plane == a[ax], -1, 1)[face[g]]
+    flags[g] = np.stack([ax[face[g]], sign, _GAMMA_PERMS[ax[face[g]], (sign > 0).astype(int), t[g] % 2]], axis=1)
+    return np.compress(keep.ravel(), slots.reshape(-1, 3), axis=0), n_pts, n_tets, flags
 
 
 # ======================================================================
@@ -508,9 +474,18 @@ def _cone_shapes(mu, w, part: RegionPartition) -> tuple[np.ndarray, np.ndarray]:
     the shape of each interface member, at min corners ``mu`` (M, 3)."""
     lo, hi = np.maximum(mu, part.corner), np.minimum(mu + w, part.top)
     key = np.concatenate([lo - mu, hi - mu, lo == part.corner, hi == part.top], axis=1)
-    _, first, shape = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    return first, shape.reshape(-1)
+    # each row as one mixed-radix integer, its columns in key order, which
+    # sorts as the rows do
+    radix = np.concatenate([w + 1, w + 1, [2] * 6])
+    place = np.cumprod(np.append(radix[1:], 1)[::-1])[::-1]
+    _, first, shape = np.unique(key @ place, return_index=True, return_inverse=True)
+    return first, shape
 
+
+# The template of the continuum tet under a fine interface triangle, by
+# (axis, nu_sign > 0, half), as an index into PATH_PERMS.
+_GAMMA_PERMS = np.array([[[PATH_PERMS.index(_plus_side_perm(i, s, h)) for h in ("lower", "upper")]
+                          for s in (-1, 1)] for i in range(3)])
 
 # Per staircase template, the base offset of its edge parallel to each axis.
 _EDGE_OFFSETS = np.array([[path_edge_offsets(perm)[a] for a in range(3)] for perm in PATH_PERMS])
@@ -552,34 +527,23 @@ def _build_eta_block(part: RegionPartition, eta: IntTriple) -> _EtaBlock:
     )
 
     # --- cone tets of the interface members, one build per shape ---------
-    # Each shape's cone is built at its first member: each tet is (apex,) +
-    # a surface triangle, and a fine interface triangle with eta_axis != 0
-    # flags its tet with (axis, nu_sign, outer template); others get -1.
+    # Every shape's cone is built at its first member, all shapes in one
+    # pass; each shape tet is flagged as ``_cone_tets`` says.
     mu_i = mu[interface]
     first, shape = _cone_shapes(mu_i, w, part)
-    tets = []
-    n_tets: list[int] = []
-    fine: list[tuple[int, int, int]] = []
-    w_t = tuple(w.tolist())
-    for mu_t, nb_t in zip(mu_i[first].tolist(), _neighbour_classes(mu_i[first], w, part).tolist()):
-        apex, tris = _build_member_cone(mu_t, w_t, eta, part, bool(zero), nb_t)
-        n_tets.append(len(tris))
-        for tri, meta in tris:
-            on_gamma = meta is not None and eta[meta[0]] != 0
-            fine.append((meta[0], meta[1], PATH_PERMS.index(_plus_side_perm(*meta))) if on_gamma else (-1, 0, 0))
-            tets.append((apex,) + tri)
+    pts, n_pts, n_tets, fine = _cone_tets(mu_i[first], w, eta, part, bool(zero))
 
     # eta^T A^-1 (vertex values - apex value) per shape tet, a vertex value
     # being the mean of its lattice points' values. Vertex positions are
     # sums of integers over 1, 4 or 8, so A has the same bits in every copy.
-    pts, n_pts, pos = _cone_points(tets)
+    vert_pt = _starts(n_pts)                    # first point of each vertex
+    pos = (np.add.reduceat(pts, vert_pt) / n_pts[:, None]).reshape(-1, 4, 3)
     A = pos[:, 1:] - pos[:, :1]
     volw = np.abs(np.linalg.det(A)) / 6.0 / n_eta
     m = np.einsum("r,trs->ts", np.asarray(eta, dtype=float), np.linalg.inv(A))
     weights = np.concatenate([-m.sum(axis=1, keepdims=True), m], axis=1).ravel()
-    n_tets = np.asarray(n_tets)
     tet_pts = n_pts.reshape(-1, 4).sum(axis=1)
-    vert_pt = _starts(n_pts).reshape(-1, 4)     # first point of each vertex
+    vert_pt = vert_pt.reshape(-1, 4)
     shape_op = _csr(np.repeat(np.arange(len(tet_pts)), tet_pts), _flat(pts, N),
                     np.repeat(weights * (1.0 / n_pts), n_pts), (len(tet_pts), n_sites))
 
@@ -608,7 +572,6 @@ def _build_eta_block(part: RegionPartition, eta: IntTriple) -> _EtaBlock:
     # vertices. The outer continuum cell has the first of them (the
     # square's min corner) as base, or the cell below it on the region's
     # lower faces.
-    fine = np.asarray(fine, dtype=np.int64)
     rows = np.flatnonzero(fine[tet, 0] >= 0)
     g_axis, g_sign, g_perm = fine[tet[rows]].T
     tri_sites = pts[vert_pt[tet[rows], 1:]] + mu_d[member[rows], None]
@@ -721,18 +684,34 @@ def _check_lattice(y: Deformation, part: RegionPartition) -> None:
         raise ValueError(f"state extents {y.cfg.N} differ from the partition's lattice extents {part.cfg.N}")
 
 
-def _get_blocks(y: Deformation, part, R, policy) -> list[tuple[InteractionLaw, _EtaBlock]]:
-    """Each law with its direction's block, once y and the partition pass their checks."""
+def _fetch(setup: dict, key: str, build, *args):
+    """``build(*args)`` of a cached builder, recording the seconds it took
+    in ``setup["setup_s"][key]`` and, when it built, ``key`` in
+    ``setup["built"]``."""
+    misses = build.cache_info().misses
+    t0 = time.perf_counter()
+    out = build(*args)
+    setup["setup_s"][key] = time.perf_counter() - t0
+    if build.cache_info().misses > misses:
+        setup["built"].append(key)
+    return out
+
+
+def _get_blocks(y: Deformation, part, R, policy) -> tuple[list[tuple[InteractionLaw, _EtaBlock]], dict]:
+    """Each law with its direction's block, once y and the partition pass
+    their checks, and the setup diagnostics of the fetch (``_fetch``)."""
     _check_lattice(y, part)
     _check_partition(part, R, policy)
-    return [(law, _build_eta_block(part, law.eta)) for law in R]
+    setup: dict = {"setup_s": {}, "built": []}
+    return [(law, _fetch(setup, str(law.eta), _build_eta_block, part, law.eta)) for law in R], setup
 
 
-def _coupled(model: str, y_minus: Deformation, y_plus: Deformation, blocks, part, mesh=None,
+def _coupled(model: str, y_minus: Deformation, y_plus: Deformation, blocks, setup, part, mesh=None,
              nodes=None, *, gradient: bool = True) -> EnergyReport:
     """Every coupled energy: ``coupled``, ``coupled-dg`` and
-    ``coupled-ho(k)``, on the (law, block) list ``blocks`` that
-    ``_get_blocks`` gives for the partition ``part``, which it has checked.
+    ``coupled-ho(k)``, on the (law, block) list ``blocks`` and the setup
+    diagnostics ``setup`` that ``_get_blocks`` gives for the partition
+    ``part``, which it has checked.
     The atomistic bonds and interface cones read y_minus,
     the staircase Cauchy-Born templates read y_plus, weighted 1/6 on every
     continuum cell, or on the P1 cells ``mesh.p1_masks`` of a high-order
@@ -770,6 +749,7 @@ def _coupled(model: str, y_minus: Deformation, y_plus: Deformation, blocks, part
         "counts": {str(law.eta): b.counts for law, b in blocks},
         "cone_tets": {str(law.eta): b.cone_op.sites.size for law, b in blocks},
         "jump_rows": {str(law.eta): b.gamma.rows.size for law, b in blocks},
+        **setup,
     }
     if two_sided:
         t0 = time.perf_counter()
@@ -801,7 +781,7 @@ def coupled_energy_conforming(
     cone integrals at weight 1/|eta1 eta2 eta3|. ``gradient=False``
     computes the same energy, excess and breakdown without the gradient,
     which the report then leaves None."""
-    return _coupled("coupled", y, y, _get_blocks(y, part, R, degenerate_eta), part, gradient=gradient)
+    return _coupled("coupled", y, y, *_get_blocks(y, part, R, degenerate_eta), part, gradient=gradient)
 
 
 def coupled_energy_dg(
@@ -828,8 +808,8 @@ def coupled_energy_dg(
         raise ValueError("both sides must share one lattice config")
     if not np.array_equal(y_minus.F, y_plus.F):
         raise ValueError("both sides must share the same deformation gradient F")
-    blocks = _get_blocks(y_minus, part, R, degenerate_eta)
-    return _coupled("coupled-dg", y_minus, y_plus, blocks, part, gradient=gradient)
+    return _coupled("coupled-dg", y_minus, y_plus, *_get_blocks(y_minus, part, R, degenerate_eta), part,
+                    gradient=gradient)
 
 
 def naive_coupling_energy(

@@ -371,6 +371,8 @@ DEFAULT_CONFIG: dict = {
     "region": {"corner": [4, 4, 4], "extents": [4, 4, 4]},
     "model": "coupled",
     "seed": 20240817,
+    # a sine force, so that the built-in solve runs the minimizer
+    "solve": {"force_amplitude": 0.01},
 }
 
 

@@ -19,8 +19,10 @@ the terms ``continuum`` and ``continuum_pk``, so the continuum entry is
 their sum. ``high_order_energy`` checks the degree, then fetches the
 blocks with ``coupling._get_blocks``, which checks the state's lattice and
 the partition before any block is built or fetched; then it builds or
-fetches the mesh on the partition's lattice (``build_high_order_mesh(part,
-k)``), checks the shape of the node displacements, and calls the body.
+fetches the mesh on the partition's lattice (the cached builder of
+``build_high_order_mesh(part, k)``, timed as the report's ``setup_s``
+entry ``"mesh"``), checks the shape of the node displacements, and calls
+the body.
 Degree 1 has no mesh and no free nodes: it is the conforming model under
 its own name.
 
@@ -37,7 +39,8 @@ templates x 4 corners) flags the P1 elements; the Lagrange nodes of the Pk
 elements, at m . vertices in k-scaled lattice units, are deduplicated by
 position (``np.unique``), which also orders the free nodes by position; and
 an edge or face node is slaved by membership of its sorted vertex sites
-among the P1 elements' edges or faces.
+among the P1 elements' edges or faces, each row of sites compared by one
+integer key (``_row_keys``).
 
 Quadrature is a conical-product Gauss rule on the reference tetrahedron
 (Jacobi weights absorb the collapsed-coordinate Jacobian), with n = k + 1
@@ -53,7 +56,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .coupling import RegionPartition, _coupled, _csr, _get_blocks, omega_star_mask
+from .coupling import RegionPartition, _coupled, _csr, _fetch, _get_blocks, omega_star_mask
 from .energies import EnergyReport, _Gather, _weights, _Weights
 from .geometry import PATH_PERMS, path_corner_offsets
 from .lattice import Deformation, LatticeConfig
@@ -206,6 +209,19 @@ def build_high_order_mesh(part: RegionPartition, k: int) -> HighOrderMesh:
     return _build_mesh(part, k)
 
 
+def _row_keys(rows, n: int) -> np.ndarray:
+    """One integer per row of flat sites in [0, n), equal exactly when the
+    rows are: the columns as mixed-radix digits, each prefix of two or more
+    first replaced by its rank among the rows' prefixes, which keeps every
+    key below len(rows) * n."""
+    keys = rows[:, 0]
+    for c in range(1, rows.shape[1]):
+        if c > 1:
+            keys = np.unique(keys, return_inverse=True)[1]
+        keys = keys * n + rows[:, c]
+    return keys
+
+
 @lru_cache(maxsize=_MESH_CACHE_SIZE)
 def _build_mesh(part: RegionPartition, k: int) -> HighOrderMesh:
     cfg = part.cfg
@@ -243,8 +259,8 @@ def _build_mesh(part: RegionPartition, k: int) -> HighOrderMesh:
         p1_sub = np.sort(p1_flats[:, sub], axis=-1).reshape(-1, s)
         on = size == s
         node_sub = np.sort(node_v[on][node_m[on] > 0].reshape(-1, s), axis=-1)
-        _, ids = np.unique(np.concatenate([p1_sub, node_sub]), axis=0, return_inverse=True)
-        slaved[on] = np.isin(ids.ravel()[len(p1_sub):], ids.ravel()[: len(p1_sub)])
+        keys = _row_keys(np.concatenate([p1_sub, node_sub]), cfg.n_sites)
+        slaved[on] = np.isin(keys[len(p1_sub):], keys[: len(p1_sub)])
 
     # Node values from [lattice sites | free nodes]: vertex and slaved nodes
     # are the linear interpolant m / k of their sub-simplex's lattice values,
@@ -300,8 +316,8 @@ def high_order_energy(
     breakdown without either block: the report's gradient is None.
     """
     _check_degree(k)
-    blocks = _get_blocks(y, part, R, degenerate_eta)
-    mesh = build_high_order_mesh(part, k) if k > 1 else None
+    blocks, setup = _get_blocks(y, part, R, degenerate_eta)
+    mesh = _fetch(setup, "mesh", _build_mesh, part, k) if k > 1 else None
     n_free = 0 if mesh is None else mesh.n_free_nodes
     if node_displacements is None:
         nodes = np.zeros((n_free, 3))
@@ -312,4 +328,4 @@ def high_order_energy(
                 f"degree-{k} elements have {n_free} free nodes: node_displacements must have "
                 f"shape ({n_free}, 3), got {nodes.shape}"
             )
-    return _coupled(f"coupled-ho({k})", y, y, blocks, part, mesh, nodes, gradient=gradient)
+    return _coupled(f"coupled-ho({k})", y, y, blocks, setup, part, mesh, nodes, gradient=gradient)

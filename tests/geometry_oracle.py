@@ -2,17 +2,19 @@
 physical vertices, the cell and bond-volume decompositions built from
 them, the P1, per-tet discrete and cell-averaged gradients, the
 difference-quotient field, the bond-volume classification of one site,
-the per-covering interpolant (the paper's globally continuous function)
-and the per-member builder of a direction's assembly block.
+the scalar cone builder of one member, the per-covering interpolant (the
+paper's globally continuous function) and the per-member builder of a
+direction's assembly block.
 
 The package computes these quantities as whole-array operators; the tests
 compare those against the per-object forms here, which read only the
-staircase table of ``bvcouple.geometry`` and the cone construction of
+staircase table of ``bvcouple.geometry`` and the member classes of
 ``bvcouple.coupling``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -24,8 +26,6 @@ from bvcouple.coupling import (
     BondClass,
     RegionPartition,
     _build_eta_block,
-    _build_member_cone,
-    _cone_points,
     _csr,
     _EtaBlock,
     _GammaData,
@@ -173,6 +173,137 @@ def classify_bond_volume(part: RegionPartition, ell, eta) -> BondClass:
 
 
 # ----------------------------------------------------------------------
+# Scalar cone builder, one member at a time
+# ----------------------------------------------------------------------
+
+# A cone vertex is a tuple of integer lattice points standing for their
+# mean, in position and in value: one point for a lattice vertex, the 4 face
+# corners for a fan centre, the 8 corners of P for the apex. A triangle is
+# (three vertices, meta), where meta is (axis, nu_sign, half) for a fine
+# triangle on the interface surface, half being "lower" (00,10,11) or
+# "upper" (00,11,01), and None otherwise.
+
+def _mk_point(i, plane, j, pj, k, pk):
+    q = [0, 0, 0]
+    q[i] = plane
+    q[j] = pj
+    q[k] = pk
+    return tuple(q)
+
+
+def _fine_face(i, plane, j, jlo, jhi, k, klo, khi, nu_sign):
+    """Unit-square triangulation with the cell template's main diagonals."""
+    tris = []
+    for mj in range(jlo, jhi):
+        for mk in range(klo, khi):
+            p00 = (_mk_point(i, plane, j, mj, k, mk),)
+            p10 = (_mk_point(i, plane, j, mj + 1, k, mk),)
+            p11 = (_mk_point(i, plane, j, mj + 1, k, mk + 1),)
+            p01 = (_mk_point(i, plane, j, mj, k, mk + 1),)
+            tris.append(((p00, p10, p11), (i, nu_sign, "lower")))
+            tris.append(((p00, p11, p01), (i, nu_sign, "upper")))
+    return tris
+
+
+def _junction_face(i, plane, j, jlo, jhi, k, klo, khi, eta):
+    """Full box face split by the diagonal of the box's own staircase
+    template (the trace the coarse box interpolant of the atomistic
+    neighbor induces)."""
+    p00 = (_mk_point(i, plane, j, jlo, k, klo),)
+    p10 = (_mk_point(i, plane, j, jhi, k, klo),)
+    p11 = (_mk_point(i, plane, j, jhi, k, khi),)
+    p01 = (_mk_point(i, plane, j, jlo, k, khi),)
+    if eta[j] * eta[k] > 0:
+        return [((p00, p10, p11), None), ((p00, p11, p01), None)]
+    return [((p10, p11, p01), None), ((p10, p01, p00), None)]
+
+
+def _edge_breakpoints(span_dim, lo, hi, fixed, a, top):
+    """Interior lattice points of an axis-aligned edge that lies within a
+    closed facet of the interface surface (where neighboring cones may place
+    fine-triangle vertices, so this edge must carry them too); ``a`` and
+    ``top`` are the atomistic box's corners."""
+    for f, val in fixed.items():
+        if val not in (a[f], top[f]):
+            continue
+        ok = a[span_dim] <= lo and hi <= top[span_dim]
+        for g, vg in fixed.items():
+            if g != f and not (a[g] <= vg <= top[g]):
+                ok = False
+        if ok:
+            return list(range(lo + 1, hi))
+    return []
+
+
+def _fan_face(i, plane, j, jlo, jhi, k, klo, khi, a, top):
+    """Fan from the face centroid (the mean of the 4 corners), with lattice
+    breakpoints on edges lying within closed interface facets."""
+    corners = (
+        _mk_point(i, plane, j, jlo, k, klo),
+        _mk_point(i, plane, j, jhi, k, klo),
+        _mk_point(i, plane, j, jhi, k, khi),
+        _mk_point(i, plane, j, jlo, k, khi),
+    )
+    sides = [
+        (j, jlo, jhi, k, klo, False),
+        (k, klo, khi, j, jhi, False),
+        (j, jlo, jhi, k, khi, True),
+        (k, klo, khi, j, jlo, True),
+    ]
+    poly = []
+    for idx, (sd, s_lo, s_hi, od, oval, rev) in enumerate(sides):
+        poly.append(corners[idx])
+        breaks = _edge_breakpoints(sd, s_lo, s_hi, {i: plane, od: oval}, a, top)
+        if rev:
+            breaks = breaks[::-1]
+        poly += [_mk_point(i, plane, sd, t, od, oval) for t in breaks]
+    return [((corners, (p,), (q,)), None) for p, q in zip(poly, poly[1:] + poly[:1])]
+
+
+def _build_member_cone(mu, w, eta, part: RegionPartition, reduce_mode: bool, nb_cls):
+    """Apex and surface triangulation of P = member box ^ Omega_a.
+
+    ``nb_cls[i][s]`` is the class code of the face neighbour below (s = 0)
+    or above (s = 1) the member along axis i (``_neighbour_classes``)."""
+    a, top = part.corner, part.top
+    lo = tuple(max(mu[d], a[d]) for d in range(3))
+    hi = tuple(min(mu[d] + w[d], top[d]) for d in range(3))
+    tris = []
+    for i in range(3):
+        j, k = [d for d in range(3) if d != i]
+        for plane, ncls in zip((lo[i], hi[i]), nb_cls[i]):
+            face = (i, plane, j, lo[j], hi[j], k, lo[k], hi[k])
+            if plane == a[i] or plane == top[i]:
+                tris.extend(_fine_face(*face, -1 if plane == a[i] else +1))
+            elif reduce_mode or ncls == 1:
+                tris.extend(_fan_face(*face, a, top))
+            elif ncls == 2:
+                # A strictly interior neighbor forces P to be unclipped in
+                # the face's own dimensions, so this is the full box face.
+                assert lo[j] == mu[j] and hi[j] == mu[j] + w[j]
+                assert lo[k] == mu[k] and hi[k] == mu[k] + w[k]
+                tris.extend(_junction_face(*face, eta))
+            else:
+                raise AssertionError(
+                    "interior cone face cannot border a continuum member"
+                )
+    apex = tuple((x, y, z) for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2]))
+    return apex, tris
+
+
+def _cone_points(tets):
+    """Lattice points (P, 3) of cone tets (each a 4-tuple of vertices) in
+    (tet, vertex, point) order, the point count of each vertex (4T,), and
+    the vertex positions (T, 4, 3), each the mean of its points (exact: the
+    counts are 1, 4 and 8)."""
+    verts = list(chain.from_iterable(tets))
+    n_pts = np.fromiter(map(len, verts), dtype=np.int64, count=len(verts))
+    pts = np.fromiter(chain.from_iterable(chain.from_iterable(verts)), dtype=np.int64).reshape(-1, 3)
+    pos = np.add.reduceat(pts, np.cumsum(n_pts) - n_pts) / n_pts[:, None]
+    return pts, n_pts, pos.reshape(-1, 4, 3)
+
+
+# ----------------------------------------------------------------------
 # Per-covering interpolant descriptor
 # ----------------------------------------------------------------------
 
@@ -232,7 +363,7 @@ def covering_interpolant(
     m: int, eta, u: LatticeField, part: RegionPartition
 ) -> CoveringInterpolant:
     """Build the per-tet descriptor of covering m's interpolant of u: the
-    cones come from ``coupling._build_member_cone``, one member at a time."""
+    cones come from ``_build_member_cone``, one member at a time."""
     eta = nondegenerate_eta(eta)
     cfg = u.cfg
     coverings = enumerate_coverings(eta, cfg)
@@ -436,6 +567,33 @@ def oracle_block_mismatches(N: int, etas, policies=DEGENERATE_POLICIES, placemen
         for policy in policies:
             R = InteractionSet([make_law(eta, "harmonic") for eta in refs if policy == "reduce" or 0 not in eta])
             _build_eta_block.cache_clear()
-            for law, block in _get_blocks(y, part, R, policy):
+            for law, block in _get_blocks(y, part, R, policy)[0]:
                 bad += [(corner, policy, law.eta, name) for name in block_mismatches(block, *refs[law.eta])]
+    return bad
+
+
+# ----------------------------------------------------------------------
+# High-order mesh slaving by row-wise unique ids
+# ----------------------------------------------------------------------
+
+def row_unique_keys(rows, n):
+    """The keys of the rows of sorted sub-simplex sites as
+    ``highorder._build_mesh`` once made them for its slaving step: the ids
+    of the rows under ``np.unique(..., axis=0)``."""
+    return np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+
+
+def mesh_mismatches(mesh, ref) -> list[str]:
+    """Names of the fields in which a high-order mesh differs from a
+    reference mesh in dtype, shape or any byte; the lattice configs must
+    be equal."""
+    bad = [] if mesh.cfg == ref.cfg else ["cfg"]
+    for field in mesh.__dataclass_fields__.keys() - {"cfg"}:
+        got, want = getattr(mesh, field), getattr(ref, field)
+        if not isinstance(got, list):
+            got, want = [got], [want]
+        pairs = [(name, a, b) for i, (x, y) in enumerate(zip(got, want, strict=True))
+                 for (name, a), (_, b) in zip(_array_fields(x, f"{field}[{i}]"), _array_fields(y, ""), strict=True)]
+        bad += [name for name, a, b in pairs
+                if a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes()]
     return bad

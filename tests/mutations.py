@@ -79,6 +79,21 @@ MUTATIONS = [
      "(shape_op.indices[entry] + shift).astype(idx)",
      "shape_op.indices[entry].astype(idx)",
      "tests/test_coupling.py::test_blocks_equal_the_per_member_builder_byte_for_byte"),
+    # the cone pass splitting every square along the other half first
+    ("coupling.py",
+     "_HALVES = np.array([[0, 1, 2], [0, 2, 3]])",
+     "_HALVES = np.array([[0, 2, 3], [0, 1, 2]])",
+     "tests/test_coupling.py::test_blocks_equal_the_per_member_builder_byte_for_byte"),
+    # the cone pass dropping the lattice breakpoints of fan sides on the region's planes
+    ("coupling.py",
+     "span[:, [0, 1, 0, 1]], 1)",
+     "1, 1)",
+     "tests/test_coupling.py::test_blocks_equal_the_per_member_builder_byte_for_byte"),
+    # mesh slaving keys as plain mixed-radix digits, which overflow past N = 128
+    ("highorder.py",
+     "        if c > 1:\n",
+     "        if False:\n",
+     "tests/test_highorder.py::test_row_keys_do_not_overflow_on_large_lattices"),
     # a lone stencil batch split over two lanes: the helper lane's pieces skipped
     ("energies.py",
      "lambda: run(pieces[1::2])",

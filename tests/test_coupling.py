@@ -817,25 +817,34 @@ def test_blocks_at_the_clearance_margin_equal_the_per_member_builder():
 def test_cones_are_built_once_per_shape(monkeypatch, N):
     """Up to translation, the README directions' interface members take
     26, 104 and 44 cone shapes on a region of side N/3, centred or not,
-    and the builder makes one cone per shape: the count does not grow
-    with N, while the members grow as N^2."""
+    and the builder makes the cones of all of a direction's shapes in one
+    pass, one cone per shape: the count does not grow with N, while the
+    members grow as N^2."""
     from bvcouple import coupling
 
-    calls = Counter()
-    build = coupling._build_member_cone
+    shapes, built = [], []
+    cone_shapes, cone_tets = coupling._cone_shapes, coupling._cone_tets
 
-    def counted(mu, w, eta, *args):
-        calls[tuple(eta)] += 1
-        return build(mu, w, eta, *args)
+    def counted_shapes(mu, w, part):
+        first, shape = cone_shapes(mu, w, part)
+        shapes.append(len(first))
+        return first, shape
 
-    monkeypatch.setattr(coupling, "_build_member_cone", counted)
+    def counted_tets(mu, w, eta, *args):
+        built.append((tuple(eta), len(mu)))
+        return cone_tets(mu, w, eta, *args)
+
+    monkeypatch.setattr(coupling, "_cone_shapes", counted_shapes)
+    monkeypatch.setattr(coupling, "_cone_tets", counted_tets)
     cfg = LatticeConfig(N=(N, N, N), epsilon=1.0 / N)
     for corner, ext in oracle_placements(N):
         part = RegionPartition(cfg, corner, ext)
-        calls.clear()
+        shapes.clear()
+        built.clear()
         for law in laws_full():
             coupling._build_eta_block.__wrapped__(part, law.eta)
-        assert calls == {(1, 1, 1): 26, (2, 1, 3): 104, (1, -1, 2): 44}, (N, corner)
+        assert shapes == [26, 104, 44], (N, corner)
+        assert built == [((1, 1, 1), 26), ((2, 1, 3), 104), ((1, -1, 2), 44)], (N, corner)
 
 
 @pytest.mark.parametrize("N", [12, 18, 24])
@@ -889,6 +898,31 @@ def test_only_the_two_sided_model_builds_jump_operators(monkeypatch):
     for _ in range(2):
         coupling.coupled_energy_dg(y, y, R, part)
     assert built == [law.eta for law in R]
+
+
+def test_reports_time_every_block_and_name_the_ones_they_built():
+    """Coupled reports carry ``setup_s``, the seconds the call spent
+    fetching or building each direction's block (and the mesh of
+    coupled-ho(k), k > 1), and ``built``, those it built: a cold
+    coupled-ho(2) call builds every block and the mesh, later calls build
+    none, and the conforming and two-sided models time no mesh."""
+    from bvcouple import coupling, highorder
+
+    cfg = cfg12()
+    part = part_a(cfg)
+    R = laws_full()
+    y = make_deformation(np.eye(3), LatticeField.zeros(cfg))
+    keys = [str(law.eta) for law in R]
+    coupling._build_eta_block.cache_clear()
+    highorder._build_mesh.cache_clear()
+    calls = [lambda: highorder.high_order_energy(y, R, part, 2)] * 2 + [
+        lambda: coupled_energy_conforming(y, R, part), lambda: coupling.coupled_energy_dg(y, y, R, part),
+        lambda: highorder.high_order_energy(y, R, part, 1)]
+    for i, call in enumerate(calls):
+        diag = call().diagnostics
+        timed = keys + ["mesh"] * (i < 2)
+        assert list(diag["setup_s"]) == timed and all(t > 0.0 for t in diag["setup_s"].values())
+        assert diag["built"] == (timed if i == 0 else [])
 
 
 @pytest.mark.parametrize("model", ["coupled", "coupled-dg", "coupled-ho(2)", "naive"])

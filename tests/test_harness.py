@@ -696,6 +696,40 @@ def test_cli_solve_writes_trace(tmp_path, capsys):
     assert len(lines) > 3
 
 
+def test_cli_solve_on_the_built_in_config_runs_the_minimizer(tmp_path, capsys):
+    """The built-in configuration carries the README's sine force, so its
+    coupled solve passes after taking steps, not at the start state."""
+    code = cli.main(["solve", "--model", "coupled", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert out.startswith("PASS solve: stopped (converged) at iteration ")
+    assert int(out.split(" at iteration ")[1].split()[0]) > 0
+
+
+def test_cli_solve_fails_on_a_gradient_off_by_a_fixed_offset(tmp_path, monkeypatch, capsys):
+    """The README solve passes; with one gradient entry off by a fixed 0.1
+    (ten times the force amplitude), the gradient no longer belongs to the
+    energy the line search compares, and the solve must end in a FAIL solve
+    line and exit 1."""
+    config = replace(readme_solver_config(force_amplitude=0.01), out=str(tmp_path))
+    assert run("solve", config) == 0
+    assert capsys.readouterr().out.startswith("PASS solve: ")
+    evaluate = harness.evaluate_model
+
+    def offset_gradient(config, y, *args, **kwargs):
+        report = evaluate(config, y, *args, **kwargs)
+        values = report.gradient.values.copy()
+        values[1, 2, 3, 0] += 0.1
+        report.gradient = LatticeField(config.cfg, values)
+        return report
+
+    monkeypatch.setattr(harness, "evaluate_model", offset_gradient)
+    code = run("solve", config)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[-1].startswith("FAIL solve: "), lines
+
+
 def test_cli_solve_summary_names_the_stop_reason(tmp_path, capsys):
     config = replace(readme_solver_config(max_iters=3, force_amplitude=0.01), out=str(tmp_path))
     code = run("solve", config)

@@ -28,6 +28,7 @@ from bvcouple.lattice import (
     make_deformation,
 )
 from bvcouple.potentials import InteractionSet, cb_energy_density, make_law, piola_stress
+from geometry_oracle import mesh_mismatches, oracle_placements, row_unique_keys
 
 
 def cfg8() -> LatticeConfig:
@@ -207,6 +208,41 @@ def test_mesh_sizes_frozen():
 # ----------------------------------------------------------------------
 # Energies
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("N", [12, 24])
+def test_mesh_equals_the_row_unique_slaving_byte_for_byte(monkeypatch, N):
+    """The slaving step keys each row of sorted sub-simplex sites by one
+    integer (``highorder._row_keys``); the mesh has every field and byte of
+    the one keyed by the rows' ``np.unique(axis=0)`` ids, for k = 2 and 3
+    on the centred and the off-centre region of side N/3."""
+    cfg = LatticeConfig(N=(N, N, N), epsilon=1.0 / N)
+    for corner, ext in oracle_placements(N):
+        part = RegionPartition(cfg, corner, ext)
+        for k in (2, 3):
+            mesh = highorder._build_mesh.__wrapped__(part, k)
+            with monkeypatch.context() as m:
+                m.setattr(highorder, "_row_keys", row_unique_keys)
+                ref = highorder._build_mesh.__wrapped__(part, k)
+            assert mesh.n_free_nodes > 0
+            assert mesh_mismatches(mesh, ref) == [], (corner, k)
+
+
+def test_row_keys_do_not_overflow_on_large_lattices():
+    """Three site columns as plain mixed-radix digits fill int64 exactly at
+    N = 128 (2^21 sites) and overflow beyond it. ``_row_keys`` ranks the
+    two-column prefixes first: at N = 160, on rows drawn from the whole
+    site range, top sites included, its keys stay non-negative and sort
+    and group the rows as their row-wise unique ids do."""
+    n = 160**3
+    assert n**3 > np.iinfo(np.int64).max
+    rng = np.random.default_rng(160)
+    pool = np.concatenate([rng.integers(0, n, size=(200, 3)), n - 1 - rng.integers(0, 4, size=(50, 3))])
+    for s in (2, 3):
+        rows = np.sort(pool[rng.integers(0, len(pool), size=3000), :s], axis=1)
+        keys = highorder._row_keys(rows, n)
+        assert keys.dtype == np.int64 and keys.min() >= 0
+        assert np.array_equal(np.unique(keys, return_inverse=True)[1].ravel(), row_unique_keys(rows, n))
+
 
 def test_degree_one_delegates_to_conforming():
     cfg = cfg8()

@@ -216,17 +216,19 @@ GRADIENT_BLOCKS = {"gradient_minus", "gradient_plus", "node_gradient"}
 def test_energy_only_call_is_the_full_call_without_gradients(monkeypatch, model, setting):
     """``gradient=False`` gives the bits of the full call's energy, excess
     and breakdown (``repr`` tells -0.0 from 0.0), the same terms and
-    diagnostics, and no gradient; under ``chunks_and_slabs`` the law runs
-    at order 0 on chunked rows."""
+    diagnostics (the term and setup timings by their keys), and no
+    gradient; under ``chunks_and_slabs`` the law runs at order 0 on
+    chunked rows."""
     setting(monkeypatch)
     full = model_calls()[model]()
     rep = model_calls(gradient=False)[model]()
     assert rep.gradient is None
     assert repr((rep.energy, rep.excess, rep.breakdown)) == repr((full.energy, full.excess, full.breakdown))
     assert rep.model == full.model
-    assert rep.diagnostics["term_s"].keys() == full.diagnostics["term_s"].keys()
+    for timings in ("term_s", "setup_s"):
+        assert rep.diagnostics.get(timings, {}).keys() == full.diagnostics.get(timings, {}).keys()
     assert not GRADIENT_BLOCKS & rep.diagnostics.keys()
-    drop = GRADIENT_BLOCKS | {"term_s"}
+    drop = GRADIENT_BLOCKS | {"term_s", "setup_s"}
     assert repr({k: v for k, v in rep.diagnostics.items() if k not in drop}) == \
         repr({k: v for k, v in full.diagnostics.items() if k not in drop})
 
