@@ -48,8 +48,9 @@ The continuum term is the staircase Cauchy-Born shift stencil of
 continuum cells by zero weights; the naive control uses the atomistic
 model's exact-bond stencil the same way, and is assembled, like the
 uncoupled models, by ``energies._lattice_model``. How a term's batches run
-(in pairs, on up to two lanes, added in batch order so every result is
-bitwise that of one lane) is the rule of ``energies``; see its docstring.
+(streamed through up to two lanes, their results added in batch order by
+either lane, so every result is bitwise that of one lane) is the rule of
+``energies``; see its docstring.
 
 Every coupled model is one private body, ``_coupled``, told apart by its
 model name: ``coupled``, ``coupled-dg`` and ``coupled-ho(k)``. The

@@ -112,53 +112,63 @@ evaluations (``law_calls``): one per unit, whatever its pieces and chunks.
 
 Each unit is one plain ``_bond_group`` call, a pure function of the state
 that returns each batch's energy, excess and gradient contribution as a
-list; ``_term`` walks the units in pairs and adds these to the term's sums
-and gradients in batch order, exactly the order of a single lane, so every
-result is bitwise the same on one lane or two, grouped or not, and
-deterministic. The lanes are the calling thread and one helper thread, as
-the process's CPU affinity allows, and every two-lane step goes through
-one hand-off, ``_on_two_lanes``, which returns once both lanes are done.
-A pair runs on two lanes, the caller computing the first unit and the
-helper the second, when one of its units has a batch of at least
-``_MIN_LANE_ROWS`` rows, which a group never has; below that size the
-thread hand-off costs more than the work it overlaps, and the caller
-computes and adds the pair's units one at a time. A unit that runs alone,
-a term's odd unit or its only one, leaves the helper idle, unless it is
-one stencil batch of several pieces: then ``_term`` hands it the helper,
-the caller runs pieces 0, 2, ... and the helper pieces 1, 3, ..., each
-lane with its own piece-sized zeta buffer writing disjoint rows of phi and
-phi', and op^T is applied in two halves of the axis-0 planes, one per
-lane. The excess, the finiteness check, the weight scaling and the adds
-stay on the caller, over the full arrays, so the bits are again those of
-one lane. On the lattices of more than ``_SLAB_ROWS`` sites (N = 64 and
-128 in the consistency sweep) this puts a lone law, or the third of three,
-of the atomistic and acb-cell models on both lanes.
+list; ``_term`` adds these to the term's sums and gradients in batch order,
+exactly the order of a single lane, so every result is bitwise the same on
+one lane or two, grouped or not, and deterministic. The lanes are the
+calling thread and one helper thread, as the process's CPU affinity allows,
+and every two-lane step goes through one hand-off, ``_on_two_lanes``, which
+returns once both lanes are done. A term's units stream on two lanes
+(``_stream``) when one of them has a batch of at least ``_MIN_LANE_ROWS``
+rows, which a group never has: each lane pulls the next unit from one
+shared cursor as soon as it has finished one, a finished unit's results
+wait in its own slot, and whichever lane takes the commit lock without
+waiting adds the ready results in unit order; once the helper is done, the
+caller adds what is left. No lane waits for the other between units. Below
+that size the thread hand-off costs more than the work it overlaps, and the
+caller computes and adds the units one at a time.
+
+Units of several pieces, one stencil batch of more than ``_SLAB_ROWS`` rows
+each, stream whole, since two such units side by side beat one unit split
+over both lanes. Of an odd run of them the last runs alone, between
+streams, and is split: ``_term`` hands it the helper, the caller runs
+pieces 0, 2, ... and the helper pieces 1, 3, ..., each lane with its own
+piece-sized zeta buffer writing disjoint rows of phi and phi', and op^T is
+applied in two halves of the axis-0 planes, one per lane. The excess, the
+finiteness check, the weight scaling and the adds stay on the caller, over
+the full arrays, so the bits are again those of one lane. Only the caller
+hands out the helper: the helper, a single worker, cannot hand pieces to
+itself. On the lattices of more than ``_SLAB_ROWS`` sites (N = 64 and 128
+in the consistency sweep) this streams the first two laws of the atomistic
+and acb-cell models on the README laws and splits the third.
 
 Domain errors follow one rule: a unit that raises re-runs its batches one
 at a time on one lane, so a group and a split batch both raise the error
 of their first failing batch, and only a lone one-lane batch forms its
-whole zeta to name its shortest bond. A pair on two lanes raises the
-caller's error, else the helper's: the first failing unit's, as on one
-lane.
+whole zeta to name its shortest bond. A stream raises the error of its
+first failing unit in unit order, whichever lane computed it and whenever:
+once a unit raises, no lane pulls another, but every earlier unit, pulled
+already, finishes, as on one lane.
 
 A lone batch keeps phi and phi' alive for all its rows, but zeta for one
 piece per lane only, the law's temporaries chunk-sized and a stencil's
 slab-sized; a group keeps them for all its rows, fewer than six times
 _MIN_LANE_ROWS per law on the models here, and returns every batch's
 gradient contribution (one array the size of the operator's columns per
-batch) at once. An energy-only call drops phi' and the contributions too.
-The helper lane calls no public bvcouple function, so tracers that wrap
-those see only the calling thread.
+batch) at once. A streamed unit that finishes ahead of an earlier one keeps
+its results in its slot until the earlier one is added. An energy-only call
+drops phi' and the contributions too. The helper lane calls no public
+bvcouple function, so tracers that wrap those see only the calling thread.
 """
 from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, reduce
-from itertools import product
+from itertools import groupby, product
 from operator import add
 from typing import Any
 
@@ -210,16 +220,17 @@ def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True, he
     per row; its zero-weight rows are evaluated at F eta. Pure: the caller
     adds the results.
 
-    ``helper``, the helper lane's executor, is given by ``_term`` to a lone
-    stencil batch of several pieces, and only then is the batch split: its
-    pieces are dealt to two lanes, 0, 2, ... to the caller and 1, 3, ... to
-    the helper, each lane with its own piece-sized zeta buffer, writing
-    disjoint rows of the full-length arrays; and op^T is applied in two
-    halves of the axis-0 planes, the lower by the caller, the upper by the
-    helper. Every row gets the operations of one lane, the excess, the
-    finiteness check and the weight scaling stay on the caller over the
-    full arrays, and ``_on_two_lanes`` returns only once both lanes are
-    done, so the bits are those of one lane.
+    ``helper``, the helper lane's executor, is given by ``_term`` to the
+    stencil batch of several pieces that runs alone, the last of an odd run
+    of them, and only then is the batch split: its pieces are dealt to two
+    lanes, 0, 2, ... to the caller and 1, 3, ... to the helper, each lane
+    with its own piece-sized zeta buffer, writing disjoint rows of the
+    full-length arrays; and op^T is applied in two halves of the axis-0
+    planes, the lower by the caller, the upper by the helper. Every row
+    gets the operations of one lane, the excess, the finiteness check and
+    the weight scaling stay on the caller over the full arrays, and
+    ``_on_two_lanes`` returns only once both lanes are done, so the bits
+    are those of one lane.
 
     A domain error names the lattice site ``op.site(row)`` of the shortest
     bond, or of the first bond whose phi or phi' is not finite, of the first
@@ -296,8 +307,9 @@ def _on_two_lanes(helper, mine, theirs) -> list:
     """[mine(), theirs()]: calls ``theirs`` on the helper lane while the
     caller calls ``mine``, and returns once both are done, so no helper work
     outlives the call. Raises the caller's error, else the helper's. Every
-    two-lane step goes through here: a pair of units, the dealt pieces of a
-    split batch and its transposed halves."""
+    two-lane step goes through here: a term's stream (each lane running the
+    same pull-and-add loop), the dealt pieces of a split batch and its
+    transposed halves."""
     ahead = helper.submit(theirs)
     try:
         got = mine()
@@ -406,9 +418,9 @@ def _lane_count() -> int:
 # Lanes a term's batches run on: the caller, and one helper thread where the
 # process may use two CPUs.
 _LANES = _lane_count()
-# A pair of units shares the two lanes only when one of them has a batch of
-# at least this many rows: below that the thread hand-off costs more than
-# the numpy work it overlaps. Consecutive smaller batches of one law and key
+# A term's units stream on two lanes only when one of them has a batch of at
+# least this many rows: below that the thread hand-off costs more than the
+# numpy work it overlaps. Consecutive smaller batches of one law and key
 # run as one group instead.
 _MIN_LANE_ROWS = 8192
 # Rows per law evaluation in ``_evaluate``, and per stencil slab in
@@ -631,8 +643,8 @@ def _cell_stencil(eta, N) -> _Stencil:
 class _Term:
     """One term's sums over its batches in batch order (``sums``: breakdown
     key -> (energy, excess) of the batches carrying it), its wall time, the
-    most lanes a pair of its units ran on, and its law evaluations (one per
-    unit, each in row chunks)."""
+    most lanes its units ran on, and its law evaluations (one per unit,
+    each in row chunks)."""
 
     name: str
     sums: dict[str, tuple[float, float]] = field(default_factory=dict)
@@ -640,50 +652,108 @@ class _Term:
     lanes: int = 1
     law_calls: int = 0
 
+    def add(self, key: str, results, g_outs) -> None:
+        """Adds one unit's results, batch by batch, to the sums of ``key``
+        and to every array in ``g_outs``."""
+        self.law_calls += 1
+        for e, de, contrib in results:
+            energy, excess = self.sums.get(key, (0.0, 0.0))
+            self.sums[key] = (energy + e, excess + de)
+            for g in g_outs:
+                g += contrib
+
 
 def _term(name: str, batches, F, x, eps, g_outs) -> _Term:
     """One term: the kernel over its quadrature-bond batches, a list of
-    (op, w, law, breakdown key) tuples, grouped by ``_groups`` and walked in
-    pairs of units. A pair with a batch of at least _MIN_LANE_ROWS rows runs
-    on two lanes, the caller taking the first unit and the helper the
-    second; any other pair computes and adds its units one at a time. A lone
-    unit that is one stencil batch of several pieces is handed the helper,
-    and only here is that split decided. Every sum and every array in
-    ``g_outs`` adds the batches' results in batch order, as on one lane and
-    ungrouped, so the result is bitwise the same on one lane or two, grouped
-    or not. With no ``g_outs`` the batches are energy-only."""
+    (op, w, law, breakdown key) tuples, grouped by ``_groups``. On two
+    lanes the units are streamed (``_stream``) when one of them has a batch
+    of at least _MIN_LANE_ROWS rows and there are two or more; of an odd
+    run of units of several pieces (each one stencil batch above
+    _SLAB_ROWS rows) the last is handed the helper and runs alone, split
+    over both lanes, and only here is that split decided. Any other unit is
+    computed and added on the caller, one at a time. Every sum and every
+    array in ``g_outs`` adds the batches' results in batch order, as on one
+    lane and ungrouped, so the result is bitwise the same on one lane or
+    two, grouped or not. With no ``g_outs`` the batches are energy-only."""
     t0 = time.perf_counter()
     out = _Term(name)
     gradient = bool(g_outs)
+    two = _LANES > 1
 
     def unit(pairs, law, key, helper=None) -> list:
         return _bond_group(pairs, law, F, x, eps, gradient, helper)
 
     def add(key, results) -> None:
-        out.law_calls += 1
-        for e, de, contrib in results:
-            energy, excess = out.sums.get(key, (0.0, 0.0))
-            out.sums[key] = (energy + e, excess + de)
-            for g in g_outs:
-                g += contrib
+        out.add(key, results, g_outs)
 
-    units = _groups(batches)
-    for i in range(0, len(units), 2):
-        pair = units[i:i + 2]
-        rows = max(op.rows for pairs, _, _ in pair for op, _ in pairs)
-        if _LANES > 1 and len(pair) == 2 and rows >= _MIN_LANE_ROWS:
-            done = _on_two_lanes(_helper(), lambda: unit(*pair[0]), lambda: unit(*pair[1]))
-            for _, _, key in pair:
-                add(key, done.pop(0))  # drops each unit's results once added
-            out.lanes = 2
-        elif _LANES > 1 and len(pair) == 1 and len(_pieces(pair[0][0], rows)) > 1:
-            add(pair[0][2], unit(*pair[0], _helper()))
+    def several_pieces(u) -> bool:
+        return len(_pieces(u[0], u[0][0][0].rows)) > 1
+
+    for several, run in groupby(_groups(batches), several_pieces):
+        run = list(run)
+        lone = run.pop() if two and several and len(run) % 2 else None
+        if two and len(run) > 1 and max(op.rows for pairs, _, _ in run for op, _ in pairs) >= _MIN_LANE_ROWS:
+            _stream(_helper(), run, unit, add)
             out.lanes = 2
         else:
-            for u in pair:
+            for u in run:
                 add(u[2], unit(*u))
+        if lone:
+            add(lone[2], unit(*lone, _helper()))
+            out.lanes = 2
     out.seconds = time.perf_counter() - t0
     return out
+
+
+def _stream(helper, units, run, add) -> None:
+    """Runs ``units`` on both lanes and adds their results in unit order.
+    Each lane pulls the next unit from one shared cursor as soon as it has
+    finished one, ``run(*unit)``, and parks the results in the unit's slot;
+    then, if it takes the commit lock without waiting, it adds every ready
+    result in unit order, ``add(key, results)``, from the first unit not yet
+    added, and drops it. Once a unit raises, no lane pulls another, but the
+    earlier units, all pulled already, finish. When both lanes are done
+    (``_on_two_lanes``) the caller adds what is left and raises the error of
+    the first failing unit, so every add and every error is that of one
+    lane."""
+    n = len(units)
+    slots: list = [None] * n      # a finished unit's results, until added
+    errors: dict = {}             # unit index -> the error it raised
+    cursor = iter(range(n))
+    pull, commit = threading.Lock(), threading.Lock()
+    head = 0                      # the first unit not yet added
+
+    def ready() -> bool:
+        h = head  # read once: the lane holding the commit lock may advance it
+        return h < n and slots[h] is not None
+
+    def drain() -> None:
+        nonlocal head
+        while ready():
+            add(units[head][2], slots[head])
+            slots[head] = None
+            head += 1
+
+    def lane() -> None:
+        while not errors:
+            with pull:
+                i = next(cursor, None)
+            if i is None:
+                return
+            try:
+                slots[i] = run(*units[i])
+            except Exception as exc:  # raised by the caller, in unit order
+                errors[i] = exc
+            while ready() and commit.acquire(blocking=False):
+                try:
+                    drain()
+                finally:
+                    commit.release()
+
+    _on_two_lanes(helper, lane, lane)
+    drain()
+    if errors:
+        raise errors[min(errors)]
 
 
 def _report(model: str, gradient: LatticeField | None, terms, **diagnostics) -> EnergyReport:

@@ -109,11 +109,24 @@ MUTATIONS = [
      "if len(pairs) > 1 or two:",
      "if len(pairs) > 1:",
      "tests/test_lanes.py::test_domain_error_of_a_split_batch_is_the_one_lane_error"),
-    # a two-lane pair with its lanes swapped: the caller computes the second unit
+    # a stream's results added in completion order rather than unit order
     ("energies.py",
-     "_on_two_lanes(_helper(), lambda: unit(*pair[0]), lambda: unit(*pair[1]))\n",
-     "_on_two_lanes(_helper(), lambda: unit(*pair[1]), lambda: unit(*pair[0]))[::-1]\n",
-     "tests/test_lanes.py::test_helper_lane_domain_error_is_the_serial_one"),
+     "                slots[i] = run(*units[i])\n",
+     "                got = run(*units[i])\n"
+     "                with commit:\n"
+     "                    add(units[i][2], got)\n",
+     "tests/test_lanes.py::test_helper_lane_commits_while_the_callers_first_unit_is_held"),
+    # a stream whose caller returns without waiting for the helper lane
+    ("energies.py",
+     "    _on_two_lanes(helper, lane, lane)\n",
+     "    helper.submit(lane)\n"
+     "    lane()\n",
+     "tests/test_lanes.py::test_helper_lane_is_done_when_the_term_returns_or_raises"),
+    # the odd unit of several pieces streamed whole instead of split over both lanes
+    ("energies.py",
+     "        lone = run.pop() if two and several and len(run) % 2 else None\n",
+     "        lone = None\n",
+     "tests/test_lanes.py::test_only_the_caller_hands_out_the_helper_lane"),
     # the sweep's homogeneous-share check removed
     ("harness.py",
      '        if r["share_ulps"] > _SHARE_ULPS:',

@@ -1,14 +1,16 @@
-"""Two lanes, one result: a term's bond batches run in pairs on the calling
-thread and one helper thread, a lone stencil batch of several pieces deals
-its pieces and its transposed halves to both, and the results are reduced
-in batch order, so every report is bitwise the report of one lane. The lane count, the row threshold,
-the law chunk and the stencil slab are private constants of ``energies``;
-these tests set them directly."""
+"""Two lanes, one result: a term's bond batches stream through the calling
+thread and one helper thread, a stencil batch of several pieces runs alone
+and deals its pieces and its transposed halves to both, and the results are
+added in batch order by whichever lane adds them, so every report is
+bitwise the report of one lane. The lane count, the row threshold, the law
+chunk and the stencil slab are private constants of ``energies``; these
+tests set them directly."""
 from __future__ import annotations
 
 import hashlib
 import os
 import select
+import sys
 import threading
 import time
 import warnings
@@ -42,7 +44,8 @@ def one_lane(monkeypatch):
 
 
 def two_lanes(monkeypatch):
-    """Every pair of batches on two lanes, whatever its size."""
+    """Every term of two units or more streamed on two lanes, whatever its
+    batches' sizes."""
     monkeypatch.setattr(energies, "_LANES", 2)
     monkeypatch.setattr(energies, "_MIN_LANE_ROWS", 0)
 
@@ -273,9 +276,9 @@ def collapsing_state():
 
 
 @pytest.mark.parametrize("collapse, site, eta", [
-    # only the second batch of the pair fails: it ran on the helper lane
+    # only the second unit fails, while the helper lane's unit is slow
     ([((5, 6, 7), (0, 1, 0))], (5, 6, 7), (0, 1, 0)),
-    # both fail: the first in batch order, the caller's, is the one raised
+    # both fail: the first in batch order is the one raised
     ([((2, 3, 4), (1, 0, 0)), ((5, 6, 7), (0, 1, 0))], (2, 3, 4), (1, 0, 0)),
 ])
 def test_helper_lane_domain_error_is_the_serial_one(monkeypatch, collapse, site, eta):
@@ -309,10 +312,10 @@ def test_helper_lane_domain_error_is_the_serial_one(monkeypatch, collapse, site,
 
 
 def test_one_lane_pair_adds_its_first_unit_before_it_computes_the_second(monkeypatch):
-    """On one lane a pair of units, here the first two of the README laws'
-    bond batches at N=12, is computed and added one unit at a time: when
-    the kernel starts a unit, the gradient already holds every earlier
-    unit's contribution, so one lane never holds two units' results."""
+    """On one lane a term's units, here the README laws' three bond batches
+    at N=12, are computed and added one unit at a time: when the kernel
+    starts a unit, the gradient already holds every earlier unit's
+    contribution, so one lane never holds two units' results."""
     one_lane(monkeypatch)
     cfg = LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0)
     y = state(cfg, 1)
@@ -480,13 +483,14 @@ def stencil_spy(monkeypatch) -> list:
                                             (acb_cell_energy, energies._cell_stencil)])
 def test_lone_batch_split_over_two_lanes_is_bitwise_one_lane(monkeypatch, model, stencil, n_laws, gradient,
                                                             slab_rows):
-    """At N=12 under the default row threshold the batches of a pair run
-    serially, and a term's lone unit (the last of three laws, or the only
-    law) is one stencil batch in pieces of ``slab_rows`` rows. On two lanes
-    it deals pieces 1, 3, ... to the helper lane and applies its transpose
-    in two halves of six planes, the upper on the helper. The report, full
-    and energy-only, is bitwise the one-lane report, and the helper ran
-    exactly those pieces and that half."""
+    """At N=12 in pieces of ``slab_rows`` rows every law's batch is one
+    stencil batch of several pieces. Under the default row threshold the
+    first two of three laws run on the caller, one at a time, and the odd
+    one of the run (the last of three laws, or the only law) runs alone on
+    two lanes: it deals pieces 1, 3, ... to the helper lane and applies its
+    transpose in two halves of six planes, the upper on the helper. The
+    report, full and energy-only, is bitwise the one-lane report, and the
+    helper ran exactly those pieces and that half."""
     cfg = LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0)
     y = state(cfg, 5)
     laws = list(README_LAWS)[-n_laws:]
@@ -510,6 +514,199 @@ def test_lone_batch_split_over_two_lanes_is_bitwise_one_lane(monkeypatch, model,
         want.append((op.T.terms, 6, 12))
         assert (False, op.T.terms, 0, 6) in seen
     assert helper == want
+
+
+def on_helper_lane() -> bool:
+    return threading.current_thread() is not threading.main_thread()
+
+
+def test_helper_lane_commits_while_the_callers_first_unit_is_held(monkeypatch):
+    """acb-tetra at N=12 on two lanes, every staircase batch a unit of its
+    own: one stream of 18 units. The caller's first unit waits until the
+    helper lane has finished three units, whose results wait in their slots;
+    after that each helper unit takes 50 ms, so the helper finishes the
+    stream's last unit and adds it itself. The results are added in unit
+    order whichever lane adds them: the report is bitwise the one-lane
+    report, and the helper lane made at least one of the 18 adds."""
+    evaluate = model_calls()["acb-tetra"]
+    one_lane(monkeypatch)
+    ref = evaluate()
+    two_lanes(monkeypatch)
+    group, add = energies._bond_group, energies._Term.add
+    released = threading.Event()
+    helper_units, held, adds = [], [], []
+
+    def spy(*args, **kwargs):
+        if on_helper_lane():
+            if released.is_set():
+                time.sleep(0.05)
+            results = group(*args, **kwargs)
+            helper_units.append(1)
+            if len(helper_units) == 3:
+                released.set()
+            return results
+        if not held:
+            held.append(released.wait(30.0))
+        return group(*args, **kwargs)
+
+    def recording_add(self, key, results, g_outs):
+        adds.append(on_helper_lane())
+        return add(self, key, results, g_outs)
+
+    monkeypatch.setattr(energies, "_bond_group", spy)
+    monkeypatch.setattr(energies._Term, "add", recording_add)
+    rep = evaluate()
+    assert held == [True] and len(helper_units) >= 3
+    assert len(adds) == 18 and any(adds)
+    assert_same_report(ref, rep)
+
+
+def test_earlier_units_error_wins_over_a_later_one_raised_first(monkeypatch):
+    """Two laws at N=12 on two lanes, both with a collapsed bond: the first
+    unit (eta = (1, 0, 0)) waits until the second has raised, on the other
+    lane. The raised error is the first unit's, as on one lane: its type,
+    message, site and eta."""
+    R, deformation = collapsing_state()
+    y = deformation([((2, 3, 4), (1, 0, 0)), ((5, 6, 7), (0, 1, 0))])
+    one_lane(monkeypatch)
+    with pytest.raises(PotentialDomainError) as serial:
+        atomistic_energy(y, R)
+    assert (serial.value.site, serial.value.eta) == ((2, 3, 4), (1, 0, 0))
+
+    two_lanes(monkeypatch)
+    group = energies._bond_group
+    raised = []
+    later_raised = threading.Event()
+
+    def spy(pairs, law, *args, **kwargs):
+        if law.eta == (1, 0, 0):
+            assert later_raised.wait(30.0)
+        try:
+            return group(pairs, law, *args, **kwargs)
+        except PotentialDomainError:
+            raised.append(law.eta)
+            later_raised.set()
+            raise
+
+    monkeypatch.setattr(energies, "_bond_group", spy)
+    with pytest.raises(PotentialDomainError) as lanes:
+        atomistic_energy(y, R)
+    assert raised == [(0, 1, 0), (1, 0, 0)]
+    assert (type(lanes.value), str(lanes.value)) == (type(serial.value), str(serial.value))
+    assert (lanes.value.site, lanes.value.eta) == (serial.value.site, serial.value.eta)
+
+
+@pytest.mark.parametrize("collapse", [[], [((2, 3, 4), (1, 0, 0))]])
+def test_helper_lane_is_done_when_the_term_returns_or_raises(monkeypatch, collapse):
+    """The atomistic term of two laws at N=12 on two lanes, each helper unit
+    200 ms slow, so the caller runs out of units first. When the term
+    returns, or raises the first law's domain error, every future handed to
+    the helper lane is done: no helper work outlives the call."""
+    R, deformation = collapsing_state()
+    y = deformation(collapse)
+    two_lanes(monkeypatch)
+    group, pool = energies._bond_group, energies._helper()
+    futures = []
+
+    class Recording:
+        @staticmethod
+        def submit(fn, *args):
+            futures.append(pool.submit(fn, *args))
+            return futures[-1]
+
+    def spy(*args, **kwargs):
+        if on_helper_lane():
+            time.sleep(0.2)
+        return group(*args, **kwargs)
+
+    monkeypatch.setattr(energies, "_helper", Recording)
+    monkeypatch.setattr(energies, "_bond_group", spy)
+    cfg = y.cfg
+    batches = [(energies._bond_stencil(law.eta, cfg.N), 1.0, law, f"eta={law.eta}") for law in R]
+    g = np.zeros((cfg.n_sites, 3))
+
+    def term():
+        return energies._term("atomistic", batches, y.F, y.displacement.values.reshape(-1, 3), cfg.epsilon, (g,))
+
+    if collapse:
+        with pytest.raises(PotentialDomainError):
+            term()
+    else:
+        assert term().lanes == 2
+    assert futures and all(f.done() for f in futures)
+
+
+def test_only_the_caller_hands_out_the_helper_lane(monkeypatch):
+    """Under ``chunks_and_slabs`` every N=12 stencil batch is six pieces and
+    every gather one. In every model ``_bond_group`` gets the helper lane
+    only on the calling thread: the helper, a single worker, cannot hand
+    pieces to itself. In the atomistic model's term of three such units the
+    first two stream whole, each on one lane, and the third, the odd one,
+    deals pieces 1, 3 and 5 to the helper lane."""
+    chunks_and_slabs(monkeypatch)
+    group = energies._bond_group
+    handed = []
+
+    def spy(pairs, law, F, x, eps, gradient=True, helper=None):
+        handed.append((on_helper_lane(), helper is not None))
+        return group(pairs, law, F, x, eps, gradient, helper)
+
+    monkeypatch.setattr(energies, "_bond_group", spy)
+    for name, evaluate in model_calls().items():
+        assert evaluate().diagnostics["lanes"] == 2, name
+    assert (False, True) in handed and (True, False) in handed
+    assert (True, True) not in handed
+
+    seen = stencil_spy(monkeypatch)
+    atomistic_energy(state(LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0), 5), README_LAWS)
+    applies = {}
+    for on_helper, terms, lo, hi in seen:
+        applies.setdefault(terms, []).append((on_helper, lo, hi))
+    *whole, odd = [applies[energies._bond_stencil(law.eta, (12, 12, 12)).terms] for law in README_LAWS]
+    for pieces in whole:
+        assert [(lo, hi) for _, lo, hi in pieces] == [(a, a + 2) for a in range(0, 12, 2)]
+        assert len({on_helper for on_helper, _, _ in pieces}) == 1
+    assert sorted(odd, key=lambda piece: piece[1]) == [(a % 4 == 2, a, a + 2) for a in range(0, 12, 2)]
+
+
+def test_stream_adds_each_unit_once_in_unit_order_under_fast_thread_switches():
+    """``_stream`` alone, 200 times, on 40 units of random small work, with
+    the interpreter switching threads every microsecond: every unit's
+    results are added exactly once and in unit order, and a stream with
+    failing units adds exactly the units before the first of them and
+    raises that unit's error. A lost or doubled update, or one out of
+    order, breaks the list of adds."""
+    rng = np.random.default_rng(0)
+    helper = energies._helper()
+    n = 40
+    units = [(i, None, f"k{i}") for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(200):
+            failing = set(rng.choice(n, size=rng.integers(0, 3), replace=False).tolist())
+            spins = rng.integers(0, 300, n)
+            added = []
+
+            def run(i, law, key):
+                sum(range(spins[i]))
+                if i in failing:
+                    raise ValueError(i)
+                return [i]
+
+            def stream():
+                energies._stream(helper, units, run, lambda key, results: added.append((key, results)))
+
+            first = min(failing, default=n)
+            if failing:
+                with pytest.raises(ValueError) as err:
+                    stream()
+                assert err.value.args == (first,)
+            else:
+                stream()
+            assert added == [(f"k{i}", [i]) for i in range(first)]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("gradient", [True, False])
