@@ -33,7 +33,7 @@ fan is symmetric); the remaining faces match in integral against the
 averaged bonds by the fan's mean-value center.
 
 Every term is a weighted sum of phi_eta(F eta + (B v)_q / eps) over
-"quadrature bonds" q, evaluated by the one kernel ``energies._bond_group``
+"quadrature bonds" q, evaluated by the one kernel ``energies._Unit``
 for a fixed linear map B of the lattice displacement v, one of its two
 operator kinds. The atomistic bonds (+1/-1 rows) and the interface cone
 tets (eta^T A^-1 applied to the vertex values of the cone interpolant,
@@ -48,7 +48,8 @@ The continuum term is the staircase Cauchy-Born shift stencil of
 continuum cells by zero weights; the naive control uses the atomistic
 model's exact-bond stencil the same way, and is assembled, like the
 uncoupled models, by ``energies._lattice_model``. How a term's batches run
-(streamed through up to two lanes, their results added in batch order by
+(their pieces streamed through up to two lanes, the lane that completes a
+unit's last piece finishing it, and the results added in batch order by
 either lane, so every result is bitwise that of one lane) is the rule of
 ``energies``; see its docstring.
 

@@ -4,8 +4,8 @@ Cauchy-Born; and the one quadrature-bond kernel every energy term uses.
 
 Every model here and in ``coupling`` and ``highorder`` is a weighted sum
 eps^3 sum_q w_q phi_eta(F eta + (B v)_q / eps) over "quadrature bonds" q,
-with B a fixed linear map of the displacement v. ``_bond_group`` is the
-only code that evaluates phi_eta for such a term: ``InteractionLaw.evaluate
+with B a fixed linear map of the displacement v. ``_Unit`` is the only
+code that evaluates phi_eta for such a term: ``InteractionLaw.evaluate
 (zeta, 1)`` on each group of a term's (law, operator) batches (see below)
 gives phi and phi' together (order 0, phi alone, for an energy-only call),
 piece by piece and in plain chunks of ``_LAW_CHUNK`` rows, and phi(F eta)
@@ -46,20 +46,18 @@ site a row belongs to, named in domain errors):
   apply the shape-function gradients times eta at each quadrature point
   (as explicit CSR rows).
 
-Pieces (``_pieces``): a lone stencil batch of more than ``_SLAB_ROWS``
-rows runs through the law one slab of whole axis-0 planes at a time. Per
-piece, the kernel applies the stencil to the piece's planes alone, into
-one reused piece-sized zeta buffer, divides by eps, adds F eta, sets the
-piece's own zero-weight rows to F eta and evaluates the law, writing phi
-(and phi') into the batch's full-length arrays; F eta rides as the extra
-last row of the last piece. The excess sum, the finiteness check, the
-weight scaling and op^T then run on those full arrays, as for a batch of
-one piece, so the bits are those of one piece. Every group of small
-batches, every gather and every batch of at most one slab is one piece. A
-law that rejects a piece's rows raises the error of the batch's first
-failing row, as in one piece; the kernel then forms the batch's whole zeta
-once to name its shortest bond. A batch of several pieces that runs alone
-on two lanes is split: its pieces are dealt to both (see below).
+Pieces (``_pieces``): a piece is the run of rows that one law evaluation
+covers. A lone stencil batch of more than ``_SLAB_ROWS`` rows runs through
+the law one slab of whole axis-0 planes at a time; every group of small
+batches, every gather and every batch of at most one slab is one piece.
+Per piece, the kernel applies the stencil to the piece's planes alone, into
+the lane's reused zeta buffer, divides by eps, adds F eta, sets the piece's
+own zero-weight rows to F eta and evaluates the law, writing phi (and
+phi') into the unit's full-length arrays; F eta rides as the extra last row
+of the last piece. The excess sum, the finiteness check, the weight scaling
+and op^T then run on those full arrays, as for a batch of one piece, so the
+bits are those of one piece. A unit of one piece of fewer than
+``_LAW_CHUNK`` rows keeps the law's own arrays instead.
 
 Masks are zero weights; a zero-weight row is evaluated at the homogeneous
 bond F eta, so a bond a mask drops can neither raise nor contribute. A
@@ -110,54 +108,49 @@ unit of its own. Up to N=20 this groups each law's six staircase templates
 P1 layer of the high-order model). Every report counts its terms' law
 evaluations (``law_calls``): one per unit, whatever its pieces and chunks.
 
-Each unit is one plain ``_bond_group`` call, a pure function of the state
-that returns each batch's energy, excess and gradient contribution as a
-list; ``_term`` adds these to the term's sums and gradients in batch order,
-exactly the order of a single lane, so every result is bitwise the same on
-one lane or two, grouped or not, and deterministic. The lanes are the
-calling thread and one helper thread, as the process's CPU affinity allows,
-and every two-lane step goes through one hand-off, ``_on_two_lanes``, which
-returns once both lanes are done. A term's units stream on two lanes
-(``_stream``) when one of them has a batch of at least ``_MIN_LANE_ROWS``
-rows, which a group never has: each lane pulls the next unit from one
-shared cursor as soon as it has finished one, a finished unit's results
-wait in its own slot, and whichever lane takes the commit lock without
-waiting adds the ready results in unit order; once the helper is done, the
-caller adds what is left. No lane waits for the other between units. Below
-that size the thread hand-off costs more than the work it overlaps, and the
-caller computes and adds the units one at a time.
+Each unit is a ``_Unit``: ``start`` allocates its full-length arrays,
+``run`` evaluates one piece into them, and ``finish`` forms each batch's
+energy, excess and gradient contribution, returned as a list, and drops the
+arrays. ``_term`` adds these to the term's sums and gradients in batch
+order, exactly the order of a single lane, so every result is bitwise the
+same on one lane or two, grouped or not, and deterministic. The lanes are
+the calling thread and one helper thread, as the process's CPU affinity
+allows. A term streams its pieces on two lanes (``_stream``, the only code
+that hands work to the helper) when one of its batches has at least
+``_MIN_LANE_ROWS`` rows, which a group never has, and it has two pieces or
+more: each lane pulls the next (unit, piece) from one shared cursor, in
+unit-then-piece order, as soon as it has finished one, pulling a unit's
+first piece starts the unit, the lane that completes a unit's last piece
+runs its finish and parks the results in the unit's slot, and whichever
+lane takes the commit lock without waiting adds the ready results in unit
+order; once the helper is done, the caller adds what is left. No lane
+waits for the other between pieces, so one lane finishes a unit while the
+other evaluates the next one's pieces. Otherwise the thread hand-off costs
+more than the work it overlaps, and the caller runs and adds the units one
+at a time (``_Unit.alone``). On the lattices of more than ``_SLAB_ROWS``
+sites (N = 64 and 128 in the consistency sweep) every stencil batch is
+several pieces, and a term's pieces stream through both lanes alike.
 
-Units of several pieces, one stencil batch of more than ``_SLAB_ROWS`` rows
-each, stream whole, since two such units side by side beat one unit split
-over both lanes. Of an odd run of them the last runs alone, between
-streams, and is split: ``_term`` hands it the helper, the caller runs
-pieces 0, 2, ... and the helper pieces 1, 3, ..., each lane with its own
-piece-sized zeta buffer writing disjoint rows of phi and phi', and op^T is
-applied in two halves of the axis-0 planes, one per lane. The excess, the
-finiteness check, the weight scaling and the adds stay on the caller, over
-the full arrays, so the bits are again those of one lane. Only the caller
-hands out the helper: the helper, a single worker, cannot hand pieces to
-itself. On the lattices of more than ``_SLAB_ROWS`` sites (N = 64 and 128
-in the consistency sweep) this streams the first two laws of the atomistic
-and acb-cell models on the README laws and splits the third.
+Domain errors follow one rule: every error is the one-lane error. On one
+lane a group whose law call raises re-runs its batches one at a time, and a
+lone batch forms its whole zeta once to name its shortest bond. A stream
+raises the error of its first failing unit in unit order, whichever lane
+hit it and whenever: once a piece or a finish raises, no lane pulls
+another, but every earlier unit, whose pieces were all pulled already,
+finishes, as on one lane; the caller then re-runs the first failing unit on
+one lane, which raises its one-lane error.
 
-Domain errors follow one rule: a unit that raises re-runs its batches one
-at a time on one lane, so a group and a split batch both raise the error
-of their first failing batch, and only a lone one-lane batch forms its
-whole zeta to name its shortest bond. A stream raises the error of its
-first failing unit in unit order, whichever lane computed it and whenever:
-once a unit raises, no lane pulls another, but every earlier unit, pulled
-already, finishes, as on one lane.
-
-A lone batch keeps phi and phi' alive for all its rows, but zeta for one
-piece per lane only, the law's temporaries chunk-sized and a stencil's
-slab-sized; a group keeps them for all its rows, fewer than six times
-_MIN_LANE_ROWS per law on the models here, and returns every batch's
-gradient contribution (one array the size of the operator's columns per
-batch) at once. A streamed unit that finishes ahead of an earlier one keeps
-its results in its slot until the earlier one is added. An energy-only call
-drops phi' and the contributions too. The helper lane calls no public
-bvcouple function, so tracers that wrap those see only the calling thread.
+A unit keeps phi and phi' alive for all its rows from its first piece to
+its finish, but zeta in one buffer per lane, the size of the term's
+largest piece, the law's temporaries chunk-sized and a stencil's
+slab-sized; a group keeps them for all its
+rows, fewer than six times _MIN_LANE_ROWS per law on the models here, and
+returns every batch's gradient contribution (one array the size of the
+operator's columns per batch) at once. A streamed unit that finishes ahead
+of an earlier one keeps its results in its slot until the earlier one is
+added. An energy-only call drops phi' and the contributions too. The helper
+lane calls no public bvcouple function, so tracers that wrap those see only
+the calling thread.
 """
 from __future__ import annotations
 
@@ -168,7 +161,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, reduce
-from itertools import groupby, product
+from itertools import product
 from operator import add
 from typing import Any
 
@@ -200,139 +193,124 @@ class EnergyReport:
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
-def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True, helper=None) -> list:
+def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True) -> list:
     """Quadrature-bond energies of a group of (op, w) pairs of one law, the
-    batches of a term that ``_groups`` runs together. Returns, pair by pair
-    in order, the pair's energy eps^3 sum_q w_q phi(zeta_q) at the bond
-    vectors zeta = F eta + (op @ x) / eps, summed as its excess over the
-    homogeneous bond, eps^3 sum_q w_q (phi(zeta_q) - phi(F eta)), plus its
-    homogeneous share eps^3 phi(F eta) sum_q w_q; the excess; and, if
-    ``gradient``, the gradient contribution, scaled like the lattice inner
-    product, op^T (w phi'(zeta) / eps).
+    batches of a term that ``_groups`` runs together, computed on the
+    calling lane alone: ``_Unit.alone``. Returns, pair by pair in order, the
+    pair's energy eps^3 sum_q w_q phi(zeta_q) at the bond vectors
+    zeta = F eta + (op @ x) / eps, summed as its excess over the homogeneous
+    bond, eps^3 sum_q w_q (phi(zeta_q) - phi(F eta)), plus its homogeneous
+    share eps^3 phi(F eta) sum_q w_q; the excess; and, if ``gradient``, the
+    gradient contribution, scaled like the lattice inner product,
+    op^T (w phi'(zeta) / eps). Pure: the caller adds the results."""
+    return _Unit(pairs, law, None, F @ law.eta_vec, x, eps, gradient).alone()
 
-    The group's rows run through the law in pieces (``_pieces``): per piece,
-    its zeta rows are formed into one reused buffer and evaluated at once,
-    phi and phi' landing in the group's full-length arrays; F eta rides as
-    an extra last row of the last piece, so the excess is exactly 0.0
-    wherever zeta = F eta. The law acts row by row, so the bits do not
-    depend on the pieces, and each pair's results are the bits of a group
-    of that pair alone. ``w`` is a scalar or a ``_Weights`` with one weight
-    per row; its zero-weight rows are evaluated at F eta. Pure: the caller
-    adds the results.
 
-    ``helper``, the helper lane's executor, is given by ``_term`` to the
-    stencil batch of several pieces that runs alone, the last of an odd run
-    of them, and only then is the batch split: its pieces are dealt to two
-    lanes, 0, 2, ... to the caller and 1, 3, ... to the helper, each lane
-    with its own piece-sized zeta buffer, writing disjoint rows of the
-    full-length arrays; and op^T is applied in two halves of the axis-0
-    planes, the lower by the caller, the upper by the helper. Every row
-    gets the operations of one lane, the excess, the finiteness check and
-    the weight scaling stay on the caller over the full arrays, and
-    ``_on_two_lanes`` returns only once both lanes are done, so the bits
-    are those of one lane.
+class _Unit:
+    """One unit of a term (``_groups``): a group of (op, w) pairs of one law
+    and breakdown key, taken through the law in pieces (``_pieces``).
 
-    A domain error names the lattice site ``op.site(row)`` of the shortest
-    bond, or of the first bond whose phi or phi' is not finite, of the first
-    failing pair. One rule finds it: a group or a split batch whose law
-    call raises re-runs its pairs one at a time on one lane, and a lone
-    one-lane batch that raises forms its whole zeta once to name its
-    shortest bond.
+    ``start`` allocates phi (and phi') for every row, and one more row for
+    F eta; a unit of one piece of fewer than _LAW_CHUNK rows leaves that to
+    the law, whose own arrays it keeps. ``run(k, zeta)`` forms piece k's bond rows in the lane's buffer
+    ``zeta`` (at least ``zeta_rows`` rows) and writes the law's phi (and
+    phi') into the piece's rows; F eta rides as an extra last row of the
+    last piece, so the excess is exactly 0.0 wherever zeta = F eta. Pieces
+    write disjoint rows, so they may run in any order, on either lane.
+    ``finish``, once every piece has run, forms each pair's results over the
+    full arrays and drops them. The law acts row by row, so the bits do not
+    depend on the pieces or the lanes, and each pair's results are the bits
+    of a group of that pair alone. ``w`` is a scalar or a ``_Weights`` with
+    one weight per row; its zero-weight rows are evaluated at F eta.
 
-    Without ``gradient`` the group is energy-only: the law is evaluated at
+    Without ``gradient`` the unit is energy-only: the law is evaluated at
     order 0, and every gradient contribution is None. The energy and excess
     are the same bits, since phi does not depend on the order asked for;
     phi' is not computed, so only phi is checked for finiteness."""
-    base = F @ law.eta_vec
-    rows = [op.rows for op, _ in pairs]
-    ends = np.cumsum(rows)
-    starts = ends - rows
-    n = int(ends[-1])
-    order = 1 if gradient else 0
-    pieces = _pieces(pairs, n)
-    two = helper is not None
-    # the law writes each piece into these; a lone piece keeps the law's own arrays
-    out = [np.empty(n + 1), np.empty((n + 1, 3))][: order + 1] if len(pieces) > 1 else None
 
-    def run(share):
-        """Evaluates the pieces ``share`` in order, in one zeta buffer."""
-        zeta = np.empty((max(hi - lo for lo, hi, _ in share) + 1, 3))
-        for lo, hi, planes in share:
-            z = _bond_rows(pairs, starts, x, eps, base, lo, hi, planes, zeta[: hi - lo + (hi == n)])
-            got = _evaluate(law, z, order, out and [a[lo:lo + len(z)] for a in out])
-        return out or got
+    def __init__(self, pairs, law: InteractionLaw, key, base, x, eps, gradient: bool):
+        self.pairs, self.law, self.key, self.base, self.x, self.eps = pairs, law, key, base, x, eps
+        self.order = 1 if gradient else 0
+        self.ends = np.cumsum([op.rows for op, _ in pairs])
+        self.starts = [0, *self.ends[:-1]]
+        self.n = int(self.ends[-1])
+        self.pieces = _pieces(pairs, self.n)
+        self.zeta_rows = max(hi - lo for lo, hi, _ in self.pieces) + 1  # a piece and F eta
+        self.out = None  # phi (and phi'), from ``start`` to ``finish``
 
-    try:
-        got = _on_two_lanes(helper, lambda: run(pieces[::2]), lambda: run(pieces[1::2]))[0] if two else run(pieces)
-    except PotentialDomainError as exc:
-        if len(pairs) > 1 or two:  # the first failing pair's error, as on one lane and ungrouped
-            return [r for pair in pairs for r in _bond_group([pair], law, F, x, eps, gradient)]
-        z = _bond_rows(pairs, starts, x, eps, base, 0, n, None, np.empty((n, 3)))
-        raise _site_error(exc, pairs[0][0].site(int(np.argmin(np.linalg.norm(z, axis=-1)))), law.eta) from exc
-    vals, *P = got
-    phi0 = vals[n]
-    P = P[0] if gradient else None
-    results = []
-    for (op, w), lo, hi in zip(pairs, starts, ends):
-        v = vals[lo:hi]
-        p = None if P is None else P[lo:hi]
-        if isinstance(w, _Weights):
-            w, total = w.w, w.total
-        else:
-            total = w * op.rows
-        excess = float(eps**3 * (w * (v - phi0)).sum())
-        # One sum finds a non-finite phi'; the row mask, built only then,
-        # tells it apart from a sum of finite entries that overflowed.
-        if not (math.isfinite(excess) and (p is None or math.isfinite(p.sum()))):
-            bad = ~np.isfinite(v)
-            if p is not None:
-                bad |= ~np.isfinite(p).all(axis=-1)
-            if not math.isfinite(excess) or bad.any():
-                raise _site_error(f"{law.kind} energy or force is not finite", op.site(int(np.argmax(bad))), law.eta)
-        share = float(eps**3 * phi0 * total)
-        if p is None:
-            results.append((excess + share, excess, None))
-            continue
-        if np.ndim(w):
-            w = w / eps
-            for i in range(3):
-                p[:, i] *= w
-        else:
-            p *= w / eps
-        results.append((excess + share, excess, _halves_transposed(helper, op, p) if two else op.T @ p))
-    return results
+    def start(self) -> None:
+        big = len(self.pieces) > 1 or self.n >= _LAW_CHUNK
+        self.out = [np.empty(self.n + 1), np.empty((self.n + 1, 3))][: self.order + 1] if big else None
 
+    def run(self, k: int, zeta: np.ndarray) -> None:
+        lo, hi, planes = self.pieces[k]
+        z = _bond_rows(self.pairs, self.starts, self.x, self.eps, self.base, lo, hi, planes,
+                       zeta[: hi - lo + (hi == self.n)])
+        got = _evaluate(self.law, z, self.order, self.out and [a[lo:lo + len(z)] for a in self.out])
+        self.out = self.out or got
 
-def _on_two_lanes(helper, mine, theirs) -> list:
-    """[mine(), theirs()]: calls ``theirs`` on the helper lane while the
-    caller calls ``mine``, and returns once both are done, so no helper work
-    outlives the call. Raises the caller's error, else the helper's. Every
-    two-lane step goes through here: a term's stream (each lane running the
-    same pull-and-add loop), the dealt pieces of a split batch and its
-    transposed halves."""
-    ahead = helper.submit(theirs)
-    try:
-        got = mine()
-    finally:
-        ahead.exception()  # waits
-    return [got, ahead.result()]
+    def finish(self) -> list:
+        """Each pair's (energy, excess, gradient contribution) from the full
+        arrays, which it drops; a non-finite phi or phi' raises the error of
+        the first pair that has one."""
+        (vals, *P), self.out = self.out, None
+        phi0 = vals[self.n]
+        P = P[0] if P else None
+        eps, results = self.eps, []
+        for (op, w), lo, hi in zip(self.pairs, self.starts, self.ends):
+            v = vals[lo:hi]
+            p = None if P is None else P[lo:hi]
+            if isinstance(w, _Weights):
+                w, total = w.w, w.total
+            else:
+                total = w * op.rows
+            excess = float(eps**3 * (w * (v - phi0)).sum())
+            # One sum finds a non-finite phi'; the row mask, built only then,
+            # tells it apart from a sum of finite entries that overflowed.
+            if not (math.isfinite(excess) and (p is None or math.isfinite(p.sum()))):
+                bad = ~np.isfinite(v)
+                if p is not None:
+                    bad |= ~np.isfinite(p).all(axis=-1)
+                if not math.isfinite(excess) or bad.any():
+                    raise _site_error(f"{self.law.kind} energy or force is not finite",
+                                      op.site(int(np.argmax(bad))), self.law.eta)
+            share = float(eps**3 * phi0 * total)
+            if p is None:
+                results.append((excess + share, excess, None))
+                continue
+            if np.ndim(w):
+                w = w / eps
+                for i in range(3):
+                    p[:, i] *= w
+            else:
+                p *= w / eps
+            results.append((excess + share, excess, op.T @ p))
+        return results
 
-
-def _halves_transposed(helper, op, p) -> np.ndarray:
-    """op^T p for a stencil: the caller applies the lower half of the
-    axis-0 planes, the helper lane the upper, into one array. A stencil
-    row's bits do not depend on the plane range, so these are the bits of
-    ``op.T @ p``."""
-    T, n0 = op.T, op.N[0]
-    mid = n0 // 2
-    g = np.empty((op.rows, 3))
-    cut = mid * (op.rows // n0)
-    _on_two_lanes(helper, lambda: T.apply(p, g[:cut], 0, mid), lambda: T.apply(p, g[cut:], mid, n0))
-    return g
+    def alone(self) -> list:
+        """The unit on the calling lane: its pieces in order, in one buffer,
+        then its finish. A law call that raises gives the unit's one-lane
+        error, which names the lattice site ``op.site(row)`` of the shortest
+        bond, or of the first bond whose phi or phi' is not finite, of the
+        first failing pair: a group re-runs its pairs one at a time, and a
+        lone batch forms its whole zeta once to name its shortest bond."""
+        zeta = np.empty((self.zeta_rows, 3))
+        self.start()
+        try:
+            for k in range(len(self.pieces)):
+                self.run(k, zeta)
+        except PotentialDomainError as exc:
+            if len(self.pairs) > 1:  # the first failing pair's error, as ungrouped
+                return [r for pair in self.pairs
+                        for r in _Unit([pair], self.law, self.key, self.base, self.x, self.eps, self.order).alone()]
+            z = _bond_rows(self.pairs, self.starts, self.x, self.eps, self.base, 0, self.n, None, np.empty((self.n, 3)))
+            raise _site_error(exc, self.pairs[0][0].site(int(np.argmin(np.linalg.norm(z, axis=-1)))),
+                              self.law.eta) from exc
+        return self.finish()
 
 
 def _pieces(pairs, n: int) -> list:
-    """The (row lo, row hi, planes) pieces in which ``_bond_group`` takes a
+    """The (row lo, row hi, planes) pieces in which a ``_Unit`` takes a
     group's n rows through the law, in row order. A lone stencil batch of
     more than _SLAB_ROWS rows runs one slab of whole axis-0 planes (a, b) at
     a time; any other group is one piece, planes None."""
@@ -389,22 +367,19 @@ def _weights(w) -> _Weights:
     return _Weights(w, np.flatnonzero(w == 0.0), float(w.sum()))
 
 
-def _evaluate(law: InteractionLaw, zeta, order: int, out=None):
-    """[phi, phi'][:order + 1] at the rows of ``zeta`` from
-    ``law.evaluate(., order)``, written into ``out`` if given: in one call
-    up to _LAW_CHUNK rows, else in chunks of _LAW_CHUNK rows written into
-    preallocated arrays, which keeps the law's temporaries chunk-sized. The
+def _evaluate(law: InteractionLaw, zeta, order: int, out):
+    """Writes [phi, phi'][:order + 1] at the rows of ``zeta`` into ``out``,
+    from ``law.evaluate(., order)`` on chunks of at most _LAW_CHUNK rows,
+    which keeps the law's temporaries chunk-sized; with ``out`` None, at
+    most _LAW_CHUNK rows in one call, it returns the law's own arrays. The
     law's bits do not depend on the rows a call holds, so they are those of
     one call."""
-    n = len(zeta)
     with np.errstate(over="ignore", invalid="ignore"):
-        if n <= _LAW_CHUNK and out is None:
+        if out is None:
             return law.evaluate(zeta, order)
-        out = out or [np.empty(n), np.empty((n, 3))][: order + 1]
-        for lo in range(0, n, _LAW_CHUNK):
+        for lo in range(0, len(zeta), _LAW_CHUNK):
             for a, chunk in zip(out, law.evaluate(zeta[lo:lo + _LAW_CHUNK], order)):
                 a[lo:lo + _LAW_CHUNK] = chunk
-    return out
 
 
 def _lane_count() -> int:
@@ -418,7 +393,7 @@ def _lane_count() -> int:
 # Lanes a term's batches run on: the caller, and one helper thread where the
 # process may use two CPUs.
 _LANES = _lane_count()
-# A term's units stream on two lanes only when one of them has a batch of at
+# A term's pieces stream on two lanes only when one of its batches has at
 # least this many rows: below that the thread hand-off costs more than the
 # numpy work it overlaps. Consecutive smaller batches of one law and key
 # run as one group instead.
@@ -665,61 +640,46 @@ class _Term:
 
 def _term(name: str, batches, F, x, eps, g_outs) -> _Term:
     """One term: the kernel over its quadrature-bond batches, a list of
-    (op, w, law, breakdown key) tuples, grouped by ``_groups``. On two
-    lanes the units are streamed (``_stream``) when one of them has a batch
-    of at least _MIN_LANE_ROWS rows and there are two or more; of an odd
-    run of units of several pieces (each one stencil batch above
-    _SLAB_ROWS rows) the last is handed the helper and runs alone, split
-    over both lanes, and only here is that split decided. Any other unit is
-    computed and added on the caller, one at a time. Every sum and every
-    array in ``g_outs`` adds the batches' results in batch order, as on one
-    lane and ungrouped, so the result is bitwise the same on one lane or
-    two, grouped or not. With no ``g_outs`` the batches are energy-only."""
+    (op, w, law, breakdown key) tuples, as the units of ``_groups``. On two
+    lanes the term's pieces are streamed (``_stream``) when one of its
+    batches has at least _MIN_LANE_ROWS rows and it has two pieces or more;
+    otherwise the caller computes and adds one unit at a time. Every sum and
+    every array in ``g_outs`` adds the batches' results in batch order, as
+    on one lane and ungrouped, so the result is bitwise the same on one lane
+    or two, grouped or not. With no ``g_outs`` the batches are energy-only."""
     t0 = time.perf_counter()
     out = _Term(name)
-    gradient = bool(g_outs)
-    two = _LANES > 1
-
-    def unit(pairs, law, key, helper=None) -> list:
-        return _bond_group(pairs, law, F, x, eps, gradient, helper)
-
-    def add(key, results) -> None:
-        out.add(key, results, g_outs)
-
-    def several_pieces(u) -> bool:
-        return len(_pieces(u[0], u[0][0][0].rows)) > 1
-
-    for several, run in groupby(_groups(batches), several_pieces):
-        run = list(run)
-        lone = run.pop() if two and several and len(run) % 2 else None
-        if two and len(run) > 1 and max(op.rows for pairs, _, _ in run for op, _ in pairs) >= _MIN_LANE_ROWS:
-            _stream(_helper(), run, unit, add)
-            out.lanes = 2
-        else:
-            for u in run:
-                add(u[2], unit(*u))
-        if lone:
-            add(lone[2], unit(*lone, _helper()))
-            out.lanes = 2
+    units = [_Unit(pairs, law, key, F @ law.eta_vec, x, eps, bool(g_outs)) for pairs, law, key in _groups(batches)]
+    if _LANES > 1 and max(op.rows for op, *_ in batches) >= _MIN_LANE_ROWS and sum(len(u.pieces) for u in units) > 1:
+        _stream(_helper(), units, lambda key, results: out.add(key, results, g_outs))
+        out.lanes = 2
+    else:
+        for u in units:
+            out.add(u.key, u.alone(), g_outs)
     out.seconds = time.perf_counter() - t0
     return out
 
 
-def _stream(helper, units, run, add) -> None:
-    """Runs ``units`` on both lanes and adds their results in unit order.
-    Each lane pulls the next unit from one shared cursor as soon as it has
-    finished one, ``run(*unit)``, and parks the results in the unit's slot;
-    then, if it takes the commit lock without waiting, it adds every ready
-    result in unit order, ``add(key, results)``, from the first unit not yet
-    added, and drops it. Once a unit raises, no lane pulls another, but the
-    earlier units, all pulled already, finish. When both lanes are done
-    (``_on_two_lanes``) the caller adds what is left and raises the error of
-    the first failing unit, so every add and every error is that of one
-    lane."""
+def _stream(helper, units, add) -> None:
+    """Runs the pieces of ``units`` on both lanes and adds the units'
+    results in unit order. Each lane pulls the next (unit, piece) from one
+    shared cursor, in unit-then-piece order, as soon as it has finished one;
+    pulling a unit's first piece starts the unit (``start``), under the pull
+    lock. The lane runs the piece in its own reused zeta buffer, and the
+    lane that completes a unit's last piece runs its finish and parks the
+    results in the unit's slot; then, if it takes the commit lock without
+    waiting, it adds every ready result in unit order, ``add(key,
+    results)``, from the first unit not yet added, and drops it. Once a
+    piece or a finish raises, no lane pulls another, but the earlier units,
+    whose pieces were all pulled already, finish. When both lanes are done
+    the caller adds what is left, re-runs the first failing unit on one
+    lane (``alone``), which raises its one-lane error, so every add and
+    every error is that of one lane."""
     n = len(units)
+    items = iter([(i, k) for i, u in enumerate(units) for k in range(len(u.pieces))])
+    left = [len(u.pieces) for u in units]  # pieces not yet run, per unit
     slots: list = [None] * n      # a finished unit's results, until added
     errors: dict = {}             # unit index -> the error it raised
-    cursor = iter(range(n))
     pull, commit = threading.Lock(), threading.Lock()
     head = 0                      # the first unit not yet added
 
@@ -730,19 +690,27 @@ def _stream(helper, units, run, add) -> None:
     def drain() -> None:
         nonlocal head
         while ready():
-            add(units[head][2], slots[head])
+            add(units[head].key, slots[head])
             slots[head] = None
             head += 1
 
     def lane() -> None:
+        zeta = np.empty((max(u.zeta_rows for u in units), 3))  # this lane's, for every piece
         while not errors:
             with pull:
-                i = next(cursor, None)
-            if i is None:
-                return
+                i, k = next(items, (n, 0))
+                if i == n:
+                    return
+                if k == 0:
+                    units[i].start()
             try:
-                slots[i] = run(*units[i])
-            except Exception as exc:  # raised by the caller, in unit order
+                units[i].run(k, zeta)
+                with pull:
+                    left[i] -= 1
+                    last = not left[i]
+                if last:
+                    slots[i] = units[i].finish()
+            except Exception as exc:  # the caller raises the first failing unit's one-lane error
                 errors[i] = exc
             while ready() and commit.acquire(blocking=False):
                 try:
@@ -750,10 +718,17 @@ def _stream(helper, units, run, add) -> None:
                 finally:
                     commit.release()
 
-    _on_two_lanes(helper, lane, lane)
+    ahead = helper.submit(lane)
+    try:
+        lane()
+    finally:
+        ahead.exception()  # waits, so no helper work outlives the call
+    ahead.result()
     drain()
     if errors:
-        raise errors[min(errors)]
+        i = min(errors)
+        units[i].alone()  # raises the unit's one-lane error
+        raise errors[i]
 
 
 def _report(model: str, gradient: LatticeField | None, terms, **diagnostics) -> EnergyReport:

@@ -207,6 +207,14 @@ def _read_section(data: dict, name: str, errors: list[str]) -> tuple[dict, set]:
     return out, valid
 
 
+def _broken(data: dict, name: str, valid: set) -> set:
+    """The keys of section ``name`` that were given and broke their rule,
+    every key of a section that is not an object (already reported), so no
+    check compares their defaults instead."""
+    given = data.get(name, {})
+    return (set(given) if isinstance(given, dict) else set(_SECTIONS[name])) - valid
+
+
 def _sweep_cells(period: float, eps: float) -> int:
     """Cells per axis, period / eps, when that is an integer >= 2 (to 1e-9)."""
     n = period / eps
@@ -310,14 +318,13 @@ def config_from_dict(data: dict) -> RunConfig:
 
     tolerances, tolerances_set = _read_section(data, "tolerances", errors)
     sweep, sweep_set = _read_section(data, "sweep", errors)
-    solve_cfg, _ = _read_section(data, "solve", errors)
+    solve_cfg, solve_set = _read_section(data, "solve", errors)
     # the spacings, given or default, must divide the period, unless either
-    # was given and broke its rule (already reported)
-    given = data.get("sweep")
-    if not ({"epsilons", "period"} & set(given if isinstance(given, dict) else ())) - sweep_set:
+    # was given and broke its rule
+    if not {"epsilons", "period"} & _broken(data, "sweep", sweep_set):
         for e in sweep["epsilons"]:
             _build(errors, _sweep_cells, sweep["period"], e)
-    if "g_tol" in tolerances_set and tolerances["g_tol"] != solve_cfg["g_tol"]:
+    if "g_tol" in tolerances_set - _broken(data, "solve", solve_set) and tolerances["g_tol"] != solve_cfg["g_tol"]:
         errors.append(f"tolerances.g_tol ({tolerances['g_tol']!r}) differs from solve.g_tol "
                       f"({solve_cfg['g_tol']!r}), the tolerance solve stops at; set them equal")
 

@@ -94,39 +94,45 @@ MUTATIONS = [
      "        if c > 1:\n",
      "        if False:\n",
      "tests/test_highorder.py::test_row_keys_do_not_overflow_on_large_lattices"),
-    # a lone stencil batch split over two lanes: the helper lane's pieces skipped
+    # a unit finished once all but one of its pieces have run
     ("energies.py",
-     "lambda: run(pieces[1::2])",
-     "lambda: None",
+     "                    last = not left[i]\n",
+     "                    last = left[i] <= 1\n",
      "tests/test_lanes.py::test_lone_batch_split_over_two_lanes_is_bitwise_one_lane"),
-    # the helper lane's half of a split transposed apply shifted by one plane
+    # every piece written from the first row of the unit's arrays
     ("energies.py",
-     "lambda: T.apply(p, g[cut:], mid, n0)",
-     "lambda: T.apply(p, g[cut:], mid - 1, n0 - 1)",
-     "tests/test_lanes.py::test_lone_batch_split_over_two_lanes_is_bitwise_one_lane"),
-    # a split batch's domain error raised as its lanes give it, without the one-lane re-run
+     "[a[lo:lo + len(z)] for a in self.out]",
+     "[a[:len(z)] for a in self.out]",
+     "tests/test_lanes.py::test_two_plane_pieces_are_bitwise_default_slabs"),
+    # a unit's arrays allocated when the unit is built
     ("energies.py",
-     "if len(pairs) > 1 or two:",
-     "if len(pairs) > 1:",
-     "tests/test_lanes.py::test_domain_error_of_a_split_batch_is_the_one_lane_error"),
-    # a stream's results added in completion order rather than unit order
-    ("energies.py",
-     "                slots[i] = run(*units[i])\n",
-     "                got = run(*units[i])\n"
-     "                with commit:\n"
-     "                    add(units[i][2], got)\n",
-     "tests/test_lanes.py::test_helper_lane_commits_while_the_callers_first_unit_is_held"),
+     "        self.out = None  # phi (and phi'), from ``start`` to ``finish``\n",
+     "        self.out = None\n"
+     "        self.start()\n",
+     "tests/test_lanes.py::test_unit_arrays_live_from_the_first_piece_to_the_finish"),
     # a stream whose caller returns without waiting for the helper lane
     ("energies.py",
-     "    _on_two_lanes(helper, lane, lane)\n",
+     "    ahead = helper.submit(lane)\n"
+     "    try:\n"
+     "        lane()\n"
+     "    finally:\n"
+     "        ahead.exception()  # waits, so no helper work outlives the call\n"
+     "    ahead.result()\n",
      "    helper.submit(lane)\n"
      "    lane()\n",
      "tests/test_lanes.py::test_helper_lane_is_done_when_the_term_returns_or_raises"),
-    # the odd unit of several pieces streamed whole instead of split over both lanes
+    # a stream's results added in completion order rather than unit order
     ("energies.py",
-     "        lone = run.pop() if two and several and len(run) % 2 else None\n",
-     "        lone = None\n",
-     "tests/test_lanes.py::test_only_the_caller_hands_out_the_helper_lane"),
+     "                    slots[i] = units[i].finish()\n",
+     "                    got = units[i].finish()\n"
+     "                    with commit:\n"
+     "                        add(units[i].key, got)\n",
+     "tests/test_lanes.py::test_helper_lane_commits_while_the_callers_first_unit_is_held"),
+    # a stream raising its first failing piece's own error, without the one-lane re-run
+    ("energies.py",
+     "        units[i].alone()  # raises the unit's one-lane error\n",
+     "        pass\n",
+     "tests/test_lanes.py::test_domain_error_of_a_split_batch_is_the_one_lane_error"),
     # the sweep's homogeneous-share check removed
     ("harness.py",
      '        if r["share_ulps"] > _SHARE_ULPS:',

@@ -824,6 +824,20 @@ def test_tolerances_g_tol_must_match_solve_g_tol():
     assert config_from_dict(small_config_dict(solve={"g_tol": 1e-6})).solve["g_tol"] == 1e-6
 
 
+@pytest.mark.parametrize("solve, message", [
+    ({"g_tol": -1}, "solve.g_tol must be a positive number, got -1"),
+    (5, "solve must be an object"),
+])
+def test_a_solve_g_tol_that_breaks_its_rule_is_one_error(solve, message):
+    """A given solve.g_tol that is not a positive number, or a solve section
+    that is not an object, is reported once; tolerances.g_tol is not
+    compared with the default that replaced it."""
+    data = small_config_dict(tolerances={"g_tol": 1e-6}, solve=solve)
+    with pytest.raises(ConfigError) as exc_info:
+        config_from_dict(data)
+    assert exc_info.value.messages == [message]
+
+
 def _with_interaction_params(data, kind, params):
     item = next(it for it in data["interactions"] if it["kind"] == kind)
     item["params"] = {**item.get("params", {}), **params}

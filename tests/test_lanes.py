@@ -1,10 +1,10 @@
-"""Two lanes, one result: a term's bond batches stream through the calling
-thread and one helper thread, a stencil batch of several pieces runs alone
-and deals its pieces and its transposed halves to both, and the results are
-added in batch order by whichever lane adds them, so every report is
-bitwise the report of one lane. The lane count, the row threshold, the law
-chunk and the stencil slab are private constants of ``energies``; these
-tests set them directly."""
+"""Two lanes, one result: the pieces of a term's bond batches stream
+through the calling thread and one helper thread, the lane that completes a
+unit's last piece finishes the unit, and the results are added in batch
+order by whichever lane adds them, so every report is bitwise the report of
+one lane. The lane count, the row threshold, the law chunk and the stencil
+slab are private constants of ``energies``; these tests set them
+directly."""
 from __future__ import annotations
 
 import hashlib
@@ -14,6 +14,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from functools import reduce
 from operator import add
 
@@ -291,18 +292,18 @@ def test_helper_lane_domain_error_is_the_serial_one(monkeypatch, collapse, site,
 
     two_lanes(monkeypatch)
     running = []
-    group = energies._bond_group
+    run = energies._Unit.run
 
-    def slow_helper(*args, **kwargs):
+    def slow_helper(self, k, zeta):
         running.append(1)
         try:
             if threading.current_thread() is not threading.main_thread():
                 time.sleep(0.2)  # the caller's batch is done long before
-            return list(group(*args, **kwargs))
+            return run(self, k, zeta)
         finally:
             running.pop()
 
-    monkeypatch.setattr(energies, "_bond_group", slow_helper)
+    monkeypatch.setattr(energies._Unit, "run", slow_helper)
     with pytest.raises(PotentialDomainError) as lanes:
         atomistic_energy(y, R)
     assert not running, "helper work outlived the call"
@@ -323,15 +324,15 @@ def test_one_lane_pair_adds_its_first_unit_before_it_computes_the_second(monkeyp
     assert len(energies._groups(batches)) == 3
     g = np.zeros((cfg.n_sites, 3))
     at_start, contributions = [], []
-    group = energies._bond_group
+    alone = energies._Unit.alone
 
-    def spy(*args, **kwargs):
+    def spy(self):
         at_start.append(g.copy())
-        results = group(*args, **kwargs)
+        results = alone(self)
         contributions.extend(contrib for _, _, contrib in results)
         return results
 
-    monkeypatch.setattr(energies, "_bond_group", spy)
+    monkeypatch.setattr(energies._Unit, "alone", spy)
     energies._term("atomistic", batches, y.F, y.displacement.values.reshape(-1, 3), cfg.epsilon, (g,))
     assert len(at_start) == 3
     assert not at_start[0].any()
@@ -340,7 +341,7 @@ def test_one_lane_pair_adds_its_first_unit_before_it_computes_the_second(monkeyp
 
 
 def recorded_pieces(monkeypatch, keep=lambda pairs: True) -> list:
-    """Records the pieces of every group ``_bond_group`` runs whose pairs
+    """Records the pieces of every group a ``_Unit`` runs whose pairs
     ``keep`` accepts, as (pairs, pieces)."""
     seen = []
     pieces = energies._pieces
@@ -460,12 +461,14 @@ def test_domain_error_of_a_late_piece_is_the_one_piece_error(monkeypatch, bonds,
         assert "bond length 5" in errors[0][1], errors[0][1]
 
 
-def stencil_spy(monkeypatch) -> list:
-    """Records every stencil apply as (on the helper lane, terms, lo, hi)."""
+def stencil_spy(monkeypatch, hold=lambda op: None) -> list:
+    """Records every stencil apply as (on the helper lane, terms, lo, hi),
+    after calling ``hold`` on the applying lane."""
     seen = []
     apply = energies._Stencil.apply
 
     def recording(self, x, out, lo=0, hi=None):
+        hold(self)
         seen.append((threading.current_thread() is not threading.main_thread(), self.terms, lo, hi))
         return apply(self, x, out, lo, hi)
 
@@ -474,8 +477,8 @@ def stencil_spy(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("slab_rows", [
-    300,  # two-plane slabs: six pieces, the last (with F eta) on the helper lane
-    720,  # five-plane slabs: three pieces, the last on the caller
+    300,  # two-plane slabs: six pieces
+    720,  # five-plane slabs: three pieces
 ])
 @pytest.mark.parametrize("gradient", [True, False])
 @pytest.mark.parametrize("n_laws", [1, 3])
@@ -484,13 +487,13 @@ def stencil_spy(monkeypatch) -> list:
 def test_lone_batch_split_over_two_lanes_is_bitwise_one_lane(monkeypatch, model, stencil, n_laws, gradient,
                                                             slab_rows):
     """At N=12 in pieces of ``slab_rows`` rows every law's batch is one
-    stencil batch of several pieces. Under the default row threshold the
-    first two of three laws run on the caller, one at a time, and the odd
-    one of the run (the last of three laws, or the only law) runs alone on
-    two lanes: it deals pieces 1, 3, ... to the helper lane and applies its
-    transpose in two halves of six planes, the upper on the helper. The
-    report, full and energy-only, is bitwise the one-lane report, and the
-    helper ran exactly those pieces and that half."""
+    stencil batch of several pieces. On two lanes, with the row threshold
+    at 0, the term streams its pieces, a lone batch's (one law) as well as
+    three laws' batches: the caller's first piece waits until the helper
+    lane has applied one, so both lanes run pieces. The report, full and
+    energy-only, is bitwise the one-lane report; every piece of every law's
+    stencil was applied exactly once, on one lane or the other, and its
+    transpose once, whole, by the lane that finished the unit."""
     cfg = LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0)
     y = state(cfg, 5)
     laws = list(README_LAWS)[-n_laws:]
@@ -499,21 +502,36 @@ def test_lone_batch_split_over_two_lanes_is_bitwise_one_lane(monkeypatch, model,
     one_lane(monkeypatch)
     ref = model(y, R, gradient=gradient)
     assert ref.diagnostics["lanes"] == 1
-    monkeypatch.setattr(energies, "_LANES", 2)
-    seen = stencil_spy(monkeypatch)
+    two_lanes(monkeypatch)
+    forward = {stencil(law.eta, cfg.N).terms for law in laws}
+    helper_applied = threading.Event()
+    held = []
+
+    def hold(op):
+        if op.terms not in forward:
+            return
+        if on_helper_lane():
+            helper_applied.set()
+        elif not held:
+            held.append(helper_applied.wait(30.0))
+
+    seen = stencil_spy(monkeypatch, hold)
     rep = model(y, R, gradient=gradient)
     assert rep.diagnostics["lanes"] == 2
     assert_same_report(ref, rep)
+    assert held == [True]
 
-    op = stencil(laws[-1].eta, cfg.N)
-    pieces = energies._pieces([(op, 1.0)], op.rows)
-    assert len(pieces) == {300: 6, 720: 3}[slab_rows]
-    helper = [(terms, lo, hi) for on_helper, terms, lo, hi in seen if on_helper]
-    want = [(op.terms, *planes) for _, _, planes in pieces[1::2]]
-    if gradient:
-        want.append((op.T.terms, 6, 12))
-        assert (False, op.T.terms, 0, 6) in seen
-    assert helper == want
+    lanes = set()
+    for law in laws:
+        op = stencil(law.eta, cfg.N)
+        pieces = energies._pieces([(op, 1.0)], op.rows)
+        assert len(pieces) == {300: 6, 720: 3}[slab_rows]
+        applied = [(on_helper, lo, hi) for on_helper, terms, lo, hi in seen if terms == op.terms]
+        assert sorted((lo, hi) for _, lo, hi in applied) == [planes for _, _, planes in pieces]
+        lanes |= {on_helper for on_helper, _, _ in applied}
+        transposed = [(lo, hi) for _, terms, lo, hi in seen if terms == op.T.terms]
+        assert transposed == ([(0, None)] if gradient else [])
+    assert lanes == {False, True}
 
 
 def on_helper_lane() -> bool:
@@ -521,10 +539,10 @@ def on_helper_lane() -> bool:
 
 
 def test_helper_lane_commits_while_the_callers_first_unit_is_held(monkeypatch):
-    """acb-tetra at N=12 on two lanes, every staircase batch a unit of its
-    own: one stream of 18 units. The caller's first unit waits until the
+    """acb-tetra at N=12 on two lanes, every staircase batch a unit of one
+    piece: one stream of 18 units. The caller's first piece waits until the
     helper lane has finished three units, whose results wait in their slots;
-    after that each helper unit takes 50 ms, so the helper finishes the
+    after that each helper piece takes 50 ms, so the helper finishes the
     stream's last unit and adds it itself. The results are added in unit
     order whichever lane adds them: the report is bitwise the one-lane
     report, and the helper lane made at least one of the 18 adds."""
@@ -532,28 +550,32 @@ def test_helper_lane_commits_while_the_callers_first_unit_is_held(monkeypatch):
     one_lane(monkeypatch)
     ref = evaluate()
     two_lanes(monkeypatch)
-    group, add = energies._bond_group, energies._Term.add
+    run, finish, add = energies._Unit.run, energies._Unit.finish, energies._Term.add
     released = threading.Event()
     helper_units, held, adds = [], [], []
 
-    def spy(*args, **kwargs):
+    def spy_run(self, k, zeta):
         if on_helper_lane():
             if released.is_set():
                 time.sleep(0.05)
-            results = group(*args, **kwargs)
+        elif not held:
+            held.append(released.wait(30.0))
+        return run(self, k, zeta)
+
+    def spy_finish(self):
+        results = finish(self)
+        if on_helper_lane():
             helper_units.append(1)
             if len(helper_units) == 3:
                 released.set()
-            return results
-        if not held:
-            held.append(released.wait(30.0))
-        return group(*args, **kwargs)
+        return results
 
     def recording_add(self, key, results, g_outs):
         adds.append(on_helper_lane())
         return add(self, key, results, g_outs)
 
-    monkeypatch.setattr(energies, "_bond_group", spy)
+    monkeypatch.setattr(energies._Unit, "run", spy_run)
+    monkeypatch.setattr(energies._Unit, "finish", spy_finish)
     monkeypatch.setattr(energies._Term, "add", recording_add)
     rep = evaluate()
     assert held == [True] and len(helper_units) >= 3
@@ -562,10 +584,13 @@ def test_helper_lane_commits_while_the_callers_first_unit_is_held(monkeypatch):
 
 
 def test_earlier_units_error_wins_over_a_later_one_raised_first(monkeypatch):
-    """Two laws at N=12 on two lanes, both with a collapsed bond: the first
-    unit (eta = (1, 0, 0)) waits until the second has raised, on the other
+    """Two laws at N=12 on two lanes in two-plane pieces, both with a
+    collapsed bond in a middle piece: (2, 3, 4) in piece 1 of the first
+    unit (eta = (1, 0, 0)), (5, 6, 7) in piece 2 of the second. Piece 1 of
+    the first unit waits until the second unit has raised, on the other
     lane. The raised error is the first unit's, as on one lane: its type,
-    message, site and eta."""
+    message, site and eta. The caller gets it by re-running the first unit
+    on one lane, which raises there once more."""
     R, deformation = collapsing_state()
     y = deformation([((2, 3, 4), (1, 0, 0)), ((5, 6, 7), (0, 1, 0))])
     one_lane(monkeypatch)
@@ -573,39 +598,39 @@ def test_earlier_units_error_wins_over_a_later_one_raised_first(monkeypatch):
         atomistic_energy(y, R)
     assert (serial.value.site, serial.value.eta) == ((2, 3, 4), (1, 0, 0))
 
-    two_lanes(monkeypatch)
-    group = energies._bond_group
+    chunks_and_slabs(monkeypatch)
+    run = energies._Unit.run
     raised = []
     later_raised = threading.Event()
 
-    def spy(pairs, law, *args, **kwargs):
-        if law.eta == (1, 0, 0):
+    def spy(self, k, zeta):
+        if self.law.eta == (1, 0, 0) and k == 1:
             assert later_raised.wait(30.0)
         try:
-            return group(pairs, law, *args, **kwargs)
+            return run(self, k, zeta)
         except PotentialDomainError:
-            raised.append(law.eta)
+            raised.append((self.law.eta, self.pieces[k][2]))
             later_raised.set()
             raise
 
-    monkeypatch.setattr(energies, "_bond_group", spy)
+    monkeypatch.setattr(energies._Unit, "run", spy)
     with pytest.raises(PotentialDomainError) as lanes:
         atomistic_energy(y, R)
-    assert raised == [(0, 1, 0), (1, 0, 0)]
+    assert raised == [((0, 1, 0), (4, 6)), ((1, 0, 0), (2, 4)), ((1, 0, 0), (2, 4))]
     assert (type(lanes.value), str(lanes.value)) == (type(serial.value), str(serial.value))
     assert (lanes.value.site, lanes.value.eta) == (serial.value.site, serial.value.eta)
 
 
 @pytest.mark.parametrize("collapse", [[], [((2, 3, 4), (1, 0, 0))]])
 def test_helper_lane_is_done_when_the_term_returns_or_raises(monkeypatch, collapse):
-    """The atomistic term of two laws at N=12 on two lanes, each helper unit
+    """The atomistic term of two laws at N=12 on two lanes, each helper piece
     200 ms slow, so the caller runs out of units first. When the term
     returns, or raises the first law's domain error, every future handed to
     the helper lane is done: no helper work outlives the call."""
     R, deformation = collapsing_state()
     y = deformation(collapse)
     two_lanes(monkeypatch)
-    group, pool = energies._bond_group, energies._helper()
+    run, pool = energies._Unit.run, energies._helper()
     futures = []
 
     class Recording:
@@ -614,13 +639,13 @@ def test_helper_lane_is_done_when_the_term_returns_or_raises(monkeypatch, collap
             futures.append(pool.submit(fn, *args))
             return futures[-1]
 
-    def spy(*args, **kwargs):
+    def spy(self, k, zeta):
         if on_helper_lane():
             time.sleep(0.2)
-        return group(*args, **kwargs)
+        return run(self, k, zeta)
 
     monkeypatch.setattr(energies, "_helper", Recording)
-    monkeypatch.setattr(energies, "_bond_group", spy)
+    monkeypatch.setattr(energies._Unit, "run", spy)
     cfg = y.cfg
     batches = [(energies._bond_stencil(law.eta, cfg.N), 1.0, law, f"eta={law.eta}") for law in R]
     g = np.zeros((cfg.n_sites, 3))
@@ -638,64 +663,115 @@ def test_helper_lane_is_done_when_the_term_returns_or_raises(monkeypatch, collap
 
 def test_only_the_caller_hands_out_the_helper_lane(monkeypatch):
     """Under ``chunks_and_slabs`` every N=12 stencil batch is six pieces and
-    every gather one. In every model ``_bond_group`` gets the helper lane
-    only on the calling thread: the helper, a single worker, cannot hand
-    pieces to itself. In the atomistic model's term of three such units the
-    first two stream whole, each on one lane, and the third, the odd one,
-    deals pieces 1, 3 and 5 to the helper lane."""
+    every gather one. In every model only the calling thread asks for the
+    helper lane: the helper, a single worker, cannot hand work to itself.
+    In the atomistic model's term of three six-piece units, the caller's
+    first piece waits until the helper lane has finished a unit: the helper
+    evaluates pieces of more than one unit and runs at least one finish,
+    and the report is bitwise the one-lane report."""
     chunks_and_slabs(monkeypatch)
-    group = energies._bond_group
-    handed = []
+    helper = energies._helper
+    asked = []
 
-    def spy(pairs, law, F, x, eps, gradient=True, helper=None):
-        handed.append((on_helper_lane(), helper is not None))
-        return group(pairs, law, F, x, eps, gradient, helper)
+    def recording_helper():
+        asked.append(on_helper_lane())
+        return helper()
 
-    monkeypatch.setattr(energies, "_bond_group", spy)
+    monkeypatch.setattr(energies, "_helper", recording_helper)
     for name, evaluate in model_calls().items():
         assert evaluate().diagnostics["lanes"] == 2, name
-    assert (False, True) in handed and (True, False) in handed
-    assert (True, True) not in handed
+    assert asked and not any(asked)
 
-    seen = stencil_spy(monkeypatch)
-    atomistic_energy(state(LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0), 5), README_LAWS)
-    applies = {}
-    for on_helper, terms, lo, hi in seen:
-        applies.setdefault(terms, []).append((on_helper, lo, hi))
-    *whole, odd = [applies[energies._bond_stencil(law.eta, (12, 12, 12)).terms] for law in README_LAWS]
-    for pieces in whole:
-        assert [(lo, hi) for _, lo, hi in pieces] == [(a, a + 2) for a in range(0, 12, 2)]
-        assert len({on_helper for on_helper, _, _ in pieces}) == 1
-    assert sorted(odd, key=lambda piece: piece[1]) == [(a % 4 == 2, a, a + 2) for a in range(0, 12, 2)]
+    y = state(LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0), 5)
+    one_lane(monkeypatch)
+    ref = atomistic_energy(y, README_LAWS)
+    chunks_and_slabs(monkeypatch)
+    run, finish = energies._Unit.run, energies._Unit.finish
+    caller_started, finished = threading.Event(), threading.Event()
+    held, helper_pieces, helper_finishes = [], [], []
+
+    def spy_run(self, k, zeta):
+        if on_helper_lane():
+            assert caller_started.wait(30.0)
+            helper_pieces.append(self.law.eta)
+        elif not held:
+            caller_started.set()
+            held.append(finished.wait(30.0))
+        return run(self, k, zeta)
+
+    def spy_finish(self):
+        results = finish(self)
+        if on_helper_lane():
+            helper_finishes.append(self.law.eta)
+            finished.set()
+        return results
+
+    monkeypatch.setattr(energies._Unit, "run", spy_run)
+    monkeypatch.setattr(energies._Unit, "finish", spy_finish)
+    rep = atomistic_energy(y, README_LAWS)
+    assert held == [True]
+    assert len(set(helper_pieces)) > 1 and helper_finishes
+    assert_same_report(ref, rep)
+
+
+class ToyUnit:
+    """A unit of ``_stream`` without a law: pieces of random small work, one
+    of them possibly failing. Its finish checks that the unit was started
+    before any of its pieces ran, and that every piece ran exactly once."""
+
+    zeta_rows = 1
+
+    def __init__(self, i, spins, failing):
+        self.i, self.key, self.spins, self.failing = i, f"k{i}", spins, failing
+        self.pieces = [None] * len(spins)
+        self.ran = None
+
+    def start(self):
+        assert self.ran is None or self.failing is not None
+        self.ran = []
+
+    def run(self, k, zeta):
+        sum(range(self.spins[k]))
+        if k == self.failing:
+            raise ValueError(self.i)
+        self.ran.append(k)
+
+    def finish(self):
+        assert sorted(self.ran) == list(range(len(self.pieces)))
+        self.ran = "finished"
+        return [self.i]
+
+    def alone(self):
+        self.start()
+        for k in range(len(self.pieces)):
+            self.run(k, None)
+        return self.finish()
 
 
 def test_stream_adds_each_unit_once_in_unit_order_under_fast_thread_switches():
-    """``_stream`` alone, 200 times, on 40 units of random small work, with
-    the interpreter switching threads every microsecond: every unit's
-    results are added exactly once and in unit order, and a stream with
-    failing units adds exactly the units before the first of them and
-    raises that unit's error. A lost or doubled update, or one out of
-    order, breaks the list of adds."""
+    """``_stream`` alone, 200 times, on 40 units of one to four pieces of
+    random small work, with the interpreter switching threads every
+    microsecond: every unit is started before its pieces run, finished once
+    after all of them, and its results are added exactly once and in unit
+    order; a stream with failing pieces adds exactly the units before the
+    first unit with one and raises that unit's error. A lost or doubled
+    update, or one out of order, breaks the list of adds."""
     rng = np.random.default_rng(0)
     helper = energies._helper()
     n = 40
-    units = [(i, None, f"k{i}") for i in range(n)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(200):
             failing = set(rng.choice(n, size=rng.integers(0, 3), replace=False).tolist())
-            spins = rng.integers(0, 300, n)
+            units = []
+            for i in range(n):
+                spins = rng.integers(0, 300, rng.integers(1, 5))
+                units.append(ToyUnit(i, spins, int(rng.integers(len(spins))) if i in failing else None))
             added = []
 
-            def run(i, law, key):
-                sum(range(spins[i]))
-                if i in failing:
-                    raise ValueError(i)
-                return [i]
-
             def stream():
-                energies._stream(helper, units, run, lambda key, results: added.append((key, results)))
+                energies._stream(helper, units, lambda key, results: added.append((key, results)))
 
             first = min(failing, default=n)
             if failing:
@@ -709,13 +785,95 @@ def test_stream_adds_each_unit_once_in_unit_order_under_fast_thread_switches():
         sys.setswitchinterval(interval)
 
 
+def test_a_finish_overlaps_the_next_units_pieces(monkeypatch):
+    """The atomistic term of the README laws at N=12 under
+    ``chunks_and_slabs``: three units of six pieces. Each unit's finish
+    waits until the other lane has started a piece of the next unit, and
+    that piece waits until the finish is done, so one lane finishes a unit
+    while the other evaluates the next one's piece; no lane idles through
+    another's full-array passes. The report is bitwise the one-lane
+    report."""
+    y = state(LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0), 5)
+    one_lane(monkeypatch)
+    ref = atomistic_energy(y, README_LAWS)
+    chunks_and_slabs(monkeypatch)
+    etas = [law.eta for law in README_LAWS]
+    run, finish = energies._Unit.run, energies._Unit.finish
+    started = {eta: set() for eta in etas}  # threads that started a piece of the unit
+    done = {eta: threading.Event() for eta in etas}
+    changed = threading.Condition()
+    overlapped = []
+
+    def spy_run(self, k, zeta):
+        u = etas.index(self.law.eta)
+        with changed:
+            started[self.law.eta].add(threading.get_ident())
+            changed.notify_all()
+        if u > 0:
+            assert done[etas[u - 1]].wait(30.0)
+        return run(self, k, zeta)
+
+    def spy_finish(self):
+        u = etas.index(self.law.eta)
+        if u + 1 < len(etas):
+            with changed:
+                overlapped.append(bool(changed.wait_for(lambda: started[etas[u + 1]] - {threading.get_ident()}, 30.0)))
+        try:
+            return finish(self)
+        finally:
+            done[self.law.eta].set()
+
+    monkeypatch.setattr(energies._Unit, "run", spy_run)
+    monkeypatch.setattr(energies._Unit, "finish", spy_finish)
+    rep = atomistic_energy(y, README_LAWS)
+    assert overlapped == [True, True]
+    assert_same_report(ref, rep)
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_unit_arrays_live_from_the_first_piece_to_the_finish(monkeypatch, lanes):
+    """acb-tetra at N=12 under ``chunks_and_slabs``, ungrouped: 18 units of
+    six pieces each, on one lane and on two. Each unit allocates its phi
+    and phi' arrays (``start``) once, when its first piece is pulled: then
+    no other unit's arrays are alive on one lane, and at most one other's,
+    the other lane's unit, on two. No unit keeps them after its finish:
+    they are freed by the time the unit's results are added."""
+    chunks_and_slabs(monkeypatch)
+    monkeypatch.setattr(energies, "_LANES", lanes)
+    start, add = energies._Unit.start, energies._Term.add
+    allocated, live, units, live_at_add = [], [], [], []
+
+    def alive():
+        return sum(1 for refs in allocated if any(ref() is not None for ref in refs))
+
+    def spy_start(self):
+        live.append(alive())
+        start(self)
+        units.append(self)
+        allocated.append([weakref.ref(a) for a in self.out])
+
+    def spy_add(self, key, results, g_outs):
+        live_at_add.append(any(ref() is not None for ref in allocated[len(live_at_add)]))
+        return add(self, key, results, g_outs)
+
+    monkeypatch.setattr(energies._Unit, "start", spy_start)
+    monkeypatch.setattr(energies._Term, "add", spy_add)
+    assert model_calls()["acb-tetra"]().diagnostics["lanes"] == lanes
+    assert len(units) == len({id(u) for u in units}) == 18
+    assert [len(refs) for refs in allocated] == [2] * 18
+    assert max(live) <= lanes - 1
+    assert live_at_add == [False] * 18
+    assert alive() == 0
+
+
 @pytest.mark.parametrize("gradient", [True, False])
 def test_domain_error_of_a_split_batch_is_the_one_lane_error(monkeypatch, gradient):
-    """eta = (1, 0, 0) alone at N=12 in two-plane pieces, dealt to two
-    lanes: a radial bond of length 5e-13 at (2, 3, 4), in piece 1 (the
-    helper's), and a collapsed one at (5, 3, 4), in piece 2 (the caller's).
-    Both lanes raise; the error is one lane's: piece 1's message, with its
-    bond length, and the site and eta of the batch's shortest bond."""
+    """eta = (1, 0, 0) alone at N=12 in two-plane pieces, streamed on two
+    lanes (the row threshold at 0): a radial bond of length 5e-13 at
+    (2, 3, 4), in piece 1, and a collapsed one at (5, 3, 4), in piece 2.
+    Either lane may raise first; the error is one lane's: piece 1's
+    message, with its bond length, and the site and eta of the batch's
+    shortest bond."""
     cfg = LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0)
     law = make_law((1, 0, 0), "lennard-jones-radial")
     vals = np.zeros(cfg.shape)
@@ -723,6 +881,7 @@ def test_domain_error_of_a_split_batch_is_the_one_lane_error(monkeypatch, gradie
         vals[(site[0] + 1, *site[1:])] = -(1.0 - length) * cfg.epsilon * law.eta_vec
     y = make_deformation(np.eye(3), LatticeField(cfg, vals))
     monkeypatch.setattr(energies, "_SLAB_ROWS", 300)
+    monkeypatch.setattr(energies, "_MIN_LANE_ROWS", 0)
     pieces = energies._pieces([(energies._bond_stencil(law.eta, cfg.N), 1.0)], 12**3)
     assert [planes for _, _, planes in pieces[1:3]] == [(2, 4), (4, 6)]
     errors = []
@@ -741,7 +900,7 @@ def test_helper_lane_calls_no_public_function(monkeypatch):
     per-derivative views on one span stack; a call from the helper lane
     would land on the caller's stack. Records every bvcouple function
     called on a fresh helper thread, running whole units (``two_lanes``),
-    and the pieces and transposed halves of lone stencil batches too
+    and the pieces and finishes of units of several pieces too
     (``chunks_and_slabs``)."""
     monkeypatch.setattr(energies, "_helper_pool", None)  # a fresh thread picks up the profiler
     called = set()
