@@ -129,6 +129,7 @@ from .energies import (
     _ONE,
     EnergyReport,
     _bond_stencil,
+    _drop_workspaces,
     _Gather,
     _lattice_model,
     _report,
@@ -499,6 +500,7 @@ def _build_eta_block(part: RegionPartition, eta: IntTriple) -> _EtaBlock:
     passed ``_check_partition``, so a zero component of eta means the
     ``reduce`` members: the block does not depend on the policy, and is
     cached without it."""
+    _drop_workspaces()
     N = part.cfg.N
     n_sites = part.cfg.n_sites
     zero = [d for d in range(3) if eta[d] == 0]

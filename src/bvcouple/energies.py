@@ -51,20 +51,23 @@ covers. A lone stencil batch of more than ``_SLAB_ROWS`` rows runs through
 the law one slab of whole axis-0 planes at a time; every group of small
 batches, every gather and every batch of at most one slab is one piece.
 Per piece, the kernel applies the stencil to the piece's planes alone, into
-the lane's reused zeta buffer, divides by eps, adds F eta, sets the piece's
-own zero-weight rows to F eta and evaluates the law, writing phi (and
-phi') into the unit's full-length arrays; F eta rides as the extra last row
-of the last piece. The excess sum, the finiteness check, the weight scaling
-and op^T then run on those full arrays, as for a batch of one piece, so the
-bits are those of one piece. A unit of one piece of fewer than
-``_LAW_CHUNK`` rows keeps the law's own arrays instead.
+the zeta rows of the lane's arena, divides by eps, adds F eta, sets the
+piece's own zero-weight rows to F eta and evaluates the law, writing phi
+(and phi') into the unit's full-length arrays; F eta rides as the extra
+last row of the last piece. The excess sum, the finiteness check, the
+weight scaling and op^T then run on those full arrays, as for a batch of
+one piece, so the bits are those of one piece. A unit of one piece of
+fewer than ``_LAW_CHUNK`` rows keeps the law's own arrays instead.
 
 Masks are zero weights; a zero-weight row is evaluated at the homogeneous
 bond F eta, so a bond a mask drops can neither raise nor contribute. A
 batch's weights are a scalar or a ``_Weights``: the weights with their
 zero rows and their sum, which cached blocks, partitions and meshes build
-once. The tiled weights of the Pk elements are made per call instead. A
-non-finite phi' is found by one sum over phi', and only then row by row.
+once. A Pk element's rows share one weight per quadrature point, which the
+kernel broadcasts over the element's rows (``_blocks``). The excess sum
+forms w (phi - phi(F eta)) over phi itself, which nothing reads again. A
+non-finite phi' is found by one sum over phi', and only then row by row,
+with the batch's phi evaluated again to name the first non-finite one.
 
 Every model takes a keyword ``gradient`` (default True). With
 ``gradient=False`` its terms get no gradient arrays, and each batch is
@@ -108,10 +111,10 @@ unit of its own. Up to N=20 this groups each law's six staircase templates
 P1 layer of the high-order model). Every report counts its terms' law
 evaluations (``law_calls``): one per unit, whatever its pieces and chunks.
 
-Each unit is a ``_Unit``: ``start`` allocates its full-length arrays,
-``run`` evaluates one piece into them, and ``finish`` forms each batch's
-energy, excess and gradient contribution, returned as a list, and drops the
-arrays. ``_term`` adds these to the term's sums and gradients in batch
+Each unit is a ``_Unit``: ``start`` takes a unit slot for its full-length
+arrays, ``run`` evaluates one piece into them, and ``finish`` forms each
+batch's energy, excess and gradient contribution, returned as a list, and
+gives the slot back. ``_term`` adds these to the term's sums and gradients in batch
 order, exactly the order of a single lane, so every result is bitwise the
 same on one lane or two, grouped or not, and deterministic. The lanes are
 the calling thread and one helper thread, as the process's CPU affinity
@@ -125,7 +128,8 @@ runs its finish and parks the results in the unit's slot, and whichever
 lane takes the commit lock without waiting adds the ready results in unit
 order; once the helper is done, the caller adds what is left. No lane
 waits for the other between pieces, so one lane finishes a unit while the
-other evaluates the next one's pieces. Otherwise the thread hand-off costs
+other evaluates the next one's pieces (a finish may wait for an add, see
+Memory below). Otherwise the thread hand-off costs
 more than the work it overlaps, and the caller runs and adds the units one
 at a time (``_Unit.alone``). On the lattices of more than ``_SLAB_ROWS``
 sites (N = 64 and 128 in the consistency sweep) every stencil batch is
@@ -140,17 +144,44 @@ another, but every earlier unit, whose pieces were all pulled already,
 finishes, as on one lane; the caller then re-runs the first failing unit on
 one lane, which raises its one-lane error.
 
-A unit keeps phi and phi' alive for all its rows from its first piece to
-its finish, but zeta in one buffer per lane, the size of the term's
-largest piece, the law's temporaries chunk-sized and a stencil's
-slab-sized; a group keeps them for all its
-rows, fewer than six times _MIN_LANE_ROWS per law on the models here, and
-returns every batch's gradient contribution (one array the size of the
-operator's columns per batch) at once. A streamed unit that finishes ahead
-of an earlier one keeps its results in its slot until the earlier one is
-added. An energy-only call drops phi' and the contributions too. The helper
-lane calls no public bvcouple function, so tracers that wrap those see only
-the calling thread.
+Memory: every array of a term's size that a warm call fills lives in a
+workspace (``_Workspace``), one per lane (``_workspace``, per thread), and
+is reused from call to call, so a repeated call allocates nothing of its
+size and takes no fresh pages, whatever malloc does with freed memory. A
+workspace is a few flat float arrays (``_Buffer``), each grown, never
+shrunk, to the most that a term it served asked of it and handed out as
+views, each held from ``take`` to ``give``; every lane reserves them for
+the whole term before its first piece (``_Workspace.reserve``), so which
+lane serves which unit changes no size. They are:
+
+- the arena, which holds a piece's zeta rows (the term's largest piece and
+  F eta) and the scratch of the stencil or gather apply (one shifted copy
+  of x where the lattice is one slab, a gather's element-local values), or
+  during a finish the weights over eps and the transposed apply's scratch;
+  so a finish takes no more than the pieces of its lane, and the law's
+  temporaries stay chunk-sized (``_evaluate``);
+- the unit slots, phi (and phi') of a unit from its start to its finish.
+  They belong to the workspace of the lane that calls the term, and serve
+  the units that either lane starts. At most _LANES units are started and
+  not finished at once: a lane starts a unit when it runs nothing else and
+  every earlier unit's pieces are pulled, so only the unit that the other
+  lane runs can be unfinished. A stream reserves _LANES slots, and a term
+  on the caller's one lane one;
+- the contribution slot, the gradient contributions of the unit the lane
+  finished last, one array the size of x per batch of the unit, held until
+  the unit's results are added. A lane whose last finished unit is not yet
+  added, because an earlier unit is still running on the other lane, waits
+  for that add before it finishes another unit: so at most one unit's
+  results per lane wait in their slots, and no workspace grows with the
+  order in which the lanes happen to finish.
+
+When a term raises, its units give back every buffer they hold. A block
+or mesh build (a cache miss in ``coupling`` or ``highorder``) first lets
+go of every buffer that no unit holds (``_drop_workspaces``), so the
+build reuses that memory rather than adding to it, and the next term
+reserves the buffers again. An energy-only call holds phi alone and no
+contributions. The helper lane calls no public
+bvcouple function, so tracers that wrap those see only the calling thread.
 """
 from __future__ import annotations
 
@@ -158,15 +189,17 @@ import math
 import os
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, reduce
-from itertools import product
+from itertools import accumulate, product
 from operator import add
 from typing import Any
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .geometry import PATH_PERMS, path_edge_offsets
 from .lattice import Deformation, IntTriple, LatticeField
@@ -202,26 +235,33 @@ def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True) ->
     bond, eps^3 sum_q w_q (phi(zeta_q) - phi(F eta)), plus its homogeneous
     share eps^3 phi(F eta) sum_q w_q; the excess; and, if ``gradient``, the
     gradient contribution, scaled like the lattice inner product,
-    op^T (w phi'(zeta) / eps). Pure: the caller adds the results."""
-    return _Unit(pairs, law, None, F @ law.eta_vec, x, eps, gradient).alone()
+    op^T (w phi'(zeta) / eps), as an array of its own. Pure: the caller adds
+    the results."""
+    return _Unit(pairs, law, None, F @ law.eta_vec, x, eps, gradient).copied(_workspace())
 
 
 class _Unit:
     """One unit of a term (``_groups``): a group of (op, w) pairs of one law
     and breakdown key, taken through the law in pieces (``_pieces``).
 
-    ``start`` allocates phi (and phi') for every row, and one more row for
+    ``start(ws)`` takes a unit slot of the workspace ``ws``, the term's
+    calling lane's, for phi (and phi') of every row and one more row for
     F eta; a unit of one piece of fewer than _LAW_CHUNK rows leaves that to
-    the law, whose own arrays it keeps. ``run(k, zeta)`` forms piece k's bond rows in the lane's buffer
-    ``zeta`` (at least ``zeta_rows`` rows) and writes the law's phi (and
+    the law, whose own arrays it keeps. ``run(k, ws)`` forms piece k's bond rows in the
+    arena of the running lane's workspace and writes the law's phi (and
     phi') into the piece's rows; F eta rides as an extra last row of the
     last piece, so the excess is exactly 0.0 wherever zeta = F eta. Pieces
     write disjoint rows, so they may run in any order, on either lane.
-    ``finish``, once every piece has run, forms each pair's results over the
-    full arrays and drops them. The law acts row by row, so the bits do not
-    depend on the pieces or the lanes, and each pair's results are the bits
-    of a group of that pair alone. ``w`` is a scalar or a ``_Weights`` with
-    one weight per row; its zero-weight rows are evaluated at F eta.
+    ``finish(ws)``, once every piece has run, forms each pair's results over
+    the full arrays, with its temporaries in the finishing lane's arena and
+    the gradient contributions in that lane's contribution slot, and gives
+    the unit slot back; ``release`` gives back whatever the unit still holds,
+    the contribution slot once its results are added. The law acts row by
+    row, so the bits do not depend on the pieces or the lanes, and each
+    pair's results are the bits of a group of that pair alone. ``w`` is a
+    scalar or a ``_Weights`` with one weight per row, or per row of a
+    (rows / w.size, w.size) block; its zero-weight rows are evaluated at
+    F eta.
 
     Without ``gradient`` the unit is energy-only: the law is evaluated at
     order 0, and every gradient contribution is None. The energy and excess
@@ -231,82 +271,142 @@ class _Unit:
     def __init__(self, pairs, law: InteractionLaw, key, base, x, eps, gradient: bool):
         self.pairs, self.law, self.key, self.base, self.x, self.eps = pairs, law, key, base, x, eps
         self.order = 1 if gradient else 0
-        self.ends = np.cumsum([op.rows for op, _ in pairs])
+        self.ends = list(accumulate(op.rows for op, _ in pairs))
         self.starts = [0, *self.ends[:-1]]
-        self.n = int(self.ends[-1])
+        self.n = self.ends[-1]
         self.pieces = _pieces(pairs, self.n)
         self.zeta_rows = max(hi - lo for lo, hi, _ in self.pieces) + 1  # a piece and F eta
-        self.out = None  # phi (and phi'), from ``start`` to ``finish``
-
-    def start(self) -> None:
+        # Workspace floats: a unit slot; the arena, a piece's zeta or the
+        # finish's weights over eps, then from ``split`` on an apply's
+        # scratch; the contributions.
         big = len(self.pieces) > 1 or self.n >= _LAW_CHUNK
-        self.out = [np.empty(self.n + 1), np.empty((self.n + 1, 3))][: self.order + 1] if big else None
+        self.slot_size = (self.n + 1) * (1 + 3 * self.order) if big else 0
+        self.split, scratch = 3 * self.zeta_rows, 0
+        for op, w in pairs:
+            scratch = max(scratch, op.scratch_size)
+            if gradient and isinstance(w, _Weights):
+                self.split = max(self.split, w.w.size)
+        self.scratch_size = self.split + scratch
+        self.contrib_size = len(pairs) * x.size * self.order
+        self.out = None  # phi (and phi'), from ``start`` to ``finish``
+        self.slot = self.contrib = None  # the workspace buffers the unit holds
 
-    def run(self, k: int, zeta: np.ndarray) -> None:
+    def start(self, ws: "_Workspace") -> None:
+        if self.slot_size:
+            self.slot = ws.unit_slot()
+            a = self.slot.take(self.slot_size)
+            self.out = [a[: self.n + 1], a[self.n + 1:].reshape(-1, 3)][: self.order + 1]
+
+    def run(self, k: int, ws: "_Workspace") -> None:
         lo, hi, planes = self.pieces[k]
-        z = _bond_rows(self.pairs, self.starts, self.x, self.eps, self.base, lo, hi, planes,
-                       zeta[: hi - lo + (hi == self.n)])
-        got = _evaluate(self.law, z, self.order, self.out and [a[lo:lo + len(z)] for a in self.out])
+        m = hi - lo + (hi == self.n)
+        arena = ws.arena.take(self.scratch_size)
+        try:
+            z = _bond_rows(self.pairs, self.starts, self.x, self.eps, self.base, lo, hi, planes,
+                           arena[: 3 * m].reshape(m, 3), arena[self.split:])
+            got = _evaluate(self.law, z, self.order, self.out and [a[lo:lo + len(z)] for a in self.out])
+        finally:
+            ws.arena.give()
         self.out = self.out or got
 
-    def finish(self) -> list:
+    def finish(self, ws: "_Workspace") -> list:
         """Each pair's (energy, excess, gradient contribution) from the full
-        arrays, which it drops; a non-finite phi or phi' raises the error of
-        the first pair that has one."""
+        arrays, which it gives back; a non-finite phi or phi' raises the
+        error of the first pair that has one."""
         (vals, *P), self.out = self.out, None
         phi0 = vals[self.n]
         P = P[0] if P else None
         eps, results = self.eps, []
-        for (op, w), lo, hi in zip(self.pairs, self.starts, self.ends):
-            v = vals[lo:hi]
-            p = None if P is None else P[lo:hi]
-            if isinstance(w, _Weights):
-                w, total = w.w, w.total
-            else:
-                total = w * op.rows
-            excess = float(eps**3 * (w * (v - phi0)).sum())
-            # One sum finds a non-finite phi'; the row mask, built only then,
-            # tells it apart from a sum of finite entries that overflowed.
-            if not (math.isfinite(excess) and (p is None or math.isfinite(p.sum()))):
-                bad = ~np.isfinite(v)
-                if p is not None:
-                    bad |= ~np.isfinite(p).all(axis=-1)
-                if not math.isfinite(excess) or bad.any():
-                    raise _site_error(f"{self.law.kind} energy or force is not finite",
-                                      op.site(int(np.argmax(bad))), self.law.eta)
-            share = float(eps**3 * phi0 * total)
-            if p is None:
-                results.append((excess + share, excess, None))
-                continue
-            if np.ndim(w):
-                w = w / eps
-                for i in range(3):
-                    p[:, i] *= w
-            else:
-                p *= w / eps
-            results.append((excess + share, excess, op.T @ p))
+        arena = ws.arena.take(self.scratch_size)
+        scratch = arena[self.split:]
+        if P is not None:
+            self.contrib = ws.contrib
+            contribs = self.contrib.take(self.contrib_size).reshape(len(self.pairs), *self.x.shape)
+        try:
+            for j, ((op, w), lo, hi) in enumerate(zip(self.pairs, self.starts, self.ends)):
+                v = vals[lo:hi]
+                p = None if P is None else P[lo:hi]
+                weights, total = (w.w, w.total) if isinstance(w, _Weights) else (w, w * op.rows)
+                # w (phi - phi(F eta)), written over phi, which nothing reads again
+                d = _blocks(v, weights)
+                np.subtract(d, phi0, out=d)
+                np.multiply(d, weights, out=d)
+                excess = float(eps**3 * v.sum())
+                # One sum finds a non-finite phi'; the row mask, built only then,
+                # tells it apart from a sum of finite entries that overflowed.
+                if not (math.isfinite(excess) and (p is None or math.isfinite(p.sum()))):
+                    phi = np.empty(op.rows)  # the pair's phi again: the law's bits do not depend on the rows
+                    _evaluate(self.law, _bond_rows([(op, w)], [0], self.x, eps, self.base, 0, op.rows, None,
+                                                   np.empty((op.rows, 3))), 0, [phi])
+                    bad = ~np.isfinite(phi)
+                    if p is not None:
+                        bad |= ~np.isfinite(p).all(axis=-1)
+                    if not math.isfinite(excess) or bad.any():
+                        raise _site_error(f"{self.law.kind} energy or force is not finite",
+                                          op.site(int(np.argmax(bad))), self.law.eta)
+                share = float(eps**3 * phi0 * total)
+                if p is None:
+                    results.append((excess + share, excess, None))
+                    continue
+                if np.ndim(weights):
+                    pw = _blocks(p, weights)
+                    weights = np.divide(weights, eps, out=arena[: weights.size])
+                    for i in range(3):
+                        pw[..., i] *= weights
+                else:
+                    p *= weights / eps
+                results.append((excess + share, excess, op.T.apply(p, contribs[j], scratch=scratch)))
+        finally:
+            ws.arena.give()
+        if self.slot is not None:
+            self.slot.give()
+            self.slot = None
         return results
 
-    def alone(self) -> list:
-        """The unit on the calling lane: its pieces in order, in one buffer,
-        then its finish. A law call that raises gives the unit's one-lane
-        error, which names the lattice site ``op.site(row)`` of the shortest
-        bond, or of the first bond whose phi or phi' is not finite, of the
-        first failing pair: a group re-runs its pairs one at a time, and a
-        lone batch forms its whole zeta once to name its shortest bond."""
-        zeta = np.empty((self.zeta_rows, 3))
-        self.start()
+    def release(self) -> None:
+        """Gives back every workspace buffer the unit holds: its contribution
+        slot once its results are added, or, after an error, whatever it
+        took."""
+        for b in (self.slot, self.contrib):
+            if b is not None:
+                b.give()
+        self.slot = self.contrib = None
+
+    def copied(self, ws: "_Workspace") -> list:
+        """``alone``, with each gradient contribution copied out of the
+        workspace, which the unit then gives back."""
         try:
-            for k in range(len(self.pieces)):
-                self.run(k, zeta)
-        except PotentialDomainError as exc:
-            if len(self.pairs) > 1:  # the first failing pair's error, as ungrouped
-                return [r for pair in self.pairs
-                        for r in _Unit([pair], self.law, self.key, self.base, self.x, self.eps, self.order).alone()]
-            z = _bond_rows(self.pairs, self.starts, self.x, self.eps, self.base, 0, self.n, None, np.empty((self.n, 3)))
-            raise _site_error(exc, self.pairs[0][0].site(int(np.argmin(np.linalg.norm(z, axis=-1)))),
-                              self.law.eta) from exc
-        return self.finish()
+            return [(e, de, None if g is None else g.copy()) for e, de, g in self.alone(ws)]
+        finally:
+            self.release()
+
+    def alone(self, ws: "_Workspace") -> list:
+        """The unit on the calling lane, with its workspace ``ws``: its pieces
+        in order, then its finish. A law call that raises gives the unit's
+        one-lane error, which names the lattice site ``op.site(row)`` of the
+        shortest bond, or of the first bond whose phi or phi' is not finite,
+        of the first failing pair: a group re-runs its pairs one at a time,
+        and a lone batch forms its whole zeta once to name its shortest
+        bond."""
+        self.start(ws)
+        try:
+            try:
+                for k in range(len(self.pieces)):
+                    self.run(k, ws)
+            except PotentialDomainError as exc:
+                self.release()
+                if len(self.pairs) > 1:  # the first failing pair's error, as ungrouped
+                    return [r for pair in self.pairs
+                            for r in _Unit([pair], self.law, self.key, self.base, self.x, self.eps,
+                                           self.order).copied(ws)]
+                z = _bond_rows(self.pairs, self.starts, self.x, self.eps, self.base, 0, self.n, None,
+                               np.empty((self.n, 3)))
+                raise _site_error(exc, self.pairs[0][0].site(int(np.argmin(np.linalg.norm(z, axis=-1)))),
+                                  self.law.eta) from exc
+            return self.finish(ws)
+        except BaseException:  # nothing to add: every buffer goes back
+            self.release()
+            raise
 
 
 def _pieces(pairs, n: int) -> list:
@@ -322,17 +422,19 @@ def _pieces(pairs, n: int) -> list:
     return [(a * plane, min(a + step, n0) * plane, (a, min(a + step, n0))) for a in range(0, n0, step)]
 
 
-def _bond_rows(pairs, starts, x, eps, base, lo, hi, planes, z):
+def _bond_rows(pairs, starts, x, eps, base, lo, hi, planes, z, scratch=None):
     """The group's bond vectors F eta + (op @ x) / eps at rows lo..hi, the
     rows of zero weight at F eta, written into z and returned; a row of z
     past them gets F eta. ``planes`` is None for every row of every pair,
-    else the axis-0 plane range of the lone stencil that the rows cover."""
+    else the axis-0 plane range of the lone stencil that the rows cover.
+    ``scratch`` is the operators' flat scratch array (see ``scratch_size``),
+    or None to allocate it."""
     m = hi - lo
     if planes is None:
         for (op, _), s in zip(pairs, starts):
-            op.apply(x, z[s:s + op.rows])
+            op.apply(x, z[s:s + op.rows], scratch=scratch)
     else:
-        pairs[0][0].apply(x, z[:m], *planes)
+        pairs[0][0].apply(x, z[:m], *planes, scratch=scratch)
     np.divide(z[:m], eps, out=z[:m])
     for i in range(3):  # column by column: a (3,) broadcast along rows is slower
         z[:m, i] += base[i]
@@ -353,18 +455,29 @@ def _site_error(what, site: IntTriple, eta: IntTriple) -> PotentialDomainError:
 
 @dataclass(frozen=True, eq=False)
 class _Weights:
-    """One quadrature weight per row, with what the kernel reads of them:
-    the rows of zero weight, which it evaluates at F eta, and their sum.
-    Cached blocks, partitions and meshes build theirs once."""
+    """Quadrature weights, with what the kernel reads of them: the rows of
+    zero weight, which it evaluates at F eta, and their sum. ``w`` holds
+    one weight per row, or one per row of each (w.size)-row block, the
+    quadrature points of one element, which the kernel broadcasts over the
+    blocks (``_blocks``). Cached blocks, partitions and meshes build theirs
+    once."""
 
-    w: np.ndarray       # (rows,)
+    w: np.ndarray       # (rows,), or (rows per block,)
     zero: np.ndarray    # row indices of zero weight
-    total: float        # w.sum()
+    total: float        # the sum over every row
 
 
 def _weights(w) -> _Weights:
     w = np.asarray(w, dtype=float)
     return _Weights(w, np.flatnonzero(w == 0.0), float(w.sum()))
+
+
+def _blocks(a: np.ndarray, w) -> np.ndarray:
+    """``a``, with one row per quadrature bond, as the array that the
+    weights ``w`` (a scalar or ``_Weights.w``) broadcast over: ``a`` itself
+    for a scalar or one weight per row, else its (rows / w.size, w.size)
+    blocks, a view."""
+    return a.reshape(-1, w.size, *a.shape[1:]) if isinstance(w, np.ndarray) and w.size != len(a) else a
 
 
 def _evaluate(law: InteractionLaw, zeta, order: int, out):
@@ -414,6 +527,89 @@ def _helper() -> ThreadPoolExecutor:
     return _helper_pool[1]
 
 
+class _Buffer:
+    """One reused flat float array of a lane's workspace, handed out as a
+    view: it grows, never shrinks, to the largest size asked of it, and is
+    held from ``take`` to ``give``."""
+
+    def __init__(self):
+        self.data = np.empty(0)
+        self.held = False
+
+    def reserve(self, size: int) -> np.ndarray:
+        data = self.data  # read once: ``_drop_workspaces`` may swap it
+        if data.size < size:
+            data = self.data = _allocate(size)
+        return data
+
+    def take(self, size: int) -> np.ndarray:
+        data = self.reserve(size)
+        self.held = True
+        return data[:size]
+
+    def give(self) -> None:
+        self.held = False
+
+
+def _allocate(size: int) -> np.ndarray:
+    """The one allocation of every workspace array."""
+    return np.empty(size)
+
+
+class _Workspace:
+    """One lane's reused arrays (see the module docstring): the arena, for
+    a piece's zeta and an apply's scratch or a finish's temporaries; the
+    contribution slot, for the gradient contributions of the unit this lane
+    finished last, until they are added; and the unit slots, for phi and
+    phi' of the units of the terms this lane calls, one per unit started
+    and not yet finished, on either lane: at most _LANES."""
+
+    def __init__(self):
+        self.arena, self.contrib = _Buffer(), _Buffer()
+        self.units: list[_Buffer] = []
+
+    def reserve(self, units, slots: int) -> None:
+        """Grows the arena, the contribution slot and the first ``slots``
+        unit slots to the most that any of ``units`` asks, whichever of them
+        this lane serves, so a repeated term allocates nothing."""
+        self.arena.reserve(max(u.scratch_size for u in units))
+        self.contrib.reserve(max(u.contrib_size for u in units))
+        self.units += [_Buffer() for _ in range(slots - len(self.units))]
+        for b in self.units[:slots]:
+            b.reserve(max(u.slot_size for u in units))
+
+    def unit_slot(self) -> _Buffer:
+        """A unit slot that is not held."""
+        free = next((b for b in self.units if not b.held), None)
+        if free is None:
+            raise RuntimeError(f"more than {len(self.units)} units are started and unfinished")
+        return free
+
+
+_lanes = threading.local()  # each thread's ``_Workspace``
+_every_workspace: weakref.WeakSet = weakref.WeakSet()
+
+
+def _workspace() -> _Workspace:
+    """The calling thread's workspace, made on its first use."""
+    ws = getattr(_lanes, "ws", None)
+    if ws is None:
+        ws = _lanes.ws = _Workspace()
+        _every_workspace.add(ws)
+    return ws
+
+
+def _drop_workspaces() -> None:
+    """Lets go of every workspace buffer that is not held, on every lane,
+    so the next term reserves it again. The block and mesh builders call
+    it before they build, so that a build reuses that memory rather than
+    adding to it; a view that a unit still holds keeps its own array."""
+    for ws in list(_every_workspace):
+        for b in (ws.arena, ws.contrib, *ws.units):
+            if not b.held:
+                b.data = np.empty(0)
+
+
 def _groups(batches) -> list:
     """A term's (op, w, law, key) batches as units (pairs, law, key), in
     batch order: a run of consecutive batches that share the law and the
@@ -442,14 +638,17 @@ class _Stencil:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x, np.empty((self.rows, 3)))
 
-    def apply(self, x: np.ndarray, out: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    def apply(self, x: np.ndarray, out: np.ndarray, lo: int = 0, hi: int | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
         """B x at the sites of the axis-0 planes lo <= l_0 < hi (default:
         every plane) written into ``out``, a C-contiguous ((hi - lo) N_1 N_2,
         3) array, one slab of at most ``slab_planes`` planes at a time: each
         slab takes every term, in term order, before the next slab starts.
         Every row gets the adds of a term-by-term sweep of the whole array,
         in the same order, so the bits do not depend on the plane range or
-        the slab size, and the slab stays in cache across the terms."""
+        the slab size, and the slab stays in cache across the terms.
+        ``scratch``, a flat array of at least ``scratch_size`` floats, holds
+        the whole-array shifts; None allocates it when needed."""
         n0 = self.N[0]
         hi = n0 if hi is None else hi
         v = x.reshape(self.N + (3,))
@@ -468,7 +667,7 @@ class _Stencil:
                     # one contiguous add beat four or eight strided block
                     # adds
                     if shifted is None:
-                        shifted = np.empty_like(v)
+                        shifted = np.empty_like(v) if scratch is None else scratch[: v.size].reshape(v.shape)
                     for dst, sl in blocks:
                         shifted[dst] = v[sl]
                     src, blocks = shifted, _WHOLE
@@ -489,6 +688,12 @@ class _Stencil:
         """Axis-0 planes per slab: as many as fit in _SLAB_ROWS rows, at
         least one."""
         return max(1, _SLAB_ROWS // (self.N[1] * self.N[2]))
+
+    @property
+    def scratch_size(self) -> int:
+        """Floats of scratch an apply may use: one shifted copy of x where
+        the lattice is one slab, else none."""
+        return 3 * self.rows if self.slab_planes >= self.N[0] else 0
 
     @property
     def rows(self) -> int:
@@ -547,26 +752,33 @@ class _Gather:
     transposed: bool = False
 
     def __matmul__(self, x):
-        if self.coef is _ONE:
-            return self.G @ x
-        if self.transposed:
-            u = np.matmul(self.coef.T, x.reshape(-1, self.coef.shape[0], 3))
-            return self.G @ u.reshape(-1, 3)
         return self.apply(x, np.empty((self.rows, 3)))
 
-    def apply(self, x, out):
-        """The gather of x written into ``out``, a C-contiguous (rows, 3)
-        array; for the untransposed gather only."""
+    def apply(self, x, out, scratch=None):
+        """The gather of x, or its transpose, written into ``out``, a
+        C-contiguous (rows, 3) array. ``scratch``, a flat array of at least
+        ``scratch_size`` floats, holds the element-local values; None
+        allocates them."""
         if self.coef is _ONE:
-            out[...] = self.G @ x
-            return out
+            return _spmv(self.G, x, out)
         nq, nloc = self.coef.shape
-        np.matmul(self.coef, (self.G @ x).reshape(-1, nloc, 3), out=out.reshape(-1, nq, 3))
+        local = self.sites.size * nloc
+        u = np.empty((local, 3)) if scratch is None else scratch[: 3 * local].reshape(local, 3)
+        if self.transposed:
+            np.matmul(self.coef.T, x.reshape(-1, nq, 3), out=u.reshape(-1, nloc, 3))
+            return _spmv(self.G, u, out)
+        np.matmul(self.coef, _spmv(self.G, x, u).reshape(-1, nloc, 3), out=out.reshape(-1, nq, 3))
         return out
 
     @property
     def rows(self) -> int:
-        return self.sites.size * self.coef.shape[0]
+        return self.G.shape[0] if self.transposed else self.sites.size * self.coef.shape[0]
+
+    @property
+    def scratch_size(self) -> int:
+        """Floats of scratch an apply uses: the element-local values, unless
+        ``coef`` is ``_ONE``."""
+        return 0 if self.coef is _ONE else 3 * self.sites.size * self.coef.shape[1]
 
     @cached_property
     def T(self) -> "_Gather":
@@ -575,6 +787,19 @@ class _Gather:
     def site(self, row: int) -> IntTriple:
         flat = self.sites[row // self.coef.shape[0]]
         return tuple(int(i) for i in np.unravel_index(int(flat), self.N))
+
+
+def _spmv(A, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A @ x for a CSR or CSC matrix A and an (n, 3) x, written into
+    ``out``, a C-contiguous array of A.shape[0] rows, and returned:
+    scipy's own product routine (the one ``A @ x`` calls, so the same bits),
+    without the result array it would allocate."""
+    if not out.flags.c_contiguous:
+        raise ValueError("the output of a sparse product must be C-contiguous")
+    out[...] = 0.0
+    getattr(_sparsetools, A.format + "_matvecs")(*A.shape, 3, A.indptr, A.indices, A.data,
+                                                  np.ascontiguousarray(x).ravel(), out.ravel())
+    return out
 
 
 def _stencil(N, terms) -> _Stencil:
@@ -654,33 +879,45 @@ def _term(name: str, batches, F, x, eps, g_outs) -> _Term:
         _stream(_helper(), units, lambda key, results: out.add(key, results, g_outs))
         out.lanes = 2
     else:
+        ws = _workspace()
+        ws.reserve(units, 1)
         for u in units:
-            out.add(u.key, u.alone(), g_outs)
+            try:
+                out.add(u.key, u.alone(ws), g_outs)
+            finally:
+                u.release()
     out.seconds = time.perf_counter() - t0
     return out
 
 
 def _stream(helper, units, add) -> None:
     """Runs the pieces of ``units`` on both lanes and adds the units'
-    results in unit order. Each lane pulls the next (unit, piece) from one
-    shared cursor, in unit-then-piece order, as soon as it has finished one;
-    pulling a unit's first piece starts the unit (``start``), under the pull
-    lock. The lane runs the piece in its own reused zeta buffer, and the
-    lane that completes a unit's last piece runs its finish and parks the
-    results in the unit's slot; then, if it takes the commit lock without
-    waiting, it adds every ready result in unit order, ``add(key,
-    results)``, from the first unit not yet added, and drops it. Once a
-    piece or a finish raises, no lane pulls another, but the earlier units,
-    whose pieces were all pulled already, finish. When both lanes are done
-    the caller adds what is left, re-runs the first failing unit on one
-    lane (``alone``), which raises its one-lane error, so every add and
-    every error is that of one lane."""
+    results in unit order. The caller reserves _LANES unit slots of its
+    workspace, and each lane its arena and contribution slot, for the units
+    (``_Workspace.reserve``). Each lane pulls the next (unit, piece) from
+    one shared cursor, in unit-then-piece order, as soon as it has finished
+    one; pulling a unit's first piece starts the unit (``start``) in a free
+    unit slot of the caller's workspace, under the pull lock. The lane runs
+    the piece in its arena, and the lane that completes a unit's last piece
+    runs its finish, into its contribution slot, and parks the results in
+    the unit's slot; if the lane's contribution slot still holds a unit not
+    yet added, it first waits for that add, so each lane parks at most one
+    unit. Then, if it takes the commit lock without waiting, it adds every
+    ready result in unit order, ``add(key, results)``, from the first unit
+    not yet added, and the unit gives back its contribution slot. Once a
+    piece or a finish raises, no lane pulls another and no lane waits for an
+    add, but the earlier units, whose pieces were all pulled already,
+    finish. When both lanes are done the caller adds what is left, every
+    unit gives back what it still holds, and the caller re-runs the first
+    failing unit on one lane (``alone``), which raises its one-lane error,
+    so every add and every error is that of one lane."""
     n = len(units)
     items = iter([(i, k) for i, u in enumerate(units) for k in range(len(u.pieces))])
     left = [len(u.pieces) for u in units]  # pieces not yet run, per unit
     slots: list = [None] * n      # a finished unit's results, until added
     errors: dict = {}             # unit index -> the error it raised
     pull, commit = threading.Lock(), threading.Lock()
+    added = threading.Condition()  # notified when units are added and when one raises
     head = 0                      # the first unit not yet added
 
     def ready() -> bool:
@@ -691,43 +928,67 @@ def _stream(helper, units, add) -> None:
         nonlocal head
         while ready():
             add(units[head].key, slots[head])
+            units[head].release()
             slots[head] = None
             head += 1
+        with added:
+            added.notify_all()
+
+    def stop(i, exc) -> None:
+        errors[i] = exc
+        with added:
+            added.notify_all()
 
     def lane() -> None:
-        zeta = np.empty((max(u.zeta_rows for u in units), 3))  # this lane's, for every piece
+        ws = _workspace()
+        ws.reserve(units, 0)
         while not errors:
             with pull:
                 i, k = next(items, (n, 0))
                 if i == n:
                     return
                 if k == 0:
-                    units[i].start()
+                    units[i].start(own)
             try:
-                units[i].run(k, zeta)
+                units[i].run(k, ws)
                 with pull:
                     left[i] -= 1
                     last = not left[i]
                 if last:
-                    slots[i] = units[i].finish()
+                    with added:
+                        added.wait_for(lambda: not ws.contrib.held or errors)
+                    if ws.contrib.held:  # an earlier unit raised, so this one is never added
+                        return
+                    slots[i] = units[i].finish(ws)
             except Exception as exc:  # the caller raises the first failing unit's one-lane error
-                errors[i] = exc
+                stop(i, exc)
             while ready() and commit.acquire(blocking=False):
                 try:
                     drain()
                 finally:
                     commit.release()
 
-    ahead = helper.submit(lane)
+    def guarded() -> None:
+        try:
+            lane()
+        except BaseException as exc:  # the other lane must not wait for this one
+            stop(n, exc)
+            raise
+
+    own = _workspace()  # the caller's: its unit slots serve both lanes
+    own.reserve(units, _LANES)
+    ahead = helper.submit(guarded)
     try:
-        lane()
+        guarded()
     finally:
         ahead.exception()  # waits, so no helper work outlives the call
+        drain()
+        for u in units:
+            u.release()
     ahead.result()
-    drain()
     if errors:
         i = min(errors)
-        units[i].alone()  # raises the unit's one-lane error
+        units[i].copied(own)  # raises the unit's one-lane error
         raise errors[i]
 
 

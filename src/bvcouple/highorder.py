@@ -57,7 +57,7 @@ from itertools import combinations
 import numpy as np
 
 from .coupling import RegionPartition, _coupled, _csr, _fetch, _get_blocks, omega_star_mask
-from .energies import EnergyReport, _Gather, _weights, _Weights
+from .energies import EnergyReport, _drop_workspaces, _Gather, _weights, _Weights
 from .geometry import PATH_PERMS, path_corner_offsets
 from .lattice import Deformation, LatticeConfig
 from .potentials import InteractionSet
@@ -182,17 +182,30 @@ class HighOrderMesh:
         on the P1 cells, kept with the mesh."""
         return tuple(_weights(m.ravel() / 6.0) for m in self.p1_masks)
 
+    @cached_property
+    def pk_weights(self) -> tuple[_Weights, ...]:
+        """Per template, the quadrature weights of its Pk elements, kept
+        with the mesh: one weight per quadrature point, which the kernel
+        broadcasts over the (element, point) rows, with the rows of zero
+        weight and the sum over every row (the sum of the weights tiled
+        once per element)."""
+        out = []
+        for perm, cells in zip(PATH_PERMS, self.elem_cells):
+            wts = _template_tables(self.k, perm)[0]
+            zero = (np.arange(cells.size)[:, None] * wts.size + np.flatnonzero(wts == 0.0)).ravel()
+            out.append(_Weights(wts, zero, float(np.tile(wts, cells.size).sum())))
+        return tuple(out)
+
     def pk_batches(self, R: InteractionSet) -> list:
         """The Pk elements' quadrature-bond batches on [lattice sites | free
         nodes], per law and template: the gather of the element-local node
         values with the shape-function gradients times eta as coefficients,
-        at the quadrature weights tiled once per template and call (kept
-        with each mesh, the k=3 tiles would hold about 5 MB)."""
+        at the template's quadrature weights (``pk_weights``)."""
         tables = [_template_tables(self.k, perm) for perm in PATH_PERMS]
-        pk_w = [_weights(np.tile(wts, cells.size)) for (wts, _), cells in zip(tables, self.elem_cells)]
         return [(_Gather(G, gradN @ law.eta_vec, cells, self.cfg.N), w, law, "continuum")
                 for law in R
-                for G, cells, w, (_, gradN) in zip(self.elem_ops, self.elem_cells, pk_w, tables) if cells.size]
+                for G, cells, w, (_, gradN) in zip(self.elem_ops, self.elem_cells, self.pk_weights, tables)
+                if cells.size]
 
 
 # Meshes kept per process: enough for a few placements.
@@ -224,6 +237,7 @@ def _row_keys(rows, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=_MESH_CACHE_SIZE)
 def _build_mesh(part: RegionPartition, k: int) -> HighOrderMesh:
+    _drop_workspaces()
     cfg = part.cfg
     N = cfg.N
     a, top = np.asarray(part.corner), np.asarray(part.top)

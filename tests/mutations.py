@@ -10,7 +10,8 @@ exactly once in it, its replacement, the test node expected to fail). The
 script copies ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary
 directory, runs every named test there once unmutated (each must pass),
 then applies one entry at a time to the copy's ``src/`` and runs its test
-against the copy. A mutation survives when its test passes. The exit
+against the copy. A mutation survives when its test passes; a test that
+runs longer than ``TIMEOUT_S`` is stopped and does not pass. The exit
 status is 1 if any mutation survives, any snippet is not found exactly
 once, or a named test fails unmutated; else 0. The checkout is never
 modified. The file name keeps this script out of the tier-1 collection.
@@ -25,6 +26,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# Seconds a named test may run: every one takes a few, unmutated.
+TIMEOUT_S = 300
 
 MUTATIONS = [
     # zero-weight rows left at zeta instead of F eta
@@ -104,35 +107,62 @@ MUTATIONS = [
      "[a[lo:lo + len(z)] for a in self.out]",
      "[a[:len(z)] for a in self.out]",
      "tests/test_lanes.py::test_two_plane_pieces_are_bitwise_default_slabs"),
-    # a unit's arrays allocated when the unit is built
+    # a unit's slot taken when the unit is built
     ("energies.py",
      "        self.out = None  # phi (and phi'), from ``start`` to ``finish``\n",
      "        self.out = None\n"
-     "        self.start()\n",
-     "tests/test_lanes.py::test_unit_arrays_live_from_the_first_piece_to_the_finish"),
+     "        self.start(_workspace())\n",
+     "tests/test_lanes.py::test_unit_slots_are_held_from_the_first_piece_to_the_finish"),
     # a stream whose caller returns without waiting for the helper lane
     ("energies.py",
-     "    ahead = helper.submit(lane)\n"
+     "    ahead = helper.submit(guarded)\n"
      "    try:\n"
-     "        lane()\n"
+     "        guarded()\n"
      "    finally:\n"
      "        ahead.exception()  # waits, so no helper work outlives the call\n"
+     "        drain()\n"
+     "        for u in units:\n"
+     "            u.release()\n"
      "    ahead.result()\n",
-     "    helper.submit(lane)\n"
-     "    lane()\n",
+     "    helper.submit(guarded)\n"
+     "    try:\n"
+     "        guarded()\n"
+     "    finally:\n"
+     "        drain()\n"
+     "        for u in units:\n"
+     "            u.release()\n",
      "tests/test_lanes.py::test_helper_lane_is_done_when_the_term_returns_or_raises"),
     # a stream's results added in completion order rather than unit order
     ("energies.py",
-     "                    slots[i] = units[i].finish()\n",
-     "                    got = units[i].finish()\n"
+     "                    slots[i] = units[i].finish(ws)\n",
+     "                    got = units[i].finish(ws)\n"
      "                    with commit:\n"
-     "                        add(units[i].key, got)\n",
+     "                        add(units[i].key, got)\n"
+     "                        units[i].release()\n",
      "tests/test_lanes.py::test_helper_lane_commits_while_the_callers_first_unit_is_held"),
     # a stream raising its first failing piece's own error, without the one-lane re-run
     ("energies.py",
-     "        units[i].alone()  # raises the unit's one-lane error\n",
+     "        units[i].copied(own)  # raises the unit's one-lane error\n",
      "        pass\n",
      "tests/test_lanes.py::test_domain_error_of_a_split_batch_is_the_one_lane_error"),
+    # one workspace for every thread, so a lane takes the other lane's
+    ("energies.py",
+     "    ws = getattr(_lanes, \"ws\", None)\n"
+     "    if ws is None:\n"
+     "        ws = _lanes.ws = _Workspace()\n",
+     "    ws = getattr(_Workspace, \"shared\", None)\n"
+     "    if ws is None:\n"
+     "        ws = _Workspace.shared = _Workspace()\n",
+     "tests/test_lanes.py::test_two_lanes_never_hold_the_same_buffer_at_once"),
+    # a unit's contribution slot given back at its finish, before its results are added
+    ("energies.py",
+     "        if self.slot is not None:\n"
+     "            self.slot.give()\n"
+     "            self.slot = None\n"
+     "        return results\n",
+     "        self.release()\n"
+     "        return results\n",
+     "tests/test_lanes.py::test_unit_slots_are_held_from_the_first_piece_to_the_finish"),
     # the sweep's homogeneous-share check removed
     ("harness.py",
      '        if r["share_ulps"] > _SHARE_ULPS:',
@@ -142,11 +172,16 @@ MUTATIONS = [
 
 
 def run_test(tree: Path, *nodes: str) -> bool:
-    """Whether the test nodes pass against the package in ``tree``."""
+    """Whether the test nodes pass against the package in ``tree`` within
+    ``TIMEOUT_S``: a mutant that makes two lanes wait for each other hangs
+    its test, which then does not pass."""
     # no bytecode: a restored source may keep the mutant's mtime and size
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *nodes],
-                          cwd=tree, env=env, capture_output=True, text=True)
+    try:
+        done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *nodes],
+                              cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False
     return done.returncode == 0
 
 

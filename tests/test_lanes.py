@@ -10,18 +10,19 @@ from __future__ import annotations
 import hashlib
 import os
 import select
+import subprocess
 import sys
 import threading
 import time
 import warnings
-import weakref
 from functools import reduce
 from operator import add
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bvcouple import energies
+from bvcouple import coupling, energies
 from bvcouple.coupling import (
     RegionPartition,
     coupled_energy_conforming,
@@ -294,12 +295,12 @@ def test_helper_lane_domain_error_is_the_serial_one(monkeypatch, collapse, site,
     running = []
     run = energies._Unit.run
 
-    def slow_helper(self, k, zeta):
+    def slow_helper(self, k, ws):
         running.append(1)
         try:
             if threading.current_thread() is not threading.main_thread():
                 time.sleep(0.2)  # the caller's batch is done long before
-            return run(self, k, zeta)
+            return run(self, k, ws)
         finally:
             running.pop()
 
@@ -326,10 +327,10 @@ def test_one_lane_pair_adds_its_first_unit_before_it_computes_the_second(monkeyp
     at_start, contributions = [], []
     alone = energies._Unit.alone
 
-    def spy(self):
+    def spy(self, ws):
         at_start.append(g.copy())
-        results = alone(self)
-        contributions.extend(contrib for _, _, contrib in results)
+        results = alone(self, ws)
+        contributions.extend(contrib.copy() for _, _, contrib in results)  # the slot is reused
         return results
 
     monkeypatch.setattr(energies._Unit, "alone", spy)
@@ -467,10 +468,10 @@ def stencil_spy(monkeypatch, hold=lambda op: None) -> list:
     seen = []
     apply = energies._Stencil.apply
 
-    def recording(self, x, out, lo=0, hi=None):
+    def recording(self, x, out, lo=0, hi=None, scratch=None):
         hold(self)
         seen.append((threading.current_thread() is not threading.main_thread(), self.terms, lo, hi))
-        return apply(self, x, out, lo, hi)
+        return apply(self, x, out, lo, hi, scratch)
 
     monkeypatch.setattr(energies._Stencil, "apply", recording)
     return seen
@@ -541,32 +542,36 @@ def on_helper_lane() -> bool:
 def test_helper_lane_commits_while_the_callers_first_unit_is_held(monkeypatch):
     """acb-tetra at N=12 on two lanes, every staircase batch a unit of one
     piece: one stream of 18 units. The caller's first piece waits until the
-    helper lane has finished three units, whose results wait in their slots;
-    after that each helper piece takes 50 ms, so the helper finishes the
-    stream's last unit and adds it itself. The results are added in unit
-    order whichever lane adds them: the report is bitwise the one-lane
-    report, and the helper lane made at least one of the 18 adds."""
+    helper lane has finished a unit, whose results wait in their slot; the
+    helper's next finish waits until they are added, since its contribution
+    slot holds them, so the caller adds both units first. After that each
+    helper piece takes 50 ms, so the helper finishes the stream's last unit
+    and adds it itself. The results are added in unit order whichever lane
+    adds them: the report is bitwise the one-lane report, and the helper
+    lane made at least one of the 18 adds."""
     evaluate = model_calls()["acb-tetra"]
     one_lane(monkeypatch)
     ref = evaluate()
     two_lanes(monkeypatch)
     run, finish, add = energies._Unit.run, energies._Unit.finish, energies._Term.add
     released = threading.Event()
-    helper_units, held, adds = [], [], []
+    helper_units, held, adds, adds_at_finish = [], [], [], []
 
-    def spy_run(self, k, zeta):
+    def spy_run(self, k, ws):
         if on_helper_lane():
             if released.is_set():
                 time.sleep(0.05)
         elif not held:
             held.append(released.wait(30.0))
-        return run(self, k, zeta)
+        return run(self, k, ws)
 
-    def spy_finish(self):
-        results = finish(self)
+    def spy_finish(self, ws):
+        if on_helper_lane():
+            adds_at_finish.append(len(adds))
+        results = finish(self, ws)
         if on_helper_lane():
             helper_units.append(1)
-            if len(helper_units) == 3:
+            if len(helper_units) == 1:
                 released.set()
         return results
 
@@ -578,7 +583,8 @@ def test_helper_lane_commits_while_the_callers_first_unit_is_held(monkeypatch):
     monkeypatch.setattr(energies._Unit, "finish", spy_finish)
     monkeypatch.setattr(energies._Term, "add", recording_add)
     rep = evaluate()
-    assert held == [True] and len(helper_units) >= 3
+    assert held == [True] and len(helper_units) >= 2
+    assert adds_at_finish[:2] == [0, 2] and adds[:2] == [False, False]
     assert len(adds) == 18 and any(adds)
     assert_same_report(ref, rep)
 
@@ -603,11 +609,11 @@ def test_earlier_units_error_wins_over_a_later_one_raised_first(monkeypatch):
     raised = []
     later_raised = threading.Event()
 
-    def spy(self, k, zeta):
+    def spy(self, k, ws):
         if self.law.eta == (1, 0, 0) and k == 1:
             assert later_raised.wait(30.0)
         try:
-            return run(self, k, zeta)
+            return run(self, k, ws)
         except PotentialDomainError:
             raised.append((self.law.eta, self.pieces[k][2]))
             later_raised.set()
@@ -639,10 +645,10 @@ def test_helper_lane_is_done_when_the_term_returns_or_raises(monkeypatch, collap
             futures.append(pool.submit(fn, *args))
             return futures[-1]
 
-    def spy(self, k, zeta):
+    def spy(self, k, ws):
         if on_helper_lane():
             time.sleep(0.2)
-        return run(self, k, zeta)
+        return run(self, k, ws)
 
     monkeypatch.setattr(energies, "_helper", Recording)
     monkeypatch.setattr(energies._Unit, "run", spy)
@@ -690,17 +696,17 @@ def test_only_the_caller_hands_out_the_helper_lane(monkeypatch):
     caller_started, finished = threading.Event(), threading.Event()
     held, helper_pieces, helper_finishes = [], [], []
 
-    def spy_run(self, k, zeta):
+    def spy_run(self, k, ws):
         if on_helper_lane():
             assert caller_started.wait(30.0)
             helper_pieces.append(self.law.eta)
         elif not held:
             caller_started.set()
             held.append(finished.wait(30.0))
-        return run(self, k, zeta)
+        return run(self, k, ws)
 
-    def spy_finish(self):
-        results = finish(self)
+    def spy_finish(self, ws):
+        results = finish(self, ws)
         if on_helper_lane():
             helper_finishes.append(self.law.eta)
             finished.set()
@@ -715,37 +721,43 @@ def test_only_the_caller_hands_out_the_helper_lane(monkeypatch):
 
 
 class ToyUnit:
-    """A unit of ``_stream`` without a law: pieces of random small work, one
-    of them possibly failing. Its finish checks that the unit was started
-    before any of its pieces ran, and that every piece ran exactly once."""
+    """A unit of ``_stream`` without a law and without workspace arrays:
+    pieces of random small work, one of them possibly failing. Its finish
+    checks that the unit was started before any of its pieces ran, and that
+    every piece ran exactly once."""
 
-    zeta_rows = 1
+    scratch_size = slot_size = contrib_size = 0
 
     def __init__(self, i, spins, failing):
         self.i, self.key, self.spins, self.failing = i, f"k{i}", spins, failing
         self.pieces = [None] * len(spins)
         self.ran = None
 
-    def start(self):
+    def start(self, ws):
         assert self.ran is None or self.failing is not None
         self.ran = []
 
-    def run(self, k, zeta):
+    def run(self, k, ws):
         sum(range(self.spins[k]))
         if k == self.failing:
             raise ValueError(self.i)
         self.ran.append(k)
 
-    def finish(self):
+    def finish(self, ws):
         assert sorted(self.ran) == list(range(len(self.pieces)))
         self.ran = "finished"
         return [self.i]
 
-    def alone(self):
-        self.start()
+    def release(self):
+        pass
+
+    def alone(self, ws):
+        self.start(ws)
         for k in range(len(self.pieces)):
-            self.run(k, None)
-        return self.finish()
+            self.run(k, ws)
+        return self.finish(ws)
+
+    copied = alone
 
 
 def test_stream_adds_each_unit_once_in_unit_order_under_fast_thread_switches():
@@ -804,22 +816,22 @@ def test_a_finish_overlaps_the_next_units_pieces(monkeypatch):
     changed = threading.Condition()
     overlapped = []
 
-    def spy_run(self, k, zeta):
+    def spy_run(self, k, ws):
         u = etas.index(self.law.eta)
         with changed:
             started[self.law.eta].add(threading.get_ident())
             changed.notify_all()
         if u > 0:
             assert done[etas[u - 1]].wait(30.0)
-        return run(self, k, zeta)
+        return run(self, k, ws)
 
-    def spy_finish(self):
+    def spy_finish(self, ws):
         u = etas.index(self.law.eta)
         if u + 1 < len(etas):
             with changed:
                 overlapped.append(bool(changed.wait_for(lambda: started[etas[u + 1]] - {threading.get_ident()}, 30.0)))
         try:
-            return finish(self)
+            return finish(self, ws)
         finally:
             done[self.law.eta].set()
 
@@ -831,39 +843,45 @@ def test_a_finish_overlaps_the_next_units_pieces(monkeypatch):
 
 
 @pytest.mark.parametrize("lanes", [1, 2])
-def test_unit_arrays_live_from_the_first_piece_to_the_finish(monkeypatch, lanes):
+def test_unit_slots_are_held_from_the_first_piece_to_the_finish(monkeypatch, lanes):
     """acb-tetra at N=12 under ``chunks_and_slabs``, ungrouped: 18 units of
-    six pieces each, on one lane and on two. Each unit allocates its phi
-    and phi' arrays (``start``) once, when its first piece is pulled: then
-    no other unit's arrays are alive on one lane, and at most one other's,
-    the other lane's unit, on two. No unit keeps them after its finish:
-    they are freed by the time the unit's results are added."""
+    six pieces each, on one lane and on two. Each unit takes a unit slot of
+    its lane's workspace for its phi and phi' (``start``) once, when its
+    first piece is pulled: then no other unit holds one on one lane, and at
+    most one other, the other lane's unit, on two. No unit keeps it after
+    its finish: it is given back by the time the unit's results are added.
+    The unit's gradient contributions stay in the contribution slot of the
+    lane that finished it until they are added, and go back right after."""
     chunks_and_slabs(monkeypatch)
     monkeypatch.setattr(energies, "_LANES", lanes)
-    start, add = energies._Unit.start, energies._Term.add
-    allocated, live, units, live_at_add = [], [], [], []
+    start, add, release = energies._Unit.start, energies._Term.add, energies._Unit.release
+    units, holding, at_add, after_add = [], [], [], []
 
-    def alive():
-        return sum(1 for refs in allocated if any(ref() is not None for ref in refs))
-
-    def spy_start(self):
-        live.append(alive())
-        start(self)
+    def spy_start(self, ws):
+        holding.append(sum(u.slot is not None for u in units))
+        start(self, ws)
         units.append(self)
-        allocated.append([weakref.ref(a) for a in self.out])
+        assert self.slot.held and len(self.out) == 2
 
     def spy_add(self, key, results, g_outs):
-        live_at_add.append(any(ref() is not None for ref in allocated[len(live_at_add)]))
+        u = units[len(at_add)]
+        at_add.append((u.slot is None, u.contrib is not None and u.contrib.held))
         return add(self, key, results, g_outs)
+
+    def spy_release(self):
+        release(self)
+        if len(after_add) < len(at_add) and self is units[len(after_add)]:
+            after_add.append(self.contrib is None)
 
     monkeypatch.setattr(energies._Unit, "start", spy_start)
     monkeypatch.setattr(energies._Term, "add", spy_add)
+    monkeypatch.setattr(energies._Unit, "release", spy_release)
     assert model_calls()["acb-tetra"]().diagnostics["lanes"] == lanes
     assert len(units) == len({id(u) for u in units}) == 18
-    assert [len(refs) for refs in allocated] == [2] * 18
-    assert max(live) <= lanes - 1
-    assert live_at_add == [False] * 18
-    assert alive() == 0
+    assert max(holding) <= lanes - 1
+    assert at_add == [(True, True)] * 18
+    assert after_add == [True] * 18
+    assert all(u.slot is None and u.contrib is None for u in units)
 
 
 @pytest.mark.parametrize("gradient", [True, False])
@@ -893,6 +911,242 @@ def test_domain_error_of_a_split_batch_is_the_one_lane_error(monkeypatch, gradie
     assert errors[0][2:] == ((5, 3, 4), (1, 0, 0))
     assert "bond length 5" in errors[0][1], errors[0][1]
     assert errors[1] == errors[0]
+
+
+def fresh_workspaces(monkeypatch) -> list:
+    """Gives every thread a new workspace, as in a fresh process, and
+    records each (thread, workspace) that ``_workspace`` hands out."""
+    monkeypatch.setattr(energies, "_lanes", threading.local())
+    workspace, handed = energies._workspace, []
+
+    def recording():
+        ws = workspace()
+        handed.append((threading.get_ident(), ws))
+        return ws
+
+    monkeypatch.setattr(energies, "_workspace", recording)
+    return handed
+
+
+def all_buffers(handed) -> list:
+    return [b for ws in {id(ws): ws for _, ws in handed}.values() for b in (ws.arena, ws.contrib, *ws.units)]
+
+
+def coupled_ho3_call(**kw):
+    """coupled-ho(3) on the state and region of ``model_calls``, with seeded
+    free-node displacements."""
+    cfg = LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0)
+    part = RegionPartition(cfg, (4, 4, 4), (4, 4, 4))
+    y = state(cfg, 1)
+    n_free = build_high_order_mesh(part, 3).n_free_nodes
+    nodes = 0.05 * cfg.epsilon * np.random.default_rng(4).standard_normal((n_free, 3))
+    return lambda: high_order_energy(y, README_LAWS, part, k=3, node_displacements=nodes, **kw)
+
+
+@pytest.mark.parametrize("model", ["coupled", "coupled-ho(3)", "acb-tetra"])
+def test_a_second_warm_call_allocates_no_workspace_array(monkeypatch, model):
+    """On two lanes with the row threshold at 0, so that every term of two
+    units or more streams, from fresh workspaces: the first call of the
+    model at N=12 allocates the lanes' workspace arrays (``_allocate``, the
+    one allocation of every workspace array, whichever lane serves which
+    unit); a second call, and then an energy-only one, allocate none. Both
+    reports are the bits of one lane."""
+    full = coupled_ho3_call() if model == "coupled-ho(3)" else model_calls()[model]
+    energy = coupled_ho3_call(gradient=False) if model == "coupled-ho(3)" else model_calls(gradient=False)[model]
+    one_lane(monkeypatch)
+    refs = full(), energy()
+    two_lanes(monkeypatch)
+    handed = fresh_workspaces(monkeypatch)
+    allocate, allocated = energies._allocate, []
+
+    def counting(size):
+        allocated.append(size)
+        return allocate(size)
+
+    monkeypatch.setattr(energies, "_allocate", counting)
+    assert full().diagnostics["lanes"] == 2
+    first = len(allocated)
+    assert first > 0 and len({ident for ident, _ in handed}) == 2
+    sizes = [b.data.size for b in all_buffers(handed)]
+    reps = full(), energy()
+    assert len(allocated) == first
+    assert [b.data.size for b in all_buffers(handed)] == sizes
+    for ref, rep in zip(refs, reps):
+        assert_same_report(ref, rep)
+
+
+def test_a_block_build_lets_go_of_every_workspace(monkeypatch):
+    """On two lanes with the row threshold at 0, from fresh workspaces: a
+    coupled call on a region whose blocks are cached builds nothing and
+    keeps every buffer. A call on a region whose blocks are not cached
+    builds its three blocks, each of which first lets go of every buffer
+    (``_drop_workspaces``), and then reserves them again. Both reports are
+    bitwise those of one lane."""
+    cfg = LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0)
+    y = state(cfg, 1)
+    part_a, part_b = RegionPartition(cfg, (4, 4, 4), (4, 4, 4)), RegionPartition(cfg, (3, 4, 5), (4, 4, 4))
+    one_lane(monkeypatch)
+    refs = [coupled_energy_conforming(y, README_LAWS, part) for part in (part_a, part_b)]
+    two_lanes(monkeypatch)
+    handed = fresh_workspaces(monkeypatch)
+    drop, dropped = energies._drop_workspaces, []
+
+    def recording():
+        drop()
+        dropped.append(sum(b.data.size for b in all_buffers(handed)))
+
+    monkeypatch.setattr(coupling, "_drop_workspaces", recording)
+    coupled_energy_conforming(y, README_LAWS, part_a)
+    assert_same_report(refs[0], coupled_energy_conforming(y, README_LAWS, part_a))
+    assert dropped == [] and sum(b.data.size for b in all_buffers(handed)) > 0
+    coupling._build_eta_block.cache_clear()
+    assert_same_report(refs[1], coupled_energy_conforming(y, README_LAWS, part_b))
+    assert dropped == [0] * len(README_LAWS)
+    assert sum(b.data.size for b in all_buffers(handed)) > 0
+
+
+# A good call after a failing one, run in this process and in a fresh one.
+GOOD_CALL = """
+import hashlib
+import numpy as np
+from bvcouple.coupling import RegionPartition, coupled_energy_conforming
+from bvcouple.energies import atomistic_energy
+from bvcouple.lattice import LatticeConfig, LatticeField, make_deformation
+from bvcouple.potentials import InteractionSet, make_law
+
+def good_reports():
+    cfg = LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0)
+    laws = InteractionSet([make_law((1, 0, 0), "lennard-jones-radial"), make_law((0, 1, 0), "morse-radial"),
+                           make_law((0, 0, 1), "harmonic")])
+    rng = np.random.default_rng(6)
+    y = make_deformation(np.eye(3), LatticeField(cfg, 0.02 * cfg.epsilon * rng.standard_normal(cfg.shape)))
+    readme = InteractionSet([make_law((1, 1, 1), "harmonic"),
+                             make_law((2, 1, 3), "lennard-jones-radial", {"well_depth": 0.5, "sigma": 2.494438257849294}),
+                             make_law((1, -1, 2), "anisotropic-toy")])
+    part = RegionPartition(cfg, (4, 4, 4), (4, 4, 4))
+    return [atomistic_energy(y, laws), atomistic_energy(y, laws, gradient=False),
+            coupled_energy_conforming(y, readme, part)]
+
+def digest(reports):
+    h = hashlib.sha256()
+    for rep in reports:
+        h.update(repr((rep.energy, rep.excess, rep.breakdown)).encode())
+        if rep.gradient is not None:
+            h.update(rep.gradient.values.tobytes())
+    return h.hexdigest()
+"""
+
+
+def test_a_call_after_a_failing_stream_is_bitwise_a_fresh_process(monkeypatch):
+    """Three laws at N=12 on two lanes with the row threshold at 0: the
+    atomistic term streams three units, and the middle one, eta = (0, 1,
+    0), raises on a collapsed bond at (5, 6, 7). The call raises the
+    one-lane error and leaves no workspace buffer held, on either lane.
+    The good calls that follow on the same workspaces (atomistic, full and
+    energy-only, and coupled on the README laws) are bitwise the reports
+    of a fresh process."""
+    ns: dict = {}
+    exec(GOOD_CALL, ns)
+    two_lanes(monkeypatch)
+    handed = fresh_workspaces(monkeypatch)
+    cfg = LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0)
+    vals = np.zeros(cfg.shape)
+    vals[5, 7, 7] = -cfg.epsilon * np.array([0.0, 1.0, 0.0])
+    laws = InteractionSet([make_law((1, 0, 0), "lennard-jones-radial"), make_law((0, 1, 0), "morse-radial"),
+                           make_law((0, 0, 1), "harmonic")])
+    for gradient in (True, False):
+        with pytest.raises(PotentialDomainError) as err:
+            atomistic_energy(make_deformation(np.eye(3), LatticeField(cfg, vals)), laws, gradient=gradient)
+        assert (err.value.site, err.value.eta) == ((5, 6, 7), (0, 1, 0))
+        assert len({ident for ident, _ in handed}) == 2
+        assert not any(b.held for b in all_buffers(handed))
+    here = ns["digest"](ns["good_reports"]())
+    assert not any(b.held for b in all_buffers(handed))
+    src = str(Path(energies.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", GOOD_CALL + "\nprint(digest(good_reports()))"], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.strip() == here
+
+
+@pytest.mark.parametrize("model", ["acb-tetra", "coupled", "coupled-ho(2)"])
+def test_energy_only_and_gradient_calls_interleave_bitwise(monkeypatch, model):
+    """On two lanes, row threshold 0 and ``chunks_and_slabs`` (units of
+    several pieces, so both lanes' unit slots serve units): full and
+    energy-only calls of the model, alternating on the same workspaces,
+    where an energy-only call uses a shorter view of each buffer a full
+    call filled, are bitwise the calls made each from fresh workspaces."""
+    chunks_and_slabs(monkeypatch)
+    full, energy = model_calls()[model], model_calls(gradient=False)[model]
+    fresh_workspaces(monkeypatch)
+    ref_full = full()
+    fresh_workspaces(monkeypatch)
+    ref_energy = energy()
+    fresh_workspaces(monkeypatch)
+    for evaluate, ref in [(energy, ref_energy), (full, ref_full)] * 2 + [(energy, ref_energy)]:
+        rep = evaluate()
+        assert rep.diagnostics["lanes"] == 2
+        assert_same_report(ref, rep)
+
+
+def test_two_lanes_never_hold_the_same_buffer_at_once(monkeypatch):
+    """Every model at N=12 under ``chunks_and_slabs``, energy-only and then
+    full, three times each, with the interpreter switching threads every
+    microsecond. Each lane has its own workspace, checked first after the
+    energy-only calls, which hold no contribution slot and so never wait;
+    no buffer is taken while it is held; an arena or a contribution slot is
+    taken only by the lane whose workspace holds it, and a unit slot, of
+    the caller's workspace, by either lane. After every call no buffer is
+    held. The reports are the bits of one lane."""
+    refs = {}
+    one_lane(monkeypatch)
+    for gradient in (False, True):
+        for name, evaluate in model_calls(gradient=gradient).items():
+            refs[name, gradient] = evaluate()
+    chunks_and_slabs(monkeypatch)
+    handed = fresh_workspaces(monkeypatch)
+    take, give = energies._Buffer.take, energies._Buffer.give
+    holders: dict = {}
+    takers: dict = {}  # id(buffer) -> threads that took it
+    book, problems = threading.Lock(), []
+
+    def spy_take(self, size):
+        with book:
+            if id(self) in holders:
+                problems.append(("taken while held", holders[id(self)], threading.get_ident()))
+            holders[id(self)] = threading.get_ident()
+            takers.setdefault(id(self), set()).add(threading.get_ident())
+        return take(self, size)
+
+    def spy_give(self):
+        with book:
+            holders.pop(id(self), None)
+        return give(self)
+
+    def check_owners():
+        owner = {}
+        for ident, ws in handed:
+            assert owner.setdefault(id(ws), ident) == ident, "a workspace served two threads"
+        assert len(owner) == 2
+        for _, ws in handed:
+            for b in (ws.arena, ws.contrib):
+                assert takers.get(id(b), set()) <= {owner[id(ws)]}
+
+    monkeypatch.setattr(energies._Buffer, "take", spy_take)
+    monkeypatch.setattr(energies._Buffer, "give", spy_give)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for gradient in (False, True):
+            for _ in range(3):
+                for name, evaluate in model_calls(gradient=gradient).items():
+                    rep = evaluate()
+                    assert not holders and not any(b.held for b in all_buffers(handed)), name
+                    assert_same_report(refs[name, gradient], rep)
+            check_owners()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not problems
 
 
 def test_helper_lane_calls_no_public_function(monkeypatch):
