@@ -38,13 +38,19 @@ site a row belongs to, named in domain errors):
   bits do not depend on the plane range or the slab size. Stencils stay
   matrix-free: as CSR the cell bond at N=128 would hold 16.8M nonzeros;
 - a sparse gather ``_Gather`` for the irregular terms: a cached CSR map to
-  element-local values, then a dense (nq, nloc) coefficient block per
-  element. The atomistic bonds and interface cones of ``coupling`` are
-  elements with one local value and coefficient ``_ONE`` = [[1.0]], which
-  apply their CSR map alone, in both directions: the 1x1 products would
-  only copy. The Pk elements of ``highorder`` gather their local nodes and
-  apply the shape-function gradients times eta at each quadrature point
-  (as explicit CSR rows).
+  element-local values, then a dense (nq, nloc) coefficient block shared
+  by every element. The atomistic bonds and interface cones of
+  ``coupling`` are elements with one local value and coefficient ``_ONE``
+  = [[1.0]], which apply their CSR map alone, in both directions: the 1x1
+  products would only copy. The Pk elements of ``highorder`` gather their
+  local nodes and apply the shape-function gradients times eta at each
+  quadrature point. Their CSR rows come in blocks of elements
+  (``highorder._PK_BLOCK``), node-major within a block, so each direction
+  is one small matrix product per block, read from and written to the
+  gather's rows in place, with no transposing copy; the rows of one block
+  are point-major, (point, element). Padding elements fill the last block:
+  their CSR rows are empty, so their bonds are exactly F eta, and they add
+  exactly 0.0 to the excess and nothing to a gradient.
 
 Pieces (``_pieces``): a piece is the run of rows that one law evaluation
 covers. A lone stencil batch of more than ``_SLAB_ROWS`` rows runs through
@@ -63,8 +69,10 @@ Masks are zero weights; a zero-weight row is evaluated at the homogeneous
 bond F eta, so a bond a mask drops can neither raise nor contribute. A
 batch's weights are a scalar or a ``_Weights``: the weights with their
 zero rows and their sum, which cached blocks, partitions and meshes build
-once. A Pk element's rows share one weight per quadrature point, which the
-kernel broadcasts over the element's rows (``_blocks``). The excess sum
+once. The Pk rows share one weight per quadrature point: a (nq, block)
+tile that the kernel broadcasts over a gather's (blocks, nq, block) rows
+(``_blocks``), padding rows included, whose sum counts the real rows
+alone. The excess sum
 forms w (phi - phi(F eta)) over phi itself, which nothing reads again. A
 non-finite phi' is found by one sum over phi', and only then row by row,
 with the batch's phi evaluated again to name the first non-finite one.
@@ -259,9 +267,9 @@ class _Unit:
     the contribution slot once its results are added. The law acts row by
     row, so the bits do not depend on the pieces or the lanes, and each
     pair's results are the bits of a group of that pair alone. ``w`` is a
-    scalar or a ``_Weights`` with one weight per row, or per row of a
-    (rows / w.size, w.size) block; its zero-weight rows are evaluated at
-    F eta.
+    scalar or a ``_Weights`` with one weight per row, or a 2-D tile of one
+    weight per row of each (w.size)-row block; its zero-weight rows are
+    evaluated at F eta.
 
     Without ``gradient`` the unit is energy-only: the law is evaluated at
     order 0, and every gradient contribution is None. The energy and excess
@@ -350,7 +358,7 @@ class _Unit:
                     continue
                 if np.ndim(weights):
                     pw = _blocks(p, weights)
-                    weights = np.divide(weights, eps, out=arena[: weights.size])
+                    weights = np.divide(weights, eps, out=arena[: weights.size].reshape(weights.shape))
                     for i in range(3):
                         pw[..., i] *= weights
                 else:
@@ -457,14 +465,15 @@ def _site_error(what, site: IntTriple, eta: IntTriple) -> PotentialDomainError:
 class _Weights:
     """Quadrature weights, with what the kernel reads of them: the rows of
     zero weight, which it evaluates at F eta, and their sum. ``w`` holds
-    one weight per row, or one per row of each (w.size)-row block, the
-    quadrature points of one element, which the kernel broadcasts over the
-    blocks (``_blocks``). Cached blocks, partitions and meshes build theirs
-    once."""
+    one weight per row, or a 2-D tile, one weight per row of each
+    (w.size)-row block, which the kernel broadcasts over the blocks
+    (``_blocks``): the Pk elements' (nq, block) tile of the quadrature
+    weights of a block of elements. Cached blocks, partitions and meshes
+    build theirs once."""
 
-    w: np.ndarray       # (rows,), or (rows per block,)
+    w: np.ndarray       # (rows,), or a (nq, block) tile
     zero: np.ndarray    # row indices of zero weight
-    total: float        # the sum over every row
+    total: float        # the sum over every row, a tile's padding rows excepted
 
 
 def _weights(w) -> _Weights:
@@ -475,9 +484,9 @@ def _weights(w) -> _Weights:
 def _blocks(a: np.ndarray, w) -> np.ndarray:
     """``a``, with one row per quadrature bond, as the array that the
     weights ``w`` (a scalar or ``_Weights.w``) broadcast over: ``a`` itself
-    for a scalar or one weight per row, else its (rows / w.size, w.size)
-    blocks, a view."""
-    return a.reshape(-1, w.size, *a.shape[1:]) if isinstance(w, np.ndarray) and w.size != len(a) else a
+    for a scalar or one weight per row, else its (rows / w.size, *w.shape)
+    blocks of a 2-D tile, a view."""
+    return a.reshape(-1, *w.shape, *a.shape[1:]) if np.ndim(w) > 1 else a
 
 
 def _evaluate(law: InteractionLaw, zeta, order: int, out):
@@ -739,16 +748,26 @@ _ONE = np.ones((1, 1))
 
 @dataclass(frozen=True, eq=False)
 class _Gather:
-    """Sparse gather: row (e, q) applies ``coef[q]`` to element e's local
-    values ``G @ x`` and belongs to the lattice site ``sites[e]``; the
-    transpose applies both maps in reverse, ``G`` being its transpose. With
-    ``coef`` the block ``_ONE`` a row is its gathered value, so both
-    directions apply ``G`` alone: the 1x1 products would only copy."""
+    """Sparse gather: element e's local values ``G @ x`` times the
+    coefficient block ``coef``, one row per (element, quadrature point),
+    the row belonging to the lattice site ``sites[e]``; the transpose
+    applies both maps in reverse, ``G`` being its transpose.
 
-    G: sparse.csr_array     # (E nloc, n_cols) element-local values
+    The elements come in blocks of ``block``, node-major within a block:
+    row (b, j, i) of ``G`` is local node j of element b block + i, so one
+    product of ``coef`` with each block's (nloc, 3 block) values forms its
+    (nq, 3 block) rows, quadrature point-major: row (b, q, i) is element
+    b block + i at point q. Rows of ``G`` past the last element pad the
+    last block and are empty, so their rows are 0.0 and take nothing back
+    in the transpose. With ``coef`` the block ``_ONE`` (and ``block`` 1) a
+    row is its gathered value, so both directions apply ``G`` alone: the
+    1x1 products would only copy."""
+
+    G: sparse.csr_array     # (E' nloc, n_cols) element-local values, E' = E padded to whole blocks
     coef: np.ndarray        # (nq, nloc)
     sites: np.ndarray       # (E,) flat lattice site per element
     N: IntTriple
+    block: int = 1
     transposed: bool = False
 
     def __matmul__(self, x):
@@ -756,37 +775,41 @@ class _Gather:
 
     def apply(self, x, out, scratch=None):
         """The gather of x, or its transpose, written into ``out``, a
-        C-contiguous (rows, 3) array. ``scratch``, a flat array of at least
-        ``scratch_size`` floats, holds the element-local values; None
-        allocates them."""
+        C-contiguous (rows, 3) array, one product per block of elements
+        straight from and into the rows of the CSR map. ``scratch``, a flat
+        array of at least ``scratch_size`` floats, holds the element-local
+        values; None allocates them."""
         if self.coef is _ONE:
             return _spmv(self.G, x, out)
         nq, nloc = self.coef.shape
-        local = self.sites.size * nloc
+        local, width = self.G.shape[self.transposed], 3 * self.block
         u = np.empty((local, 3)) if scratch is None else scratch[: 3 * local].reshape(local, 3)
         if self.transposed:
-            np.matmul(self.coef.T, x.reshape(-1, nq, 3), out=u.reshape(-1, nloc, 3))
+            np.matmul(self.coef.T, x.reshape(-1, nq, width), out=u.reshape(-1, nloc, width))
             return _spmv(self.G, u, out)
-        np.matmul(self.coef, _spmv(self.G, x, u).reshape(-1, nloc, 3), out=out.reshape(-1, nq, 3))
+        np.matmul(self.coef, _spmv(self.G, x, u).reshape(-1, nloc, width), out=out.reshape(-1, nq, width))
         return out
 
     @property
     def rows(self) -> int:
-        return self.G.shape[0] if self.transposed else self.sites.size * self.coef.shape[0]
+        return self.G.shape[0] if self.transposed else self.G.shape[0] // self.coef.shape[1] * self.coef.shape[0]
 
     @property
     def scratch_size(self) -> int:
         """Floats of scratch an apply uses: the element-local values, unless
         ``coef`` is ``_ONE``."""
-        return 0 if self.coef is _ONE else 3 * self.sites.size * self.coef.shape[1]
+        return 0 if self.coef is _ONE else 3 * self.G.shape[self.transposed]
 
     @cached_property
     def T(self) -> "_Gather":
         return replace(self, G=self.G.T, transposed=not self.transposed)
 
     def site(self, row: int) -> IntTriple:
-        flat = self.sites[row // self.coef.shape[0]]
-        return tuple(int(i) for i in np.unravel_index(int(flat), self.N))
+        """The site of row ``row``'s element; a padding row names the last
+        element."""
+        nq, b = self.coef.shape[0], self.block
+        e = min(row // (nq * b) * b + row % b, self.sites.size - 1)
+        return tuple(int(i) for i in np.unravel_index(int(self.sites[e]), self.N))
 
 
 def _spmv(A, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -810,7 +833,10 @@ def _stencil(N, terms) -> _Stencil:
     return _Stencil(tuple(N), tuple((s, c) for s, c in merged.items() if c != 0.0))
 
 
-def _bond_stencil(eta, N) -> _Stencil:
+# The stencils of a direction on a lattice, kept per (eta, N) for the
+# process, like the coupling blocks, with the transposes they build.
+@lru_cache(maxsize=64)
+def _bond_stencil(eta: IntTriple, N: IntTriple) -> _Stencil:
     """Exact bond: (B v)_l = v_{l+eta} - v_l."""
     return _stencil(N, [(tuple(eta), 1.0), ((0, 0, 0), -1.0)])
 
@@ -818,8 +844,7 @@ def _bond_stencil(eta, N) -> _Stencil:
 @lru_cache(maxsize=64)
 def _staircase_stencils(eta: IntTriple, N: IntTriple) -> tuple[_Stencil, ...]:
     """Per staircase template (``PATH_PERMS`` order): the discrete gradient
-    of the cell tet times eta, from the tet's own axis edges. Kept per
-    (eta, N) for the process, like the coupling blocks."""
+    of the cell tet times eta, from the tet's own axis edges."""
     out = []
     for perm in PATH_PERMS:
         terms = []
@@ -830,7 +855,8 @@ def _staircase_stencils(eta: IntTriple, N: IntTriple) -> tuple[_Stencil, ...]:
     return tuple(out)
 
 
-def _cell_stencil(eta, N) -> _Stencil:
+@lru_cache(maxsize=64)
+def _cell_stencil(eta: IntTriple, N: IntTriple) -> _Stencil:
     """Cell-averaged gradient times eta: each column averages the four edge
     quotients of the cell parallel to its axis."""
     return _stencil(N, [

@@ -42,6 +42,21 @@ an edge or face node is slaved by membership of its sorted vertex sites
 among the P1 elements' edges or faces, each row of sites compared by one
 integer key (``_row_keys``).
 
+A template's gather holds its Pk elements in blocks of ``_PK_BLOCK`` = 64,
+node-major within a block (``_block_major``): row (b, j, i) of
+``elem_ops[p]`` is local node j of element 64 b + i. The kernel then forms
+a block's (nq, 3 x 64) bond rows, point-major, by one (nq, nloc) x (nloc,
+3 x 64) product, and the transpose by the mirror product: at k = 3 and
+N = 12, 24 products per template in place of 1,528 per-element ones.
+Padding elements fill the last block. Each of their nodes is one extra,
+empty row of the node map, so their bonds are exactly F eta, their excess
+exactly 0.0, and they add nothing to either gradient block; a domain error
+at one names the template's last element. The quadrature weights are one
+(nq, 64) tile per template (``pk_weights``), summed over the real elements.
+The size of the block hardly matters: warm coupled-ho(3) at N=12 takes the
+same time to within a few percent for blocks of 16 to 128, against about
+15% more for blocks of one, the per-element products.
+
 Quadrature is a conical-product Gauss rule on the reference tetrahedron
 (Jacobi weights absorb the collapsed-coordinate Jacobian), with n = k + 1
 points per direction: exact for total degree 2k + 1, which covers both the
@@ -170,11 +185,12 @@ class HighOrderMesh:
     cfg: LatticeConfig
     k: int
     p1_masks: np.ndarray            # (6, N1, N2, N3) cells whose perm-tet is P1
-    elem_ops: list                  # 6 CSR (E_p * nloc, n_sites + n_free_nodes) local node values
+    elem_ops: list                  # 6 CSR (E'_p * nloc, n_sites + n_free_nodes) local node values, blocked
     elem_cells: list                # 6 arrays (E_p,) flat cell index per Pk element
     n_free_nodes: int
     n_elements: int
     n_p1_elements: int
+    block: int                      # elements per block of ``elem_ops``
 
     @cached_property
     def p1_weights(self) -> tuple[_Weights, ...]:
@@ -185,15 +201,17 @@ class HighOrderMesh:
     @cached_property
     def pk_weights(self) -> tuple[_Weights, ...]:
         """Per template, the quadrature weights of its Pk elements, kept
-        with the mesh: one weight per quadrature point, which the kernel
-        broadcasts over the (element, point) rows, with the rows of zero
-        weight and the sum over every row (the sum of the weights tiled
-        once per element)."""
+        with the mesh: one weight per quadrature point, as the (nq, block)
+        tile that the kernel broadcasts over the (block, point, element)
+        rows, with the rows of zero weight, padding rows included, and the
+        sum over the real rows (the sum of the weights tiled once per
+        element)."""
         out = []
         for perm, cells in zip(PATH_PERMS, self.elem_cells):
             wts = _template_tables(self.k, perm)[0]
-            zero = (np.arange(cells.size)[:, None] * wts.size + np.flatnonzero(wts == 0.0)).ravel()
-            out.append(_Weights(wts, zero, float(np.tile(wts, cells.size).sum())))
+            tile = np.repeat(wts[:, None], self.block, axis=1)
+            zero = np.flatnonzero(np.broadcast_to(tile == 0.0, (-(-cells.size // self.block),) + tile.shape))
+            out.append(_Weights(tile, zero, float(np.tile(wts, cells.size).sum())))
         return tuple(out)
 
     def pk_batches(self, R: InteractionSet) -> list:
@@ -202,7 +220,7 @@ class HighOrderMesh:
         values with the shape-function gradients times eta as coefficients,
         at the template's quadrature weights (``pk_weights``)."""
         tables = [_template_tables(self.k, perm) for perm in PATH_PERMS]
-        return [(_Gather(G, gradN @ law.eta_vec, cells, self.cfg.N), w, law, "continuum")
+        return [(_Gather(G, gradN @ law.eta_vec, cells, self.cfg.N, self.block), w, law, "continuum")
                 for law in R
                 for G, cells, w, (_, gradN) in zip(self.elem_ops, self.elem_cells, self.pk_weights, tables)
                 if cells.size]
@@ -210,6 +228,11 @@ class HighOrderMesh:
 
 # Meshes kept per process: enough for a few placements.
 _MESH_CACHE_SIZE = 4
+# Pk elements per block of a template's gather: one (nq, nloc) x (nloc,
+# 3 block) product per block. Small enough that OpenBLAS runs each product
+# on the calling thread (k=3: 64 x 20 x 192), large enough that the calls
+# are few; blocks of 16 to 128 time alike (module docstring).
+_PK_BLOCK = 64
 
 
 def _check_degree(k: int) -> None:
@@ -283,11 +306,12 @@ def _build_mesh(part: RegionPartition, k: int) -> HighOrderMesh:
     rows, ents = np.nonzero((node_m > 0) & ~free[:, None])
     free_rows = np.flatnonzero(free)
     n_free = len(free_rows)
+    # One more row, empty, is the node of every padding element.
     node_op = _csr(
         np.concatenate([rows, free_rows]),
         np.concatenate([node_v[rows, ents], cfg.n_sites + np.arange(n_free)]),
         np.concatenate([node_m[rows, ents] / k, np.ones(n_free)]),
-        (len(first), cfg.n_sites + n_free),
+        (len(first) + 1, cfg.n_sites + n_free),
     )
     node_of = node_of.reshape(len(pk_cell), len(ms))
     cell_flats = np.ravel_multi_index(cells.T, N)
@@ -295,12 +319,23 @@ def _build_mesh(part: RegionPartition, k: int) -> HighOrderMesh:
         cfg=cfg,
         k=k,
         p1_masks=p1_masks,
-        elem_ops=[node_op[node_of[pk_perm == p].ravel()] for p in range(6)],
+        elem_ops=[node_op[_block_major(node_of[pk_perm == p], len(first))] for p in range(6)],
         elem_cells=[cell_flats[pk_cell[pk_perm == p]] for p in range(6)],
         n_free_nodes=n_free,
         n_elements=is_p1.size,
         n_p1_elements=int(np.count_nonzero(is_p1)),
+        block=_PK_BLOCK,
     )
+
+
+def _block_major(node_of: np.ndarray, empty: int) -> np.ndarray:
+    """The node rows of elements (E, nloc) in the gather's block layout:
+    blocks of _PK_BLOCK elements, node-major within a block, the last block
+    padded with elements whose every node is the row ``empty``."""
+    E, nloc = node_of.shape
+    padded = np.full((-(-E // _PK_BLOCK) * _PK_BLOCK, nloc), empty, dtype=node_of.dtype)
+    padded[:E] = node_of
+    return padded.reshape(-1, _PK_BLOCK, nloc).transpose(0, 2, 1).ravel()
 
 
 # ----------------------------------------------------------------------

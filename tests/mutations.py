@@ -97,6 +97,11 @@ MUTATIONS = [
      "        if c > 1:\n",
      "        if False:\n",
      "tests/test_highorder.py::test_row_keys_do_not_overflow_on_large_lattices"),
+    # padding elements of a Pk block gathering node row 0 instead of the empty row
+    ("highorder.py",
+     "nloc), empty, dtype=node_of.dtype)",
+     "nloc), 0, dtype=node_of.dtype)",
+     "tests/test_highorder.py::test_padding_rows_add_nothing"),
     # a unit finished once all but one of its pieces have run
     ("energies.py",
      "                    last = not left[i]\n",

@@ -258,3 +258,26 @@ def test_stencils_equal_the_roll_oracle_bitwise(monkeypatch, N, slab_rows):
                 assert B.apply(x, out) is out
                 assert np.array_equal(out, want)
                 assert np.array_equal(B @ x, want)
+
+
+@pytest.mark.parametrize("model", ["atomistic", "acb-cell", "naive"])
+def test_a_warm_call_builds_no_stencil(monkeypatch, model):
+    """The bond and cell stencils, and the transposes they build, are kept
+    per (eta, N): a second call of the atomistic, acb-cell or naive model
+    builds no ``_Stencil`` and gives the first call's bits."""
+    from bvcouple import energies
+    from bvcouple.coupling import RegionPartition, naive_coupling_energy
+
+    cfg = cfg8()
+    part = RegionPartition(cfg, (2, 2, 2), (4, 4, 4))
+    call = {"atomistic": atomistic_energy, "acb-cell": acb_cell_energy,
+            "naive": lambda y, R: naive_coupling_energy(y, R, part)}[model]
+    y, R = random_deformation(cfg, seed=3), laws_mixed()
+    first = call(y, R)
+    built = []
+    init = energies._Stencil.__init__
+    monkeypatch.setattr(energies._Stencil, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    again = call(y, R)
+    assert built == []
+    assert again.energy == first.energy and again.excess == first.excess
+    assert np.array_equal(again.gradient.values, first.gradient.values)

@@ -357,7 +357,9 @@ def test_pk_domain_error_names_the_element_cell():
             coo = op.tocoo()
             free = coo.col >= cfg.n_sites
             for row, col in zip(coo.row[free], coo.col[free]):
-                cells_of.setdefault(int(col) - cfg.n_sites, set()).add(int(cells[row // nloc]))
+                # row (block b, node j, element i) is element b * block + i
+                elem = row // (nloc * mesh.block) * mesh.block + row % mesh.block
+                cells_of.setdefault(int(col) - cfg.n_sites, set()).add(int(cells[elem]))
         node, cell = max((j, c) for j, (c, *more) in cells_of.items() if not more)
         nodes = np.zeros((mesh.n_free_nodes, 3))
         nodes[node] = 1e200
@@ -480,3 +482,125 @@ def test_block_and_mesh_caches_are_bounded():
     for corner in corners[: _MESH_CACHE_SIZE + 1]:
         build_high_order_mesh(RegionPartition(cfg, corner, (2, 2, 2)), 2)
     assert _build_mesh.cache_info().currsize == _MESH_CACHE_SIZE
+
+
+# ----------------------------------------------------------------------
+# Block layout of the Pk gathers
+# ----------------------------------------------------------------------
+
+def element_major(G, coef, x):
+    """Oracle of a Pk gather on element-major node rows (row e * nloc + j
+    is node j of element e): each element's nq rows, one ``np.matmul`` of
+    the coefficient block with its gathered values."""
+    nloc = coef.shape[1]
+    u = G @ x
+    return np.concatenate([np.matmul(coef, u[e * nloc:(e + 1) * nloc]) for e in range(len(u) // nloc)])
+
+
+def element_major_T(G, coef, p):
+    """The transpose of ``element_major``: one ``np.matmul`` of the
+    transposed coefficient block per element, then G^T."""
+    nq = coef.shape[0]
+    return G.T @ np.concatenate([np.matmul(coef.T, p[e * nq:(e + 1) * nq]) for e in range(len(p) // nq)])
+
+
+def pk_gathers(monkeypatch, part, k, block):
+    """The mesh's Pk gathers of one law, built with ``block`` elements per
+    block, with their weights."""
+    monkeypatch.setattr(highorder, "_PK_BLOCK", block)
+    mesh = highorder._build_mesh.__wrapped__(part, k)
+    assert mesh.block == block
+    law = make_law((2, 1, 1), "morse-radial")
+    return mesh, [(op, w) for op, w, *_ in mesh.pk_batches(InteractionSet([law]))], law
+
+
+def oracle_rows(E, nq, block):
+    """Per row of a blocked gather, (block b, point q, element i), its row
+    e * nq + q of the element-major oracle, or -1 for a padding row."""
+    b, q, i = np.indices((-(-E // block), nq, block)).reshape(3, -1)
+    e = b * block + i
+    return np.where(e < E, e * nq + q, -1)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_blocks_of_one_are_the_per_element_products_bitwise(monkeypatch, k):
+    """With one element per block the gather's node rows are element-major,
+    and ``op @ x`` and ``op.T @ p`` are the per-element products of the
+    oracle, bit for bit."""
+    cfg = cfg8()
+    mesh, gathers, _ = pk_gathers(monkeypatch, part8(cfg), k, 1)
+    rng = np.random.default_rng(k)
+    x = rng.standard_normal((cfg.n_sites + mesh.n_free_nodes, 3))
+    for op, _ in gathers:
+        p = rng.standard_normal((op.rows, 3))
+        assert op.rows == op.sites.size * op.coef.shape[0]
+        assert np.array_equal(op @ x, element_major(op.G, op.coef, x))
+        assert np.array_equal(op.T @ p, element_major_T(op.G, op.coef, p))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("corner, extents", [
+    ((2, 2, 2), (4, 4, 4)),  # 312 elements per template: four blocks and a partial fifth
+    ((1, 1, 1), (6, 6, 6)),  # 22 elements per template: one partial block
+])
+def test_blocked_gathers_match_the_element_major_oracle(monkeypatch, k, corner, extents):
+    """At the default block every row of ``op @ x`` and of ``op.T @ p`` is
+    the element-major oracle's within 1e-14 of its magnitude bound (the
+    same products of absolute values), for element counts above and below
+    one block, neither a multiple of it."""
+    cfg = cfg8()
+    part = RegionPartition(cfg, corner, extents)
+    block = highorder._PK_BLOCK
+    mesh, gathers, _ = pk_gathers(monkeypatch, part, k, block)
+    _, oracle, _ = pk_gathers(monkeypatch, part, k, 1)
+    rng = np.random.default_rng(10 * k + extents[0])
+    x = rng.standard_normal((cfg.n_sites + mesh.n_free_nodes, 3))
+    for (op, _), (ref, _) in zip(gathers, oracle, strict=True):
+        E, (nq, nloc) = op.sites.size, op.coef.shape
+        assert E % block and op.G.shape[0] == -(-E // block) * block * nloc
+        rows = oracle_rows(E, nq, block)
+        real = rows >= 0
+        want = element_major(ref.G, ref.coef, x)
+        bound = element_major(abs(ref.G), abs(ref.coef), abs(x))
+        got = op @ x
+        assert np.all(np.abs(got[real] - want[rows[real]]) <= 1e-14 * bound[rows[real]])
+        p = rng.standard_normal((op.rows, 3))
+        p_ref = np.empty((ref.rows, 3))
+        p_ref[rows[real]] = p[real]
+        want_T = element_major_T(ref.G, ref.coef, p_ref)
+        bound_T = element_major_T(abs(ref.G), abs(ref.coef), abs(p_ref))
+        assert np.all(np.abs(op.T @ p - want_T) <= 1e-14 * bound_T)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_padding_rows_add_nothing(monkeypatch, k):
+    """The padding elements of the last block gather the empty node row:
+    their rows of the CSR map are empty, their bonds are exactly F eta, their
+    excess contributions exactly 0.0, whatever their phi' they leave the
+    lattice and the node gradient blocks bit for bit as they are, and a
+    domain error at one of them names the block's last real element."""
+    from bvcouple.energies import _blocks, _bond_rows
+
+    cfg = cfg8()
+    mesh, gathers, law = pk_gathers(monkeypatch, part8(cfg), k, highorder._PK_BLOCK)
+    rng = np.random.default_rng(k)
+    F = random_F(rng)
+    base = F @ law.eta_vec
+    x = rng.standard_normal((cfg.n_sites + mesh.n_free_nodes, 3))
+    for op, w in gathers:
+        E, (nq, nloc) = op.sites.size, op.coef.shape
+        pad = oracle_rows(E, nq, mesh.block) < 0
+        assert pad.any()
+        node_rows = np.diff(op.G.indptr).reshape(-1, nloc, mesh.block)
+        assert not node_rows[-1][:, E % mesh.block:].any()
+        z = _bond_rows([(op, w)], [0], x, cfg.epsilon, base, 0, op.rows, None, np.empty((op.rows + 1, 3)))
+        assert np.array_equal(z[:-1][pad], np.broadcast_to(base, (pad.sum(), 3)))
+        phi, dphi = law.evaluate(z, 1)
+        excess = _blocks(phi[:-1], w.w) - phi[-1]
+        excess *= w.w
+        assert np.all(excess.ravel()[pad] == 0.0)
+        p = dphi[:-1].copy()
+        g = op.T @ p
+        p[pad] = 1e6 * rng.standard_normal((pad.sum(), 3))
+        assert np.array_equal(op.T @ p, g)
+        assert op.site(int(np.flatnonzero(pad)[-1])) == np.unravel_index(op.sites[-1], cfg.N)
