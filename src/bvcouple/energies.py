@@ -58,12 +58,12 @@ the law one slab of whole axis-0 planes at a time; every group of small
 batches, every gather and every batch of at most one slab is one piece.
 Per piece, the kernel applies the stencil to the piece's planes alone, into
 the zeta rows of the lane's arena, divides by eps, adds F eta, sets the
-piece's own zero-weight rows to F eta and evaluates the law, writing phi
-(and phi') into the unit's full-length arrays; F eta rides as the extra
-last row of the last piece. The excess sum, the finiteness check, the
-weight scaling and op^T then run on those full arrays, as for a batch of
-one piece, so the bits are those of one piece. A unit of one piece of
-fewer than ``_LAW_CHUNK`` rows keeps the law's own arrays instead.
+piece's own zero-weight rows to F eta and evaluates the law, which writes
+phi (and phi') into the piece's rows of the unit's full-length arrays; F
+eta rides as the extra last row of the last piece. The excess sum, the
+finiteness check, the weight scaling and op^T then run on those full
+arrays, as for a batch of one piece, so the bits are those of one piece.
+Every unit, of one piece or many, has these arrays in a unit slot.
 
 Masks are zero weights; a zero-weight row is evaluated at the homogeneous
 bond F eta, so a bond a mask drops can neither raise nor contribute. A
@@ -168,7 +168,8 @@ lane serves which unit changes no size. They are:
   during a finish the weights over eps and the transposed apply's scratch;
   so a finish takes no more than the pieces of its lane, and the law's
   temporaries stay chunk-sized (``_evaluate``);
-- the unit slots, phi (and phi') of a unit from its start to its finish.
+- the unit slots, phi (and phi') of a unit from its start to its finish,
+  which the law writes into, chunk by chunk.
   They belong to the workspace of the lane that calls the term, and serve
   the units that either lane starts. At most _LANES units are started and
   not finished at once: a lane starts a unit when it runs nothing else and
@@ -234,32 +235,18 @@ class EnergyReport:
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
-def _bond_group(pairs, law: InteractionLaw, F, x, eps, gradient: bool = True) -> list:
-    """Quadrature-bond energies of a group of (op, w) pairs of one law, the
-    batches of a term that ``_groups`` runs together, computed on the
-    calling lane alone: ``_Unit.alone``. Returns, pair by pair in order, the
-    pair's energy eps^3 sum_q w_q phi(zeta_q) at the bond vectors
-    zeta = F eta + (op @ x) / eps, summed as its excess over the homogeneous
-    bond, eps^3 sum_q w_q (phi(zeta_q) - phi(F eta)), plus its homogeneous
-    share eps^3 phi(F eta) sum_q w_q; the excess; and, if ``gradient``, the
-    gradient contribution, scaled like the lattice inner product,
-    op^T (w phi'(zeta) / eps), as an array of its own. Pure: the caller adds
-    the results."""
-    return _Unit(pairs, law, None, F @ law.eta_vec, x, eps, gradient).copied(_workspace())
-
-
 class _Unit:
     """One unit of a term (``_groups``): a group of (op, w) pairs of one law
     and breakdown key, taken through the law in pieces (``_pieces``).
 
     ``start(ws)`` takes a unit slot of the workspace ``ws``, the term's
     calling lane's, for phi (and phi') of every row and one more row for
-    F eta; a unit of one piece of fewer than _LAW_CHUNK rows leaves that to
-    the law, whose own arrays it keeps. ``run(k, ws)`` forms piece k's bond rows in the
-    arena of the running lane's workspace and writes the law's phi (and
-    phi') into the piece's rows; F eta rides as an extra last row of the
-    last piece, so the excess is exactly 0.0 wherever zeta = F eta. Pieces
-    write disjoint rows, so they may run in any order, on either lane.
+    F eta. ``run(k, ws)`` forms piece k's bond rows in the arena of the
+    running lane's workspace, and the law writes phi (and phi') into the
+    piece's rows of the slot (``_evaluate``); F eta rides as an extra last
+    row of the last piece, so the excess is exactly 0.0 wherever zeta =
+    F eta. Pieces write disjoint rows, so they may run in any order, on
+    either lane.
     ``finish(ws)``, once every piece has run, forms each pair's results over
     the full arrays, with its temporaries in the finishing lane's arena and
     the gradient contributions in that lane's contribution slot, and gives
@@ -287,8 +274,7 @@ class _Unit:
         # Workspace floats: a unit slot; the arena, a piece's zeta or the
         # finish's weights over eps, then from ``split`` on an apply's
         # scratch; the contributions.
-        big = len(self.pieces) > 1 or self.n >= _LAW_CHUNK
-        self.slot_size = (self.n + 1) * (1 + 3 * self.order) if big else 0
+        self.slot_size = (self.n + 1) * (1 + 3 * self.order)
         self.split, scratch = 3 * self.zeta_rows, 0
         for op, w in pairs:
             scratch = max(scratch, op.scratch_size)
@@ -300,10 +286,9 @@ class _Unit:
         self.slot = self.contrib = None  # the workspace buffers the unit holds
 
     def start(self, ws: "_Workspace") -> None:
-        if self.slot_size:
-            self.slot = ws.unit_slot()
-            a = self.slot.take(self.slot_size)
-            self.out = [a[: self.n + 1], a[self.n + 1:].reshape(-1, 3)][: self.order + 1]
+        self.slot = ws.unit_slot()
+        a = self.slot.take(self.slot_size)
+        self.out = [a[: self.n + 1], a[self.n + 1:].reshape(-1, 3)][: self.order + 1]
 
     def run(self, k: int, ws: "_Workspace") -> None:
         lo, hi, planes = self.pieces[k]
@@ -312,10 +297,9 @@ class _Unit:
         try:
             z = _bond_rows(self.pairs, self.starts, self.x, self.eps, self.base, lo, hi, planes,
                            arena[: 3 * m].reshape(m, 3), arena[self.split:])
-            got = _evaluate(self.law, z, self.order, self.out and [a[lo:lo + len(z)] for a in self.out])
+            _evaluate(self.law, z, self.order, [a[lo:lo + len(z)] for a in self.out])
         finally:
             ws.arena.give()
-        self.out = self.out or got
 
     def finish(self, ws: "_Workspace") -> list:
         """Each pair's (energy, excess, gradient contribution) from the full
@@ -366,9 +350,8 @@ class _Unit:
                 results.append((excess + share, excess, op.T.apply(p, contribs[j], scratch=scratch)))
         finally:
             ws.arena.give()
-        if self.slot is not None:
-            self.slot.give()
-            self.slot = None
+        self.slot.give()
+        self.slot = None
         return results
 
     def release(self) -> None:
@@ -489,19 +472,15 @@ def _blocks(a: np.ndarray, w) -> np.ndarray:
     return a.reshape(-1, *w.shape, *a.shape[1:]) if np.ndim(w) > 1 else a
 
 
-def _evaluate(law: InteractionLaw, zeta, order: int, out):
-    """Writes [phi, phi'][:order + 1] at the rows of ``zeta`` into ``out``,
-    from ``law.evaluate(., order)`` on chunks of at most _LAW_CHUNK rows,
-    which keeps the law's temporaries chunk-sized; with ``out`` None, at
-    most _LAW_CHUNK rows in one call, it returns the law's own arrays. The
-    law's bits do not depend on the rows a call holds, so they are those of
-    one call."""
+def _evaluate(law: InteractionLaw, zeta, order: int, out) -> None:
+    """Writes [phi, phi'][:order + 1] at the rows of ``zeta`` into ``out``:
+    ``law.evaluate(., order, .)`` writes each chunk of at most _LAW_CHUNK
+    rows into that chunk's rows of ``out``, which keeps the law's
+    temporaries chunk-sized and copies nothing. The law's bits do not
+    depend on the rows a call holds, so they are those of one call."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if out is None:
-            return law.evaluate(zeta, order)
         for lo in range(0, len(zeta), _LAW_CHUNK):
-            for a, chunk in zip(out, law.evaluate(zeta[lo:lo + _LAW_CHUNK], order)):
-                a[lo:lo + _LAW_CHUNK] = chunk
+            law.evaluate(zeta[lo:lo + _LAW_CHUNK], order, [a[lo:lo + _LAW_CHUNK] for a in out])
 
 
 def _lane_count() -> int:

@@ -214,16 +214,27 @@ class HighOrderMesh:
             out.append(_Weights(tile, zero, float(np.tile(wts, cells.size).sum())))
         return tuple(out)
 
+    @cached_property
+    def gathers(self) -> dict:
+        """Per direction eta, each template's Pk gather with its weights,
+        kept with the mesh (``pk_batches``)."""
+        return {}
+
     def pk_batches(self, R: InteractionSet) -> list:
         """The Pk elements' quadrature-bond batches on [lattice sites | free
         nodes], per law and template: the gather of the element-local node
         values with the shape-function gradients times eta as coefficients,
-        at the template's quadrature weights (``pk_weights``)."""
-        tables = [_template_tables(self.k, perm) for perm in PATH_PERMS]
-        return [(_Gather(G, gradN @ law.eta_vec, cells, self.cfg.N, self.block), w, law, "continuum")
-                for law in R
-                for G, cells, w, (_, gradN) in zip(self.elem_ops, self.elem_cells, self.pk_weights, tables)
-                if cells.size]
+        at the template's quadrature weights (``pk_weights``). A direction's
+        gathers are kept with the mesh (``gathers``), so a warm call builds
+        none: their coefficient blocks depend on eta alone, and the
+        transpose each gather builds once is a CSC view of its CSR map."""
+        for law in R:
+            if law.eta not in self.gathers:
+                self.gathers[law.eta] = [
+                    (_Gather(G, _template_tables(self.k, perm)[1] @ law.eta_vec, cells, self.cfg.N, self.block), w)
+                    for G, cells, w, perm in zip(self.elem_ops, self.elem_cells, self.pk_weights, PATH_PERMS)
+                    if cells.size]
+        return [(op, w, law, "continuum") for law in R for op, w in self.gathers[law.eta]]
 
 
 # Meshes kept per process: enough for a few placements.

@@ -2,17 +2,22 @@
 
 Each interaction law pairs a nonzero integer direction ``eta`` with a smooth
 potential ``phi`` acting on the deformed bond vector ``zeta`` in R^3.
-``InteractionLaw.evaluate(zeta, order)`` is the one place a law is
+``InteractionLaw.evaluate(zeta, order, out)`` is the one place a law is
 evaluated: batched over ``(..., 3)`` arrays of bond vectors, it returns the
 value, gradient and Hessian up to ``order`` from shared intermediates, with
-one branch per kind. ``values``, ``gradients`` and ``hessians`` are
-one-line views of it. Every length-3 row reduction (|zeta|^2, zeta . M zeta)
+one branch per kind. It writes the value and gradient into the arrays
+``out`` when it is given them (the energy kernel passes views of a unit's
+reused arrays, one chunk of rows at a time), so that a call at order 0 or 1
+allocates only temporaries of one float per row (and, at order 0, the
+toy's zeta M); without ``out`` it allocates them. The Hessian is always a
+new array. ``values``, ``gradients`` and ``hessians`` are one-line views
+of it. Every length-3 row reduction (|zeta|^2, zeta . M zeta)
 is three products on the column views ``zeta[..., i]`` added left to
 right, and the radial and toy gradients are written one column at a time:
 the bits of the norm and axis-sum formulas, without their (..., 3)
 temporaries. Every step acts row by row, and an input holding one bond,
 of shape (3,) or (1, 3), is evaluated as a two-row batch whose first row
-is returned: numpy's scalar exp and pow, and the toy's one-row
+is the result: numpy's scalar exp and pow, and the toy's one-row
 ``zeta @ a`` and ``zeta @ M``, may round differently from the same row in
 a batch. So a row's bits never depend on how many rows the call holds.
 Radial laws (Morse, Lennard-Jones) apply a scalar
@@ -95,31 +100,40 @@ class InteractionLaw:
 
     # -- batched evaluation: zeta has shape (..., 3) ------------------------
 
-    def evaluate(self, zeta: np.ndarray, order: int = 2) -> list[np.ndarray]:
+    def evaluate(self, zeta: np.ndarray, order: int = 2, out=None) -> list[np.ndarray]:
         """[phi, phi', phi''][:order + 1] at the bond vectors ``zeta``, of
-        shapes (...), (..., 3) and (..., 3, 3). Intermediates shared by the
-        orders (the norm, exp(zeta . a), (sigma / r)^6) are computed once."""
+        shapes (...), (..., 3) and (..., 3, 3). phi (and phi') are written
+        into ``out``, the arrays [phi, phi'][:order + 1] of those shapes,
+        which are returned; without ``out`` they are new arrays. phi'' is
+        always a new array. Intermediates shared by the orders (the norm,
+        exp(zeta . a), (sigma / r)^6) are computed once."""
         zeta = np.asarray(zeta, dtype=float)
         if zeta.shape in ((3,), (1, 3)):  # one bond, as a two-row batch (see the module docstring)
             rows = self.evaluate(np.concatenate([zeta.reshape(1, 3)] * 2), order)
-            return [a[0] if zeta.ndim == 1 else a[:1] for a in rows]
+            rows = [a[0] if zeta.ndim == 1 else a[:1] for a in rows]
+            for a, row in zip(out or (), rows):
+                a[...] = row
+            return rows if out is None else [*out, *rows[len(out):]]
+        if out is None:
+            out = [np.empty(zeta.shape[:-1]), np.empty(zeta.shape)][: order + 1]
         hess_shape = zeta.shape[:-1] + (3, 3)
         if self.kind == "harmonic":
-            out = [0.5 * _row_dot(zeta, zeta), zeta.copy()]
+            np.multiply(0.5, _row_dot(zeta, zeta), out=out[0])
+            if order > 0:
+                out[1][...] = zeta
             if order > 1:
-                out.append(np.broadcast_to(np.eye(3), hess_shape).copy())
-            return out[: order + 1]
+                return [*out, np.broadcast_to(np.eye(3), hess_shape).copy()]
+            return out
         if self.kind == "anisotropic-toy":
             a, M = self._p("a"), self._p("M")
             e = np.exp(zeta @ a)
-            zM = zeta @ M
-            out = [e + 0.5 * _row_dot(zM, zeta)]
+            zM = np.matmul(zeta, M, out=out[1]) if order > 0 else zeta @ M
+            np.add(e, 0.5 * _row_dot(zM, zeta), out=out[0])
             if order > 0:
                 for i in range(3):  # phi' = e a + zeta M, written over zeta M
                     zM[..., i] += e * a[i]
-                out.append(zM)
             if order > 1:
-                out.append(np.multiply.outer(e, np.outer(a, a)) + np.broadcast_to(M, hess_shape))
+                return [*out, np.multiply.outer(e, np.outer(a, a)) + np.broadcast_to(M, hess_shape)]
             return out
 
         r = _row_dot(zeta, zeta)
@@ -134,26 +148,24 @@ class InteractionLaw:
         if self.kind == "morse-radial":
             D, al, r0 = self._p("D"), self._p("alpha"), self._p("r0")
             e = np.exp(-al * (r - r0))
-            out = [D * (1.0 - e) ** 2]
+            np.multiply(D, (1.0 - e) ** 2, out=out[0])
             d1 = 2.0 * D * al * e * (1.0 - e) if order > 0 else None
             d2 = 2.0 * D * al * al * (2.0 * e * e - e) if order > 1 else None
         else:
             e4 = 4.0 * self._p("well_depth")
             s6 = (self._p("sigma") / r) ** 6
             s12 = s6 * s6
-            out = [e4 * (s12 - s6)]
+            np.multiply(e4, s12 - s6, out=out[0])
             d1 = e4 * (-12.0 * s12 + 6.0 * s6) / r if order > 0 else None
             d2 = e4 * (156.0 * s12 - 42.0 * s6) / (r * r) if order > 1 else None
         if order > 0:
             d1r = d1 / r
-            grad = np.empty(zeta.shape)
             for i in range(3):  # d1r[..., None] * zeta, one column at a time
-                np.multiply(d1r, zeta[..., i], out=grad[..., i])
-            out.append(grad)
+                np.multiply(d1r, zeta[..., i], out=out[1][..., i])
         if order > 1:
             rhat = zeta / r[..., None]
             proj = rhat[..., :, None] * rhat[..., None, :]
-            out.append(d2[..., None, None] * proj + d1r[..., None, None] * (np.eye(3) - proj))
+            return [*out, d2[..., None, None] * proj + d1r[..., None, None] * (np.eye(3) - proj)]
         return out
 
     def values(self, zeta: np.ndarray) -> np.ndarray:

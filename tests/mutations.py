@@ -112,6 +112,11 @@ MUTATIONS = [
      "[a[lo:lo + len(z)] for a in self.out]",
      "[a[:len(z)] for a in self.out]",
      "tests/test_lanes.py::test_two_plane_pieces_are_bitwise_default_slabs"),
+    # every law chunk written into the first chunk's rows of the unit's arrays
+    ("energies.py",
+     "[a[lo:lo + _LAW_CHUNK] for a in out]",
+     "[a[:min(_LAW_CHUNK, len(zeta) - lo)] for a in out]",
+     "tests/test_lanes.py::test_f_eta_alone_in_the_last_chunk_keeps_every_bit"),
     # a unit's slot taken when the unit is built
     ("energies.py",
      "        self.out = None  # phi (and phi'), from ``start`` to ``finish``\n",
@@ -161,9 +166,8 @@ MUTATIONS = [
      "tests/test_lanes.py::test_two_lanes_never_hold_the_same_buffer_at_once"),
     # a unit's contribution slot given back at its finish, before its results are added
     ("energies.py",
-     "        if self.slot is not None:\n"
-     "            self.slot.give()\n"
-     "            self.slot = None\n"
+     "        self.slot.give()\n"
+     "        self.slot = None\n"
      "        return results\n",
      "        self.release()\n"
      "        return results\n",

@@ -242,9 +242,9 @@ def test_one_law_evaluation_per_bond_batch(monkeypatch):
     calls = []
     evaluate = InteractionLaw.evaluate
 
-    def counting(self, zeta, order=2):
+    def counting(self, zeta, order=2, out=None):
         calls.append((self.eta, order))
-        return evaluate(self, zeta, order)
+        return evaluate(self, zeta, order, out)
 
     def forbidden(self, zeta):
         raise AssertionError("per-derivative view called inside an energy")

@@ -229,9 +229,9 @@ def record_law_orders(monkeypatch) -> list[int]:
     orders: list[int] = []
     evaluate = InteractionLaw.evaluate
 
-    def recording(self, zeta, order=2):
+    def recording(self, zeta, order=2, out=None):
         orders.append(order)
-        return evaluate(self, zeta, order)
+        return evaluate(self, zeta, order, out)
 
     monkeypatch.setattr(InteractionLaw, "evaluate", recording)
     return orders

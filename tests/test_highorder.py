@@ -484,6 +484,28 @@ def test_block_and_mesh_caches_are_bounded():
     assert _build_mesh.cache_info().currsize == _MESH_CACHE_SIZE
 
 
+def test_a_warm_call_builds_no_pk_gather(monkeypatch):
+    """A direction's Pk gathers, and the transposes they build, are kept
+    with the mesh: a second coupled-ho(3) call at N=12 builds no
+    ``_Gather`` and gives the first call's bits."""
+    from bvcouple import energies
+
+    cfg = LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0)
+    part = RegionPartition(cfg, (4, 4, 4), (4, 4, 4))
+    rng = np.random.default_rng(8)
+    y = make_deformation(random_F(rng), LatticeField(cfg, 0.05 * cfg.epsilon * rng.standard_normal(cfg.shape)))
+    nodes = 0.05 * cfg.epsilon * rng.standard_normal((build_high_order_mesh(part, 3).n_free_nodes, 3))
+    first = high_order_energy(y, laws(), part, k=3, node_displacements=nodes)
+    built = []
+    init = energies._Gather.__init__
+    monkeypatch.setattr(energies._Gather, "__init__", lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+    again = high_order_energy(y, laws(), part, k=3, node_displacements=nodes)
+    assert built == []
+    assert again.energy == first.energy and again.excess == first.excess
+    assert np.array_equal(again.gradient.values, first.gradient.values)
+    assert np.array_equal(again.diagnostics["node_gradient"], first.diagnostics["node_gradient"])
+
+
 # ----------------------------------------------------------------------
 # Block layout of the Pk gathers
 # ----------------------------------------------------------------------

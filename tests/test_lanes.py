@@ -32,7 +32,7 @@ from bvcouple.coupling import (
 from bvcouple.energies import acb_cell_energy, acb_tetra_energy, atomistic_energy
 from bvcouple.highorder import build_high_order_mesh, high_order_energy
 from bvcouple.lattice import LatticeConfig, LatticeField, make_deformation
-from bvcouple.potentials import InteractionSet, PotentialDomainError, make_law
+from bvcouple.potentials import InteractionLaw, InteractionSet, PotentialDomainError, make_law
 
 README_LAWS = InteractionSet([
     make_law((1, 1, 1), "harmonic"),
@@ -66,6 +66,19 @@ def state(cfg, seed, amplitude=0.05):
     F = np.eye(3) + 0.05 * rng.standard_normal((3, 3))
     v = LatticeField(cfg, amplitude * cfg.epsilon * rng.standard_normal(cfg.shape))
     return make_deformation(F, v)
+
+
+def bond_group(pairs, law, F, x, eps, gradient=True) -> list:
+    """Quadrature-bond energies of a group of (op, w) pairs of one law, the
+    batches of a term that ``energies._groups`` runs together, computed on
+    the calling lane alone (``_Unit.alone``). Returns, pair by pair in
+    order, the pair's energy eps^3 sum_q w_q phi(zeta_q) at the bond
+    vectors zeta = F eta + (op @ x) / eps, summed as its excess over the
+    homogeneous bond, eps^3 sum_q w_q (phi(zeta_q) - phi(F eta)), plus its
+    homogeneous share eps^3 phi(F eta) sum_q w_q; the excess; and, if
+    ``gradient``, the gradient contribution, scaled like the lattice inner
+    product, op^T (w phi'(zeta) / eps), as an array of its own."""
+    return energies._Unit(pairs, law, None, F @ law.eta_vec, x, eps, gradient).copied(energies._workspace())
 
 
 # Laws whose covering widths divide N = 8.
@@ -255,7 +268,7 @@ def test_chunked_homogeneous_batch_has_zero_excess(monkeypatch):
                   [(op, 1.0 / 6.0) for op in energies._staircase_stencils(law.eta, N)]):
         for _ in range(200):
             F = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
-            results = list(energies._bond_group(pairs, law, F, x, 1.0 / 12.0))
+            results = list(bond_group(pairs, law, F, x, 1.0 / 12.0))
             assert len(results) == len(pairs)
             assert all(excess == 0.0 for _, excess, _ in results)
 
@@ -421,14 +434,14 @@ def test_masked_collapsed_bond_in_a_late_piece_stays_masked(monkeypatch):
     pairs = [(energies._bond_stencil(law.eta, N), energies._weights(mask.ravel()))]
 
     def results():
-        return [(e, de, g.tobytes()) for e, de, g in energies._bond_group(pairs, law, np.eye(3), x, 1.0 / 12.0)]
+        return [(e, de, g.tobytes()) for e, de, g in bond_group(pairs, law, np.eye(3), x, 1.0 / 12.0)]
 
     ref = results()
     chunks_and_slabs(monkeypatch)
     assert len(energies._pieces(pairs, 12**3)) == 6
     assert results() == ref
     with pytest.raises(PotentialDomainError):
-        list(energies._bond_group([(pairs[0][0], 1.0)], law, np.eye(3), x, 1.0 / 12.0))
+        list(bond_group([(pairs[0][0], 1.0)], law, np.eye(3), x, 1.0 / 12.0))
 
 
 @pytest.mark.parametrize("gradient", [True, False])
@@ -941,6 +954,44 @@ def coupled_ho3_call(**kw):
     n_free = build_high_order_mesh(part, 3).n_free_nodes
     nodes = 0.05 * cfg.epsilon * np.random.default_rng(4).standard_normal((n_free, 3))
     return lambda: high_order_energy(y, README_LAWS, part, k=3, node_displacements=nodes, **kw)
+
+
+@pytest.mark.parametrize("chunk", [None, 864])
+@pytest.mark.parametrize("model", ["atomistic", "acb-tetra", "coupled", "coupled-ho(3)"])
+def test_every_law_call_writes_into_a_unit_slot(monkeypatch, model, chunk):
+    """The law writes phi and phi' straight into the unit slots: every law
+    call of the model at N=12, full and energy-only, is given ``out``
+    arrays that are views of a unit slot of a lane's workspace, and returns
+    them; the reports keep every bit. So also with law chunks of 864 rows,
+    where a unit of one stencil batch has 1,729 rows and its last chunk
+    holds the F eta row alone."""
+    calls = [coupled_ho3_call(gradient=g) if model == "coupled-ho(3)" else model_calls(gradient=g)[model]
+             for g in (True, False)]
+    refs = [call() for call in calls]
+    if chunk:
+        monkeypatch.setattr(energies, "_LAW_CHUNK", chunk)
+    evaluate, rows, strays, inner = InteractionLaw.evaluate, [], [], threading.local()
+
+    def spy(self, zeta, order=2, *given):  # ``out``, if given, positionally, as the kernel passes it
+        if getattr(inner, "call", False):  # the law's own two-row call for a lone bond
+            return evaluate(self, zeta, order, *given)
+        slots = [b.data for ws in list(energies._every_workspace) for b in ws.units]
+        inner.call = True
+        try:
+            got = evaluate(self, zeta, order, *given)
+        finally:
+            inner.call = False
+        rows.append(len(zeta))
+        out = given[0] if given else None
+        if out is None or not all(any(np.shares_memory(a, s) for s in slots) and a is b for a, b in zip(out, got)):
+            strays.append((self.eta, order, len(zeta)))
+        return got
+
+    monkeypatch.setattr(InteractionLaw, "evaluate", spy)
+    for ref, call in zip(refs, calls):
+        assert_same_report(ref, call())
+    assert rows and strays == []
+    assert 1 in rows or not chunk
 
 
 @pytest.mark.parametrize("model", ["coupled", "coupled-ho(3)", "acb-tetra"])

@@ -325,6 +325,25 @@ def test_a_row_alone_has_its_batch_bits():
                     (law.kind, order, i)
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 3), (17, 3)])
+def test_evaluate_writes_into_the_given_arrays(shape, order):
+    """Every kind, for one bond (as a (3,) and a (1, 3) array), two bonds
+    and 17: ``evaluate(zeta, order, out)`` writes phi (and phi') into the
+    arrays ``out`` and returns them, with the bits that ``evaluate(zeta,
+    order)`` returns in arrays of its own; at order 2 phi'' follows them,
+    a new array."""
+    rng = np.random.default_rng(24)
+    for law in all_kind_laws():
+        zeta = law.eta_vec + 0.3 * rng.standard_normal(shape)
+        ref = law.evaluate(zeta, order)
+        out = [np.full(shape[:-1], np.nan), np.full(shape, np.nan)][: order + 1]
+        got = law.evaluate(zeta, order, out)
+        assert len(got) == order + 1 and all(a is b for a, b in zip(got, out)), (law.kind, shape, order)
+        for a, b in zip(got, ref):
+            assert a.shape == np.shape(b) and a.tobytes() == np.asarray(b).tobytes(), (law.kind, shape, order)
+
+
 def test_cb_density_and_stress_have_the_bits_of_a_batch_row():
     """W(F) and S(F) are the sums of phi(F eta) and phi'(F eta) eta^T, law
     by law, with the bits of the row F eta inside a many-row batch, which
