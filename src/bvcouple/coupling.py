@@ -646,45 +646,41 @@ def _jump_contrib(block: _EtaBlock, law: InteractionLaw, F, vm_flat, vp_flat, ep
     avg = 0.5 * (zm + zp)
     # The site-sized temporaries (the two states' difference, then each
     # transposed product) share one array of the calling lane's arena.
-    arena = _workspace().arena
-    site_buf = arena.take(vm_flat.size).reshape(vm_flat.shape)
+    site_buf = _workspace().array("arena", vm_flat.size).reshape(vm_flat.shape)
+    J = nu_eta[:, None] * (ops.trace_op @ np.subtract(vm_flat, vp_flat, out=site_buf)) / 3.0
+    active = np.any(J != 0.0, axis=1)
+    jumps = grads is not None and bool(active.any())
     try:
-        J = nu_eta[:, None] * (ops.trace_op @ np.subtract(vm_flat, vp_flat, out=site_buf)) / 3.0
-        active = np.any(J != 0.0, axis=1)
-        jumps = grads is not None and bool(active.any())
-        try:
-            derivs = law.evaluate(avg, 2 if jumps else 1)
-        except PotentialDomainError as exc:
-            corner = block.gamma.sites[int(np.argmin(np.linalg.norm(avg, axis=-1))), 0]
-            raise _site_error(exc, tuple(int(i) for i in np.mod(corner, block.cone_op.N)), law.eta) from exc
-        phi1 = derivs[1]
-        w_area = eps**2 * 0.5 / block.n_eta
-        energy = float(w_area * np.sum(phi1 * J))
-        if grads is None:
-            return energy
-        g_tied, g_minus, g_plus = grads
-
-        # phi'' part: coefficient [[y eta]]^T phi''(<.>), chained through both
-        # side gradients at weight 1/2; skipped where the jump is exactly zero.
-        if jumps:
-            idx = np.nonzero(active)[0]
-            q = np.zeros_like(J)
-            q[idx] = np.einsum("tij,tj->ti", derivs[2][idx], J[idx])
-            q *= -1.0 / (4.0 * block.n_eta * eps**2)
-            for op, side in ((ops.minus_op, g_minus), (ops.plus_op, g_plus)):
-                contrib = _spmv(op.T, q, site_buf)
-                g_tied += contrib
-                side += contrib
-
-        # phi' trace part: for the tied representer the two traces cancel
-        # identically, so it only enters the per-side representers.
-        c_tr = 1.0 / (6.0 * block.n_eta * eps)
-        contrib = _spmv(ops.trace_op.T, (c_tr * nu_eta)[:, None] * phi1, site_buf)
-        g_minus -= contrib
-        g_plus += contrib
+        derivs = law.evaluate(avg, 2 if jumps else 1)
+    except PotentialDomainError as exc:
+        corner = block.gamma.sites[int(np.argmin(np.linalg.norm(avg, axis=-1))), 0]
+        raise _site_error(exc, tuple(int(i) for i in np.mod(corner, block.cone_op.N)), law.eta) from exc
+    phi1 = derivs[1]
+    w_area = eps**2 * 0.5 / block.n_eta
+    energy = float(w_area * np.sum(phi1 * J))
+    if grads is None:
         return energy
-    finally:
-        arena.give()
+    g_tied, g_minus, g_plus = grads
+
+    # phi'' part: coefficient [[y eta]]^T phi''(<.>), chained through both
+    # side gradients at weight 1/2; skipped where the jump is exactly zero.
+    if jumps:
+        idx = np.nonzero(active)[0]
+        q = np.zeros_like(J)
+        q[idx] = np.einsum("tij,tj->ti", derivs[2][idx], J[idx])
+        q *= -1.0 / (4.0 * block.n_eta * eps**2)
+        for op, side in ((ops.minus_op, g_minus), (ops.plus_op, g_plus)):
+            contrib = _spmv(op.T, q, site_buf)
+            g_tied += contrib
+            side += contrib
+
+    # phi' trace part: for the tied representer the two traces cancel
+    # identically, so it only enters the per-side representers.
+    c_tr = 1.0 / (6.0 * block.n_eta * eps)
+    contrib = _spmv(ops.trace_op.T, (c_tr * nu_eta)[:, None] * phi1, site_buf)
+    g_minus -= contrib
+    g_plus += contrib
+    return energy
 
 
 # ======================================================================

@@ -119,10 +119,10 @@ unit of its own. Up to N=20 this groups each law's six staircase templates
 P1 layer of the high-order model). Every report counts its terms' law
 evaluations (``law_calls``): one per unit, whatever its pieces and chunks.
 
-Each unit is a ``_Unit``: ``start`` takes a unit slot for its full-length
-arrays, ``run`` evaluates one piece into them, and ``finish`` forms each
-batch's energy, excess and gradient contribution, returned as a list, and
-gives the slot back. ``_term`` adds these to the term's sums and gradients in batch
+Each unit is a ``_Unit``: ``start`` gives it a unit slot for its
+full-length arrays, ``run`` evaluates one piece into them, and ``finish``
+forms each batch's energy, excess and gradient contribution, returned as a
+list. ``_term`` adds these to the term's sums and gradients in batch
 order, exactly the order of a single lane, so every result is bitwise the
 same on one lane or two, grouped or not, and deterministic. The lanes are
 the calling thread and one helper thread, as the process's CPU affinity
@@ -132,7 +132,7 @@ that hands work to the helper) when one of its batches has at least
 more: each lane pulls the next (unit, piece) from one shared cursor, in
 unit-then-piece order, as soon as it has finished one, pulling a unit's
 first piece starts the unit, the lane that completes a unit's last piece
-runs its finish and parks the results in the unit's slot, and whichever
+runs its finish and parks the results until they are added, and whichever
 lane takes the commit lock without waiting adds the ready results in unit
 order; once the helper is done, the caller adds what is left. No lane
 waits for the other between pieces, so one lane finishes a unit while the
@@ -156,41 +156,50 @@ Memory: every array of a term's size that a warm call fills lives in a
 workspace (``_Workspace``), one per lane (``_workspace``, per thread), and
 is reused from call to call, so a repeated call allocates nothing of its
 size and takes no fresh pages, whatever malloc does with freed memory. A
-workspace is a few flat float arrays (``_Buffer``), each grown, never
-shrunk, to the most that a term it served asked of it and handed out as
-views, each held from ``take`` to ``give``; every lane reserves them for
-the whole term before its first piece (``_Workspace.reserve``), so which
-lane serves which unit changes no size. They are:
+workspace is a few flat float arrays, by role, each grown, never shrunk,
+to the most that a term it served asked of it, and handed out as views;
+every lane reserves them for the whole term before its first piece
+(``_Workspace.reserve``), so which lane serves which unit changes no size.
+Nothing marks an array as in use: the order in which units run says who
+may write each one. They are:
 
 - the arena, which holds a piece's zeta rows (the term's largest piece and
   F eta) and the scratch of the stencil or gather apply (one shifted copy
   of x where the lattice is one slab, a gather's element-local values), or
   during a finish the weights over eps and the transposed apply's scratch;
   so a finish takes no more than the pieces of its lane, and the law's
-  temporaries stay chunk-sized (``_evaluate``);
+  temporaries stay chunk-sized (``_evaluate``). Only its own thread writes
+  it, one piece or finish at a time, and nothing outlives either;
 - the unit slots, phi (and phi') of a unit from its start to its finish,
-  which the law writes into, chunk by chunk.
-  They belong to the workspace of the lane that calls the term, and serve
-  the units that either lane starts. At most _LANES units are started and
-  not finished at once: a lane starts a unit when it runs nothing else and
-  every earlier unit's pieces are pulled, so only the unit that the other
-  lane runs can be unfinished. A stream reserves _LANES slots, and a term
-  on the caller's one lane one;
-- the contribution slot, the gradient contributions of the unit the lane
-  finished last, one array the size of x per batch of the unit, held until
-  the unit's results are added. A lane whose last finished unit is not yet
-  added, because an earlier unit is still running on the other lane, waits
-  for that add before it finishes another unit: so at most one unit's
-  results per lane wait in their slots, and no workspace grows with the
-  order in which the lanes happen to finish.
+  which the law writes into, chunk by chunk. They belong to the workspace
+  of the lane that calls the term, and serve the units that either lane
+  starts. At most _LANES units are started and not finished at once: a
+  lane starts a unit when it runs nothing else and every earlier unit's
+  pieces are pulled, so only the unit that the other lane runs can be
+  unfinished. A term on the caller's one lane, and the one-lane re-run of
+  a failing unit, use slot 0; a stream keeps the indices of the caller's
+  _LANES slots on a free list, pops one when it starts a unit and pushes it
+  back after the unit's finish, so no unit starts in a slot that a
+  started, unfinished unit has;
+- the contribution array, the gradient contributions of the unit the lane
+  finished last, one array the size of x per batch of the unit, read until
+  the unit's results are added. A lane remembers which unit parked its
+  contributions there, and if that unit is not yet added, because an
+  earlier unit is still running on the other lane, it waits for that add
+  before it finishes another unit: so at most one unit's results per lane
+  wait to be added, and no workspace grows with the order in which the
+  lanes happen to finish. The helper thread serves every caller's streams,
+  so its lane returns only once its parked unit is added.
 
-When a term raises, its units give back every buffer they hold. A block
-or mesh build (a cache miss in ``coupling`` or ``highorder``) first lets
-go of every buffer that no unit holds (``_drop_workspaces``), so the
-build reuses that memory rather than adding to it, and the next term
-reserves the buffers again. An energy-only call holds phi alone and no
-contributions. The helper lane calls no public
-bvcouple function, so tracers that wrap those see only the calling thread.
+An energy-only call fills phi alone and parks no contributions. A term
+that raises leaves nothing to give back: each stream has a free list of its
+own. A block or mesh build (a cache miss in ``coupling``
+or ``highorder``) first lets go of every workspace array
+(``_drop_workspaces``), so the build reuses that memory rather than adding
+to it, and the next term reserves the arrays again; a view that a unit of
+another thread still holds keeps its own array alive. The helper lane
+calls no public bvcouple function, so tracers that wrap those see only the
+calling thread.
 """
 from __future__ import annotations
 
@@ -239,24 +248,25 @@ class _Unit:
     """One unit of a term (``_groups``): a group of (op, w) pairs of one law
     and breakdown key, taken through the law in pieces (``_pieces``).
 
-    ``start(ws)`` takes a unit slot of the workspace ``ws``, the term's
-    calling lane's, for phi (and phi') of every row and one more row for
-    F eta. ``run(k, ws)`` forms piece k's bond rows in the arena of the
-    running lane's workspace, and the law writes phi (and phi') into the
+    ``start(out)`` gives the unit its unit slot ``out``, ``slot_size``
+    floats, for phi (and phi') of every row and one more row for F eta.
+    ``run(k, ws)`` forms piece k's bond rows in the arena of the running
+    lane's workspace ``ws``, and the law writes phi (and phi') into the
     piece's rows of the slot (``_evaluate``); F eta rides as an extra last
     row of the last piece, so the excess is exactly 0.0 wherever zeta =
     F eta. Pieces write disjoint rows, so they may run in any order, on
     either lane.
     ``finish(ws)``, once every piece has run, forms each pair's results over
     the full arrays, with its temporaries in the finishing lane's arena and
-    the gradient contributions in that lane's contribution slot, and gives
-    the unit slot back; ``release`` gives back whatever the unit still holds,
-    the contribution slot once its results are added. The law acts row by
-    row, so the bits do not depend on the pieces or the lanes, and each
-    pair's results are the bits of a group of that pair alone. ``w`` is a
-    scalar or a ``_Weights`` with one weight per row, or a 2-D tile of one
-    weight per row of each (w.size)-row block; its zero-weight rows are
-    evaluated at F eta.
+    the gradient contributions in that lane's contribution array, and is
+    the unit's last read of its slot. The unit holds no workspace array of
+    its own: the order in which ``_term`` and ``_stream`` run units says
+    which slot a unit may write and how long its contributions stay (module
+    docstring, Memory). The law acts row by row, so the bits do not depend
+    on the pieces or the lanes, and each pair's results are the bits of a
+    group of that pair alone. ``w`` is a scalar or a ``_Weights`` with one
+    weight per row, or a 2-D tile of one weight per row of each
+    (w.size)-row block; its zero-weight rows are evaluated at F eta.
 
     Without ``gradient`` the unit is energy-only: the law is evaluated at
     order 0, and every gradient contribution is None. The energy and excess
@@ -282,122 +292,93 @@ class _Unit:
                 self.split = max(self.split, w.w.size)
         self.scratch_size = self.split + scratch
         self.contrib_size = len(pairs) * x.size * self.order
-        self.out = None  # phi (and phi'), from ``start`` to ``finish``
-        self.slot = self.contrib = None  # the workspace buffers the unit holds
+        self.out = None  # phi (and phi'), views of the unit slot, from ``start`` to ``finish``
 
-    def start(self, ws: "_Workspace") -> None:
-        self.slot = ws.unit_slot()
-        a = self.slot.take(self.slot_size)
-        self.out = [a[: self.n + 1], a[self.n + 1:].reshape(-1, 3)][: self.order + 1]
+    def start(self, out: np.ndarray) -> None:
+        self.out = [out[: self.n + 1], out[self.n + 1:].reshape(-1, 3)][: self.order + 1]
 
     def run(self, k: int, ws: "_Workspace") -> None:
         lo, hi, planes = self.pieces[k]
         m = hi - lo + (hi == self.n)
-        arena = ws.arena.take(self.scratch_size)
-        try:
-            z = _bond_rows(self.pairs, self.starts, self.x, self.eps, self.base, lo, hi, planes,
-                           arena[: 3 * m].reshape(m, 3), arena[self.split:])
-            _evaluate(self.law, z, self.order, [a[lo:lo + len(z)] for a in self.out])
-        finally:
-            ws.arena.give()
+        arena = ws.array("arena", self.scratch_size)
+        z = _bond_rows(self.pairs, self.starts, self.x, self.eps, self.base, lo, hi, planes,
+                       arena[: 3 * m].reshape(m, 3), arena[self.split:])
+        _evaluate(self.law, z, self.order, [a[lo:lo + len(z)] for a in self.out])
 
     def finish(self, ws: "_Workspace") -> list:
         """Each pair's (energy, excess, gradient contribution) from the full
-        arrays, which it gives back; a non-finite phi or phi' raises the
-        error of the first pair that has one."""
+        arrays; a non-finite phi or phi' raises the error of the first pair
+        that has one."""
         (vals, *P), self.out = self.out, None
         phi0 = vals[self.n]
         P = P[0] if P else None
         eps, results = self.eps, []
-        arena = ws.arena.take(self.scratch_size)
+        arena = ws.array("arena", self.scratch_size)
         scratch = arena[self.split:]
         if P is not None:
-            self.contrib = ws.contrib
-            contribs = self.contrib.take(self.contrib_size).reshape(len(self.pairs), *self.x.shape)
-        try:
-            for j, ((op, w), lo, hi) in enumerate(zip(self.pairs, self.starts, self.ends)):
-                v = vals[lo:hi]
-                p = None if P is None else P[lo:hi]
-                weights, total = (w.w, w.total) if isinstance(w, _Weights) else (w, w * op.rows)
-                # w (phi - phi(F eta)), written over phi, which nothing reads again
-                d = _blocks(v, weights)
-                np.subtract(d, phi0, out=d)
-                np.multiply(d, weights, out=d)
-                excess = float(eps**3 * v.sum())
-                # One sum finds a non-finite phi'; the row mask, built only then,
-                # tells it apart from a sum of finite entries that overflowed.
-                if not (math.isfinite(excess) and (p is None or math.isfinite(p.sum()))):
-                    phi = np.empty(op.rows)  # the pair's phi again: the law's bits do not depend on the rows
-                    _evaluate(self.law, _bond_rows([(op, w)], [0], self.x, eps, self.base, 0, op.rows, None,
-                                                   np.empty((op.rows, 3))), 0, [phi])
-                    bad = ~np.isfinite(phi)
-                    if p is not None:
-                        bad |= ~np.isfinite(p).all(axis=-1)
-                    if not math.isfinite(excess) or bad.any():
-                        raise _site_error(f"{self.law.kind} energy or force is not finite",
-                                          op.site(int(np.argmax(bad))), self.law.eta)
-                share = float(eps**3 * phi0 * total)
-                if p is None:
-                    results.append((excess + share, excess, None))
-                    continue
-                if np.ndim(weights):
-                    pw = _blocks(p, weights)
-                    weights = np.divide(weights, eps, out=arena[: weights.size].reshape(weights.shape))
-                    for i in range(3):
-                        pw[..., i] *= weights
-                else:
-                    p *= weights / eps
-                results.append((excess + share, excess, op.T.apply(p, contribs[j], scratch=scratch)))
-        finally:
-            ws.arena.give()
-        self.slot.give()
-        self.slot = None
+            contribs = ws.array("contrib", self.contrib_size).reshape(len(self.pairs), *self.x.shape)
+        for j, ((op, w), lo, hi) in enumerate(zip(self.pairs, self.starts, self.ends)):
+            v = vals[lo:hi]
+            p = None if P is None else P[lo:hi]
+            weights, total = (w.w, w.total) if isinstance(w, _Weights) else (w, w * op.rows)
+            # w (phi - phi(F eta)), written over phi, which nothing reads again
+            d = _blocks(v, weights)
+            np.subtract(d, phi0, out=d)
+            np.multiply(d, weights, out=d)
+            excess = float(eps**3 * v.sum())
+            # One sum finds a non-finite phi'; the row mask, built only then,
+            # tells it apart from a sum of finite entries that overflowed.
+            if not (math.isfinite(excess) and (p is None or math.isfinite(p.sum()))):
+                phi = np.empty(op.rows)  # the pair's phi again: the law's bits do not depend on the rows
+                _evaluate(self.law, _bond_rows([(op, w)], [0], self.x, eps, self.base, 0, op.rows, None,
+                                               np.empty((op.rows, 3))), 0, [phi])
+                bad = ~np.isfinite(phi)
+                if p is not None:
+                    bad |= ~np.isfinite(p).all(axis=-1)
+                if not math.isfinite(excess) or bad.any():
+                    raise _site_error(f"{self.law.kind} energy or force is not finite",
+                                      op.site(int(np.argmax(bad))), self.law.eta)
+            share = float(eps**3 * phi0 * total)
+            if p is None:
+                results.append((excess + share, excess, None))
+                continue
+            if np.ndim(weights):
+                pw = _blocks(p, weights)
+                weights = np.divide(weights, eps, out=arena[: weights.size].reshape(weights.shape))
+                for i in range(3):
+                    pw[..., i] *= weights
+            else:
+                p *= weights / eps
+            results.append((excess + share, excess, op.T.apply(p, contribs[j], scratch=scratch)))
         return results
-
-    def release(self) -> None:
-        """Gives back every workspace buffer the unit holds: its contribution
-        slot once its results are added, or, after an error, whatever it
-        took."""
-        for b in (self.slot, self.contrib):
-            if b is not None:
-                b.give()
-        self.slot = self.contrib = None
 
     def copied(self, ws: "_Workspace") -> list:
         """``alone``, with each gradient contribution copied out of the
-        workspace, which the unit then gives back."""
-        try:
-            return [(e, de, None if g is None else g.copy()) for e, de, g in self.alone(ws)]
-        finally:
-            self.release()
+        workspace."""
+        return [(e, de, None if g is None else g.copy()) for e, de, g in self.alone(ws)]
 
     def alone(self, ws: "_Workspace") -> list:
-        """The unit on the calling lane, with its workspace ``ws``: its pieces
-        in order, then its finish. A law call that raises gives the unit's
-        one-lane error, which names the lattice site ``op.site(row)`` of the
-        shortest bond, or of the first bond whose phi or phi' is not finite,
-        of the first failing pair: a group re-runs its pairs one at a time,
-        and a lone batch forms its whole zeta once to name its shortest
-        bond."""
-        self.start(ws)
+        """The unit on the calling lane, with its workspace ``ws`` and unit
+        slot 0 of it: its pieces in order, then its finish. A law call that
+        raises gives the unit's one-lane error, which names the lattice site
+        ``op.site(row)`` of the shortest bond, or of the first bond whose
+        phi or phi' is not finite, of the first failing pair: a group re-runs
+        its pairs one at a time, and a lone batch forms its whole zeta once
+        to name its shortest bond."""
+        self.start(ws.array(("unit", 0), self.slot_size))
         try:
-            try:
-                for k in range(len(self.pieces)):
-                    self.run(k, ws)
-            except PotentialDomainError as exc:
-                self.release()
-                if len(self.pairs) > 1:  # the first failing pair's error, as ungrouped
-                    return [r for pair in self.pairs
-                            for r in _Unit([pair], self.law, self.key, self.base, self.x, self.eps,
-                                           self.order).copied(ws)]
-                z = _bond_rows(self.pairs, self.starts, self.x, self.eps, self.base, 0, self.n, None,
-                               np.empty((self.n, 3)))
-                raise _site_error(exc, self.pairs[0][0].site(int(np.argmin(np.linalg.norm(z, axis=-1)))),
-                                  self.law.eta) from exc
-            return self.finish(ws)
-        except BaseException:  # nothing to add: every buffer goes back
-            self.release()
-            raise
+            for k in range(len(self.pieces)):
+                self.run(k, ws)
+        except PotentialDomainError as exc:
+            if len(self.pairs) > 1:  # the first failing pair's error, as ungrouped
+                return [r for pair in self.pairs
+                        for r in _Unit([pair], self.law, self.key, self.base, self.x, self.eps,
+                                       self.order).copied(ws)]
+            z = _bond_rows(self.pairs, self.starts, self.x, self.eps, self.base, 0, self.n, None,
+                           np.empty((self.n, 3)))
+            raise _site_error(exc, self.pairs[0][0].site(int(np.argmin(np.linalg.norm(z, axis=-1)))),
+                              self.law.eta) from exc
+        return self.finish(ws)
 
 
 def _pieces(pairs, n: int) -> list:
@@ -504,39 +485,18 @@ _MIN_LANE_ROWS = 8192
 _LAW_CHUNK = 16384
 _SLAB_ROWS = 1 << 17
 _helper_pool: tuple[int, ThreadPoolExecutor] | None = None
+_helper_lock = threading.Lock()
 
 
 def _helper() -> ThreadPoolExecutor:
-    """The helper lane, made on first use by each process: a forked child
-    inherits the parent's executor but not its thread, so it makes its own."""
+    """The helper lane, made on first use by each process, under a lock, so
+    that threads whose first calls meet make one: a forked child inherits
+    the parent's executor but not its thread, so it makes its own."""
     global _helper_pool
-    if _helper_pool is None or _helper_pool[0] != os.getpid():
-        _helper_pool = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="bvcouple-lane"))
-    return _helper_pool[1]
-
-
-class _Buffer:
-    """One reused flat float array of a lane's workspace, handed out as a
-    view: it grows, never shrinks, to the largest size asked of it, and is
-    held from ``take`` to ``give``."""
-
-    def __init__(self):
-        self.data = np.empty(0)
-        self.held = False
-
-    def reserve(self, size: int) -> np.ndarray:
-        data = self.data  # read once: ``_drop_workspaces`` may swap it
-        if data.size < size:
-            data = self.data = _allocate(size)
-        return data
-
-    def take(self, size: int) -> np.ndarray:
-        data = self.reserve(size)
-        self.held = True
-        return data[:size]
-
-    def give(self) -> None:
-        self.held = False
+    with _helper_lock:
+        if _helper_pool is None or _helper_pool[0] != os.getpid():
+            _helper_pool = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="bvcouple-lane"))
+        return _helper_pool[1]
 
 
 def _allocate(size: int) -> np.ndarray:
@@ -545,33 +505,34 @@ def _allocate(size: int) -> np.ndarray:
 
 
 class _Workspace:
-    """One lane's reused arrays (see the module docstring): the arena, for
-    a piece's zeta and an apply's scratch or a finish's temporaries; the
-    contribution slot, for the gradient contributions of the unit this lane
-    finished last, until they are added; and the unit slots, for phi and
-    phi' of the units of the terms this lane calls, one per unit started
-    and not yet finished, on either lane: at most _LANES."""
+    """One lane's reused flat float arrays, by role (see the module
+    docstring, Memory): ``"arena"``, for a piece's zeta and an apply's
+    scratch or a finish's temporaries; ``"contrib"``, for the gradient
+    contributions of the unit this lane finished last, until they are
+    added; and ``("unit", s)`` for s < _LANES, the unit slots, for phi and
+    phi' of the units of the terms this lane calls, on either lane. Each
+    array grows, never shrinks, to the most asked of it; who may write it
+    is said by the order in which ``_term`` and ``_stream`` run units."""
 
     def __init__(self):
-        self.arena, self.contrib = _Buffer(), _Buffer()
-        self.units: list[_Buffer] = []
+        self.arrays: dict = {}
+
+    def array(self, role, size: int) -> np.ndarray:
+        """A view of the first ``size`` floats of the role's array, which
+        grows first if it is shorter."""
+        data = self.arrays.get(role)  # read once: ``_drop_workspaces`` may clear the dict
+        if data is None or data.size < size:
+            data = self.arrays[role] = _allocate(size)
+        return data[:size]
 
     def reserve(self, units, slots: int) -> None:
-        """Grows the arena, the contribution slot and the first ``slots``
+        """Grows the arena, the contribution array and the first ``slots``
         unit slots to the most that any of ``units`` asks, whichever of them
         this lane serves, so a repeated term allocates nothing."""
-        self.arena.reserve(max(u.scratch_size for u in units))
-        self.contrib.reserve(max(u.contrib_size for u in units))
-        self.units += [_Buffer() for _ in range(slots - len(self.units))]
-        for b in self.units[:slots]:
-            b.reserve(max(u.slot_size for u in units))
-
-    def unit_slot(self) -> _Buffer:
-        """A unit slot that is not held."""
-        free = next((b for b in self.units if not b.held), None)
-        if free is None:
-            raise RuntimeError(f"more than {len(self.units)} units are started and unfinished")
-        return free
+        self.array("arena", max(u.scratch_size for u in units))
+        self.array("contrib", max(u.contrib_size for u in units))
+        for s in range(slots):
+            self.array(("unit", s), max(u.slot_size for u in units))
 
 
 _lanes = threading.local()  # each thread's ``_Workspace``
@@ -588,14 +549,12 @@ def _workspace() -> _Workspace:
 
 
 def _drop_workspaces() -> None:
-    """Lets go of every workspace buffer that is not held, on every lane,
-    so the next term reserves it again. The block and mesh builders call
-    it before they build, so that a build reuses that memory rather than
-    adding to it; a view that a unit still holds keeps its own array."""
+    """Lets go of every lane's workspace arrays, so the next term reserves
+    them again. The block and mesh builders call it before they build, so
+    that a build reuses that memory rather than adding to it; a view that a
+    unit still holds keeps its own array alive."""
     for ws in list(_every_workspace):
-        for b in (ws.arena, ws.contrib, *ws.units):
-            if not b.held:
-                b.data = np.empty(0)
+        ws.arrays.clear()
 
 
 def _groups(batches) -> list:
@@ -887,10 +846,7 @@ def _term(name: str, batches, F, x, eps, g_outs) -> _Term:
         ws = _workspace()
         ws.reserve(units, 1)
         for u in units:
-            try:
-                out.add(u.key, u.alone(ws), g_outs)
-            finally:
-                u.release()
+            out.add(u.key, u.alone(ws), g_outs)
     out.seconds = time.perf_counter() - t0
     return out
 
@@ -898,29 +854,34 @@ def _term(name: str, batches, F, x, eps, g_outs) -> _Term:
 def _stream(helper, units, add) -> None:
     """Runs the pieces of ``units`` on both lanes and adds the units'
     results in unit order. The caller reserves _LANES unit slots of its
-    workspace, and each lane its arena and contribution slot, for the units
-    (``_Workspace.reserve``). Each lane pulls the next (unit, piece) from
-    one shared cursor, in unit-then-piece order, as soon as it has finished
-    one; pulling a unit's first piece starts the unit (``start``) in a free
-    unit slot of the caller's workspace, under the pull lock. The lane runs
-    the piece in its arena, and the lane that completes a unit's last piece
-    runs its finish, into its contribution slot, and parks the results in
-    the unit's slot; if the lane's contribution slot still holds a unit not
-    yet added, it first waits for that add, so each lane parks at most one
-    unit. Then, if it takes the commit lock without waiting, it adds every
-    ready result in unit order, ``add(key, results)``, from the first unit
-    not yet added, and the unit gives back its contribution slot. Once a
-    piece or a finish raises, no lane pulls another and no lane waits for an
-    add, but the earlier units, whose pieces were all pulled already,
-    finish. When both lanes are done the caller adds what is left, every
-    unit gives back what it still holds, and the caller re-runs the first
-    failing unit on one lane (``alone``), which raises its one-lane error,
-    so every add and every error is that of one lane."""
+    workspace, and each lane its arena and contribution array, for the
+    units (``_Workspace.reserve``). Each lane pulls the next (unit, piece)
+    from one shared cursor, in unit-then-piece order, as soon as it has
+    finished one; pulling a unit's first piece starts the unit (``start``)
+    in a unit slot of the caller's workspace that it takes off a free list,
+    under the pull lock. The lane runs the piece in its arena, and the lane
+    that completes a unit's last piece runs its finish, into its
+    contribution array, parks the results in the unit's entry of the
+    stream, and puts the unit slot back on the free list; if its
+    contribution array still holds a unit not yet added, it first waits for
+    that add, so each lane parks at most one unit. Then, if it takes the
+    commit lock without waiting, it adds every ready result in unit order,
+    ``add(key, results)``, from the first unit not yet added. Once a piece
+    or a finish raises, no lane pulls another and no lane waits for an add,
+    but the earlier units, whose pieces were all pulled already, finish.
+    The helper lane returns only once its parked unit is added, or a unit
+    raised: its thread may run another caller's stream next, into the same
+    contribution array. When both lanes are done the caller adds what is
+    left and re-runs the first failing unit on one lane (``alone``), which
+    raises its one-lane error, so every add and every error is that of one
+    lane."""
     n = len(units)
     items = iter([(i, k) for i, u in enumerate(units) for k in range(len(u.pieces))])
     left = [len(u.pieces) for u in units]  # pieces not yet run, per unit
     slots: list = [None] * n      # a finished unit's results, until added
     errors: dict = {}             # unit index -> the error it raised
+    free = list(range(_LANES))    # the caller's unit slots that no started, unfinished unit has
+    taken = [0] * n               # the unit slot of each started unit
     pull, commit = threading.Lock(), threading.Lock()
     added = threading.Condition()  # notified when units are added and when one raises
     head = 0                      # the first unit not yet added
@@ -933,7 +894,6 @@ def _stream(helper, units, add) -> None:
         nonlocal head
         while ready():
             add(units[head].key, slots[head])
-            units[head].release()
             slots[head] = None
             head += 1
         with added:
@@ -947,13 +907,15 @@ def _stream(helper, units, add) -> None:
     def lane() -> None:
         ws = _workspace()
         ws.reserve(units, 0)
+        parked = -1  # the unit whose contributions this lane's contribution array holds
         while not errors:
             with pull:
                 i, k = next(items, (n, 0))
                 if i == n:
-                    return
+                    break
                 if k == 0:
-                    units[i].start(own)
+                    taken[i] = free.pop()
+                    units[i].start(own.array(("unit", taken[i]), units[i].slot_size))
             try:
                 units[i].run(k, ws)
                 with pull:
@@ -961,10 +923,13 @@ def _stream(helper, units, add) -> None:
                     last = not left[i]
                 if last:
                     with added:
-                        added.wait_for(lambda: not ws.contrib.held or errors)
-                    if ws.contrib.held:  # an earlier unit raised, so this one is never added
+                        added.wait_for(lambda: head > parked or errors)
+                    if head <= parked:  # an earlier unit raised, so this one is never added
                         return
                     slots[i] = units[i].finish(ws)
+                    free.append(taken[i])
+                    if units[i].contrib_size:
+                        parked = i
             except Exception as exc:  # the caller raises the first failing unit's one-lane error
                 stop(i, exc)
             while ready() and commit.acquire(blocking=False):
@@ -972,6 +937,9 @@ def _stream(helper, units, add) -> None:
                     drain()
                 finally:
                     commit.release()
+        if ws is not own:  # the helper's next stream may be another caller's
+            with added:
+                added.wait_for(lambda: head > parked or errors)
 
     def guarded() -> None:
         try:
@@ -988,8 +956,6 @@ def _stream(helper, units, add) -> None:
     finally:
         ahead.exception()  # waits, so no helper work outlives the call
         drain()
-        for u in units:
-            u.release()
     ahead.result()
     if errors:
         i = min(errors)

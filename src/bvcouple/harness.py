@@ -271,7 +271,8 @@ def config_from_dict(data: dict) -> RunConfig:
             elif eta:
                 built.append(_build(errors, make_law, eta, item.get("kind"), params, where=where))
     built = [law for law in built if law]
-    laws = _build(errors, InteractionSet, tuple(built))
+    # no laws at all is reported once, above or by the laws' own errors
+    laws = _build(errors, InteractionSet, tuple(built)) if built else None
 
     F = np.eye(3)
     if "F" in data:

@@ -46,16 +46,13 @@ A template's gather holds its Pk elements in blocks of ``_PK_BLOCK`` = 64,
 node-major within a block (``_block_major``): row (b, j, i) of
 ``elem_ops[p]`` is local node j of element 64 b + i. The kernel then forms
 a block's (nq, 3 x 64) bond rows, point-major, by one (nq, nloc) x (nloc,
-3 x 64) product, and the transpose by the mirror product: at k = 3 and
-N = 12, 24 products per template in place of 1,528 per-element ones.
-Padding elements fill the last block. Each of their nodes is one extra,
-empty row of the node map, so their bonds are exactly F eta, their excess
-exactly 0.0, and they add nothing to either gradient block; a domain error
-at one names the template's last element. The quadrature weights are one
-(nq, 64) tile per template (``pk_weights``), summed over the real elements.
-The size of the block hardly matters: warm coupled-ho(3) at N=12 takes the
-same time to within a few percent for blocks of 16 to 128, against about
-15% more for blocks of one, the per-element products.
+3 x 64) product, and the transpose by the mirror product: one product per
+block in place of one per element. Padding elements fill the last block.
+Each of their nodes is one extra, empty row of the node map, so their
+bonds are exactly F eta, their excess exactly 0.0, and they add nothing to
+either gradient block; a domain error at one names the template's last
+element. The quadrature weights are one (nq, 64) tile per template
+(``pk_weights``), summed over the real elements.
 
 Quadrature is a conical-product Gauss rule on the reference tetrahedron
 (Jacobi weights absorb the collapsed-coordinate Jacobian), with n = k + 1
@@ -242,7 +239,7 @@ _MESH_CACHE_SIZE = 4
 # Pk elements per block of a template's gather: one (nq, nloc) x (nloc,
 # 3 block) product per block. Small enough that OpenBLAS runs each product
 # on the calling thread (k=3: 64 x 20 x 192), large enough that the calls
-# are few; blocks of 16 to 128 time alike (module docstring).
+# are few.
 _PK_BLOCK = 64
 
 

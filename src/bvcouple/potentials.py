@@ -231,13 +231,16 @@ def make_law(eta, kind: str, params: dict[str, Any] | None = None) -> Interactio
 
 @dataclass(frozen=True)
 class InteractionSet:
-    """Finite set of interaction laws with pairwise distinct directions."""
+    """Finite, non-empty set of interaction laws with pairwise distinct
+    directions."""
 
     laws: tuple[InteractionLaw, ...]
 
     def __post_init__(self) -> None:
         laws = tuple(self.laws)
         object.__setattr__(self, "laws", laws)
+        if not laws:
+            raise ValueError("an interaction set needs at least one law")
         etas = [law.eta for law in laws]
         if len(set(etas)) != len(etas):
             raise ValueError(f"duplicate interaction direction in {etas}; directions must be distinct")

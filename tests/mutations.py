@@ -117,12 +117,16 @@ MUTATIONS = [
      "[a[lo:lo + _LAW_CHUNK] for a in out]",
      "[a[:min(_LAW_CHUNK, len(zeta) - lo)] for a in out]",
      "tests/test_lanes.py::test_f_eta_alone_in_the_last_chunk_keeps_every_bit"),
-    # a unit's slot taken when the unit is built
+    # a unit's slot fixed by its place in the term, as if taken when the unit is built
     ("energies.py",
-     "        self.out = None  # phi (and phi'), from ``start`` to ``finish``\n",
-     "        self.out = None\n"
-     "        self.start(_workspace())\n",
-     "tests/test_lanes.py::test_unit_slots_are_held_from_the_first_piece_to_the_finish"),
+     "                    taken[i] = free.pop()\n",
+     "                    taken[i] = i % _LANES\n",
+     "tests/test_lanes.py::test_two_lanes_never_hold_the_same_buffer_at_once"),
+    # every stream's units started in unit slot 0
+    ("energies.py",
+     "                    taken[i] = free.pop()\n",
+     "                    taken[i] = 0\n",
+     "tests/test_lanes.py::test_energy_only_and_gradient_calls_interleave_bitwise"),
     # a stream whose caller returns without waiting for the helper lane
     ("energies.py",
      "    ahead = helper.submit(guarded)\n"
@@ -131,24 +135,23 @@ MUTATIONS = [
      "    finally:\n"
      "        ahead.exception()  # waits, so no helper work outlives the call\n"
      "        drain()\n"
-     "        for u in units:\n"
-     "            u.release()\n"
      "    ahead.result()\n",
      "    helper.submit(guarded)\n"
      "    try:\n"
      "        guarded()\n"
      "    finally:\n"
-     "        drain()\n"
-     "        for u in units:\n"
-     "            u.release()\n",
+     "        drain()\n",
      "tests/test_lanes.py::test_helper_lane_is_done_when_the_term_returns_or_raises"),
     # a stream's results added in completion order rather than unit order
     ("energies.py",
-     "                    slots[i] = units[i].finish(ws)\n",
+     "                    slots[i] = units[i].finish(ws)\n"
+     "                    free.append(taken[i])\n"
+     "                    if units[i].contrib_size:\n"
+     "                        parked = i\n",
      "                    got = units[i].finish(ws)\n"
+     "                    free.append(taken[i])\n"
      "                    with commit:\n"
-     "                        add(units[i].key, got)\n"
-     "                        units[i].release()\n",
+     "                        add(units[i].key, got)\n",
      "tests/test_lanes.py::test_helper_lane_commits_while_the_callers_first_unit_is_held"),
     # a stream raising its first failing piece's own error, without the one-lane re-run
     ("energies.py",
@@ -164,14 +167,24 @@ MUTATIONS = [
      "    if ws is None:\n"
      "        ws = _Workspace.shared = _Workspace()\n",
      "tests/test_lanes.py::test_two_lanes_never_hold_the_same_buffer_at_once"),
-    # a unit's contribution slot given back at its finish, before its results are added
+    # a lane that forgets the unit whose contributions it parked, as if they were added at its finish
     ("energies.py",
-     "        self.slot.give()\n"
-     "        self.slot = None\n"
-     "        return results\n",
-     "        self.release()\n"
-     "        return results\n",
+     "                        parked = i\n",
+     "                        parked = -1\n",
      "tests/test_lanes.py::test_unit_slots_are_held_from_the_first_piece_to_the_finish"),
+    # a lane finishing a unit without waiting for its parked unit's add
+    ("energies.py",
+     "                    with added:\n"
+     "                        added.wait_for(lambda: head > parked or errors)\n"
+     "                    if head <= parked:  # an earlier unit raised, so this one is never added\n"
+     "                        return\n",
+     "",
+     "tests/test_lanes.py::test_helper_lane_commits_while_the_callers_first_unit_is_held"),
+    # the helper lane returning with its parked unit not yet added
+    ("energies.py",
+     "        if ws is not own:  # the helper's next stream may be another caller's\n",
+     "        if False:\n",
+     "tests/test_lanes.py::test_concurrent_callers_get_the_reports_of_sequential_calls"),
     # the sweep's homogeneous-share check removed
     ("harness.py",
      '        if r["share_ulps"] > _SHARE_ULPS:',

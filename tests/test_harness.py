@@ -125,6 +125,20 @@ def test_config_error_collects_every_violation():
     assert len(messages) >= 15
 
 
+def test_a_config_without_laws_reports_it_once():
+    """A config whose interactions list is empty, or whose every law is
+    rejected, reports that alone: the empty interaction set it leads to is
+    not a second violation."""
+    for interactions, message in (
+        ([], "config requires a non-empty 'interactions' list"),
+        ([{"eta": [1, 1, 1], "kind": "quartic"}], "interactions[0]: kind must be one of"),
+    ):
+        with pytest.raises(ConfigError) as exc_info:
+            config_from_dict(small_config_dict(model="atomistic", interactions=interactions))
+        assert len(exc_info.value.messages) == 1
+        assert exc_info.value.messages[0].startswith(message)
+
+
 def test_coupled_models_require_region():
     data = small_config_dict()
     del data["region"]

@@ -15,6 +15,7 @@ import sys
 import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -746,7 +747,7 @@ class ToyUnit:
         self.pieces = [None] * len(spins)
         self.ran = None
 
-    def start(self, ws):
+    def start(self, out):
         assert self.ran is None or self.failing is not None
         self.ran = []
 
@@ -761,11 +762,8 @@ class ToyUnit:
         self.ran = "finished"
         return [self.i]
 
-    def release(self):
-        pass
-
     def alone(self, ws):
-        self.start(ws)
+        self.start(ws.array(("unit", 0), self.slot_size))
         for k in range(len(self.pieces)):
             self.run(k, ws)
         return self.finish(ws)
@@ -773,14 +771,17 @@ class ToyUnit:
     copied = alone
 
 
-def test_stream_adds_each_unit_once_in_unit_order_under_fast_thread_switches():
+def test_stream_adds_each_unit_once_in_unit_order_under_fast_thread_switches(monkeypatch):
     """``_stream`` alone, 200 times, on 40 units of one to four pieces of
     random small work, with the interpreter switching threads every
     microsecond: every unit is started before its pieces run, finished once
     after all of them, and its results are added exactly once and in unit
     order; a stream with failing pieces adds exactly the units before the
     first unit with one and raises that unit's error. A lost or doubled
-    update, or one out of order, breaks the list of adds."""
+    update, or one out of order, breaks the list of adds. A stream runs on
+    two lanes, whatever CPUs the process may use, so it has two unit
+    slots."""
+    monkeypatch.setattr(energies, "_LANES", 2)
     rng = np.random.default_rng(0)
     helper = energies._helper()
     n = 40
@@ -855,46 +856,100 @@ def test_a_finish_overlaps_the_next_units_pieces(monkeypatch):
     assert_same_report(ref, rep)
 
 
+class Ownership:
+    """Spies on the order that lets lanes reuse their workspace arrays
+    without marking them held (``_Workspace.array``, ``_Unit.start`` and
+    ``finish``, ``_Term.add``), and records in ``problems`` each breach of
+    it: a unit started in a unit slot that a started, unfinished unit has;
+    a finish that writes the finishing lane's contribution array while the
+    unit whose contributions that array holds is not yet added. ``units``
+    lists the units in the order they started, and ``others`` how many
+    other units were started and unfinished at each start. ``users`` maps
+    each (workspace, role) to the threads that asked for that array, which
+    ``check_owners`` compares with the thread each workspace belongs to."""
+
+    def __init__(self, monkeypatch, handed):
+        self.handed, self.book = handed, threading.Lock()
+        self.users: dict = {}    # (id(workspace), role) -> threads that asked for the array
+        self.slot_of: dict = {}  # id(unit) -> its unit slot, from its start to its finish
+        self.parked: dict = {}   # thread -> its last finish's results with contributions
+        self.added: dict = {}    # id(results) -> results, for every added unit
+        self.units, self.others, self.problems = [], [], []
+        array, start, finish, add = (energies._Workspace.array, energies._Unit.start, energies._Unit.finish,
+                                     energies._Term.add)
+
+        def spy_array(ws, role, size):
+            with self.book:
+                self.users.setdefault((id(ws), role), set()).add(threading.get_ident())
+            return array(ws, role, size)
+
+        def spy_start(unit, out):
+            with self.book:
+                self.others.append(len(self.slot_of))
+                if any(np.shares_memory(out, slot) for slot in self.slot_of.values()):
+                    self.problems.append(("started in a unit slot another unit has", unit.key))
+                self.slot_of[id(unit)] = out
+                self.units.append(unit)
+            return start(unit, out)
+
+        def spy_finish(unit, ws):
+            me = threading.get_ident()
+            with self.book:
+                if me in self.parked and id(self.parked[me]) not in self.added:
+                    self.problems.append(("contribution array reused before its unit was added", unit.key))
+            results = finish(unit, ws)
+            with self.book:
+                del self.slot_of[id(unit)]
+                if any(g is not None for _, _, g in results):
+                    self.parked[me] = results
+            return results
+
+        def spy_add(term, key, results, g_outs):
+            with self.book:
+                self.added[id(results)] = results
+            return add(term, key, results, g_outs)
+
+        monkeypatch.setattr(energies._Workspace, "array", spy_array)
+        monkeypatch.setattr(energies._Unit, "start", spy_start)
+        monkeypatch.setattr(energies._Unit, "finish", spy_finish)
+        monkeypatch.setattr(energies._Term, "add", spy_add)
+
+    def check_owners(self) -> None:
+        """Each workspace served one thread, and its arena and contribution
+        array were asked for by that thread alone."""
+        owner: dict = {}
+        for ident, ws in self.handed:
+            assert owner.setdefault(id(ws), ident) == ident, "a workspace served two threads"
+        for (ws, role), threads in self.users.items():
+            if role in ("arena", "contrib"):
+                assert threads == {owner[ws]}, role
+
+
 @pytest.mark.parametrize("lanes", [1, 2])
 def test_unit_slots_are_held_from_the_first_piece_to_the_finish(monkeypatch, lanes):
     """acb-tetra at N=12 under ``chunks_and_slabs``, ungrouped: 18 units of
-    six pieces each, on one lane and on two. Each unit takes a unit slot of
-    its lane's workspace for its phi and phi' (``start``) once, when its
-    first piece is pulled: then no other unit holds one on one lane, and at
-    most one other, the other lane's unit, on two. No unit keeps it after
-    its finish: it is given back by the time the unit's results are added.
-    The unit's gradient contributions stay in the contribution slot of the
-    lane that finished it until they are added, and go back right after."""
+    six pieces each, on one lane and on two. Each unit is started in a unit
+    slot of the calling lane's workspace once, when its first piece is
+    pulled, and has it until its finish: no other unit is started in it
+    meanwhile. When a unit starts, no other unit is started and unfinished
+    on one lane, and at most one, the other lane's, on two. A lane's
+    contribution array is written by no finish until the unit whose
+    contributions it holds is added, and each workspace's arena and
+    contribution array serve its own thread alone. The report is bitwise
+    the one-lane report."""
+    evaluate = model_calls()["acb-tetra"]
+    one_lane(monkeypatch)
+    ref = evaluate()
     chunks_and_slabs(monkeypatch)
     monkeypatch.setattr(energies, "_LANES", lanes)
-    start, add, release = energies._Unit.start, energies._Term.add, energies._Unit.release
-    units, holding, at_add, after_add = [], [], [], []
-
-    def spy_start(self, ws):
-        holding.append(sum(u.slot is not None for u in units))
-        start(self, ws)
-        units.append(self)
-        assert self.slot.held and len(self.out) == 2
-
-    def spy_add(self, key, results, g_outs):
-        u = units[len(at_add)]
-        at_add.append((u.slot is None, u.contrib is not None and u.contrib.held))
-        return add(self, key, results, g_outs)
-
-    def spy_release(self):
-        release(self)
-        if len(after_add) < len(at_add) and self is units[len(after_add)]:
-            after_add.append(self.contrib is None)
-
-    monkeypatch.setattr(energies._Unit, "start", spy_start)
-    monkeypatch.setattr(energies._Term, "add", spy_add)
-    monkeypatch.setattr(energies._Unit, "release", spy_release)
-    assert model_calls()["acb-tetra"]().diagnostics["lanes"] == lanes
-    assert len(units) == len({id(u) for u in units}) == 18
-    assert max(holding) <= lanes - 1
-    assert at_add == [(True, True)] * 18
-    assert after_add == [True] * 18
-    assert all(u.slot is None and u.contrib is None for u in units)
+    spy = Ownership(monkeypatch, fresh_workspaces(monkeypatch))
+    rep = evaluate()
+    assert rep.diagnostics["lanes"] == lanes
+    assert len(spy.units) == len({id(u) for u in spy.units}) == 18
+    assert max(spy.others) <= lanes - 1 and not spy.slot_of
+    assert len(spy.added) == 18 and spy.problems == []
+    spy.check_owners()
+    assert_same_report(ref, rep)
 
 
 @pytest.mark.parametrize("gradient", [True, False])
@@ -942,7 +997,7 @@ def fresh_workspaces(monkeypatch) -> list:
 
 
 def all_buffers(handed) -> list:
-    return [b for ws in {id(ws): ws for _, ws in handed}.values() for b in (ws.arena, ws.contrib, *ws.units)]
+    return [a for ws in {id(ws): ws for _, ws in handed}.values() for a in ws.arrays.values()]
 
 
 def coupled_ho3_call(**kw):
@@ -975,7 +1030,7 @@ def test_every_law_call_writes_into_a_unit_slot(monkeypatch, model, chunk):
     def spy(self, zeta, order=2, *given):  # ``out``, if given, positionally, as the kernel passes it
         if getattr(inner, "call", False):  # the law's own two-row call for a lone bond
             return evaluate(self, zeta, order, *given)
-        slots = [b.data for ws in list(energies._every_workspace) for b in ws.units]
+        slots = [a for ws in list(energies._every_workspace) for role, a in ws.arrays.items() if role[0] == "unit"]
         inner.call = True
         try:
             got = evaluate(self, zeta, order, *given)
@@ -1018,10 +1073,10 @@ def test_a_second_warm_call_allocates_no_workspace_array(monkeypatch, model):
     assert full().diagnostics["lanes"] == 2
     first = len(allocated)
     assert first > 0 and len({ident for ident, _ in handed}) == 2
-    sizes = [b.data.size for b in all_buffers(handed)]
+    sizes = [a.size for a in all_buffers(handed)]
     reps = full(), energy()
     assert len(allocated) == first
-    assert [b.data.size for b in all_buffers(handed)] == sizes
+    assert [a.size for a in all_buffers(handed)] == sizes
     for ref, rep in zip(refs, reps):
         assert_same_report(ref, rep)
 
@@ -1044,16 +1099,16 @@ def test_a_block_build_lets_go_of_every_workspace(monkeypatch):
 
     def recording():
         drop()
-        dropped.append(sum(b.data.size for b in all_buffers(handed)))
+        dropped.append(sum(a.size for a in all_buffers(handed)))
 
     monkeypatch.setattr(coupling, "_drop_workspaces", recording)
     coupled_energy_conforming(y, README_LAWS, part_a)
     assert_same_report(refs[0], coupled_energy_conforming(y, README_LAWS, part_a))
-    assert dropped == [] and sum(b.data.size for b in all_buffers(handed)) > 0
+    assert dropped == [] and sum(a.size for a in all_buffers(handed)) > 0
     coupling._build_eta_block.cache_clear()
     assert_same_report(refs[1], coupled_energy_conforming(y, README_LAWS, part_b))
     assert dropped == [0] * len(README_LAWS)
-    assert sum(b.data.size for b in all_buffers(handed)) > 0
+    assert sum(a.size for a in all_buffers(handed)) > 0
 
 
 # A good call after a failing one, run in this process and in a fresh one.
@@ -1092,8 +1147,8 @@ def test_a_call_after_a_failing_stream_is_bitwise_a_fresh_process(monkeypatch):
     """Three laws at N=12 on two lanes with the row threshold at 0: the
     atomistic term streams three units, and the middle one, eta = (0, 1,
     0), raises on a collapsed bond at (5, 6, 7). The call raises the
-    one-lane error and leaves no workspace buffer held, on either lane.
-    The good calls that follow on the same workspaces (atomistic, full and
+    one-lane error, on either lane. The good calls that follow on the same
+    workspaces (atomistic, full and
     energy-only, and coupled on the README laws) are bitwise the reports
     of a fresh process."""
     ns: dict = {}
@@ -1110,9 +1165,7 @@ def test_a_call_after_a_failing_stream_is_bitwise_a_fresh_process(monkeypatch):
             atomistic_energy(make_deformation(np.eye(3), LatticeField(cfg, vals)), laws, gradient=gradient)
         assert (err.value.site, err.value.eta) == ((5, 6, 7), (0, 1, 0))
         assert len({ident for ident, _ in handed}) == 2
-        assert not any(b.held for b in all_buffers(handed))
     here = ns["digest"](ns["good_reports"]())
-    assert not any(b.held for b in all_buffers(handed))
     src = str(Path(energies.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", GOOD_CALL + "\nprint(digest(good_reports()))"], env=env,
@@ -1144,11 +1197,12 @@ def test_two_lanes_never_hold_the_same_buffer_at_once(monkeypatch):
     """Every model at N=12 under ``chunks_and_slabs``, energy-only and then
     full, three times each, with the interpreter switching threads every
     microsecond. Each lane has its own workspace, checked first after the
-    energy-only calls, which hold no contribution slot and so never wait;
-    no buffer is taken while it is held; an arena or a contribution slot is
-    taken only by the lane whose workspace holds it, and a unit slot, of
-    the caller's workspace, by either lane. After every call no buffer is
-    held. The reports are the bits of one lane."""
+    energy-only calls, which park no contributions and so never wait; its
+    arena and contribution array serve that lane alone, and a unit slot, of
+    the caller's workspace, either lane. No unit is started in a unit slot
+    that a started, unfinished unit has, no finish writes a contribution
+    array whose parked unit is not yet added, and every unit has finished
+    by the end of its call. The reports are the bits of one lane."""
     refs = {}
     one_lane(monkeypatch)
     for gradient in (False, True):
@@ -1156,35 +1210,7 @@ def test_two_lanes_never_hold_the_same_buffer_at_once(monkeypatch):
             refs[name, gradient] = evaluate()
     chunks_and_slabs(monkeypatch)
     handed = fresh_workspaces(monkeypatch)
-    take, give = energies._Buffer.take, energies._Buffer.give
-    holders: dict = {}
-    takers: dict = {}  # id(buffer) -> threads that took it
-    book, problems = threading.Lock(), []
-
-    def spy_take(self, size):
-        with book:
-            if id(self) in holders:
-                problems.append(("taken while held", holders[id(self)], threading.get_ident()))
-            holders[id(self)] = threading.get_ident()
-            takers.setdefault(id(self), set()).add(threading.get_ident())
-        return take(self, size)
-
-    def spy_give(self):
-        with book:
-            holders.pop(id(self), None)
-        return give(self)
-
-    def check_owners():
-        owner = {}
-        for ident, ws in handed:
-            assert owner.setdefault(id(ws), ident) == ident, "a workspace served two threads"
-        assert len(owner) == 2
-        for _, ws in handed:
-            for b in (ws.arena, ws.contrib):
-                assert takers.get(id(b), set()) <= {owner[id(ws)]}
-
-    monkeypatch.setattr(energies._Buffer, "take", spy_take)
-    monkeypatch.setattr(energies._Buffer, "give", spy_give)
+    spy = Ownership(monkeypatch, handed)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1192,12 +1218,102 @@ def test_two_lanes_never_hold_the_same_buffer_at_once(monkeypatch):
             for _ in range(3):
                 for name, evaluate in model_calls(gradient=gradient).items():
                     rep = evaluate()
-                    assert not holders and not any(b.held for b in all_buffers(handed)), name
+                    assert not spy.slot_of, name
                     assert_same_report(refs[name, gradient], rep)
-            check_owners()
+            assert len({ident for ident, _ in handed}) == 2
+            spy.check_owners()
     finally:
         sys.setswitchinterval(interval)
-    assert not problems
+    assert spy.problems == []
+
+
+def test_concurrent_callers_get_the_reports_of_sequential_calls(monkeypatch):
+    """Two user threads on two lanes with the row threshold at 0, sharing
+    the one helper lane. One streams acb-tetra at N=12 until the other is
+    done, each of its adds 2 ms slow, so the helper lane often finishes
+    that thread's last unit before the unit ahead of it is added; the other
+    calls coupled on four regions, twice, clearing the block cache before
+    the first call of each pair, so that it builds its blocks and lets go
+    of every workspace (``_drop_workspaces``) while the first thread's
+    units may hold views of theirs; both calls stream their terms through
+    the same helper lane. Every report is bitwise the one made with no other caller."""
+    cfg = LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12.0)
+    y = state(cfg, 1)
+    parts = [RegionPartition(cfg, corner, (4, 4, 4)) for corner in ((4, 4, 4), (3, 4, 5), (5, 4, 3), (3, 3, 3))]
+    two_lanes(monkeypatch)
+    tetra_ref = acb_tetra_energy(y, README_LAWS)
+    coupled_refs = [coupled_energy_conforming(y, README_LAWS, part) for part in parts]
+    tetra_reps, coupled_reps, failures = [], [], []
+    coupled_done = threading.Event()
+    add = energies._Term.add
+
+    def slow_add(self, key, results, g_outs):
+        if threading.current_thread().name == "tetra":
+            time.sleep(0.002)
+        return add(self, key, results, g_outs)
+
+    def tetra():
+        while not coupled_done.is_set() or not tetra_reps:
+            tetra_reps.append(acb_tetra_energy(y, README_LAWS))
+
+    def coupled():
+        try:
+            for part in parts * 2:
+                coupling._build_eta_block.cache_clear()
+                coupled_reps.append(coupled_energy_conforming(y, README_LAWS, part))
+                coupled_reps.append(coupled_energy_conforming(y, README_LAWS, part))
+        finally:
+            coupled_done.set()
+
+    def recording(fn):
+        try:
+            fn()
+        except BaseException as exc:  # reported by the test thread
+            failures.append(exc)
+
+    monkeypatch.setattr(energies._Term, "add", slow_add)
+    threads = [threading.Thread(target=recording, args=(fn,), name=fn.__name__) for fn in (tetra, coupled)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(120.0)
+    assert not any(t.is_alive() for t in threads) and failures == []
+    assert len(coupled_reps) == 4 * len(parts) and tetra_reps
+    for ref, rep in zip([ref for ref in coupled_refs * 2 for _ in range(2)], coupled_reps):
+        assert_same_report(ref, rep)
+    for rep in tetra_reps:
+        assert_same_report(tetra_ref, rep)
+
+
+def test_threads_whose_first_calls_meet_make_one_helper_lane(monkeypatch):
+    """Two threads ask for the helper lane at once, in a process that has
+    none yet, and making the executor takes 50 ms: one executor is made,
+    and both threads get it."""
+    monkeypatch.setattr(energies, "_helper_pool", None)
+    made, got = [], []
+    barrier = threading.Barrier(2, timeout=30.0)
+
+    def slow_executor(*args, **kw):
+        time.sleep(0.05)
+        made.append(ThreadPoolExecutor(*args, **kw))
+        return made[-1]
+
+    def first_call():
+        barrier.wait()
+        got.append(energies._helper())
+
+    monkeypatch.setattr(energies, "ThreadPoolExecutor", slow_executor)
+    threads = [threading.Thread(target=first_call) for _ in range(2)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        for pool in made:
+            pool.shutdown()
+    assert len(made) == 1 and got == made * 2
 
 
 def test_helper_lane_calls_no_public_function(monkeypatch):

@@ -129,6 +129,14 @@ def test_interaction_set_rejects_duplicates():
                         make_law((1, 1, 1), "morse-radial")])
 
 
+def test_interaction_set_rejects_an_empty_set():
+    """An empty set breaks a rule of its own: it is rejected when it is
+    made, by a message that names the rule, not later by each model with
+    an unrelated one."""
+    with pytest.raises(ValueError, match="an interaction set needs at least one law"):
+        InteractionSet(())
+
+
 def test_interaction_set_max_abs_component():
     R = InteractionSet([make_law((1, 1, 1), "harmonic"),
                         make_law((2, -1, 3), "harmonic")])
