@@ -101,7 +101,10 @@ models (one term each, keyed by direction) and the naive control of
 ``coupling`` (its atomistic and continuum terms). It takes the terms as
 {name: batches}, in term order. The coupled models, whose terms read two
 states and fill per-side or free-node gradients, are assembled by
-``coupling._coupled``.
+``coupling._coupled``. ``_lattice_batches`` builds the one term's batches
+of the atomistic, acb-tetra and acb-cell models, and ``_hessian_symbol``
+reads such batches for the Fourier symbol of a model's Hessian at y_F,
+which ``harness.minimize`` inverts as its preconditioner.
 
 Gradients are returned as Riesz representers with respect to the discrete
 inner product: the report's gradient field g satisfies
@@ -803,6 +806,42 @@ def _cell_stencil(eta: IntTriple, N: IntTriple) -> _Stencil:
     ])
 
 
+def _lattice_batches(model: str, R: InteractionSet, N: IntTriple) -> list:
+    """The (op, w, law, key) batches of the one term of the atomistic,
+    acb-tetra or acb-cell model, keyed by direction: per law the exact bond,
+    the six staircase templates at weight 1/6, or the cell-averaged bond."""
+    if model == "acb-tetra":
+        return [(op, 1.0 / 6.0, law, f"eta={law.eta}") for law in R for op in _staircase_stencils(law.eta, N)]
+    stencil = _bond_stencil if model == "atomistic" else _cell_stencil
+    return [(stencil(law.eta, N), 1.0, law, f"eta={law.eta}") for law in R]
+
+
+def _hessian_symbol(batches, F: np.ndarray, N: IntTriple, eps: float) -> np.ndarray:
+    """The Fourier symbol of the Hessian at y_F of a model that sums
+    eps^3 w phi_eta(F eta + (B v)_l / eps) over the rows l of stencil
+    batches (op, w, law, ...): on a plane wave v_l = e^{i theta . l} u the
+    Hessian (of the gradient as a Riesz representer) is H(theta) u, with
+    H(theta) = sum w |b(theta)|^2 phi''_eta(F eta) / eps^2 and
+    b(theta) = sum_k c_k e^{i theta . s_k} the symbol of ``op.terms``.
+    Returned at theta = 2 pi k / N for the wavevectors k of numpy's
+    ``rfftn`` grid, as an (N_0, N_1, N_2 // 2 + 1, 3, 3) array of real
+    symmetric blocks; H(-theta) = H(theta) gives the other half. Every step
+    is elementwise and in batch and term order: a phase is the product of
+    three entries of per-axis tables of e^{2 pi i m / N_a}, and F eta is
+    summed by columns, so no BLAS call is made here."""
+    grid = (N[0], N[1], N[2] // 2 + 1)
+    roots = [np.exp(2j * np.pi * np.arange(n) / n) for n in N]
+    shapes = [(-1, 1, 1), (1, -1, 1), (1, 1, -1)]
+    H = np.zeros(grid + (3, 3))
+    for op, w, law, *_ in batches:
+        b = np.zeros(grid, dtype=complex)
+        for s, c in op.terms:
+            b += c * math.prod(roots[a][np.arange(grid[a]) * s[a] % N[a]].reshape(shapes[a]) for a in range(3))
+        zeta = F[:, 0] * law.eta[0] + F[:, 1] * law.eta[1] + F[:, 2] * law.eta[2]
+        H += (w / eps**2 * (b.real**2 + b.imag**2))[..., None, None] * law.hessians(zeta)
+    return H
+
+
 @dataclass
 class _Term:
     """One term's sums over its batches in batch order (``sums``: breakdown
@@ -1004,27 +1043,18 @@ def atomistic_energy(y: Deformation, R: InteractionSet, *, gradient: bool = True
     """Exact atomistic energy eps^3 sum_l sum_eta phi_eta(D_eta y_l).
     ``gradient=False`` computes the same energy, excess and breakdown
     without the gradient, which the report then leaves None."""
-    N = y.cfg.N
-    return _lattice_model(y, "atomistic", {
-        "atomistic": [(_bond_stencil(law.eta, N), 1.0, law, f"eta={law.eta}") for law in R],
-    }, gradient)
+    return _lattice_model(y, "atomistic", {"atomistic": _lattice_batches("atomistic", R, y.cfg.N)}, gradient)
 
 
 def acb_tetra_energy(y: Deformation, R: InteractionSet, *, gradient: bool = True) -> EnergyReport:
     """Cauchy-Born energy on the staircase tetrahedra: (eps^3/6) per cell tet
     of W(grad), with the discrete gradient taken from the tet's own axis
     edges. ``gradient=False`` as in ``atomistic_energy``."""
-    N = y.cfg.N
-    return _lattice_model(y, "acb-tetra", {
-        "acb-tetra": [(op, 1.0 / 6.0, law, f"eta={law.eta}") for law in R for op in _staircase_stencils(law.eta, N)],
-    }, gradient)
+    return _lattice_model(y, "acb-tetra", {"acb-tetra": _lattice_batches("acb-tetra", R, y.cfg.N)}, gradient)
 
 
 def acb_cell_energy(y: Deformation, R: InteractionSet, *, gradient: bool = True) -> EnergyReport:
     """Cauchy-Born energy on cells: eps^3 per cell of W evaluated at the
     averaged discrete gradient (each column averages four edge quotients).
     ``gradient=False`` as in ``atomistic_energy``."""
-    N = y.cfg.N
-    return _lattice_model(y, "acb-cell", {
-        "acb-cell": [(_cell_stencil(law.eta, N), 1.0, law, f"eta={law.eta}") for law in R],
-    }, gradient)
+    return _lattice_model(y, "acb-cell", {"acb-cell": _lattice_batches("acb-cell", R, y.cfg.N)}, gradient)

@@ -7,6 +7,7 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -21,7 +22,14 @@ from .coupling import (
     naive_coupling_energy,
     partition_violations,
 )
-from .energies import EnergyReport, acb_cell_energy, acb_tetra_energy, atomistic_energy
+from .energies import (
+    EnergyReport,
+    _hessian_symbol,
+    _lattice_batches,
+    acb_cell_energy,
+    acb_tetra_energy,
+    atomistic_energy,
+)
 from .geometry import CoveringMismatch, DegenerateEta, enumerate_coverings, lemma_residual, nondegenerate_eta
 from .highorder import SUPPORTED_DEGREES, build_high_order_mesh, high_order_energy
 from .lattice import (
@@ -631,22 +639,67 @@ _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 40
 
 
-def _laplacian_inverse(cfg: LatticeConfig) -> Callable[[np.ndarray], np.ndarray]:
-    """Inverse of the periodic lattice Laplacian, whose symbol is
-    sum_i 4 sin^2(pi k_i / N_i) / eps^2, applied by ``numpy.fft`` to an
-    (N1, N2, N3, 3) array; the zero mode is dropped, so the result has zero
-    mean."""
-    axes = (0, 1, 2)
-    freqs = [np.fft.fftfreq(n) for n in cfg.N[:2]] + [np.fft.rfftfreq(cfg.N[2])]
-    symbol = sum(
-        (4.0 * np.sin(np.pi * k) ** 2).reshape([-1 if a == i else 1 for a in axes])
-        for i, k in enumerate(freqs)
-    ) / cfg.epsilon**2
-    symbol[0, 0, 0] = np.inf
-    inv = (1.0 / symbol)[..., None]
+# Cyclic Jacobi sweeps per 3x3 symbol block: four reach rounding on the
+# README symbols and on 20,000 random symmetric blocks; one more is margin.
+_JACOBI_SWEEPS = 5
+# Share of the symbol's largest |eigenvalue| below which the preconditioner
+# raises an |eigenvalue|.
+_SYMBOL_FLOOR = 1e-3
+
+
+def _jacobi(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (..., 3) and eigenvectors (..., 3, 3), in columns, of
+    the symmetric 3x3 blocks of H (..., 3, 3), by ``_JACOBI_SWEEPS`` cyclic
+    sweeps of Jacobi rotations, each of angle at most pi/4 from ``arctan2``,
+    elementwise over the blocks: no BLAS or LAPACK call, so the bits do not
+    depend on the BLAS kernel."""
+    A = np.moveaxis(H, (-2, -1), (0, 1)).copy()
+    V = np.zeros_like(A)
+    for i in range(3):
+        V[i, i] = 1.0
+    for _ in range(_JACOBI_SWEEPS):
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            d = A[q, q] - A[p, p]  # the angle t zeroes A[p, q]: tan 2t = 2 A[p, q] / d
+            t = 0.5 * np.arctan2(np.where(d < 0.0, -2.0, 2.0) * A[p, q], np.abs(d))
+            c, s = np.cos(t), np.sin(t)
+            for X in (A, V):
+                X[:, p], X[:, q] = c * X[:, p] - s * X[:, q], s * X[:, p] + c * X[:, q]
+            A[p], A[q] = c * A[p] - s * A[q], s * A[p] + c * A[q]
+    return np.diagonal(A, axis1=0, axis2=1), np.moveaxis(V, (0, 1), (-2, -1))
+
+
+def _symbol_inverse(config: RunConfig) -> Callable[[np.ndarray], np.ndarray]:
+    """The preconditioner of ``minimize``, applied by ``numpy.fft`` to an
+    (N1, N2, N3, 3) array: per wavevector, the inverse of |H|, H the
+    Fourier symbol of the configured model's Hessian at y_F
+    (``energies._hessian_symbol``) with every |eigenvalue| raised to at
+    least ``_SYMBOL_FLOOR`` times the largest, and the zero mode dropped,
+    so the result has zero mean. The symbol reads the model's own stencil
+    batches: the exact bond for atomistic, the cell-averaged bond for
+    acb-cell, the six staircase templates for acb-tetra and the coupled
+    models, and for the naive control three harmonic axis bonds, whose
+    symbol is the lattice Laplacian's. It is built at the first call."""
+    cfg, axes = config.cfg, (0, 1, 2)
+
+    @cache
+    def columns() -> list[np.ndarray]:
+        fam, laws = config.model_family, config.laws
+        if fam == "naive":
+            fam, laws = "atomistic", InteractionSet(tuple(make_law(e, "harmonic") for e in np.eye(3, dtype=int)))
+        batches = _lattice_batches(fam if fam in ("atomistic", "acb-cell") else "acb-tetra", laws, cfg.N)
+        lam, V = _jacobi(_hessian_symbol(batches, config.F, cfg.N, cfg.epsilon))
+        mu = np.abs(lam)
+        mu = np.maximum(mu, _SYMBOL_FLOOR * mu.max())
+        mu[0, 0, 0] = np.inf
+        W = V / mu[..., None, :]
+        # column j of the inverse: sum_k (V_ik / mu_k) V_jk, in k order
+        return [W[..., 0] * V[..., j, 0, None] + W[..., 1] * V[..., j, 1, None] + W[..., 2] * V[..., j, 2, None]
+                for j in range(3)]
 
     def apply(g: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(np.fft.rfftn(g, axes=axes) * inv, s=cfg.N, axes=axes)
+        c0, c1, c2 = columns()
+        gh = np.fft.rfftn(g, axes=axes)
+        return np.fft.irfftn(c0 * gh[..., :1] + c1 * gh[..., 1:2] + c2 * gh[..., 2:], s=cfg.N, axes=axes)
 
     return apply
 
@@ -672,8 +725,14 @@ def _lbfgs_direction(g: np.ndarray, pairs, precondition) -> np.ndarray:
 
 def minimize(config: RunConfig, f: LatticeField | None = None) -> tuple[Deformation, EnergyReport, list[dict]]:
     """Minimize E(y) - <f, v>_eps over zero-mean displacements v by L-BFGS
-    (the last ``LBFGS_MEMORY`` curvature pairs) preconditioned with the
-    periodic lattice Laplacian, with Armijo backtracking from step 1.
+    (the last ``LBFGS_MEMORY`` curvature pairs) with Armijo backtracking
+    from step 1, preconditioned with the configured model's own Hessian at
+    y_F (``_symbol_inverse``): per wavevector the inverse of |H|, H the
+    3x3 Fourier symbol of the model's stencils (the exact bond, the
+    cell-averaged bond, or the six staircase templates for acb-tetra and
+    the coupled models; the lattice Laplacian for the naive control), its
+    |eigenvalues| floored. The symbol is built at the first direction, so a
+    solve that converges at v = 0 builds none.
 
     The line search compares ``report.excess`` - <f, v>_eps, the objective
     measured from the homogeneous bond, whose differences are not lost in
@@ -705,7 +764,7 @@ def minimize(config: RunConfig, f: LatticeField | None = None) -> tuple[Deformat
         raise ValueError(f"force field must have zero average, got mean {f.mean()}")
     max_iters, g_tol = config.solve["max_iters"], config.solve["g_tol"]
     scale = residual_scale(config)
-    precondition = _laplacian_inverse(cfg)
+    precondition = _symbol_inverse(config)
     eps3 = cfg.epsilon**3
     evaluations = 0
 

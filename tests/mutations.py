@@ -171,7 +171,7 @@ MUTATIONS = [
     ("energies.py",
      "                        parked = i\n",
      "                        parked = -1\n",
-     "tests/test_lanes.py::test_unit_slots_are_held_from_the_first_piece_to_the_finish"),
+     "tests/test_lanes.py::test_helper_lane_commits_while_the_callers_first_unit_is_held"),
     # a lane finishing a unit without waiting for its parked unit's add
     ("energies.py",
      "                    with added:\n"
@@ -190,6 +190,41 @@ MUTATIONS = [
      '        if r["share_ulps"] > _SHARE_ULPS:',
      '        if False:',
      "tests/test_harness.py::test_sweep_fails_when_a_model_misses_the_homogeneous_share"),
+    # the preconditioner inverting lam, not |lam|, below the floor
+    ("harness.py",
+     "        mu = np.abs(lam)\n",
+     "        mu = lam.copy()\n",
+     "tests/test_harness.py::test_the_preconditioner_is_the_floored_inverse_of_the_symbol[atomistic]"),
+    # a stencil's first term dropped from its symbol
+    ("energies.py",
+     "        for s, c in op.terms:\n            b += c",
+     "        for s, c in op.terms[1:]:\n            b += c",
+     "tests/test_harness.py::test_the_symbol_is_the_hessian_on_plane_waves[atomistic]"),
+    # two Jacobi sweeps, short of rounding
+    ("harness.py",
+     "_JACOBI_SWEEPS = 5\n",
+     "_JACOBI_SWEEPS = 2\n",
+     "tests/test_harness.py::test_the_atomistic_symbol_of_the_readme_laws_has_its_baseline_minimum"),
+    # the zero mode kept, at the floor
+    ("harness.py",
+     "        mu[0, 0, 0] = np.inf\n",
+     "        pass\n",
+     "tests/test_harness.py::test_the_preconditioner_is_the_floored_inverse_of_the_symbol[acb-cell]"),
+    # the coupled models preconditioned with the exact bond's symbol
+    ("harness.py",
+     'fam if fam in ("atomistic", "acb-cell") else "acb-tetra"',
+     'fam if fam in ("atomistic", "acb-cell") else "atomistic"',
+     "tests/test_harness.py::test_the_preconditioner_is_the_floored_inverse_of_the_symbol[coupled]"),
+    # the naive control preconditioned with its laws' staircase symbol
+    ("harness.py",
+     '        if fam == "naive":\n',
+     "        if False:\n",
+     "tests/test_harness.py::test_the_naive_preconditioner_is_the_lattice_laplacian_inverse"),
+    # the symbol built with the preconditioner, not at its first call
+    ("harness.py",
+     "    def apply(g: np.ndarray) -> np.ndarray:\n        c0, c1, c2 = columns()\n",
+     "    columns()\n\n    def apply(g: np.ndarray) -> np.ndarray:\n        c0, c1, c2 = columns()\n",
+     "tests/test_harness.py::test_an_unforced_solve_builds_no_symbol"),
 ]
 
 

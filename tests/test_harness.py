@@ -422,8 +422,8 @@ def test_solve_at_a_large_force_amplitude_runs_to_its_summary(tmp_path, capsys):
 
 
 def test_minimize_iteration_cap_is_flagged():
-    # The harmonic problem lies in one eigenspace of the preconditioner and
-    # is solved by the first step; the README laws take more than two.
+    # The harmonic problem's preconditioner is its own inverse Hessian, so
+    # the first step solves it; the README coupled solve takes more than two.
     config = readme_solver_config(max_iters=2)
     f = sine_force(config.cfg)
     _, report, trace = minimize(config, f)
@@ -433,12 +433,20 @@ def test_minimize_iteration_cap_is_flagged():
     assert report.diagnostics["stop_reason"] == "iteration-cap"
 
 
+# Evaluations of the README solve per model with the symbol preconditioner
+# (iterations: 2 for the uncoupled models, 16 coupled, 90 naive). With the
+# scalar Laplacian for every model they were 13, 13, 16, 36, 36, 36 and 115.
+README_SOLVE_EVALUATIONS = {"atomistic": 3, "acb-tetra": 3, "acb-cell": 3, "coupled": 18, "coupled-dg": 18,
+                            "coupled-ho(1)": 18, "naive": 97}
+
+
 @pytest.mark.parametrize(
     "model", ["atomistic", "acb-tetra", "acb-cell", "coupled", "coupled-dg", "coupled-ho(1)", "naive"]
 )
 def test_minimize_converges_on_the_readme_example(model):
     """The README solve (force amplitude 0.01) reaches the tolerance within
-    the iteration cap for every lattice-state model."""
+    the iteration cap for every lattice-state model, in no more evaluations
+    than ``README_SOLVE_EVALUATIONS`` names."""
     config = readme_solver_config(model)
     f = sine_force(config.cfg)
     _, report, trace = minimize(config, f)
@@ -446,7 +454,163 @@ def test_minimize_converges_on_the_readme_example(model):
     assert diag["stop_reason"] == "converged" and diag["converged"] is True
     assert trace[-1]["gnorm"] <= 1e-8
     assert diag["iterations"] == len(trace) - 1 <= 200
-    assert diag["evaluations"] >= len(trace)
+    assert len(trace) <= diag["evaluations"] <= README_SOLVE_EVALUATIONS[model]
+
+
+def readme_symbol(model):
+    """The README laws' Hessian symbol at y_F, N=12, of the stencils of an
+    uncoupled model."""
+    config = readme_solver_config(model)
+    cfg = config.cfg
+    return config, energies._hessian_symbol(energies._lattice_batches(model, config.laws, cfg.N), config.F,
+                                            cfg.N, cfg.epsilon)
+
+
+@pytest.mark.parametrize("model", ["atomistic", "acb-tetra"])
+def test_the_symbol_is_the_hessian_on_plane_waves(model):
+    """On the plane wave v_l = cos(theta . l) u, central differences of the
+    model's gradient at y_F (h = 1e-6) are H(theta) u cos(theta . l) to
+    1e-6 relative, at the atomistic minimum k = (6, 6, 0) and three other
+    wavevectors of the rfftn grid."""
+    config, H = readme_symbol(model)
+    cfg = config.cfg
+    l = np.indices(cfg.N, dtype=float)
+    u = np.array([0.3, -0.5, 0.8])
+    h = 1e-6
+    for k in [(6, 6, 0), (1, 2, 3), (5, 0, 4), (3, 11, 6)]:
+        wave = np.cos(sum(2 * np.pi * k[a] * l[a] / cfg.N[a] for a in range(3)))[..., None]
+
+        def grad(t):
+            y = make_deformation(config.F, LatticeField(cfg, t * wave * u))
+            return evaluate_model(config, y).gradient.values
+
+        fd = (grad(h) - grad(-h)) / (2 * h)
+        want = wave * (H[k] @ u)
+        assert np.abs(fd - want).max() <= 1e-6 * np.abs(want).max(), k
+
+
+def test_the_atomistic_symbol_of_the_readme_laws_has_its_baseline_minimum():
+    """The README laws' atomistic symbol at F = I and N=12 is indefinite:
+    its smallest eigenvalue is -204.47, at k = (6, 6, 0). The Jacobi
+    eigenpairs agree with LAPACK's eigenvalues and rebuild every block, for
+    the three uncoupled stencils."""
+    for model in ("atomistic", "acb-tetra", "acb-cell"):
+        config, H = readme_symbol(model)
+        assert np.array_equal(config.F, np.eye(3))
+        lam, V = harness._jacobi(H)
+        scale = np.abs(H).max()
+        assert np.abs(np.sort(lam, axis=-1) - np.linalg.eigvalsh(H)).max() <= 1e-14 * scale
+        assert np.abs(np.einsum("...ik,...k,...jk->...ij", V, lam, V) - H).max() <= 1e-14 * scale
+        if model == "atomistic":
+            assert round(float(lam.min()), 2) == -204.47
+            assert np.unravel_index(np.argmin(lam.min(axis=-1)), lam.shape[:-1]) == (6, 6, 0)
+
+
+@pytest.mark.parametrize("model", ["atomistic", "acb-cell", "coupled"])
+def test_the_preconditioner_is_the_floored_inverse_of_the_symbol(model):
+    """Per wavevector the preconditioner applies V diag(1 / mu) V^T, with
+    (lam, V) LAPACK's eigenpairs of the model's symbol and
+    mu = max(|lam|, 1e-3 max |lam|), and drops the zero mode. The atomistic
+    and acb-cell symbols are indefinite, and the acb-cell symbol has
+    eigenvalues below the floor (its checkerboard modes), so both the |.|
+    and the floor act. The coupled models take the staircase symbol of
+    acb-tetra, which is positive here. The input has a nonzero mean, which
+    the output must not carry."""
+    config = readme_solver_config(model)
+    cfg = config.cfg
+    _, H = readme_symbol("acb-tetra" if model == "coupled" else model)
+    lam, V = np.linalg.eigh(H)
+    mu = np.abs(lam)
+    floor = 1e-3 * mu.max()
+    assert bool(lam.min() < 0.0) is (model != "coupled")
+    assert bool(np.sum(mu < floor) > 3) is (model == "acb-cell")  # more than the zero mode's three
+    mu = np.maximum(mu, floor)
+    inverse = np.einsum("...ik,...k,...jk->...ij", V, 1.0 / mu, V)
+    inverse[0, 0, 0] = 0.0
+    g = np.random.default_rng(5).standard_normal(cfg.shape) + 0.25
+    want = np.fft.irfftn(np.einsum("...ij,...j->...i", inverse, np.fft.rfftn(g, axes=(0, 1, 2))), s=cfg.N,
+                         axes=(0, 1, 2))
+    got = harness._symbol_inverse(config)(g)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(got.mean(axis=(0, 1, 2))).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_the_naive_preconditioner_is_the_lattice_laplacian_inverse():
+    """The naive control's symbol is three harmonic axis bonds: the lattice
+    Laplacian sum_a 4 sin^2(pi k_a / N_a) / eps^2 times the identity, far
+    above the floor on N=12."""
+    config = readme_solver_config("naive")
+    cfg = config.cfg
+    k = [np.fft.fftfreq(n) for n in cfg.N[:2]] + [np.fft.rfftfreq(cfg.N[2])]
+    symbol = sum((4.0 * np.sin(np.pi * q) ** 2).reshape([-1 if a == i else 1 for a in range(3)])
+                 for i, q in enumerate(k)) / cfg.epsilon**2
+    symbol[0, 0, 0] = np.inf
+    g = np.random.default_rng(6).standard_normal(cfg.shape)
+    want = np.fft.irfftn(np.fft.rfftn(g, axes=(0, 1, 2)) / symbol[..., None], s=cfg.N, axes=(0, 1, 2))
+    got = harness._symbol_inverse(config)(g)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_an_unforced_solve_builds_no_symbol(monkeypatch):
+    """The symbol is built at the first preconditioner call, once: an
+    unforced README solve stops at iteration 0 and builds none; a forced
+    one builds one."""
+    built = []
+    symbol = harness._hessian_symbol
+
+    def recording(*args):
+        built.append(1)
+        return symbol(*args)
+
+    monkeypatch.setattr(harness, "_hessian_symbol", recording)
+    config = readme_solver_config("coupled")
+    _, report, _ = minimize(config)
+    assert report.diagnostics["iterations"] == 0 and report.diagnostics["converged"] is True
+    assert built == []
+    minimize(config, sine_force(config.cfg))
+    assert built == [1]
+
+
+_PRECONDITIONER_DIGESTS = """
+import hashlib, json
+import numpy as np
+from bvcouple import harness
+for model in ("atomistic", "acb-cell", "coupled"):
+    data = json.loads(json.dumps(harness.DEFAULT_CONFIG))
+    data["model"] = model
+    config = harness.config_from_dict(data)
+    g = np.random.default_rng(5).standard_normal(config.cfg.shape)
+    print(model, hashlib.sha256(harness._symbol_inverse(config)(g).tobytes()).hexdigest())
+"""
+
+
+def _openblas_cores() -> list[str]:
+    """The OpenBLAS kernels this CPU can run, from its /proc/cpuinfo flags."""
+    try:
+        flags = set(next(line for line in Path("/proc/cpuinfo").read_text().splitlines()
+                         if line.startswith("flags")).split())
+    except (OSError, StopIteration):
+        return []
+    return ["Prescott", "Sandybridge"] + ["Haswell"] * ("avx2" in flags) + ["SkylakeX"] * ("avx512f" in flags)
+
+
+@pytest.mark.skipif(len(_openblas_cores()) < 2, reason="needs an x86 CPU that reports its flags")
+def test_the_preconditioner_bits_do_not_depend_on_the_blas_kernel():
+    """The preconditioner of the atomistic, acb-cell and coupled models on
+    the README config, applied to one seeded field, in child processes
+    under each OpenBLAS kernel the CPU runs (``OPENBLAS_CORETYPE``, set for
+    the child only): one digest per model. A build by LAPACK's ``eigh`` and
+    ``@`` phases gave three digests under five kernels."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    outputs = set()
+    for core in _openblas_cores():
+        env = {**os.environ, "OPENBLAS_CORETYPE": core,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", _PRECONDITIONER_DIGESTS], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.count("\n") == 3
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
 
 
 _N24_TRACE = """

@@ -562,14 +562,28 @@ def test_helper_lane_commits_while_the_callers_first_unit_is_held(monkeypatch):
     helper piece takes 50 ms, so the helper finishes the stream's last unit
     and adds it itself. The results are added in unit order whichever lane
     adds them: the report is bitwise the one-lane report, and the helper
-    lane made at least one of the 18 adds."""
+    lane made at least one of the 18 adds. The helper lane reserves its
+    workspace, and so pulls its first piece, only once the caller has
+    started unit 0: a helper thread made for this stream could otherwise
+    pull unit 0 first."""
     evaluate = model_calls()["acb-tetra"]
     one_lane(monkeypatch)
     ref = evaluate()
     two_lanes(monkeypatch)
     run, finish, add = energies._Unit.run, energies._Unit.finish, energies._Term.add
-    released = threading.Event()
+    start, reserve = energies._Unit.start, energies._Workspace.reserve
+    released, started = threading.Event(), threading.Event()
     helper_units, held, adds, adds_at_finish = [], [], [], []
+
+    def spy_start(self, out):
+        if not on_helper_lane():
+            started.set()
+        return start(self, out)
+
+    def spy_reserve(self, units, slots):
+        if on_helper_lane():
+            assert started.wait(30.0)
+        return reserve(self, units, slots)
 
     def spy_run(self, k, ws):
         if on_helper_lane():
@@ -596,6 +610,8 @@ def test_helper_lane_commits_while_the_callers_first_unit_is_held(monkeypatch):
     monkeypatch.setattr(energies._Unit, "run", spy_run)
     monkeypatch.setattr(energies._Unit, "finish", spy_finish)
     monkeypatch.setattr(energies._Term, "add", recording_add)
+    monkeypatch.setattr(energies._Unit, "start", spy_start)
+    monkeypatch.setattr(energies._Workspace, "reserve", spy_reserve)
     rep = evaluate()
     assert held == [True] and len(helper_units) >= 2
     assert adds_at_finish[:2] == [0, 2] and adds[:2] == [False, False]
