@@ -123,17 +123,18 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .energies import (
     _ONE,
     EnergyReport,
     _bond_stencil,
+    _Csr,
     _drop_workspaces,
     _Gather,
     _lattice_model,
     _report,
     _site_error,
+    _sparsetools,
     _spmv,
     _staircase_stencils,
     _term,
@@ -376,14 +377,28 @@ def _cone_tets(mu, w, eta, part: RegionPartition, reduce_mode: bool):
 # Precomputed per-direction assembly blocks
 # ======================================================================
 
-def _csr(rows, cols, vals, shape) -> sparse.csr_array:
-    """CSR operator from (row, column, value) entries; duplicates are summed."""
-    idx = np.int32 if max(shape) < 2**31 else np.int64
-    return sparse.csr_array(
-        (np.asarray(vals, dtype=float),
-         (np.asarray(rows, dtype=idx), np.asarray(cols, dtype=idx))),
-        shape=shape,
-    )
+def _csr(rows, cols, vals, shape) -> _Csr:
+    """CSR map from (row, column, value) entries, duplicates summed, by the
+    steps of scipy's ``csr_array((vals, (rows, cols)), shape)``, so with its
+    arrays and index dtype: the COO to CSR conversion, then, unless the
+    result is canonical, its columns sorted (where they are not) and its
+    duplicates summed. Like scipy, it rejects an entry outside the shape."""
+    n_rows, n_cols = shape
+    vals = np.asarray(vals, dtype=float)
+    idx = np.int32 if max(n_rows, n_cols, vals.size) < 2**31 else np.int64
+    rows, cols = np.asarray(rows, dtype=idx), np.asarray(cols, dtype=idx)
+    for a, n in ((rows, n_rows), (cols, n_cols)):
+        if a.shape != vals.shape or a.size and not 0 <= a.min() <= a.max() < n:
+            raise ValueError(f"CSR entries must be {vals.size} indices in [0, {n}) per axis")
+    indptr = np.empty(n_rows + 1, dtype=idx)
+    indices, data = np.empty(vals.size, dtype=idx), np.empty_like(vals)
+    _sparsetools.coo_tocsr(n_rows, n_cols, vals.size, rows, cols, vals, indptr, indices, data)
+    if not _sparsetools.csr_has_canonical_format(n_rows, indptr, indices):
+        if not _sparsetools.csr_has_sorted_indices(n_rows, indptr, indices):
+            _sparsetools.csr_sort_indices(n_rows, indptr, indices, data)
+        _sparsetools.csr_sum_duplicates(n_rows, n_cols, indptr, indices, data)
+        indices, data = indices[: indptr[-1]], data[: indptr[-1]]
+    return _Csr(indptr, indices, data, (n_rows, n_cols))
 
 
 def _flat(sites, N) -> np.ndarray:
@@ -406,9 +421,9 @@ class _GammaData:
 class _JumpOps:
     """The jump term's operators on the fine interface triangles."""
 
-    minus_op: sparse.csr_array    # (Tg, n_sites) the cone_op rows of the tets carrying the inner trace
-    plus_op: sparse.csr_array     # (Tg, n_sites) eta-weighted edge differences of the outer staircase tet
-    trace_op: sparse.csr_array    # (Tg, n_sites) sum of the triangle's three vertex values
+    minus_op: _Csr                # (Tg, n_sites) the cone_op rows of the tets carrying the inner trace
+    plus_op: _Csr                 # (Tg, n_sites) eta-weighted edge differences of the outer staircase tet
+    trace_op: _Csr                # (Tg, n_sites) sum of the triangle's three vertex values
 
 
 @dataclass
@@ -567,11 +582,8 @@ def _build_eta_block(part: RegionPartition, eta: IntTriple) -> _EtaBlock:
     entry = _ranges(shape_op.indptr[tet0][shape], shape_nnz)
     shift = np.repeat(mu_d @ np.array([N[1] * N[2], N[2], 1]), shape_nnz)
     idx = shape_op.indices.dtype
-    cone_op = sparse.csr_array(
-        (shape_op.data[entry], (shape_op.indices[entry] + shift).astype(idx),
-         np.concatenate([[0], np.cumsum(row_nnz[tet])]).astype(idx)),
-        shape=(len(tet), n_sites),
-    )
+    cone_op = _Csr(np.concatenate([[0], np.cumsum(row_nnz[tet])]).astype(idx),
+                   (shape_op.indices[entry] + shift).astype(idx), shape_op.data[entry], (len(tet), n_sites))
 
     # --- the jump rows: the copies of the flagged shape tets ------------
     # A fine triangle's three lattice sites are its tet's last three

@@ -39,18 +39,23 @@ site a row belongs to, named in domain errors):
   matrix-free: as CSR the cell bond at N=128 would hold 16.8M nonzeros;
 - a sparse gather ``_Gather`` for the irregular terms: a cached CSR map to
   element-local values, then a dense (nq, nloc) coefficient block shared
-  by every element. The atomistic bonds and interface cones of
-  ``coupling`` are elements with one local value and coefficient ``_ONE``
-  = [[1.0]], which apply their CSR map alone, in both directions: the 1x1
-  products would only copy. The Pk elements of ``highorder`` gather their
-  local nodes and apply the shape-function gradients times eta at each
-  quadrature point. Their CSR rows come in blocks of elements
-  (``highorder._PK_BLOCK``), node-major within a block, so each direction
-  is one small matrix product per block, read from and written to the
-  gather's rows in place, with no transposing copy; the rows of one block
-  are point-major, (point, element). Padding elements fill the last block:
-  their CSR rows are empty, so their bonds are exactly F eta, and they add
-  exactly 0.0 to the excess and nothing to a gradient.
+  by every element. The map is a ``_Csr`` record of scipy's arrays; its
+  row gather and products (``_spmv``) are scipy's compiled routines, the
+  ``_sparsetools`` extension loaded by its file path
+  (``_load_sparsetools``) without the ``scipy.sparse`` package around it,
+  so their bits are those of ``scipy.sparse``. The atomistic bonds and
+  interface cones of ``coupling`` are elements with one local value and
+  coefficient ``_ONE`` = [[1.0]], which apply their CSR map alone, in both
+  directions: the 1x1 products would only copy. The Pk elements of
+  ``highorder`` gather their local nodes and apply the shape-function
+  gradients times eta at each quadrature point. Their CSR rows come in
+  blocks of elements (``highorder._PK_BLOCK``), node-major within a block,
+  so each direction is one small matrix product per block, read from and
+  written to the gather's rows in place, with no transposing copy; the
+  rows of one block are point-major, (point, element). Padding elements
+  fill the last block: their CSR rows are empty, so their bonds are
+  exactly F eta, and they add exactly 0.0 to the excess and nothing to a
+  gradient.
 
 Pieces (``_pieces``): a piece is the run of rows that one law evaluation
 covers. A lone stencil batch of more than ``_SLAB_ROWS`` rows runs through
@@ -206,8 +211,11 @@ calling thread.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 import threading
 import time
 import weakref
@@ -219,12 +227,31 @@ from operator import add
 from typing import Any
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import _sparsetools
+import scipy
 
 from .geometry import PATH_PERMS, path_edge_offsets
 from .lattice import Deformation, IntTriple, LatticeField
 from .potentials import InteractionLaw, InteractionSet, PotentialDomainError
+
+
+def _load_sparsetools():
+    """scipy's compiled sparse routines, the ``_sparsetools`` extension of
+    ``scipy.sparse``, loaded by its file path: importing the ``scipy.sparse``
+    package around it would cost most of a cold command. The module is
+    registered under its own name, so a later ``import scipy.sparse`` reuses
+    it, and one that an earlier ``import scipy.sparse`` loaded is used here."""
+    name = "scipy.sparse._sparsetools"
+    if name not in sys.modules:
+        path = os.path.join(os.path.dirname(scipy.__file__), "sparse",
+                            "_sparsetools" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+_sparsetools = _load_sparsetools()
 
 
 @dataclass
@@ -688,6 +715,44 @@ _ONE = np.ones((1, 1))
 
 
 @dataclass(frozen=True, eq=False)
+class _Csr:
+    """A compressed sparse map: the index pointer, column (or, as CSC, row)
+    indices and values of a ``shape`` matrix in ``format`` "csr" or "csc",
+    the arrays scipy's sparse routines (``_sparsetools``) take. ``.T`` is the
+    CSC view of the same arrays, a CSR map's row gather ``G[rows]`` and
+    every product (``_spmv``) are scipy's own routines, so every bit is that
+    of the ``scipy.sparse`` arrays with these fields."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+    format: str = "csr"
+
+    @property
+    def T(self) -> "_Csr":
+        return _Csr(self.indptr, self.indices, self.data, self.shape[::-1], "csc" if self.format == "csr" else "csr")
+
+    def __getitem__(self, rows) -> "_Csr":
+        """The CSR map of the rows ``rows`` of a CSR map, in that order."""
+        idx = self.indptr.dtype
+        rows = np.asarray(rows, dtype=idx).ravel()
+        if self.format != "csr" or rows.size and not 0 <= rows.min() <= rows.max() < self.shape[0]:
+            raise IndexError(f"rows of a {self.format} map of shape {self.shape} must be in [0, {self.shape[0]})")
+        indptr = np.zeros(rows.size + 1, dtype=idx)
+        np.cumsum(self.indptr[rows + 1] - self.indptr[rows], out=indptr[1:])
+        indices, data = np.empty(indptr[-1], dtype=idx), np.empty(indptr[-1], dtype=self.data.dtype)
+        _sparsetools.csr_row_index(rows.size, rows, self.indptr, self.indices, self.data, indices, data)
+        return _Csr(indptr, indices, data, (rows.size, self.shape[1]))
+
+    def __matmul__(self, x):
+        """The product with an (n, 3) x, a new array."""
+        if np.shape(x) != (self.shape[1], 3):
+            raise ValueError(f"a sparse map of shape {self.shape} takes (n, 3) arrays of {self.shape[1]} rows")
+        return _spmv(self, x, np.empty((self.shape[0], 3)))
+
+
+@dataclass(frozen=True, eq=False)
 class _Gather:
     """Sparse gather: element e's local values ``G @ x`` times the
     coefficient block ``coef``, one row per (element, quadrature point),
@@ -704,7 +769,7 @@ class _Gather:
     row is its gathered value, so both directions apply ``G`` alone: the
     1x1 products would only copy."""
 
-    G: sparse.csr_array     # (E' nloc, n_cols) element-local values, E' = E padded to whole blocks
+    G: _Csr                 # (E' nloc, n_cols) element-local values, E' = E padded to whole blocks
     coef: np.ndarray        # (nq, nloc)
     sites: np.ndarray       # (E,) flat lattice site per element
     N: IntTriple
@@ -753,11 +818,11 @@ class _Gather:
         return tuple(int(i) for i in np.unravel_index(int(self.sites[e]), self.N))
 
 
-def _spmv(A, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """A @ x for a CSR or CSC matrix A and an (n, 3) x, written into
-    ``out``, a C-contiguous array of A.shape[0] rows, and returned:
-    scipy's own product routine (the one ``A @ x`` calls, so the same bits),
-    without the result array it would allocate."""
+def _spmv(A: _Csr, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A @ x for a CSR or CSC map A and an (n, 3) x, written into ``out``,
+    a C-contiguous array of A.shape[0] rows, and returned: scipy's own
+    product routine (the one a ``scipy.sparse`` array's ``A @ x`` calls, so
+    the same bits), without the result array it would allocate."""
     if not out.flags.c_contiguous:
         raise ValueError("the output of a sparse product must be C-contiguous")
     out[...] = 0.0

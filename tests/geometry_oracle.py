@@ -37,7 +37,7 @@ from bvcouple.coupling import (
     _plus_side_perm,
     omega_star_mask,
 )
-from bvcouple.energies import _ONE, _Gather, _Weights, _weights
+from bvcouple.energies import _ONE, _Csr, _Gather, _Weights, _weights
 from bvcouple.geometry import PATH_PERMS, _staircase_simplices, enumerate_coverings, nondegenerate_eta
 from bvcouple.lattice import IntTriple, LatticeConfig, LatticeField, make_deformation
 from bvcouple.potentials import InteractionSet, make_law
@@ -512,9 +512,9 @@ def per_member_eta_block(cfg: LatticeConfig, part: RegionPartition, eta: IntTrip
 
 def _array_fields(obj, name):
     """(name, array) pairs of everything a block field holds."""
-    if isinstance(obj, sparse.csr_array):
+    if isinstance(obj, _Csr):
         yield from ((f"{name}.{a}", getattr(obj, a)) for a in ("data", "indices", "indptr"))
-        yield f"{name}.shape", np.asarray(obj.shape)
+        yield from ((f"{name}.{a}", np.asarray(getattr(obj, a))) for a in ("shape", "format"))
     elif isinstance(obj, _Gather):
         yield from _array_fields(obj.G, f"{name}.G")
         yield from ((f"{name}.{a}", getattr(obj, a)) for a in ("coef", "sites"))
@@ -526,6 +526,13 @@ def _array_fields(obj, name):
             yield from _array_fields(getattr(obj, a), f"{name}.{a}")
     else:
         yield name, np.asarray(obj)
+
+
+def scipy_csr(G: _Csr) -> sparse.csr_array:
+    """The ``scipy.sparse.csr_array`` on the arrays of a CSR map, for the
+    tests that read what only scipy's arrays have."""
+    assert G.format == "csr"
+    return sparse.csr_array((G.data, G.indices, G.indptr), shape=G.shape)
 
 
 def block_mismatches(block: _EtaBlock, ref: _EtaBlock, ref_jump: _JumpOps) -> list[str]:

@@ -225,6 +225,16 @@ MUTATIONS = [
      "    def apply(g: np.ndarray) -> np.ndarray:\n        c0, c1, c2 = columns()\n",
      "    columns()\n\n    def apply(g: np.ndarray) -> np.ndarray:\n        c0, c1, c2 = columns()\n",
      "tests/test_harness.py::test_an_unforced_solve_builds_no_symbol"),
+    # CSR maps built without summing their duplicate entries
+    ("coupling.py",
+     "        _sparsetools.csr_sum_duplicates(n_rows, n_cols, indptr, indices, data)\n",
+     "        pass\n",
+     "tests/test_csr.py::test_csr_is_scipys_coo_to_csr[True-False]"),
+    # the scipy.sparse package imported by the package again
+    ("coupling.py",
+     "import numpy as np\n\nfrom .energies import (\n",
+     "import numpy as np\nfrom scipy import sparse\n\nfrom .energies import (\n",
+     "tests/test_highorder.py::test_importing_the_cli_does_not_load_scipy_sparse[]"),
 ]
 
 

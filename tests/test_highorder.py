@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
@@ -28,7 +29,7 @@ from bvcouple.lattice import (
     make_deformation,
 )
 from bvcouple.potentials import InteractionSet, cb_energy_density, make_law, piola_stress
-from geometry_oracle import mesh_mismatches, oracle_placements, row_unique_keys
+from geometry_oracle import mesh_mismatches, oracle_placements, row_unique_keys, scipy_csr
 
 
 def cfg8() -> LatticeConfig:
@@ -100,6 +101,47 @@ def test_importing_the_cli_does_not_load_scipy_special():
             "bvcouple.highorder.conical_quadrature(2); print(before, 'scipy.special' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["False", "True"]
+
+
+# Run in a fresh interpreter, with scipy.sparse imported where {first} says:
+# which of the scipy.sparse package, scipy's array-API shim and numpy.f2py
+# importing bvcouple.cli loaded, whether bvcouple's _sparsetools is the
+# module and the file that scipy.sparse imports, and a product of each.
+_SPARSE_IMPORT_CHECK = """
+import importlib.machinery, json, os, sys
+import numpy as np
+{first}
+import bvcouple.cli
+loaded = [m for m in ("scipy.sparse", "scipy._lib._array_api", "numpy.f2py") if m in sys.modules]
+from bvcouple import energies
+from bvcouple.coupling import _csr
+import scipy.sparse
+from scipy.sparse import _sparsetools
+spec = importlib.machinery.PathFinder.find_spec("_sparsetools", scipy.sparse.__path__)
+entries = ([1.0, 2.0, 3.0], ([0, 1, 0], [1, 0, 1]))
+print(json.dumps([loaded, energies._sparsetools is _sparsetools, os.path.samefile(_sparsetools.__file__, spec.origin),
+                  (scipy.sparse.csr_array(entries, shape=(2, 2)) @ np.ones((2, 3))).tolist(),
+                  (_csr(*entries[1], entries[0], (2, 2)) @ np.ones((2, 3))).tolist()]))
+"""
+
+
+@pytest.mark.parametrize("first", ["", "import scipy.sparse"])
+def test_importing_the_cli_does_not_load_scipy_sparse(first):
+    """bvcouple loads scipy's compiled sparse routines by their file path
+    (``energies._load_sparsetools``). A fresh interpreter that imports
+    bvcouple.cli has loaded neither the scipy.sparse package nor what its
+    import pulls in, scipy's array-API shim and numpy.f2py; the routines it
+    loaded are the module and the file that scipy.sparse imports; and a
+    product of scipy.sparse and one of bvcouple work whether scipy.sparse
+    is imported after bvcouple or before it."""
+    src = str(Path(highorder.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = _SPARSE_IMPORT_CHECK.format(first=first)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded, same_module, same_file, product, ours = json.loads(done.stdout)
+    assert loaded == [] or first
+    assert same_module and same_file
+    assert product == ours == [[4.0] * 3, [2.0] * 3]
 
 
 def test_simplex_multi_indices_count_and_sums():
@@ -354,7 +396,7 @@ def test_pk_domain_error_names_the_element_cell():
         nloc = len(simplex_multi_indices(k))
         cells_of: dict[int, set] = {}
         for op, cells in zip(mesh.elem_ops, mesh.elem_cells):
-            coo = op.tocoo()
+            coo = scipy_csr(op).tocoo()
             free = coo.col >= cfg.n_sites
             for row, col in zip(coo.row[free], coo.col[free]):
                 # row (block b, node j, element i) is element b * block + i
@@ -583,14 +625,14 @@ def test_blocked_gathers_match_the_element_major_oracle(monkeypatch, k, corner, 
         rows = oracle_rows(E, nq, block)
         real = rows >= 0
         want = element_major(ref.G, ref.coef, x)
-        bound = element_major(abs(ref.G), abs(ref.coef), abs(x))
+        bound = element_major(abs(scipy_csr(ref.G)), abs(ref.coef), abs(x))
         got = op @ x
         assert np.all(np.abs(got[real] - want[rows[real]]) <= 1e-14 * bound[rows[real]])
         p = rng.standard_normal((op.rows, 3))
         p_ref = np.empty((ref.rows, 3))
         p_ref[rows[real]] = p[real]
         want_T = element_major_T(ref.G, ref.coef, p_ref)
-        bound_T = element_major_T(abs(ref.G), abs(ref.coef), abs(p_ref))
+        bound_T = element_major_T(abs(scipy_csr(ref.G)), abs(ref.coef), abs(p_ref))
         assert np.all(np.abs(op.T @ p - want_T) <= 1e-14 * bound_T)
 
 
