@@ -70,6 +70,21 @@ finiteness check, the weight scaling and op^T then run on those full
 arrays, as for a batch of one piece, so the bits are those of one piece.
 Every unit, of one piece or many, has these arrays in a unit slot.
 
+Inputs: the kernel reads the displacement as a flat (n_sites, 3) field x,
+or, for stencil batches alone, as three per-axis lines, a tuple whose
+line c holds component c of the displacement at the sites l with that
+l_c (the consistency sweep's displacement, one profile per axis).
+Component c of a stencil's bond row then depends on l_c alone, so a unit
+given lines forms, when it is built and before any piece runs (two lanes
+never form them at once), each of its stencils' three bond lines
+(``_bond_lines``): the terms' adds in term order on that axis's offsets,
+divided by eps and shifted by (F eta)_c, the adds of ``apply`` and
+``_bond_rows`` on every row. ``_bond_rows`` picks the fill from the type
+of what it is given, in one branch: a piece's zeta rows are filled by
+broadcasting the bond lines, and its zero-weight rows still get F eta,
+so every bit is that of the field the lines make, with no array of its
+size built. Lines are read energy-only, and a gather given lines raises.
+
 Masks are zero weights; a zero-weight row is evaluated at the homogeneous
 bond F eta, so a bond a mask drops can neither raise nor contribute. A
 batch's weights are a scalar or a ``_Weights``: the weights with their
@@ -90,8 +105,9 @@ skipped. phi is the same bits at every order, so energy, excess and
 breakdown are those of the full call, and a non-finite phi raises the same
 error; a phi' that would not be finite goes unnoticed, since it is never
 computed. The report's gradient is then None, and its diagnostics carry no
-gradient block. The consistency sweep and the finite-difference probes,
-which read only energies, call the models this way.
+gradient block. The finite-difference probes, which read only energies,
+call the models this way, and the consistency sweep runs the atomistic
+and Cauchy-Born terms this way on per-axis lines (see Inputs).
 
 Every model passes its terms' batches as data: ``_term(name, batches, ...)``
 takes a list of (op, w, law, breakdown key) tuples and sums the energy and
@@ -304,6 +320,10 @@ class _Unit:
     phi' is not computed, so only phi is checked for finiteness."""
 
     def __init__(self, pairs, law: InteractionLaw, key, base, x, eps, gradient: bool):
+        if isinstance(x, tuple):  # per-axis lines: each stencil's bond lines, before any piece runs
+            if gradient:
+                raise ValueError("per-axis displacement lines are read energy-only")
+            x = {op: _bond_lines(op, x, eps, base) for op, _ in pairs}
         self.pairs, self.law, self.key, self.base, self.x, self.eps = pairs, law, key, base, x, eps
         self.order = 1 if gradient else 0
         self.ends = list(accumulate(op.rows for op, _ in pairs))
@@ -321,7 +341,7 @@ class _Unit:
             if gradient and isinstance(w, _Weights):
                 self.split = max(self.split, w.w.size)
         self.scratch_size = self.split + scratch
-        self.contrib_size = len(pairs) * x.size * self.order
+        self.contrib_size = len(pairs) * x.size if gradient else 0
         self.out = None  # phi (and phi'), views of the unit slot, from ``start`` to ``finish``
 
     def start(self, out: np.ndarray) -> None:
@@ -429,23 +449,51 @@ def _bond_rows(pairs, starts, x, eps, base, lo, hi, planes, z, scratch=None):
     rows of zero weight at F eta, written into z and returned; a row of z
     past them gets F eta. ``planes`` is None for every row of every pair,
     else the axis-0 plane range of the lone stencil that the rows cover.
-    ``scratch`` is the operators' flat scratch array (see ``scratch_size``),
-    or None to allocate it."""
+    ``x`` is the flat field, or a dict of each stencil's bond lines
+    (``_bond_lines``), which fill its rows by broadcasting. ``scratch`` is
+    the operators' flat scratch array (see ``scratch_size``), or None to
+    allocate it."""
     m = hi - lo
-    if planes is None:
+    if isinstance(x, dict):
         for (op, _), s in zip(pairs, starts):
-            op.apply(x, z[s:s + op.rows], scratch=scratch)
+            (a, b), (l0, l1, l2) = planes or (0, op.N[0]), x[op]
+            rows = z[s:s + (b - a) * op.N[1] * op.N[2]].reshape(b - a, *op.N[1:], 3)
+            rows[..., 0], rows[..., 1], rows[..., 2] = l0[a:b, None, None], l1[:, None], l2
     else:
-        pairs[0][0].apply(x, z[:m], *planes, scratch=scratch)
-    np.divide(z[:m], eps, out=z[:m])
-    for i in range(3):  # column by column: a (3,) broadcast along rows is slower
-        z[:m, i] += base[i]
+        if planes is None:
+            for (op, _), s in zip(pairs, starts):
+                op.apply(x, z[s:s + op.rows], scratch=scratch)
+        else:
+            pairs[0][0].apply(x, z[:m], *planes, scratch=scratch)
+        np.divide(z[:m], eps, out=z[:m])
+        for i in range(3):  # column by column: a (3,) broadcast along rows is slower
+            z[:m, i] += base[i]
     z[m:] = base
     for (_, w), s in zip(pairs, starts):
         if isinstance(w, _Weights):
             zero = w.zero if planes is None else w.zero[slice(*np.searchsorted(w.zero, (lo, hi)))]
             z[zero + (s - lo)] = base
     return z
+
+
+def _bond_lines(op, lines, eps, base) -> tuple:
+    """The stencil ``op``'s bond vectors F eta + (op @ v) / eps for the
+    displacement v whose component c at site l is ``lines[c][l_c]``: their
+    component c depends on l_c alone, so per axis c one line of N_c
+    values, summed from 0.0 over the terms in term order, as
+    ``_Stencil.apply`` sums them, then divided by eps and shifted by
+    (F eta)_c, as ``_bond_rows`` treats a field's rows; so every bit is
+    that of the field's bond rows. A term adds x c, which for c = 1 or -1
+    is exactly apply's x or -x (a - b is a + (-b) in floating point)."""
+    if not isinstance(op, _Stencil):
+        raise TypeError(f"per-axis displacement lines need stencil batches, got {type(op).__name__}")
+    out = []
+    for c, line in enumerate(lines):
+        acc = np.zeros(len(line))
+        for s, k in op.terms:
+            acc += np.roll(line, -s[c]) * k  # at m, the term reads line[(m + s_c) mod N_c]
+        out.append(acc / eps + base[c])
+    return tuple(out)
 
 
 def _site_error(what, site: IntTriple, eta: IntTriple) -> PotentialDomainError:

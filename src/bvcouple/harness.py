@@ -26,6 +26,8 @@ from .energies import (
     EnergyReport,
     _hessian_symbol,
     _lattice_batches,
+    _report,
+    _term,
     acb_cell_energy,
     acb_tetra_energy,
     atomistic_energy,
@@ -550,53 +552,66 @@ class SweepResult:
     exact: bool
 
 
-def _sine_field(profile: Callable[[np.ndarray], np.ndarray], cfg: LatticeConfig) -> LatticeField:
-    """The field whose component c at site l is profile(eps l_c), for an
-    elementwise ``profile``: one call on the N_c positions of each axis,
-    broadcast into the field. These are the bits of ``sample_field`` of the
-    same closure, without its (3, N1, N2, N3) stacked positions."""
-    vals = np.empty(cfg.shape)
-    for c, n in enumerate(cfg.N):
-        line = profile(cfg.epsilon * np.arange(n, dtype=float))
-        vals[..., c] = line.reshape([n if axis == c else 1 for axis in range(3)])
-    return LatticeField(cfg, vals)
+def _sweep_lines(profile: Callable[[np.ndarray], np.ndarray], cfg: LatticeConfig) -> tuple:
+    """The sweep's displacement as three lines, its component c at site l
+    being ``lines[c][l_c]``: profile(eps m) at the N_c positions m of axis
+    c, less the mean of the field they make. The mean has the bits of
+    ``LatticeField.mean`` of that field, each component's running sum in
+    site order over the sites, here summed one axis-0 plane at a time, so
+    no field is built."""
+    N = cfg.N
+    lines = [profile(cfg.epsilon * np.arange(n, dtype=float)) for n in N]
+    plane = np.empty(N[1] * N[2])
+    sums = []
+    for c, line in enumerate(lines):
+        total = -0.0  # adding -0.0 changes no float, so the first plane's sum is its own
+        for values in np.broadcast_to(line.reshape([n if a == c else 1 for a, n in enumerate(N)]), N):
+            plane.reshape(N[1:])[...] = values
+            plane[0] += total
+            total = np.cumsum(plane, out=plane)[-1]
+        sums.append(total)
+    return tuple(line - m for line, m in zip(lines, np.array(sums) / cfg.n_sites))
 
 
-def _sweep_state(F, profile: Callable[[np.ndarray], np.ndarray], cfg: LatticeConfig) -> Deformation:
-    """``make_deformation(F, _sine_field(profile, cfg))``, to the bit, with
-    one full-size field alive: the mean is subtracted in place from the
-    field just built, not into a new one."""
-    v = _sine_field(profile, cfg)
-    v.values -= v.mean()
-    return Deformation(F=deformation_gradient(F), displacement=v)
+def _sweep_energy(model: str, lines: tuple, config: RunConfig, cfg: LatticeConfig) -> EnergyReport:
+    """The energy-only report of the atomistic, acb-tetra or acb-cell model
+    at the per-axis displacement ``lines`` (``_sweep_lines``) on ``cfg``:
+    the model's one term through the kernel, which broadcasts each stencil's
+    bond lines into its rows (``energies._bond_lines``). Every bit is that
+    of the model called with ``gradient=False`` on the field of the lines."""
+    term = _term(model, _lattice_batches(model, config.laws, cfg.N), config.F, lines, cfg.epsilon, ())
+    return _report(model, None, [term])
 
 
 def consistency_sweep(config: RunConfig) -> SweepResult:
     """Atomistic vs Cauchy-Born energy gap per volume for the smooth
     periodic displacement amplitude * sin(2 pi x / L), sampled on the
     lattices of spacings ``sweep.epsilons`` spanning a torus of period
-    L = ``sweep.period`` (N = L/eps cells per axis) one axis at a time
-    (``_sine_field``, its mean removed in place by ``_sweep_state``).
+    L = ``sweep.period`` (N = L/eps cells per axis) one axis at a time.
+    The displacement is handed to the models as it is defined, one
+    mean-free line per axis (``_sweep_lines``), and no field of it is
+    built: each model's term forms every stencil's three bond lines once
+    and fills its bond rows from them (``_sweep_energy``), with the bits of
+    the model on ``make_deformation(F, sample_field(profile, cfg))``.
 
     The comparison model follows the config when it is an uncoupled
     Cauchy-Born variant and defaults to the cell-averaged one. Both models
-    are called with ``gradient=False``: the sweep reads only their energy
-    and excess, so no law is evaluated past phi and no transposed operator
-    is applied."""
+    are evaluated energy-only: the sweep reads only their energy and
+    excess, so no law is evaluated past phi and no transposed operator is
+    applied."""
     amplitude, period = config.sweep["amplitude"], config.sweep["period"]
 
     def displacement(x: np.ndarray) -> np.ndarray:
         return amplitude * np.sin(2.0 * math.pi * x / period)
 
-    acb = acb_tetra_energy if config.model_family == "acb-tetra" else acb_cell_energy
+    acb = "acb-tetra" if config.model_family == "acb-tetra" else "acb-cell"
 
     rows = []
     for eps in config.sweep["epsilons"]:
         n = _sweep_cells(period, eps)
         cfg = LatticeConfig(N=(n, n, n), epsilon=eps)
-        y = _sweep_state(config.F, displacement, cfg)
-        exact = atomistic_energy(y, config.laws, gradient=False)
-        cb = acb(y, config.laws, gradient=False)
+        lines = _sweep_lines(displacement, cfg)
+        exact, cb = (_sweep_energy(model, lines, config, cfg) for model in ("atomistic", acb))
         vol = cfg.volume
         # At equal F both models carry the same homogeneous share, so the
         # gap is the difference of the excesses, which keeps the digits that

@@ -185,6 +185,21 @@ MUTATIONS = [
      "        if ws is not own:  # the helper's next stream may be another caller's\n",
      "        if False:\n",
      "tests/test_lanes.py::test_concurrent_callers_get_the_reports_of_sequential_calls"),
+    # the per-axis bond lines summing a stencil's terms in reverse order
+    ("energies.py",
+     "        for s, k in op.terms:",
+     "        for s, k in op.terms[::-1]:",
+     "tests/test_harness.py::test_sweep_from_axis_profiles_equals_the_full_field_models[acb-tetra]"),
+    # the per-axis bond lines shifted by F eta before the division by eps
+    ("energies.py",
+     "        out.append(acc / eps + base[c])\n",
+     "        out.append((acc + base[c]) / eps)\n",
+     "tests/test_harness.py::test_sweep_from_axis_profiles_equals_the_full_field_models[acb-cell]"),
+    # the sweep's mean summed plane by plane, without the running sum carried over
+    ("harness.py",
+     "            plane[0] += total\n",
+     "                pass\n",
+     "tests/test_harness.py::test_sweep_displacement_is_the_sampled_field_at_the_readme_spacings"),
     # the sweep's homogeneous-share check removed
     ("harness.py",
      '        if r["share_ulps"] > _SHARE_ULPS:',

@@ -281,3 +281,74 @@ def test_a_warm_call_builds_no_stencil(monkeypatch, model):
     assert built == []
     assert again.energy == first.energy and again.excess == first.excess
     assert np.array_equal(again.gradient.values, first.gradient.values)
+
+
+# ----------------------------------------------------------------------
+# Per-axis displacement lines
+# ----------------------------------------------------------------------
+
+def line_field(lines) -> np.ndarray:
+    """The (N1, N2, N3, 3) field whose component c at site l is
+    ``lines[c][l_c]``."""
+    N = tuple(len(line) for line in lines)
+    v = np.empty(N + (3,))
+    for c, line in enumerate(lines):
+        v[..., c] = line.reshape([n if a == c else 1 for a, n in enumerate(N)])
+    return v
+
+
+@pytest.mark.parametrize("n, lanes", [(8, 1), (64, 1), (64, 2)])
+def test_per_axis_lines_give_the_bits_of_their_field(monkeypatch, n, lanes):
+    """Stencil batches given three per-axis lines sum every key to the bits
+    of the same batches given the field of the lines: the bond, cell and
+    six staircase stencils of all four law kinds under a sheared F, with
+    scalar weights and with row weights, the toy's zero exactly where the
+    lines make it overflow, so those rows must be evaluated at F eta; at n=64 every batch is two pieces, on one lane and streamed."""
+    from bvcouple import energies
+
+    monkeypatch.setattr(energies, "_LANES", lanes)
+    cfg = LatticeConfig(N=(n, n, n), epsilon=4.0 / n)
+    rng = np.random.default_rng(n)
+    lines = tuple(0.01 * rng.standard_normal(n) for _ in range(3))
+    lines[0][3] = 3000.0  # the toy's exp(zeta . a) overflows on the bonds that read it
+    x = line_field(lines).reshape(-1, 3)
+    F = np.array([[1.02, 0.01, 0.0], [0.0, 0.99, 0.03], [0.0, 0.0, 1.01]])
+    laws = [make_law((1, 1, 1), "harmonic"), make_law((2, 1, 1), "morse-radial"),
+            make_law((2, 1, 3), "lennard-jones-radial", {"well_depth": 0.5, "sigma": 2.494438257849294}),
+            make_law((1, -1, 2), "anisotropic-toy")]
+    batches = []
+    for law in laws:
+        for op in (energies._bond_stencil(law.eta, cfg.N), energies._cell_stencil(law.eta, cfg.N),
+                   *energies._staircase_stencils(law.eta, cfg.N)):
+            w = 1.0 + rng.random(op.rows)
+            if law.kind == "anisotropic-toy":
+                z = np.empty((op.rows, 3))
+                energies._bond_rows([(op, 1.0)], [0], x, cfg.epsilon, F @ law.eta_vec, 0, op.rows, None, z)
+                with np.errstate(over="ignore"):
+                    w[~np.isfinite(law.evaluate(z, 0)[0])] = 0.0
+                assert (w == 0.0).any()
+            masked = law.kind == "anisotropic-toy" or len(batches) % 2
+            batches.append((op, energies._weights(w) if masked else 0.5, law, f"eta={law.eta}"))
+    got = energies._term("t", batches, F, lines, cfg.epsilon, ())
+    want = energies._term("t", batches, F, x, cfg.epsilon, ())
+    assert got.sums == want.sums and got.law_calls == want.law_calls
+    assert all(np.isfinite(e) for e, _ in got.sums.values())
+    assert got.lanes == want.lanes == lanes
+
+
+def test_per_axis_lines_are_refused_by_gathers_and_gradients():
+    """Lines fill stencil rows only: a gather given lines raises, and so
+    does a gradient call, whose contributions are fields."""
+    from bvcouple import energies
+    from bvcouple.coupling import RegionPartition, _build_eta_block
+
+    cfg = cfg8()
+    lines = tuple(np.zeros(8) for _ in range(3))
+    law = make_law((1, 1, 1), "harmonic")
+    gather = energies._Gather(energies._Csr(np.zeros(2, dtype=np.int32), np.zeros(0, dtype=np.int32),
+                                            np.zeros(0), (1, cfg.n_sites)), energies._ONE, np.zeros(1, dtype=int), cfg.N)
+    with pytest.raises(TypeError, match="stencil batches"):
+        energies._term("t", [(gather, 1.0, law, "k")], np.eye(3), lines, cfg.epsilon, ())
+    stencil = energies._bond_stencil(law.eta, cfg.N)
+    with pytest.raises(ValueError, match="energy-only"):
+        energies._term("t", [(stencil, 1.0, law, "k")], np.eye(3), lines, cfg.epsilon, (np.zeros((cfg.n_sites, 3)),))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from scipy.sparse.linalg import LinearOperator, cg
 
 from bvcouple import cli, energies, harness
-from bvcouple.energies import EnergyReport
+from bvcouple.energies import EnergyReport, acb_cell_energy, acb_tetra_energy, atomistic_energy
 from bvcouple.harness import (
     MODEL_NAMES,
     ConfigError,
@@ -301,9 +302,9 @@ def test_consistency_sweep_evaluates_phi_only(monkeypatch, model):
 
 def test_sweep_displacement_is_the_sampled_field_at_the_readme_spacings(monkeypatch):
     """The sweep builds amplitude sin(2 pi x / L) from one profile per
-    axis: at each README spacing (N = 16 to 128) its bytes are those of
-    ``sample_field`` on the stacked positions, which the sweep no longer
-    calls."""
+    axis, as three mean-free lines: at each README spacing (N = 16 to 128)
+    the field of the lines has the bytes of ``sample_field`` on the stacked
+    positions with its mean removed, which the sweep no longer calls."""
     amplitude, period = 0.05, 4.0  # the README config's sweep
 
     def displacement(x):
@@ -312,8 +313,12 @@ def test_sweep_displacement_is_the_sampled_field_at_the_readme_spacings(monkeypa
     for eps in (0.25, 0.125, 0.0625, 0.03125):
         n = round(period / eps)
         cfg = LatticeConfig(N=(n, n, n), epsilon=eps)
-        want = sample_field(displacement, cfg).values
-        assert harness._sine_field(displacement, cfg).values.tobytes() == want.tobytes(), n
+        want = sample_field(displacement, cfg).zero_mean().values
+        lines = harness._sweep_lines(displacement, cfg)
+        for c, line in enumerate(lines):
+            got = np.broadcast_to(line.reshape([n if a == c else 1 for a in range(3)]), cfg.N)
+            assert got.tobytes() == np.ascontiguousarray(want[..., c]).tobytes(), (n, c)
+        del want
 
     def no_sample_field(*args):
         raise AssertionError("the sweep sampled a field on the stacked positions")
@@ -708,23 +713,94 @@ def test_minimize_stops_when_an_accepted_step_changes_nothing():
     assert trace[1]["gnorm"] < 1e-15
 
 
-@pytest.mark.parametrize("n", [16, 64])
-def test_sweep_state_is_the_deformation_of_the_sine_field(n):
-    """The sweep removes the mean in place from the one field it builds:
-    its state has the bits of ``make_deformation`` of ``_sine_field``, at
-    the README's sweep and a sheared F."""
-    amplitude, period = 0.05, 4.0
+SHEARED_F = [[1.02, 0.01, 0.0], [0.0, 0.99, 0.03], [0.0, 0.0, 1.01]]
 
-    def displacement(x):
-        return amplitude * np.sin(2.0 * np.pi * x / period)
 
-    cfg = LatticeConfig(N=(n, n, n), epsilon=period / n)
-    F = np.array([[1.02, 0.01, 0.0], [0.0, 0.99, 0.03], [0.0, 0.0, 1.01]])
-    y = harness._sweep_state(F, displacement, cfg)
-    want = make_deformation(F, harness._sine_field(displacement, cfg))
-    assert y.cfg == cfg
-    assert y.F.tobytes() == want.F.tobytes() and not y.F.flags.writeable
-    assert y.displacement.values.tobytes() == want.displacement.values.tobytes()
+def sweep_config(model, epsilons=(0.25, 0.125, 0.0625), amplitude=0.05, F=SHEARED_F):
+    """The README sweep (period 4) at ``epsilons`` with all four law kinds:
+    the README laws and a Morse bond, under the deformation gradient F."""
+    data = json.loads(json.dumps(harness.DEFAULT_CONFIG))
+    data["interactions"].append({"eta": [2, 1, 1], "kind": "morse-radial"})
+    data.update(model=model, F=F, sweep={"epsilons": list(epsilons), "amplitude": amplitude, "period": 4.0})
+    return config_from_dict(data)
+
+
+def sampled_sweep_state(config, eps):
+    """``make_deformation`` of ``sample_field`` of the sweep's profile on
+    the sweep lattice of spacing ``eps``: the whole displacement field."""
+    amplitude, period = config.sweep["amplitude"], config.sweep["period"]
+    n = round(period / eps)
+    cfg = LatticeConfig(N=(n, n, n), epsilon=eps)
+    return make_deformation(config.F, sample_field(lambda x: amplitude * np.sin(2.0 * np.pi * x / period), cfg))
+
+
+def full_field_sweep(config) -> harness.SweepResult:
+    """The sweep's rows and slope recomputed from the public models, called
+    energy-only on the sampled field at each spacing."""
+    acb = acb_tetra_energy if config.model_family == "acb-tetra" else acb_cell_energy
+    rows = []
+    for eps in config.sweep["epsilons"]:
+        y = sampled_sweep_state(config, eps)
+        exact, cb = atomistic_energy(y, config.laws, gradient=False), acb(y, config.laws, gradient=False)
+        vol = y.cfg.volume
+        gap = abs(exact.excess - cb.excess) / vol
+        scale = max(sum(map(abs, rep.breakdown.values())) for rep in (exact, cb))
+        rows.append({
+            "epsilon": eps, "energy_atomistic": exact.energy, "energy_acb": cb.energy, "gap": gap,
+            "residual": gap / max(1.0, abs(exact.energy) / vol),
+            "share_ulps": abs((exact.energy - exact.excess) - (cb.energy - cb.excess)) / math.ulp(scale),
+        })
+    fit = [(math.log(r["epsilon"]), math.log(r["gap"])) for r in rows]
+    slope = float(np.polyfit([p[0] for p in fit], [p[1] for p in fit], 1)[0])
+    return harness.SweepResult(rows=rows, slope=slope, exact=False)
+
+
+@pytest.mark.parametrize("model", ["acb-cell", "acb-tetra"])
+def test_sweep_from_axis_profiles_equals_the_full_field_models(monkeypatch, model):
+    """The sweep hands the models its displacement as three per-axis lines
+    and builds no field of it: no ``LatticeField`` is constructed while it
+    runs. Its result, every row and the slope, has the bits recomputed from
+    ``atomistic_energy`` and the configured Cauchy-Born model on
+    ``make_deformation(F, sample_field(profile, cfg))``, at N = 16, 32 and 64
+    (where each bond batch runs in two pieces), under a sheared F and with
+    all four law kinds."""
+    config = sweep_config(model)
+    built = []
+    init = LatticeField.__init__
+
+    def spy(self, cfg, values):
+        built.append(cfg)
+        init(self, cfg, values)
+
+    monkeypatch.setattr(LatticeField, "__init__", spy)
+    result = harness.consistency_sweep(config)
+    assert built == []
+    want = full_field_sweep(config)
+    assert built  # the spy sees the oracle's fields
+    assert repr(result) == repr(want)
+    assert [r["epsilon"] for r in result.rows] == [0.25, 0.125, 0.0625]
+
+
+@pytest.mark.parametrize("epsilons, amplitude, streamed", [
+    ((0.25, 0.125, 0.0625), 500.0, False),   # N=16, one lane
+    ((0.0625, 0.125, 0.25), 484.0, True),    # N=64, every batch two pieces on two lanes
+])
+def test_sweep_raises_the_full_field_models_domain_error(monkeypatch, epsilons, amplitude, streamed):
+    """At an amplitude where an anisotropic-toy bond overflows on the first
+    spacing, the sweep raises the error that the atomistic model raises on
+    the sampled field: the same message, site and eta."""
+    monkeypatch.setattr(energies, "_LANES", 2)
+    streams = []
+    stream = energies._stream
+    monkeypatch.setattr(energies, "_stream", lambda *a: streams.append(1) or stream(*a))
+    config = sweep_config("acb-cell", epsilons, amplitude, F=np.eye(3).tolist())
+    with pytest.raises(PotentialDomainError) as got:
+        harness.consistency_sweep(config)
+    assert bool(streams) is streamed
+    with pytest.raises(PotentialDomainError) as want:
+        atomistic_energy(sampled_sweep_state(config, epsilons[0]), config.laws, gradient=False)
+    assert "anisotropic-toy energy or force is not finite" in str(got.value)
+    assert (str(got.value), got.value.site, got.value.eta) == (str(want.value), want.value.site, want.value.eta)
 
 
 def test_sweep_gap_keeps_its_digits_at_small_amplitude():
@@ -1109,14 +1185,16 @@ def test_sweep_fails_on_a_first_order_comparison_model(tmp_path, capsys, monkeyp
     data["sweep"] = {"epsilons": [0.5, 0.25, 0.125], "period": 4.0}
     code, out = run_check(tmp_path, capsys, "sweep-consistency", data)
     assert code == 0 and out.startswith("PASS sweep-consistency"), out
-    acb_cell = harness.acb_cell_energy
+    sweep_energy = harness._sweep_energy
 
-    def first_order(y, R, **kw):
-        rep = acb_cell(y, R, **kw)
-        error = y.cfg.volume * y.cfg.epsilon
+    def first_order(model, lines, config, cfg):
+        rep = sweep_energy(model, lines, config, cfg)
+        if model != "acb-cell":
+            return rep
+        error = cfg.volume * cfg.epsilon
         return replace(rep, energy=rep.energy + error, excess=rep.excess + error)
 
-    monkeypatch.setattr(harness, "acb_cell_energy", first_order)
+    monkeypatch.setattr(harness, "_sweep_energy", first_order)
     code, out = run_check(tmp_path, capsys, "sweep-consistency", data)
     assert code == 1
     assert out.startswith("FAIL sweep-consistency: fitted log-log slope 1.0"), out
@@ -1171,13 +1249,15 @@ def test_sweep_fails_when_a_model_misses_the_homogeneous_share(tmp_path, capsys,
     homogeneous share, so the sweep fails."""
     data = small_config_dict(model="acb-cell")
     data["sweep"] = {"epsilons": [0.5, 0.25, 0.125], "period": 4.0}
-    acb_cell = harness.acb_cell_energy
+    sweep_energy = harness._sweep_energy
 
-    def energy_off(y, R, **kw):
-        rep = acb_cell(y, R, **kw)
-        return replace(rep, energy=rep.energy + y.cfg.volume * y.cfg.epsilon)
+    def energy_off(model, lines, config, cfg):
+        rep = sweep_energy(model, lines, config, cfg)
+        if model != "acb-cell":
+            return rep
+        return replace(rep, energy=rep.energy + cfg.volume * cfg.epsilon)
 
-    monkeypatch.setattr(harness, "acb_cell_energy", energy_off)
+    monkeypatch.setattr(harness, "_sweep_energy", energy_off)
     assert harness.consistency_sweep(config_from_dict(data)).slope >= 1.9
     code, out = run_check(tmp_path, capsys, "sweep-consistency", data)
     assert code == 1
