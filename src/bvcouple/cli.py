@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import locale  # noqa: F401  argparse's gettext imports it when a parser is first built
 import sys
 from typing import Sequence
 

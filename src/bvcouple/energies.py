@@ -9,11 +9,12 @@ code that evaluates phi_eta for such a term: ``InteractionLaw.evaluate
 (zeta, 1)`` on each group of a term's (law, operator) batches (see below)
 gives phi and phi' together (order 0, phi alone, for an energy-only call),
 piece by piece and in plain chunks of ``_LAW_CHUNK`` rows, and phi(F eta)
-from one extra row of the last piece; a law's bits do not depend on a
-call's row count (``potentials``), so every row has the bits of one call.
-Per batch, the kernel sums eps^3 sum_q w_q (phi(zeta_q) - phi(F eta)), the
-batch's excess over the homogeneous bond, and adds the batch's homogeneous
-share eps^3 phi(F eta) sum_q w_q back into the term's energy. Reports
+from the lone bond F eta; a law's bits do not depend on a call's row count
+(``potentials``), so every row has the bits of one call, and phi(F eta)
+those of the row F eta in any batch. Per batch, the kernel sums
+eps^3 sum_q w_q (phi(zeta_q) - phi(F eta)), the batch's excess over the
+homogeneous bond, and adds the batch's homogeneous share
+eps^3 phi(F eta) sum_q w_q back into the term's energy. Reports
 carry the summed excess too (``EnergyReport.excess``): it is exactly 0.0
 at y_F, and its differences keep the digits that the constant |Omega|
 W(F) in the energy would swallow. A non-finite phi or phi' is a domain
@@ -64,11 +65,25 @@ batches, every gather and every batch of at most one slab is one piece.
 Per piece, the kernel applies the stencil to the piece's planes alone, into
 the zeta rows of the lane's arena, divides by eps, adds F eta, sets the
 piece's own zero-weight rows to F eta and evaluates the law, which writes
-phi (and phi') into the piece's rows of the unit's full-length arrays; F
-eta rides as the extra last row of the last piece. The excess sum, the
-finiteness check, the weight scaling and op^T then run on those full
-arrays, as for a batch of one piece, so the bits are those of one piece.
-Every unit, of one piece or many, has these arrays in a unit slot.
+phi into the lane's arena and phi' into the piece's rows of the unit's
+full-length phi' array. The piece reduces its phi at once: it writes
+w (phi - phi(F eta)) over it, skipping the product for the scalar weight
+1.0 (x 1.0 is x), and sums it in numpy's pairwise order. ``np.add.reduce``
+over a contiguous float array sums leaves of at most ``_PW_BLOCK`` = 128
+values with eight running sums and adds two halves for any longer node,
+split at half its length rounded down to a multiple of 8; that tree
+depends on the pair's row count alone. So a piece keeps, per pair, the sum
+of each largest tree node it holds whole and a copy of the values of each
+leaf that its first or last row cuts (``_tree_nodes``), and the finish
+adds them in tree order (``_tree_sum``): the bits of one ``np.add.reduce``
+over the pair's rows, whatever the pieces (Higham, SIAM J. Sci. Comput.
+14, 1993, on pairwise summation). phi(F eta), which every piece
+subtracts, is taken when the unit's first piece runs, before any piece
+reduces, from ``_homogeneous_phi``: the law on the lone bond F eta,
+evaluated once per law and F eta and kept among the last few. The
+finiteness check of phi', the weight scaling and op^T run on the full
+phi' array, as for a batch of one piece, so the bits are those of one
+piece. An energy-only unit keeps no array of its rows at all.
 
 Inputs: the kernel reads the displacement as a flat (n_sites, 3) field x,
 or, for stencil batches alone, as three per-axis lines, a tuple whose
@@ -92,10 +107,12 @@ zero rows and their sum, which cached blocks, partitions and meshes build
 once. The Pk rows share one weight per quadrature point: a (nq, block)
 tile that the kernel broadcasts over a gather's (blocks, nq, block) rows
 (``_blocks``), padding rows included, whose sum counts the real rows
-alone. The excess sum
-forms w (phi - phi(F eta)) over phi itself, which nothing reads again. A
-non-finite phi' is found by one sum over phi', and only then row by row,
-with the batch's phi evaluated again to name the first non-finite one.
+alone. A non-finite
+excess or phi' sum (one sum over phi') is looked at row by row only then,
+with the batch's phi evaluated again: the error names the first row whose
+phi or phi' is not finite, or, where every one is finite and the excess
+sum overflowed, the row of largest |w (phi - phi(F eta))|. Every sum runs
+inside the kernel's ``np.errstate``, so an overflow warns nowhere.
 
 Every model takes a keyword ``gradient`` (default True). With
 ``gradient=False`` its terms get no gradient arrays, and each batch is
@@ -133,18 +150,19 @@ DE(y)[v] = <g, v>_eps for every periodic lattice field v.
 
 A term's batches run as units (``_groups``). Consecutive batches that share
 the law and the breakdown key, each with fewer than ``_MIN_LANE_ROWS`` rows,
-form one group: every operator writes its rows into one zeta buffer, with
-one F eta row, and the law is evaluated once; then, batch by batch, the
-kernel forms the batch's own excess sum, homogeneous share, finiteness
+form one group: every operator writes its rows into one zeta buffer, and
+the law is evaluated once; then, batch by batch, the kernel forms the
+batch's own excess sum, homogeneous share, finiteness
 check, weight scaling and transposed apply. The law acts row by row, so
 each batch's results are the bits of the batch alone. Any other batch is a
 unit of its own. Up to N=20 this groups each law's six staircase templates
 (acb-tetra, the continuum of the coupled, two-sided and naive models, the
 P1 layer of the high-order model). Every report counts its terms' law
-evaluations (``law_calls``): one per unit, whatever its pieces and chunks.
+evaluations (``law_calls``): one per unit, whatever its pieces and chunks
+(besides the lone-bond calls of ``_homogeneous_phi``).
 
 Each unit is a ``_Unit``: ``start`` gives it a unit slot for its
-full-length arrays, ``run`` evaluates one piece into them, and ``finish``
+full-length phi', ``run`` evaluates and reduces one piece, and ``finish``
 forms each batch's energy, excess and gradient contribution, returned as a
 list. ``_term`` adds these to the term's sums and gradients in batch
 order, exactly the order of a single lane, so every result is bitwise the
@@ -187,15 +205,19 @@ every lane reserves them for the whole term before its first piece
 Nothing marks an array as in use: the order in which units run says who
 may write each one. They are:
 
-- the arena, which holds a piece's zeta rows (the term's largest piece and
-  F eta) and the scratch of the stencil or gather apply (one shifted copy
+- the arena, which holds a piece's zeta and phi rows (the term's largest
+  piece) and the scratch of the stencil or gather apply (one shifted copy
   of x where the lattice is one slab, a gather's element-local values), or
   during a finish the weights over eps and the transposed apply's scratch;
   so a finish takes no more than the pieces of its lane, and the law's
   temporaries stay chunk-sized (``_evaluate``). Only its own thread writes
-  it, one piece or finish at a time, and nothing outlives either;
-- the unit slots, phi (and phi') of a unit from its start to its finish,
-  which the law writes into, chunk by chunk. They belong to the workspace
+  it, one piece or finish at a time, and nothing outlives either: a
+  piece's phi is reduced before the piece ends, into a few floats per
+  piece and at most _PW_BLOCK values per piece boundary, which the unit
+  keeps until its finish;
+- the unit slots, phi' of a unit from its start to its finish, which the
+  law writes into, chunk by chunk; an energy-only unit's slot is empty, so
+  no array of a term's rows outlives a piece. They belong to the workspace
   of the lane that calls the term, and serve the units that either lane
   starts. At most _LANES units are started and not finished at once: a
   lane starts a unit when it runs nothing else and every earlier unit's
@@ -215,7 +237,7 @@ may write each one. They are:
   lanes happen to finish. The helper thread serves every caller's streams,
   so its lane returns only once its parked unit is added.
 
-An energy-only call fills phi alone and parks no contributions. A term
+An energy-only call fills no unit slot and parks no contributions. A term
 that raises leaves nothing to give back: each stream has a free list of its
 own. A block or mesh build (a cache miss in ``coupling``
 or ``highorder``) first lets go of every workspace array
@@ -243,7 +265,6 @@ from operator import add
 from typing import Any
 
 import numpy as np
-import scipy
 
 from .geometry import PATH_PERMS, path_edge_offsets
 from .lattice import Deformation, IntTriple, LatticeField
@@ -255,10 +276,12 @@ def _load_sparsetools():
     ``scipy.sparse``, loaded by its file path: importing the ``scipy.sparse``
     package around it would cost most of a cold command. The module is
     registered under its own name, so a later ``import scipy.sparse`` reuses
-    it, and one that an earlier ``import scipy.sparse`` loaded is used here."""
+    it, and one that an earlier ``import scipy.sparse`` loaded is used here.
+    The ``scipy`` package is found, not imported: its file path is all that
+    is read of it."""
     name = "scipy.sparse._sparsetools"
     if name not in sys.modules:
-        path = os.path.join(os.path.dirname(scipy.__file__), "sparse",
+        path = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "sparse",
                             "_sparsetools" + importlib.machinery.EXTENSION_SUFFIXES[0])
         spec = importlib.util.spec_from_file_location(name, path)
         module = importlib.util.module_from_spec(spec)
@@ -295,16 +318,25 @@ class _Unit:
     and breakdown key, taken through the law in pieces (``_pieces``).
 
     ``start(out)`` gives the unit its unit slot ``out``, ``slot_size``
-    floats, for phi (and phi') of every row and one more row for F eta.
+    floats, for phi' of every row (none for an energy-only unit).
     ``run(k, ws)`` forms piece k's bond rows in the arena of the running
-    lane's workspace ``ws``, and the law writes phi (and phi') into the
-    piece's rows of the slot (``_evaluate``); F eta rides as an extra last
-    row of the last piece, so the excess is exactly 0.0 wherever zeta =
-    F eta. Pieces write disjoint rows, so they may run in any order, on
+    lane's workspace ``ws``; the law writes phi into the arena and phi'
+    into the piece's rows of the slot (``_evaluate``). The piece then
+    writes w (phi - phi(F eta)) over its phi and reduces each pair's rows
+    into the nodes of numpy's pairwise-sum tree over the pair
+    (``_tree_nodes``): a sum per node inside the piece, and the values of
+    the leaf of at most _PW_BLOCK rows that each piece boundary crosses.
+    phi(F eta) is taken before the first piece reduces, from the lone bond
+    F eta (``_homogeneous_phi``), whose bits are those of that row in any
+    batch (``potentials``), so the excess is exactly 0.0 wherever
+    zeta = F eta.
+    Pieces write disjoint rows and nodes, so they may run in any order, on
     either lane.
-    ``finish(ws)``, once every piece has run, forms each pair's results over
-    the full arrays, with its temporaries in the finishing lane's arena and
-    the gradient contributions in that lane's contribution array, and is
+    ``finish(ws)``, once every piece has run, adds each pair's nodes in
+    tree order (``_tree_sum``), which gives the bits of ``np.add.reduce``
+    over all the pair's terms, forms its gradient from phi' with its
+    temporaries in the finishing lane's arena and the gradient
+    contributions in that lane's contribution array, and is
     the unit's last read of its slot. The unit holds no workspace array of
     its own: the order in which ``_term`` and ``_stream`` run units says
     which slot a unit may write and how long its contributions stay (module
@@ -330,64 +362,68 @@ class _Unit:
         self.starts = [0, *self.ends[:-1]]
         self.n = self.ends[-1]
         self.pieces = _pieces(pairs, self.n)
-        self.zeta_rows = max(hi - lo for lo, hi, _ in self.pieces) + 1  # a piece and F eta
-        # Workspace floats: a unit slot; the arena, a piece's zeta or the
-        # finish's weights over eps, then from ``split`` on an apply's
-        # scratch; the contributions.
-        self.slot_size = (self.n + 1) * (1 + 3 * self.order)
-        self.split, scratch = 3 * self.zeta_rows, 0
+        self.zeta_rows = max(hi - lo for lo, hi, _ in self.pieces)
+        # Workspace floats: a unit slot, phi' of every row; the arena, a
+        # piece's zeta and phi or the finish's weights over eps, then from
+        # ``split`` on an apply's scratch; the contributions.
+        self.slot_size = 3 * self.n * self.order
+        self.split, scratch = 4 * self.zeta_rows, 0
         for op, w in pairs:
             scratch = max(scratch, op.scratch_size)
             if gradient and isinstance(w, _Weights):
                 self.split = max(self.split, w.w.size)
         self.scratch_size = self.split + scratch
         self.contrib_size = len(pairs) * x.size if gradient else 0
-        self.out = None  # phi (and phi'), views of the unit slot, from ``start`` to ``finish``
+        self.phi0 = None  # phi(F eta), from a piece's first run on
+        self.dphi = None  # phi' (the unit slot), from ``start`` to ``finish``
+        self.nodes = None  # per pair, its excess's pairwise-sum nodes, from ``start`` to ``finish``
 
     def start(self, out: np.ndarray) -> None:
-        self.out = [out[: self.n + 1], out[self.n + 1:].reshape(-1, 3)][: self.order + 1]
+        self.dphi = out.reshape(-1, 3) if self.order else None
+        self.nodes = [{} for _ in self.pairs]
 
     def run(self, k: int, ws: "_Workspace") -> None:
+        """Piece k: its zeta and phi in the arena, phi' into the unit slot,
+        and w (phi - phi(F eta)) of each pair's rows in the piece reduced
+        into the pair's nodes of numpy's pairwise-sum tree (``_tree_nodes``):
+        the sum of each node the piece covers whole, and the values of a
+        leaf that a piece boundary crosses."""
         lo, hi, planes = self.pieces[k]
-        m = hi - lo + (hi == self.n)
+        m, zr = hi - lo, self.zeta_rows
         arena = ws.array("arena", self.scratch_size)
         z = _bond_rows(self.pairs, self.starts, self.x, self.eps, self.base, lo, hi, planes,
                        arena[: 3 * m].reshape(m, 3), arena[self.split:])
-        _evaluate(self.law, z, self.order, [a[lo:lo + len(z)] for a in self.out])
+        phi = arena[3 * zr: 3 * zr + m]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.phi0 is None:
+                self.phi0 = _homogeneous_phi(self.law, self.base)
+            _evaluate(self.law, z, self.order, [phi] if self.dphi is None else [phi, self.dphi[lo:hi]])
+            for (_, w), nodes, s, e in zip(self.pairs, self.nodes, self.starts, self.ends):
+                a, b = max(lo, s), min(hi, e)  # a group is one piece, and a piece of several has one pair
+                _tree_nodes(nodes, _excess_rows(phi[a - lo:b - lo], self.phi0, w, a - s, b - s), a - s, 0, e - s)
 
     def finish(self, ws: "_Workspace") -> list:
-        """Each pair's (energy, excess, gradient contribution) from the full
-        arrays; a non-finite phi or phi' raises the error of the first pair
-        that has one."""
-        (vals, *P), self.out = self.out, None
-        phi0 = vals[self.n]
-        P = P[0] if P else None
-        eps, results = self.eps, []
+        """Each pair's (energy, excess, gradient contribution): the excess
+        from the pair's nodes in tree order (``_tree_sum``), the gradient
+        from phi' in the unit slot; a non-finite phi or phi' raises the
+        error of the first pair that has one."""
+        P, nodes_of = self.dphi, self.nodes
+        self.dphi = self.nodes = None
+        phi0, eps, results = self.phi0, self.eps, []
         arena = ws.array("arena", self.scratch_size)
         scratch = arena[self.split:]
         if P is not None:
             contribs = ws.array("contrib", self.contrib_size).reshape(len(self.pairs), *self.x.shape)
-        for j, ((op, w), lo, hi) in enumerate(zip(self.pairs, self.starts, self.ends)):
-            v = vals[lo:hi]
-            p = None if P is None else P[lo:hi]
-            weights, total = (w.w, w.total) if isinstance(w, _Weights) else (w, w * op.rows)
-            # w (phi - phi(F eta)), written over phi, which nothing reads again
-            d = _blocks(v, weights)
-            np.subtract(d, phi0, out=d)
-            np.multiply(d, weights, out=d)
-            excess = float(eps**3 * v.sum())
+        with np.errstate(over="ignore", invalid="ignore"):
             # One sum finds a non-finite phi'; the row mask, built only then,
             # tells it apart from a sum of finite entries that overflowed.
-            if not (math.isfinite(excess) and (p is None or math.isfinite(p.sum()))):
-                phi = np.empty(op.rows)  # the pair's phi again: the law's bits do not depend on the rows
-                _evaluate(self.law, _bond_rows([(op, w)], [0], self.x, eps, self.base, 0, op.rows, None,
-                                               np.empty((op.rows, 3))), 0, [phi])
-                bad = ~np.isfinite(phi)
-                if p is not None:
-                    bad |= ~np.isfinite(p).all(axis=-1)
-                if not math.isfinite(excess) or bad.any():
-                    raise _site_error(f"{self.law.kind} energy or force is not finite",
-                                      op.site(int(np.argmax(bad))), self.law.eta)
+            sums = [(eps**3 * _tree_sum(nodes, 0, hi - lo), P is None or math.isfinite(P[lo:hi].sum()))
+                    for nodes, lo, hi in zip(nodes_of, self.starts, self.ends)]
+        for j, ((op, w), lo, hi, (excess, finite)) in enumerate(zip(self.pairs, self.starts, self.ends, sums)):
+            p = None if P is None else P[lo:hi]
+            weights, total = (w.w, w.total) if isinstance(w, _Weights) else (w, w * op.rows)
+            if not (finite and math.isfinite(excess)):
+                self._raise_at_bad_row(op, w, p, excess)
             share = float(eps**3 * phi0 * total)
             if p is None:
                 results.append((excess + share, excess, None))
@@ -401,6 +437,28 @@ class _Unit:
                 p *= weights / eps
             results.append((excess + share, excess, op.T.apply(p, contribs[j], scratch=scratch)))
         return results
+
+    def _raise_at_bad_row(self, op, w, p, excess: float) -> None:
+        """The domain error of the pair (op, w), whose excess or phi' sum is
+        not finite: raised at its first row whose phi or phi' is not finite,
+        else, if the excess is not finite, at its row of largest
+        |w (phi - phi(F eta))|, whose sum overflowed; a phi' sum that
+        overflowed on finite rows raises nothing. The pair's phi is
+        evaluated again: the law's bits do not depend on the rows."""
+        phi = np.empty(op.rows)
+        z = _bond_rows([(op, w)], [0], self.x, self.eps, self.base, 0, op.rows, None, np.empty((op.rows, 3)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _evaluate(self.law, z, 0, [phi])
+            bad = ~np.isfinite(phi)
+            if p is not None:
+                bad |= ~np.isfinite(p).all(axis=-1)
+            if bad.any():
+                row = int(np.argmax(bad))
+            elif not math.isfinite(excess):
+                row = int(np.argmax(np.abs(_excess_rows(phi, self.phi0, w, 0, op.rows))))
+            else:
+                return
+        raise _site_error(f"{self.law.kind} energy or force is not finite", op.site(row), self.law.eta)
 
     def copied(self, ws: "_Workspace") -> list:
         """``alone``, with each gradient contribution copied out of the
@@ -431,6 +489,28 @@ class _Unit:
         return self.finish(ws)
 
 
+# phi(F eta) per (law, F eta) asked for lately, each with its law, which
+# keeps the law's id its own. A lone-bond call costs some 10 to 25 us, a
+# few percent of a warm N=12 coupled call's nine units, and a solve, a
+# sweep or a gradient check asks for the same F eta call after call.
+# Emptied when it holds _HOMOGENEOUS_KEPT.
+_homogeneous: dict = {}
+_HOMOGENEOUS_KEPT = 64
+
+
+def _homogeneous_phi(law: InteractionLaw, base: np.ndarray) -> float:
+    """phi(F eta) at ``base`` = F eta: the law on the lone bond, whose bits
+    are those of the row F eta in any batch (``potentials``), evaluated
+    once while the pair (law, F eta) stays in ``_homogeneous``."""
+    key = (id(law), base.tobytes())
+    hit = _homogeneous.get(key)
+    if hit is None:
+        if len(_homogeneous) >= _HOMOGENEOUS_KEPT:
+            _homogeneous.clear()
+        hit = _homogeneous[key] = (law, float(law.evaluate(base, 0)[0]))
+    return hit[1]
+
+
 def _pieces(pairs, n: int) -> list:
     """The (row lo, row hi, planes) pieces in which a ``_Unit`` takes a
     group's n rows through the law, in row order. A lone stencil batch of
@@ -444,16 +524,80 @@ def _pieces(pairs, n: int) -> list:
     return [(a * plane, min(a + step, n0) * plane, (a, min(a + step, n0))) for a in range(0, n0, step)]
 
 
+def _excess_rows(phi, phi0: float, w, a: int, b: int) -> np.ndarray:
+    """w (phi - phi0), written over ``phi``, the rows a..b of a pair whose
+    weights are ``w`` (a scalar or a ``_Weights``; a 2-D tile only over
+    every row): the terms of its excess sum. The scalar weight 1.0
+    multiplies nothing, since x 1.0 is x."""
+    if isinstance(w, _Weights):
+        d = _blocks(phi, w.w)
+        np.subtract(d, phi0, out=d)
+        np.multiply(d, w.w[a:b] if w.w.ndim == 1 else w.w, out=d)
+    else:
+        np.subtract(phi, phi0, out=phi)
+        if w != 1.0:
+            np.multiply(phi, w, out=phi)
+    return phi
+
+
+# numpy's pairwise summation, the order of ``np.add.reduce`` over a
+# contiguous float array: a node of at most _PW_BLOCK values is a leaf,
+# summed by eight running sums, and a larger node of n values is split at
+# n / 2 rounded down to a multiple of 8, its two halves added.
+_PW_BLOCK = 128
+
+
+def _pw_half(a: int, b: int) -> int:
+    """Where the pairwise-sum node a..b splits."""
+    h = (b - a) // 2
+    return a + h - h % 8
+
+
+def _tree_nodes(nodes: dict, d: np.ndarray, lo: int, a: int, b: int) -> None:
+    """Adds to ``nodes`` what the values ``d``, rows lo..lo + len(d) of a
+    pair, give of the node a..b of the pairwise-sum tree over the pair's
+    rows (the root is 0..n): for each largest node a'..b' that they cover
+    whole, (a', b') -> its sum; for each leaf a'..b' that their first or
+    last row cuts, (a', b', c) -> its values from c on that they hold, a
+    copy, since ``d`` is the arena's."""
+    hi = lo + len(d)
+    if lo <= a and b <= hi:  # the empty root of n = 0 too
+        nodes[a, b] = float(d[a - lo:b - lo].sum())
+    elif lo < b and a < hi:
+        if b - a <= _PW_BLOCK:  # a leaf's fragment, summed once the leaf is whole
+            nodes[a, b, max(a, lo)] = d[max(a, lo) - lo:min(b, hi) - lo].copy()
+        else:
+            h = _pw_half(a, b)
+            _tree_nodes(nodes, d, lo, a, h)
+            _tree_nodes(nodes, d, lo, h, b)
+
+
+def _tree_sum(nodes: dict, a: int, b: int) -> float:
+    """The sum of the values of the pairwise-sum node a..b (the root 0..n
+    for all n), with the bits of ``np.add.reduce`` over them, from
+    ``nodes`` that cover them (``_tree_nodes`` of the pieces): a node is
+    its sum, or its leaf's fragments joined and summed, or the sum of its
+    halves. Each ``np.add.reduce`` adds its sum to 0.0, which changes only
+    -0.0, and so changes no bit of the halves' sum."""
+    s = nodes.get((a, b))
+    if s is not None:
+        return s
+    if b - a <= _PW_BLOCK:
+        parts = sorted((k[2], v) for k, v in nodes.items() if len(k) == 3 and k[:2] == (a, b))
+        return float(np.concatenate([v for _, v in parts]).sum())
+    h = _pw_half(a, b)
+    return _tree_sum(nodes, a, h) + _tree_sum(nodes, h, b)
+
+
 def _bond_rows(pairs, starts, x, eps, base, lo, hi, planes, z, scratch=None):
     """The group's bond vectors F eta + (op @ x) / eps at rows lo..hi, the
-    rows of zero weight at F eta, written into z and returned; a row of z
-    past them gets F eta. ``planes`` is None for every row of every pair,
+    rows of zero weight at F eta, written into z, of hi - lo rows, and
+    returned. ``planes`` is None for every row of every pair,
     else the axis-0 plane range of the lone stencil that the rows cover.
     ``x`` is the flat field, or a dict of each stencil's bond lines
     (``_bond_lines``), which fill its rows by broadcasting. ``scratch`` is
     the operators' flat scratch array (see ``scratch_size``), or None to
     allocate it."""
-    m = hi - lo
     if isinstance(x, dict):
         for (op, _), s in zip(pairs, starts):
             (a, b), (l0, l1, l2) = planes or (0, op.N[0]), x[op]
@@ -464,11 +608,10 @@ def _bond_rows(pairs, starts, x, eps, base, lo, hi, planes, z, scratch=None):
             for (op, _), s in zip(pairs, starts):
                 op.apply(x, z[s:s + op.rows], scratch=scratch)
         else:
-            pairs[0][0].apply(x, z[:m], *planes, scratch=scratch)
-        np.divide(z[:m], eps, out=z[:m])
+            pairs[0][0].apply(x, z, *planes, scratch=scratch)
+        np.divide(z, eps, out=z)
         for i in range(3):  # column by column: a (3,) broadcast along rows is slower
-            z[:m, i] += base[i]
-    z[m:] = base
+            z[:, i] += base[i]
     for (_, w), s in zip(pairs, starts):
         if isinstance(w, _Weights):
             zero = w.zero if planes is None else w.zero[slice(*np.searchsorted(w.zero, (lo, hi)))]
@@ -536,10 +679,11 @@ def _evaluate(law: InteractionLaw, zeta, order: int, out) -> None:
     ``law.evaluate(., order, .)`` writes each chunk of at most _LAW_CHUNK
     rows into that chunk's rows of ``out``, which keeps the law's
     temporaries chunk-sized and copies nothing. The law's bits do not
-    depend on the rows a call holds, so they are those of one call."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(zeta), _LAW_CHUNK):
-            law.evaluate(zeta[lo:lo + _LAW_CHUNK], order, [a[lo:lo + _LAW_CHUNK] for a in out])
+    depend on the rows a call holds, so they are those of one call. Its
+    callers hold the kernel's ``np.errstate``: a non-finite phi or phi' is
+    a domain error that the kernel names, not a warning."""
+    for lo in range(0, len(zeta), _LAW_CHUNK):
+        law.evaluate(zeta[lo:lo + _LAW_CHUNK], order, [a[lo:lo + _LAW_CHUNK] for a in out])
 
 
 def _lane_count() -> int:
@@ -584,11 +728,11 @@ def _allocate(size: int) -> np.ndarray:
 
 class _Workspace:
     """One lane's reused flat float arrays, by role (see the module
-    docstring, Memory): ``"arena"``, for a piece's zeta and an apply's
-    scratch or a finish's temporaries; ``"contrib"``, for the gradient
-    contributions of the unit this lane finished last, until they are
-    added; and ``("unit", s)`` for s < _LANES, the unit slots, for phi and
-    phi' of the units of the terms this lane calls, on either lane. Each
+    docstring, Memory): ``"arena"``, for a piece's zeta and phi and an
+    apply's scratch or a finish's temporaries; ``"contrib"``, for the
+    gradient contributions of the unit this lane finished last, until they
+    are added; and ``("unit", s)`` for s < _LANES, the unit slots, for phi'
+    of the units of the terms this lane calls, on either lane. Each
     array grows, never shrinks, to the most asked of it; who may write it
     is said by the order in which ``_term`` and ``_stream`` run units."""
 

@@ -107,16 +107,46 @@ MUTATIONS = [
      "                    last = not left[i]\n",
      "                    last = left[i] <= 1\n",
      "tests/test_lanes.py::test_lone_batch_split_over_two_lanes_is_bitwise_one_lane"),
-    # every piece written from the first row of the unit's arrays
+    # every piece's phi' written from the first row of the unit slot
     ("energies.py",
-     "[a[lo:lo + len(z)] for a in self.out]",
-     "[a[:len(z)] for a in self.out]",
+     "[phi, self.dphi[lo:hi]]",
+     "[phi, self.dphi[:hi - lo]]",
      "tests/test_lanes.py::test_two_plane_pieces_are_bitwise_default_slabs"),
+    # numpy's pairwise tree split at half a node's length, not rounded down to a multiple of 8
+    ("energies.py",
+     "    return a + h - h % 8\n",
+     "    return a + h\n",
+     "tests/test_energies.py::test_pairwise_tree_gives_the_bits_of_add_reduce"),
+    # a leaf's fragments joined last piece first
+    ("energies.py",
+     "if len(k) == 3 and k[:2] == (a, b))\n",
+     "if len(k) == 3 and k[:2] == (a, b))[::-1]\n",
+     "tests/test_energies.py::test_pairwise_tree_gives_the_bits_of_add_reduce"),
+    # a leaf's fragment kept as a view of the arena, which the next piece overwrites
+    ("energies.py",
+     "d[max(a, lo) - lo:min(b, hi) - lo].copy()",
+     "d[max(a, lo) - lo:min(b, hi) - lo]",
+     "tests/test_lanes.py::test_two_plane_pieces_are_bitwise_default_slabs[atomistic-False-one_lane]"),
+    # a scalar weight other than 1.0 skipped as if it were 1.0
+    ("energies.py",
+     "        if w != 1.0:\n",
+     "        if False:\n",
+     "tests/test_energies.py::test_acb_tetra_p1_cross_assembly"),
+    # a piece's law call and excess sums run outside the kernel's np.errstate
+    ("energies.py",
+     "        with np.errstate(over=\"ignore\", invalid=\"ignore\"):\n            if self.phi0 is None:",
+     "        if True:\n            if self.phi0 is None:",
+     "tests/test_harness.py::test_an_overflowing_excess_names_its_largest_bond[1]"),
+    # an overflowed excess naming the pair's first row, not its largest term
+    ("energies.py",
+     "                row = int(np.argmax(np.abs(",
+     "                row = 0 * int(np.argmax(np.abs(",
+     "tests/test_harness.py::test_an_overflowing_excess_names_its_largest_bond[2]"),
     # every law chunk written into the first chunk's rows of the unit's arrays
     ("energies.py",
      "[a[lo:lo + _LAW_CHUNK] for a in out]",
      "[a[:min(_LAW_CHUNK, len(zeta) - lo)] for a in out]",
-     "tests/test_lanes.py::test_f_eta_alone_in_the_last_chunk_keeps_every_bit"),
+     "tests/test_lanes.py::test_whole_law_chunks_keep_every_bit"),
     # a unit's slot fixed by its place in the term, as if taken when the unit is built
     ("energies.py",
      "                    taken[i] = free.pop()\n",

@@ -233,16 +233,27 @@ def test_mismatched_inputs_are_rejected():
 def test_one_law_evaluation_per_bond_batch(monkeypatch):
     """The kernel evaluates each unit of a term with one
     ``evaluate(zeta, 1)`` call: at N=8 per law one atomistic CSR, one group
-    of the six staircase templates (512 rows each) and one cone CSR. The
-    untied two-sided call adds one ``evaluate(avg, 2)`` per law for the
-    jump. The per-derivative views are not called at all, and every report
-    counts its law evaluations per term."""
+    of the six staircase templates (512 rows each) and one cone CSR. Each
+    law's phi(F eta) is evaluated once, on the lone bond F eta at order 0,
+    and then kept for later units and calls. The untied two-sided call adds
+    one ``evaluate(avg, 2)`` per law for the jump. The per-derivative views
+    are not called at all, and every report counts its law evaluations per
+    term."""
     from bvcouple.potentials import InteractionLaw
 
-    calls = []
+    calls, lone, inner = [], [], []
     evaluate = InteractionLaw.evaluate
 
     def counting(self, zeta, order=2, out=None):
+        if inner:  # the law's own two-row call for a lone bond
+            return evaluate(self, zeta, order, out)
+        if np.shape(zeta) == (3,):
+            lone.append((self.eta, order, tuple(zeta)))
+            inner.append(1)
+            try:
+                return evaluate(self, zeta, order, out)
+            finally:
+                inner.clear()
         calls.append((self.eta, order))
         return evaluate(self, zeta, order, out)
 
@@ -261,12 +272,14 @@ def test_one_law_evaluation_per_bond_batch(monkeypatch):
 
     rep = coupled_energy_conforming(y_minus, R, part)
     assert sorted(calls) == sorted((law.eta, 1) for law in R for _ in range(3))
+    assert sorted(lone) == sorted((law.eta, 0, tuple(F @ law.eta_vec)) for law in R)
     assert rep.diagnostics["law_calls"] == {"atomistic": len(R), "continuum": len(R), "interface": len(R)}
     calls.clear()
     rep = coupled_energy_dg(y_minus, y_plus, R, part)
     assert rep.breakdown["interface_jump"] != 0.0
     expected = [(law.eta, 1) for law in R for _ in range(3)] + [(law.eta, 2) for law in R]
     assert sorted(calls) == sorted(expected)
+    assert len(lone) == len(R)
     assert rep.diagnostics["law_calls"]["interface_jump"] == len(R)
 
 

@@ -352,3 +352,114 @@ def test_per_axis_lines_are_refused_by_gathers_and_gradients():
     stencil = energies._bond_stencil(law.eta, cfg.N)
     with pytest.raises(ValueError, match="energy-only"):
         energies._term("t", [(stencil, 1.0, law, "k")], np.eye(3), lines, cfg.epsilon, (np.zeros((cfg.n_sites, 3)),))
+
+
+def spread_values(rng, n) -> np.ndarray:
+    """n values of both signs and magnitudes 1e-5 to 1e5, about one in ten
+    of them +0.0 or -0.0."""
+    v = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
+    zero = rng.random(n) < 0.1
+    v[zero] = rng.choice(np.array([0.0, -0.0]), zero.sum())
+    return v
+
+
+def tree_sum_in_pieces(values, cuts) -> float:
+    """The kernel's sum of ``values`` taken in the pieces between ``cuts``:
+    each piece gives its tree nodes from a copy of its own values, as a
+    piece's arena rows, and the nodes are added in tree order."""
+    from bvcouple import energies
+
+    nodes: dict = {}
+    bounds = [0, *cuts, len(values)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        energies._tree_nodes(nodes, values[lo:hi].copy(), lo, 0, len(values))
+    return energies._tree_sum(nodes, 0, len(values))
+
+
+def test_pairwise_tree_gives_the_bits_of_add_reduce():
+    """Summed in pieces through numpy's pairwise tree, values of magnitudes
+    1e-5 to 1e5 with +0.0 and -0.0 among them give the bits of one
+    ``np.add.reduce`` (``repr`` tells -0.0 from 0.0): every length from 1 to
+    300, whole, cut at one random row and cut every 7 rows (so up to 19
+    fragments make one leaf); 2^17 - 1 and 2^17 + 1 rows cut at three rows;
+    216,000 rows cut at 129,600, the pieces of an N=60 lattice batch, where
+    the cut falls inside a leaf; 3,000,001 rows cut every 131,072; and all
+    -0.0, whose sum is 0.0."""
+    rng = np.random.default_rng(36)
+    cases = []
+    for n in range(1, 301):
+        v = spread_values(rng, n)
+        cases += [(v, []), (v, [int(rng.integers(0, n + 1))]), (v, list(range(7, n, 7)))]
+        cases.append((np.full(n, -0.0), list(range(5, n, 5))))
+    for n in (2**17 - 1, 2**17 + 1):
+        cases.append((spread_values(rng, n), [1000, 2**16 + 3, n - 129]))
+    cases.append((spread_values(rng, 216_000), [129_600]))
+    cases.append((spread_values(rng, 3_000_001), list(range(131_072, 3_000_001, 131_072))))
+    for v, cuts in cases:
+        assert repr(tree_sum_in_pieces(v, cuts)) == repr(float(np.add.reduce(v))), (len(v), cuts)
+
+
+def sweep_like_state(N, seed):
+    """A sheared F and a small seeded displacement on the N^3 lattice of
+    side 1."""
+    rng = np.random.default_rng(seed)
+    F = np.array([[1.02, 0.01, 0.0], [0.0, 0.99, 0.03], [0.0, 0.0, 1.01]])
+    cfg = LatticeConfig(N=(N, N, N), epsilon=1.0 / N)
+    return make_deformation(F, LatticeField(cfg, 1e-3 * rng.standard_normal(cfg.shape)))
+
+
+README_LAWS = InteractionSet([
+    make_law((1, 1, 1), "harmonic"),
+    make_law((2, 1, 3), "lennard-jones-radial", {"well_depth": 0.5, "sigma": 2.494438257849294}),
+    make_law((1, -1, 2), "anisotropic-toy"),
+])
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+@pytest.mark.parametrize("N", [60, 64])
+def test_pieces_reduce_to_the_bits_of_one_full_array_sum(monkeypatch, N, lanes):
+    """At N=60 (each lattice batch two pieces, of 129,600 and 86,400 rows,
+    the cut inside a 104-row leaf) and N=64 (two pieces of 131,072), on one
+    lane and on two: every model's energy-only call has the bits of its
+    gradient call's energy, excess and breakdown, and each atomistic key
+    has the bits of the excess summed over the whole batch at once,
+    eps^3 np.add.reduce(phi - phi(F eta)) with phi(F eta) from an extra row
+    of the batch, plus its homogeneous share."""
+    from bvcouple import energies
+
+    monkeypatch.setattr(energies, "_LANES", lanes)
+    y = sweep_like_state(N, N)
+    eps = y.cfg.epsilon
+    assert [(lo, hi) for lo, hi, _ in energies._pieces([(energies._bond_stencil((1, 1, 1), y.cfg.N), 1.0)],
+                                                        N**3)] == \
+        ([(0, 129_600), (129_600, 216_000)] if N == 60 else [(0, 2**17), (2**17, 2**18)])
+    for model in MODELS:
+        full, energy = model(y, README_LAWS), model(y, README_LAWS, gradient=False)
+        assert repr((full.energy, full.excess, full.breakdown)) == \
+            repr((energy.energy, energy.excess, energy.breakdown)), model.__name__
+        assert full.diagnostics["lanes"] == energy.diagnostics["lanes"] == lanes
+    energy = atomistic_energy(y, README_LAWS, gradient=False)
+    x = y.displacement.values.reshape(-1, 3)
+    for law in README_LAWS:
+        op = energies._bond_stencil(law.eta, y.cfg.N)
+        zeta = np.concatenate([op @ x / eps + y.F @ law.eta_vec, (y.F @ law.eta_vec)[None]])
+        phi = law.evaluate(zeta, 0)[0]
+        excess = float(eps**3 * np.add.reduce(phi[:-1] - phi[-1]))
+        assert repr(energy.breakdown[f"eta={law.eta}"]) == repr(excess + float(eps**3 * phi[-1] * (1.0 * op.rows)))
+
+
+def test_homogeneous_phi_is_kept_for_a_bounded_set_of_bonds():
+    """phi(F eta) is evaluated on the lone bond once per law and F eta and
+    then kept, with the bits of a batch row: a call at y_F has excess 0.0.
+    Over 150 deformation gradients the kept values never number more than
+    ``_HOMOGENEOUS_KEPT``, so a long-lived process keeps a bounded set."""
+    from bvcouple import energies
+
+    cfg = LatticeConfig(N=(4, 4, 4), epsilon=0.25)
+    rng = np.random.default_rng(5)
+    sizes = []
+    for _ in range(150):
+        y = make_deformation(np.eye(3) + 0.1 * rng.standard_normal((3, 3)), LatticeField.zeros(cfg))
+        assert atomistic_energy(y, laws_mixed(), gradient=False).excess == 0.0
+        sizes.append(len(energies._homogeneous))
+    assert max(sizes) <= energies._HOMOGENEOUS_KEPT < 150 * len(laws_mixed())

@@ -803,6 +803,58 @@ def test_sweep_raises_the_full_field_models_domain_error(monkeypatch, epsilons, 
     assert (str(got.value), got.value.site, got.value.eta) == (str(want.value), want.value.site, want.value.eta)
 
 
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_an_overflowing_excess_names_its_largest_bond(monkeypatch, lanes):
+    """At amplitude 480 on the README laws (F = I), the sweep's N=64
+    spacing gives anisotropic-toy phi up to about 5e307, every one finite,
+    whose excess sum overflows; each atomistic batch there is two pieces.
+    The sweep raises a domain error that names the bond of largest
+    |phi - phi(F eta)| (the weight is 1), the same error as the atomistic
+    model on the sampled field, on one lane and on two; no overflow
+    warning escapes (the suite turns RuntimeWarnings into errors)."""
+    monkeypatch.setattr(energies, "_LANES", lanes)
+    data = json.loads(json.dumps(harness.DEFAULT_CONFIG))
+    data.update(model="acb-cell", F=np.eye(3).tolist(),
+                sweep={"epsilons": [0.25, 0.125, 0.0625], "amplitude": 480.0, "period": 4.0})
+    config = config_from_dict(data)
+    with pytest.raises(PotentialDomainError) as got:
+        harness.consistency_sweep(config)
+    y = sampled_sweep_state(config, 0.0625)
+    with pytest.raises(PotentialDomainError) as want:
+        atomistic_energy(y, config.laws, gradient=False)
+    assert (str(got.value), got.value.site, got.value.eta) == (str(want.value), want.value.site, want.value.eta)
+    law = next(law for law in config.laws if law.kind == "anisotropic-toy")
+    op = energies._bond_stencil(law.eta, y.cfg.N)
+    with np.errstate(over="ignore"):
+        phi = law.evaluate(op @ y.displacement.values.reshape(-1, 3) / y.cfg.epsilon + law.eta_vec, 0)[0]
+    assert np.isfinite(phi).all() and phi.max() > 1e307
+    row = int(np.argmax(np.abs(phi - law.evaluate(law.eta_vec, 0)[0])))
+    assert (got.value.site, got.value.eta) == (op.site(row), law.eta)
+    assert str(got.value).startswith("anisotropic-toy energy or force is not finite (offending bond: site ")
+
+
+def test_an_energy_only_sweep_term_keeps_no_array_of_its_rows():
+    """The N=128 atomistic sweep term (2,097,152 rows per law, sixteen
+    pieces), run from let-go workspaces under tracemalloc, peaks below one
+    N^3 float array (16 MiB): each piece reduces its phi as it runs, so the
+    lanes' arenas (a piece's zeta and phi) and the law's chunk temporaries
+    are all the term allocates, and no unit keeps phi for a whole batch."""
+    import tracemalloc
+
+    config = sweep_config("acb-cell")
+    cfg = LatticeConfig(N=(128, 128, 128), epsilon=4.0 / 128)
+    lines = harness._sweep_lines(lambda x: 0.05 * np.sin(2.0 * np.pi * x / 4.0), cfg)
+    energies._drop_workspaces()
+    tracemalloc.start()
+    try:
+        report = harness._sweep_energy("atomistic", lines, config, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(report.excess)
+    assert peak < 128**3 * 8, peak
+
+
 def test_sweep_gap_keeps_its_digits_at_small_amplitude():
     """At amplitude 5e-7 the finest gap is about one ulp of the two
     energies (~534), so it must come from the excesses to fit the

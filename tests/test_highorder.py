@@ -112,7 +112,7 @@ import importlib.machinery, json, os, sys
 import numpy as np
 {first}
 import bvcouple.cli
-loaded = [m for m in ("scipy.sparse", "scipy._lib._array_api", "numpy.f2py") if m in sys.modules]
+loaded = [m for m in ("scipy", "scipy.sparse", "scipy._lib._array_api", "numpy.f2py") if m in sys.modules]
 from bvcouple import energies
 from bvcouple.coupling import _csr
 import scipy.sparse
@@ -128,12 +128,13 @@ print(json.dumps([loaded, energies._sparsetools is _sparsetools, os.path.samefil
 @pytest.mark.parametrize("first", ["", "import scipy.sparse"])
 def test_importing_the_cli_does_not_load_scipy_sparse(first):
     """bvcouple loads scipy's compiled sparse routines by their file path
-    (``energies._load_sparsetools``). A fresh interpreter that imports
-    bvcouple.cli has loaded neither the scipy.sparse package nor what its
-    import pulls in, scipy's array-API shim and numpy.f2py; the routines it
-    loaded are the module and the file that scipy.sparse imports; and a
-    product of scipy.sparse and one of bvcouple work whether scipy.sparse
-    is imported after bvcouple or before it."""
+    (``energies._load_sparsetools``), found without importing scipy. A
+    fresh interpreter that imports bvcouple.cli has loaded none of the
+    scipy package, scipy.sparse and what its import pulls in, scipy's
+    array-API shim and numpy.f2py; the routines it loaded are the module
+    and the file that scipy.sparse imports; and a product of scipy.sparse
+    and one of bvcouple work whether scipy.sparse is imported after
+    bvcouple or before it."""
     src = str(Path(highorder.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = _SPARSE_IMPORT_CHECK.format(first=first)
@@ -657,13 +658,13 @@ def test_padding_rows_add_nothing(monkeypatch, k):
         assert pad.any()
         node_rows = np.diff(op.G.indptr).reshape(-1, nloc, mesh.block)
         assert not node_rows[-1][:, E % mesh.block:].any()
-        z = _bond_rows([(op, w)], [0], x, cfg.epsilon, base, 0, op.rows, None, np.empty((op.rows + 1, 3)))
-        assert np.array_equal(z[:-1][pad], np.broadcast_to(base, (pad.sum(), 3)))
+        z = _bond_rows([(op, w)], [0], x, cfg.epsilon, base, 0, op.rows, None, np.empty((op.rows, 3)))
+        assert np.array_equal(z[pad], np.broadcast_to(base, (pad.sum(), 3)))
         phi, dphi = law.evaluate(z, 1)
-        excess = _blocks(phi[:-1], w.w) - phi[-1]
+        excess = _blocks(phi, w.w) - law.evaluate(base, 0)[0]
         excess *= w.w
         assert np.all(excess.ravel()[pad] == 0.0)
-        p = dphi[:-1].copy()
+        p = dphi.copy()
         g = op.T @ p
         p[pad] = 1e6 * rng.standard_normal((pad.sum(), 3))
         assert np.array_equal(op.T @ p, g)

@@ -55,8 +55,7 @@ def two_lanes(monkeypatch):
 
 def chunks_and_slabs(monkeypatch):
     """Two lanes, law chunks of 864 rows (an N=12 stencil batch of 1,728
-    rows is then two whole chunks, which leaves F eta alone in a third
-    one-row call) and stencil slabs of two planes."""
+    rows is then two whole chunks) and stencil slabs of two planes."""
     two_lanes(monkeypatch)
     monkeypatch.setattr(energies, "_LAW_CHUNK", 864)
     monkeypatch.setattr(energies, "_SLAB_ROWS", 300)
@@ -150,10 +149,11 @@ def test_two_lanes_are_bitwise_one_lane(monkeypatch, model, setting):
 
 
 @pytest.mark.parametrize("model", MODELS)
-def test_f_eta_alone_in_the_last_chunk_keeps_every_bit(monkeypatch, model):
+def test_whole_law_chunks_keep_every_bit(monkeypatch, model):
     """With law chunks of 864 rows, every N=12 stencil batch (1,728 rows)
-    and group (10,368) ends in a chunk that holds only the F eta row: on one
-    lane, full and energy-only reports are bitwise the default chunk's."""
+    and group (10,368) is whole chunks, and phi(F eta) comes from the lone
+    bond, in no chunk: on one lane, full and energy-only reports are
+    bitwise the default chunk's."""
     one_lane(monkeypatch)
     calls = model_calls(), model_calls(gradient=False)
     refs = [c[model]() for c in calls]
@@ -256,10 +256,10 @@ def test_chunked_homogeneous_batch_has_zero_excess(monkeypatch):
     """At zeta = F eta every row's phi must equal phi(F eta) to the bit, or
     the excess of y_F is not 0.0. A one-row matrix product of the toy law
     can round differently from a many-row one (in about one of fifteen of
-    these F), so the law evaluates a lone row as a two-row batch: here the
-    1,728 rows of one bond batch fill two chunks of 864 exactly, and the
-    10,368 rows of a group of the six staircase templates twelve, which
-    leaves F eta alone in the last chunk."""
+    these F), so the law evaluates a lone row as a two-row batch, and the
+    kernel takes phi(F eta) from the lone bond F eta: here the 1,728 rows
+    of one bond batch fill two chunks of 864 exactly, and the 10,368 rows
+    of a group of the six staircase templates twelve."""
     monkeypatch.setattr(energies, "_LAW_CHUNK", 864)
     law = make_law((1, -1, 2), "anisotropic-toy")
     N = (12, 12, 12)
@@ -1029,40 +1029,49 @@ def coupled_ho3_call(**kw):
 
 @pytest.mark.parametrize("chunk", [None, 864])
 @pytest.mark.parametrize("model", ["atomistic", "acb-tetra", "coupled", "coupled-ho(3)"])
-def test_every_law_call_writes_into_a_unit_slot(monkeypatch, model, chunk):
-    """The law writes phi and phi' straight into the unit slots: every law
-    call of the model at N=12, full and energy-only, is given ``out``
-    arrays that are views of a unit slot of a lane's workspace, and returns
-    them; the reports keep every bit. So also with law chunks of 864 rows,
-    where a unit of one stencil batch has 1,729 rows and its last chunk
-    holds the F eta row alone."""
+def test_every_law_call_writes_into_workspace_arrays(monkeypatch, model, chunk):
+    """The law writes phi into the running lane's arena and phi' into a
+    unit slot: every law call on rows of the model at N=12, full and
+    energy-only, is given ``out`` arrays, phi a view of an arena and phi' of
+    a unit slot, and returns them. The only other law calls are on the
+    lone bond F eta, at order 0, for phi(F eta), at most once per law and
+    F eta. The reports keep every bit. So also with law chunks of 864
+    rows, which an atomistic batch (1,728 rows) and a staircase group
+    (10,368) fill whole, with no F eta row left over."""
     calls = [coupled_ho3_call(gradient=g) if model == "coupled-ho(3)" else model_calls(gradient=g)[model]
              for g in (True, False)]
     refs = [call() for call in calls]
     if chunk:
         monkeypatch.setattr(energies, "_LAW_CHUNK", chunk)
-    evaluate, rows, strays, inner = InteractionLaw.evaluate, [], [], threading.local()
+    evaluate, rows, lone, strays, inner = InteractionLaw.evaluate, [], [], [], threading.local()
 
     def spy(self, zeta, order=2, *given):  # ``out``, if given, positionally, as the kernel passes it
         if getattr(inner, "call", False):  # the law's own two-row call for a lone bond
             return evaluate(self, zeta, order, *given)
-        slots = [a for ws in list(energies._every_workspace) for role, a in ws.arrays.items() if role[0] == "unit"]
+        arrays = [(role, a) for ws in list(energies._every_workspace) for role, a in ws.arrays.items()]
         inner.call = True
         try:
             got = evaluate(self, zeta, order, *given)
         finally:
             inner.call = False
-        rows.append(len(zeta))
         out = given[0] if given else None
-        if out is None or not all(any(np.shares_memory(a, s) for s in slots) and a is b for a, b in zip(out, got)):
+        if np.shape(zeta) == (3,) and out is None and order == 0:
+            lone.append((self.eta, tuple(zeta)))
+            return got
+        rows.append(len(zeta))
+        roles = [[role for role, s in arrays if np.shares_memory(a, s)] for a in out or ()]
+        if not (out and roles[0] == ["arena"] and all(len(r) == 1 and r[0][0] == "unit" for r in roles[1:])
+                and all(a is b for a, b in zip(out, got))):
             strays.append((self.eta, order, len(zeta)))
         return got
 
     monkeypatch.setattr(InteractionLaw, "evaluate", spy)
     for ref, call in zip(refs, calls):
         assert_same_report(ref, call())
+    assert len(lone) == len(set(lone))
     assert rows and strays == []
-    assert 1 in rows or not chunk
+    if chunk and model in ("atomistic", "acb-tetra"):
+        assert set(rows) == {chunk}
 
 
 @pytest.mark.parametrize("model", ["coupled", "coupled-ho(3)", "acb-tetra"])
