@@ -35,8 +35,18 @@ site a row belongs to, named in domain errors):
   shift wraps on two or three axes, applied to a whole array of one slab,
   copies its four or eight blocks (``_shift_blocks``) into one scratch
   array and adds that contiguously; larger arrays add the blocks slab by
-  slab. Either way every row gets the same adds in the same order, so the
-  bits do not depend on the plane range or the slab size. Stencils stay
+  slab. A coefficient c other than 1 and -1 is added as c x formed in the
+  scratch, never in a temporary. The staircase templates and the cell bond
+  all read x at the corners of a cell (Bey, Numer. Math. 85, 2000), so a
+  small term, whose batches all have fewer than ``_MIN_LANE_ROWS`` rows
+  and which runs on the caller's lane, keeps one store of shifted copies
+  of x for the call (``_Shifts``, made by ``_shifts``): one per nonzero
+  offset that more than one of its stencils reads, copied from x's blocks
+  by the first apply that reads it, and added contiguously by every apply
+  that reads it; other offsets, and every transposed apply, add their
+  blocks as above. Either way every row gets the same adds in the same
+  order, zero-filled first, so the bits do not depend on the plane range,
+  the slab size or the store. Stencils stay
   matrix-free: as CSR the cell bond at N=128 would hold 16.8M nonzeros;
 - a sparse gather ``_Gather`` for the irregular terms: a cached CSR map to
   element-local values, then a dense (nq, nloc) coefficient block shared
@@ -215,6 +225,14 @@ may write each one. They are:
   piece's phi is reduced before the piece ends, into a few floats per
   piece and at most _PW_BLOCK values per piece boundary, which the unit
   keeps until its finish;
+- the store of shifted copies of x of a small term of stencils
+  (``_shifts``): one array the size of x per stored offset, in the
+  workspace of the calling lane, which alone runs such a term. Only the
+  staircase and cell stencils share offsets, the nonzero corners of a
+  cell, since the exact bonds of a term have distinct directions; so a
+  store holds at most 7 copies of an x of fewer than _MIN_LANE_ROWS rows
+  (1.4 MB). A store serves one term of one call: the next call's store
+  copies its shifts again before it reads them;
 - the unit slots, phi' of a unit from its start to its finish, which the
   law writes into, chunk by chunk; an energy-only unit's slot is empty, so
   no array of a term's rows outlives a piece. They belong to the workspace
@@ -340,7 +358,8 @@ class _Unit:
     the unit's last read of its slot. The unit holds no workspace array of
     its own: the order in which ``_term`` and ``_stream`` run units says
     which slot a unit may write and how long its contributions stay (module
-    docstring, Memory). The law acts row by row, so the bits do not depend
+    docstring, Memory). Its stencils read ``shifts``, the store of a small
+    term that ``_term`` makes for the call (``_shifts``), if given. The law acts row by row, so the bits do not depend
     on the pieces or the lanes, and each pair's results are the bits of a
     group of that pair alone. ``w`` is a scalar or a ``_Weights`` with one
     weight per row, or a 2-D tile of one weight per row of each
@@ -351,12 +370,13 @@ class _Unit:
     are the same bits, since phi does not depend on the order asked for;
     phi' is not computed, so only phi is checked for finiteness."""
 
-    def __init__(self, pairs, law: InteractionLaw, key, base, x, eps, gradient: bool):
+    def __init__(self, pairs, law: InteractionLaw, key, base, x, eps, gradient: bool, shifts=None):
         if isinstance(x, tuple):  # per-axis lines: each stencil's bond lines, before any piece runs
             if gradient:
                 raise ValueError("per-axis displacement lines are read energy-only")
             x = {op: _bond_lines(op, x, eps, base) for op, _ in pairs}
         self.pairs, self.law, self.key, self.base, self.x, self.eps = pairs, law, key, base, x, eps
+        self.shifts = shifts
         self.order = 1 if gradient else 0
         self.ends = list(accumulate(op.rows for op, _ in pairs))
         self.starts = [0, *self.ends[:-1]]
@@ -392,7 +412,7 @@ class _Unit:
         m, zr = hi - lo, self.zeta_rows
         arena = ws.array("arena", self.scratch_size)
         z = _bond_rows(self.pairs, self.starts, self.x, self.eps, self.base, lo, hi, planes,
-                       arena[: 3 * m].reshape(m, 3), arena[self.split:])
+                       arena[: 3 * m].reshape(m, 3), arena[self.split:], self.shifts)
         phi = arena[3 * zr: 3 * zr + m]
         with np.errstate(over="ignore", invalid="ignore"):
             if self.phi0 is None:
@@ -589,7 +609,7 @@ def _tree_sum(nodes: dict, a: int, b: int) -> float:
     return _tree_sum(nodes, a, h) + _tree_sum(nodes, h, b)
 
 
-def _bond_rows(pairs, starts, x, eps, base, lo, hi, planes, z, scratch=None):
+def _bond_rows(pairs, starts, x, eps, base, lo, hi, planes, z, scratch=None, shifts=None):
     """The group's bond vectors F eta + (op @ x) / eps at rows lo..hi, the
     rows of zero weight at F eta, written into z, of hi - lo rows, and
     returned. ``planes`` is None for every row of every pair,
@@ -597,7 +617,8 @@ def _bond_rows(pairs, starts, x, eps, base, lo, hi, planes, z, scratch=None):
     ``x`` is the flat field, or a dict of each stencil's bond lines
     (``_bond_lines``), which fill its rows by broadcasting. ``scratch`` is
     the operators' flat scratch array (see ``scratch_size``), or None to
-    allocate it."""
+    allocate it. ``shifts`` is the store of a small term of stencils
+    (``_shifts``), which its applies read, or None."""
     if isinstance(x, dict):
         for (op, _), s in zip(pairs, starts):
             (a, b), (l0, l1, l2) = planes or (0, op.N[0]), x[op]
@@ -606,7 +627,10 @@ def _bond_rows(pairs, starts, x, eps, base, lo, hi, planes, z, scratch=None):
     else:
         if planes is None:
             for (op, _), s in zip(pairs, starts):
-                op.apply(x, z[s:s + op.rows], scratch=scratch)
+                if shifts is None:
+                    op.apply(x, z[s:s + op.rows], scratch=scratch)
+                else:
+                    op.apply(x, z[s:s + op.rows], scratch=scratch, shifts=shifts)
         else:
             pairs[0][0].apply(x, z, *planes, scratch=scratch)
         np.divide(z, eps, out=z)
@@ -808,7 +832,7 @@ class _Stencil:
         return self.apply(x, np.empty((self.rows, 3)))
 
     def apply(self, x: np.ndarray, out: np.ndarray, lo: int = 0, hi: int | None = None,
-              scratch: np.ndarray | None = None) -> np.ndarray:
+              scratch: np.ndarray | None = None, shifts: "_Shifts | None" = None) -> np.ndarray:
         """B x at the sites of the axis-0 planes lo <= l_0 < hi (default:
         every plane) written into ``out``, a C-contiguous ((hi - lo) N_1 N_2,
         3) array, one slab of at most ``slab_planes`` planes at a time: each
@@ -817,26 +841,31 @@ class _Stencil:
         in the same order, so the bits do not depend on the plane range or
         the slab size, and the slab stays in cache across the terms.
         ``scratch``, a flat array of at least ``scratch_size`` floats, holds
-        the whole-array shifts; None allocates it when needed."""
+        the whole-array shifts and the products c x of a coefficient other
+        than 1 or -1; None allocates it. ``shifts``, a small term's store
+        (``_Shifts``), gives the shifted copy of x at each offset it holds,
+        which is added contiguously as a whole-array shift is: the same adds
+        in the same order, so the same bits."""
         n0 = self.N[0]
         hi = n0 if hi is None else hi
         v = x.reshape(self.N + (3,))
         acc = out.reshape((hi - lo,) + v.shape[1:])
         planes = self.slab_planes
-        shifted = None  # scratch for the whole-array shifts, one per apply
+        scratch = np.empty(self.scratch_size) if scratch is None else scratch
         for a in range(lo, hi, planes):
             b = min(a + planes, hi)
             slab = acc[a - lo:b - lo]
             slab[...] = 0.0
             for s, c in self.terms:
                 src, blocks = v, _shift_blocks(self.N, s, a, b)
-                if len(blocks) > 2 and b - a == n0:
+                if shifts is not None and s in shifts.slots:
+                    src, blocks = shifts.get(s)[a:b], _WHOLE
+                elif len(blocks) > 2 and b - a == n0:
                     # up to a slab, copying the blocks into one contiguous
                     # shifted array (no larger than a slab's temporary) and
                     # one contiguous add beat four or eight strided block
                     # adds
-                    if shifted is None:
-                        shifted = np.empty_like(v) if scratch is None else scratch[: v.size].reshape(v.shape)
+                    shifted = scratch[: v.size].reshape(v.shape)
                     for dst, sl in blocks:
                         shifted[dst] = v[sl]
                     src, blocks = shifted, _WHOLE
@@ -848,8 +877,9 @@ class _Stencil:
                         slab[dst] += src[sl]
                     elif c == -1.0:
                         slab[dst] -= src[sl]
-                    else:  # a temporary no larger than a slab
-                        slab[dst] += src[sl] * c
+                    else:  # c x in the scratch, which no shift holds here: no fresh pages
+                        term = src[sl]
+                        slab[dst] += np.multiply(term, c, out=scratch[: term.size].reshape(term.shape))
         return out
 
     @property
@@ -860,9 +890,9 @@ class _Stencil:
 
     @property
     def scratch_size(self) -> int:
-        """Floats of scratch an apply may use: one shifted copy of x where
-        the lattice is one slab, else none."""
-        return 3 * self.rows if self.slab_planes >= self.N[0] else 0
+        """Floats of scratch an apply may use: one slab of x, a shifted copy
+        of the whole x where the lattice is one slab."""
+        return 3 * min(self.N[0], self.slab_planes) * self.N[1] * self.N[2]
 
     @property
     def rows(self) -> int:
@@ -874,6 +904,50 @@ class _Stencil:
 
     def site(self, row: int) -> IntTriple:
         return tuple(int(i) for i in np.unravel_index(row, self.N))
+
+
+class _Shifts:
+    """A small term's store of shifted copies of its displacement x: one
+    slot of the caller's workspace per offset in ``slots``. The first
+    stencil apply that reads an offset copies x's blocks at that offset
+    into its slot (``get``), once per call; a store is made for one call
+    (``_shifts``), so no call reads another's shifts."""
+
+    def __init__(self, x: np.ndarray, N: IntTriple, offsets, data: np.ndarray):
+        self.v, self.N = x.reshape(N + (3,)), N
+        self.slots = dict(zip(offsets, data.reshape(len(offsets), *N, 3)))
+        self.formed: dict = {}  # offset -> its slot, once copied in this call
+
+    def get(self, s: IntTriple) -> np.ndarray:
+        """The whole array of x shifted by ``s``: at site l, x_{(l + s) mod N}."""
+        out = self.formed.get(s)
+        if out is None:
+            out = self.formed[s] = self.slots[s]
+            for dst, sl in _shift_blocks(self.N, s, 0, self.N[0]):
+                out[dst] = self.v[sl]
+        return out
+
+
+def _shifts(batches, x, ws: "_Workspace") -> _Shifts | None:
+    """The store of the term of ``batches`` for this call, in ``ws``: each
+    nonzero offset that more than one of its stencils reads, where every
+    batch is a stencil of fewer than _MIN_LANE_ROWS rows and x is a field;
+    else None. Only the staircase and cell stencils share offsets, the
+    nonzero corners of a cell, since the exact bonds of a term have
+    distinct directions; so the store holds at most 7 shifted copies of an
+    x of fewer than _MIN_LANE_ROWS rows."""
+    if isinstance(x, tuple) or any(not isinstance(op, _Stencil) or op.rows >= _MIN_LANE_ROWS
+                                   for op, *_ in batches):
+        return None
+    readers: dict = {}
+    for op, *_ in batches:
+        for s, _ in op.terms:
+            if any(s):
+                readers[s] = readers.get(s, 0) + 1
+    shared = [s for s, n in readers.items() if n > 1]
+    if not shared:
+        return None
+    return _Shifts(x, batches[0][0].N, shared, ws.array("shifts", len(shared) * x.size))
 
 
 def _runs(n: int, k: int, lo: int, hi: int) -> tuple:
@@ -1103,14 +1177,15 @@ def _hessian_symbol(batches, F: np.ndarray, N: IntTriple, eps: float) -> np.ndar
 class _Term:
     """One term's sums over its batches in batch order (``sums``: breakdown
     key -> (energy, excess) of the batches carrying it), its wall time, the
-    most lanes its units ran on, and its law evaluations (one per unit,
-    each in row chunks)."""
+    most lanes its units ran on, its law evaluations (one per unit, each in
+    row chunks) and the shifted copies of x its store formed (``_shifts``)."""
 
     name: str
     sums: dict[str, tuple[float, float]] = field(default_factory=dict)
     seconds: float = 0.0
     lanes: int = 1
     law_calls: int = 0
+    shifts: int = 0
 
     def add(self, key: str, results, g_outs) -> None:
         """Adds one unit's results, batch by batch, to the sums of ``key``
@@ -1131,18 +1206,24 @@ def _term(name: str, batches, F, x, eps, g_outs) -> _Term:
     otherwise the caller computes and adds one unit at a time. Every sum and
     every array in ``g_outs`` adds the batches' results in batch order, as
     on one lane and ungrouped, so the result is bitwise the same on one lane
-    or two, grouped or not. With no ``g_outs`` the batches are energy-only."""
+    or two, grouped or not. With no ``g_outs`` the batches are energy-only.
+    A small term of stencils, whose batches all have fewer than
+    _MIN_LANE_ROWS rows and so never stream, reads one store of shifted
+    copies of x in the caller's workspace (``_shifts``), made for this call."""
     t0 = time.perf_counter()
     out = _Term(name)
-    units = [_Unit(pairs, law, key, F @ law.eta_vec, x, eps, bool(g_outs)) for pairs, law, key in _groups(batches)]
+    ws = _workspace()
+    shifts = _shifts(batches, x, ws)
+    units = [_Unit(pairs, law, key, F @ law.eta_vec, x, eps, bool(g_outs), shifts)
+             for pairs, law, key in _groups(batches)]
     if _LANES > 1 and max(op.rows for op, *_ in batches) >= _MIN_LANE_ROWS and sum(len(u.pieces) for u in units) > 1:
         _stream(_helper(), units, lambda key, results: out.add(key, results, g_outs))
         out.lanes = 2
     else:
-        ws = _workspace()
         ws.reserve(units, 1)
         for u in units:
             out.add(u.key, u.alone(ws), g_outs)
+        out.shifts = 0 if shifts is None else len(shifts.formed)
     out.seconds = time.perf_counter() - t0
     return out
 
@@ -1264,7 +1345,8 @@ def _report(model: str, gradient: LatticeField | None, terms, **diagnostics) -> 
     over the terms, in term order, starting from the first term's value (so
     a negated zero stays -0.0); ``energy`` and ``excess`` are the
     left-to-right sums over the breakdown. Diagnostics get each term's wall
-    time and law evaluations, and the most lanes any term ran on."""
+    time, law evaluations and stored shifts formed, and the most lanes any
+    term ran on."""
     sums: dict[str, tuple[float, float]] = {}
     for t in terms:
         for key, (e, de) in t.sums.items():
@@ -1279,6 +1361,7 @@ def _report(model: str, gradient: LatticeField | None, terms, **diagnostics) -> 
         breakdown={key: e for key, (e, _) in sums.items()},
         diagnostics={**diagnostics, "term_s": {t.name: t.seconds for t in terms},
                      "law_calls": {t.name: t.law_calls for t in terms},
+                     "shifts": {t.name: t.shifts for t in terms},
                      "lanes": max(t.lanes for t in terms)},
     )
 

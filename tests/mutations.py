@@ -270,6 +270,34 @@ MUTATIONS = [
      "    def apply(g: np.ndarray) -> np.ndarray:\n        c0, c1, c2 = columns()\n",
      "    columns()\n\n    def apply(g: np.ndarray) -> np.ndarray:\n        c0, c1, c2 = columns()\n",
      "tests/test_harness.py::test_an_unforced_solve_builds_no_symbol"),
+    # a small term's store of shifts kept from one call to the next
+    ("energies.py",
+     "        self.formed: dict = {}  # offset -> its slot, once copied in this call\n",
+     "        self.formed = getattr(_Shifts, \"kept\", None) or {}\n        _Shifts.kept = self.formed\n",
+     "tests/test_shifts.py::test_a_second_call_never_reads_the_first_calls_shifts[coupled]"),
+    # a stored shift copied from the negated offset
+    ("energies.py",
+     "            for dst, sl in _shift_blocks(self.N, s, 0, self.N[0]):\n",
+     "            for dst, sl in _shift_blocks(self.N, tuple(-o for o in s), 0, self.N[0]):\n",
+     "tests/test_shifts.py::test_the_store_keeps_every_bit_of_the_plain_apply[coupled-n12-gradient]"),
+    # c x of a stored shift scaled in place in the store
+    ("energies.py",
+     "                    src, blocks = shifts.get(s)[a:b], _WHOLE\n",
+     "                    src, blocks = shifts.get(s)[a:b], _WHOLE\n"
+     "                    if abs(c) != 1.0:\n"
+     "                        src *= c\n"
+     "                        c = 1.0\n",
+     "tests/test_shifts.py::test_the_store_keeps_every_bit_of_the_plain_apply[acb-tetra-n12-gradient]"),
+    # the zero-fill skipped for every stencil of a group after the first
+    ("energies.py",
+     "            slab[...] = 0.0\n",
+     "            if shifts is None or not shifts.formed:\n                slab[...] = 0.0\n",
+     "tests/test_shifts.py::test_the_store_keeps_every_bit_of_the_plain_apply[naive-n18-energy]"),
+    # c x formed as a fresh temporary again, one per block
+    ("energies.py",
+     "slab[dst] += np.multiply(term, c, out=scratch[: term.size].reshape(term.shape))",
+     "slab[dst] += term * c",
+     "tests/test_shifts.py::test_no_stencil_apply_allocates_an_array_the_size_of_x"),
     # CSR maps built without summing their duplicate entries
     ("coupling.py",
      "        _sparsetools.csr_sum_duplicates(n_rows, n_cols, indptr, indices, data)\n",
