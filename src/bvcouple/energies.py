@@ -217,14 +217,15 @@ may write each one. They are:
 
 - the arena, which holds a piece's zeta and phi rows (the term's largest
   piece) and the scratch of the stencil or gather apply (one shifted copy
-  of x where the lattice is one slab, a gather's element-local values), or
-  during a finish the weights over eps and the transposed apply's scratch;
-  so a finish takes no more than the pieces of its lane, and the law's
-  temporaries stay chunk-sized (``_evaluate``). Only its own thread writes
-  it, one piece or finish at a time, and nothing outlives either: a
-  piece's phi is reduced before the piece ends, into a few floats per
-  piece and at most _PW_BLOCK values per piece boundary, which the unit
-  keeps until its finish;
+  of x where the lattice is one slab, a gather's element-local values),
+  then the law's temporaries (SCRATCH_PER_ROW floats per row of a law
+  chunk, ``_evaluate``), or during a finish the weights over eps and the
+  transposed apply's scratch; so a finish takes no more than the pieces of
+  its lane, and no law evaluation allocates an array of its rows. Only its
+  own thread writes it, one piece or finish at a time, and nothing outlives
+  either: a piece's phi is reduced before the piece ends, into a few
+  floats per piece and at most _PW_BLOCK values per piece boundary, which
+  the unit keeps until its finish;
 - the store of shifted copies of x of a small term of stencils
   (``_shifts``): one array the size of x per stored offset, in the
   workspace of the calling lane, which alone runs such a term. Only the
@@ -286,7 +287,7 @@ import numpy as np
 
 from .geometry import PATH_PERMS, path_edge_offsets
 from .lattice import Deformation, IntTriple, LatticeField
-from .potentials import InteractionLaw, InteractionSet, PotentialDomainError
+from .potentials import SCRATCH_PER_ROW, InteractionLaw, InteractionSet, PotentialDomainError
 
 
 def _load_sparsetools():
@@ -385,9 +386,9 @@ class _Unit:
         self.zeta_rows = max(hi - lo for lo, hi, _ in self.pieces)
         # Workspace floats: a unit slot, phi' of every row; the arena, a
         # piece's zeta and phi or the finish's weights over eps, then from
-        # ``split`` on an apply's scratch; the contributions.
+        # ``split`` on an apply's scratch or the law's; the contributions.
         self.slot_size = 3 * self.n * self.order
-        self.split, scratch = 4 * self.zeta_rows, 0
+        self.split, scratch = 4 * self.zeta_rows, SCRATCH_PER_ROW * min(self.zeta_rows, _LAW_CHUNK)
         for op, w in pairs:
             scratch = max(scratch, op.scratch_size)
             if gradient and isinstance(w, _Weights):
@@ -417,7 +418,8 @@ class _Unit:
         with np.errstate(over="ignore", invalid="ignore"):
             if self.phi0 is None:
                 self.phi0 = _homogeneous_phi(self.law, self.base)
-            _evaluate(self.law, z, self.order, [phi] if self.dphi is None else [phi, self.dphi[lo:hi]])
+            _evaluate(self.law, z, self.order, [phi] if self.dphi is None else [phi, self.dphi[lo:hi]],
+                      arena[self.split:])
             for (_, w), nodes, s, e in zip(self.pairs, self.nodes, self.starts, self.ends):
                 a, b = max(lo, s), min(hi, e)  # a group is one piece, and a piece of several has one pair
                 _tree_nodes(nodes, _excess_rows(phi[a - lo:b - lo], self.phi0, w, a - s, b - s), a - s, 0, e - s)
@@ -698,16 +700,18 @@ def _blocks(a: np.ndarray, w) -> np.ndarray:
     return a.reshape(-1, *w.shape, *a.shape[1:]) if np.ndim(w) > 1 else a
 
 
-def _evaluate(law: InteractionLaw, zeta, order: int, out) -> None:
+def _evaluate(law: InteractionLaw, zeta, order: int, out, scratch=None) -> None:
     """Writes [phi, phi'][:order + 1] at the rows of ``zeta`` into ``out``:
-    ``law.evaluate(., order, .)`` writes each chunk of at most _LAW_CHUNK
-    rows into that chunk's rows of ``out``, which keeps the law's
-    temporaries chunk-sized and copies nothing. The law's bits do not
+    ``law.evaluate(., order, ., scratch)`` writes each chunk of at most
+    _LAW_CHUNK rows into that chunk's rows of ``out``, which keeps the
+    law's temporaries chunk-sized and copies nothing. ``scratch``, the
+    law's temporaries, is a flat array of at least SCRATCH_PER_ROW floats
+    per row of a chunk, or None to allocate them. The law's bits do not
     depend on the rows a call holds, so they are those of one call. Its
     callers hold the kernel's ``np.errstate``: a non-finite phi or phi' is
     a domain error that the kernel names, not a warning."""
     for lo in range(0, len(zeta), _LAW_CHUNK):
-        law.evaluate(zeta[lo:lo + _LAW_CHUNK], order, [a[lo:lo + _LAW_CHUNK] for a in out])
+        law.evaluate(zeta[lo:lo + _LAW_CHUNK], order, [a[lo:lo + _LAW_CHUNK] for a in out], scratch)
 
 
 def _lane_count() -> int:

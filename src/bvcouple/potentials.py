@@ -6,11 +6,11 @@ potential ``phi`` acting on the deformed bond vector ``zeta`` in R^3.
 evaluated: batched over ``(..., 3)`` arrays of bond vectors, it returns the
 value, gradient and Hessian up to ``order`` from shared intermediates, with
 one branch per kind. It writes the value and gradient into the arrays
-``out`` when it is given them (the energy kernel passes views of a unit's
-reused arrays, one chunk of rows at a time), so that a call at order 0 or 1
-allocates only temporaries of one float per row (and, at order 0, the
-toy's zeta M); without ``out`` it allocates them. The Hessian is always a
-new array. ``values``, ``gradients`` and ``hessians`` are one-line views
+``out`` when it is given them, and forms their row temporaries in a
+``scratch`` array when it is given one (the energy kernel passes views of a
+unit's reused arrays and of its arena, one chunk of rows at a time), so
+that a call at order 0 or 1 allocates nothing of its rows' size; without
+them it allocates them. The Hessian is always a new array. ``values``, ``gradients`` and ``hessians`` are one-line views
 of it. Every length-3 row reduction (|zeta|^2, zeta . M zeta)
 is three products on the column views ``zeta[..., i]`` added left to
 right, and the radial and toy gradients are written one column at a time:
@@ -37,6 +37,9 @@ IntTriple = tuple[int, int, int]
 
 KINDS = ("harmonic", "morse-radial", "lennard-jones-radial", "anisotropic-toy")
 
+# Floats per row of the ``scratch`` of ``InteractionLaw.evaluate``: the
+# norm and up to four further row temporaries, or the toy's zeta M at order 0.
+SCRATCH_PER_ROW = 6
 # Minimum admissible bond length for the radial laws; below this the
 # configuration is treated as singular rather than letting 1/r powers
 # overflow silently.
@@ -52,15 +55,16 @@ class PotentialDomainError(ValueError):
         self.eta = eta
 
 
-def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _row_dot(u: np.ndarray, v: np.ndarray, out=None, tmp=None) -> np.ndarray:
     """sum_i u_i v_i over the last (length-3) axis: three products on the
-    column views, added left to right. These are the bits of
-    ``np.sum(u * v, axis=-1)`` (and, under a square root, of
+    column views, added left to right, into ``out`` with the second and
+    third products in ``tmp`` (new arrays where None). These are the bits
+    of ``np.sum(u * v, axis=-1)`` (and, under a square root, of
     ``np.linalg.norm``), without the (..., 3) temporary and the reduction
     along a length-3 axis."""
-    out = u[..., 0] * v[..., 0]
-    out += u[..., 1] * v[..., 1]
-    out += u[..., 2] * v[..., 2]
+    out = np.multiply(u[..., 0], v[..., 0], out=out)
+    out += np.multiply(u[..., 1], v[..., 1], out=tmp)
+    out += np.multiply(u[..., 2], v[..., 2], out=tmp)
     return out
 
 
@@ -100,13 +104,16 @@ class InteractionLaw:
 
     # -- batched evaluation: zeta has shape (..., 3) ------------------------
 
-    def evaluate(self, zeta: np.ndarray, order: int = 2, out=None) -> list[np.ndarray]:
+    def evaluate(self, zeta: np.ndarray, order: int = 2, out=None, scratch=None) -> list[np.ndarray]:
         """[phi, phi', phi''][:order + 1] at the bond vectors ``zeta``, of
         shapes (...), (..., 3) and (..., 3, 3). phi (and phi') are written
         into ``out``, the arrays [phi, phi'][:order + 1] of those shapes,
         which are returned; without ``out`` they are new arrays. phi'' is
         always a new array. Intermediates shared by the orders (the norm,
-        exp(zeta . a), (sigma / r)^6) are computed once."""
+        exp(zeta . a), (sigma / r)^6) are computed once, and every
+        temporary of phi and phi' is a view of ``scratch``, a flat float
+        array of at least SCRATCH_PER_ROW floats per row (a new one where
+        None)."""
         zeta = np.asarray(zeta, dtype=float)
         if zeta.shape in ((3,), (1, 3)):  # one bond, as a two-row batch (see the module docstring)
             rows = self.evaluate(np.concatenate([zeta.reshape(1, 3)] * 2), order)
@@ -116,9 +123,13 @@ class InteractionLaw:
             return rows if out is None else [*out, *rows[len(out):]]
         if out is None:
             out = [np.empty(zeta.shape[:-1]), np.empty(zeta.shape)][: order + 1]
+        m = zeta.size // 3
+        if scratch is None:
+            scratch = np.empty(SCRATCH_PER_ROW * m)
+        t = [scratch[i * m:(i + 1) * m].reshape(zeta.shape[:-1]) for i in range(5)]
         hess_shape = zeta.shape[:-1] + (3, 3)
         if self.kind == "harmonic":
-            np.multiply(0.5, _row_dot(zeta, zeta), out=out[0])
+            np.multiply(0.5, _row_dot(zeta, zeta, t[0], t[1]), out=out[0])
             if order > 0:
                 out[1][...] = zeta
             if order > 1:
@@ -126,19 +137,20 @@ class InteractionLaw:
             return out
         if self.kind == "anisotropic-toy":
             a, M = self._p("a"), self._p("M")
-            e = np.exp(zeta @ a)
-            zM = np.matmul(zeta, M, out=out[1]) if order > 0 else zeta @ M
-            np.add(e, 0.5 * _row_dot(zM, zeta), out=out[0])
+            e = np.exp(np.matmul(zeta, a, out=t[0]), out=t[0])
+            zM = np.matmul(zeta, M, out=out[1] if order > 0 else scratch[3 * m:6 * m].reshape(zeta.shape))
+            q = _row_dot(zM, zeta, t[1], t[2])
+            np.add(e, np.multiply(0.5, q, out=q), out=out[0])
             if order > 0:
                 for i in range(3):  # phi' = e a + zeta M, written over zeta M
-                    zM[..., i] += e * a[i]
+                    zM[..., i] += np.multiply(e, a[i], out=t[1])
             if order > 1:
                 return [*out, np.multiply.outer(e, np.outer(a, a)) + np.broadcast_to(M, hess_shape)]
             return out
 
-        r = _row_dot(zeta, zeta)
+        r = _row_dot(zeta, zeta, t[0], t[1])
         np.sqrt(r, out=r)
-        bad = r < _RADIAL_RMIN
+        bad = np.less(r, _RADIAL_RMIN, out=scratch[m:2 * m].view(np.bool_)[:m].reshape(r.shape))
         if np.any(bad):
             raise PotentialDomainError(
                 f"bond length {float(np.ravel(r)[np.argmax(bad)])!r} below admissible "
@@ -147,19 +159,23 @@ class InteractionLaw:
             )
         if self.kind == "morse-radial":
             D, al, r0 = self._p("D"), self._p("alpha"), self._p("r0")
-            e = np.exp(-al * (r - r0))
-            np.multiply(D, (1.0 - e) ** 2, out=out[0])
-            d1 = 2.0 * D * al * e * (1.0 - e) if order > 0 else None
+            e = np.exp(np.multiply(-al, np.subtract(r, r0, out=t[1]), out=t[1]), out=t[1])
+            q = np.subtract(1.0, e, out=t[2])  # 1 - e
+            np.multiply(D, np.square(q, out=t[3]), out=out[0])
+            d1 = np.multiply(np.multiply(2.0 * D * al, e, out=t[3]), q, out=t[3]) if order > 0 else None
             d2 = 2.0 * D * al * al * (2.0 * e * e - e) if order > 1 else None
         else:
             e4 = 4.0 * self._p("well_depth")
-            s6 = (self._p("sigma") / r) ** 6
-            s12 = s6 * s6
-            np.multiply(e4, s12 - s6, out=out[0])
-            d1 = e4 * (-12.0 * s12 + 6.0 * s6) / r if order > 0 else None
+            s6 = np.power(np.divide(self._p("sigma"), r, out=t[1]), 6, out=t[1])
+            s12 = np.multiply(s6, s6, out=t[2])
+            np.multiply(e4, np.subtract(s12, s6, out=t[3]), out=out[0])
+            if order > 0:
+                d1 = np.multiply(-12.0, s12, out=t[3])
+                d1 += np.multiply(6.0, s6, out=t[4])
+                np.divide(np.multiply(e4, d1, out=d1), r, out=d1)
             d2 = e4 * (156.0 * s12 - 42.0 * s6) / (r * r) if order > 1 else None
         if order > 0:
-            d1r = d1 / r
+            d1r = np.divide(d1, r, out=t[4])
             for i in range(3):  # d1r[..., None] * zeta, one column at a time
                 np.multiply(d1r, zeta[..., i], out=out[1][..., i])
         if order > 1:

@@ -142,6 +142,11 @@ MUTATIONS = [
      "                row = int(np.argmax(np.abs(",
      "                row = 0 * int(np.argmax(np.abs(",
      "tests/test_harness.py::test_an_overflowing_excess_names_its_largest_bond[2]"),
+    # the law's row temporaries allocated per call rather than formed in the arena
+    ("energies.py",
+     "                      arena[self.split:])",
+     "                      None)",
+     "tests/test_shifts.py::test_no_law_evaluation_allocates_an_array_of_its_rows"),
     # every law chunk written into the first chunk's rows of the unit's arrays
     ("energies.py",
      "[a[lo:lo + _LAW_CHUNK] for a in out]",

@@ -244,18 +244,18 @@ def test_one_law_evaluation_per_bond_batch(monkeypatch):
     calls, lone, inner = [], [], []
     evaluate = InteractionLaw.evaluate
 
-    def counting(self, zeta, order=2, out=None):
+    def counting(self, zeta, order=2, out=None, scratch=None):
         if inner:  # the law's own two-row call for a lone bond
-            return evaluate(self, zeta, order, out)
+            return evaluate(self, zeta, order, out, scratch)
         if np.shape(zeta) == (3,):
             lone.append((self.eta, order, tuple(zeta)))
             inner.append(1)
             try:
-                return evaluate(self, zeta, order, out)
+                return evaluate(self, zeta, order, out, scratch)
             finally:
                 inner.clear()
         calls.append((self.eta, order))
-        return evaluate(self, zeta, order, out)
+        return evaluate(self, zeta, order, out, scratch)
 
     def forbidden(self, zeta):
         raise AssertionError("per-derivative view called inside an energy")

@@ -244,9 +244,9 @@ def record_law_orders(monkeypatch) -> list[int]:
     orders: list[int] = []
     evaluate = InteractionLaw.evaluate
 
-    def recording(self, zeta, order=2, out=None):
+    def recording(self, zeta, order=2, out=None, scratch=None):
         orders.append(order)
-        return evaluate(self, zeta, order, out)
+        return evaluate(self, zeta, order, out, scratch)
 
     monkeypatch.setattr(InteractionLaw, "evaluate", recording)
     return orders

@@ -3,8 +3,8 @@ stencils of a term whose batches all have fewer than ``_MIN_LANE_ROWS``
 rows read each nonzero offset that more than one of them reads from one
 shifted copy of x, formed once per call (``energies._shifts``). Every
 report keeps the bits of the plain stencil apply. An apply forms each
-product c x in its scratch, so a warm call takes no fresh memory pages for
-it."""
+product c x in its scratch, and the law its row temporaries in the arena,
+so a warm call takes no fresh memory pages for them."""
 from __future__ import annotations
 
 import os
@@ -22,7 +22,7 @@ from bvcouple.coupling import RegionPartition, coupled_energy_conforming, couple
 from bvcouple.energies import acb_cell_energy, acb_tetra_energy, atomistic_energy
 from bvcouple.highorder import build_high_order_mesh, high_order_energy
 from bvcouple.lattice import LatticeConfig, make_deformation
-from bvcouple.potentials import InteractionSet, make_law
+from bvcouple.potentials import InteractionLaw, InteractionSet, make_law
 from test_lanes import README_LAWS, state
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -194,8 +194,9 @@ def test_a_warm_staircase_call_takes_no_fresh_pages():
     three warm-up calls of acb-tetra at N=24 with the README laws, the
     median of ten warm calls' minor page faults is 0. Whether a freed
     temporary's pages come back depends on glibc's dynamic thresholds, and
-    so on what the process did before; the next test checks the kernel's
-    own temporaries without that dependence."""
+    so on what the process did before; the next two tests check the
+    kernel's own temporaries, the stencil applies' and the law's, without
+    that dependence."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                                      os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", FAULTS_CHILD], env=env, capture_output=True, text=True,
@@ -238,3 +239,39 @@ def test_no_stencil_apply_allocates_an_array_the_size_of_x(monkeypatch):
         tracemalloc.stop()
     assert len(rises) == 18 * 2 + 18
     assert max(rises) < y.displacement.values.nbytes // 2, max(rises)
+
+
+def test_no_law_evaluation_allocates_an_array_of_its_rows(monkeypatch):
+    """On one lane: in a warm acb-tetra call at N=24 with the README laws
+    (harmonic, Lennard-Jones and the toy law), full and energy-only, the
+    traced memory of no law evaluation on the kernel's rows rises by the
+    bytes of one float per row or more. The law's temporaries (the norm,
+    (sigma / r)^6, exp(zeta . a), the toy's zeta M at order 0, ...) are
+    views of the arena; formed as new arrays, a Lennard-Jones call holds
+    five of them at once."""
+    monkeypatch.setattr(energies, "_LANES", 1)
+    cfg = LatticeConfig(N=(24, 24, 24), epsilon=1.0 / 24)
+    y = state(cfg, 1)
+    for gradient in (True, False):
+        acb_tetra_energy(y, README_LAWS, gradient=gradient)
+    evaluate, rises = InteractionLaw.evaluate, []
+
+    def traced(self, zeta, order=2, out=None, scratch=None):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            return evaluate(self, zeta, order, out, scratch)
+        finally:
+            if out is not None and np.shape(zeta) != (3,):
+                rises.append((tracemalloc.get_traced_memory()[1] - start, len(zeta), self.kind, order))
+
+    monkeypatch.setattr(InteractionLaw, "evaluate", traced)
+    tracemalloc.start()
+    try:
+        for gradient in (True, False):
+            acb_tetra_energy(y, README_LAWS, gradient=gradient)
+    finally:
+        tracemalloc.stop()
+    assert {(kind, order) for _, _, kind, order in rises} == {
+        (law.kind, order) for law in README_LAWS for order in (0, 1)}
+    assert all(rise < 8 * rows for rise, rows, *_ in rises), max(rises)
