@@ -32,11 +32,16 @@ site a row belongs to, named in domain errors):
   model) and the cell-averaged Cauchy-Born bond. ``apply`` takes an axis-0
   plane range and works one slab of at most ``_SLAB_ROWS`` rows (whole
   planes) at a time, every term on one slab before the next. A term whose
-  shift wraps on two or three axes, applied to a whole array of one slab,
-  copies its four or eight blocks (``_shift_blocks``) into one scratch
-  array and adds that contiguously; larger arrays add the blocks slab by
-  slab. A coefficient c other than 1 and -1 is added as c x formed in the
-  scratch, never in a temporary. The staircase templates and the cell bond
+  shift wraps on any axis, applied to a whole array of one slab, copies
+  its two, four or eight blocks (``_shift_blocks``) into one scratch array
+  and adds that contiguously, where a strided in-place block add would
+  make numpy allocate iterator buffers; larger arrays add the blocks slab
+  by slab. A coefficient c other than 1 and -1 is added as c x formed in
+  the scratch, never in a temporary. Every sum over a stencil's terms
+  starts from a zero fill, so its first two terms commute bit for bit
+  ((0 + a) + b is (0 + b) + a, -0.0 included); ``_stencil`` puts them in
+  offset order, and equal staircase templates are then one stencil
+  object (``_staircase_stencils``). The staircase templates and the cell bond
   all read x at the corners of a cell (Bey, Numer. Math. 85, 2000), so a
   small term, whose batches all have fewer than ``_MIN_LANE_ROWS`` rows
   and which runs on the caller's lane, keeps one store of shifted copies
@@ -158,17 +163,28 @@ Gradients are returned as Riesz representers with respect to the discrete
 inner product: the report's gradient field g satisfies
 DE(y)[v] = <g, v>_eps for every periodic lattice field v.
 
-A term's batches run as units (``_groups``). Consecutive batches that share
-the law and the breakdown key, each with fewer than ``_MIN_LANE_ROWS`` rows,
-form one group: every operator writes its rows into one zeta buffer, and
+A term's batches run as units (``_groups``). A batch that repeats the
+batch just before it, with the same operator, law and key and the same
+weights object or an equal scalar, is evaluated once: it is a count of
+that batch's (op, w) pair, and the unit returns the pair's energy, excess
+and gradient contribution once per batch, which ``_term`` adds in batch
+order, so every sum gets the adds it would get from the batches one by
+one. The six staircase templates of eta = (1, 1, 1) are one stencil, so
+acb-tetra, the naive control and the coupled and two-sided continua (one
+weights object for all six templates) evaluate them once; the P1 layer
+of the high-order model has weights per template, and repeats nothing.
+Reports count these batches per term (``repeats``). Equal batches that
+are not adjacent stay apart: merging them would reorder the sums. Of the
+other batches, consecutive ones that share the law and the breakdown key,
+each with fewer than ``_MIN_LANE_ROWS`` rows, form one group: every operator writes its rows into one zeta buffer, and
 the law is evaluated once; then, batch by batch, the kernel forms the
 batch's own excess sum, homogeneous share, finiteness
 check, weight scaling and transposed apply. The law acts row by row, so
 each batch's results are the bits of the batch alone. Any other batch is a
-unit of its own. Up to N=20 this groups each law's six staircase templates
-(acb-tetra, the continuum of the coupled, two-sided and naive models, the
-P1 layer of the high-order model). Every report counts its terms' law
-evaluations (``law_calls``): one per unit, whatever its pieces and chunks
+unit of its own. Up to N=20 this groups each law's distinct staircase
+templates (acb-tetra, the continuum of the coupled, two-sided and naive
+models, the P1 layer of the high-order model). Every report counts its
+terms' law evaluations (``law_calls``): one per unit, whatever its pieces and chunks
 (besides the lone-bond calls of ``_homogeneous_phi``).
 
 Each unit is a ``_Unit``: ``start`` gives it a unit slot for its
@@ -220,7 +236,8 @@ may write each one. They are:
   of x where the lattice is one slab, a gather's element-local values),
   then the law's temporaries (SCRATCH_PER_ROW floats per row of a law
   chunk, ``_evaluate``), or during a finish the weights over eps and the
-  transposed apply's scratch; so a finish takes no more than the pieces of
+  transposed apply's scratch (one shifted copy of its input where the
+  lattice is one slab); so a finish takes no more than the pieces of
   its lane, and no law evaluation allocates an array of its rows. Only its
   own thread writes it, one piece or finish at a time, and nothing outlives
   either: a piece's phi is reduced before the piece ends, into a few
@@ -247,10 +264,11 @@ may write each one. They are:
   back after the unit's finish, so no unit starts in a slot that a
   started, unfinished unit has;
 - the contribution array, the gradient contributions of the unit the lane
-  finished last, one array the size of x per batch of the unit, read until
-  the unit's results are added. A lane remembers which unit parked its
-  contributions there, and if that unit is not yet added, because an
-  earlier unit is still running on the other lane, it waits for that add
+  finished last, one array the size of x per pair of the unit (a repeated
+  batch reads its pair's), read until the unit's results are added. A
+  lane remembers which unit parked its contributions there, and if that
+  unit is not yet added, because an earlier unit is still running on the
+  other lane, it waits for that add
   before it finishes another unit: so at most one unit's results per lane
   wait to be added, and no workspace grows with the order in which the
   lanes happen to finish. The helper thread serves every caller's streams,
@@ -334,7 +352,8 @@ class EnergyReport:
 
 class _Unit:
     """One unit of a term (``_groups``): a group of (op, w) pairs of one law
-    and breakdown key, taken through the law in pieces (``_pieces``).
+    and breakdown key, taken through the law in pieces (``_pieces``), with
+    ``counts``, the batches each pair stands for (default one each).
 
     ``start(out)`` gives the unit its unit slot ``out``, ``slot_size``
     floats, for phi' of every row (none for an energy-only unit).
@@ -371,13 +390,14 @@ class _Unit:
     are the same bits, since phi does not depend on the order asked for;
     phi' is not computed, so only phi is checked for finiteness."""
 
-    def __init__(self, pairs, law: InteractionLaw, key, base, x, eps, gradient: bool, shifts=None):
+    def __init__(self, pairs, law: InteractionLaw, key, base, x, eps, gradient: bool, shifts=None, counts=None):
         if isinstance(x, tuple):  # per-axis lines: each stencil's bond lines, before any piece runs
             if gradient:
                 raise ValueError("per-axis displacement lines are read energy-only")
             x = {op: _bond_lines(op, x, eps, base) for op, _ in pairs}
         self.pairs, self.law, self.key, self.base, self.x, self.eps = pairs, law, key, base, x, eps
         self.shifts = shifts
+        self.counts = counts or [1] * len(pairs)  # batches per pair (``_groups``)
         self.order = 1 if gradient else 0
         self.ends = list(accumulate(op.rows for op, _ in pairs))
         self.starts = [0, *self.ends[:-1]]
@@ -425,10 +445,11 @@ class _Unit:
                 _tree_nodes(nodes, _excess_rows(phi[a - lo:b - lo], self.phi0, w, a - s, b - s), a - s, 0, e - s)
 
     def finish(self, ws: "_Workspace") -> list:
-        """Each pair's (energy, excess, gradient contribution): the excess
-        from the pair's nodes in tree order (``_tree_sum``), the gradient
-        from phi' in the unit slot; a non-finite phi or phi' raises the
-        error of the first pair that has one."""
+        """Each pair's (energy, excess, gradient contribution), once per
+        batch of its count: the excess from the pair's nodes in tree order
+        (``_tree_sum``), the gradient from phi' in the unit slot; a
+        non-finite phi or phi' raises the error of the first pair that has
+        one."""
         P, nodes_of = self.dphi, self.nodes
         self.dphi = self.nodes = None
         phi0, eps, results = self.phi0, self.eps, []
@@ -458,7 +479,7 @@ class _Unit:
             else:
                 p *= weights / eps
             results.append((excess + share, excess, op.T.apply(p, contribs[j], scratch=scratch)))
-        return results
+        return [r for r, count in zip(results, self.counts) for _ in range(count)]
 
     def _raise_at_bad_row(self, op, w, p, excess: float) -> None:
         """The domain error of the pair (op, w), whose excess or phi' sum is
@@ -501,9 +522,9 @@ class _Unit:
                 self.run(k, ws)
         except PotentialDomainError as exc:
             if len(self.pairs) > 1:  # the first failing pair's error, as ungrouped
-                return [r for pair in self.pairs
+                return [r for pair, count in zip(self.pairs, self.counts)
                         for r in _Unit([pair], self.law, self.key, self.base, self.x, self.eps,
-                                       self.order).copied(ws)]
+                                       self.order, counts=[count]).copied(ws)]
             z = _bond_rows(self.pairs, self.starts, self.x, self.eps, self.base, 0, self.n, None,
                            np.empty((self.n, 3)))
             raise _site_error(exc, self.pairs[0][0].site(int(np.argmin(np.linalg.norm(z, axis=-1)))),
@@ -807,19 +828,39 @@ def _drop_workspaces() -> None:
         ws.arrays.clear()
 
 
+def _repeats(a, b) -> bool:
+    """Whether the batch b = (op, w, law, key) has the results of the batch
+    a: the same op and law, an equal key, and the same weights object or
+    an equal scalar of the same sign."""
+    (op, w, law, key), (op_b, w_b, law_b, key_b) = a, b
+    if op is not op_b or law is not law_b or key != key_b:
+        return False
+    if w is w_b:
+        return True
+    scalars = not isinstance(w, _Weights) and not isinstance(w_b, _Weights)
+    return scalars and w == w_b and math.copysign(1.0, w) == math.copysign(1.0, w_b)
+
+
 def _groups(batches) -> list:
-    """A term's (op, w, law, key) batches as units (pairs, law, key), in
-    batch order: a run of consecutive batches that share the law and the
-    key, each with fewer than _MIN_LANE_ROWS rows, is one unit (a group, one
-    law evaluation for all its rows); any other batch is a unit of one
-    (op, w) pair."""
+    """A term's (op, w, law, key) batches as units (pairs, counts, law,
+    key), in batch order. A batch that repeats the batch just before it
+    (``_repeats``) adds one to that batch's count: its pair is evaluated
+    once, and the unit returns its results once per batch. Of the other
+    batches, a run of consecutive ones that share the law and the key, each
+    with fewer than _MIN_LANE_ROWS rows, is one unit (a group, one law
+    evaluation for all its rows); any other batch is a unit of one (op, w)
+    pair. Equal batches that are not adjacent stay apart, since adding one's
+    results in the other's place would reorder the term's sums."""
     units: list = []
-    for op, w, law, key in batches:
+    for i, (op, w, law, key) in enumerate(batches):
         last = units[-1] if units else None
-        if last and last[1] is law and last[2] == key and max(op.rows, last[0][-1][0].rows) < _MIN_LANE_ROWS:
+        if i and _repeats(batches[i - 1], batches[i]):
+            last[1][-1] += 1
+        elif last and last[2] is law and last[3] == key and max(op.rows, last[0][-1][0].rows) < _MIN_LANE_ROWS:
             last[0].append((op, w))
+            last[1].append(1)
         else:
-            units.append(([(op, w)], law, key))
+            units.append(([(op, w)], [1], law, key))
     return units
 
 
@@ -864,11 +905,11 @@ class _Stencil:
                 src, blocks = v, _shift_blocks(self.N, s, a, b)
                 if shifts is not None and s in shifts.slots:
                     src, blocks = shifts.get(s)[a:b], _WHOLE
-                elif len(blocks) > 2 and b - a == n0:
+                elif len(blocks) > 1 and b - a == n0:
                     # up to a slab, copying the blocks into one contiguous
                     # shifted array (no larger than a slab's temporary) and
-                    # one contiguous add beat four or eight strided block
-                    # adds
+                    # one contiguous add beat two, four or eight strided
+                    # block adds, for which numpy allocates iterator buffers
                     shifted = scratch[: v.size].reshape(v.shape)
                     for dst, sl in blocks:
                         shifted[dst] = v[sl]
@@ -1102,11 +1143,17 @@ def _spmv(A: _Csr, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _stencil(N, terms) -> _Stencil:
-    """Stencil with equal offsets merged and zero coefficients dropped."""
+    """Stencil with equal offsets merged, zero coefficients dropped, and
+    its first two terms in offset order. Every sum over the terms (``apply``,
+    ``_bond_lines``, ``_hessian_symbol``) starts from a zero fill, and
+    (0 + a) + b has the bits of (0 + b) + a: addition commutes, and the
+    fill turns -0.0 into +0.0 in either order. So the order changes no bit,
+    and templates that differ only there are equal (``_staircase_stencils``)."""
     merged: dict[IntTriple, float] = {}
     for s, c in terms:
         merged[s] = merged.get(s, 0.0) + c
-    return _Stencil(tuple(N), tuple((s, c) for s, c in merged.items() if c != 0.0))
+    kept = [(s, c) for s, c in merged.items() if c != 0.0]
+    return _Stencil(tuple(N), tuple(sorted(kept[:2]) + kept[2:]))
 
 
 # The stencils of a direction on a lattice, kept per (eta, N) for the
@@ -1120,14 +1167,18 @@ def _bond_stencil(eta: IntTriple, N: IntTriple) -> _Stencil:
 @lru_cache(maxsize=64)
 def _staircase_stencils(eta: IntTriple, N: IntTriple) -> tuple[_Stencil, ...]:
     """Per staircase template (``PATH_PERMS`` order): the discrete gradient
-    of the cell tet times eta, from the tet's own axis edges."""
-    out = []
+    of the cell tet times eta, from the tet's own axis edges. Equal
+    templates are one object, so ``_groups`` sees a template that repeats
+    the one before it: all six of eta = (1, 1, 1), the exact bond along the
+    cell diagonal that every tet holds."""
+    out, seen = [], {}
     for perm in PATH_PERMS:
         terms = []
         for a, s in sorted(path_edge_offsets(perm).items()):
             up = tuple(s[k] + (k == a) for k in range(3))
             terms += [(up, float(eta[a])), (s, -float(eta[a]))]
-        out.append(_stencil(N, terms))
+        op = _stencil(N, terms)
+        out.append(seen.setdefault(op.terms, op))
     return tuple(out)
 
 
@@ -1182,7 +1233,8 @@ class _Term:
     """One term's sums over its batches in batch order (``sums``: breakdown
     key -> (energy, excess) of the batches carrying it), its wall time, the
     most lanes its units ran on, its law evaluations (one per unit, each in
-    row chunks) and the shifted copies of x its store formed (``_shifts``)."""
+    row chunks), the shifted copies of x its store formed (``_shifts``) and
+    its batches that repeat the batch before them (``_groups``)."""
 
     name: str
     sums: dict[str, tuple[float, float]] = field(default_factory=dict)
@@ -1190,6 +1242,7 @@ class _Term:
     lanes: int = 1
     law_calls: int = 0
     shifts: int = 0
+    repeats: int = 0
 
     def add(self, key: str, results, g_outs) -> None:
         """Adds one unit's results, batch by batch, to the sums of ``key``
@@ -1204,7 +1257,8 @@ class _Term:
 
 def _term(name: str, batches, F, x, eps, g_outs) -> _Term:
     """One term: the kernel over its quadrature-bond batches, a list of
-    (op, w, law, breakdown key) tuples, as the units of ``_groups``. On two
+    (op, w, law, breakdown key) tuples, as the units of ``_groups``, which
+    evaluate a batch that repeats the one before it once. On two
     lanes the term's pieces are streamed (``_stream``) when one of its
     batches has at least _MIN_LANE_ROWS rows and it has two pieces or more;
     otherwise the caller computes and adds one unit at a time. Every sum and
@@ -1218,8 +1272,9 @@ def _term(name: str, batches, F, x, eps, g_outs) -> _Term:
     out = _Term(name)
     ws = _workspace()
     shifts = _shifts(batches, x, ws)
-    units = [_Unit(pairs, law, key, F @ law.eta_vec, x, eps, bool(g_outs), shifts)
-             for pairs, law, key in _groups(batches)]
+    units = [_Unit(pairs, law, key, F @ law.eta_vec, x, eps, bool(g_outs), shifts, counts)
+             for pairs, counts, law, key in _groups(batches)]
+    out.repeats = len(batches) - sum(len(u.pairs) for u in units)
     if _LANES > 1 and max(op.rows for op, *_ in batches) >= _MIN_LANE_ROWS and sum(len(u.pieces) for u in units) > 1:
         _stream(_helper(), units, lambda key, results: out.add(key, results, g_outs))
         out.lanes = 2
@@ -1349,8 +1404,8 @@ def _report(model: str, gradient: LatticeField | None, terms, **diagnostics) -> 
     over the terms, in term order, starting from the first term's value (so
     a negated zero stays -0.0); ``energy`` and ``excess`` are the
     left-to-right sums over the breakdown. Diagnostics get each term's wall
-    time, law evaluations and stored shifts formed, and the most lanes any
-    term ran on."""
+    time, law evaluations, stored shifts formed and repeated batches, and
+    the most lanes any term ran on."""
     sums: dict[str, tuple[float, float]] = {}
     for t in terms:
         for key, (e, de) in t.sums.items():
@@ -1366,6 +1421,7 @@ def _report(model: str, gradient: LatticeField | None, terms, **diagnostics) -> 
         diagnostics={**diagnostics, "term_s": {t.name: t.seconds for t in terms},
                      "law_calls": {t.name: t.law_calls for t in terms},
                      "shifts": {t.name: t.shifts for t in terms},
+                     "repeats": {t.name: t.repeats for t in terms},
                      "lanes": max(t.lanes for t in terms)},
     )
 

@@ -303,6 +303,35 @@ MUTATIONS = [
      "slab[dst] += np.multiply(term, c, out=scratch[: term.size].reshape(term.shape))",
      "slab[dst] += term * c",
      "tests/test_shifts.py::test_no_stencil_apply_allocates_an_array_the_size_of_x"),
+    # batches merged whatever their weights: coupled-ho's templates have P1 weights of their own
+    ("energies.py",
+     "    if w is w_b:\n",
+     "    if True:\n",
+     "tests/test_repeats.py::test_repeated_batches_keep_every_bit[coupled-ho(2)-n12-gradient-one-lane]"),
+    # a repeated batch's result added once, not once per batch
+    ("energies.py",
+     "        return [r for r, count in zip(results, self.counts) for _ in range(count)]\n",
+     "        return results\n",
+     "tests/test_repeats.py::test_repeated_batches_keep_every_bit[coupled-n12-gradient-one-lane]"),
+    # every term of a stencil sorted by offset, not only the first two
+    ("energies.py",
+     "    return _Stencil(tuple(N), tuple(sorted(kept[:2]) + kept[2:]))\n",
+     "    return _Stencil(tuple(N), tuple(sorted(kept)))\n",
+     "tests/test_repeats.py::test_templates_in_path_order_are_the_canonical_bits"),
+    # a batch merged with an equal earlier batch of its unit, not only the one just before it
+    ("energies.py",
+     "        if i and _repeats(batches[i - 1], batches[i]):\n"
+     "            last[1][-1] += 1\n",
+     "        hits = [j for j, (o, v) in enumerate(last[0] if last else [])\n"
+     "                if _repeats((o, v, last[2], last[3]), batches[i])]\n"
+     "        if hits:\n"
+     "            last[1][hits[0]] += 1\n",
+     "tests/test_repeats.py::test_repeated_batches_keep_every_bit[acb-tetra-n12-kinds-reduce-gradient-one-lane]"),
+    # a wrapped shift added block by block again, with numpy's iterator buffers
+    ("energies.py",
+     "                elif len(blocks) > 1 and b - a == n0:\n",
+     "                elif len(blocks) > 2 and b - a == n0:\n",
+     "tests/test_shifts.py::test_no_stencil_apply_of_a_warm_coupled_call_allocates"),
     # CSR maps built without summing their duplicate entries
     ("coupling.py",
      "        _sparsetools.csr_sum_duplicates(n_rows, n_cols, indptr, indices, data)\n",

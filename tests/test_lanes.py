@@ -219,8 +219,9 @@ def test_grouped_domain_error_is_the_ungrouped_one(monkeypatch):
 
 def test_coupled_reports_count_law_calls_per_term():
     """One law evaluation per unit: at N=12 each law's six staircase
-    templates are one group, at N=36 (46,656 rows each) six units."""
-    for N, continuum in ((12, 3), (36, 18)):
+    templates are one group, at N=36 (46,656 rows each) six units, but for
+    eta = (1, 1, 1), whose six equal templates are one unit."""
+    for N, continuum in ((12, 3), (36, 13)):
         cfg = LatticeConfig(N=(N, N, N), epsilon=1.0 / N)
         part = RegionPartition(cfg, (N // 3,) * 3, (N // 3,) * 3)
         rep = coupled_energy_conforming(state(cfg, 1, 0.01), README_LAWS, part, gradient=False)
@@ -555,14 +556,15 @@ def on_helper_lane() -> bool:
 
 def test_helper_lane_commits_while_the_callers_first_unit_is_held(monkeypatch):
     """acb-tetra at N=12 on two lanes, every staircase batch a unit of one
-    piece: one stream of 18 units. The caller's first piece waits until the
+    piece, the six equal templates of eta = (1, 1, 1) one unit: one stream
+    of 13 units. The caller's first piece waits until the
     helper lane has finished a unit, whose results wait in their slot; the
     helper's next finish waits until they are added, since its contribution
     slot holds them, so the caller adds both units first. After that each
     helper piece takes 50 ms, so the helper finishes the stream's last unit
     and adds it itself. The results are added in unit order whichever lane
     adds them: the report is bitwise the one-lane report, and the helper
-    lane made at least one of the 18 adds. The helper lane reserves its
+    lane made at least one of the 13 adds. The helper lane reserves its
     workspace, and so pulls its first piece, only once the caller has
     started unit 0: a helper thread made for this stream could otherwise
     pull unit 0 first."""
@@ -615,7 +617,7 @@ def test_helper_lane_commits_while_the_callers_first_unit_is_held(monkeypatch):
     rep = evaluate()
     assert held == [True] and len(helper_units) >= 2
     assert adds_at_finish[:2] == [0, 2] and adds[:2] == [False, False]
-    assert len(adds) == 18 and any(adds)
+    assert len(adds) == 13 and any(adds)
     assert_same_report(ref, rep)
 
 
@@ -943,8 +945,9 @@ class Ownership:
 
 @pytest.mark.parametrize("lanes", [1, 2])
 def test_unit_slots_are_held_from_the_first_piece_to_the_finish(monkeypatch, lanes):
-    """acb-tetra at N=12 under ``chunks_and_slabs``, ungrouped: 18 units of
-    six pieces each, on one lane and on two. Each unit is started in a unit
+    """acb-tetra at N=12 under ``chunks_and_slabs``, ungrouped: 13 units of
+    six pieces each (the six equal templates of eta = (1, 1, 1) are one),
+    on one lane and on two. Each unit is started in a unit
     slot of the calling lane's workspace once, when its first piece is
     pulled, and has it until its finish: no other unit is started in it
     meanwhile. When a unit starts, no other unit is started and unfinished
@@ -961,9 +964,9 @@ def test_unit_slots_are_held_from_the_first_piece_to_the_finish(monkeypatch, lan
     spy = Ownership(monkeypatch, fresh_workspaces(monkeypatch))
     rep = evaluate()
     assert rep.diagnostics["lanes"] == lanes
-    assert len(spy.units) == len({id(u) for u in spy.units}) == 18
+    assert len(spy.units) == len({id(u) for u in spy.units}) == 13
     assert max(spy.others) <= lanes - 1 and not spy.slot_of
-    assert len(spy.added) == 18 and spy.problems == []
+    assert len(spy.added) == 13 and spy.problems == []
     spy.check_owners()
     assert_same_report(ref, rep)
 

@@ -49,11 +49,11 @@ SETTINGS = {
 MODELS = ("atomistic", "acb-tetra", "acb-cell", "coupled", "coupled-dg", "naive", "coupled-ho(2)")
 
 
-def calls(setting: str, seed: int = 1, gradient: bool = True) -> dict:
-    """Each model at a seeded state of ``setting``; the two-sided model with
-    a second, distinct state on its continuum side, the high-order model
-    with seeded free-node displacements."""
-    N, R, corner, extents, policy = SETTINGS[setting]
+def calls(setting: str, seed: int = 1, gradient: bool = True, settings: dict = SETTINGS) -> dict:
+    """Each model at a seeded state of ``settings[setting]``; the two-sided
+    model with a second, distinct state on its continuum side, the
+    high-order model with seeded free-node displacements."""
+    N, R, corner, extents, policy = settings[setting]
     cfg = LatticeConfig(N=(N, N, N), epsilon=1.0 / N)
     part = RegionPartition(cfg, corner, extents)
     y = state(cfg, seed)
@@ -213,8 +213,9 @@ def test_no_stencil_apply_allocates_an_array_the_size_of_x(monkeypatch):
     the bytes of x or more. The products c x of coefficients other than 1
     and -1 are formed in the apply's scratch, in the workspace; formed as
     fresh temporaries, one per block, the whole-array one (offset 0) takes
-    all the bytes of x. What an apply does allocate is numpy's iteration
-    buffers for the strided block adds, at most 8,192 floats per operand."""
+    all the bytes of x. Each of the 13 units (the six equal templates of
+    eta = (1, 1, 1) are one) makes one forward apply, and one transposed
+    apply in the full call."""
     monkeypatch.setattr(energies, "_LANES", 1)
     cfg = LatticeConfig(N=(36, 36, 36), epsilon=1.0 / 36)
     y = state(cfg, 1)
@@ -237,8 +238,39 @@ def test_no_stencil_apply_allocates_an_array_the_size_of_x(monkeypatch):
             acb_tetra_energy(y, README_LAWS, gradient=gradient)
     finally:
         tracemalloc.stop()
-    assert len(rises) == 18 * 2 + 18
+    assert len(rises) == 13 * 2 + 13
     assert max(rises) < y.displacement.values.nbytes // 2, max(rises)
+
+
+def test_no_stencil_apply_of_a_warm_coupled_call_allocates(monkeypatch):
+    """On one lane: in a warm README coupled call at N=12, full and
+    energy-only, the traced memory of no stencil apply rises by 2 KB or
+    more. A shift that wraps on an axis is copied into the apply's scratch
+    and added contiguously; added block by block, each strided in-place add
+    of a transposed apply makes numpy allocate iterator buffers, some
+    100 KB of them."""
+    monkeypatch.setattr(energies, "_LANES", 1)
+    call = calls("n12")["coupled"]
+    energy_only = calls("n12", gradient=False)["coupled"]
+    call(), energy_only()
+    apply, rises = energies._Stencil.apply, []
+
+    def traced(self, *args, **kw):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            return apply(self, *args, **kw)
+        finally:
+            rises.append(tracemalloc.get_traced_memory()[1] - start)
+
+    monkeypatch.setattr(energies._Stencil, "apply", traced)
+    tracemalloc.start()
+    try:
+        call(), energy_only()
+    finally:
+        tracemalloc.stop()
+    assert max(rises) < 2048, sorted(rises)[-4:]
+    assert len(rises) == 13 * 2 + 13
 
 
 def test_no_law_evaluation_allocates_an_array_of_its_rows(monkeypatch):
