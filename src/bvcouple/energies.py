@@ -18,9 +18,10 @@ eps^3 phi(F eta) sum_q w_q back into the term's energy. Reports
 carry the summed excess too (``EnergyReport.excess``): it is exactly 0.0
 at y_F, and its differences keep the digits that the constant |Omega|
 W(F) in the energy would swallow. A non-finite phi or phi' is a domain
-error, like a radial bond below its minimum length;
-``_site_error`` builds every domain error that names the offending bond's
-site and eta, here and in the interface jump of ``coupling``. B is one of
+error, like a radial bond below its minimum length (see Domain errors
+below); ``_site_error`` builds every domain error that names the
+offending bond's site and eta, here and in the interface jump of
+``coupling``. B is one of
 two operator kinds, each with ``@``, ``.T``, ``rows``, ``apply(x, out)``
 (B x written into the kernel's zeta buffer) and ``site(row)`` (the lattice
 site a row belongs to, named in domain errors):
@@ -45,14 +46,15 @@ site a row belongs to, named in domain errors):
   all read x at the corners of a cell (Bey, Numer. Math. 85, 2000), so a
   small term, whose batches all have fewer than ``_MIN_LANE_ROWS`` rows
   and which runs on the caller's lane, keeps one store of shifted copies
-  of x for the call (``_Shifts``, made by ``_shifts``): one per nonzero
-  offset that more than one of its stencils reads, copied from x's blocks
-  by the first apply that reads it, and added contiguously by every apply
-  that reads it; other offsets, and every transposed apply, add their
-  blocks as above. Either way every row gets the same adds in the same
-  order, zero-filled first, so the bits do not depend on the plane range,
-  the slab size or the store. Stencils stay
-  matrix-free: as CSR the cell bond at N=128 would hold 16.8M nonzeros;
+  of x for the call (``_shifts``), formed before the term's first unit:
+  one per nonzero offset that two or more of the stencils its units apply
+  read (a repeated batch applies nothing), copied from x's blocks by
+  ``_shifted``, as the scratch copy is, and added contiguously by every
+  apply that reads it; other offsets, and every transposed apply, add
+  their blocks as above. Either way every row gets the same adds in the
+  same order, zero-filled first, so the bits do not depend on the plane
+  range, the slab size or the store. Stencils stay matrix-free: as CSR
+  the cell bond at N=128 would hold 16.8M nonzeros;
 - a sparse gather ``_Gather`` for the irregular terms: a cached CSR map to
   element-local values, then a dense (nq, nloc) coefficient block shared
   by every element. The map is a ``_Csr`` record of scipy's arrays; its
@@ -122,12 +124,8 @@ zero rows and their sum, which cached blocks, partitions and meshes build
 once. The Pk rows share one weight per quadrature point: a (nq, block)
 tile that the kernel broadcasts over a gather's (blocks, nq, block) rows
 (``_blocks``), padding rows included, whose sum counts the real rows
-alone. A non-finite
-excess or phi' sum (one sum over phi') is looked at row by row only then,
-with the batch's phi evaluated again: the error names the first row whose
-phi or phi' is not finite, or, where every one is finite and the excess
-sum overflowed, the row of largest |w (phi - phi(F eta))|. Every sum runs
-inside the kernel's ``np.errstate``, so an overflow warns nowhere.
+alone. Every sum runs inside the kernel's ``np.errstate``, so an overflow
+warns nowhere.
 
 Every model takes a keyword ``gradient`` (default True). With
 ``gradient=False`` its terms get no gradient arrays, and each batch is
@@ -164,14 +162,15 @@ inner product: the report's gradient field g satisfies
 DE(y)[v] = <g, v>_eps for every periodic lattice field v.
 
 A term's batches run as units (``_groups``). A batch that repeats the
-batch just before it, with the same operator, law and key and the same
-weights object or an equal scalar, is evaluated once: it is a count of
+batch just before it, with the same operator, weights and law objects and
+an equal key (``_repeats``), is evaluated once: it is a count of
 that batch's (op, w) pair, and the unit returns the pair's energy, excess
 and gradient contribution once per batch, which ``_term`` adds in batch
 order, so every sum gets the adds it would get from the batches one by
 one. The six staircase templates of eta = (1, 1, 1) are one stencil, so
-acb-tetra, the naive control and the coupled and two-sided continua (one
-weights object for all six templates) evaluate them once; the P1 layer
+acb-tetra (one scalar object for all six templates), the naive control
+and the coupled and two-sided continua (one weights object) evaluate them
+once; the P1 layer
 of the high-order model has weights per template, and repeats nothing.
 Reports count these batches per term (``repeats``). Equal batches that
 are not adjacent stay apart: merging them would reorder the sums. Of the
@@ -211,14 +210,21 @@ at a time (``_Unit.alone``). On the lattices of more than ``_SLAB_ROWS``
 sites (N = 64 and 128 in the consistency sweep) every stencil batch is
 several pieces, and a term's pieces stream through both lanes alike.
 
-Domain errors follow one rule: every error is the one-lane error. On one
-lane a group whose law call raises re-runs its batches one at a time, and a
-lone batch forms its whole zeta once to name its shortest bond. A stream
-raises the error of its first failing unit in unit order, whichever lane
-hit it and whenever: once a piece or a finish raises, no lane pulls
-another, but every earlier unit, whose pieces were all pulled already,
-finishes, as on one lane; the caller then re-runs the first failing unit on
-one lane, which raises its one-lane error.
+Domain errors: one path names them all, ``_Unit._raise_pair_error``, which
+evaluates one (op, w) pair again, whole, at the unit's order (the law's
+bits do not depend on the rows) and raises the first error that applies:
+a law call that raises, phi(F eta)'s included, names the pair's shortest
+bond; else the first row whose phi or phi' is not finite; else, if the
+pair's excess sum overflowed, its row of largest |w (phi - phi(F eta))|.
+A finish calls it for each pair whose excess or phi' sum (one sum over
+phi') is not finite, and a unit whose law call raises calls it for each
+pair in order, so a group raises its first failing pair's error, as if
+ungrouped. Every error is the one-lane error: a stream raises the error of
+its first failing unit in unit order, whichever lane hit it and whenever.
+Once a piece or a finish raises, no lane pulls another, but every earlier
+unit, whose pieces were all pulled already, finishes, as on one lane; the
+caller then re-runs the first failing unit on one lane (``alone``), which
+raises its one-lane error.
 
 Memory: every array of a term's size that a warm call fills lives in a
 workspace (``_Workspace``), one per lane (``_workspace``, per thread), and
@@ -244,13 +250,15 @@ may write each one. They are:
   floats per piece and at most _PW_BLOCK values per piece boundary, which
   the unit keeps until its finish;
 - the store of shifted copies of x of a small term of stencils
-  (``_shifts``): one array the size of x per stored offset, in the
-  workspace of the calling lane, which alone runs such a term. Only the
+  (``_shifts``): one array the size of x per offset that two or more of
+  the stencils its units apply read, in the workspace of the calling lane,
+  which alone runs such a term. Only the
   staircase and cell stencils share offsets, the nonzero corners of a
   cell, since the exact bonds of a term have distinct directions; so a
   store holds at most 7 copies of an x of fewer than _MIN_LANE_ROWS rows
-  (1.4 MB). A store serves one term of one call: the next call's store
-  copies its shifts again before it reads them;
+  (1.4 MB). A store serves one term of one call and is formed at once,
+  before the term's first unit: the next call's store copies its shifts
+  again;
 - the unit slots, phi' of a unit from its start to its finish, which the
   law writes into, chunk by chunk; an energy-only unit's slot is empty, so
   no array of a term's rows outlives a piece. They belong to the workspace
@@ -294,6 +302,7 @@ import sys
 import threading
 import time
 import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, reduce
@@ -466,7 +475,7 @@ class _Unit:
             p = None if P is None else P[lo:hi]
             weights, total = (w.w, w.total) if isinstance(w, _Weights) else (w, w * op.rows)
             if not (finite and math.isfinite(excess)):
-                self._raise_at_bad_row(op, w, p, excess)
+                self._raise_pair_error(op, w)
             share = float(eps**3 * phi0 * total)
             if p is None:
                 results.append((excess + share, excess, None))
@@ -481,54 +490,45 @@ class _Unit:
             results.append((excess + share, excess, op.T.apply(p, contribs[j], scratch=scratch)))
         return [r for r, count in zip(results, self.counts) for _ in range(count)]
 
-    def _raise_at_bad_row(self, op, w, p, excess: float) -> None:
-        """The domain error of the pair (op, w), whose excess or phi' sum is
-        not finite: raised at its first row whose phi or phi' is not finite,
-        else, if the excess is not finite, at its row of largest
-        |w (phi - phi(F eta))|, whose sum overflowed; a phi' sum that
-        overflowed on finite rows raises nothing. The pair's phi is
-        evaluated again: the law's bits do not depend on the rows."""
-        phi = np.empty(op.rows)
+    def _raise_pair_error(self, op, w) -> None:
+        """Raises the domain error of the pair (op, w), if it has one. The
+        pair is evaluated again, whole, at the unit's order (the law's bits
+        do not depend on the rows): a law call that raises, phi(F eta)'s
+        included, names the pair's shortest bond; else the error names its
+        first row whose phi or phi' is not finite; else, if its excess sum
+        overflowed, its row of largest |w (phi - phi(F eta))|. A phi' sum
+        that overflowed on finite rows raises nothing."""
         z = _bond_rows([(op, w)], [0], self.x, self.eps, self.base, 0, op.rows, None, np.empty((op.rows, 3)))
+        out = [np.empty(op.rows), np.empty((op.rows, 3))][: self.order + 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            _evaluate(self.law, z, 0, [phi])
-            bad = ~np.isfinite(phi)
-            if p is not None:
-                bad |= ~np.isfinite(p).all(axis=-1)
+            try:
+                phi0 = _homogeneous_phi(self.law, self.base)
+                _evaluate(self.law, z, self.order, out)
+            except PotentialDomainError as exc:
+                raise _site_error(exc, op.site(int(np.argmin(np.linalg.norm(z, axis=-1)))), self.law.eta) from exc
+            bad = ~np.isfinite(np.column_stack(out)).all(axis=-1)
             if bad.any():
                 row = int(np.argmax(bad))
-            elif not math.isfinite(excess):
-                row = int(np.argmax(np.abs(_excess_rows(phi, self.phi0, w, 0, op.rows))))
             else:
-                return
+                d = _excess_rows(out[0], phi0, w, 0, op.rows)
+                if math.isfinite(self.eps**3 * d.sum()):  # the excess, as ``finish`` forms it
+                    return
+                row = int(np.argmax(np.abs(d)))
         raise _site_error(f"{self.law.kind} energy or force is not finite", op.site(row), self.law.eta)
-
-    def copied(self, ws: "_Workspace") -> list:
-        """``alone``, with each gradient contribution copied out of the
-        workspace."""
-        return [(e, de, None if g is None else g.copy()) for e, de, g in self.alone(ws)]
 
     def alone(self, ws: "_Workspace") -> list:
         """The unit on the calling lane, with its workspace ``ws`` and unit
         slot 0 of it: its pieces in order, then its finish. A law call that
-        raises gives the unit's one-lane error, which names the lattice site
-        ``op.site(row)`` of the shortest bond, or of the first bond whose
-        phi or phi' is not finite, of the first failing pair: a group re-runs
-        its pairs one at a time, and a lone batch forms its whole zeta once
-        to name its shortest bond."""
+        raises gives the unit's one-lane error, the error of its first pair
+        that has one (``_raise_pair_error``)."""
         self.start(ws.array(("unit", 0), self.slot_size))
         try:
             for k in range(len(self.pieces)):
                 self.run(k, ws)
-        except PotentialDomainError as exc:
-            if len(self.pairs) > 1:  # the first failing pair's error, as ungrouped
-                return [r for pair, count in zip(self.pairs, self.counts)
-                        for r in _Unit([pair], self.law, self.key, self.base, self.x, self.eps,
-                                       self.order, counts=[count]).copied(ws)]
-            z = _bond_rows(self.pairs, self.starts, self.x, self.eps, self.base, 0, self.n, None,
-                           np.empty((self.n, 3)))
-            raise _site_error(exc, self.pairs[0][0].site(int(np.argmin(np.linalg.norm(z, axis=-1)))),
-                              self.law.eta) from exc
+        except PotentialDomainError:
+            for op, w in self.pairs:
+                self._raise_pair_error(op, w)
+            raise
         return self.finish(ws)
 
 
@@ -650,7 +650,7 @@ def _bond_rows(pairs, starts, x, eps, base, lo, hi, planes, z, scratch=None, shi
     else:
         if planes is None:
             for (op, _), s in zip(pairs, starts):
-                if shifts is None:
+                if not shifts:
                     op.apply(x, z[s:s + op.rows], scratch=scratch)
                 else:
                     op.apply(x, z[s:s + op.rows], scratch=scratch, shifts=shifts)
@@ -830,15 +830,9 @@ def _drop_workspaces() -> None:
 
 def _repeats(a, b) -> bool:
     """Whether the batch b = (op, w, law, key) has the results of the batch
-    a: the same op and law, an equal key, and the same weights object or
-    an equal scalar of the same sign."""
+    a: the same op, weights and law objects, and an equal key."""
     (op, w, law, key), (op_b, w_b, law_b, key_b) = a, b
-    if op is not op_b or law is not law_b or key != key_b:
-        return False
-    if w is w_b:
-        return True
-    scalars = not isinstance(w, _Weights) and not isinstance(w_b, _Weights)
-    return scalars and w == w_b and math.copysign(1.0, w) == math.copysign(1.0, w_b)
+    return op is op_b and w is w_b and law is law_b and key == key_b
 
 
 def _groups(batches) -> list:
@@ -877,7 +871,7 @@ class _Stencil:
         return self.apply(x, np.empty((self.rows, 3)))
 
     def apply(self, x: np.ndarray, out: np.ndarray, lo: int = 0, hi: int | None = None,
-              scratch: np.ndarray | None = None, shifts: "_Shifts | None" = None) -> np.ndarray:
+              scratch: np.ndarray | None = None, shifts: dict | None = None) -> np.ndarray:
         """B x at the sites of the axis-0 planes lo <= l_0 < hi (default:
         every plane) written into ``out``, a C-contiguous ((hi - lo) N_1 N_2,
         3) array, one slab of at most ``slab_planes`` planes at a time: each
@@ -888,7 +882,7 @@ class _Stencil:
         ``scratch``, a flat array of at least ``scratch_size`` floats, holds
         the whole-array shifts and the products c x of a coefficient other
         than 1 or -1; None allocates it. ``shifts``, a small term's store
-        (``_Shifts``), gives the shifted copy of x at each offset it holds,
+        (``_shifts``), gives the shifted copy of x at each offset it holds,
         which is added contiguously as a whole-array shift is: the same adds
         in the same order, so the same bits."""
         n0 = self.N[0]
@@ -903,26 +897,20 @@ class _Stencil:
             slab[...] = 0.0
             for s, c in self.terms:
                 src, blocks = v, _shift_blocks(self.N, s, a, b)
-                if shifts is not None and s in shifts.slots:
-                    src, blocks = shifts.get(s)[a:b], _WHOLE
+                if shifts and s in shifts:
+                    src, blocks = shifts[s][a:b], _WHOLE
                 elif len(blocks) > 1 and b - a == n0:
                     # up to a slab, copying the blocks into one contiguous
                     # shifted array (no larger than a slab's temporary) and
                     # one contiguous add beat two, four or eight strided
                     # block adds, for which numpy allocates iterator buffers
-                    shifted = scratch[: v.size].reshape(v.shape)
-                    for dst, sl in blocks:
-                        shifted[dst] = v[sl]
-                    src, blocks = shifted, _WHOLE
-                    if abs(c) != 1.0:
-                        src *= c
-                        c = 1.0
+                    src, blocks = _shifted(v, blocks, scratch[: v.size].reshape(v.shape)), _WHOLE
                 for dst, sl in blocks:
                     if c == 1.0:
                         slab[dst] += src[sl]
                     elif c == -1.0:
                         slab[dst] -= src[sl]
-                    else:  # c x in the scratch, which no shift holds here: no fresh pages
+                    else:  # c x in the scratch, in place if the shift is there: no fresh pages
                         term = src[sl]
                         slab[dst] += np.multiply(term, c, out=scratch[: term.size].reshape(term.shape))
         return out
@@ -951,48 +939,31 @@ class _Stencil:
         return tuple(int(i) for i in np.unravel_index(row, self.N))
 
 
-class _Shifts:
-    """A small term's store of shifted copies of its displacement x: one
-    slot of the caller's workspace per offset in ``slots``. The first
-    stencil apply that reads an offset copies x's blocks at that offset
-    into its slot (``get``), once per call; a store is made for one call
-    (``_shifts``), so no call reads another's shifts."""
-
-    def __init__(self, x: np.ndarray, N: IntTriple, offsets, data: np.ndarray):
-        self.v, self.N = x.reshape(N + (3,)), N
-        self.slots = dict(zip(offsets, data.reshape(len(offsets), *N, 3)))
-        self.formed: dict = {}  # offset -> its slot, once copied in this call
-
-    def get(self, s: IntTriple) -> np.ndarray:
-        """The whole array of x shifted by ``s``: at site l, x_{(l + s) mod N}."""
-        out = self.formed.get(s)
-        if out is None:
-            out = self.formed[s] = self.slots[s]
-            for dst, sl in _shift_blocks(self.N, s, 0, self.N[0]):
-                out[dst] = self.v[sl]
-        return out
+def _shifted(v: np.ndarray, blocks, out: np.ndarray) -> np.ndarray:
+    """``v`` shifted into ``out``: v[src] at dst for each (dst, src) pair
+    of ``blocks`` (``_shift_blocks``)."""
+    for dst, src in blocks:
+        out[dst] = v[src]
+    return out
 
 
-def _shifts(batches, x, ws: "_Workspace") -> _Shifts | None:
-    """The store of the term of ``batches`` for this call, in ``ws``: each
-    nonzero offset that more than one of its stencils reads, where every
-    batch is a stencil of fewer than _MIN_LANE_ROWS rows and x is a field;
-    else None. Only the staircase and cell stencils share offsets, the
+def _shifts(groups, x, ws: "_Workspace") -> dict | None:
+    """The store of a term for this call, formed at once in ``ws``: x
+    shifted by each nonzero offset that two or more of the operators
+    applied by the units of ``groups`` (``_groups``) read, where every one
+    is a stencil of fewer than _MIN_LANE_ROWS rows and x is a field; else
+    None. Only the staircase and cell stencils share offsets, the
     nonzero corners of a cell, since the exact bonds of a term have
     distinct directions; so the store holds at most 7 shifted copies of an
     x of fewer than _MIN_LANE_ROWS rows."""
-    if isinstance(x, tuple) or any(not isinstance(op, _Stencil) or op.rows >= _MIN_LANE_ROWS
-                                   for op, *_ in batches):
+    ops = [op for pairs, *_ in groups for op, _ in pairs]
+    if isinstance(x, tuple) or any(not isinstance(op, _Stencil) or op.rows >= _MIN_LANE_ROWS for op in ops):
         return None
-    readers: dict = {}
-    for op, *_ in batches:
-        for s, _ in op.terms:
-            if any(s):
-                readers[s] = readers.get(s, 0) + 1
+    readers = Counter(s for op in ops for s, _ in op.terms if any(s))
     shared = [s for s, n in readers.items() if n > 1]
-    if not shared:
-        return None
-    return _Shifts(x, batches[0][0].N, shared, ws.array("shifts", len(shared) * x.size))
+    N = ops[0].N
+    data = ws.array("shifts", len(shared) * x.size).reshape(len(shared), *N, 3)
+    return {s: _shifted(x.reshape(N + (3,)), _shift_blocks(N, s, 0, N[0]), out) for s, out in zip(shared, data)}
 
 
 def _runs(n: int, k: int, lo: int, hi: int) -> tuple:
@@ -1197,7 +1168,8 @@ def _lattice_batches(model: str, R: InteractionSet, N: IntTriple) -> list:
     acb-tetra or acb-cell model, keyed by direction: per law the exact bond,
     the six staircase templates at weight 1/6, or the cell-averaged bond."""
     if model == "acb-tetra":
-        return [(op, 1.0 / 6.0, law, f"eta={law.eta}") for law in R for op in _staircase_stencils(law.eta, N)]
+        w = 1.0 / 6.0  # one object, so equal templates repeat (``_repeats``)
+        return [(op, w, law, f"eta={law.eta}") for law in R for op in _staircase_stencils(law.eta, N)]
     stencil = _bond_stencil if model == "atomistic" else _cell_stencil
     return [(stencil(law.eta, N), 1.0, law, f"eta={law.eta}") for law in R]
 
@@ -1267,14 +1239,17 @@ def _term(name: str, batches, F, x, eps, g_outs) -> _Term:
     or two, grouped or not. With no ``g_outs`` the batches are energy-only.
     A small term of stencils, whose batches all have fewer than
     _MIN_LANE_ROWS rows and so never stream, reads one store of shifted
-    copies of x in the caller's workspace (``_shifts``), made for this call."""
+    copies of x in the caller's workspace (``_shifts``), formed for this
+    call before its first unit."""
     t0 = time.perf_counter()
     out = _Term(name)
     ws = _workspace()
-    shifts = _shifts(batches, x, ws)
+    groups = _groups(batches)
+    shifts = _shifts(groups, x, ws)
     units = [_Unit(pairs, law, key, F @ law.eta_vec, x, eps, bool(g_outs), shifts, counts)
-             for pairs, counts, law, key in _groups(batches)]
+             for pairs, counts, law, key in groups]
     out.repeats = len(batches) - sum(len(u.pairs) for u in units)
+    out.shifts = len(shifts or ())
     if _LANES > 1 and max(op.rows for op, *_ in batches) >= _MIN_LANE_ROWS and sum(len(u.pieces) for u in units) > 1:
         _stream(_helper(), units, lambda key, results: out.add(key, results, g_outs))
         out.lanes = 2
@@ -1282,7 +1257,6 @@ def _term(name: str, batches, F, x, eps, g_outs) -> _Term:
         ws.reserve(units, 1)
         for u in units:
             out.add(u.key, u.alone(ws), g_outs)
-        out.shifts = 0 if shifts is None else len(shifts.formed)
     out.seconds = time.perf_counter() - t0
     return out
 
@@ -1395,7 +1369,7 @@ def _stream(helper, units, add) -> None:
     ahead.result()
     if errors:
         i = min(errors)
-        units[i].copied(own)  # raises the unit's one-lane error
+        units[i].alone(own)  # raises the unit's one-lane error
         raise errors[i]
 
 

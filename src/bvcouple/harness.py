@@ -999,15 +999,16 @@ def verify_coverings(config: RunConfig, out_dir: Path) -> list[CheckResult]:
     rows = []
     for law in config.laws:
         eta = law.eta
+        n_eta = abs(eta[0] * eta[1] * eta[2])
         try:
             covs = enumerate_coverings(nondegenerate_eta(eta), cfg)
         except DegenerateEta:
             rows.append((str(eta), "degenerate", 0, 0))
             continue
         except CoveringMismatch as exc:
-            results.append(CheckResult(f"coverings{eta}", False, str(exc)))
+            rows.append((str(eta), "mismatch", 0, n_eta))
+            results.append(CheckResult(f"coverings-{eta}", False, str(exc)))
             continue
-        n_eta = abs(eta[0] * eta[1] * eta[2])
         ok = len(covs) == n_eta
         # member cells: base sites plus the offsets of a |eta_0|x|eta_1|x|eta_2| box
         cells = np.concatenate([cov.base_sites for cov in covs])[:, None, :] + \

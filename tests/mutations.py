@@ -190,9 +190,19 @@ MUTATIONS = [
      "tests/test_lanes.py::test_helper_lane_commits_while_the_callers_first_unit_is_held"),
     # a stream raising its first failing piece's own error, without the one-lane re-run
     ("energies.py",
-     "        units[i].copied(own)  # raises the unit's one-lane error\n",
+     "        units[i].alone(own)  # raises the unit's one-lane error\n",
      "        pass\n",
      "tests/test_lanes.py::test_domain_error_of_a_split_batch_is_the_one_lane_error"),
+    # a law call that raises on the re-run left unnamed, without its shortest bond's site
+    ("energies.py",
+     "                raise _site_error(exc, op.site(int(np.argmin(np.linalg.norm(z, axis=-1)))), self.law.eta) from exc\n",
+     "                raise\n",
+     "tests/test_coupling.py::test_sparse_bond_domain_errors_name_the_site"),
+    # a failing group's pairs searched for their error last to first
+    ("energies.py",
+     "            for op, w in self.pairs:\n                self._raise_pair_error(op, w)\n",
+     "            for op, w in self.pairs[::-1]:\n                self._raise_pair_error(op, w)\n",
+     "tests/test_lanes.py::test_grouped_domain_error_is_the_ungrouped_one"),
     # one workspace for every thread, so a lane takes the other lane's
     ("energies.py",
      "    ws = getattr(_lanes, \"ws\", None)\n"
@@ -275,28 +285,31 @@ MUTATIONS = [
      "    def apply(g: np.ndarray) -> np.ndarray:\n        c0, c1, c2 = columns()\n",
      "    columns()\n\n    def apply(g: np.ndarray) -> np.ndarray:\n        c0, c1, c2 = columns()\n",
      "tests/test_harness.py::test_an_unforced_solve_builds_no_symbol"),
-    # a small term's store of shifts kept from one call to the next
+    # a small term's store of shifts formed by the first call alone, and read as it is by the next
     ("energies.py",
-     "        self.formed: dict = {}  # offset -> its slot, once copied in this call\n",
-     "        self.formed = getattr(_Shifts, \"kept\", None) or {}\n        _Shifts.kept = self.formed\n",
+     "    return {s: _shifted(x.reshape(N + (3,)), _shift_blocks(N, s, 0, N[0]), out) for s, out in zip(shared, data)}\n",
+     "    if getattr(_shifts, \"formed\", False):\n"
+     "        return dict(zip(shared, data))\n"
+     "    _shifts.formed = True\n"
+     "    return {s: _shifted(x.reshape(N + (3,)), _shift_blocks(N, s, 0, N[0]), out) for s, out in zip(shared, data)}\n",
      "tests/test_shifts.py::test_a_second_call_never_reads_the_first_calls_shifts[coupled]"),
     # a stored shift copied from the negated offset
     ("energies.py",
-     "            for dst, sl in _shift_blocks(self.N, s, 0, self.N[0]):\n",
-     "            for dst, sl in _shift_blocks(self.N, tuple(-o for o in s), 0, self.N[0]):\n",
+     "_shift_blocks(N, s, 0, N[0])",
+     "_shift_blocks(N, tuple(-o for o in s), 0, N[0])",
      "tests/test_shifts.py::test_the_store_keeps_every_bit_of_the_plain_apply[coupled-n12-gradient]"),
     # c x of a stored shift scaled in place in the store
     ("energies.py",
-     "                    src, blocks = shifts.get(s)[a:b], _WHOLE\n",
-     "                    src, blocks = shifts.get(s)[a:b], _WHOLE\n"
+     "                    src, blocks = shifts[s][a:b], _WHOLE\n",
+     "                    src, blocks = shifts[s][a:b], _WHOLE\n"
      "                    if abs(c) != 1.0:\n"
      "                        src *= c\n"
      "                        c = 1.0\n",
      "tests/test_shifts.py::test_the_store_keeps_every_bit_of_the_plain_apply[acb-tetra-n12-gradient]"),
-    # the zero-fill skipped for every stencil of a group after the first
+    # the zero-fill skipped for every stencil that reads a store
     ("energies.py",
      "            slab[...] = 0.0\n",
-     "            if shifts is None or not shifts.formed:\n                slab[...] = 0.0\n",
+     "            if not shifts:\n                slab[...] = 0.0\n",
      "tests/test_shifts.py::test_the_store_keeps_every_bit_of_the_plain_apply[naive-n18-energy]"),
     # c x formed as a fresh temporary again, one per block
     ("energies.py",
@@ -305,8 +318,8 @@ MUTATIONS = [
      "tests/test_shifts.py::test_no_stencil_apply_allocates_an_array_the_size_of_x"),
     # batches merged whatever their weights: coupled-ho's templates have P1 weights of their own
     ("energies.py",
-     "    if w is w_b:\n",
-     "    if True:\n",
+     "    return op is op_b and w is w_b and law is law_b and key == key_b\n",
+     "    return op is op_b and law is law_b and key == key_b\n",
      "tests/test_repeats.py::test_repeated_batches_keep_every_bit[coupled-ho(2)-n12-gradient-one-lane]"),
     # a repeated batch's result added once, not once per batch
     ("energies.py",

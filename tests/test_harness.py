@@ -1294,6 +1294,22 @@ def test_coverings_check_fails_on_a_shifted_base_site(tmp_path, capsys, monkeypa
     assert [row.split(",")[-3] for row in rows] == ["broken"] * 3
 
 
+def test_coverings_check_names_and_writes_a_mismatched_direction(tmp_path, capsys):
+    """eta = (5, 1, 1) at N=12: its coverings cannot tile the torus, since
+    5 does not divide 12. The failed check is named like every other,
+    ``coverings-(5, 1, 1)``, and ``coverings.csv`` has a ``mismatch`` row
+    for it, with no coverings of the 5 expected."""
+    data = small_config_dict(model="atomistic", lattice={"N": [12, 12, 12], "epsilon": 1.0 / 12.0})
+    data["interactions"] = [*data["interactions"], {"eta": [5, 1, 1], "kind": "harmonic"}]
+    code, out = run_check(tmp_path, capsys, "verify-coverings", data)
+    assert code == 1
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "PASS coverings-(1, 1, 1)", "PASS coverings-(2, 1, 1)", "PASS coverings-(1, -1, 2)",
+        "FAIL coverings-(5, 1, 1)"], out
+    rows = (tmp_path / "verify-coverings" / "coverings.csv").read_text().splitlines()[2:]
+    assert rows == ["(1, 1, 1),ok,1,1", "(2, 1, 1),ok,2,2", "(1, -1, 2),ok,2,2", "(5, 1, 1),mismatch,0,5"]
+
+
 def test_sweep_fails_when_a_model_misses_the_homogeneous_share(tmp_path, capsys, monkeypatch):
     """eps |Omega| added to the comparison model's energy alone, not to its
     excess: the gap, taken from the excesses, keeps its second-order slope

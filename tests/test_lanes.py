@@ -78,7 +78,8 @@ def bond_group(pairs, law, F, x, eps, gradient=True) -> list:
     homogeneous share eps^3 phi(F eta) sum_q w_q; the excess; and, if
     ``gradient``, the gradient contribution, scaled like the lattice inner
     product, op^T (w phi'(zeta) / eps), as an array of its own."""
-    return energies._Unit(pairs, law, None, F @ law.eta_vec, x, eps, gradient).copied(energies._workspace())
+    results = energies._Unit(pairs, law, None, F @ law.eta_vec, x, eps, gradient).alone(energies._workspace())
+    return [(e, de, None if g is None else g.copy()) for e, de, g in results]  # the workspace is reused
 
 
 # Laws whose covering widths divide N = 8.

@@ -130,15 +130,22 @@ def test_a_second_call_never_reads_the_first_calls_shifts(monkeypatch, model):
 
 
 def test_shifts_count_the_offsets_that_stencils_share():
-    """``shifts`` reads, per term, the offsets that more than one of the
-    term's stencils reads: 7 for the README continuum term at N=12, the
+    """``shifts`` reads, per term, the offsets that two or more of the
+    stencils its units apply read: 7 for the README continuum term at N=12, the
     seven corners of a cell, none for its atomistic bonds and cones, whose
-    operators are gathers; and 0 for every term at N=24, whose batches are
-    too large for the store."""
+    operators are gathers; 0 for acb-tetra with the harmonic (1, 1, 1) law
+    alone at N=12, whose six equal templates are one unit that applies one
+    stencil, since a repeated batch applies nothing, with the energy's bits
+    unchanged; and 0 for every term at N=24, whose batches are too large
+    for the store."""
     rep = calls("n12")["coupled"]()
     cb = [op for law in README_LAWS for op in energies._staircase_stencils(law.eta, (12, 12, 12))]
     assert shared_offsets(cb) == 7
     assert rep.diagnostics["shifts"] == {"atomistic": 0, "continuum": 7, "interface": 0}
+    cfg = LatticeConfig(N=(12, 12, 12), epsilon=1.0 / 12)
+    rep = acb_tetra_energy(state(cfg, 1), InteractionSet([make_law((1, 1, 1), "harmonic")]))
+    assert (rep.diagnostics["shifts"], rep.diagnostics["repeats"]) == ({"acb-tetra": 0}, {"acb-tetra": 5})
+    assert rep.energy.hex() == "0x1.9baf86ea56ee0p+0"
     cfg = LatticeConfig(N=(24, 24, 24), epsilon=1.0 / 24)
     part = RegionPartition(cfg, (8, 8, 8), (8, 8, 8))
     y = state(cfg, 1)
