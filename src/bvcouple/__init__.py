@@ -35,7 +35,6 @@ from .harness import (
     SweepResult,
     config_from_dict,
     consistency_sweep,
-    default_config,
     evaluate_model,
     fd_gradient_check,
     ghost_force_residual,
@@ -88,7 +87,6 @@ __all__ = [
     "consistency_sweep",
     "coupled_energy_conforming",
     "coupled_energy_dg",
-    "default_config",
     "diff_quotient",
     "discrete_inner_product",
     "enumerate_coverings",

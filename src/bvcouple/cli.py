@@ -15,12 +15,11 @@ control fired), 2 invalid usage or configuration.
 from __future__ import annotations
 
 import argparse
-import copy
 import locale  # noqa: F401  argparse's gettext imports it when a parser is first built
 import sys
 from typing import Sequence
 
-from .harness import DEFAULT_CONFIG, ConfigError, _read_config_json, config_from_dict, run
+from .harness import ConfigError, load_config, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,36 +37,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each leaf names its harness command
     verify = sub.add_parser("verify", help="run a verification suite")
     vsub = verify.add_subparsers(dest="check", required=True)
-    vsub.add_parser("lemma", parents=[common], help="bond-volume integral identity")
-    vsub.add_parser(
-        "ghost-forces", parents=[common, model_opt],
-        help="gradient residual at homogeneous deformations",
-    )
-    vsub.add_parser(
-        "gradient", parents=[common, model_opt],
-        help="finite-difference check of analytic gradients",
-    )
-    vsub.add_parser("coverings", parents=[common], help="bond-volume torus tilings")
+    vsub.add_parser("lemma", parents=[common], help="bond-volume integral identity").set_defaults(name="verify-lemma")
+    vsub.add_parser("ghost-forces", parents=[common, model_opt],
+                    help="gradient residual at homogeneous deformations").set_defaults(name="verify-ghost-forces")
+    vsub.add_parser("gradient", parents=[common, model_opt],
+                    help="finite-difference check of analytic gradients").set_defaults(name="verify-gradient")
+    vsub.add_parser("coverings", parents=[common],
+                    help="bond-volume torus tilings").set_defaults(name="verify-coverings")
 
     sweep = sub.add_parser("sweep", help="run a parameter sweep")
     ssub = sweep.add_subparsers(dest="sweep_kind", required=True)
     ssub.add_parser(
         "consistency", parents=[common],
         help="atomistic vs Cauchy-Born energy gap across lattice spacings",
-    )
+    ).set_defaults(name="sweep-consistency")
 
-    sub.add_parser("solve", parents=[common, model_opt], help="minimize the configured model")
+    sub.add_parser("solve", parents=[common, model_opt],
+                   help="minimize the configured model").set_defaults(name="solve")
     return parser
-
-
-def _command_name(args: argparse.Namespace) -> str:
-    if args.command == "verify":
-        return f"verify-{args.check}"
-    if args.command == "sweep":
-        return f"sweep-{args.sweep_kind}"
-    return "solve"
 
 
 def _config_error(exc: ConfigError) -> int:
@@ -85,13 +75,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if isinstance(exc.code, int) else 2
 
     try:
-        # the overrides replace the file's values before anything is
-        # validated, so an invalid value they replace is no error
-        data = _read_config_json(args.config) if args.config else copy.deepcopy(DEFAULT_CONFIG)
-        if isinstance(data, dict):  # config_from_dict reports any other root
-            overrides = {"seed": args.seed, "out": args.out, "model": getattr(args, "model", None)}
-            data.update((key, value) for key, value in overrides.items() if value is not None)
-        config = config_from_dict(data)
+        config = load_config(args.config or None, seed=args.seed, out=args.out, model=getattr(args, "model", None))
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -99,11 +83,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _config_error(exc)
 
     try:
-        return run(_command_name(args), config)
+        return run(args.name, config)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
-    except ConfigError as exc:  # a command refusing the configuration (solve on coupled-ho(k > 1))
+    except ConfigError as exc:  # a command refusing the configuration (solve on coupled-ho(k))
         return _config_error(exc)
 
 

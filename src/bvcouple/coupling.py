@@ -738,9 +738,9 @@ def _coupled(model: str, y_minus: Deformation, y_plus: Deformation, blocks, setu
     continuum cell, or on the P1 cells ``mesh.p1_masks`` of a high-order
     mesh, whose Pk elements are one more term on [v | nodes]. The two-sided
     model also keeps the per-side representers and subtracts the interface
-    jump; the others are called with y_plus = y_minus. Given free-node
-    displacements ``nodes`` ((0, 3) for degree 1), the report carries the
-    free-node block of the gradient as ``node_gradient``. With
+    jump; the others are called with y_plus = y_minus. Given a mesh and its
+    free-node displacements ``nodes``, the report carries the free-node
+    block of the gradient as ``node_gradient``. With
     ``gradient=False`` every term is energy-only and the report carries no
     gradient: ``gradient`` is None, with no per-side or free-node block."""
     cfg = y_minus.cfg
@@ -785,9 +785,9 @@ def _coupled(model: str, y_minus: Deformation, y_plus: Deformation, blocks, setu
         if two_sided:
             diagnostics.update(gradient_minus=LatticeField(cfg, sides[0].reshape(cfg.shape)),
                                gradient_plus=LatticeField(cfg, sides[1].reshape(cfg.shape)))
-        if nodes is not None:
-            diagnostics["node_gradient"] = gx[cfg.n_sites:]
     if mesh is not None:
+        if gradient:
+            diagnostics["node_gradient"] = gx[cfg.n_sites:]
         diagnostics.update(n_elements=mesh.n_elements, n_p1_elements=mesh.n_p1_elements,
                            n_free_nodes=mesh.n_free_nodes)
     return _report(model, grad, terms, **diagnostics)

@@ -23,8 +23,6 @@ fetches the mesh on the partition's lattice (the cached builder of
 ``build_high_order_mesh(part, k)``, timed as the report's ``setup_s``
 entry ``"mesh"``), checks the shape of the node displacements, and calls
 the body.
-Degree 1 has no mesh and no free nodes: it is the conforming model under
-its own name.
 
 Vertex degrees of freedom are the lattice displacements themselves. Edge,
 face and interior nodes of degree-k elements are extra degrees of freedom,
@@ -74,7 +72,7 @@ from .geometry import PATH_PERMS, path_corner_offsets
 from .lattice import Deformation, LatticeConfig
 from .potentials import InteractionSet
 
-SUPPORTED_DEGREES = (1, 2, 3)
+SUPPORTED_DEGREES = (2, 3)
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +243,7 @@ _PK_BLOCK = 64
 
 def _check_degree(k: int) -> None:
     if k not in SUPPORTED_DEGREES:
-        raise ValueError(f"element degree must be one of {SUPPORTED_DEGREES}, got {k}")
+        raise ValueError(f"coupled-ho degree must be one of {SUPPORTED_DEGREES}, got {k}")
 
 
 def build_high_order_mesh(part: RegionPartition, k: int) -> HighOrderMesh:
@@ -363,7 +361,7 @@ def high_order_energy(
     """Coupled energy with a degree-k continuum: atomistic bonds and
     interface cones exactly as in the conforming model, with the continuum
     cells assembled as P1 elements on the interface layer and Pk elements
-    elsewhere (all P1 for k = 1, the conforming model).
+    elsewhere.
 
     ``node_displacements`` (n_free_nodes, 3) are the extra degrees of
     freedom of the Pk elements (default zero); the report's gradient is the
@@ -374,8 +372,8 @@ def high_order_energy(
     """
     _check_degree(k)
     blocks, setup = _get_blocks(y, part, R, degenerate_eta)
-    mesh = _fetch(setup, "mesh", _build_mesh, part, k) if k > 1 else None
-    n_free = 0 if mesh is None else mesh.n_free_nodes
+    mesh = _fetch(setup, "mesh", _build_mesh, part, k)
+    n_free = mesh.n_free_nodes
     if node_displacements is None:
         nodes = np.zeros((n_free, 3))
     else:

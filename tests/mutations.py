@@ -355,6 +355,21 @@ MUTATIONS = [
      "import numpy as np\n\nfrom .energies import (\n",
      "import numpy as np\nfrom scipy import sparse\n\nfrom .energies import (\n",
      "tests/test_highorder.py::test_importing_the_cli_does_not_load_scipy_sparse[]"),
+    # the naive control EXPECTED-FAIL again, whatever its residual
+    ("harness.py",
+     "                expected_fail=sensitive,\n",
+     "                expected_fail=True,\n",
+     "tests/test_harness.py::test_a_naive_control_without_ghost_forces_is_a_plain_fail"),
+    # load_config putting the overrides that are None in place too
+    ("harness.py",
+     "overrides.items() if value is not None)",
+     "overrides.items())",
+     "tests/test_harness.py::test_cli_overrides_apply_before_validation"),
+    # the gradient leaf naming the ghost-force command
+    ("cli.py",
+     ').set_defaults(name="verify-gradient")',
+     ').set_defaults(name="verify-ghost-forces")',
+     "tests/test_harness.py::test_each_cli_leaf_names_one_harness_command"),
 ]
 
 

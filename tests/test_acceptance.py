@@ -103,7 +103,6 @@ def homogeneous_runs():
             "acb-cell": acb_cell_energy(y, R),
             "coupled": coupled_energy_conforming(y, R, part),
             "coupled-dg": coupled_energy_dg(y, y, R, part),
-            "coupled-ho(1)": high_order_energy(y, R, part, k=1),
             "coupled-ho(2)": high_order_energy(y, R, part, k=2),
             "coupled-ho(3)": high_order_energy(y, R, part, k=3),
         }

@@ -917,8 +917,7 @@ def test_reports_time_every_block_and_name_the_ones_they_built():
     coupling._build_eta_block.cache_clear()
     highorder._build_mesh.cache_clear()
     calls = [lambda: highorder.high_order_energy(y, R, part, 2)] * 2 + [
-        lambda: coupled_energy_conforming(y, R, part), lambda: coupling.coupled_energy_dg(y, y, R, part),
-        lambda: highorder.high_order_energy(y, R, part, 1)]
+        lambda: coupled_energy_conforming(y, R, part), lambda: coupling.coupled_energy_dg(y, y, R, part)]
     for i, call in enumerate(calls):
         diag = call().diagnostics
         timed = keys + ["mesh"] * (i < 2)

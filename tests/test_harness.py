@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -18,7 +19,6 @@ from bvcouple.harness import (
     MODEL_NAMES,
     ConfigError,
     config_from_dict,
-    default_config,
     evaluate_model,
     fd_gradient_check,
     ghost_force_residual,
@@ -64,7 +64,8 @@ def test_parse_model_names():
     for name in MODEL_NAMES:
         assert parse_model(name) == (name, None)
     assert parse_model("coupled-ho(2)") == ("coupled-ho", 2)
-    assert parse_model("coupled-ho(1)") == ("coupled-ho", 1)
+    with pytest.raises(ValueError, match=r"^coupled-ho degree must be one of \(2, 3\), got 1$"):
+        parse_model("coupled-ho(1)")
     with pytest.raises(ValueError, match="unknown model"):
         parse_model("coupled-ho")
     with pytest.raises(ValueError, match="unknown model"):
@@ -72,7 +73,7 @@ def test_parse_model_names():
 
 
 def test_default_config_valid():
-    config = default_config()
+    config = load_config()
     assert config.model == "coupled"
     assert config.cfg.N == (12, 12, 12)
     assert config.region is not None
@@ -164,6 +165,8 @@ def test_load_config_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(path)
+    with pytest.raises(OSError):
+        load_config(tmp_path / "missing.json")
 
 
 def test_all_harmonic_tightens_fd_tolerance():
@@ -440,14 +443,12 @@ def test_minimize_iteration_cap_is_flagged():
 
 # Evaluations of the README solve per model with the symbol preconditioner
 # (iterations: 2 for the uncoupled models, 16 coupled, 90 naive). With the
-# scalar Laplacian for every model they were 13, 13, 16, 36, 36, 36 and 115.
+# scalar Laplacian for every model they were 13, 13, 16, 36, 36 and 115.
 README_SOLVE_EVALUATIONS = {"atomistic": 3, "acb-tetra": 3, "acb-cell": 3, "coupled": 18, "coupled-dg": 18,
-                            "coupled-ho(1)": 18, "naive": 97}
+                            "naive": 97}
 
 
-@pytest.mark.parametrize(
-    "model", ["atomistic", "acb-tetra", "acb-cell", "coupled", "coupled-dg", "coupled-ho(1)", "naive"]
-)
+@pytest.mark.parametrize("model", ["atomistic", "acb-tetra", "acb-cell", "coupled", "coupled-dg", "naive"])
 def test_minimize_converges_on_the_readme_example(model):
     """The README solve (force amplitude 0.01) reaches the tolerance within
     the iteration cap for every lattice-state model, in no more evaluations
@@ -684,9 +685,7 @@ def test_minimize_halves_a_step_that_leaves_the_domain(monkeypatch):
     assert np.abs(y.displacement.values).max() == 0.0
 
 
-@pytest.mark.parametrize(
-    "model", [*MODEL_NAMES, "coupled-ho(1)", "coupled-ho(2)", "coupled-ho(3)"]
-)
+@pytest.mark.parametrize("model", [*MODEL_NAMES, "coupled-ho(2)", "coupled-ho(3)"])
 def test_excess_is_exactly_zero_at_homogeneous_states(model):
     """The energy measured from the homogeneous bond is exactly 0.0 at y_F
     for a random F. Every model but the naive control, which drops the
@@ -920,6 +919,44 @@ def test_cli_naive_control_is_expected_fail(tmp_path, capsys):
     assert "EXPECTED-FAIL" in captured.out
 
 
+def test_a_naive_control_without_ghost_forces_is_a_plain_fail(tmp_path, monkeypatch, capsys):
+    """A naive control that has lost its interface forces (here the
+    conforming model in its place) is a FAIL, not an EXPECTED-FAIL: the
+    control line is expected to fail only when it detects the forces."""
+    monkeypatch.setattr(harness, "naive_coupling_energy", harness.coupled_energy_conforming)
+    out = tmp_path / "reports"
+    code = cli.main(["verify", "ghost-forces", "--model", "naive", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith("FAIL ghost-forces-naive-control: scaled residual ")
+    assert " < 1e-3 " in captured.out
+    assert "EXPECTED-FAIL" not in captured.out
+    assert (out / "summary.txt").read_text() == captured.out
+
+
+def _cli_leaves(parser, words=()):
+    """(words, parser) of every leaf command under ``parser``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [(words, parser)]
+    return [leaf for word, child in subs[0].choices.items() for leaf in _cli_leaves(child, (*words, word))]
+
+
+def test_each_cli_leaf_names_one_harness_command():
+    """The CLI's leaf commands name exactly the commands of
+    ``harness.COMMANDS``, each its own, and parsing a leaf's words gives its
+    name; only verify ghost-forces, verify gradient and solve take --model."""
+    leaves = _cli_leaves(cli.build_parser())
+    names = [parser.get_default("name") for _, parser in leaves]
+    assert sorted(names) == sorted(harness.COMMANDS) and len(set(names)) == len(names)
+    for (words, _), name in zip(leaves, names):
+        assert cli.build_parser().parse_args(list(words)).name == name
+        assert name == "-".join(words)
+    with_model = {words for words, parser in leaves
+                  if any("--model" in action.option_strings for action in parser._actions)}
+    assert with_model == {("verify", "ghost-forces"), ("verify", "gradient"), ("solve",)}
+
+
 def test_cli_config_errors_exit_2(tmp_path, capsys):
     bad = small_config_dict(model="bogus")
     cfg_path = tmp_path / "bad.json"
@@ -1067,7 +1104,7 @@ def test_cli_deterministic_reports_are_byte_identical(tmp_path):
 
 
 def test_run_rejects_unknown_command(capsys):
-    config = default_config()
+    config = load_config()
     assert run("verify-everything", config) == 2
     capsys.readouterr()
 
@@ -1086,13 +1123,13 @@ def test_model_override_via_cli(tmp_path, capsys):
 
 
 def test_cli_overrides_apply_before_validation(tmp_path, monkeypatch, capsys):
-    """--model and --seed replace the file's values before the one parse
-    of the run, so a value they replace is no error; without them the
-    file's invalid model is a config error."""
+    """--model and --seed replace the file's values in ``load_config``
+    before the one parse of the run, so a value they replace is no error;
+    without them the file's invalid model is a config error."""
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(small_config_dict(model="coupled-ho(5)", seed=-1)))
     parsed = []
-    monkeypatch.setattr(cli, "config_from_dict", lambda data: parsed.append(data) or config_from_dict(data))
+    monkeypatch.setattr(harness, "config_from_dict", lambda data: parsed.append(data) or config_from_dict(data))
     code = cli.main([
         "verify", "ghost-forces", "--config", str(cfg_path),
         "--model", "coupled", "--seed", "3", "--out", str(tmp_path / "reports"),
@@ -1103,7 +1140,7 @@ def test_cli_overrides_apply_before_validation(tmp_path, monkeypatch, capsys):
     code = cli.main(["verify", "ghost-forces", "--config", str(cfg_path), "--seed", "3",
                      "--out", str(tmp_path / "refused")])
     assert code == 2 and len(parsed) == 2
-    assert capsys.readouterr().err == "config error: coupled-ho degree must be one of (1, 2, 3), got 5\n"
+    assert capsys.readouterr().err == "config error: coupled-ho degree must be one of (2, 3), got 5\n"
     # an empty override is a value like any other, not an absent one
     code = cli.main(["verify", "ghost-forces", "--model", "", "--out", str(tmp_path / "empty")])
     assert code == 2 and parsed[-1]["model"] == ""
@@ -1198,7 +1235,7 @@ def test_lemma_csv_rows_are_relative_to_the_identity_scale(tmp_path, capsys):
     """Every row's ``relative`` is residual / (eps^d max|D_eta u|), d the
     number of nonzero components of eta, and the rows cover the full 3D
     directions and all six zero patterns of the reduced forms."""
-    config = default_config()
+    config = load_config()
     assert cli.main(["verify", "lemma", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     lines = (tmp_path / "lemma.csv").read_text().splitlines()

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bvcouple import highorder
+from bvcouple import cli, highorder
 from bvcouple.coupling import RegionPartition, coupled_energy_conforming, omega_star_mask
 from bvcouple.geometry import PATH_PERMS, path_corner_offsets
 from bvcouple.highorder import (
@@ -287,22 +287,26 @@ def test_row_keys_do_not_overflow_on_large_lattices():
         assert np.array_equal(np.unique(keys, return_inverse=True)[1].ravel(), row_unique_keys(rows, n))
 
 
-def test_degree_one_delegates_to_conforming():
+def test_degree_one_is_rejected(tmp_path, capsys):
+    """Degree 1 is the conforming model, selected as ``coupled`` only:
+    ``high_order_energy`` refuses k = 1, and a config or --model that names
+    coupled-ho(1) is a config error (exit 2)."""
     cfg = cfg8()
     part = part8(cfg)
-    R = laws()
-    rng = np.random.default_rng(2)
-    F = random_F(rng)
-    v = LatticeField(cfg, 0.01 * rng.standard_normal(cfg.shape))
-    y = make_deformation(F, v)
-    ref = coupled_energy_conforming(y, R, part)
-    rep = high_order_energy(y, R, part, k=1)
-    assert rep.energy == ref.energy
-    assert np.array_equal(rep.gradient.values, ref.gradient.values)
-    assert rep.model == "coupled-ho(1)"
-    assert rep.diagnostics["node_gradient"].shape == (0, 3)
-    with pytest.raises(ValueError, match="degree-1"):
-        high_order_energy(y, R, part, k=1, node_displacements=np.zeros((4, 3)))
+    y = make_deformation(np.eye(3), LatticeField(cfg, np.zeros(cfg.shape)))
+    message = "coupled-ho degree must be one of (2, 3), got 1"
+    with pytest.raises(ValueError) as exc_info:
+        high_order_energy(y, laws(), part, k=1)
+    assert str(exc_info.value) == message
+    data = {"lattice": {"N": [8, 8, 8], "epsilon": 0.125}, "interactions": [{"eta": [1, 1, 1], "kind": "harmonic"}],
+            "region": {"corner": [2, 2, 2], "extents": [4, 4, 4]}, "model": "coupled-ho(1)"}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(data))
+    for args in (["--config", str(cfg_path)], ["--model", "coupled-ho(1)"]):
+        code = cli.main(["verify", "ghost-forces", *args, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -336,7 +340,7 @@ def test_unsupported_degree_rejected():
         if bad > 0:
             with pytest.raises(ValueError, match="degree"):
                 build_high_order_mesh(part, bad)
-    assert SUPPORTED_DEGREES == (1, 2, 3)
+    assert SUPPORTED_DEGREES == (2, 3)
 
 
 def test_node_displacement_shape_rejected():
