@@ -85,16 +85,16 @@ piece's own zero-weight rows to F eta and evaluates the law, which writes
 phi into the lane's arena and phi' into the piece's rows of the unit's
 full-length phi' array. The piece reduces its phi at once: it writes
 w (phi - phi(F eta)) over it, skipping the product for the scalar weight
-1.0 (x 1.0 is x), and sums it in numpy's pairwise order. ``np.add.reduce``
-over a contiguous float array sums leaves of at most ``_PW_BLOCK`` = 128
-values with eight running sums and adds two halves for any longer node,
-split at half its length rounded down to a multiple of 8; that tree
-depends on the pair's row count alone. So a piece keeps, per pair, the sum
-of each largest tree node it holds whole and a copy of the values of each
-leaf that its first or last row cuts (``_tree_nodes``), and the finish
-adds them in tree order (``_tree_sum``): the bits of one ``np.add.reduce``
-over the pair's rows, whatever the pieces (Higham, SIAM J. Sci. Comput.
-14, 1993, on pairwise summation). phi(F eta), which every piece
+1.0 (x 1.0 is x), and sums it plane by plane. A pair's planes are fixed by
+the lattice: a stencil pair has one per axis-0 lattice plane, N_1 N_2
+consecutive rows, and a gather pair is one plane. Pieces are whole planes,
+so each plane is one ``np.add.reduce`` in one piece, written into the
+pair's slot for it, whatever the slabs, pieces or lanes. The finish takes
+the pair's excess as eps^3 ``math.fsum`` of its plane sums (``_excess``),
+correctly rounded, so it depends on the plane sums alone, not on the
+order in which they were formed (Demmel & Nguyen, ARITH 21, 2013, on
+reproducible summation); a gather pair's excess is eps^3 its one
+``np.add.reduce``. phi(F eta), which every piece
 subtracts, is taken when the unit's first piece runs, before any piece
 reduces, from ``_homogeneous_phi``: the law on the lone bond F eta,
 evaluated once per law and F eta and kept among the last few. The
@@ -215,12 +215,15 @@ evaluates one (op, w) pair again, whole, at the unit's order (the law's
 bits do not depend on the rows) and raises the first error that applies:
 a law call that raises, phi(F eta)'s included, names the pair's shortest
 bond; else the first row whose phi or phi' is not finite; else, if the
-pair's excess sum overflowed, its row of largest |w (phi - phi(F eta))|.
-A finish calls it for each pair whose excess or phi' sum (one sum over
-phi') is not finite, and a unit whose law call raises calls it for each
-pair in order, so a group raises its first failing pair's error, as if
-ungrouped. Every error is the one-lane error: a stream raises the error of
-its first failing unit in unit order, whichever lane hit it and whenever.
+pair's excess overflowed, its row of largest |w (phi - phi(F eta))|. An
+excess whose plane sums overflow, or add inf and -inf, is inf
+(``_excess``), in the finish and in this path alike. A finish calls it
+for each pair whose excess or phi' sum (one sum over phi') is not
+finite, and a unit whose law call raises calls it for each pair in
+order, so a group raises its first failing pair's error, as if
+ungrouped. Every error is the one-lane error: a stream raises the error
+of its first failing unit in unit order, whichever lane hit it and
+whenever.
 Once a piece or a finish raises, no lane pulls another, but every earlier
 unit, whose pieces were all pulled already, finishes, as on one lane; the
 caller then re-runs the first failing unit on one lane (``alone``), which
@@ -246,9 +249,8 @@ may write each one. They are:
   lattice is one slab); so a finish takes no more than the pieces of
   its lane, and no law evaluation allocates an array of its rows. Only its
   own thread writes it, one piece or finish at a time, and nothing outlives
-  either: a piece's phi is reduced before the piece ends, into a few
-  floats per piece and at most _PW_BLOCK values per piece boundary, which
-  the unit keeps until its finish;
+  either: a piece's phi is reduced before the piece ends, into one float
+  per plane, which the unit keeps until its finish;
 - the store of shifted copies of x of a small term of stencils
   (``_shifts``): one array the size of x per offset that two or more of
   the stencils its units apply read, in the workspace of the calling lane,
@@ -369,19 +371,18 @@ class _Unit:
     ``run(k, ws)`` forms piece k's bond rows in the arena of the running
     lane's workspace ``ws``; the law writes phi into the arena and phi'
     into the piece's rows of the slot (``_evaluate``). The piece then
-    writes w (phi - phi(F eta)) over its phi and reduces each pair's rows
-    into the nodes of numpy's pairwise-sum tree over the pair
-    (``_tree_nodes``): a sum per node inside the piece, and the values of
-    the leaf of at most _PW_BLOCK rows that each piece boundary crosses.
+    writes w (phi - phi(F eta)) over its phi and sums each pair's rows
+    plane by plane into ``plane_sums``, the pair's one float per plane (per
+    axis-0 lattice plane of a stencil, one for a gather).
     phi(F eta) is taken before the first piece reduces, from the lone bond
     F eta (``_homogeneous_phi``), whose bits are those of that row in any
     batch (``potentials``), so the excess is exactly 0.0 wherever
     zeta = F eta.
-    Pieces write disjoint rows and nodes, so they may run in any order, on
-    either lane.
-    ``finish(ws)``, once every piece has run, adds each pair's nodes in
-    tree order (``_tree_sum``), which gives the bits of ``np.add.reduce``
-    over all the pair's terms, forms its gradient from phi' with its
+    Pieces write disjoint rows and plane sums, so they may run in any
+    order, on either lane.
+    ``finish(ws)``, once every piece has run, takes each pair's excess as
+    eps^3 ``math.fsum`` of its plane sums (``_excess``), which depends on
+    the plane sums alone, forms its gradient from phi' with its
     temporaries in the finishing lane's arena and the gradient
     contributions in that lane's contribution array, and is
     the unit's last read of its slot. The unit holds no workspace array of
@@ -426,18 +427,17 @@ class _Unit:
         self.contrib_size = len(pairs) * x.size if gradient else 0
         self.phi0 = None  # phi(F eta), from a piece's first run on
         self.dphi = None  # phi' (the unit slot), from ``start`` to ``finish``
-        self.nodes = None  # per pair, its excess's pairwise-sum nodes, from ``start`` to ``finish``
+        # per pair, the sums of its planes: a stencil's axis-0 lattice planes, a gather's one
+        self.plane_sums = [np.empty(op.N[0] if isinstance(op, _Stencil) else 1) for op, _ in pairs]
 
     def start(self, out: np.ndarray) -> None:
         self.dphi = out.reshape(-1, 3) if self.order else None
-        self.nodes = [{} for _ in self.pairs]
 
     def run(self, k: int, ws: "_Workspace") -> None:
         """Piece k: its zeta and phi in the arena, phi' into the unit slot,
-        and w (phi - phi(F eta)) of each pair's rows in the piece reduced
-        into the pair's nodes of numpy's pairwise-sum tree (``_tree_nodes``):
-        the sum of each node the piece covers whole, and the values of a
-        leaf that a piece boundary crosses."""
+        and w (phi - phi(F eta)) of each pair's rows in the piece summed
+        plane by plane, one ``np.add.reduce`` per plane, into the pair's
+        slots of the planes the piece covers."""
         lo, hi, planes = self.pieces[k]
         m, zr = hi - lo, self.zeta_rows
         arena = ws.array("arena", self.scratch_size)
@@ -449,18 +449,19 @@ class _Unit:
                 self.phi0 = _homogeneous_phi(self.law, self.base)
             _evaluate(self.law, z, self.order, [phi] if self.dphi is None else [phi, self.dphi[lo:hi]],
                       arena[self.split:])
-            for (_, w), nodes, s, e in zip(self.pairs, self.nodes, self.starts, self.ends):
+            for (_, w), sums, s, e in zip(self.pairs, self.plane_sums, self.starts, self.ends):
                 a, b = max(lo, s), min(hi, e)  # a group is one piece, and a piece of several has one pair
-                _tree_nodes(nodes, _excess_rows(phi[a - lo:b - lo], self.phi0, w, a - s, b - s), a - s, 0, e - s)
+                p, q = planes or (0, len(sums))
+                d = _excess_rows(phi[a - lo:b - lo], self.phi0, w, a - s, b - s)
+                np.add.reduce(d.reshape(q - p, -1), axis=1, out=sums[p:q])
 
     def finish(self, ws: "_Workspace") -> list:
         """Each pair's (energy, excess, gradient contribution), once per
-        batch of its count: the excess from the pair's nodes in tree order
-        (``_tree_sum``), the gradient from phi' in the unit slot; a
+        batch of its count: the excess from the pair's plane sums
+        (``_excess``), the gradient from phi' in the unit slot; a
         non-finite phi or phi' raises the error of the first pair that has
         one."""
-        P, nodes_of = self.dphi, self.nodes
-        self.dphi = self.nodes = None
+        P, self.dphi = self.dphi, None
         phi0, eps, results = self.phi0, self.eps, []
         arena = ws.array("arena", self.scratch_size)
         scratch = arena[self.split:]
@@ -469,13 +470,13 @@ class _Unit:
         with np.errstate(over="ignore", invalid="ignore"):
             # One sum finds a non-finite phi'; the row mask, built only then,
             # tells it apart from a sum of finite entries that overflowed.
-            sums = [(eps**3 * _tree_sum(nodes, 0, hi - lo), P is None or math.isfinite(P[lo:hi].sum()))
-                    for nodes, lo, hi in zip(nodes_of, self.starts, self.ends)]
+            sums = [(_excess(plane_sums.tolist(), eps), P is None or math.isfinite(P[lo:hi].sum()))
+                    for plane_sums, lo, hi in zip(self.plane_sums, self.starts, self.ends)]
         for j, ((op, w), lo, hi, (excess, finite)) in enumerate(zip(self.pairs, self.starts, self.ends, sums)):
             p = None if P is None else P[lo:hi]
             weights, total = (w.w, w.total) if isinstance(w, _Weights) else (w, w * op.rows)
             if not (finite and math.isfinite(excess)):
-                self._raise_pair_error(op, w)
+                self._raise_pair_error(j)
             share = float(eps**3 * phi0 * total)
             if p is None:
                 results.append((excess + share, excess, None))
@@ -490,14 +491,15 @@ class _Unit:
             results.append((excess + share, excess, op.T.apply(p, contribs[j], scratch=scratch)))
         return [r for r, count in zip(results, self.counts) for _ in range(count)]
 
-    def _raise_pair_error(self, op, w) -> None:
-        """Raises the domain error of the pair (op, w), if it has one. The
+    def _raise_pair_error(self, j: int) -> None:
+        """Raises the domain error of pair j, (op, w), if it has one. The
         pair is evaluated again, whole, at the unit's order (the law's bits
         do not depend on the rows): a law call that raises, phi(F eta)'s
         included, names the pair's shortest bond; else the error names its
-        first row whose phi or phi' is not finite; else, if its excess sum
-        overflowed, its row of largest |w (phi - phi(F eta))|. A phi' sum
-        that overflowed on finite rows raises nothing."""
+        first row whose phi or phi' is not finite; else, if its excess
+        (``_excess``) overflowed, its row of largest |w (phi - phi(F eta))|.
+        A phi' sum that overflowed on finite rows raises nothing."""
+        op, w = self.pairs[j]
         z = _bond_rows([(op, w)], [0], self.x, self.eps, self.base, 0, op.rows, None, np.empty((op.rows, 3)))
         out = [np.empty(op.rows), np.empty((op.rows, 3))][: self.order + 1]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -511,7 +513,8 @@ class _Unit:
                 row = int(np.argmax(bad))
             else:
                 d = _excess_rows(out[0], phi0, w, 0, op.rows)
-                if math.isfinite(self.eps**3 * d.sum()):  # the excess, as ``finish`` forms it
+                sums = np.add.reduce(d.reshape(len(self.plane_sums[j]), -1), axis=1)
+                if math.isfinite(_excess(sums.tolist(), self.eps)):  # the excess, as ``finish`` forms it
                     return
                 row = int(np.argmax(np.abs(d)))
         raise _site_error(f"{self.law.kind} energy or force is not finite", op.site(row), self.law.eta)
@@ -526,8 +529,8 @@ class _Unit:
             for k in range(len(self.pieces)):
                 self.run(k, ws)
         except PotentialDomainError:
-            for op, w in self.pairs:
-                self._raise_pair_error(op, w)
+            for j in range(len(self.pairs)):
+                self._raise_pair_error(j)
             raise
         return self.finish(ws)
 
@@ -583,53 +586,16 @@ def _excess_rows(phi, phi0: float, w, a: int, b: int) -> np.ndarray:
     return phi
 
 
-# numpy's pairwise summation, the order of ``np.add.reduce`` over a
-# contiguous float array: a node of at most _PW_BLOCK values is a leaf,
-# summed by eight running sums, and a larger node of n values is split at
-# n / 2 rounded down to a multiple of 8, its two halves added.
-_PW_BLOCK = 128
-
-
-def _pw_half(a: int, b: int) -> int:
-    """Where the pairwise-sum node a..b splits."""
-    h = (b - a) // 2
-    return a + h - h % 8
-
-
-def _tree_nodes(nodes: dict, d: np.ndarray, lo: int, a: int, b: int) -> None:
-    """Adds to ``nodes`` what the values ``d``, rows lo..lo + len(d) of a
-    pair, give of the node a..b of the pairwise-sum tree over the pair's
-    rows (the root is 0..n): for each largest node a'..b' that they cover
-    whole, (a', b') -> its sum; for each leaf a'..b' that their first or
-    last row cuts, (a', b', c) -> its values from c on that they hold, a
-    copy, since ``d`` is the arena's."""
-    hi = lo + len(d)
-    if lo <= a and b <= hi:  # the empty root of n = 0 too
-        nodes[a, b] = float(d[a - lo:b - lo].sum())
-    elif lo < b and a < hi:
-        if b - a <= _PW_BLOCK:  # a leaf's fragment, summed once the leaf is whole
-            nodes[a, b, max(a, lo)] = d[max(a, lo) - lo:min(b, hi) - lo].copy()
-        else:
-            h = _pw_half(a, b)
-            _tree_nodes(nodes, d, lo, a, h)
-            _tree_nodes(nodes, d, lo, h, b)
-
-
-def _tree_sum(nodes: dict, a: int, b: int) -> float:
-    """The sum of the values of the pairwise-sum node a..b (the root 0..n
-    for all n), with the bits of ``np.add.reduce`` over them, from
-    ``nodes`` that cover them (``_tree_nodes`` of the pieces): a node is
-    its sum, or its leaf's fragments joined and summed, or the sum of its
-    halves. Each ``np.add.reduce`` adds its sum to 0.0, which changes only
-    -0.0, and so changes no bit of the halves' sum."""
-    s = nodes.get((a, b))
-    if s is not None:
-        return s
-    if b - a <= _PW_BLOCK:
-        parts = sorted((k[2], v) for k, v in nodes.items() if len(k) == 3 and k[:2] == (a, b))
-        return float(np.concatenate([v for _, v in parts]).sum())
-    h = _pw_half(a, b)
-    return _tree_sum(nodes, a, h) + _tree_sum(nodes, h, b)
+def _excess(plane_sums, eps: float) -> float:
+    """A pair's excess from the sums of its planes: eps^3 times their
+    correctly rounded sum (``math.fsum``), which is fixed by the planes
+    alone, whatever pieces or lanes formed them (Demmel & Nguyen, ARITH 21,
+    2013, on reproducible sums). A sum that overflows, or adds inf and -inf,
+    is inf, which ``finish`` names as a domain error."""
+    try:
+        return eps**3 * math.fsum(plane_sums)
+    except (OverflowError, ValueError):
+        return math.inf
 
 
 def _bond_rows(pairs, starts, x, eps, base, lo, hi, planes, z, scratch=None, shifts=None):

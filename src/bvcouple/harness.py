@@ -2,6 +2,7 @@
 minimization driver, and CSV/summary report emission."""
 from __future__ import annotations
 
+import csv
 import json
 import math
 import re
@@ -48,7 +49,7 @@ from .lattice import (
 from .potentials import InteractionLaw, InteractionSet, PotentialDomainError, make_law, piola_stress
 
 MODEL_NAMES = ("atomistic", "acb-tetra", "acb-cell", "coupled", "coupled-dg", "naive")
-_HO_RE = re.compile(r"^coupled-ho\((\d+)\)$")
+_HO_RE = re.compile(r"coupled-ho\((0|[1-9][0-9]*)\)")  # ASCII digits, no leading zero
 COUPLED_MODELS = ("coupled", "coupled-dg", "coupled-ho", "naive")
 
 
@@ -65,7 +66,7 @@ def parse_model(name: str) -> tuple[str, int | None]:
     high-order family, one of ``highorder.SUPPORTED_DEGREES``."""
     if name in MODEL_NAMES:
         return name, None
-    m = _HO_RE.match(name)
+    m = _HO_RE.fullmatch(name)
     if not m:
         raise ValueError(
             f"unknown model {name!r}; expected one of {MODEL_NAMES} or coupled-ho(k)"
@@ -853,11 +854,14 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, columns: Sequence[str], rows: Sequence[Sequence], seed: int) -> None:
-    lines = [f"# seed={seed} generator=PCG64", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    """A ``# seed=`` line, then the header and the rows as CSV: a field
+    that holds a comma, like an eta tuple, is quoted."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w", newline="") as f:
+        f.write(f"# seed={seed} generator=PCG64\n")
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(x) for x in row] for row in rows)
 
 
 @dataclass

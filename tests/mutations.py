@@ -112,21 +112,21 @@ MUTATIONS = [
      "[phi, self.dphi[lo:hi]]",
      "[phi, self.dphi[:hi - lo]]",
      "tests/test_lanes.py::test_two_plane_pieces_are_bitwise_default_slabs"),
-    # numpy's pairwise tree split at half a node's length, not rounded down to a multiple of 8
+    # a pair's plane sums added in floating point, not correctly rounded
     ("energies.py",
-     "    return a + h - h % 8\n",
-     "    return a + h\n",
-     "tests/test_energies.py::test_pairwise_tree_gives_the_bits_of_add_reduce"),
-    # a leaf's fragments joined last piece first
+     "        return eps**3 * math.fsum(plane_sums)\n",
+     "        return eps**3 * sum(plane_sums)\n",
+     "tests/test_energies.py::test_an_excess_is_eps3_fsum_of_its_plane_sums"),
+    # plane sums that overflow raising out of the kernel, not giving an infinite excess
     ("energies.py",
-     "if len(k) == 3 and k[:2] == (a, b))\n",
-     "if len(k) == 3 and k[:2] == (a, b))[::-1]\n",
-     "tests/test_energies.py::test_pairwise_tree_gives_the_bits_of_add_reduce"),
-    # a leaf's fragment kept as a view of the arena, which the next piece overwrites
+     "    except (OverflowError, ValueError):\n        return math.inf\n",
+     "    except ZeroDivisionError:\n        return math.inf\n",
+     "tests/test_energies.py::test_an_excess_that_overflows_is_inf"),
+    # every piece's plane sums written from the pair's first plane slot
     ("energies.py",
-     "d[max(a, lo) - lo:min(b, hi) - lo].copy()",
-     "d[max(a, lo) - lo:min(b, hi) - lo]",
-     "tests/test_lanes.py::test_two_plane_pieces_are_bitwise_default_slabs[atomistic-False-one_lane]"),
+     "out=sums[p:q])",
+     "out=sums[:q - p])",
+     "tests/test_energies.py::test_an_excess_is_eps3_fsum_of_its_plane_sums"),
     # a scalar weight other than 1.0 skipped as if it were 1.0
     ("energies.py",
      "        if w != 1.0:\n",
@@ -200,8 +200,8 @@ MUTATIONS = [
      "tests/test_coupling.py::test_sparse_bond_domain_errors_name_the_site"),
     # a failing group's pairs searched for their error last to first
     ("energies.py",
-     "            for op, w in self.pairs:\n                self._raise_pair_error(op, w)\n",
-     "            for op, w in self.pairs[::-1]:\n                self._raise_pair_error(op, w)\n",
+     "            for j in range(len(self.pairs)):\n                self._raise_pair_error(j)\n",
+     "            for j in reversed(range(len(self.pairs))):\n                self._raise_pair_error(j)\n",
      "tests/test_lanes.py::test_grouped_domain_error_is_the_ungrouped_one"),
     # one workspace for every thread, so a lane takes the other lane's
     ("energies.py",
@@ -370,6 +370,16 @@ MUTATIONS = [
      ').set_defaults(name="verify-gradient")',
      ').set_defaults(name="verify-ghost-forces")',
      "tests/test_harness.py::test_each_cli_leaf_names_one_harness_command"),
+    # a model selector matched at its start only, so a trailing newline is kept
+    ("harness.py",
+     "    m = _HO_RE.fullmatch(name)\n",
+     "    m = _HO_RE.match(name)\n",
+     "tests/test_harness.py::test_a_model_selector_has_one_spelling"),
+    # report rows joined with commas again, a tuple's commas unquoted
+    ("harness.py",
+     "        writer.writerows([_fmt(x) for x in row] for row in rows)\n",
+     "        f.writelines(\",\".join(_fmt(x) for x in row) + \"\\n\" for row in rows)\n",
+     "tests/test_harness.py::test_every_readme_csv_parses_to_its_header_width"),
 ]
 
 

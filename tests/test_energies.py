@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -354,49 +357,79 @@ def test_per_axis_lines_are_refused_by_gathers_and_gradients():
         energies._term("t", [(stencil, 1.0, law, "k")], np.eye(3), lines, cfg.epsilon, (np.zeros((cfg.n_sites, 3)),))
 
 
-def spread_values(rng, n) -> np.ndarray:
-    """n values of both signs and magnitudes 1e-5 to 1e5, about one in ten
-    of them +0.0 or -0.0."""
-    v = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
-    zero = rng.random(n) < 0.1
-    v[zero] = rng.choice(np.array([0.0, -0.0]), zero.sum())
-    return v
+def excess_by_planes(op, law, x, F, eps, planes, w=1.0) -> tuple[float, float]:
+    """The excess of the pair (op, w) formed outside the kernel from its
+    terms w (phi - phi(F eta)), phi(F eta) from an extra row of the batch:
+    eps^3 ``math.fsum`` of one ``np.add.reduce`` per plane, ``planes``
+    equal runs of rows; and eps^3 numpy's one pairwise sum of every term."""
+    base = F @ law.eta_vec
+    phi = law.evaluate(np.concatenate([op @ x / eps + base, base[None]]), 0)[0]
+    d = (phi[:-1] - phi[-1]) * w
+    plane = d.size // planes
+    sums = [np.add.reduce(d[i * plane:(i + 1) * plane]) for i in range(planes)]
+    return eps**3 * math.fsum(sums), float(eps**3 * np.add.reduce(d))
 
 
-def tree_sum_in_pieces(values, cuts) -> float:
-    """The kernel's sum of ``values`` taken in the pieces between ``cuts``:
-    each piece gives its tree nodes from a copy of its own values, as a
-    piece's arena rows, and the nodes are added in tree order."""
+def test_an_excess_is_eps3_fsum_of_its_plane_sums(monkeypatch):
+    """A pair's excess is eps^3 ``math.fsum`` of its plane sums, one
+    ``np.add.reduce`` per axis-0 plane of a stencil, whatever the pieces
+    and lanes: a lone stencil batch at N=64 with the default slabs (two
+    pieces of 32 planes) and with slabs of two planes, on one lane and on
+    two, energy-only and with its gradient; and each batch of a group of
+    staircase templates at N=12. On these states numpy's pairwise sum over
+    the rows differs from it. A gather is one plane: its excess is eps^3
+    one ``np.add.reduce``."""
     from bvcouple import energies
 
-    nodes: dict = {}
-    bounds = [0, *cuts, len(values)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        energies._tree_nodes(nodes, values[lo:hi].copy(), lo, 0, len(values))
-    return energies._tree_sum(nodes, 0, len(values))
+    y = sweep_like_state(64, 66)
+    eps, x = y.cfg.epsilon, y.displacement.values.reshape(-1, 3)
+    law = list(README_LAWS)[1]
+    op = energies._bond_stencil(law.eta, y.cfg.N)
+    rule, pairwise = excess_by_planes(op, law, x, y.F, eps, 64)
+    assert rule != pairwise
+    for slab_rows, lanes, g_outs in product((energies._SLAB_ROWS, 2 * 64 * 64), (1, 2), ((), (np.zeros_like(x),))):
+        monkeypatch.setattr(energies, "_SLAB_ROWS", slab_rows)
+        monkeypatch.setattr(energies, "_LANES", lanes)
+        assert len(energies._pieces([(op, 1.0)], op.rows)) == 64 * 64 * 64 // slab_rows
+        term = energies._term("t", [(op, 1.0, law, "k")], y.F, x, eps, g_outs)
+        assert term.lanes == lanes
+        assert repr(term.sums["k"][1]) == repr(rule), (slab_rows, lanes, len(g_outs))
+    monkeypatch.undo()
+
+    y = sweep_like_state(12, 12)
+    eps, x = y.cfg.epsilon, y.displacement.values.reshape(-1, 3)
+    law = list(README_LAWS)[1]
+    batches = [(op, 1.0 / 6.0, law, "k") for op in energies._staircase_stencils(law.eta, y.cfg.N)]
+    [(pairs, counts, _, _)] = energies._groups(batches)
+    assert len(pairs) > 1
+    expected = [excess_by_planes(op, law, x, y.F, eps, 12, 1.0 / 6.0) for op, *_ in batches]
+    assert any(rule != pairwise for rule, pairwise in expected)
+    term = energies._term("t", batches, y.F, x, eps, ())
+    assert term.law_calls == 1
+    assert repr(term.sums["k"][1]) == repr(sum((rule for rule, _ in expected), 0.0))
+
+    sites = np.random.default_rng(3).choice(y.cfg.n_sites, 1000, replace=False)
+    ends = np.ravel_multi_index(np.add(np.unravel_index(sites, y.cfg.N), np.reshape(law.eta, (3, 1))),
+                                y.cfg.N, mode="wrap")
+    G = energies._Csr(np.arange(0, 2 * sites.size + 1, 2, dtype=np.int32),
+                      np.column_stack([ends, sites]).ravel().astype(np.int32),
+                      np.tile([1.0, -1.0], sites.size), (sites.size, y.cfg.n_sites))
+    gather = energies._Gather(G, energies._ONE, sites, y.cfg.N)
+    _, pairwise = excess_by_planes(gather, law, x, y.F, eps, 1, 0.5)
+    term = energies._term("t", [(gather, 0.5, law, "k")], y.F, x, eps, ())
+    assert repr(term.sums["k"][1]) == repr(pairwise)
 
 
-def test_pairwise_tree_gives_the_bits_of_add_reduce():
-    """Summed in pieces through numpy's pairwise tree, values of magnitudes
-    1e-5 to 1e5 with +0.0 and -0.0 among them give the bits of one
-    ``np.add.reduce`` (``repr`` tells -0.0 from 0.0): every length from 1 to
-    300, whole, cut at one random row and cut every 7 rows (so up to 19
-    fragments make one leaf); 2^17 - 1 and 2^17 + 1 rows cut at three rows;
-    216,000 rows cut at 129,600, the pieces of an N=60 lattice batch, where
-    the cut falls inside a leaf; 3,000,001 rows cut every 131,072; and all
-    -0.0, whose sum is 0.0."""
-    rng = np.random.default_rng(36)
-    cases = []
-    for n in range(1, 301):
-        v = spread_values(rng, n)
-        cases += [(v, []), (v, [int(rng.integers(0, n + 1))]), (v, list(range(7, n, 7)))]
-        cases.append((np.full(n, -0.0), list(range(5, n, 5))))
-    for n in (2**17 - 1, 2**17 + 1):
-        cases.append((spread_values(rng, n), [1000, 2**16 + 3, n - 129]))
-    cases.append((spread_values(rng, 216_000), [129_600]))
-    cases.append((spread_values(rng, 3_000_001), list(range(131_072, 3_000_001, 131_072))))
-    for v, cuts in cases:
-        assert repr(tree_sum_in_pieces(v, cuts)) == repr(float(np.add.reduce(v))), (len(v), cuts)
+def test_an_excess_that_overflows_is_inf():
+    """Plane sums whose sum overflows, or that add inf and -inf, give an
+    infinite excess, which the kernel names as a domain error; no planes
+    give 0.0; otherwise the sum is correctly rounded."""
+    from bvcouple import energies
+
+    assert energies._excess([1e308, 1e308, -1.0], 0.5) == math.inf
+    assert energies._excess([math.inf, -math.inf], 0.5) == math.inf
+    assert repr(energies._excess([], 0.5)) == "0.0"
+    assert energies._excess(np.array([1.0, 1e-16, -1.0]), 0.5) == 0.125 * 1e-16
 
 
 def sweep_like_state(N, seed):
@@ -418,13 +451,13 @@ README_LAWS = InteractionSet([
 @pytest.mark.parametrize("lanes", [1, 2])
 @pytest.mark.parametrize("N", [60, 64])
 def test_pieces_reduce_to_the_bits_of_one_full_array_sum(monkeypatch, N, lanes):
-    """At N=60 (each lattice batch two pieces, of 129,600 and 86,400 rows,
-    the cut inside a 104-row leaf) and N=64 (two pieces of 131,072), on one
-    lane and on two: every model's energy-only call has the bits of its
-    gradient call's energy, excess and breakdown, and each atomistic key
-    has the bits of the excess summed over the whole batch at once,
-    eps^3 np.add.reduce(phi - phi(F eta)) with phi(F eta) from an extra row
-    of the batch, plus its homogeneous share."""
+    """At N=60 (each lattice batch two pieces, of 36 and 24 planes) and
+    N=64 (two pieces of 32 planes), on one lane and on two: every model's
+    energy-only call has the bits of its gradient call's energy, excess and
+    breakdown, and each atomistic key has the bits of the excess formed
+    from the whole batch at once, eps^3 ``math.fsum`` of one
+    ``np.add.reduce`` of (phi - phi(F eta)) per plane, with phi(F eta) from
+    an extra row of the batch, plus its homogeneous share."""
     from bvcouple import energies
 
     monkeypatch.setattr(energies, "_LANES", lanes)
@@ -442,10 +475,9 @@ def test_pieces_reduce_to_the_bits_of_one_full_array_sum(monkeypatch, N, lanes):
     x = y.displacement.values.reshape(-1, 3)
     for law in README_LAWS:
         op = energies._bond_stencil(law.eta, y.cfg.N)
-        zeta = np.concatenate([op @ x / eps + y.F @ law.eta_vec, (y.F @ law.eta_vec)[None]])
-        phi = law.evaluate(zeta, 0)[0]
-        excess = float(eps**3 * np.add.reduce(phi[:-1] - phi[-1]))
-        assert repr(energy.breakdown[f"eta={law.eta}"]) == repr(excess + float(eps**3 * phi[-1] * (1.0 * op.rows)))
+        excess, _ = excess_by_planes(op, law, x, y.F, eps, N)
+        phi0 = float(law.evaluate(y.F @ law.eta_vec, 0)[0])
+        assert repr(energy.breakdown[f"eta={law.eta}"]) == repr(excess + float(eps**3 * phi0 * (1.0 * op.rows)))
 
 
 def test_homogeneous_phi_is_kept_for_a_bounded_set_of_bonds():

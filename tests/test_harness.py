@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -64,12 +65,27 @@ def test_parse_model_names():
     for name in MODEL_NAMES:
         assert parse_model(name) == (name, None)
     assert parse_model("coupled-ho(2)") == ("coupled-ho", 2)
-    with pytest.raises(ValueError, match=r"^coupled-ho degree must be one of \(2, 3\), got 1$"):
-        parse_model("coupled-ho(1)")
+    for k in (0, 1, 4):
+        with pytest.raises(ValueError, match=rf"^coupled-ho degree must be one of \(2, 3\), got {k}$"):
+            parse_model(f"coupled-ho({k})")
     with pytest.raises(ValueError, match="unknown model"):
         parse_model("coupled-ho")
     with pytest.raises(ValueError, match="unknown model"):
         parse_model("continuum")
+
+
+@pytest.mark.parametrize("selector", ["coupled-ho(2)\n", "coupled-ho(\u0663)", "coupled-ho(03)"])
+def test_a_model_selector_has_one_spelling(tmp_path, capsys, selector):
+    """A degree is ASCII digits with no leading zero, and nothing follows
+    the selector: a trailing newline, an Arabic-Indic three and a leading
+    zero are unknown models, and ``--model`` with one exits 2 and writes no
+    report."""
+    with pytest.raises(ValueError, match="unknown model"):
+        parse_model(selector)
+    code = cli.main(["verify", "ghost-forces", "--model", selector, "--out", str(tmp_path / "reports")])
+    assert code == 2
+    assert "unknown model" in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
 
 
 def test_default_config_valid():
@@ -1238,15 +1254,12 @@ def test_lemma_csv_rows_are_relative_to_the_identity_scale(tmp_path, capsys):
     config = load_config()
     assert cli.main(["verify", "lemma", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    lines = (tmp_path / "lemma.csv").read_text().splitlines()
-    assert lines[1] == "case,eta,ell,residual,relative"
+    rows = read_report_csv(tmp_path / "lemma.csv")
+    assert rows[0] == ["case", "eta", "ell", "residual", "relative"]
     u = LatticeField(config.cfg, np.random.default_rng(config.seed).random(config.cfg.shape))
     eps = config.cfg.epsilon
     patterns = set()
-    for line in lines[2:]:
-        case, rest = line.split(",", 1)
-        eta_s, rest = rest.split("),", 1)
-        ell_s, residual, rel = rest.rsplit(",", 2)
+    for case, eta_s, ell_s, residual, rel in rows[1:]:
         eta = tuple(int(e) for e in eta_s.strip("()").split(","))
         ell = tuple(int(e) for e in ell_s.strip("()").split(","))
         d = sum(1 for e in eta if e)
@@ -1254,6 +1267,33 @@ def test_lemma_csv_rows_are_relative_to_the_identity_scale(tmp_path, capsys):
         assert float(rel) == pytest.approx(float(residual) / (eps**d * float(np.max(bond))), rel=1e-12, abs=0)
         patterns.add(tuple(e != 0 for e in eta))
     assert len(patterns) == 7
+
+
+def read_report_csv(path) -> list[list[str]]:
+    """A report CSV's header and rows, read by ``csv.reader`` after its
+    ``# seed=`` line."""
+    with open(path, newline="") as f:
+        assert f.readline().startswith("# seed=")
+        return list(csv.reader(f))
+
+
+def test_every_readme_csv_parses_to_its_header_width(tmp_path, capsys):
+    """The six README commands, on the built-in config (the README
+    example), write CSVs that ``csv.reader`` parses to the header's column
+    count on every row: the eta and site tuples of ``lemma.csv`` and
+    ``coverings.csv``, which hold commas, are quoted."""
+    commands = [["verify", "lemma"], ["verify", "ghost-forces"], ["verify", "gradient"], ["verify", "coverings"],
+                ["sweep", "consistency"], ["solve"]]
+    for command in commands:
+        assert cli.main([*command, "--out", str(tmp_path / "reports")]) == 0, command
+    capsys.readouterr()
+    written = sorted((tmp_path / "reports").glob("*.csv"))
+    assert {p.name for p in written} >= {"lemma.csv", "coverings.csv", "ghost_forces.csv", "sweep.csv"}
+    for path in written:
+        header, *rows = read_report_csv(path)
+        assert rows and all(len(row) == len(header) for row in rows), path.name
+    lemma = read_report_csv(tmp_path / "reports" / "lemma.csv")
+    assert lemma[1][1].startswith("(") and lemma[1][1].endswith(")"), lemma[1]
 
 
 # ----------------------------------------------------------------------
@@ -1344,7 +1384,7 @@ def test_coverings_check_names_and_writes_a_mismatched_direction(tmp_path, capsy
         "PASS coverings-(1, 1, 1)", "PASS coverings-(2, 1, 1)", "PASS coverings-(1, -1, 2)",
         "FAIL coverings-(5, 1, 1)"], out
     rows = (tmp_path / "verify-coverings" / "coverings.csv").read_text().splitlines()[2:]
-    assert rows == ["(1, 1, 1),ok,1,1", "(2, 1, 1),ok,2,2", "(1, -1, 2),ok,2,2", "(5, 1, 1),mismatch,0,5"]
+    assert rows == ['"(1, 1, 1)",ok,1,1', '"(2, 1, 1)",ok,2,2', '"(1, -1, 2)",ok,2,2', '"(5, 1, 1)",mismatch,0,5']
 
 
 def test_sweep_fails_when_a_model_misses_the_homogeneous_share(tmp_path, capsys, monkeypatch):
